@@ -8,42 +8,40 @@ quasilinear chain
 
     u^k_t = a^k_0 u^0_x + a^k_1 u^1_x + a^k_{k-1} u^{k-1}_x + a^k_{k+1} u^{k+1}_x
 
-with the sparse coefficient rows shared with the tensor engine
-(integrability.paper_chain_spec).  The O(eps) and O(eps^2) corrections
-implemented here are re-derived directly from the verified lattice term
-tables; the printed correction formulas carry sign typos in the u^0 u^1
-coupling group of the k < 0 and k > 1 branches (and k = -1 needs its own
-branch since the lattice equation there is genuinely special), so the
-mechanical Taylor expansion of the lattice tables doubles as an exact
-oracle for every hand-written branch.
+The lattice table ``lax.t2_even_w_terms`` is the only definition of that
+chain: every right-hand side here (order 0, and the O(eps) and O(eps^2)
+corrections) is its Taylor expansion ``lax.continuum_terms``, compiled once
+per band and order, and the sparse coefficient rows a^k_j shared with the
+tensor engine (integrability.paper_chain_spec) are read off the same order-0
+expansion.  The printed correction formulas carry sign typos in the u^0 u^1
+coupling group of the k < 0 and k > 1 branches; the tests keep the printed
+forms as oracles against the expansion.
 
 The first flow has no quasilinear limit: its continuum equations for
 (u^k, z^k) = (w^k, v^k) interpolants mix orders, with z^0_t1 = u^0 u^1
 exact and u^0_t1 starting only at eps^2.  Those right-hand sides are
-evaluated through the same expansion machinery.
+evaluated through the same expansion.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
-from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Sequence
+from dataclasses import dataclass
+from functools import lru_cache
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 from .integrability import paper_chain_spec
-from .lax import LaxBands, flow_t2_even_explicit, t1_v_terms, t1_w_terms, t2_even_w_terms
+from .lax import (LaxBands, continuum_terms, flow_t2_even_explicit, t1_v_terms,
+                  t1_w_terms, t2_even_w_terms)
 
 __all__ = [
     "ChainState",
     "chain_matrix_row",
     "chain_rhs_t2",
     "chain_rhs_t2_corrected",
-    "chain_t2_order0_terms",
-    "chain_t2_correction_terms",
-    "expand_lattice_terms",
     "continuum_t1_rhs",
     "evolve_chain",
     "continuum_residual",
@@ -51,9 +49,6 @@ __all__ = [
     "trajectory_to_csv",
     "residual_report_json",
 ]
-
-F = Fraction
-_SPEC_ROWS = paper_chain_spec().rows
 
 
 @dataclass
@@ -110,262 +105,83 @@ def _dx3(f: np.ndarray, h: float) -> np.ndarray:
             + 13 * np.roll(f, 1) - 8 * np.roll(f, 2) + np.roll(f, 3)) / (8 * h ** 3)
 
 
-_STENCILS = (lambda f, h: f, _dx1, _dx2, _dx3)
-
-
-def _derivative_table(s: ChainState, kind: str, max_order: int) -> dict:
-    """(band, derivative order) -> array, for all stored bands of one kind."""
-    if s.grid_size < 7 and max_order >= 3:
-        raise ValueError("grid too coarse for the third-derivative stencil")
-    table = {}
-    bands = s.u if kind == "u" else (s.z or {})
-    for k, arr in bands.items():
-        for r in range(max_order + 1):
-            table[(k, r)] = _STENCILS[r](arr, s.h)
-    return table
+_STENCILS = (None, _dx1, _dx2, _dx3)
 
 
 # ---------------------------------------------------------------------------
-# the leading-order chain
+# continuum right-hand sides: cached Taylor expansions of the lattice tables
 # ---------------------------------------------------------------------------
 
 
-def chain_matrix_row(u_window: Mapping[int, float], k: int) -> dict[int, float]:
-    """Nonzero coefficients of row k of the chain matrix at a point.
+class _Fields(dict):
+    """(kind, band, x-derivative order) -> array of a state ("w" -> u,
+    "v" -> z); absent bands read zero, derivatives are computed on first
+    reference."""
 
-    Evaluates the shared sparse polynomial rows; colliding structural
-    columns (k = -1 hits column 0, k = 2 hits column 1) are already merged
-    by summation there, which is what the printed component equations for
-    u^0_t and u^1_t pin down.
-    """
-    getter = lambda p: u_window.get(p, 0.0)
-    return {j: poly.eval(getter) for j, poly in _SPEC_ROWS(k).items()}
+    def __init__(self, s: ChainState):
+        super().__init__()
+        self.s = s
+        self.zero = np.zeros(s.grid_size)
+
+    def __missing__(self, factor: tuple) -> np.ndarray:
+        kind, band, r = factor
+        s = self.s
+        arr = (s.u if kind == "w" else s.z or {}).get(band)
+        if arr is None:
+            arr = self.zero
+        elif r:
+            if r == 3 and s.grid_size < 7:
+                raise ValueError("grid too coarse for the third-derivative stencil")
+            arr = _STENCILS[r](arr, s.h)
+        self[factor] = arr
+        return arr
 
 
-def chain_rhs_t2(s: ChainState) -> dict[int, np.ndarray]:
-    """Leading-order chain right-hand side, written from the four printed
-    component branches (k < 0, 0, 1, k > 1); central 4th-order x-derivatives.
-    """
-    h = s.h
-    u = {k: s.uband(k) for k in range(-s.depth - 1, s.depth + 2)}
-    ux = {k: _dx1(u[k], h) for k in u}
+def _sum_terms(terms: tuple, fields: _Fields) -> np.ndarray:
+    """sum of coeff * prod(factors), into a new array."""
+    acc = np.zeros(fields.s.grid_size)
+    for coeff, (first, *rest) in terms:
+        prod = fields[first]
+        for f in rest:
+            prod = prod * fields[f]
+        if coeff == 1.0:
+            acc += prod
+        elif coeff == -1.0:
+            acc -= prod
+        else:
+            acc += coeff * prod
+    return acc
+
+
+def _continuum_rhs(s: ChainState, table: Callable[[int], list], order: int,
+                   rescale: bool, fields: _Fields) -> dict[int, np.ndarray]:
+    """sum_r eps^r (eps^r part of the expanded table) for every |k| <= depth."""
     out = {}
     for k in range(-s.depth, s.depth + 1):
-        if k == 0:
-            rhs = u[0] * u[1] * ux[0] + u[0] ** 2 * ux[1] + u[0] * ux[-1]
-        elif k == 1:
-            rhs = (2 * u[2] - u[1] ** 2) * ux[0] - u[0] * u[1] * ux[1] + u[0] * ux[2]
-        elif k < 0:
-            rhs = ((k + 2) * u[k + 1] - k * u[k - 1] + u[1] * u[k]) * ux[0] \
-                + u[0] * u[k] * ux[1] + u[0] * ux[k - 1] + u[0] * ux[k + 1]
-        else:
-            rhs = ((k + 1) * u[k + 1] - (k - 1) * u[k - 1] - u[1] * u[k]) * ux[0] \
-                - u[0] * u[k] * ux[1] + u[0] * ux[k - 1] + u[0] * ux[k + 1]
-        out[k] = rhs
+        parts = [_sum_terms(terms, fields)
+                 for terms in continuum_terms(table, k, order, rescale)]
+        total = parts[0]
+        for r, part in enumerate(parts[1:], 1):
+            total += s.epsilon ** r * part
+        out[k] = total
     return out
 
 
-# ---------------------------------------------------------------------------
-# correction term lists (hand-derived from the lattice; exact-checked against
-# the mechanical expansion in the tests)
-# ---------------------------------------------------------------------------
-
-# a term is (rational coefficient, ((band, derivative order), ...))
-
-
-def chain_t2_order0_terms(k: int) -> list:
-    if k == 0:
-        return [(F(1), ((0, 0), (0, 1), (1, 0))), (F(1), ((0, 0), (0, 0), (1, 1))),
-                (F(1), ((-1, 1), (0, 0)))]
-    if k == 1:
-        return [(F(2), ((0, 1), (2, 0))), (F(-1), ((0, 1), (1, 0), (1, 0))),
-                (F(-1), ((0, 0), (1, 0), (1, 1))), (F(1), ((0, 0), (2, 1)))]
-    if k < 0:
-        return [(F(k + 2), ((0, 1), (k + 1, 0))), (F(-k), ((0, 1), (k - 1, 0))),
-                (F(1), ((0, 1), (1, 0), (k, 0))), (F(1), ((0, 0), (1, 1), (k, 0))),
-                (F(1), ((0, 0), (k - 1, 1))), (F(1), ((0, 0), (k + 1, 1)))]
-    return [(F(k + 1), ((0, 1), (k + 1, 0))), (F(-(k - 1)), ((0, 1), (k - 1, 0))),
-            (F(-1), ((0, 1), (1, 0), (k, 0))), (F(-1), ((0, 0), (1, 1), (k, 0))),
-            (F(1), ((0, 0), (k - 1, 1))), (F(1), ((0, 0), (k + 1, 1)))]
-
-
-def chain_t2_correction_terms(k: int, order: int) -> list:
-    """The O(eps^order) correction to the chain for band k, order in {1, 2}."""
-    if order == 1:
-        if k == 0:
-            return [(F(1, 2), ((-1, 2), (0, 0)))]
-        if k == 1:
-            return [(F(-1), ((0, 1), (2, 1))), (F(-1, 2), ((0, 0), (2, 2)))]
-        if k == -1:
-            return [
-                # -(u^-1 (u^0 u^1)_xx)/2
-                (F(-1, 2), ((-1, 0), (0, 2), (1, 0))),
-                (F(-1), ((-1, 0), (0, 1), (1, 1))),
-                (F(-1, 2), ((-1, 0), (0, 0), (1, 2))),
-                # -((u^0)^2)_xx / 2
-                (F(-1), ((0, 0), (0, 2))), (F(-1), ((0, 1), (0, 1))),
-                # -(u^0 u^-2)_xx / 2
-                (F(-1, 2), ((-2, 0), (0, 2))), (F(-1), ((-2, 1), (0, 1))),
-                (F(-1, 2), ((-2, 2), (0, 0))),
-            ]
-        if k < -1:
-            c = F(-(k + 2), 2)
-            return [
-                (c, ((k, 0), (0, 2), (1, 0))), (2 * c, ((k, 0), (0, 1), (1, 1))),
-                (c, ((k, 0), (0, 0), (1, 2))),
-                (F(k * k + 2 * k, 2), ((0, 2), (k - 1, 0))),
-                (F(-(k + 2) ** 2, 2), ((0, 2), (k + 1, 0))),
-                (F(-1), ((0, 1), (k - 1, 1))),
-                (F(1, 2), ((0, 0), (k + 1, 2))),
-                (F(-1, 2), ((0, 0), (k - 1, 2))),
-            ]
-        c = F(-(k - 1), 2)
-        return [
-            (c, ((k, 0), (0, 2), (1, 0))), (2 * c, ((k, 0), (0, 1), (1, 1))),
-            (c, ((k, 0), (0, 0), (1, 2))),
-            (F(k * k - 1, 2), ((0, 2), (k + 1, 0))),
-            (F(-(k - 1) ** 2, 2), ((0, 2), (k - 1, 0))),
-            (F(-1), ((0, 1), (k + 1, 1))),
-            (F(1, 2), ((0, 0), (k - 1, 2))),
-            (F(-1, 2), ((0, 0), (k + 1, 2))),
-        ]
-    if order == 2:
-        if k == 0:
-            return [(F(1, 6), ((0, 0), (0, 3), (1, 0))), (F(1, 2), ((0, 0), (0, 2), (1, 1))),
-                    (F(1, 2), ((0, 0), (0, 1), (1, 2))), (F(1, 6), ((0, 0), (0, 0), (1, 3))),
-                    (F(1, 6), ((-1, 3), (0, 0)))]
-        if k == 1:
-            return [
-                (F(-1, 6), ((1, 0), (0, 3), (1, 0))), (F(-1, 2), ((1, 0), (0, 2), (1, 1))),
-                (F(-1, 2), ((1, 0), (0, 1), (1, 2))), (F(-1, 6), ((1, 0), (0, 0), (1, 3))),
-                (F(1, 3), ((0, 3), (2, 0))), (F(1, 2), ((0, 2), (2, 1))),
-                (F(1, 2), ((0, 1), (2, 2))), (F(1, 6), ((0, 0), (2, 3))),
-            ]
-        if k == -1:
-            return [
-                (F(1, 6), ((-1, 0), (0, 3), (1, 0))), (F(1, 2), ((-1, 0), (0, 2), (1, 1))),
-                (F(1, 2), ((-1, 0), (0, 1), (1, 2))), (F(1, 6), ((-1, 0), (0, 0), (1, 3))),
-                (F(1, 3), ((0, 0), (0, 3))), (F(1), ((0, 1), (0, 2))),
-                (F(1, 6), ((-2, 0), (0, 3))), (F(1, 2), ((-2, 1), (0, 2))),
-                (F(1, 2), ((-2, 2), (0, 1))), (F(1, 6), ((-2, 3), (0, 0))),
-            ]
-        if k < -1:
-            c = F(3 * k * k + 9 * k + 8, 12)
-            return [
-                (c, ((k, 0), (0, 3), (1, 0))), (3 * c, ((k, 0), (0, 2), (1, 1))),
-                (3 * c, ((k, 0), (0, 1), (1, 2))), (c, ((k, 0), (0, 0), (1, 3))),
-                (F(1, 6), ((0, 0), (k - 1, 3))), (F(1, 6), ((0, 0), (k + 1, 3))),
-                (F(1 - (k + 1) ** 3, 6), ((0, 3), (k - 1, 0))),
-                (F((k + 2) ** 3, 6), ((0, 3), (k + 1, 0))),
-                (F(1, 2), ((0, 2), (k - 1, 1))),
-                (F(1, 2), ((0, 1), (k - 1, 2))),
-            ]
-        c = F(-(3 * k * k - 3 * k + 2), 12)
-        return [
-            (c, ((k, 0), (0, 3), (1, 0))), (3 * c, ((k, 0), (0, 2), (1, 1))),
-            (3 * c, ((k, 0), (0, 1), (1, 2))), (c, ((k, 0), (0, 0), (1, 3))),
-            (F(1, 6), ((0, 0), (k - 1, 3))), (F(1, 6), ((0, 0), (k + 1, 3))),
-            (F(k ** 3 + 1, 6), ((0, 3), (k + 1, 0))),
-            (F(-(k - 1) ** 3, 6), ((0, 3), (k - 1, 0))),
-            (F(1, 2), ((0, 2), (k + 1, 1))),
-            (F(1, 2), ((0, 1), (k + 1, 2))),
-        ]
-    raise ValueError("order must be 1 or 2")
-
-
-# ---------------------------------------------------------------------------
-# mechanical Taylor expansion of lattice term tables (the oracle)
-# ---------------------------------------------------------------------------
-
-
-def _multi_indices(n_factors: int, total: int):
-    if n_factors == 0:
-        if total == 0:
-            yield ()
-        return
-    for first in range(total + 1):
-        for rest in _multi_indices(n_factors - 1, total - first):
-            yield (first,) + rest
-
-
-def expand_lattice_terms(terms: Iterable, max_order: int,
-                         rescale: bool = False) -> dict[int, dict]:
-    """Taylor-expand a lattice term table into continuum term lists.
-
-    Each lattice factor (kind, band, shift m) contributes derivatives with
-    weight m^a / a!.  Returns {order r: {factors: coeff}} where a factor is
-    (kind, band, derivative order).  With ``rescale`` the whole table is
-    divided by eps (the t = eps * t2 time identification), so order r reads
-    the lattice's eps^(r+1) coefficient and the eps^0 sum must cancel, which
-    is asserted.
-    """
-    orders: dict[int, dict] = {r: {} for r in range(max_order + 1)}
-    top = max_order + (1 if rescale else 0)
-    zero_order: dict = {}
-    for coeff, factors in terms:
-        coeff = F(coeff)
-        for total in range(top + 1):
-            for alpha in _multi_indices(len(factors), total):
-                c = coeff
-                key = []
-                for (kind, band, shift), a in zip(factors, alpha):
-                    c *= F(shift) ** a / math.factorial(a)
-                    key.append((kind, band, a))
-                if c == 0:
-                    continue
-                key = tuple(sorted(key))
-                r = total - 1 if rescale else total
-                bucket = zero_order if r < 0 else orders[r]
-                bucket[key] = bucket.get(key, F(0)) + c
-    if rescale:
-        bad = {k: v for k, v in zero_order.items() if v}
-        if bad:
-            raise AssertionError(f"lattice table has a non-vanishing O(1) part: {bad}")
-    return {r: {k: v for k, v in terms_r.items() if v} for r, terms_r in orders.items()}
-
-
-def _eval_continuum_terms(terms: Mapping, table_u: Mapping, table_z: Mapping | None,
-                          shape: int):
-    total = np.zeros(shape)
-    for factors, coeff in terms.items():
-        prod = float(coeff) * np.ones(shape)
-        alive = True
-        for kind, band, r in factors:
-            tab = table_u if kind == "w" else table_z
-            arr = None if tab is None else tab.get((band, r))
-            if arr is None:
-                alive = False
-                break
-            prod = prod * arr
-        if alive:
-            total += prod
-    return total
+def chain_rhs_t2(s: ChainState) -> dict[int, np.ndarray]:
+    """Leading-order chain right-hand side (the O(eps) part of the even
+    lattice flow over eps); central 4th-order x-derivatives."""
+    return _continuum_rhs(s, t2_even_w_terms, 0, True, _Fields(s))
 
 
 def chain_rhs_t2_corrected(s: ChainState, order: int) -> dict[int, np.ndarray]:
     """Chain right-hand side including lattice-size corrections.
 
-    order 0 reproduces chain_rhs_t2; order 1 adds the O(eps) terms and
-    order 2 the O(eps^2) terms, with eps read from the state.
+    order 0 is chain_rhs_t2; order 1 adds the O(eps) terms and order 2 the
+    O(eps^2) terms, with eps read from the state.
     """
     if order not in (0, 1, 2):
         raise ValueError("order must be 0, 1 or 2")
-    table = _derivative_table(s, "u", 3 if order == 2 else 2)
-
-    def terms_for(k: int, r: int):
-        return chain_t2_order0_terms(k) if r == 0 else chain_t2_correction_terms(k, r)
-
-    out = {}
-    for k in range(-s.depth, s.depth + 1):
-        rhs = np.zeros(s.grid_size)
-        for r in range(order + 1):
-            terms: dict = {}
-            for c, factors in terms_for(k, r):
-                key = tuple(sorted(("w", band, d) for band, d in factors))
-                terms[key] = terms.get(key, F(0)) + F(c)
-            rhs += s.epsilon ** r * _eval_continuum_terms(terms, table, None, s.grid_size)
-        out[k] = rhs
-    return out
+    return _continuum_rhs(s, t2_even_w_terms, order, True, _Fields(s))
 
 
 def continuum_t1_rhs(s: ChainState, order: int) -> tuple[dict, dict]:
@@ -381,22 +197,36 @@ def continuum_t1_rhs(s: ChainState, order: int) -> tuple[dict, dict]:
         raise ValueError("first-flow continuum limit needs the z fields")
     if order not in (0, 1, 2):
         raise ValueError("order must be 0, 1 or 2")
-    max_d = 3 if order >= 2 else 2
-    table_u = _derivative_table(s, "u", max_d)
-    table_z = _derivative_table(s, "z", max_d)
-    du, dz = {}, {}
-    for k in range(-s.depth, s.depth + 1):
-        acc_u = np.zeros(s.grid_size)
-        acc_z = np.zeros(s.grid_size)
-        for r, terms in expand_lattice_terms(t1_w_terms(k), order).items():
-            acc_u += s.epsilon ** r * _eval_continuum_terms(terms, table_u, table_z,
-                                                            s.grid_size)
-        for r, terms in expand_lattice_terms(t1_v_terms(k), order).items():
-            acc_z += s.epsilon ** r * _eval_continuum_terms(terms, table_u, table_z,
-                                                            s.grid_size)
-        du[k] = acc_u
-        dz[k] = acc_z
-    return du, dz
+    fields = _Fields(s)
+    return (_continuum_rhs(s, t1_w_terms, order, False, fields),
+            _continuum_rhs(s, t1_v_terms, order, False, fields))
+
+
+# ---------------------------------------------------------------------------
+# the chain matrix rows
+# ---------------------------------------------------------------------------
+
+
+@lru_cache(maxsize=None)
+def _float_row(k: int) -> tuple:
+    """Row k of paper_chain_spec with float coefficients: (j, ((c, mono), ...))."""
+    return tuple((j, tuple((float(c), mono) for mono, c in poly.terms.items()))
+                 for j, poly in paper_chain_spec().rows(k).items())
+
+
+def _row_values(k: int, value_of: Callable[[int], object]) -> dict:
+    return {j: sum(c * math.prod(value_of(p) for p in mono) for c, mono in terms)
+            for j, terms in _float_row(k)}
+
+
+def chain_matrix_row(u_window: Mapping[int, float], k: int) -> dict[int, float]:
+    """Nonzero coefficients of row k of the chain matrix at a point.
+
+    Colliding structural columns (k = -1 hits column 0, k = 2 hits column 1)
+    come out merged by summation, which is what the printed component
+    equations for u^0_t and u^1_t pin down.
+    """
+    return _row_values(k, lambda p: u_window.get(p, 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -421,13 +251,8 @@ def max_row_sum(s: ChainState) -> float:
     """max_k sum_j |a^k_j| over the grid; the CFL scale of the chain."""
     worst = 0.0
     for k in range(-s.depth, s.depth + 1):
-        total = np.zeros(s.grid_size)
-        getter = lambda p: s.uband(p)
-        for j, poly in _SPEC_ROWS(k).items():
-            coeff = sum(float(c) * np.prod([getter(p) for p in mono], axis=0)
-                        for mono, c in poly.terms.items())
-            total += np.abs(coeff)
-        worst = max(worst, float(total.max()))
+        total = sum(np.abs(v) for v in _row_values(k, s.uband).values())
+        worst = max(worst, float(np.max(total)))
     return worst
 
 

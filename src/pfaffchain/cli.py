@@ -77,9 +77,7 @@ def cmd_tau(args, out: Path) -> int:
     return PASS
 
 
-_FLOWS = {"t1": (1, lax.flow_t1_explicit, False),
-          "t2": (2, lax.flow_t2_explicit, False),
-          "t2_even": (2, lax.flow_t2_even_explicit, True)}
+_FLOWS = lax.FLOWS
 
 
 def cmd_lax_verify(args, out: Path) -> int:
@@ -218,7 +216,9 @@ def cmd_gt(args, out: Path) -> int:
     return PASS if clean else FAIL
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
+    """The ``pfaffchain`` parser; ``config`` maps a subcommand name to
+    defaults for its options (dashes or underscores in the keys)."""
     parser = argparse.ArgumentParser(
         prog="pfaffchain",
         description="verification experiments for the skew-ensemble tau "
@@ -286,27 +286,36 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mutate", action="store_true",
                    help="corrupt the speed-equation coefficient (expect exit 1)")
     p.set_defaults(func=cmd_gt)
+
+    for name, sp in sub.choices.items():
+        section = (config or {}).get(name, {})
+        sp.set_defaults(**{k.replace("-", "_"): v for k, v in section.items()})
     return parser
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
-    # apply config defaults before the real parse
-    if "--config" in argv:
-        cfg_path = Path(argv[argv.index("--config") + 1])
+    # read --config first: its sections become the subcommands' defaults
+    pre = argparse.ArgumentParser(add_help=False, exit_on_error=False)
+    pre.add_argument("--config", type=Path, default=None)
+    try:
+        cfg_path = pre.parse_known_args(argv)[0].config
+    except argparse.ArgumentError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return USAGE
+    config = None
+    if cfg_path is not None:
         try:
             config = json.loads(cfg_path.read_text(encoding="utf-8"))
         except (OSError, json.JSONDecodeError) as exc:
             print(f"bad config: {exc}", file=sys.stderr)
             return USAGE
-        for action in parser._subparsers._group_actions[0].choices.items():
-            name, sp = action
-            section = {k.replace("-", "_"): v
-                       for k, v in config.get(name, {}).items()}
-            if section:
-                sp.set_defaults(**section)
-    args = parser.parse_args(argv)
+        if not (isinstance(config, dict)
+                and all(isinstance(v, dict) for v in config.values())):
+            print("bad config: expected an object of per-command objects",
+                  file=sys.stderr)
+            return USAGE
+    args = build_parser(config).parse_args(argv)
     return args.func(args, args.out)
 
 

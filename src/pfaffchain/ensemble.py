@@ -7,10 +7,13 @@ matrix m_2n = (mu_ij) built from the skew-symmetric pairing
     w(x)  = exp(-x^2/2 + sum_k t_k x^k)
 
 with sigma the sign function.  Orientation convention: sigma(y - x), which
-makes mu_01(0) = +2 sqrt(pi) and hence tau_2(0) = pf(m_2(0)) > 0, matching
-the Selberg evaluation tau_2(0) = sqrt(pi); the opposite orientation flips
-every Pfaffian's sign.  Only tau *ratios* are used as acceptance quantities,
-so the orientation and any n-independent normalisation drop out.
+makes mu_01(0) = +2 sqrt(pi) and hence tau_2(0) = pf(m_2(0)) > 0; the
+opposite orientation flips every Pfaffian's sign.  At zero coupling the
+quadrature taus are 2^n times the closed form ``selberg_tau_zero``
+(tau_2(0) = 2 sqrt(pi) against its sqrt(pi)): the two normalisations differ
+by a factor 2 per 2 x 2 block.  Only tau *ratios* are used as acceptance
+quantities, and in tau_{2n+2} tau_{2n-2} / tau_{2n}^2 both the orientation
+and that factor 2^n cancel.
 
 The kernel sigma(y - x) is discontinuous along the diagonal, so each moment
 integral is split into the two triangles y > x and y < x; the swap symmetry
@@ -42,8 +45,6 @@ __all__ = [
     "moment_mu",
     "moment_matrix",
     "pfaffian",
-    "pfaffian_cofactor",
-    "pfaffian_ltl",
     "tau_from_moments",
     "selberg_tau_zero",
     "selberg_ratio",
@@ -53,6 +54,8 @@ __all__ = [
 ]
 
 _MAX_EXPONENT = 700.0  # exp argument beyond which float64 overflows
+# largest change between the two Gauss-Legendre levels, relative to max|mu|
+_CONVERGENCE_TOL = 1e-8
 
 
 class QuadratureError(RuntimeError):
@@ -118,19 +121,15 @@ class CouplingVector:
 class QuadratureConfig:
     nodes_per_axis: int = 200
     domain_radius: float = 10.0
-    scheme: str = "tensor-gauss-legendre"
-    convergence_tol: float = 1e-8
 
     def __post_init__(self):
         if self.nodes_per_axis < 8:
             raise ValueError("nodes_per_axis must be >= 8")
         if self.domain_radius <= 0:
             raise ValueError("domain_radius must be positive")
-        if self.scheme not in ("tensor-gauss-legendre", "adaptive"):
-            raise ValueError(f"unknown scheme {self.scheme!r}")
 
     def key(self) -> tuple:
-        return (self.nodes_per_axis, self.domain_radius, self.scheme)
+        return (self.nodes_per_axis, self.domain_radius)
 
 
 def _exponent(x: np.ndarray, t: CouplingVector) -> np.ndarray:
@@ -207,10 +206,10 @@ class _MomentQuadrature:
         mu_c = gc - gc.T
         scale = max(1.0, float(np.abs(mu_f).max()))
         err = float(np.abs(mu_f - mu_c).max())
-        if err > self.q.convergence_tol * scale:
+        if err > _CONVERGENCE_TOL * scale:
             raise QuadratureError(
                 f"quadrature not converged: refinement change {err:.3e} "
-                f"exceeds {self.q.convergence_tol:.1e} * {scale:.3e}",
+                f"exceeds {_CONVERGENCE_TOL:.1e} * {scale:.3e}",
                 coarse=mu_c, fine=mu_f)
         return mu_f
 
@@ -222,20 +221,6 @@ def _quadrature_for(t_key: tuple, even_only: bool, q_key: tuple) -> _MomentQuadr
     return _MomentQuadrature(t, q)
 
 
-def _mu_adaptive(i: int, j: int, t: CouplingVector, q: QuadratureConfig) -> float:
-    from scipy import integrate
-
-    r = q.domain_radius
-
-    def f(y, x):
-        return (x ** i * y ** j - x ** j * y ** i) * \
-            weight_eval(x, t) * weight_eval(y, t)
-
-    val, _ = integrate.dblquad(f, -r, r, lambda x: x, lambda x: r,
-                               epsabs=1e-10, epsrel=1e-10)
-    return val
-
-
 def moment_mu(i: int, j: int, t: CouplingVector, q: QuadratureConfig) -> float:
     """mu_ij(t); antisymmetric in (i, j) by construction, zero diagonal."""
     if i < 0 or j < 0:
@@ -244,8 +229,6 @@ def moment_mu(i: int, j: int, t: CouplingVector, q: QuadratureConfig) -> float:
         return 0.0
     if i > j:
         return -moment_mu(j, i, t, q)
-    if q.scheme == "adaptive":
-        return _mu_adaptive(i, j, t, q)
     table = _quadrature_for(t.key(), t.even_only, q.key()).mu_table(j)
     return float(table[i, j])
 
@@ -282,8 +265,7 @@ def moment_matrix(n: int, t: CouplingVector, q: QuadratureConfig) -> SkewMomentM
     upper = np.triu(table[:dim, :dim], 1)
     return SkewMomentMatrix(dim=dim, upper=upper, couplings=t,
                             quad_meta={"nodes_per_axis": q.nodes_per_axis,
-                                       "domain_radius": q.domain_radius,
-                                       "scheme": q.scheme})
+                                       "domain_radius": q.domain_radius})
 
 
 def write_moment_csv(m: SkewMomentMatrix, path) -> None:
@@ -314,31 +296,12 @@ def _as_skew_array(m) -> np.ndarray:
     return a
 
 
-def pfaffian_cofactor(m) -> float:
-    """Recursive expansion along the first row; oracle for dim <= 8."""
-    a = _as_skew_array(m)
-    if a.shape[0] > 8:
-        raise ValueError("cofactor expansion limited to dim <= 8")
+def pfaffian(m) -> float:
+    """pf(m) with pf(m)^2 = det(m); pf([[0, a], [-a, 0]]) = +a.
 
-    def rec(mat: np.ndarray) -> float:
-        n = mat.shape[0]
-        if n == 0:
-            return 1.0
-        if n == 2:
-            return float(mat[0, 1])
-        total = 0.0
-        rest = list(range(1, n))
-        for pos, j in enumerate(rest):
-            sign = -1.0 if pos % 2 else 1.0  # (-1)^j for column j (1-based j=2,3,..)
-            keep = [r for r in rest if r != j]
-            total += sign * float(mat[0, j]) * rec(mat[np.ix_(keep, keep)])
-        return total
-
-    return rec(a)
-
-
-def pfaffian_ltl(m) -> float:
-    """Skew tridiagonalisation with partial pivoting (parity-tracked)."""
+    Parlett-Reid skew tridiagonalisation with partial pivoting, parity
+    tracked (Wimmer, ACM TOMS 38 (2012)).
+    """
     a = _as_skew_array(m).copy()
     n = a.shape[0]
     value = 1.0
@@ -358,14 +321,6 @@ def pfaffian_ltl(m) -> float:
     return value
 
 
-def pfaffian(m) -> float:
-    """pf(m) with pf(m)^2 = det(m); pf([[0, a], [-a, 0]]) = +a."""
-    a = _as_skew_array(m)
-    if a.shape[0] <= 8:
-        return pfaffian_cofactor(a)
-    return pfaffian_ltl(a)
-
-
 # ---------------------------------------------------------------------------
 # tau functions
 # ---------------------------------------------------------------------------
@@ -379,7 +334,11 @@ def tau_from_moments(n: int, t: CouplingVector, q: QuadratureConfig) -> float:
 
 
 def selberg_tau_zero(n: int) -> float:
-    """Closed form at vanishing couplings: pi^(n/2) * prod 2^(-2k) (2k)!."""
+    """Closed form at vanishing couplings: pi^(n/2) * prod 2^(-2k) (2k)!.
+
+    Selberg normalisation: the quadrature ``tau_from_moments(n, 0)`` is
+    2^n times this value; their ratios around 2n agree.
+    """
     if n < 0:
         raise ValueError("n must be nonnegative")
     value = math.pi ** (n / 2.0)

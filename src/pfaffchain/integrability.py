@@ -14,7 +14,10 @@ so "vanishes" means the integer 0, never a tolerance.  Summation ranges for the
 repeated indices are derived mechanically from the sparsity of the registered
 matrix, which keeps the engine usable for user-supplied chain-class matrices.
 
-The flagship instance is the skew-ensemble chain matrix with rows
+The flagship instance is the skew-ensemble chain matrix.  Its rows are not
+written out here: row k is read off the order-0 Taylor expansion of the even
+lattice flow ``lax.t2_even_w_terms`` (each term there carries exactly one
+x-derivative u^j_x, which names the column j).  They come out as
 
     row k (generic):  col 0: (k+2)u^{k+1} - k u^{k-1} + u^1 u^k   (k < 0)
                              (k+1)u^{k+1} - (k-1)u^{k-1} - u^1 u^k (k > 1)
@@ -24,16 +27,19 @@ The flagship instance is the skew-ensemble chain matrix with rows
 
 For k in {-1, 2} two of the four structural columns coincide and their
 contributions add (row -1 col 0 becomes 2u^0 + u^{-2} + u^1 u^{-1}, row 2
-col 1 becomes u^0 - u^0 u^2); rows 0 and 1 are already the merged totals.
+col 1 becomes u^0 - u^0 u^2).
 """
 
 from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, Iterable, Mapping
+
+from .lax import expand_lattice_terms, t2_even_w_terms
 
 Rational = Fraction
 
@@ -250,27 +256,24 @@ def _row_add(row: dict[int, Poly], j: int, poly: Poly) -> None:
     row[j] = row.get(j, Poly()) + poly
 
 
-def _paper_row(k: int) -> dict[int, Poly]:
-    u = Poly.u
-    if k == 0:
-        return {-1: u(0), 0: u(0) * u(1), 1: u(0) * u(0)}
-    if k == 1:
-        return {0: 2 * u(2) - u(1) * u(1), 1: -(u(0) * u(1)), 2: u(0)}
+@lru_cache(maxsize=None)
+def _even_chain_row(k: int) -> tuple[tuple[int, Poly], ...]:
     row: dict[int, Poly] = {}
-    if k < 0:
-        _row_add(row, 0, (k + 2) * u(k + 1) - k * u(k - 1) + u(1) * u(k))
-        _row_add(row, 1, u(0) * u(k))
-    else:
-        _row_add(row, 0, (k + 1) * u(k + 1) - (k - 1) * u(k - 1) - u(1) * u(k))
-        _row_add(row, 1, -(u(0) * u(k)))
-    _row_add(row, k - 1, u(0))
-    _row_add(row, k + 1, u(0))
-    return {j: p for j, p in row.items() if p}
+    expansion = expand_lattice_terms(t2_even_w_terms(k), 0, rescale=True)[0]
+    for factors, coeff in expansion.items():
+        [col] = [band for _kind, band, d in factors if d == 1]
+        mono = tuple(band for _kind, band, d in factors if d == 0)
+        _row_add(row, col, Poly({mono: coeff}))
+    return tuple((j, p) for j, p in row.items() if p)
+
+
+def _paper_rows(k: int) -> dict[int, Poly]:
+    return dict(_even_chain_row(k))
 
 
 def paper_chain_spec() -> ChainMatrixSpec:
     """The skew-ensemble hydrodynamic chain matrix (flagship instance)."""
-    return ChainMatrixSpec(name="even-chain", rows=_paper_row, stencil=1)
+    return ChainMatrixSpec(name="even-chain", rows=_paper_rows, stencil=1)
 
 
 def diagonal_chain_spec() -> ChainMatrixSpec:

@@ -17,10 +17,14 @@ with X_up/X_lo the strict upper/lower parts excluding the 2x2 diagonal
 blocks and X_blk those blocks.  The explicit t_1/t_2 flow formulas are kept
 as *term tables* (rational coefficient, product of shifted band factors), so
 the same tables evaluate over floats for speed and over Fractions for exact
-commutator cross-validation.  Out-of-window band references read zero; the
-left lattice boundary (site 0) reads zero as well, which matches the
-semi-infinite matrix, while right-boundary truncation is quarantined by the
-interior mask.
+commutator cross-validation.  Their Taylor expansion (``expand_lattice_terms``,
+with the cached float form ``continuum_terms``) is the continuum limit: the
+chain right-hand sides in ``chain`` and the chain-matrix rows in
+``integrability`` are both read off ``t2_even_w_terms`` that way.
+
+Out-of-window band references read zero; the left lattice boundary (site 0)
+reads zero as well, which matches the semi-infinite matrix, while
+right-boundary truncation is quarantined by the interior mask.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ import json
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Mapping
 
 import numpy as np
@@ -54,6 +59,9 @@ __all__ = [
     "t2_v_terms",
     "t2_w_terms",
     "t2_even_w_terms",
+    "FLOWS",
+    "expand_lattice_terms",
+    "continuum_terms",
     "skew_factorize",
     "skew_factorize_gram_schmidt",
     "FactorizationError",
@@ -685,6 +693,74 @@ def flow_t2_even_explicit(b: LaxBands) -> BandDerivs:
     return _flow_from_tables(b, t2_even_w_terms, None)
 
 
+# flow name -> (power k of L in the commutator, explicit flow, even reduction)
+FLOWS = {"t1": (1, flow_t1_explicit, False),
+         "t2": (2, flow_t2_explicit, False),
+         "t2_even": (2, flow_t2_even_explicit, True)}
+
+
+# ---------------------------------------------------------------------------
+# Taylor expansion of the term tables (the continuum limit)
+# ---------------------------------------------------------------------------
+
+
+def _multi_indices(n_factors: int, total: int):
+    if n_factors == 0:
+        if total == 0:
+            yield ()
+        return
+    for first in range(total + 1):
+        for rest in _multi_indices(n_factors - 1, total - first):
+            yield (first,) + rest
+
+
+def expand_lattice_terms(terms: Iterable, max_order: int,
+                         rescale: bool = False) -> dict[int, dict]:
+    """Taylor-expand a lattice term table into continuum term lists.
+
+    Each lattice factor (kind, band, shift m) contributes derivatives with
+    weight m^a / a!.  Returns {order r: {factors: coeff}} where a factor is
+    (kind, band, derivative order).  With ``rescale`` the whole table is
+    divided by eps (the t = eps * t2 time identification), so order r reads
+    the lattice's eps^(r+1) coefficient and the eps^0 sum must cancel, which
+    is asserted.
+    """
+    orders: dict[int, dict] = {r: {} for r in range(max_order + 1)}
+    top = max_order + (1 if rescale else 0)
+    zero_order: dict = {}
+    for coeff, factors in terms:
+        coeff = Fraction(coeff)
+        for total in range(top + 1):
+            for alpha in _multi_indices(len(factors), total):
+                c = coeff
+                key = []
+                for (kind, band, shift), a in zip(factors, alpha):
+                    c *= Fraction(shift) ** a / math.factorial(a)
+                    key.append((kind, band, a))
+                if c == 0:
+                    continue
+                key = tuple(sorted(key))
+                r = total - 1 if rescale else total
+                bucket = zero_order if r < 0 else orders[r]
+                bucket[key] = bucket.get(key, Fraction(0)) + c
+    if rescale:
+        bad = {k: v for k, v in zero_order.items() if v}
+        if bad:
+            raise AssertionError(f"lattice table has a non-vanishing O(1) part: {bad}")
+    return {r: {k: v for k, v in terms_r.items() if v} for r, terms_r in orders.items()}
+
+
+@lru_cache(maxsize=None)
+def continuum_terms(table: Callable[[int], list], k: int, order: int,
+                    rescale: bool = False) -> tuple:
+    """Float form of ``expand_lattice_terms(table(k), order, rescale)``,
+    built on first use and cached: entry r holds the eps^r part as
+    (coefficient, ((kind, band, x-derivative order), ...)) pairs."""
+    expanded = expand_lattice_terms(table(k), order, rescale)
+    return tuple(tuple((float(c), factors) for factors, c in expanded[r].items())
+                 for r in range(order + 1))
+
+
 # ---------------------------------------------------------------------------
 # skew factorisation and the Gaussian initial state
 # ---------------------------------------------------------------------------
@@ -814,12 +890,8 @@ def _axpy(b: LaxBands, scale: float, d: BandDerivs) -> LaxBands:
 
 
 def _rhs_for(flow: str, commutator_k: int | None, M: int | None):
-    if flow == "t1":
-        return flow_t1_explicit
-    if flow == "t2":
-        return flow_t2_explicit
-    if flow == "t2_even":
-        return flow_t2_even_explicit
+    if flow in FLOWS:
+        return FLOWS[flow][1]
     if flow == "commutator":
         if commutator_k is None:
             raise ValueError("commutator flow needs commutator_k")

@@ -1,5 +1,7 @@
 import math
-import random
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -10,18 +12,17 @@ from pfaffchain.chain import (
     chain_matrix_row,
     chain_rhs_t2,
     chain_rhs_t2_corrected,
-    chain_t2_correction_terms,
-    chain_t2_order0_terms,
     continuum_residual,
     continuum_t1_rhs,
     default_profile,
     evolve_chain,
-    expand_lattice_terms,
     GradientCatastropheError,
     max_row_sum,
     _dx2,
 )
-from pfaffchain.lax import t2_even_w_terms
+from pfaffchain.lax import expand_lattice_terms, t2_even_w_terms
+
+F = Fraction
 
 
 def _random_state(rng, depth=3, grid=64, with_z=False, epsilon=0.0):
@@ -96,6 +97,112 @@ def test_rhs_equals_row_assembly():
 # corrected right-hand sides vs the mechanical lattice expansion
 # ---------------------------------------------------------------------------
 
+# The printed chain and its O(eps), O(eps^2) corrections, re-derived by hand
+# from the lattice: oracles for the mechanical expansion.  A term is
+# (rational coefficient, ((band, derivative order), ...)).
+
+def chain_t2_order0_terms(k: int) -> list:
+    """The printed leading-order chain for band k."""
+    if k == 0:
+        return [(F(1), ((0, 0), (0, 1), (1, 0))), (F(1), ((0, 0), (0, 0), (1, 1))),
+                (F(1), ((-1, 1), (0, 0)))]
+    if k == 1:
+        return [(F(2), ((0, 1), (2, 0))), (F(-1), ((0, 1), (1, 0), (1, 0))),
+                (F(-1), ((0, 0), (1, 0), (1, 1))), (F(1), ((0, 0), (2, 1)))]
+    if k < 0:
+        return [(F(k + 2), ((0, 1), (k + 1, 0))), (F(-k), ((0, 1), (k - 1, 0))),
+                (F(1), ((0, 1), (1, 0), (k, 0))), (F(1), ((0, 0), (1, 1), (k, 0))),
+                (F(1), ((0, 0), (k - 1, 1))), (F(1), ((0, 0), (k + 1, 1)))]
+    return [(F(k + 1), ((0, 1), (k + 1, 0))), (F(-(k - 1)), ((0, 1), (k - 1, 0))),
+            (F(-1), ((0, 1), (1, 0), (k, 0))), (F(-1), ((0, 0), (1, 1), (k, 0))),
+            (F(1), ((0, 0), (k - 1, 1))), (F(1), ((0, 0), (k + 1, 1)))]
+
+
+def chain_t2_correction_terms(k: int, order: int) -> list:
+    """The O(eps^order) correction to the chain for band k, order in {1, 2}."""
+    if order == 1:
+        if k == 0:
+            return [(F(1, 2), ((-1, 2), (0, 0)))]
+        if k == 1:
+            return [(F(-1), ((0, 1), (2, 1))), (F(-1, 2), ((0, 0), (2, 2)))]
+        if k == -1:
+            return [
+                # -(u^-1 (u^0 u^1)_xx)/2
+                (F(-1, 2), ((-1, 0), (0, 2), (1, 0))),
+                (F(-1), ((-1, 0), (0, 1), (1, 1))),
+                (F(-1, 2), ((-1, 0), (0, 0), (1, 2))),
+                # -((u^0)^2)_xx / 2
+                (F(-1), ((0, 0), (0, 2))), (F(-1), ((0, 1), (0, 1))),
+                # -(u^0 u^-2)_xx / 2
+                (F(-1, 2), ((-2, 0), (0, 2))), (F(-1), ((-2, 1), (0, 1))),
+                (F(-1, 2), ((-2, 2), (0, 0))),
+            ]
+        if k < -1:
+            c = F(-(k + 2), 2)
+            return [
+                (c, ((k, 0), (0, 2), (1, 0))), (2 * c, ((k, 0), (0, 1), (1, 1))),
+                (c, ((k, 0), (0, 0), (1, 2))),
+                (F(k * k + 2 * k, 2), ((0, 2), (k - 1, 0))),
+                (F(-(k + 2) ** 2, 2), ((0, 2), (k + 1, 0))),
+                (F(-1), ((0, 1), (k - 1, 1))),
+                (F(1, 2), ((0, 0), (k + 1, 2))),
+                (F(-1, 2), ((0, 0), (k - 1, 2))),
+            ]
+        c = F(-(k - 1), 2)
+        return [
+            (c, ((k, 0), (0, 2), (1, 0))), (2 * c, ((k, 0), (0, 1), (1, 1))),
+            (c, ((k, 0), (0, 0), (1, 2))),
+            (F(k * k - 1, 2), ((0, 2), (k + 1, 0))),
+            (F(-(k - 1) ** 2, 2), ((0, 2), (k - 1, 0))),
+            (F(-1), ((0, 1), (k + 1, 1))),
+            (F(1, 2), ((0, 0), (k - 1, 2))),
+            (F(-1, 2), ((0, 0), (k + 1, 2))),
+        ]
+    if order == 2:
+        if k == 0:
+            return [(F(1, 6), ((0, 0), (0, 3), (1, 0))), (F(1, 2), ((0, 0), (0, 2), (1, 1))),
+                    (F(1, 2), ((0, 0), (0, 1), (1, 2))), (F(1, 6), ((0, 0), (0, 0), (1, 3))),
+                    (F(1, 6), ((-1, 3), (0, 0)))]
+        if k == 1:
+            return [
+                (F(-1, 6), ((1, 0), (0, 3), (1, 0))), (F(-1, 2), ((1, 0), (0, 2), (1, 1))),
+                (F(-1, 2), ((1, 0), (0, 1), (1, 2))), (F(-1, 6), ((1, 0), (0, 0), (1, 3))),
+                (F(1, 3), ((0, 3), (2, 0))), (F(1, 2), ((0, 2), (2, 1))),
+                (F(1, 2), ((0, 1), (2, 2))), (F(1, 6), ((0, 0), (2, 3))),
+            ]
+        if k == -1:
+            return [
+                (F(1, 6), ((-1, 0), (0, 3), (1, 0))), (F(1, 2), ((-1, 0), (0, 2), (1, 1))),
+                (F(1, 2), ((-1, 0), (0, 1), (1, 2))), (F(1, 6), ((-1, 0), (0, 0), (1, 3))),
+                (F(1, 3), ((0, 0), (0, 3))), (F(1), ((0, 1), (0, 2))),
+                (F(1, 6), ((-2, 0), (0, 3))), (F(1, 2), ((-2, 1), (0, 2))),
+                (F(1, 2), ((-2, 2), (0, 1))), (F(1, 6), ((-2, 3), (0, 0))),
+            ]
+        if k < -1:
+            c = F(3 * k * k + 9 * k + 8, 12)
+            return [
+                (c, ((k, 0), (0, 3), (1, 0))), (3 * c, ((k, 0), (0, 2), (1, 1))),
+                (3 * c, ((k, 0), (0, 1), (1, 2))), (c, ((k, 0), (0, 0), (1, 3))),
+                (F(1, 6), ((0, 0), (k - 1, 3))), (F(1, 6), ((0, 0), (k + 1, 3))),
+                (F(1 - (k + 1) ** 3, 6), ((0, 3), (k - 1, 0))),
+                (F((k + 2) ** 3, 6), ((0, 3), (k + 1, 0))),
+                (F(1, 2), ((0, 2), (k - 1, 1))),
+                (F(1, 2), ((0, 1), (k - 1, 2))),
+            ]
+        c = F(-(3 * k * k - 3 * k + 2), 12)
+        return [
+            (c, ((k, 0), (0, 3), (1, 0))), (3 * c, ((k, 0), (0, 2), (1, 1))),
+            (3 * c, ((k, 0), (0, 1), (1, 2))), (c, ((k, 0), (0, 0), (1, 3))),
+            (F(1, 6), ((0, 0), (k - 1, 3))), (F(1, 6), ((0, 0), (k + 1, 3))),
+            (F(k ** 3 + 1, 6), ((0, 3), (k + 1, 0))),
+            (F(-(k - 1) ** 3, 6), ((0, 3), (k - 1, 0))),
+            (F(1, 2), ((0, 2), (k + 1, 1))),
+            (F(1, 2), ((0, 1), (k + 1, 2))),
+        ]
+    raise ValueError("order must be 1 or 2")
+
+
+
 def _canon(terms):
     out = {}
     for c, factors in terms:
@@ -110,6 +217,17 @@ def test_correction_tables_match_lattice_expansion_exactly(k):
     assert _canon(chain_t2_order0_terms(k)) == mech[0]
     assert _canon(chain_t2_correction_terms(k, 1)) == mech[1]
     assert _canon(chain_t2_correction_terms(k, 2)) == mech[2]
+
+
+def test_no_expansion_runs_at_import():
+    code = ("import pfaffchain.cli; from pfaffchain import chain, integrability, lax; "
+            "print(lax.continuum_terms.cache_info().currsize, "
+            "integrability._even_chain_row.cache_info().currsize, "
+            "chain._float_row.cache_info().currsize)")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    done = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True)
+    assert done.stdout.split() == ["0", "0", "0"]
 
 
 def test_order0_correction_equals_plain_rhs():
@@ -143,7 +261,8 @@ def test_constant_state_has_zero_rhs_at_every_order():
 
 def test_first_correction_of_u0_branch():
     # the O(eps) term of the u^0 equation is u^0 u^-1_xx / 2
-    assert chain_t2_correction_terms(0, 1) == [(Fraction(1, 2), ((-1, 2), (0, 0)))]
+    mech = expand_lattice_terms(t2_even_w_terms(0), 1, rescale=True)
+    assert mech[1] == {(("w", -1, 2), ("w", 0, 0)): Fraction(1, 2)}
 
 
 def test_grid_too_coarse_for_third_derivative():

@@ -110,3 +110,15 @@ def test_config_file_defaults(tmp_path):
     assert main(["--out", str(out), "--config", str(cfg), "gt"]) == 0
     report = json.loads((out / "gt_involutivity.json").read_text())
     assert report["jets"] == 2
+
+
+def test_config_without_path_is_a_usage_error(capsys):
+    assert main(["--config"]) == 2
+    assert "--config" in capsys.readouterr().err
+
+
+def test_config_must_be_an_object_of_objects(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"gt": 3}))
+    assert main(["--out", str(tmp_path), "--config", str(cfg), "gt"]) == 2
+    assert "bad config" in capsys.readouterr().err

@@ -11,8 +11,6 @@ from pfaffchain.ensemble import (
     moment_matrix,
     moment_mu,
     pfaffian,
-    pfaffian_cofactor,
-    pfaffian_ltl,
     selberg_ratio,
     selberg_tau_zero,
     tau_from_moments,
@@ -73,8 +71,6 @@ def test_quadrature_config_validation():
         QuadratureConfig(nodes_per_axis=4)
     with pytest.raises(ValueError):
         QuadratureConfig(domain_radius=-1.0)
-    with pytest.raises(ValueError):
-        QuadratureConfig(scheme="monte-carlo")
 
 
 # ---------------------------------------------------------------------------
@@ -113,10 +109,22 @@ def test_moment_01_monte_carlo_oracle():
     assert abs(est - moment_mu(0, 1, ZERO, Q)) < 5 * sem
 
 
+def _mu_adaptive(i, j, t, radius):
+    """Oracle: scipy's adaptive dblquad over the triangle y > x."""
+    from scipy import integrate
+
+    def f(y, x):
+        return (x ** i * y ** j - x ** j * y ** i) * \
+            weight_eval(x, t) * weight_eval(y, t)
+
+    val, _ = integrate.dblquad(f, -radius, radius, lambda x: x, lambda x: radius,
+                               epsabs=1e-10, epsrel=1e-10)
+    return val
+
+
 def test_adaptive_scheme_matches_tensor_rule():
-    qa = QuadratureConfig(nodes_per_axis=64, scheme="adaptive")
     for (i, j) in [(0, 1), (1, 2)]:
-        assert moment_mu(i, j, ZERO, qa) == pytest.approx(
+        assert _mu_adaptive(i, j, ZERO, Q.domain_radius) == pytest.approx(
             moment_mu(i, j, ZERO, Q), abs=1e-8)
 
 
@@ -203,12 +211,25 @@ def test_pfaffian_squared_is_determinant():
             assert pf * pf == pytest.approx(det, rel=1e-10, abs=1e-10)
 
 
+def _pfaffian_cofactor(a):
+    """Oracle: recursive expansion along the first row."""
+    n = a.shape[0]
+    if n == 0:
+        return 1.0
+    total = 0.0
+    for j in range(1, n):
+        keep = [r for r in range(1, n) if r != j]
+        sign = 1.0 if j % 2 else -1.0
+        total += sign * float(a[0, j]) * _pfaffian_cofactor(a[np.ix_(keep, keep)])
+    return total
+
+
 def test_pfaffian_routes_agree():
     rng = np.random.default_rng(8)
     for dim in (2, 4, 6, 8):
         a = rng.standard_normal((dim, dim))
         a -= a.T
-        assert pfaffian_ltl(a) == pytest.approx(pfaffian_cofactor(a), rel=1e-12)
+        assert pfaffian(a) == pytest.approx(_pfaffian_cofactor(a), rel=1e-12)
 
 
 def test_pfaffian_schur_oracle():
@@ -238,7 +259,7 @@ def test_pfaffian_zero_column():
     a = np.zeros((4, 4))
     a[2, 3] = 1.0
     a -= a.T
-    assert pfaffian_ltl(a) == 0.0
+    assert pfaffian(a) == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -256,6 +277,12 @@ def test_selberg_ratio_law():
     for n in range(1, 11):
         lhs = selberg_tau_zero(n + 1) * selberg_tau_zero(n - 1) / selberg_tau_zero(n) ** 2
         assert lhs == pytest.approx(selberg_ratio(n), rel=1e-12)
+
+
+def test_quadrature_tau_is_2n_times_selberg():
+    for n in range(1, 6):
+        ratio = tau_from_moments(n, ZERO, Q) / selberg_tau_zero(n)
+        assert ratio == pytest.approx(2.0 ** n, rel=1e-10)
 
 
 def test_selberg_overflow():

@@ -58,6 +58,40 @@ def test_row_zero_partials():
     assert ev.partial(0, 0, 1) == ev.point.at(0)   # d(u0 u1)/du1 = u0
 
 
+def _row_add(row, j, poly):
+    row[j] = row.get(j, Poly()) + poly
+
+
+def _printed_row(k):
+    """The printed chain-matrix rows, written out by hand."""
+    u = Poly.u
+    if k == 0:
+        return {-1: u(0), 0: u(0) * u(1), 1: u(0) * u(0)}
+    if k == 1:
+        return {0: 2 * u(2) - u(1) * u(1), 1: -(u(0) * u(1)), 2: u(0)}
+    row = {}
+    if k < 0:
+        _row_add(row, 0, (k + 2) * u(k + 1) - k * u(k - 1) + u(1) * u(k))
+        _row_add(row, 1, u(0) * u(k))
+    else:
+        _row_add(row, 0, (k + 1) * u(k + 1) - (k - 1) * u(k - 1) - u(1) * u(k))
+        _row_add(row, 1, -(u(0) * u(k)))
+    _row_add(row, k - 1, u(0))
+    _row_add(row, k + 1, u(0))
+    return {j: p for j, p in row.items() if p}
+
+
+def test_derived_rows_equal_printed_rows():
+    for k in range(-30, 31):
+        assert SPEC.rows(k) == _printed_row(k), k
+
+
+def test_rows_are_fresh_dicts():
+    row = SPEC.rows(3)
+    row.clear()
+    assert SPEC.rows(3) == _printed_row(3)
+
+
 def test_structural_column_partial_is_one():
     ev = TensorPoint(SPEC, _point())
     for k in (-4, -3, 3, 5):
