@@ -8,14 +8,15 @@ quasilinear chain
 
     u^k_t = a^k_0 u^0_x + a^k_1 u^1_x + a^k_{k-1} u^{k-1}_x + a^k_{k+1} u^{k+1}_x
 
-The lattice table ``lax.t2_even_w_terms`` is the only definition of that
-chain: every right-hand side here (order 0, and the O(eps) and O(eps^2)
-corrections) is its Taylor expansion ``lax.continuum_terms``, compiled once
-per band and order, and the sparse coefficient rows a^k_j shared with the
-tensor engine (integrability.paper_chain_spec) are read off the same order-0
-expansion.  The printed correction formulas carry sign typos in the u^0 u^1
-coupling group of the k < 0 and k > 1 branches; the tests keep the printed
-forms as oracles against the expansion.
+The lattice table ``lax.t2_even_w_terms``, the v = 0 part of the second
+flow's table ``lax.t2_w_terms``, is the only definition of that chain: every
+right-hand side here (order 0, and the O(eps) and O(eps^2) corrections) is
+its Taylor expansion ``lax.continuum_terms``, compiled once per band and
+order, and the sparse coefficient rows a^k_j shared with the tensor engine
+(integrability.paper_chain_spec) are read off the same order-0 expansion.
+The printed correction formulas carry sign typos in the u^0 u^1 coupling
+group of the k < 0 and k > 1 branches; the tests keep the printed forms as
+oracles against the expansion.
 
 The first flow has no quasilinear limit: its continuum equations for
 (u^k, z^k) = (w^k, v^k) interpolants mix orders, with z^0_t1 = u^0 u^1
@@ -39,15 +40,16 @@ from .lax import (LaxBands, continuum_terms, flow_t2_even_explicit, t1_v_terms,
 
 __all__ = [
     "ChainState",
+    "GradientCatastropheError",
     "chain_matrix_row",
     "chain_rhs_t2",
     "chain_rhs_t2_corrected",
     "continuum_t1_rhs",
+    "max_row_sum",
     "evolve_chain",
     "continuum_residual",
     "default_profile",
     "trajectory_to_csv",
-    "residual_report_json",
 ]
 
 
@@ -259,6 +261,8 @@ def max_row_sum(s: ChainState) -> float:
 def evolve_chain(s: ChainState, dt: float, steps: int,
                  scheme: str = "rk4-central") -> list[ChainState]:
     """Time-step the leading-order chain with periodic boundaries."""
+    if dt <= 0:
+        raise ValueError("dt must be positive")
     if scheme not in ("rk4-central", "lax-friedrichs"):
         raise ValueError(f"unknown scheme {scheme!r}")
     if scheme == "lax-friedrichs":
@@ -323,20 +327,32 @@ def default_profile(band_support: int = 2) -> dict[int, Callable[[np.ndarray], n
 
 
 def continuum_residual(profile: Mapping[int, Callable], eps_list: Sequence[float],
-                       orders: Sequence[int] = (0, 1, 2), depth: int = 4,
-                       period: float = 1.0) -> list[dict]:
-    """Sample the profile on lattices of spacing eps, evaluate the even
-    lattice flow, and measure how fast the corrected chain right-hand side
-    converges to it: sup-norm residual slopes ~ order + 1.
+                       orders: Sequence[int] = (0, 1, 2), depth: int = 4) -> list[dict]:
+    """Sample the 1-periodic profile on lattices of spacing eps, evaluate the
+    even lattice flow, and measure how fast the corrected chain right-hand
+    side converges to it: sup-norm residual slopes ~ order + 1.  Bands
+    |k| <= depth - 2 are compared at sites more than depth + 3 from either
+    end of the lattice.
     """
     if len(eps_list) < 3:
         raise ValueError("need at least 3 epsilon values to fit a slope")
+    if not orders:
+        raise ValueError("need at least one correction order")
+    if depth < 2:
+        raise ValueError(f"depth {depth} leaves no band to compare; need depth >= 2")
     reports = []
     residuals = {r: [] for r in orders}
     for eps in eps_list:
-        n_sites = int(round(period / eps))
-        if abs(n_sites * eps - period) > 1e-12:
-            raise ValueError(f"eps={eps} does not divide the period {period}")
+        if not eps > 0:
+            raise ValueError(f"eps={eps} must be positive")
+        n_sites = int(round(1 / eps))
+        if abs(n_sites * eps - 1) > 1e-12:
+            raise ValueError(f"eps={eps} does not divide the period 1")
+        margin = depth + 3
+        interior = range(margin + 1, n_sites - margin + 1)
+        if not interior:
+            raise ValueError(f"eps={eps} leaves no site more than {margin} "
+                             f"from the lattice ends")
         x = eps * np.arange(1, n_sites + 1)
         u = {k: fn(x) for k, fn in profile.items()}
         bands = LaxBands(sites=n_sites, depth=depth,
@@ -344,8 +360,6 @@ def continuum_residual(profile: Mapping[int, Callable], eps_list: Sequence[float
                             for n in range(1, n_sites + 1)},
                          even_reduced=True)
         lattice = flow_t2_even_explicit(bands)
-        margin = depth + 3
-        interior = range(margin + 1, n_sites - margin + 1)
         state = ChainState(h=eps, depth=depth,
                            u={k: u.get(k, np.zeros(n_sites)) for k in
                               range(-depth, depth + 1)},
@@ -371,10 +385,6 @@ def continuum_residual(profile: Mapping[int, Callable], eps_list: Sequence[float
         reports.append({"order": r, "eps": [float(e) for e in eps_list],
                         "residual": [float(v) for v in res], "slope": slope})
     return reports
-
-
-def residual_report_json(reports: list[dict]) -> dict:
-    return {"reports": reports}
 
 
 def trajectory_to_csv(traj: Sequence[ChainState], path) -> None:

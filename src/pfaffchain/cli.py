@@ -62,6 +62,8 @@ def cmd_moments(args, out: Path) -> int:
 
 def cmd_tau(args, out: Path) -> int:
     try:
+        if args.n_max < 1:
+            raise ValueError(f"--n-max {args.n_max} gives an empty table; need >= 1")
         t = _couplings(args)
         q = ensemble.QuadratureConfig(nodes_per_axis=args.nodes,
                                       domain_radius=args.radius)
@@ -105,6 +107,8 @@ def cmd_lax_verify(args, out: Path) -> int:
                     e = expl.get(kind, bk, n)
                     worst = max(worst, abs(c - e) / max(1.0, abs(c), abs(e)))
                     checked += 1
+        if not checked:
+            raise ValueError("no slot was checked: need a flow and --trials >= 1")
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE
@@ -119,6 +123,9 @@ def cmd_lax_verify(args, out: Path) -> int:
 
 
 def cmd_chain_evolve(args, out: Path) -> int:
+    if args.grid < 1:
+        print(f"error: --grid {args.grid} must be at least 1", file=sys.stderr)
+        return USAGE
     profile = chain.default_profile(args.band_support)
     x = (1.0 / args.grid) * np.arange(1, args.grid + 1)
     u = {k: fn(x) for k, fn in profile.items()}
@@ -147,7 +154,7 @@ def cmd_continuum_check(args, out: Path) -> int:
         reports = chain.continuum_residual(chain.default_profile(args.band_support),
                                            [float(e) for e in eps],
                                            orders=orders, depth=args.depth)
-    except ValueError as exc:
+    except (ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE
     ok = True
@@ -160,8 +167,7 @@ def cmd_continuum_check(args, out: Path) -> int:
         ok = ok and good
         print(f"order {rep['order']}: slope {rep['slope']:.3f} "
               f"(expected ~{expected}) {'ok' if good else 'FAIL'}")
-    path = _write_report(out, "continuum_check.json",
-                         chain.residual_report_json(reports))
+    path = _write_report(out, "continuum_check.json", {"reports": reports})
     print(f"-> {path}")
     return PASS if ok else FAIL
 
@@ -174,8 +180,12 @@ def cmd_haantjes(args, out: Path) -> int:
         except (OSError, ValueError, KeyError) as exc:
             print(f"bad spec file: {exc}", file=sys.stderr)
             return USAGE
-    report = integrability.haantjes_scan(window=args.window, points=args.points,
-                                         seed=args.seed, spec=spec)
+    try:
+        report = integrability.haantjes_scan(window=args.window, points=args.points,
+                                             seed=args.seed, spec=spec)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return USAGE
     path = _write_report(out, "haantjes_scan.json", report)
     n_bad = len(report["haantjes_nonzero"])
     print(f"window {args.window}, {args.points} points: "
@@ -188,6 +198,10 @@ def cmd_haantjes(args, out: Path) -> int:
 
 
 def cmd_nijenhuis_oracle(args, out: Path) -> int:
+    if args.points < 1:
+        print(f"error: --points {args.points} checks nothing; need >= 1",
+              file=sys.stderr)
+        return USAGE
     rng = random.Random(args.seed)
     mismatches = []
     checked = 0
@@ -205,8 +219,12 @@ def cmd_nijenhuis_oracle(args, out: Path) -> int:
 
 def cmd_gt(args, out: Path) -> int:
     mutate = Fraction(3) if args.mutate else None
-    report = reductions.involutivity_report(jets=args.jets, seed=args.seed,
-                                            mutate_dlam=mutate)
+    try:
+        report = reductions.involutivity_report(jets=args.jets, seed=args.seed,
+                                                mutate_dlam=mutate)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return USAGE
     path = _write_report(out, "gt_involutivity.json", report)
     clean = report["max_involutivity_residual"] == "0" \
         and report["eigen_residual"] == "0"

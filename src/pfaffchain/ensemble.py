@@ -23,7 +23,9 @@ of the second triangle gives
 
 which is exactly antisymmetric by construction.  G is computed by tensor
 Gauss-Legendre rules on [-R, R] with the inner y-rule mapped to [x, R], i.e.
-the integrand is smooth on every cell actually sampled.
+the integrand is smooth on every cell actually sampled.  ``moment_matrix``
+returns (mu_ij) as a plain antisymmetric ``ndarray``; the Pfaffian and the
+skew factorisation in ``lax`` take it as it is.
 """
 
 from __future__ import annotations
@@ -39,7 +41,6 @@ import numpy as np
 __all__ = [
     "CouplingVector",
     "QuadratureConfig",
-    "SkewMomentMatrix",
     "QuadratureError",
     "weight_eval",
     "moment_mu",
@@ -233,49 +234,25 @@ def moment_mu(i: int, j: int, t: CouplingVector, q: QuadratureConfig) -> float:
     return float(table[i, j])
 
 
-@dataclass(frozen=True)
-class SkewMomentMatrix:
-    """Moment matrix with structural antisymmetry (upper triangle stored)."""
-
-    dim: int
-    upper: np.ndarray  # strictly upper triangular
-    couplings: CouplingVector
-    quad_meta: dict
-
-    def dense(self) -> np.ndarray:
-        return self.upper - self.upper.T
-
-    def entry(self, i: int, j: int) -> float:
-        if i < j:
-            return float(self.upper[i, j])
-        if i > j:
-            return -float(self.upper[j, i])
-        return 0.0
-
-
-def moment_matrix(n: int, t: CouplingVector, q: QuadratureConfig) -> SkewMomentMatrix:
-    """The 2n x 2n matrix (mu_ij), 0 <= i, j <= 2n-1."""
+def moment_matrix(n: int, t: CouplingVector, q: QuadratureConfig) -> np.ndarray:
+    """The 2n x 2n matrix (mu_ij), 0 <= i, j <= 2n-1, as a plain array;
+    exactly antisymmetric with a zero diagonal."""
     if n < 1:
         raise ValueError("n must be positive")
-    dim = 2 * n
     try:
-        table = _quadrature_for(t.key(), t.even_only, q.key()).mu_table(dim - 1)
+        return _quadrature_for(t.key(), t.even_only, q.key()).mu_table(2 * n - 1)
     except QuadratureError as exc:
         raise QuadratureError(f"moment matrix n={n}: {exc}", exc.coarse, exc.fine) from exc
-    upper = np.triu(table[:dim, :dim], 1)
-    return SkewMomentMatrix(dim=dim, upper=upper, couplings=t,
-                            quad_meta={"nodes_per_axis": q.nodes_per_axis,
-                                       "domain_radius": q.domain_radius})
 
 
-def write_moment_csv(m: SkewMomentMatrix, path) -> None:
+def write_moment_csv(m: np.ndarray, path) -> None:
     """CSV export: header i,j,mu, one row per upper-triangle entry."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["i", "j", "mu"])
-        for i in range(m.dim):
-            for j in range(i + 1, m.dim):
-                writer.writerow([i, j, repr(float(m.upper[i, j]))])
+        for i in range(len(m)):
+            for j in range(i + 1, len(m)):
+                writer.writerow([i, j, repr(float(m[i, j]))])
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +261,7 @@ def write_moment_csv(m: SkewMomentMatrix, path) -> None:
 
 
 def _as_skew_array(m) -> np.ndarray:
-    a = m.dense() if isinstance(m, SkewMomentMatrix) else np.asarray(m, dtype=float)
+    a = np.asarray(m, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("pfaffian needs a square matrix")
     if a.shape[0] % 2:

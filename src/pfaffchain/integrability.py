@@ -16,7 +16,8 @@ matrix, which keeps the engine usable for user-supplied chain-class matrices.
 
 The flagship instance is the skew-ensemble chain matrix.  Its rows are not
 written out here: row k is read off the order-0 Taylor expansion of the even
-lattice flow ``lax.t2_even_w_terms`` (each term there carries exactly one
+lattice flow ``lax.t2_even_w_terms``, the v = 0 part of the second flow's
+table ``lax.t2_w_terms`` (each term of the expansion carries exactly one
 x-derivative u^j_x, which names the column j).  They come out as
 
     row k (generic):  col 0: (k+2)u^{k+1} - k u^{k-1} + u^1 u^k   (k < 0)
@@ -41,10 +42,7 @@ from typing import Callable, Iterable, Mapping
 
 from .lax import expand_lattice_terms, t2_even_w_terms
 
-Rational = Fraction
-
 __all__ = [
-    "Rational",
     "Poly",
     "RationalPoint",
     "WindowError",
@@ -603,20 +601,19 @@ def _expected_nijenhuis(i: int, j: int, k: int, point: RationalPoint) -> Fractio
     return Fraction(0)
 
 
-def nijenhuis_oracle_check(point: RationalPoint, index_window: int = 6,
-                           lower_window: int = 8) -> dict:
+def nijenhuis_oracle_check(point: RationalPoint) -> dict:
     """Compare every engine N^i_jk against the printed table.
 
-    Scans |i| <= index_window and |j|, |k| <= lower_window; entries absent
-    from the printed table must evaluate to the exact integer 0.
+    Scans |i| <= 6 and |j|, |k| <= 8; entries absent from the printed table
+    must evaluate to the exact integer 0.
     """
     spec = paper_chain_spec()
     ev = TensorPoint(spec, point)
     mismatches = []
     checked = 0
-    for i in range(-index_window, index_window + 1):
-        for j in range(-lower_window, lower_window + 1):
-            for k in range(j + 1, lower_window + 1):
+    for i in range(-6, 7):
+        for j in range(-8, 9):
+            for k in range(j + 1, 9):
                 expected = _expected_nijenhuis(i, j, k, point)
                 got = ev.nijenhuis(i, j, k)
                 checked += 1
@@ -627,8 +624,6 @@ def nijenhuis_oracle_check(point: RationalPoint, index_window: int = 6,
                         "printed": str(expected),
                     })
     return {
-        "index_window": index_window,
-        "lower_window": lower_window,
         "entries_checked": checked,
         "nijenhuis_mismatches": mismatches,
     }
@@ -641,6 +636,9 @@ def haantjes_scan(window: int = 6, points: int = 50, seed: int = 0,
     Returns the JSON-ready report; ``haantjes_nonzero`` empty means the
     diagonalisability test passed (exact zeros, no tolerance).
     """
+    if window < 0 or points < 1:
+        raise ValueError(f"window {window} and points {points} check nothing; "
+                         f"need window >= 0 and points >= 1")
     spec = spec or paper_chain_spec()
     rng = random.Random(seed)
     point_window = window + 2 * spec.stencil + 2

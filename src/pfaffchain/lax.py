@@ -17,10 +17,13 @@ with X_up/X_lo the strict upper/lower parts excluding the 2x2 diagonal
 blocks and X_blk those blocks.  The explicit t_1/t_2 flow formulas are kept
 as *term tables* (rational coefficient, product of shifted band factors), so
 the same tables evaluate over floats for speed and over Fractions for exact
-commutator cross-validation.  Their Taylor expansion (``expand_lattice_terms``,
-with the cached float form ``continuum_terms``) is the continuum limit: the
-chain right-hand sides in ``chain`` and the chain-matrix rows in
-``integrability`` are both read off ``t2_even_w_terms`` that way.
+commutator cross-validation.  The even reduction's second flow
+``t2_even_w_terms`` is not a table of its own: it is the v = 0 part of
+``t2_w_terms``, so the commutator check of the full second flow covers it.
+The Taylor expansion of these tables (``expand_lattice_terms``, with the
+cached float form ``continuum_terms``) is the continuum limit: the chain
+right-hand sides in ``chain`` and the chain-matrix rows in ``integrability``
+are both read off ``t2_even_w_terms`` that way.
 
 Out-of-window band references read zero; the left lattice boundary (site 0)
 reads zero as well, which matches the semi-infinite matrix, while
@@ -39,13 +42,14 @@ from typing import Callable, Iterable, Iterator, Mapping
 
 import numpy as np
 
-from .ensemble import QuadratureConfig, CouplingVector, moment_matrix, SkewMomentMatrix
+from .ensemble import QuadratureConfig, CouplingVector, moment_matrix
 
 __all__ = [
     "LaxBands",
     "BandDerivs",
     "assemble_lax",
     "disassemble_lax",
+    "disassemble_derivs",
     "placements",
     "project_t",
     "project_n",
@@ -63,8 +67,8 @@ __all__ = [
     "expand_lattice_terms",
     "continuum_terms",
     "skew_factorize",
-    "skew_factorize_gram_schmidt",
     "FactorizationError",
+    "FlowBlowupError",
     "initial_bands_gaussian",
     "integrate_flow",
     "random_bands",
@@ -72,6 +76,9 @@ __all__ = [
     "bands_from_json",
     "trajectory_to_csv",
 ]
+
+
+_V_TOL = 1e-8  # largest |v| that initial_bands_gaussian reads as zero
 
 
 class FactorizationError(RuntimeError):
@@ -118,13 +125,6 @@ class LaxBands:
     def value(self, kind: str, k: int, n: int):
         return self.wval(k, n) if kind == "w" else self.vval(k, n)
 
-    def keys(self) -> Iterator[tuple[str, int, int]]:
-        for (k, n) in self.w:
-            yield ("w", k, n)
-        if not self.even_reduced:
-            for (k, n) in self.v:
-                yield ("v", k, n)
-
     def copy(self) -> "LaxBands":
         return LaxBands(self.sites, self.depth, dict(self.w), dict(self.v),
                         self.even_reduced)
@@ -145,14 +145,6 @@ class BandDerivs:
 
     def get(self, kind: str, k: int, n: int):
         return (self.dw if kind == "w" else self.dv).get((k, n), 0)
-
-
-def full_window(sites: int, depth: int) -> list[tuple[str, int, int]]:
-    slots = [("w", k, n) for k in range(-depth, depth + 1)
-             for n in range(1, sites + 1)]
-    slots += [("v", k, n) for k in range(-depth, depth + 1)
-              for n in range(1, sites + 1)]
-    return slots
 
 
 def random_bands(rng, sites: int, depth: int, even: bool = False,
@@ -212,8 +204,9 @@ def assemble_lax(b: LaxBands, M: int, dtype=float) -> np.ndarray:
     return L
 
 
-def disassemble_lax(A: np.ndarray, depth: int, strict: bool = True) -> LaxBands:
-    """Read band variables back from a dense matrix on the stored window."""
+def disassemble_lax(A: np.ndarray, depth: int) -> LaxBands:
+    """Read band variables back from a dense matrix on the stored window;
+    each v^0_n must come with its -v^0_n partner on the diagonal."""
     M = A.shape[0]
     b = LaxBands(sites=M // 2, depth=depth)
     for kind, k, n, r, c in placements(M, depth):
@@ -221,7 +214,7 @@ def disassemble_lax(A: np.ndarray, depth: int, strict: bool = True) -> LaxBands:
         if kind == "w":
             b.w[(k, n)] = val
         else:
-            if strict and k == 0 and r + 1 < M and A[r + 1, c + 1] != -val:
+            if k == 0 and r + 1 < M and A[r + 1, c + 1] != -val:
                 raise ValueError(f"diagonal pair mismatch for v^0_{n}")
             b.v[(k, n)] = val
     return b
@@ -600,51 +593,12 @@ def t2_w_terms(k: int) -> list:
     ]
 
 
-def t2_even_w_terms(k: int) -> list:
-    if k < -1:
-        return [
-            (Half, (_w(k, 0), _w(0, 0), _w(1, 0))),
-            (Half, (_w(k, 0), _w(0, -k - 1), _w(1, -k - 1))),
-            (-Half, (_w(k, 0), _w(0, -1), _w(1, -1))),
-            (-Half, (_w(k, 0), _w(0, -k - 2), _w(1, -k - 2))),
-            (1, (_w(k + 1, 1), _w(0, 0))),
-            (1, (_w(k - 1, 0), _w(0, -k - 1))),
-            (-1, (_w(k - 1, -1), _w(0, -1))),
-            (-1, (_w(k + 1, 0), _w(0, -k - 2))),
-        ]
-    if k == -1:
-        return [
-            (1, (_w(0, 0), _w(-1, 0), _w(1, 0))),
-            (1, (_w(0, 0), _w(-2, 0))),
-            (1, (_w(0, 0), _w(0, 0))),
-            (-1, (_w(0, -1), _w(-1, 0), _w(1, -1))),
-            (-1, (_w(0, -1), _w(-2, -1))),
-            (-1, (_w(0, -1), _w(0, -1))),
-        ]
-    if k == 0:
-        return [
-            (Half, (_w(0, 1), _w(1, 1), _w(0, 0))),
-            (-Half, (_w(0, -1), _w(1, -1), _w(0, 0))),
-            (1, (_w(-1, 1), _w(0, 0))),
-            (-1, (_w(-1, 0), _w(0, 0))),
-        ]
-    if k == 1:
-        return [
-            (Half, (_w(0, -1), _w(1, -1), _w(1, 0))),
-            (-Half, (_w(0, 1), _w(1, 0), _w(1, 1))),
-            (1, (_w(0, 1), _w(2, 0))),
-            (-1, (_w(0, -1), _w(2, -1))),
-        ]
-    return [
-        (Half, (_w(0, -1), _w(1, -1), _w(k, 0))),
-        (Half, (_w(0, k - 1), _w(1, k - 1), _w(k, 0))),
-        (-Half, (_w(0, 0), _w(1, 0), _w(k, 0))),
-        (-Half, (_w(0, k), _w(1, k), _w(k, 0))),
-        (1, (_w(0, 0), _w(k - 1, 1))),
-        (1, (_w(0, k), _w(k + 1, 0))),
-        (-1, (_w(0, -1), _w(k + 1, -1))),
-        (-1, (_w(0, k - 1), _w(k - 1, 0))),
-    ]
+@lru_cache(maxsize=None)
+def t2_even_w_terms(k: int) -> tuple:
+    """Second flow of the even reduction: the terms of ``t2_w_terms(k)``
+    without a v factor, i.e. its v = 0 part (built once per k)."""
+    return tuple(term for term in t2_w_terms(k)
+                 if all(kind == "w" for kind, _band, _off in term[1]))
 
 
 def _eval_terms(b: LaxBands, terms: list, n: int):
@@ -772,9 +726,10 @@ def skew_factorize(m) -> np.ndarray:
     The factorisation m = L J L^T is built by 2x2 block forward elimination
     (L = Q^{-1} has the same shape); existence over the reals needs every
     leading 2r x 2r Pfaffian minor positive, and the positive-diagonal
-    choice makes Q unique.
+    choice makes Q unique.  Each pivot is judged against the largest entry
+    of its own leading minor, so blocks of very different magnitude factorise.
     """
-    a = m.dense() if isinstance(m, SkewMomentMatrix) else np.asarray(m, dtype=float)
+    a = np.asarray(m, dtype=float)
     M = a.shape[0]
     if M % 2:
         raise FactorizationError("even dimension required")
@@ -783,7 +738,7 @@ def skew_factorize(m) -> np.ndarray:
     for r in range(M // 2):
         base = 2 * r
         mu = S[base, base + 1]
-        if not np.isfinite(mu) or mu <= 0 or abs(mu) < 1e-14 * max(1.0, abs(a).max()):
+        if not np.isfinite(mu) or mu <= 1e-14 * np.abs(a[:base + 2, :base + 2]).max():
             raise FactorizationError(
                 f"singular or nonpositive leading minor: pivot of the "
                 f"{base + 2}x{base + 2} block is {mu!r}")
@@ -807,54 +762,18 @@ def skew_factorize(m) -> np.ndarray:
     return q
 
 
-def skew_factorize_gram_schmidt(m) -> np.ndarray:
-    """Independent route: symplectic Gram-Schmidt on the monomial basis.
-
-    Rows of Q are coefficient vectors of polynomials q_i with pairings
-    <q_2r-1, q_2r> = 1 and zero against all earlier rows, normalised with a
-    common positive scale per pair; agrees with ``skew_factorize`` up to
-    roundoff because the factorisation is unique.
-    """
-    a = m.dense() if isinstance(m, SkewMomentMatrix) else np.asarray(m, dtype=float)
-    M = a.shape[0]
-    Q = np.eye(M)
-
-    def pair(x, y):
-        return float(x @ a @ y)
-
-    for r in range(M // 2):
-        i, ii = 2 * r, 2 * r + 1
-        for s in range(r):
-            j, jj = 2 * s, 2 * s + 1
-            # subtract projection onto the (j, jj) symplectic pair
-            for row in (i, ii):
-                cj = pair(Q[row], Q[jj])
-                cjj = pair(Q[row], Q[j])
-                Q[row] = Q[row] - cj * Q[j] + cjj * Q[jj]
-        # within the pair: remove the <q_i, q_i>=0 component automatically
-        # (skew pairing), then normalise both rows by the same scale
-        mu = pair(Q[i], Q[ii])
-        if mu <= 0:
-            raise FactorizationError(f"nonpositive pair pivot at block {r}")
-        scale = 1.0 / math.sqrt(mu)
-        Q[i] *= scale
-        Q[ii] *= scale
-    return Q
-
-
-def initial_bands_gaussian(sites: int, depth: int, q: QuadratureConfig,
-                           v_tol: float = 1e-8) -> LaxBands:
+def initial_bands_gaussian(sites: int, depth: int, q: QuadratureConfig) -> LaxBands:
     """Even-reduced band state of the zero-coupling Lax matrix.
 
     Builds the 2*sites moment matrix at t = 0, factorises, forms
     Q Lambda Q^{-1} and harvests the bands; all v bands must vanish to
-    ``v_tol`` (they are integrals of odd functions) and are then zeroed.
+    ``_V_TOL`` (they are integrals of odd functions) and are then zeroed.
     The final matrix row is truncation-polluted, so only slots with row
     index < 2*sites are read, i.e. w^0_n comes out for n < sites.
     """
     m = moment_matrix(sites, CouplingVector.zero(), q)
     Q = skew_factorize(m)
-    M = m.dim
+    M = len(m)
     shift = np.zeros((M, M))
     for i in range(M - 1):
         shift[i, i + 1] = 1.0
@@ -867,9 +786,9 @@ def initial_bands_gaussian(sites: int, depth: int, q: QuadratureConfig,
         if kind == "w":
             bands.w[(k, n)] = val
         else:
-            if abs(val) > v_tol:
+            if abs(val) > _V_TOL:
                 raise ValueError(
-                    f"v^{k}_{n} = {val:.3e} exceeds the zero tolerance {v_tol}")
+                    f"v^{k}_{n} = {val:.3e} exceeds the zero tolerance {_V_TOL}")
     bands.even_reduced = True
     return bands
 
@@ -889,7 +808,7 @@ def _axpy(b: LaxBands, scale: float, d: BandDerivs) -> LaxBands:
     return out
 
 
-def _rhs_for(flow: str, commutator_k: int | None, M: int | None):
+def _rhs_for(flow: str, commutator_k: int | None):
     if flow in FLOWS:
         return FLOWS[flow][1]
     if flow == "commutator":
@@ -899,7 +818,7 @@ def _rhs_for(flow: str, commutator_k: int | None, M: int | None):
             raise ValueError("commutator flows supported for k <= 6")
 
         def rhs(b: LaxBands) -> BandDerivs:
-            derivs, _ = lax_rhs_commutator(b, commutator_k, M or 2 * b.sites)
+            derivs, _ = lax_rhs_commutator(b, commutator_k, 2 * b.sites)
             return derivs
 
         return rhs
@@ -907,12 +826,12 @@ def _rhs_for(flow: str, commutator_k: int | None, M: int | None):
 
 
 def integrate_flow(b: LaxBands, flow: str, dt: float, steps: int,
-                   commutator_k: int | None = None,
-                   M: int | None = None) -> list[LaxBands]:
-    """Classical fixed-step RK4 trajectory of the selected band flow."""
+                   commutator_k: int | None = None) -> list[LaxBands]:
+    """Classical fixed-step RK4 trajectory of the selected band flow; the
+    commutator flow uses the full 2 * sites window."""
     if dt <= 0:
         raise ValueError("dt must be positive")
-    rhs = _rhs_for(flow, commutator_k, M)
+    rhs = _rhs_for(flow, commutator_k)
     state = b.as_float()
     traj = [state]
     for step in range(steps):

@@ -39,8 +39,10 @@ __all__ = [
     "random_jet",
     "tangent_recursion",
     "eigen_residual",
+    "DegenerateSpeedsError",
     "GTDerivatives",
     "gt_rhs",
+    "JetNum",
     "gt_involutivity",
     "involutivity_report",
 ]
@@ -161,26 +163,28 @@ class GTDerivatives:
     d2u1_ij: Fraction  # d_i d_j u^1
 
 
-def _gt_dlam(lam_i, lam_j, u0, dju0, coupling):
-    # d_j lambda^i; `coupling` is 4 in the chain's closure (mutable for the
-    # non-vacuity mutation test).
+_COUPLING = Fraction(4)  # the constant in 4 (u^0)^2 of the closure
+
+
+def _gt_dlam(lam_i, lam_j, u0, dju0, coupling=_COUPLING):
+    # d_j lambda^i; `coupling` differs from _COUPLING only in the
+    # non-vacuity mutation
     return (coupling * u0 * u0 - lam_i * lam_j) / (u0 * (lam_i - lam_j)) * dju0
 
 
-def _gt_d2u0(lam_i, lam_j, u0, diu0, dju0, coupling):
-    num = lam_i * lam_i + lam_j * lam_j - 2 * coupling * u0 * u0
+def _gt_d2u0(lam_i, lam_j, u0, diu0, dju0):
+    num = lam_i * lam_i + lam_j * lam_j - 2 * _COUPLING * u0 * u0
     return num / (u0 * (lam_i - lam_j) ** 2) * diu0 * dju0
 
 
-def _gt_d2u1(lam_i, lam_j, u0, diu0, dju0, diu1, dju1, coupling):
+def _gt_d2u1(lam_i, lam_j, u0, diu0, dju0, diu1, dju1):
     den = u0 * (lam_i - lam_j) ** 2
-    ci = (lam_j - 2 * lam_i) * lam_j + coupling * u0 * u0
-    cj = (lam_i - 2 * lam_j) * lam_i + coupling * u0 * u0
+    ci = (lam_j - 2 * lam_i) * lam_j + _COUPLING * u0 * u0
+    cj = (lam_i - 2 * lam_j) * lam_i + _COUPLING * u0 * u0
     return -(ci / den) * diu0 * dju1 - (cj / den) * dju0 * diu1
 
 
-def gt_rhs(jet: ReductionJet, i: int, j: int,
-           coupling: Fraction = Fraction(4)) -> GTDerivatives:
+def gt_rhs(jet: ReductionJet, i: int, j: int) -> GTDerivatives:
     """The four closure values for a distinct pair (i, j), exact."""
     if i == j:
         raise ValueError("indices must be distinct")
@@ -189,11 +193,11 @@ def gt_rhs(jet: ReductionJet, i: int, j: int,
         raise DegenerateSpeedsError(f"lambda^{i} == lambda^{j}")
     u0 = jet.u0
     return GTDerivatives(
-        dlam_ij=_gt_dlam(li, lj, u0, jet.du0[j], coupling),
-        dlam_ji=_gt_dlam(lj, li, u0, jet.du0[i], coupling),
-        d2u0_ij=_gt_d2u0(li, lj, u0, jet.du0[i], jet.du0[j], coupling),
+        dlam_ij=_gt_dlam(li, lj, u0, jet.du0[j]),
+        dlam_ji=_gt_dlam(lj, li, u0, jet.du0[i]),
+        d2u0_ij=_gt_d2u0(li, lj, u0, jet.du0[i], jet.du0[j]),
         d2u1_ij=_gt_d2u1(li, lj, u0, jet.du0[i], jet.du0[j],
-                         jet.du1[i], jet.du1[j], coupling),
+                         jet.du1[i], jet.du1[j]),
     )
 
 
@@ -276,11 +280,9 @@ class JetNum:
         return v
 
 
-def _jet_coordinates(jet: ReductionJet, coupling: Fraction,
-                     c_lam: Fraction | None = None):
-    """Base coordinates as JetNums with closure-supplied first derivatives."""
-    if c_lam is None:
-        c_lam = coupling
+def _jet_coordinates(jet: ReductionJet, c_lam: Fraction):
+    """Base coordinates as JetNums with closure-supplied first derivatives;
+    ``c_lam`` is the constant of the d_j lambda^i formula."""
     n = jet.n_components
     idx = range(1, n + 1)
     u0 = JetNum(jet.u0, tuple(jet.du0[k] for k in idx))
@@ -297,20 +299,19 @@ def _jet_coordinates(jet: ReductionJet, coupling: Fraction,
     for j in idx:
         slots0 = tuple(
             None if k == j else _gt_d2u0(jet.lam[k], jet.lam[j], jet.u0,
-                                         jet.du0[k], jet.du0[j], coupling)
+                                         jet.du0[k], jet.du0[j])
             for k in idx)
         du0[j] = JetNum(jet.du0[j], slots0)
         slots1 = tuple(
             None if k == j else _gt_d2u1(jet.lam[k], jet.lam[j], jet.u0,
                                          jet.du0[k], jet.du0[j],
-                                         jet.du1[k], jet.du1[j], coupling)
+                                         jet.du1[k], jet.du1[j])
             for k in idx)
         du1[j] = JetNum(jet.du1[j], slots1)
     return u0, u1, lam, du0, du1
 
 
 def gt_involutivity(jet: ReductionJet,
-                    coupling: Fraction = Fraction(4),
                     mutate_dlam: Fraction | None = None) -> dict[str, Fraction]:
     """Symmetrized-derivative residuals of the closure at ``jet``, exact.
 
@@ -328,18 +329,17 @@ def gt_involutivity(jet: ReductionJet,
     """
     if jet.n_components != 3:
         raise ValueError("involutivity check uses exactly three components")
-    c_lam = coupling if mutate_dlam is None else mutate_dlam
-    u0, u1, lam, du0, du1 = _jet_coordinates(jet, coupling, c_lam)
+    c_lam = _COUPLING if mutate_dlam is None else mutate_dlam
+    u0, u1, lam, du0, du1 = _jet_coordinates(jet, c_lam)
 
     def dlam_expr(i, j):
         return _gt_dlam(lam[i], lam[j], u0, du0[j], c_lam)
 
     def d2u0_expr(i, j):
-        return _gt_d2u0(lam[i], lam[j], u0, du0[i], du0[j], coupling)
+        return _gt_d2u0(lam[i], lam[j], u0, du0[i], du0[j])
 
     def d2u1_expr(i, j):
-        return _gt_d2u1(lam[i], lam[j], u0, du0[i], du0[j],
-                        du1[i], du1[j], coupling)
+        return _gt_d2u1(lam[i], lam[j], u0, du0[i], du0[j], du1[i], du1[j])
 
     residuals: dict[str, Fraction] = {}
     for i, j, k in ((1, 2, 3), (2, 3, 1), (3, 1, 2)):
@@ -355,6 +355,8 @@ def gt_involutivity(jet: ReductionJet,
 def involutivity_report(jets: int = 100, seed: int = 0,
                         mutate_dlam: Fraction | None = None) -> dict:
     """JSON-ready batch report over random jets (Rationals as strings)."""
+    if jets < 1:
+        raise ValueError(f"jets={jets} checks nothing; need jets >= 1")
     rng = random.Random(seed)
     worst_inv = Fraction(0)
     worst_eig = Fraction(0)

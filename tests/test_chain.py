@@ -409,6 +409,13 @@ def test_continuum_residual_constant_profile_exact():
     assert all(rep["slope"] == "exact" for rep in reports)
 
 
+def test_evolve_chain_rejects_nonpositive_dt():
+    s = ChainState(h=1 / 16, depth=1, u={0: np.ones(16)})
+    for dt in (0.0, -1.0):
+        with pytest.raises(ValueError, match="dt must be positive"):
+            evolve_chain(s, dt, 1)
+
+
 def test_continuum_residual_needs_three_epsilons():
     with pytest.raises(ValueError, match="3 epsilon"):
         continuum_residual(default_profile(1), [1 / 64], depth=3)

@@ -88,6 +88,23 @@ def test_gt_pass_and_mutate(tmp_path):
     assert main(["--out", str(out), "gt", "--jets", "3", "--mutate"]) == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["continuum-check", "--depth", "1"],
+    ["continuum-check", "--eps", "1/0,1/2,1/4"],
+    ["chain-evolve", "--grid", "0"],
+    ["chain-evolve", "--dt", "-1"],
+    ["gt", "--jets", "0"],
+    ["haantjes", "--window", "-1"],
+    ["nijenhuis-oracle", "--points", "0"],
+    ["tau", "--n-max", "0"],
+    ["lax-verify", "--trials", "0"],
+], ids="_".join)
+def test_input_that_checks_nothing_is_a_usage_error(tmp_path, capsys, argv):
+    assert main(["--out", str(tmp_path)] + argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_chain_evolve(tmp_path):
     out = tmp_path / "r"
     assert main(["--out", str(out), "chain-evolve", "--steps", "3",

@@ -129,8 +129,7 @@ def test_adaptive_scheme_matches_tensor_rule():
 
 
 def test_moment_matrix_structure():
-    m = moment_matrix(1, ZERO, Q)
-    dense = m.dense()
+    dense = moment_matrix(1, ZERO, Q)
     assert dense.shape == (2, 2)
     assert dense[0, 0] == 0.0 and dense[1, 1] == 0.0
     assert dense[0, 1] == pytest.approx(2 * math.sqrt(math.pi), rel=1e-10)
@@ -138,13 +137,13 @@ def test_moment_matrix_structure():
 
 
 def test_moment_matrix_exact_antisymmetry():
-    m = moment_matrix(3, CouplingVector({2: -0.05}), Q).dense()
+    m = moment_matrix(3, CouplingVector({2: -0.05}), Q)
     assert np.all(m + m.T == 0.0)
 
 
 def test_even_only_couplings_keep_parity_zeros():
     t = CouplingVector({2: -0.1, 4: -0.02}, even_only=True)
-    dense = moment_matrix(2, t, Q).dense()
+    dense = moment_matrix(2, t, Q)
     for i in range(4):
         for j in range(4):
             if (i + j) % 2 == 0:
@@ -168,7 +167,7 @@ def test_moment_csv_roundtrip(tmp_path):
     assert len(rows) == 1 + 4 * 3 // 2
     i, j, mu = rows[1].split(",")
     assert (int(i), int(j)) == (0, 1)
-    assert float(mu) == m.entry(0, 1)
+    assert float(mu) == m[0, 1]
 
 
 # ---------------------------------------------------------------------------

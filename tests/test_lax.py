@@ -5,10 +5,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.linalg import block_diag
 
 from pfaffchain.ensemble import QuadratureConfig
 from pfaffchain.lax import (
     FactorizationError,
+    FlowBlowupError,
     LaxBands,
     assemble_lax,
     bands_from_json,
@@ -25,7 +27,6 @@ from pfaffchain.lax import (
     project_t,
     random_bands,
     skew_factorize,
-    skew_factorize_gram_schmidt,
     trajectory_to_csv,
 )
 
@@ -271,7 +272,41 @@ def test_factorize_moment_matrix_residual():
 
     m = moment_matrix(2, CouplingVector.zero(), Q)
     q = skew_factorize(m)
-    assert np.abs(q @ m.dense() @ q.T - _J(4)).max() < 1e-9
+    assert np.abs(q @ m @ q.T - _J(4)).max() < 1e-9
+
+
+def _skew_factorize_gram_schmidt(a: np.ndarray) -> np.ndarray:
+    """Independent route: symplectic Gram-Schmidt on the monomial basis.
+
+    Rows of Q are coefficient vectors of polynomials q_i with pairings
+    <q_2r-1, q_2r> = 1 and zero against all earlier rows, normalised with a
+    common positive scale per pair; agrees with ``skew_factorize`` up to
+    roundoff because the factorisation is unique.
+    """
+    M = a.shape[0]
+    Q = np.eye(M)
+
+    def pair(x, y):
+        return float(x @ a @ y)
+
+    for r in range(M // 2):
+        i, ii = 2 * r, 2 * r + 1
+        for s in range(r):
+            j, jj = 2 * s, 2 * s + 1
+            # subtract projection onto the (j, jj) symplectic pair
+            for row in (i, ii):
+                cj = pair(Q[row], Q[jj])
+                cjj = pair(Q[row], Q[j])
+                Q[row] = Q[row] - cj * Q[j] + cjj * Q[jj]
+        # within the pair: remove the <q_i, q_i>=0 component automatically
+        # (skew pairing), then normalise both rows by the same scale
+        mu = pair(Q[i], Q[ii])
+        if mu <= 0:
+            raise FactorizationError(f"nonpositive pair pivot at block {r}")
+        scale = 1.0 / math.sqrt(mu)
+        Q[i] *= scale
+        Q[ii] *= scale
+    return Q
 
 
 def test_factorize_uniqueness_two_routes():
@@ -279,7 +314,7 @@ def test_factorize_uniqueness_two_routes():
 
     m = moment_matrix(4, CouplingVector.zero(), Q)
     q1 = skew_factorize(m)
-    q2 = skew_factorize_gram_schmidt(m)
+    q2 = _skew_factorize_gram_schmidt(m)
     assert np.abs(q1 - q2).max() < 1e-10
 
 
@@ -291,6 +326,13 @@ def test_factorize_block_shape():
         assert q[r, r] == q[r + 1, r + 1] > 0
         assert q[r, r + 1] == 0.0 and q[r + 1, r] == 0.0
     assert np.abs(np.triu(q, 1)).max() == 0.0
+
+
+def test_factorize_pivot_threshold_scales_with_its_own_minor():
+    # a unit pivot next to a 1e20 block is healthy; only a pivot small
+    # against its own leading minor is singular
+    q = skew_factorize(block_diag(_J(2), 1e20 * _J(2)))
+    assert np.allclose(np.diag(q), [1.0, 1.0, 1e-10, 1e-10], rtol=1e-14, atol=0)
 
 
 def test_factorize_nonpositive_minor_error():
@@ -360,6 +402,17 @@ def test_two_flow_commutativity_on_even_state():
 def test_integrator_rejects_bad_dt():
     with pytest.raises(ValueError):
         integrate_flow(LaxBands(sites=4, depth=1), "t1", dt=-0.1, steps=1)
+
+
+def test_integrator_blowup_names_the_step():
+    b = LaxBands(sites=12, depth=1,
+                 w={(k, n): 1 + 0.1 * n for k in (-1, 0, 1) for n in range(1, 13)},
+                 even_reduced=True)
+    traj = integrate_flow(b, "t2_even", dt=0.5, steps=2)
+    assert all(math.isfinite(x) for x in traj[-1].w.values())
+    with pytest.raises(FlowBlowupError, match="step 2") as err:
+        integrate_flow(b, "t2_even", dt=0.5, steps=10)
+    assert err.value.step == 2
 
 
 def test_commutator_flow_k_limit():
