@@ -14,6 +14,10 @@ right-hand side here (order 0, and the O(eps) and O(eps^2) corrections) is
 its Taylor expansion ``lax.continuum_terms``, compiled once per band and
 order, and the sparse coefficient rows a^k_j shared with the tensor engine
 (integrability.paper_chain_spec) are read off the same order-0 expansion.
+The expanded tables are summed by the lattice's own evaluator
+(``lax._Fields``/``lax._sum_terms``), with 4th-order x-derivative stencils
+in place of its site shifts, and ``evolve_chain`` steps the bands as one
+(2 depth + 1, grid) array through the lattice's stepping loop.
 The printed correction formulas carry sign typos in the u^0 u^1 coupling
 group of the k < 0 and k > 1 branches; the tests keep the printed forms as
 oracles against the expansion.
@@ -35,8 +39,8 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .integrability import paper_chain_spec
-from .lax import (LaxBands, continuum_terms, flow_t2_even_explicit, t1_v_terms,
-                  t1_w_terms, t2_even_w_terms)
+from .lax import (LaxBands, _Fields, _march, _rk4_step, _sum_terms, continuum_terms,
+                  flow_t2_even_explicit, t1_v_terms, t1_w_terms, t2_even_w_terms)
 
 __all__ = [
     "ChainState",
@@ -70,6 +74,8 @@ class ChainState:
     epsilon: float = 0.0
 
     def __post_init__(self):
+        if self.depth < 0:
+            raise ValueError(f"depth {self.depth} must be non-negative")
         sizes = {arr.shape[0] for arr in self.u.values()}
         if self.z:
             sizes |= {arr.shape[0] for arr in self.z.values()}
@@ -115,44 +121,16 @@ _STENCILS = (None, _dx1, _dx2, _dx3)
 # ---------------------------------------------------------------------------
 
 
-class _Fields(dict):
+def _fields(s: ChainState) -> _Fields:
     """(kind, band, x-derivative order) -> array of a state ("w" -> u,
-    "v" -> z); absent bands read zero, derivatives are computed on first
-    reference."""
+    "v" -> z); absent bands read zero."""
 
-    def __init__(self, s: ChainState):
-        super().__init__()
-        self.s = s
-        self.zero = np.zeros(s.grid_size)
+    def derivative(row: np.ndarray, r: int) -> np.ndarray:
+        if r == 3 and s.grid_size < 7:
+            raise ValueError("grid too coarse for the third-derivative stencil")
+        return _STENCILS[r](row, s.h)
 
-    def __missing__(self, factor: tuple) -> np.ndarray:
-        kind, band, r = factor
-        s = self.s
-        arr = (s.u if kind == "w" else s.z or {}).get(band)
-        if arr is None:
-            arr = self.zero
-        elif r:
-            if r == 3 and s.grid_size < 7:
-                raise ValueError("grid too coarse for the third-derivative stencil")
-            arr = _STENCILS[r](arr, s.h)
-        self[factor] = arr
-        return arr
-
-
-def _sum_terms(terms: tuple, fields: _Fields) -> np.ndarray:
-    """sum of coeff * prod(factors), into a new array."""
-    acc = np.zeros(fields.s.grid_size)
-    for coeff, (first, *rest) in terms:
-        prod = fields[first]
-        for f in rest:
-            prod = prod * fields[f]
-        if coeff == 1.0:
-            acc += prod
-        elif coeff == -1.0:
-            acc -= prod
-        else:
-            acc += coeff * prod
-    return acc
+    return _Fields({"w": s.u, "v": s.z or {}}, derivative, np.zeros(s.grid_size))
 
 
 def _continuum_rhs(s: ChainState, table: Callable[[int], list], order: int,
@@ -172,7 +150,7 @@ def _continuum_rhs(s: ChainState, table: Callable[[int], list], order: int,
 def chain_rhs_t2(s: ChainState) -> dict[int, np.ndarray]:
     """Leading-order chain right-hand side (the O(eps) part of the even
     lattice flow over eps); central 4th-order x-derivatives."""
-    return _continuum_rhs(s, t2_even_w_terms, 0, True, _Fields(s))
+    return _continuum_rhs(s, t2_even_w_terms, 0, True, _fields(s))
 
 
 def chain_rhs_t2_corrected(s: ChainState, order: int) -> dict[int, np.ndarray]:
@@ -183,7 +161,7 @@ def chain_rhs_t2_corrected(s: ChainState, order: int) -> dict[int, np.ndarray]:
     """
     if order not in (0, 1, 2):
         raise ValueError("order must be 0, 1 or 2")
-    return _continuum_rhs(s, t2_even_w_terms, order, True, _Fields(s))
+    return _continuum_rhs(s, t2_even_w_terms, order, True, _fields(s))
 
 
 def continuum_t1_rhs(s: ChainState, order: int) -> tuple[dict, dict]:
@@ -199,7 +177,7 @@ def continuum_t1_rhs(s: ChainState, order: int) -> tuple[dict, dict]:
         raise ValueError("first-flow continuum limit needs the z fields")
     if order not in (0, 1, 2):
         raise ValueError("order must be 0, 1 or 2")
-    fields = _Fields(s)
+    fields = _fields(s)
     return (_continuum_rhs(s, t1_w_terms, order, False, fields),
             _continuum_rhs(s, t1_v_terms, order, False, fields))
 
@@ -242,13 +220,6 @@ class GradientCatastropheError(RuntimeError):
         self.step = step
 
 
-def _check_finite(u: dict[int, np.ndarray], step: int) -> None:
-    for k, arr in u.items():
-        if not np.all(np.isfinite(arr)):
-            idx = int(np.argmax(~np.isfinite(arr)))
-            raise GradientCatastropheError(step, k, idx)
-
-
 def max_row_sum(s: ChainState) -> float:
     """max_k sum_j |a^k_j| over the grid; the CFL scale of the chain."""
     worst = 0.0
@@ -260,7 +231,9 @@ def max_row_sum(s: ChainState) -> float:
 
 def evolve_chain(s: ChainState, dt: float, steps: int,
                  scheme: str = "rk4-central") -> list[ChainState]:
-    """Time-step the leading-order chain with periodic boundaries."""
+    """Time-step the leading-order chain with periodic boundaries; the bands
+    |k| <= depth are stepped as one (2 depth + 1, grid) stack and any other
+    band of ``s`` reads zero."""
     if dt <= 0:
         raise ValueError("dt must be positive")
     if scheme not in ("rk4-central", "lax-friedrichs"):
@@ -269,38 +242,26 @@ def evolve_chain(s: ChainState, dt: float, steps: int,
         bound = s.h / (4 * max(max_row_sum(s), 1e-12))
         if dt > bound:
             raise ValueError(f"CFL violation: dt={dt} exceeds {bound:.3e}")
-    traj = [s]
-    state = s
-    for step in range(steps):
-        # overflow on the way to the blow-up detector is expected, not a bug
-        with np.errstate(over="ignore", invalid="ignore"):
-            if scheme == "rk4-central":
-                k1 = chain_rhs_t2(state)
-                s2 = _state_axpy(state, dt / 2, k1)
-                k2 = chain_rhs_t2(s2)
-                s3 = _state_axpy(state, dt / 2, k2)
-                k3 = chain_rhs_t2(s3)
-                s4 = _state_axpy(state, dt, k3)
-                k4 = chain_rhs_t2(s4)
-                new_u = {k: state.uband(k) + dt / 6 * (k1[k] + 2 * k2[k]
-                                                       + 2 * k3[k] + k4[k])
-                         for k in k1}
-            else:
-                rhs = chain_rhs_t2(state)
-                new_u = {k: 0.5 * (np.roll(state.uband(k), 1)
-                                   + np.roll(state.uband(k), -1))
-                         + dt * rhs[k] for k in rhs}
-        _check_finite(new_u, step)
-        state = ChainState(h=state.h, depth=state.depth, u=new_u,
-                           epsilon=state.epsilon)
-        traj.append(state)
-    return traj
+    bands = range(-s.depth, s.depth + 1)
 
+    def state(y: np.ndarray) -> ChainState:
+        return ChainState(h=s.h, depth=s.depth, u=dict(zip(bands, y)),
+                          epsilon=s.epsilon)
 
-def _state_axpy(s: ChainState, scale: float, d: dict[int, np.ndarray]) -> ChainState:
-    return ChainState(h=s.h, depth=s.depth,
-                      u={k: s.uband(k) + scale * d[k] for k in d},
-                      epsilon=s.epsilon)
+    def rhs(y: np.ndarray) -> np.ndarray:
+        d = chain_rhs_t2(state(y))
+        return np.array([d[k] for k in bands])
+
+    def step(y: np.ndarray) -> np.ndarray:
+        if scheme == "rk4-central":
+            return _rk4_step(rhs, dt, y)
+        return 0.5 * (np.roll(y, 1, axis=1) + np.roll(y, -1, axis=1)) + dt * rhs(y)
+
+    def blowup(i: int, j: int) -> GradientCatastropheError:
+        return GradientCatastropheError(i, j // s.grid_size - s.depth, j % s.grid_size)
+
+    y0 = np.array([s.uband(k) for k in bands])
+    return [s] + [state(y) for y in _march(y0, step, steps, blowup)[1:]]
 
 
 # ---------------------------------------------------------------------------

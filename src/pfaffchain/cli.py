@@ -129,10 +129,13 @@ def cmd_chain_evolve(args, out: Path) -> int:
     profile = chain.default_profile(args.band_support)
     x = (1.0 / args.grid) * np.arange(1, args.grid + 1)
     u = {k: fn(x) for k, fn in profile.items()}
-    state = chain.ChainState(h=1.0 / args.grid, depth=args.depth,
-                             u={k: u.get(k, np.zeros(args.grid))
-                                for k in range(-args.depth, args.depth + 1)})
     try:
+        state = chain.ChainState(h=1.0 / args.grid, depth=args.depth,
+                                 u={k: u.get(k, np.zeros(args.grid))
+                                    for k in range(-args.depth, args.depth + 1)})
+        if args.dt > 0 and args.steps > 0:  # the stability margin of a run that steps
+            cfl = args.dt * chain.max_row_sum(state) / state.h
+            print(f"CFL number dt*max_row_sum/h = {cfl:.3g}", file=sys.stderr)
         traj = chain.evolve_chain(state, args.dt, args.steps, scheme=args.scheme)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

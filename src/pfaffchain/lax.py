@@ -15,11 +15,14 @@ block-lower-triangular matrices with scalar 2x2 diagonal blocks:
 
 with X_up/X_lo the strict upper/lower parts excluding the 2x2 diagonal
 blocks and X_blk those blocks.  The explicit t_1/t_2 flow formulas are kept
-as *term tables* (rational coefficient, product of shifted band factors), so
-the same tables evaluate over floats for speed and over Fractions for exact
-commutator cross-validation.  The even reduction's second flow
-``t2_even_w_terms`` is not a table of its own: it is the v = 0 part of
-``t2_w_terms``, so the commutator check of the full second flow covers it.
+as *term tables* (rational coefficient, product of shifted band factors).
+One evaluator (``_Fields``/``_sum_terms``) sums a table over whole band
+rows: here each factor is a zero-filling site shift, in ``chain`` an
+x-derivative stencil, and the rows are float64 for speed or object arrays
+of Fractions for exact commutator cross-validation.  The even reduction's
+second flow ``t2_even_w_terms`` is not a table of its own: it is the v = 0
+part of ``t2_w_terms``, so the commutator check of the full second flow
+covers it.
 The Taylor expansion of these tables (``expand_lattice_terms``, with the
 cached float form ``continuum_terms``) is the continuum limit: the chain
 right-hand sides in ``chain`` and the chain-matrix rows in ``integrability``
@@ -28,14 +31,17 @@ are both read off ``t2_even_w_terms`` that way.
 Out-of-window band references read zero; the left lattice boundary (site 0)
 reads zero as well, which matches the semi-infinite matrix, while
 right-boundary truncation is quarantined by the interior mask.
+
+``integrate_flow`` and ``chain.evolve_chain`` share one stepping loop
+(``_march``) and one RK4 step (``_rk4_step``) over flat state arrays.
 """
 
 from __future__ import annotations
 
 import csv
-import json
+import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Mapping
@@ -111,6 +117,8 @@ class LaxBands:
     even_reduced: bool = False
 
     def __post_init__(self):
+        if self.depth < 0:
+            raise ValueError(f"depth {self.depth} must be non-negative")
         if self.even_reduced and any(self.v.values()):
             raise ValueError("even-reduced states must have vanishing v bands")
 
@@ -124,10 +132,6 @@ class LaxBands:
 
     def value(self, kind: str, k: int, n: int):
         return self.wval(k, n) if kind == "w" else self.vval(k, n)
-
-    def copy(self) -> "LaxBands":
-        return LaxBands(self.sites, self.depth, dict(self.w), dict(self.v),
-                        self.even_reduced)
 
     def as_float(self) -> "LaxBands":
         return LaxBands(self.sites, self.depth,
@@ -601,33 +605,92 @@ def t2_even_w_terms(k: int) -> tuple:
                  if all(kind == "w" for kind, _band, _off in term[1]))
 
 
-def _eval_terms(b: LaxBands, terms: list, n: int):
-    total = 0
-    for coeff, factors in terms:
-        prod = coeff
-        for kind, band, off in factors:
-            val = b.value(kind, band, n + off)
-            if val == 0:
-                prod = 0
-                break
-            prod = prod * val
-        total = total + prod
-    return total
+# ---------------------------------------------------------------------------
+# evaluating term tables: site shifts on the lattice, x-derivatives in the
+# continuum, over float64 or exact object arrays
+# ---------------------------------------------------------------------------
+
+
+class _Fields(dict):
+    """(kind, band, m) -> ``op(row, m)`` for the row of that band (the row
+    itself at m = 0), computed on first reference; ``rows`` maps "w"/"v" to
+    {band: row} and absent bands read ``zero``.  The lattice passes a site
+    shift as ``op``, the continuum an x-derivative stencil, so one evaluator
+    serves both."""
+
+    def __init__(self, rows: Mapping[str, Mapping[int, np.ndarray]],
+                 op: Callable[[np.ndarray, int], np.ndarray], zero: np.ndarray):
+        super().__init__()
+        self.rows, self.op, self.zero = rows, op, zero
+
+    def __missing__(self, factor: tuple) -> np.ndarray:
+        kind, band, m = factor
+        row = self.rows[kind].get(band)
+        arr = self.zero if row is None else self.op(row, m) if m else row
+        self[factor] = arr
+        return arr
+
+
+def _sum_terms(terms: Iterable, fields: _Fields) -> np.ndarray:
+    """sum of coeff * prod(factors), into a new array."""
+    acc = fields.zero.copy()
+    for coeff, (first, *rest) in terms:
+        prod = fields[first]
+        for f in rest:
+            prod = prod * fields[f]
+        if coeff == 1.0:
+            acc += prod
+        elif coeff == -1.0:
+            acc -= prod
+        else:
+            acc += coeff * prod
+    return acc
+
+
+def _site_shift(row: np.ndarray, m: int) -> np.ndarray:
+    """The value at site n + m (m != 0) for every site n; sites off the
+    lattice read zero."""
+    out = np.zeros_like(row)
+    if m > 0:
+        out[:-m] = row[m:]
+    else:
+        out[-m:] = row[:m]
+    return out
+
+
+def _band_rows(slots: Mapping, depth: int, sites: int, dtype) -> dict[int, np.ndarray]:
+    """Band k -> its values at sites 1..sites; slots not stored, or outside
+    the window, read zero."""
+    rows = {k: np.zeros(sites, dtype) for k in range(-depth, depth + 1)}
+    for (k, n), val in slots.items():
+        if k in rows and 1 <= n <= sites:
+            rows[k][n - 1] = val
+    return rows
 
 
 def _flow_from_tables(b: LaxBands, w_table: Callable[[int], list],
                       v_table: Callable[[int], list] | None) -> BandDerivs:
-    out = BandDerivs()
-    for k in range(-b.depth, b.depth + 1):
-        wt = w_table(k)
-        for n in range(1, b.sites + 1):
-            out.dw[(k, n)] = _eval_terms(b, wt, n)
-    if v_table is not None and not b.even_reduced:
-        for k in range(-b.depth, b.depth + 1):
-            vt = v_table(k)
-            for n in range(1, b.sites + 1):
-                out.dv[(k, n)] = _eval_terms(b, vt, n)
-    return out
+    """Every slot of every band |k| <= depth, read off the tables over
+    float64 rows, or over object rows (exact Fractions) when any band value
+    is not a float."""
+    slots = {"w": b.w, "v": {} if b.even_reduced else b.v}
+    exact = not all(isinstance(x, float)
+                    for x in itertools.chain(b.w.values(), slots["v"].values()))
+    dtype = object if exact else float
+    fields = _Fields({kind: _band_rows(s, b.depth, b.sites, dtype)
+                      for kind, s in slots.items()},
+                     _site_shift, np.zeros(b.sites, dtype))
+    bands = range(-b.depth, b.depth + 1)
+
+    def derivs(table):
+        values = []
+        for k in bands:
+            terms = table(k) if exact else [(float(c), f) for c, f in table(k)]
+            values += _sum_terms(terms, fields).tolist()
+        return dict(zip(itertools.product(bands, range(1, b.sites + 1)), values))
+
+    return BandDerivs(derivs(w_table),
+                      {} if v_table is None or b.even_reduced else derivs(v_table))
 
 
 def flow_t1_explicit(b: LaxBands) -> BandDerivs:
@@ -798,16 +861,6 @@ def initial_bands_gaussian(sites: int, depth: int, q: QuadratureConfig) -> LaxBa
 # ---------------------------------------------------------------------------
 
 
-def _axpy(b: LaxBands, scale: float, d: BandDerivs) -> LaxBands:
-    out = b.copy()
-    for key in out.w:
-        out.w[key] = out.w[key] + scale * d.dw.get(key, 0)
-    if not out.even_reduced:
-        for key in out.v:
-            out.v[key] = out.v[key] + scale * d.dv.get(key, 0)
-    return out
-
-
 def _rhs_for(flow: str, commutator_k: int | None):
     if flow in FLOWS:
         return FLOWS[flow][1]
@@ -825,37 +878,64 @@ def _rhs_for(flow: str, commutator_k: int | None):
     raise ValueError(f"unknown flow {flow!r}")
 
 
+def _rk4_step(rhs: Callable[[np.ndarray], np.ndarray], dt: float,
+              y: np.ndarray) -> np.ndarray:
+    """One classical RK4 step of y' = rhs(y)."""
+    k1 = rhs(y)
+    k2 = rhs(y + dt / 2 * k1)
+    k3 = rhs(y + dt / 2 * k2)
+    k4 = rhs(y + dt * k3)
+    return y + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+
+
+def _march(y: np.ndarray, step: Callable[[np.ndarray], np.ndarray], steps: int,
+           blowup: Callable[[int, int], Exception]) -> list[np.ndarray]:
+    """[y, step(y), step(step(y)), ...] through ``steps`` steps; the first
+    state with a non-finite entry raises ``blowup(step index, flat index)``."""
+    if steps < 0:
+        raise ValueError(f"steps {steps} must be non-negative")
+    states = [y]
+    # overflow on the way to the blow-up check is expected, not a bug
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(steps):
+            y = step(y)
+            bad = ~np.isfinite(y)
+            if bad.any():
+                raise blowup(i, int(np.argmax(bad)))
+            states.append(y)
+    return states
+
+
 def integrate_flow(b: LaxBands, flow: str, dt: float, steps: int,
                    commutator_k: int | None = None) -> list[LaxBands]:
-    """Classical fixed-step RK4 trajectory of the selected band flow; the
-    commutator flow uses the full 2 * sites window."""
+    """Classical fixed-step RK4 trajectory of the selected band flow over the
+    slots stored in ``b`` (slots it omits stay absent); the commutator flow
+    uses the full 2 * sites window."""
     if dt <= 0:
         raise ValueError("dt must be positive")
     rhs = _rhs_for(flow, commutator_k)
-    state = b.as_float()
-    traj = [state]
-    for step in range(steps):
-        k1 = rhs(state)
-        k2 = rhs(_axpy(state, dt / 2, k1))
-        k3 = rhs(_axpy(state, dt / 2, k2))
-        k4 = rhs(_axpy(state, dt, k3))
-        nxt = state.copy()
-        for key in nxt.w:
-            nxt.w[key] += dt / 6 * (k1.dw.get(key, 0) + 2 * k2.dw.get(key, 0)
-                                    + 2 * k3.dw.get(key, 0) + k4.dw.get(key, 0))
-        if not nxt.even_reduced:
-            for key in nxt.v:
-                nxt.v[key] += dt / 6 * (k1.dv.get(key, 0) + 2 * k2.dv.get(key, 0)
-                                        + 2 * k3.dv.get(key, 0) + k4.dv.get(key, 0))
-        for key, val in nxt.w.items():
-            if not math.isfinite(val):
-                raise FlowBlowupError(step, f"w^{key[0]}_{key[1]}")
-        for key, val in nxt.v.items():
-            if not math.isfinite(val):
-                raise FlowBlowupError(step, f"v^{key[0]}_{key[1]}")
-        traj.append(nxt)
-        state = nxt
-    return traj
+    start = b.as_float()
+    w_keys = list(start.w)
+    v_keys = [] if start.even_reduced else list(start.v)
+    slots = [("w", key) for key in w_keys] + [("v", key) for key in v_keys]
+
+    def bands(y: np.ndarray) -> LaxBands:
+        vals = y.tolist()
+        v = dict(zip(v_keys, vals[len(w_keys):])) if v_keys else dict(start.v)
+        return LaxBands(b.sites, b.depth, dict(zip(w_keys, vals)), v, b.even_reduced)
+
+    def derivs(y: np.ndarray) -> np.ndarray:
+        d = rhs(bands(y))
+        return np.array([d.dw.get(key, 0.0) for key in w_keys]
+                        + [d.dv.get(key, 0.0) for key in v_keys])
+
+    def blowup(step: int, i: int) -> FlowBlowupError:
+        kind, (k, n) = slots[i]
+        return FlowBlowupError(step, f"{kind}^{k}_{n}")
+
+    y0 = np.array([start.w[key] for key in w_keys] + [start.v[key] for key in v_keys])
+    traj = _march(y0, lambda y: _rk4_step(derivs, dt, y), steps, blowup)
+    return [start] + [bands(y) for y in traj[1:]]
 
 
 # ---------------------------------------------------------------------------

@@ -98,6 +98,9 @@ def test_gt_pass_and_mutate(tmp_path):
     ["nijenhuis-oracle", "--points", "0"],
     ["tau", "--n-max", "0"],
     ["lax-verify", "--trials", "0"],
+    ["chain-evolve", "--steps", "-3"],
+    ["chain-evolve", "--depth", "-1"],
+    ["lax-verify", "--depth", "-1", "--trials", "1"],
 ], ids="_".join)
 def test_input_that_checks_nothing_is_a_usage_error(tmp_path, capsys, argv):
     assert main(["--out", str(tmp_path)] + argv) == 2
@@ -110,6 +113,13 @@ def test_chain_evolve(tmp_path):
     assert main(["--out", str(out), "chain-evolve", "--steps", "3",
                  "--grid", "64"]) == 0
     assert (out / "chain_trajectory.csv").exists()
+
+
+@pytest.mark.parametrize("dt, cfl", [("1e-3", "1.16"), ("0.05", "57.8")])
+def test_chain_evolve_reports_its_cfl_number_before_stepping(tmp_path, capsys, dt, cfl):
+    main(["--out", str(tmp_path), "chain-evolve", "--dt", dt])
+    err = capsys.readouterr().err.splitlines()
+    assert err[0] == f"CFL number dt*max_row_sum/h = {cfl}"
 
 
 def test_reports_are_deterministic(tmp_path):

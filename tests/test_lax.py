@@ -9,6 +9,7 @@ from scipy.linalg import block_diag
 
 from pfaffchain.ensemble import QuadratureConfig
 from pfaffchain.lax import (
+    FLOWS,
     FactorizationError,
     FlowBlowupError,
     LaxBands,
@@ -27,6 +28,11 @@ from pfaffchain.lax import (
     project_t,
     random_bands,
     skew_factorize,
+    t1_v_terms,
+    t1_w_terms,
+    t2_even_w_terms,
+    t2_v_terms,
+    t2_w_terms,
     trajectory_to_csv,
 )
 
@@ -254,6 +260,70 @@ def test_interior_mask_margins():
 
 
 # ---------------------------------------------------------------------------
+# the array evaluator against a slot-by-slot oracle
+# ---------------------------------------------------------------------------
+
+def _eval_terms(b: LaxBands, terms: list, n: int):
+    total = 0
+    for coeff, factors in terms:
+        prod = coeff
+        for kind, band, off in factors:
+            val = b.value(kind, band, n + off)
+            if val == 0:
+                prod = 0
+                break
+            prod = prod * val
+        total = total + prod
+    return total
+
+
+_TABLES = {"t1": (t1_w_terms, t1_v_terms), "t2": (t2_w_terms, t2_v_terms),
+           "t2_even": (t2_even_w_terms, None)}
+
+
+def _oracle_flow(b: LaxBands, name: str) -> tuple[dict, dict]:
+    w_table, v_table = _TABLES[name]
+    slots = [(k, n) for k in range(-b.depth, b.depth + 1) for n in range(1, b.sites + 1)]
+    dw = {(k, n): _eval_terms(b, w_table(k), n) for k, n in slots}
+    if v_table is None or b.even_reduced:
+        return dw, {}
+    return dw, {(k, n): _eval_terms(b, v_table(k), n) for k, n in slots}
+
+
+@pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
+@pytest.mark.parametrize("name", sorted(FLOWS))
+def test_table_flows_equal_the_slot_by_slot_oracle(name, exact):
+    # sites 1-3 sit below the largest stencil offset, so terms read off the
+    # lattice; bitwise for floats (the coefficients are +-1 and +-1/2, so
+    # applying them last is exact), exact equality over Fractions
+    assert set(_TABLES) == set(FLOWS)
+    _k, flow, needs_even = FLOWS[name]
+    rng = random.Random(f"{name}/{exact}")
+    for sites in (1, 2, 3, 18):
+        for depth in range(4):
+            for even in {needs_even, True}:
+                b = random_bands(rng, sites, depth, even=even, exact=exact)
+                got = flow(b)
+                for have, want in zip((got.dw, got.dv), _oracle_flow(b, name)):
+                    assert have.keys() == want.keys()
+                    for key, e in want.items():
+                        if exact:
+                            assert isinstance(have[key], (Fraction, int))
+                            assert have[key] == e, (sites, depth, even, key)
+                        else:
+                            assert float(have[key]).hex() == float(e).hex(), \
+                                (sites, depth, even, key)
+
+
+def test_slots_stored_outside_the_window_read_zero():
+    b = random_bands(random.Random(3), 6, 2)
+    stray = dict(b.w)
+    stray.update({(0, 0): 5.0, (0, 7): 5.0, (3, 2): 5.0, (-3, 2): 5.0})
+    padded = LaxBands(b.sites, b.depth, stray, b.v)
+    assert flow_t2_explicit(padded) == flow_t2_explicit(b)
+
+
+# ---------------------------------------------------------------------------
 # skew factorisation and the zero-coupling initial state
 # ---------------------------------------------------------------------------
 
@@ -397,6 +467,22 @@ def test_two_flow_commutativity_on_even_state():
     d2 = both_orders(0.01)
     assert d1 < 1e-4
     assert d2 < d1 / 3  # at least O(dt^2)
+
+
+def test_integrate_flow_keeps_the_stored_slots():
+    b = initial_bands_gaussian(6, 2, Q)
+    assert (0, 6) not in b.w  # the truncation-polluted last row is not stored
+    traj = integrate_flow(b, "t2_even", dt=1e-3, steps=3)
+    assert len(traj) == 4
+    for state in traj:
+        assert state.w.keys() == b.w.keys() and state.v.keys() == b.v.keys()
+
+
+def test_negative_sizes_are_rejected():
+    with pytest.raises(ValueError, match="depth -1"):
+        LaxBands(sites=4, depth=-1)
+    with pytest.raises(ValueError, match="steps -1"):
+        integrate_flow(LaxBands(sites=4, depth=1), "t1", dt=0.1, steps=-1)
 
 
 def test_integrator_rejects_bad_dt():

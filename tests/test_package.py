@@ -1,9 +1,13 @@
 """The layer modules' public names: tools that wrap the public API read each
 module's ``__all__`` and look every name up with ``getattr``."""
 
+import ast
 import importlib
+from pathlib import Path
 
 import pytest
+
+import pfaffchain
 
 LAYERS = ("chain", "ensemble", "integrability", "lax", "reductions")
 
@@ -18,3 +22,24 @@ def test_all_resolves_and_lists_every_public_definition(layer):
                if not name.startswith("_") and callable(obj)
                and getattr(obj, "__module__", None) == mod.__name__}
     assert sorted(defined - set(mod.__all__)) == []
+
+
+SRC = Path(pfaffchain.__file__).parent
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in SRC.glob("*.py")))
+def test_every_imported_name_is_used(module):
+    tree = ast.parse((SRC / module).read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {(a.asname or a.name).split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported |= {a.asname or a.name for a in node.names}
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    exported = set()
+    for node in tree.body:  # a name listed in __all__ is re-exported, so used
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            exported |= set(ast.literal_eval(node.value))
+    assert sorted(imported - used - exported) == []
