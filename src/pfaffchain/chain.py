@@ -30,7 +30,6 @@ evaluated through the same expansion.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -234,8 +233,8 @@ def evolve_chain(s: ChainState, dt: float, steps: int,
     """Time-step the leading-order chain with periodic boundaries; the bands
     |k| <= depth are stepped as one (2 depth + 1, grid) stack and any other
     band of ``s`` reads zero."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    if not 0 < dt < math.inf:
+        raise ValueError(f"dt must be positive and finite, got {dt}")
     if scheme not in ("rk4-central", "lax-friedrichs"):
         raise ValueError(f"unknown scheme {scheme!r}")
     if scheme == "lax-friedrichs":
@@ -349,11 +348,14 @@ def continuum_residual(profile: Mapping[int, Callable], eps_list: Sequence[float
 
 
 def trajectory_to_csv(traj: Sequence[ChainState], path) -> None:
+    """Rows step,k,m,x,u with floats as ``repr`` and csv's \\r\\n line ends;
+    each band is written as one string."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["step", "k", "m", "x", "u"])
+        fh.write("step,k,m,x,u\r\n")
         for step, state in enumerate(traj):
+            cells = [f"{m},{m * state.h!r}," for m in range(state.grid_size)]
             for k in sorted(state.u):
-                arr = state.u[k]
-                for m, val in enumerate(arr):
-                    writer.writerow([step, k, m, repr(m * state.h), repr(float(val))])
+                head = f"{step},{k},"
+                vals = np.asarray(state.u[k], dtype=float).tolist()
+                fh.write("".join(f"{head}{cell}{val!r}\r\n"
+                                 for cell, val in zip(cells, vals)))

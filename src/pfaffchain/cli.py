@@ -2,6 +2,9 @@
 machine-readable reports.
 
 Exit codes: 0 pass, 1 verification failure, 2 input/precondition error.
+``main`` owns that contract: a ValueError, ZeroDivisionError, OverflowError or
+``ensemble.QuadratureError`` from the config or a command (whose own argument
+checks raise ValueError) prints one ``error: <message>`` line and exits 2.
 Reports are JSON with sorted keys, so identical seeds and flags reproduce
 byte-identical files; bulk data (matrices, trajectories) goes to CSV.
 """
@@ -10,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import random
 import sys
 from fractions import Fraction
@@ -30,28 +34,27 @@ def _write_report(out_dir: Path, name: str, report: dict) -> Path:
     return path
 
 
-def _couplings(args) -> ensemble.CouplingVector:
-    entries = {}
+def _quadrature_options() -> argparse.ArgumentParser:
+    """Couplings --t1..--t8 and quadrature --nodes/--radius, a fresh parent per
+    subcommand: a shared one would share its Actions and so config defaults."""
+    p = argparse.ArgumentParser(add_help=False)
     for k in range(1, 9):
-        val = getattr(args, f"t{k}", None)
-        if val:
-            entries[k] = val
-    return ensemble.CouplingVector(entries)
+        p.add_argument(f"--t{k}", type=float, default=0.0)
+    p.add_argument("--nodes", type=int, default=200)
+    p.add_argument("--radius", type=float, default=10.0)
+    return p
+
+
+def _quadrature(args) -> tuple[ensemble.CouplingVector, ensemble.QuadratureConfig]:
+    t = ensemble.CouplingVector({k: getattr(args, f"t{k}") for k in range(1, 9)})
+    return t, ensemble.QuadratureConfig(nodes_per_axis=args.nodes,
+                                        domain_radius=args.radius)
 
 
 def cmd_moments(args, out: Path) -> int:
-    try:
-        t = _couplings(args)
-        q = ensemble.QuadratureConfig(nodes_per_axis=args.nodes,
-                                      domain_radius=args.radius)
-        m = ensemble.moment_matrix(args.n, t, q)
-        report = ensemble.tau_report(args.n, t, q)
-    except (ValueError, OverflowError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE
-    except ensemble.QuadratureError as exc:
-        print(f"quadrature non-convergence: {exc}", file=sys.stderr)
-        return USAGE
+    t, q = _quadrature(args)
+    m = ensemble.moment_matrix(args.n, t, q)
+    report = ensemble.tau_report(args.n, t, q)
     out.mkdir(parents=True, exist_ok=True)
     ensemble.write_moment_csv(m, out / f"moments_n{args.n}.csv")
     path = _write_report(out, f"tau_n{args.n}.json", report)
@@ -61,16 +64,10 @@ def cmd_moments(args, out: Path) -> int:
 
 
 def cmd_tau(args, out: Path) -> int:
-    try:
-        if args.n_max < 1:
-            raise ValueError(f"--n-max {args.n_max} gives an empty table; need >= 1")
-        t = _couplings(args)
-        q = ensemble.QuadratureConfig(nodes_per_axis=args.nodes,
-                                      domain_radius=args.radius)
-        rows = [ensemble.tau_report(n, t, q) for n in range(1, args.n_max + 1)]
-    except (ValueError, OverflowError, ensemble.QuadratureError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE
+    if args.n_max < 1:
+        raise ValueError(f"--n-max {args.n_max} gives an empty table; need >= 1")
+    t, q = _quadrature(args)
+    rows = [ensemble.tau_report(n, t, q) for n in range(1, args.n_max + 1)]
     path = _write_report(out, "tau_table.json", {"table": rows})
     for row in rows:
         print(f"n={row['n']}: tau={row['tau']:.12g} "
@@ -86,32 +83,28 @@ def cmd_lax_verify(args, out: Path) -> int:
     flows = [f.strip() for f in args.flows.split(",") if f.strip()]
     if args.even and "t2_even" not in flows:
         flows.append("t2_even")
+    for name in flows:
+        if name not in _FLOWS:
+            raise ValueError(f"unknown flow {name!r}")
     rng = random.Random(args.seed)
     worst = 0.0
     checked = 0
     m_dim = 2 * args.sites
-    try:
-        for name in flows:
-            if name not in _FLOWS:
-                print(f"unknown flow {name!r}", file=sys.stderr)
-                return USAGE
-            k_flow, table_flow, even = _FLOWS[name]
-            for _ in range(args.trials):
-                b = lax.random_bands(rng, args.sites, args.depth, even=even)
-                comm, mask = lax.lax_rhs_commutator(b, k_flow, m_dim)
-                if not mask:
-                    raise ValueError("truncation too tight: empty interior mask")
-                expl = table_flow(b)
-                for kind, bk, n in mask:
-                    c = comm.get(kind, bk, n)
-                    e = expl.get(kind, bk, n)
-                    worst = max(worst, abs(c - e) / max(1.0, abs(c), abs(e)))
-                    checked += 1
-        if not checked:
-            raise ValueError("no slot was checked: need a flow and --trials >= 1")
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE
+    for name in flows:
+        k_flow, table_flow, even = _FLOWS[name]
+        for _ in range(args.trials):
+            b = lax.random_bands(rng, args.sites, args.depth, even=even)
+            comm, mask = lax.lax_rhs_commutator(b, k_flow, m_dim)
+            if not mask:
+                raise ValueError("truncation too tight: empty interior mask")
+            expl = table_flow(b)
+            for kind, bk, n in mask:
+                c = comm.get(kind, bk, n)
+                e = expl.get(kind, bk, n)
+                worst = max(worst, abs(c - e) / max(1.0, abs(c), abs(e)))
+                checked += 1
+    if not checked:
+        raise ValueError("no slot was checked: need a flow and --trials >= 1")
     worst = float(worst)
     report = {"flows": flows, "trials": args.trials, "seed": args.seed,
               "sites": args.sites, "depth": args.depth,
@@ -124,22 +117,18 @@ def cmd_lax_verify(args, out: Path) -> int:
 
 def cmd_chain_evolve(args, out: Path) -> int:
     if args.grid < 1:
-        print(f"error: --grid {args.grid} must be at least 1", file=sys.stderr)
-        return USAGE
+        raise ValueError(f"--grid {args.grid} must be at least 1")
     profile = chain.default_profile(args.band_support)
     x = (1.0 / args.grid) * np.arange(1, args.grid + 1)
     u = {k: fn(x) for k, fn in profile.items()}
+    state = chain.ChainState(h=1.0 / args.grid, depth=args.depth,
+                             u={k: u.get(k, np.zeros(args.grid))
+                                for k in range(-args.depth, args.depth + 1)})
+    if 0 < args.dt < math.inf and args.steps > 0:  # the CFL margin of a run that steps
+        cfl = args.dt * chain.max_row_sum(state) / state.h
+        print(f"CFL number dt*max_row_sum/h = {cfl:.3g}", file=sys.stderr)
     try:
-        state = chain.ChainState(h=1.0 / args.grid, depth=args.depth,
-                                 u={k: u.get(k, np.zeros(args.grid))
-                                    for k in range(-args.depth, args.depth + 1)})
-        if args.dt > 0 and args.steps > 0:  # the stability margin of a run that steps
-            cfl = args.dt * chain.max_row_sum(state) / state.h
-            print(f"CFL number dt*max_row_sum/h = {cfl:.3g}", file=sys.stderr)
         traj = chain.evolve_chain(state, args.dt, args.steps, scheme=args.scheme)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE
     except chain.GradientCatastropheError as exc:
         print(f"blow-up: {exc}", file=sys.stderr)
         return FAIL
@@ -151,15 +140,11 @@ def cmd_chain_evolve(args, out: Path) -> int:
 
 
 def cmd_continuum_check(args, out: Path) -> int:
-    try:
-        eps = [Fraction(tok) for tok in args.eps.split(",") if tok.strip()]
-        orders = [int(tok) for tok in args.orders.split(",") if tok.strip()]
-        reports = chain.continuum_residual(chain.default_profile(args.band_support),
-                                           [float(e) for e in eps],
-                                           orders=orders, depth=args.depth)
-    except (ValueError, ZeroDivisionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE
+    eps = [Fraction(tok) for tok in args.eps.split(",") if tok.strip()]
+    orders = [int(tok) for tok in args.orders.split(",") if tok.strip()]
+    reports = chain.continuum_residual(chain.default_profile(args.band_support),
+                                       [float(e) for e in eps],
+                                       orders=orders, depth=args.depth)
     ok = True
     for rep in reports:
         if rep["slope"] == "exact":
@@ -180,15 +165,10 @@ def cmd_haantjes(args, out: Path) -> int:
     if args.spec:
         try:
             spec = integrability.load_spec_json(args.spec)
-        except (OSError, ValueError, KeyError) as exc:
-            print(f"bad spec file: {exc}", file=sys.stderr)
-            return USAGE
-    try:
-        report = integrability.haantjes_scan(window=args.window, points=args.points,
-                                             seed=args.seed, spec=spec)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE
+        except (OSError, KeyError, json.JSONDecodeError) as exc:
+            raise ValueError(f"bad spec file: {exc}") from exc
+    report = integrability.haantjes_scan(window=args.window, points=args.points,
+                                         seed=args.seed, spec=spec)
     path = _write_report(out, "haantjes_scan.json", report)
     n_bad = len(report["haantjes_nonzero"])
     print(f"window {args.window}, {args.points} points: "
@@ -202,9 +182,7 @@ def cmd_haantjes(args, out: Path) -> int:
 
 def cmd_nijenhuis_oracle(args, out: Path) -> int:
     if args.points < 1:
-        print(f"error: --points {args.points} checks nothing; need >= 1",
-              file=sys.stderr)
-        return USAGE
+        raise ValueError(f"--points {args.points} checks nothing; need >= 1")
     rng = random.Random(args.seed)
     mismatches = []
     checked = 0
@@ -222,12 +200,8 @@ def cmd_nijenhuis_oracle(args, out: Path) -> int:
 
 def cmd_gt(args, out: Path) -> int:
     mutate = Fraction(3) if args.mutate else None
-    try:
-        report = reductions.involutivity_report(jets=args.jets, seed=args.seed,
-                                                mutate_dlam=mutate)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE
+    report = reductions.involutivity_report(jets=args.jets, seed=args.seed,
+                                            mutate_dlam=mutate)
     path = _write_report(out, "gt_involutivity.json", report)
     clean = report["max_involutivity_residual"] == "0" \
         and report["eigen_residual"] == "0"
@@ -250,20 +224,14 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
                         help="JSON file with per-command parameter defaults")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("moments", help="moment matrix CSV and tau report")
+    p = sub.add_parser("moments", parents=[_quadrature_options()],
+                       help="moment matrix CSV and tau report")
     p.add_argument("--n", type=int, default=2)
-    for k in range(1, 9):
-        p.add_argument(f"--t{k}", type=float, default=0.0)
-    p.add_argument("--nodes", type=int, default=200)
-    p.add_argument("--radius", type=float, default=10.0)
     p.set_defaults(func=cmd_moments)
 
-    p = sub.add_parser("tau", help="tau table with Selberg ratio checks")
+    p = sub.add_parser("tau", parents=[_quadrature_options()],
+                       help="tau table with Selberg ratio checks")
     p.add_argument("--n-max", type=int, default=3)
-    for k in range(1, 9):
-        p.add_argument(f"--t{k}", type=float, default=0.0)
-    p.add_argument("--nodes", type=int, default=200)
-    p.add_argument("--radius", type=float, default=10.0)
     p.set_defaults(func=cmd_tau)
 
     p = sub.add_parser("lax-verify", help="commutator vs explicit flow check")
@@ -314,30 +282,36 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    # read --config first: its sections become the subcommands' defaults
+def _read_config(argv: list[str]) -> dict | None:
+    """The --config file, read before the full parse: its sections become the
+    subcommands' defaults."""
     pre = argparse.ArgumentParser(add_help=False, exit_on_error=False)
     pre.add_argument("--config", type=Path, default=None)
     try:
-        cfg_path = pre.parse_known_args(argv)[0].config
+        path = pre.parse_known_args(argv)[0].config
     except argparse.ArgumentError as exc:
+        raise ValueError(exc) from exc
+    if path is None:
+        return None
+    try:
+        config = json.loads(path.read_text(encoding="utf-8"))
+    except (OSError, json.JSONDecodeError) as exc:
+        raise ValueError(f"bad config: {exc}") from exc
+    if not (isinstance(config, dict)
+            and all(isinstance(v, dict) for v in config.values())):
+        raise ValueError("bad config: expected an object of per-command objects")
+    return config
+
+
+def main(argv=None) -> int:
+    argv = list(sys.argv[1:] if argv is None else argv)
+    try:
+        args = build_parser(_read_config(argv)).parse_args(argv)
+        return args.func(args, args.out)
+    except (ValueError, ZeroDivisionError, OverflowError,
+            ensemble.QuadratureError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE
-    config = None
-    if cfg_path is not None:
-        try:
-            config = json.loads(cfg_path.read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
-            print(f"bad config: {exc}", file=sys.stderr)
-            return USAGE
-        if not (isinstance(config, dict)
-                and all(isinstance(v, dict) for v in config.values())):
-            print("bad config: expected an object of per-command objects",
-                  file=sys.stderr)
-            return USAGE
-    args = build_parser(config).parse_args(argv)
-    return args.func(args, args.out)
 
 
 if __name__ == "__main__":

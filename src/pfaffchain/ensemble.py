@@ -346,15 +346,14 @@ def tau_report(n: int, t: CouplingVector, q: QuadratureConfig) -> dict:
 
 
 def moment_flow_residual(i: int, j: int, k: int, t: CouplingVector,
-                         h: float, q: QuadratureConfig,
-                         stencil_order: int = 4) -> float:
+                         h: float, q: QuadratureConfig) -> float:
     """|central-difference d(mu_ij)/dt_k - (mu_{i+k,j} + mu_{i,j+k})|.
 
     Every shifted coupling vector must pass the integrability guard.  The
-    default five-point central stencil has O(h^4) truncation; the moments'
-    third t-derivatives reach magnitude ~1e3, so at h = 1e-3 the plain
-    three-point stencil (``stencil_order=2``, O(h^2)) leaves residuals of
-    order 1e-4 that measure the stencil rather than the flow law.
+    five-point central stencil has O(h^4) truncation; the moments' third
+    t-derivatives reach magnitude ~1e3, so at h = 1e-3 a three-point stencil
+    (O(h^2)) would leave residuals of order 1e-4 that measure the stencil
+    rather than the flow law.
     """
     if h <= 0:
         raise ValueError("h must be positive")
@@ -362,12 +361,7 @@ def moment_flow_residual(i: int, j: int, k: int, t: CouplingVector,
     def mu_at(dt: float) -> float:
         return moment_mu(i, j, t.shifted(k, dt), q)
 
-    if stencil_order == 2:
-        derivative = (mu_at(h) - mu_at(-h)) / (2 * h)
-    elif stencil_order == 4:
-        derivative = (-mu_at(2 * h) + 8 * mu_at(h)
-                      - 8 * mu_at(-h) + mu_at(-2 * h)) / (12 * h)
-    else:
-        raise ValueError("stencil_order must be 2 or 4")
+    derivative = (-mu_at(2 * h) + 8 * mu_at(h)
+                  - 8 * mu_at(-h) + mu_at(-2 * h)) / (12 * h)
     flow = moment_mu(i + k, j, t, q) + moment_mu(i, j + k, t, q)
     return abs(derivative - flow)

@@ -212,16 +212,11 @@ def disassemble_lax(A: np.ndarray, depth: int) -> LaxBands:
     """Read band variables back from a dense matrix on the stored window;
     each v^0_n must come with its -v^0_n partner on the diagonal."""
     M = A.shape[0]
-    b = LaxBands(sites=M // 2, depth=depth)
-    for kind, k, n, r, c in placements(M, depth):
-        val = A[r, c]
-        if kind == "w":
-            b.w[(k, n)] = val
-        else:
-            if k == 0 and r + 1 < M and A[r + 1, c + 1] != -val:
-                raise ValueError(f"diagonal pair mismatch for v^0_{n}")
-            b.v[(k, n)] = val
-    return b
+    d = disassemble_derivs(A, depth)
+    for (k, n), val in d.dv.items():  # v^0_n at (2n - 1, 2n - 1), -v^0_n at (2n, 2n)
+        if k == 0 and 2 * n < M and A[2 * n, 2 * n] != -val:
+            raise ValueError(f"diagonal pair mismatch for v^0_{n}")
+    return LaxBands(sites=M // 2, depth=depth, w=d.dw, v=d.dv)
 
 
 def disassemble_derivs(C: np.ndarray, depth: int) -> BandDerivs:
@@ -911,8 +906,8 @@ def integrate_flow(b: LaxBands, flow: str, dt: float, steps: int,
     """Classical fixed-step RK4 trajectory of the selected band flow over the
     slots stored in ``b`` (slots it omits stay absent); the commutator flow
     uses the full 2 * sites window."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    if not 0 < dt < math.inf:
+        raise ValueError(f"dt must be positive and finite, got {dt}")
     rhs = _rhs_for(flow, commutator_k)
     start = b.as_float()
     w_keys = list(start.w)

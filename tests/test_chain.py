@@ -411,7 +411,7 @@ def test_continuum_residual_constant_profile_exact():
 
 def test_evolve_chain_rejects_nonpositive_dt():
     s = ChainState(h=1 / 16, depth=1, u={0: np.ones(16)})
-    for dt in (0.0, -1.0):
+    for dt in (0.0, -1.0, math.nan, math.inf):
         with pytest.raises(ValueError, match="dt must be positive"):
             evolve_chain(s, dt, 1)
 

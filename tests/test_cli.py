@@ -101,6 +101,12 @@ def test_gt_pass_and_mutate(tmp_path):
     ["chain-evolve", "--steps", "-3"],
     ["chain-evolve", "--depth", "-1"],
     ["lax-verify", "--depth", "-1", "--trials", "1"],
+    ["chain-evolve", "--dt", "nan", "--steps", "1"],
+    ["chain-evolve", "--dt", "inf", "--steps", "1"],
+    ["lax-verify", "--flows", "bogus"],
+    ["moments", "--nodes", "8"],
+    ["tau", "--nodes", "8"],
+    ["haantjes", "--spec", "/nonexistent/spec.json"],
 ], ids="_".join)
 def test_input_that_checks_nothing_is_a_usage_error(tmp_path, capsys, argv):
     assert main(["--out", str(tmp_path)] + argv) == 2
@@ -141,11 +147,21 @@ def test_config_file_defaults(tmp_path):
 
 def test_config_without_path_is_a_usage_error(capsys):
     assert main(["--config"]) == 2
-    assert "--config" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "--config" in err
 
 
 def test_config_must_be_an_object_of_objects(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"gt": 3}))
     assert main(["--out", str(tmp_path), "--config", str(cfg), "gt"]) == 2
-    assert "bad config" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "bad config" in err
+
+
+def test_config_defaults_of_one_command_leave_the_others_alone(tmp_path):
+    # moments and tau take their quadrature options from the same helper
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"moments": {"nodes": 8}}))
+    assert main(["--out", str(tmp_path), "--config", str(cfg), "tau",
+                 "--n-max", "1"]) == 0

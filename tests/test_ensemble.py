@@ -330,9 +330,3 @@ def test_moment_flow_even_parity_trivial():
     # k even and i + j even: both sides vanish by parity
     assert moment_flow_residual(0, 2, 2, t, 1e-3, Q) < 1e-7
 
-
-def test_moment_flow_second_order_stencil_shows_h2():
-    t = CouplingVector({2: -0.05})
-    r1 = moment_flow_residual(2, 3, 2, t, 1e-3, Q, stencil_order=2)
-    r2 = moment_flow_residual(2, 3, 2, t, 5e-4, Q, stencil_order=2)
-    assert r1 / r2 == pytest.approx(4.0, rel=0.05)

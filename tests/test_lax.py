@@ -102,6 +102,15 @@ def test_roundtrip_on_window():
         assert val == b.v[key]
 
 
+def test_disassemble_checks_each_diagonal_pair():
+    L = assemble_lax(_numbered_bands(), 8)
+    L[7, 7] = 99.0  # v^0_4 has no partner inside M = 8
+    assert disassemble_lax(L, 3).v[(0, 4)] == 99.0
+    L[4, 4] += 1.0
+    with pytest.raises(ValueError, match=r"diagonal pair mismatch for v\^0_2"):
+        disassemble_lax(L, 3)
+
+
 def test_assemble_rejects_bad_dimensions():
     b = _numbered_bands()
     with pytest.raises(ValueError, match="even"):
@@ -486,8 +495,9 @@ def test_negative_sizes_are_rejected():
 
 
 def test_integrator_rejects_bad_dt():
-    with pytest.raises(ValueError):
-        integrate_flow(LaxBands(sites=4, depth=1), "t1", dt=-0.1, steps=1)
+    for dt in (-0.1, 0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="dt must be positive and finite"):
+            integrate_flow(LaxBands(sites=4, depth=1), "t1", dt=dt, steps=1)
 
 
 def test_integrator_blowup_names_the_step():
