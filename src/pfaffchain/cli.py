@@ -98,11 +98,10 @@ def cmd_lax_verify(args, out: Path) -> int:
             if not mask:
                 raise ValueError("truncation too tight: empty interior mask")
             expl = table_flow(b)
+            checked += len(mask)
             for kind, bk, n in mask:
-                c = comm.get(kind, bk, n)
-                e = expl.get(kind, bk, n)
+                c, e = comm.get(kind, bk, n), expl.get(kind, bk, n)
                 worst = max(worst, abs(c - e) / max(1.0, abs(c), abs(e)))
-                checked += 1
     if not checked:
         raise ValueError("no slot was checked: need a flow and --trials >= 1")
     worst = float(worst)
@@ -277,8 +276,12 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_gt)
 
     for name, sp in sub.choices.items():
-        section = (config or {}).get(name, {})
-        sp.set_defaults(**{k.replace("-", "_"): v for k, v in section.items()})
+        types = {action.dest: action.type for action in sp._actions if action.type}
+        given = {k.replace("-", "_"): v for k, v in (config or {}).get(name, {}).items()}
+        try:  # each value as if typed on the command line; flags have no type
+            sp.set_defaults(**{k: types[k](str(v)) if k in types else v for k, v in given.items()})
+        except ValueError as exc:
+            raise ValueError(f"bad config: {name}: {exc}") from exc
     return parser
 
 

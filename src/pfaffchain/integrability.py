@@ -295,6 +295,8 @@ def constant_chain_spec() -> ChainMatrixSpec:
 def spec_from_table(name: str, table: Mapping[str, Mapping[str, list]],
                     stencil: int) -> ChainMatrixSpec:
     """Build a spec from a finite coefficient table; absent rows are zero."""
+    if not isinstance(table, Mapping) or not all(isinstance(r, Mapping) for r in table.values()):
+        raise ValueError("spec 'rows' must be an object of per-row objects")
     parsed: dict[int, dict[int, Poly]] = {}
     for k_s, row in table.items():
         parsed[int(k_s)] = {int(j_s): Poly.from_table(t) for j_s, t in row.items()}
@@ -341,6 +343,8 @@ def load_spec_json(path_or_obj) -> ChainMatrixSpec:
     else:
         with open(path_or_obj, "r", encoding="utf-8") as fh:
             obj = json.load(fh)
+    if not isinstance(obj, Mapping) or not isinstance(obj.get("overrides", {}), Mapping):
+        raise ValueError("spec JSON must be an object, and its 'overrides' an object")
     if "rows" in obj:
         return spec_from_table(obj.get("name", "user-spec"), obj["rows"],
                                int(obj.get("stencil", 1)))

@@ -28,23 +28,29 @@ cached float form ``continuum_terms``) is the continuum limit: the chain
 right-hand sides in ``chain`` and the chain-matrix rows in ``integrability``
 are both read off ``t2_even_w_terms`` that way.
 
+A band state (``LaxBands``, and ``BandDerivs`` for its derivatives) is one
+array ``rows`` of shape (kinds, 2 depth + 1, sites): kind 0 is w and kind 1
+is v (even-reduced states have the w kind only), row k + depth is band k and
+column n - 1 is site n.  A boolean ``stored`` mask of the same shape marks
+the stored slots; the others hold zero.  The rows are float64, or
+``dtype=object`` for exact Fraction states.  The mappings ``.w``/``.v`` and
+``.dw``/``.dv`` are writable views {(k, n): value} over the stored slots.
+
 Out-of-window band references read zero; the left lattice boundary (site 0)
 reads zero as well, which matches the semi-infinite matrix, while
 right-boundary truncation is quarantined by the interior mask.
 
 ``integrate_flow`` and ``chain.evolve_chain`` share one stepping loop
-(``_march``) and one RK4 step (``_rk4_step``) over flat state arrays.
+(``_march``) and one RK4 step (``_rk4_step``) over the state rows.
 """
 
 from __future__ import annotations
 
-import csv
 import itertools
 import math
-from dataclasses import dataclass, field
+from collections.abc import Callable, Iterable, Iterator, Mapping, MutableMapping
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -80,7 +86,6 @@ __all__ = [
     "random_bands",
     "bands_to_json",
     "bands_from_json",
-    "trajectory_to_csv",
 ]
 
 
@@ -102,53 +107,140 @@ class FlowBlowupError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class LaxBands:
-    """Band variables w^k_n, v^k_n for |k| <= depth, 1 <= n <= sites.
+class _SlotView(MutableMapping):
+    """(k, n) -> value over the stored slots of one kind's (2 depth + 1,
+    sites) rows.  A write inside the window stores the value (cast to the
+    rows' dtype) and marks the slot; a write outside it raises KeyError;
+    ``del`` unmarks the slot, which reads zero again."""
 
-    References outside the stored window (including site 0 and sites beyond
-    ``sites``) read zero.  ``even_reduced`` states carry no v storage at all.
-    """
+    def __init__(self, rows: np.ndarray, stored: np.ndarray):
+        self._rows, self._stored = rows, stored
 
-    sites: int
-    depth: int
-    w: dict[tuple[int, int], object] = field(default_factory=dict)
-    v: dict[tuple[int, int], object] = field(default_factory=dict)
-    even_reduced: bool = False
+    def _at(self, key) -> tuple[int, int]:
+        k, n = key
+        i, j = k + self._rows.shape[0] // 2, n - 1
+        if not (0 <= i < self._rows.shape[0] and 0 <= j < self._rows.shape[1]):
+            raise KeyError(key)
+        return i, j
 
-    def __post_init__(self):
-        if self.depth < 0:
-            raise ValueError(f"depth {self.depth} must be non-negative")
-        if self.even_reduced and any(self.v.values()):
-            raise ValueError("even-reduced states must have vanishing v bands")
+    def __getitem__(self, key):
+        at = self._at(key)
+        if not self._stored[at]:
+            raise KeyError(key)
+        return self._rows.item(at)
 
-    def wval(self, k: int, n: int):
-        return self.w.get((k, n), 0)
+    def __setitem__(self, key, value):
+        at = self._at(key)
+        self._rows[at], self._stored[at] = value, True
 
-    def vval(self, k: int, n: int):
-        if self.even_reduced:
-            return 0
-        return self.v.get((k, n), 0)
+    def __delitem__(self, key):
+        at = self._at(key)
+        if not self._stored[at]:
+            raise KeyError(key)
+        self._rows[at], self._stored[at] = 0, False
+
+    def __iter__(self) -> Iterator[tuple[int, int]]:
+        ks, ns = np.nonzero(self._stored)
+        return zip((ks - self._rows.shape[0] // 2).tolist(), (ns + 1).tolist())
+
+    def __len__(self) -> int:
+        return int(np.count_nonzero(self._stored))
+
+    def values(self) -> list:
+        return self._rows[self._stored].tolist()
+
+
+_NO_SLOTS = _SlotView(np.zeros((0, 0)), np.zeros((0, 0), bool))  # a kind a state lacks
+
+
+class _BandSlots:
+    """The ``rows``/``stored`` pair shared by ``LaxBands`` and ``BandDerivs``,
+    with one view per kind; a kind beyond ``len(rows)`` has no slots."""
+
+    def __init__(self, rows: np.ndarray, stored: np.ndarray):
+        self.rows, self.stored = rows, stored
+        self._views = tuple(map(_SlotView, rows, stored)) + (_NO_SLOTS,) * (2 - len(rows))
 
     def value(self, kind: str, k: int, n: int):
-        return self.wval(k, n) if kind == "w" else self.vval(k, n)
+        """The stored value of slot (k, n) of kind "w" or "v", else 0."""
+        return self._views[kind != "w"].get((k, n), 0)
+
+    def __eq__(self, other):
+        return (isinstance(other, type(self)) and self.rows.shape == other.rows.shape
+                and self._views == other._views)
+
+
+class LaxBands(_BandSlots):
+    """Band variables w^k_n, v^k_n for |k| <= depth, 1 <= n <= sites.
+
+    ``rows[kind, k + depth, n - 1]`` holds w^k_n (kind 0) or v^k_n (kind 1),
+    so ``rows`` has shape (kinds, 2 depth + 1, sites); ``even_reduced``
+    states carry the w kind only.  The boolean ``stored`` mask of the same
+    shape marks the stored slots, and a slot that is not stored holds zero.
+    The rows are float64 when every value given is a float and
+    ``dtype=object`` otherwise (exact Fractions), one dtype for w and v.
+    ``w`` and ``v`` are writable views {(k, n): value} of the stored slots.
+    References outside the window (site 0, sites beyond ``sites``, bands
+    |k| > depth) read zero, and such slots given to the constructor are
+    dropped.
+    """
+
+    def __init__(self, sites: int, depth: int, w: Mapping | None = None,
+                 v: Mapping | None = None, even_reduced: bool = False):
+        if depth < 0:
+            raise ValueError(f"depth {depth} must be non-negative")
+        w, v = w or {}, v or {}
+        if even_reduced and any(v.values()):
+            raise ValueError("even-reduced states must have vanishing v bands")
+        super().__init__(*_slot_rows([w] if even_reduced else [w, v], depth, sites))
+
+    @classmethod
+    def _of(cls, rows: np.ndarray, stored: np.ndarray) -> "LaxBands":
+        b = cls.__new__(cls)
+        _BandSlots.__init__(b, rows, stored)
+        return b
+
+    sites = property(lambda self: self.rows.shape[2])
+    depth = property(lambda self: (self.rows.shape[1] - 1) // 2)
+    even_reduced = property(lambda self: len(self.rows) == 1)
+    w = property(lambda self: self._views[0])
+    v = property(lambda self: self._views[1])
 
     def as_float(self) -> "LaxBands":
-        return LaxBands(self.sites, self.depth,
-                        {k: float(x) for k, x in self.w.items()},
-                        {k: float(x) for k, x in self.v.items()},
-                        self.even_reduced)
+        return LaxBands._of(self.rows.astype(float), self.stored.copy())
 
 
-@dataclass
-class BandDerivs:
-    """Derivative values for band slots; missing slots mean zero."""
+class BandDerivs(_BandSlots):
+    """Derivatives of band slots in the ``LaxBands`` layout; ``dw``/``dv`` are
+    writable views of the computed slots, and ``get`` reads others as 0."""
 
-    dw: dict[tuple[int, int], object] = field(default_factory=dict)
-    dv: dict[tuple[int, int], object] = field(default_factory=dict)
+    dw = property(lambda self: self._views[0])
+    dv = property(lambda self: self._views[1])
+    get = _BandSlots.value
 
-    def get(self, kind: str, k: int, n: int):
-        return (self.dw if kind == "w" else self.dv).get((k, n), 0)
+
+def _placed(kinds: int, depth: int, sites: int, at: tuple, values,
+            dtype) -> tuple[np.ndarray, np.ndarray]:
+    """Rows and stored mask holding ``values`` at the (kind, band row, site
+    column) index arrays ``at``; every other slot is unstored and zero."""
+    shape = (kinds, 2 * depth + 1, sites)
+    rows, stored = np.zeros(shape, dtype), np.zeros(shape, bool)
+    rows[at] = values
+    stored[at] = True
+    return rows, stored
+
+
+def _slot_rows(slots: list[Mapping], depth: int, sites: int) -> tuple[np.ndarray, np.ndarray]:
+    """Rows and stored mask of {(k, n): value} mappings, one per kind; slots
+    outside the window are dropped.  The rows are float64 when every value
+    is a float and object rows otherwise."""
+    kind = np.repeat(np.arange(len(slots)), [len(s) for s in slots])
+    keys = itertools.chain.from_iterable(itertools.chain.from_iterable(slots))
+    k, n = (np.fromiter(keys, int, 2 * len(kind)).reshape(-1, 2) + (depth, -1)).T
+    vals = np.array(list(itertools.chain.from_iterable(s.values() for s in slots)))
+    inside = (0 <= k) & (k <= 2 * depth) & (0 <= n) & (n < sites)
+    return _placed(len(slots), depth, sites, (kind[inside], k[inside], n[inside]),
+                   vals[inside], float if vals.dtype.kind == "f" else object)
 
 
 def random_bands(rng, sites: int, depth: int, even: bool = False,
@@ -189,6 +281,15 @@ def placements(M: int, depth: int) -> Iterator[tuple[str, int, int, int, int]]:
                 yield ("v", k, n, 2 * n + 2 * k - 1, 2 * n - 1)
 
 
+@lru_cache(maxsize=64)
+def _slot_index(M: int, depth: int, kinds: int) -> tuple[np.ndarray, ...]:
+    """``placements(M, depth)`` of the first ``kinds`` kinds (0 = w, 1 = v) as
+    index arrays (kind, band row k + depth, site column n - 1, row, col)."""
+    idx = np.array([("wv".index(kind), k + depth, n - 1, r, c)
+                    for kind, k, n, r, c in placements(M, depth)], dtype=int).reshape(-1, 5)
+    return tuple(idx[idx[:, 0] < kinds].T)
+
+
 def assemble_lax(b: LaxBands, M: int, dtype=float) -> np.ndarray:
     """Dense M x M Lax matrix; use ``dtype=object`` for exact band values."""
     if M % 2:
@@ -197,14 +298,12 @@ def assemble_lax(b: LaxBands, M: int, dtype=float) -> np.ndarray:
         raise ValueError(f"M={M} exceeds 2*sites={2 * b.sites}")
     one = Fraction(1) if dtype is object else 1.0
     L = np.zeros((M, M), dtype=dtype)
-    for n in range(1, M // 2 + 1):  # structural superdiagonal ones
-        if 2 * n <= M:
-            L[2 * n - 2, 2 * n - 1] = one
-    for kind, k, n, r, c in placements(M, b.depth):
-        val = b.value(kind, k, n)
-        L[r, c] = val
-        if kind == "v" and k == 0 and r + 1 < M:
-            L[r + 1, c + 1] = -val
+    L[np.arange(0, M, 2), np.arange(1, M, 2)] = one  # structural superdiagonal ones
+    kind, band, site, r, c = _slot_index(M, b.depth, len(b.rows))
+    vals = b.rows[kind, band, site]
+    L[r, c] = vals
+    pair = (kind == 1) & (band == b.depth) & (r + 1 < M)  # -v^0_n at (2n, 2n)
+    L[r[pair] + 1, c[pair] + 1] = -vals[pair]
     return L
 
 
@@ -213,22 +312,18 @@ def disassemble_lax(A: np.ndarray, depth: int) -> LaxBands:
     each v^0_n must come with its -v^0_n partner on the diagonal."""
     M = A.shape[0]
     d = disassemble_derivs(A, depth)
-    for (k, n), val in d.dv.items():  # v^0_n at (2n - 1, 2n - 1), -v^0_n at (2n, 2n)
-        if k == 0 and 2 * n < M and A[2 * n, 2 * n] != -val:
-            raise ValueError(f"diagonal pair mismatch for v^0_{n}")
-    return LaxBands(sites=M // 2, depth=depth, w=d.dw, v=d.dv)
+    n = np.arange(1, (M + 1) // 2)  # v^0_n at (2n - 1, 2n - 1), -v^0_n at (2n, 2n)
+    bad = A[2 * n, 2 * n] != -A[2 * n - 1, 2 * n - 1]
+    if bad.any():
+        raise ValueError(f"diagonal pair mismatch for v^0_{n[np.argmax(bad)]}")
+    return LaxBands._of(d.rows, d.stored)
 
 
 def disassemble_derivs(C: np.ndarray, depth: int) -> BandDerivs:
     """Read band-slot entries of a derivative matrix (no pair validation)."""
     M = C.shape[0]
-    out = BandDerivs()
-    for kind, k, n, r, c in placements(M, depth):
-        if kind == "w":
-            out.dw[(k, n)] = C[r, c]
-        else:
-            out.dv[(k, n)] = C[r, c]
-    return out
+    kind, band, site, r, c = _slot_index(M, depth, 2)
+    return BandDerivs(*_placed(2, depth, M // 2, (kind, band, site), C[r, c], C.dtype))
 
 
 # ---------------------------------------------------------------------------
@@ -239,10 +334,8 @@ def disassemble_derivs(C: np.ndarray, depth: int) -> BandDerivs:
 def _block_j(M: int, dtype) -> np.ndarray:
     one = Fraction(1) if dtype is object else 1.0
     J = np.zeros((M, M), dtype=dtype)
-    for r in range(0, M - 1, 2):
-        J[r, r + 1] = one
-        J[r + 1, r] = -one
-    return J
+    J[np.arange(0, M - 1, 2), np.arange(1, M, 2)] = one
+    return J - J.T
 
 
 def _block_mask(M: int) -> np.ndarray:
@@ -289,12 +382,8 @@ def interior_mask(M: int, depth: int, flow_k: int) -> set[tuple[str, int, int]]:
     reach, paid to keep every projected path of L^k inside the window).
     """
     margin = flow_k + depth + 1
-    n_sites = M // 2
-    keep = set()
-    for kind, k, n, _r, _c in placements(M, depth):
-        if n - 1 > margin and n_sites - n > margin:
-            keep.add((kind, k, n))
-    return keep
+    return {(kind, k, n) for kind, k, n, _r, _c in placements(M, depth)
+            if n - 1 > margin and M // 2 - n > margin}
 
 
 def lax_rhs_commutator(b: LaxBands, k: int, M: int,
@@ -609,9 +698,9 @@ def t2_even_w_terms(k: int) -> tuple:
 class _Fields(dict):
     """(kind, band, m) -> ``op(row, m)`` for the row of that band (the row
     itself at m = 0), computed on first reference; ``rows`` maps "w"/"v" to
-    {band: row} and absent bands read ``zero``.  The lattice passes a site
-    shift as ``op``, the continuum an x-derivative stencil, so one evaluator
-    serves both."""
+    {band: row} and absent kinds and bands read ``zero``.  The lattice
+    passes a site shift as ``op``, the continuum an x-derivative stencil, so
+    one evaluator serves both."""
 
     def __init__(self, rows: Mapping[str, Mapping[int, np.ndarray]],
                  op: Callable[[np.ndarray, int], np.ndarray], zero: np.ndarray):
@@ -620,7 +709,7 @@ class _Fields(dict):
 
     def __missing__(self, factor: tuple) -> np.ndarray:
         kind, band, m = factor
-        row = self.rows[kind].get(band)
+        row = self.rows.get(kind, {}).get(band)
         arr = self.zero if row is None else self.op(row, m) if m else row
         self[factor] = arr
         return arr
@@ -653,39 +742,19 @@ def _site_shift(row: np.ndarray, m: int) -> np.ndarray:
     return out
 
 
-def _band_rows(slots: Mapping, depth: int, sites: int, dtype) -> dict[int, np.ndarray]:
-    """Band k -> its values at sites 1..sites; slots not stored, or outside
-    the window, read zero."""
-    rows = {k: np.zeros(sites, dtype) for k in range(-depth, depth + 1)}
-    for (k, n), val in slots.items():
-        if k in rows and 1 <= n <= sites:
-            rows[k][n - 1] = val
-    return rows
-
-
 def _flow_from_tables(b: LaxBands, w_table: Callable[[int], list],
                       v_table: Callable[[int], list] | None) -> BandDerivs:
-    """Every slot of every band |k| <= depth, read off the tables over
-    float64 rows, or over object rows (exact Fractions) when any band value
-    is not a float."""
-    slots = {"w": b.w, "v": {} if b.even_reduced else b.v}
-    exact = not all(isinstance(x, float)
-                    for x in itertools.chain(b.w.values(), slots["v"].values()))
-    dtype = object if exact else float
-    fields = _Fields({kind: _band_rows(s, b.depth, b.sites, dtype)
-                      for kind, s in slots.items()},
-                     _site_shift, np.zeros(b.sites, dtype))
+    """Every slot of every band |k| <= depth, read off the tables over the
+    state's rows: float64 rows with float coefficients, or object rows
+    (exact Fractions) with the tables' own coefficients."""
+    exact = b.rows.dtype == object
     bands = range(-b.depth, b.depth + 1)
-
-    def derivs(table):
-        values = []
-        for k in bands:
-            terms = table(k) if exact else [(float(c), f) for c, f in table(k)]
-            values += _sum_terms(terms, fields).tolist()
-        return dict(zip(itertools.product(bands, range(1, b.sites + 1)), values))
-
-    return BandDerivs(derivs(w_table),
-                      {} if v_table is None or b.even_reduced else derivs(v_table))
+    rows = {kind: dict(zip(bands, stack)) for kind, stack in zip("wv", b.rows)}
+    fields = _Fields(rows, _site_shift, np.zeros(b.sites, b.rows.dtype))
+    tables = [w_table] if v_table is None or b.even_reduced else [w_table, v_table]
+    d = np.array([[_sum_terms(table(k) if exact else [(float(c), f) for c, f in table(k)],
+                              fields) for k in bands] for table in tables], b.rows.dtype)
+    return BandDerivs(d, np.ones(d.shape, bool))
 
 
 def flow_t1_explicit(b: LaxBands) -> BandDerivs:
@@ -832,23 +901,18 @@ def initial_bands_gaussian(sites: int, depth: int, q: QuadratureConfig) -> LaxBa
     m = moment_matrix(sites, CouplingVector.zero(), q)
     Q = skew_factorize(m)
     M = len(m)
-    shift = np.zeros((M, M))
-    for i in range(M - 1):
-        shift[i, i + 1] = 1.0
-    L = Q @ shift @ np.linalg.inv(Q)
-    bands = LaxBands(sites=sites, depth=depth)
-    for kind, k, n, r, c in placements(M, depth):
-        if r >= M - 1:  # last row is polluted by truncation
-            continue
-        val = float(L[r, c])
-        if kind == "w":
-            bands.w[(k, n)] = val
-        else:
-            if abs(val) > _V_TOL:
-                raise ValueError(
-                    f"v^{k}_{n} = {val:.3e} exceeds the zero tolerance {_V_TOL}")
-    bands.even_reduced = True
-    return bands
+    L = Q @ np.eye(M, k=1) @ np.linalg.inv(Q)
+    kind, band, site, r, c = _slot_index(M, depth, 2)
+    vals = L[r, c]
+    live = r < M - 1  # the last row is polluted by truncation
+    bad = live & (kind == 1) & (np.abs(vals) > _V_TOL)
+    if bad.any():
+        i = np.argmax(bad)
+        raise ValueError(f"v^{band[i] - depth}_{site[i] + 1} = {vals[i]:.3e} "
+                         f"exceeds the zero tolerance {_V_TOL}")
+    w = live & (kind == 0)
+    return LaxBands._of(*_placed(1, depth, sites, (kind[w], band[w], site[w]),
+                                 vals[w], float))
 
 
 # ---------------------------------------------------------------------------
@@ -905,32 +969,31 @@ def integrate_flow(b: LaxBands, flow: str, dt: float, steps: int,
                    commutator_k: int | None = None) -> list[LaxBands]:
     """Classical fixed-step RK4 trajectory of the selected band flow over the
     slots stored in ``b`` (slots it omits stay absent); the commutator flow
-    uses the full 2 * sites window."""
+    uses the full 2 * sites window.
+
+    The (kinds, 2 depth + 1, sites) rows are stepped as one stack.  Under
+    every table flow band +-depth is polluted by truncation: its equations
+    read w^{+-(depth+1)} (under t1 in the v equation only; under t2 also
+    v^{+-(depth+1)}), which lie outside the window and read zero, so the
+    band moves as if the state had no bands beyond depth.  ``lax-verify``
+    does not see this: its dense commutator is truncated at the same depth,
+    and ``interior_mask`` trims sites, not bands.
+    """
     if not 0 < dt < math.inf:
         raise ValueError(f"dt must be positive and finite, got {dt}")
     rhs = _rhs_for(flow, commutator_k)
     start = b.as_float()
-    w_keys = list(start.w)
-    v_keys = [] if start.even_reduced else list(start.v)
-    slots = [("w", key) for key in w_keys] + [("v", key) for key in v_keys]
-
-    def bands(y: np.ndarray) -> LaxBands:
-        vals = y.tolist()
-        v = dict(zip(v_keys, vals[len(w_keys):])) if v_keys else dict(start.v)
-        return LaxBands(b.sites, b.depth, dict(zip(w_keys, vals)), v, b.even_reduced)
+    stored = start.stored
 
     def derivs(y: np.ndarray) -> np.ndarray:
-        d = rhs(bands(y))
-        return np.array([d.dw.get(key, 0.0) for key in w_keys]
-                        + [d.dv.get(key, 0.0) for key in v_keys])
+        return np.where(stored, rhs(LaxBands._of(y, stored)).rows[:len(y)], 0.0)
 
     def blowup(step: int, i: int) -> FlowBlowupError:
-        kind, (k, n) = slots[i]
-        return FlowBlowupError(step, f"{kind}^{k}_{n}")
+        kind, row, col = np.unravel_index(i, stored.shape)
+        return FlowBlowupError(step, f"{'wv'[kind]}^{row - b.depth}_{col + 1}")
 
-    y0 = np.array([start.w[key] for key in w_keys] + [start.v[key] for key in v_keys])
-    traj = _march(y0, lambda y: _rk4_step(derivs, dt, y), steps, blowup)
-    return [start] + [bands(y) for y in traj[1:]]
+    traj = _march(start.rows, lambda y: _rk4_step(derivs, dt, y), steps, blowup)
+    return [start] + [LaxBands._of(y, stored.copy()) for y in traj[1:]]
 
 
 # ---------------------------------------------------------------------------
@@ -956,14 +1019,3 @@ def bands_from_json(obj: Mapping) -> LaxBands:
         v={(int(k), int(n)): float(val) for k, n, val in obj.get("v", [])},
         even_reduced=bool(obj.get("even", False)),
     )
-
-
-def trajectory_to_csv(traj: Iterable[LaxBands], path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["step", "band", "k", "n", "value"])
-        for step, b in enumerate(traj):
-            for (k, n), val in sorted(b.w.items()):
-                writer.writerow([step, "w", k, n, repr(float(val))])
-            for (k, n), val in sorted(b.v.items()):
-                writer.writerow([step, "v", k, n, repr(float(val))])

@@ -88,6 +88,11 @@ def test_gt_pass_and_mutate(tmp_path):
     assert main(["--out", str(out), "gt", "--jets", "3", "--mutate"]) == 1
 
 
+_BAD_INPUT_FILES = {"top_level_list.json": [1], "rows_not_an_object.json": {"rows": 5},
+                    "overrides_not_an_object.json": {"base": "paper", "overrides": [1]},
+                    "n_max_list.json": {"tau": {"n_max": [1]}}}
+
+
 @pytest.mark.parametrize("argv", [
     ["continuum-check", "--depth", "1"],
     ["continuum-check", "--eps", "1/0,1/2,1/4"],
@@ -107,8 +112,15 @@ def test_gt_pass_and_mutate(tmp_path):
     ["moments", "--nodes", "8"],
     ["tau", "--nodes", "8"],
     ["haantjes", "--spec", "/nonexistent/spec.json"],
+    ["haantjes", "--spec", "top_level_list.json"],
+    ["haantjes", "--spec", "rows_not_an_object.json"],
+    ["haantjes", "--spec", "overrides_not_an_object.json"],
+    ["--config", "n_max_list.json", "tau"],
 ], ids="_".join)
-def test_input_that_checks_nothing_is_a_usage_error(tmp_path, capsys, argv):
+def test_input_that_checks_nothing_is_a_usage_error(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    for name, obj in _BAD_INPUT_FILES.items():
+        (tmp_path / name).write_text(json.dumps(obj))
     assert main(["--out", str(tmp_path)] + argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
@@ -165,3 +177,10 @@ def test_config_defaults_of_one_command_leave_the_others_alone(tmp_path):
     cfg.write_text(json.dumps({"moments": {"nodes": 8}}))
     assert main(["--out", str(tmp_path), "--config", str(cfg), "tau",
                  "--n-max", "1"]) == 0
+
+
+def test_config_flag_set_false_stays_false(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"lax-verify": {"even": False, "trials": 1}}))
+    assert main(["--out", str(tmp_path), "--config", str(cfg), "lax-verify"]) == 0
+    assert json.loads((tmp_path / "lax_verify.json").read_text())["flows"] == ["t1", "t2"]

@@ -33,7 +33,6 @@ from pfaffchain.lax import (
     t2_even_w_terms,
     t2_v_terms,
     t2_w_terms,
-    trajectory_to_csv,
 )
 
 Q = QuadratureConfig()
@@ -58,16 +57,16 @@ def test_assemble_matches_band_display():
     L = assemble_lax(b, 8)
     # structural superdiagonal: ones on odd rows, w^0_n on even rows
     assert L[0, 1] == 1.0 and L[2, 3] == 1.0 and L[4, 5] == 1.0
-    assert L[1, 2] == b.wval(0, 1) and L[3, 4] == b.wval(0, 2)
+    assert L[1, 2] == b.value("w", 0, 1) and L[3, 4] == b.value("w", 0, 2)
     # signed diagonal pairs
     assert L[0, 0] == 0.0
-    assert L[1, 1] == b.vval(0, 1) and L[2, 2] == -b.vval(0, 1)
-    assert L[3, 3] == b.vval(0, 2) and L[4, 4] == -b.vval(0, 2)
+    assert L[1, 1] == b.value("v", 0, 1) and L[2, 2] == -b.value("v", 0, 1)
+    assert L[3, 3] == b.value("v", 0, 2) and L[4, 4] == -b.value("v", 0, 2)
     # lower diagonals: odd/even column positions
-    assert L[1, 0] == b.wval(-1, 1) and L[2, 1] == b.wval(1, 1)
-    assert L[2, 0] == b.vval(-1, 1) and L[3, 1] == b.vval(1, 1)
-    assert L[3, 0] == b.wval(-2, 1) and L[4, 1] == b.wval(2, 1)
-    assert L[5, 0] == b.wval(-3, 1) and L[6, 1] == b.wval(3, 1)
+    assert L[1, 0] == b.value("w", -1, 1) and L[2, 1] == b.value("w", 1, 1)
+    assert L[2, 0] == b.value("v", -1, 1) and L[3, 1] == b.value("v", 1, 1)
+    assert L[3, 0] == b.value("w", -2, 1) and L[4, 1] == b.value("w", 2, 1)
+    assert L[5, 0] == b.value("w", -3, 1) and L[6, 1] == b.value("w", 3, 1)
     # strict upper zero beyond the first superdiagonal
     assert np.all(np.triu(L, 2) == 0.0)
 
@@ -90,7 +89,7 @@ def test_even_reduced_display_pattern():
     for d in (2, 4):
         assert np.all(np.diag(L, -d) == 0.0)
     # odd lower diagonals carry the w bands
-    assert L[2, 1] == b.wval(1, 1)
+    assert L[2, 1] == b.value("w", 1, 1)
 
 
 def test_roundtrip_on_window():
@@ -221,7 +220,7 @@ def test_t1_flow_anchors():
     b = random_bands(rng, 10, 3)
     d = flow_t1_explicit(b)
     for n in range(2, 9):
-        assert d.dv[(0, n)] == pytest.approx(b.wval(0, n) * b.wval(1, n), rel=1e-14)
+        assert d.dv[(0, n)] == pytest.approx(b.value("w", 0, n) * b.value("w", 1, n), rel=1e-14)
     # zero state has zero derivative
     z = LaxBands(sites=6, depth=2)
     dz = flow_t1_explicit(z)
@@ -239,7 +238,7 @@ def test_t2_flow_anchor_v0():
     b = random_bands(rng, 10, 3)
     d = flow_t2_explicit(b)
     for n in range(2, 9):
-        expected = b.wval(0, n) * (b.vval(1, n) + b.vval(-1, n))
+        expected = b.value("w", 0, n) * (b.value("v", 1, n) + b.value("v", -1, n))
         assert d.dv[(0, n)] == pytest.approx(expected, rel=1e-14)
 
 
@@ -322,6 +321,29 @@ def test_table_flows_equal_the_slot_by_slot_oracle(name, exact):
                         else:
                             assert float(have[key]).hex() == float(e).hex(), \
                                 (sites, depth, even, key)
+
+
+def test_band_views_write_through_to_the_rows():
+    b = random_bands(random.Random(4), 6, 2)
+    before = flow_t2_explicit(b)
+    b.w[(1, 3)] = 7.5  # inside the window: stored, and the flow reads it
+    assert b.w[(1, 3)] == 7.5 and b.value("w", 1, 3) == 7.5
+    assert flow_t2_explicit(b) != before
+    assert flow_t2_explicit(b) == flow_t2_explicit(LaxBands(6, 2, dict(b.w), dict(b.v)))
+    for key in ((3, 1), (0, 0), (0, 7)):
+        with pytest.raises(KeyError):
+            b.w[key] = 1.0
+    del b.v[(0, 2)]  # unmarked: absent, reads zero, and equality sees it
+    assert (0, 2) not in b.v and b.value("v", 0, 2) == 0 and len(b.v) == 29
+    assert b != random_bands(random.Random(4), 6, 2)
+    b.v[(0, 2)] = 0.25
+    assert LaxBands(b.sites, b.depth, dict(b.w), dict(b.v)) == b
+    even = random_bands(random.Random(4), 6, 2, even=True)
+    with pytest.raises(KeyError):
+        even.v[(0, 1)] = 1.0  # even-reduced states have no v slots
+    d = flow_t2_explicit(b)
+    d.dw[(0, 1)] += 1.0
+    assert d != flow_t2_explicit(b) and d.get("w", 0, 1) == d.dw[(0, 1)]
 
 
 def test_slots_stored_outside_the_window_read_zero():
@@ -424,8 +446,8 @@ def test_initial_bands_gaussian_values():
     assert b.even_reduced
     for n in range(1, 5):
         expected = math.sqrt(2 * n * (2 * n - 1)) / 2
-        assert b.wval(0, n) == pytest.approx(expected, rel=1e-9)
-        assert b.wval(0, n) ** 2 == pytest.approx(2 * n * (2 * n - 1) / 4, rel=1e-9)
+        assert b.value("w", 0, n) == pytest.approx(expected, rel=1e-9)
+        assert b.value("w", 0, n) ** 2 == pytest.approx(2 * n * (2 * n - 1) / 4, rel=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -443,7 +465,7 @@ def test_integrate_homogeneous_even_state_is_fixed_point():
     last = traj[-1]
     for k in range(-2, 3):
         for n in range(8, 12):
-            assert last.wval(k, n) == pytest.approx(values[k], abs=1e-12)
+            assert last.value("w", k, n) == pytest.approx(values[k], abs=1e-12)
 
 
 def test_integrator_first_order_consistency():
@@ -469,7 +491,7 @@ def test_two_flow_commutativity_on_even_state():
         a = integrate_flow(a, "commutator", dt, 1, commutator_k=4)[-1]
         c = integrate_flow(b, "commutator", dt, 1, commutator_k=4)[-1]
         c = integrate_flow(c, "t2_even", dt, 1)[-1]
-        return max(abs(a.wval(k, n) - c.wval(k, n))
+        return max(abs(a.value("w", k, n) - c.value("w", k, n))
                    for k in range(-2, 3) for n in range(9, 13))
 
     d1 = both_orders(0.02)
@@ -506,9 +528,14 @@ def test_integrator_blowup_names_the_step():
                  even_reduced=True)
     traj = integrate_flow(b, "t2_even", dt=0.5, steps=2)
     assert all(math.isfinite(x) for x in traj[-1].w.values())
-    with pytest.raises(FlowBlowupError, match="step 2") as err:
+    with pytest.raises(FlowBlowupError, match=r"step 2 \(w\^-1_8\)") as err:
         integrate_flow(b, "t2_even", dt=0.5, steps=10)
     assert err.value.step == 2
+    # a full state: the flat index of the first non-finite slot maps back
+    # to kind w, band -2, site 1
+    full = random_bands(random.Random(1), 10, 2)
+    with pytest.raises(FlowBlowupError, match=r"step 1 \(w\^-2_1\)"):
+        integrate_flow(full, "t2", dt=3, steps=5)
 
 
 def test_commutator_flow_k_limit():
@@ -529,14 +556,3 @@ def test_band_json_roundtrip():
     back = bands_from_json(json.loads(json.dumps(obj)))
     assert back.sites == b.sites and back.depth == b.depth
     assert back.w == b.w and back.v == b.v
-
-
-def test_trajectory_csv(tmp_path):
-    rng = random.Random(16)
-    b = random_bands(rng, 4, 1, even=True)
-    traj = integrate_flow(b, "t2_even", dt=1e-3, steps=2)
-    path = tmp_path / "traj.csv"
-    trajectory_to_csv(traj, path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "step,band,k,n,value"
-    assert len(lines) == 1 + 3 * len(b.w)
