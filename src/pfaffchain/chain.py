@@ -16,8 +16,12 @@ order, and the sparse coefficient rows a^k_j shared with the tensor engine
 (integrability.paper_chain_spec) are read off the same order-0 expansion.
 The expanded tables are summed by the lattice's own evaluator
 (``lax._Fields``/``lax._sum_terms``), with 4th-order x-derivative stencils
-in place of its site shifts, and ``evolve_chain`` steps the bands as one
-(2 depth + 1, grid) array through the lattice's stepping loop.
+in place of its site shifts.  A state (``ChainState``) has the lattice's
+band layout: one (kinds, 2 depth + 1, grid) array ``rows``, kind 0 the u
+bands and kind 1 the z bands, row k + depth band k, so u^k(x) = w^k(x / eps)
+is the same array read on a grid.  The right-hand sides return
+(2 depth + 1, grid) arrays in that row order, and ``evolve_chain`` steps the
+u kind through the lattice's stepping loop.
 The printed correction formulas carry sign typos in the u^0 u^1 coupling
 group of the k < 0 and k > 1 branches; the tests keep the printed forms as
 oracles against the expansion.
@@ -31,7 +35,6 @@ evaluated through the same expansion.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Mapping, Sequence
 
@@ -56,39 +59,51 @@ __all__ = [
 ]
 
 
-@dataclass
 class ChainState:
-    """Grid samples of the chain fields u^k (and optionally z^k).
+    """Grid samples of the chain fields u^k (and optionally z^k), |k| <= depth,
+    on a uniform periodic grid of spacing h.
 
-    ``u`` maps the band index k (|k| <= depth) to samples on a uniform
-    periodic grid of spacing h; missing bands read as zero.  ``epsilon``
-    records the lattice spacing of the underlying lattice when the state
-    was sampled from one (it scales the corrected right-hand sides).
+    ``rows[kind, k + depth]`` holds the samples of u^k (kind 0) or z^k
+    (kind 1), so ``rows`` is one float64 array of shape
+    (kinds, 2 depth + 1, grid), the ``lax.LaxBands`` layout; a state without
+    z carries the u kind only.  The constructor takes {k: samples} mappings:
+    omitted bands read zero and bands |k| > depth are dropped.  ``u`` and
+    ``z`` (None without z) are {k: row} views of ``rows``.  ``epsilon``
+    records the lattice spacing of the underlying lattice when the state was
+    sampled from one (it scales the corrected right-hand sides).
     """
 
-    h: float
-    depth: int
-    u: dict[int, np.ndarray]
-    z: dict[int, np.ndarray] | None = None
-    epsilon: float = 0.0
-
-    def __post_init__(self):
-        if self.depth < 0:
-            raise ValueError(f"depth {self.depth} must be non-negative")
-        sizes = {arr.shape[0] for arr in self.u.values()}
-        if self.z:
-            sizes |= {arr.shape[0] for arr in self.z.values()}
+    def __init__(self, h: float, depth: int, u: Mapping[int, np.ndarray],
+                 z: Mapping[int, np.ndarray] | None = None, epsilon: float = 0.0):
+        if depth < 0:
+            raise ValueError(f"depth {depth} must be non-negative")
+        kinds = [u] if z is None else [u, z]
+        sizes = {len(arr) for bands in kinds for arr in bands.values()}
         if len(sizes) > 1:
             raise ValueError("all band arrays must share one grid")
-        self.grid_size = sizes.pop() if sizes else 0
+        rows = np.zeros((len(kinds), 2 * depth + 1, sizes.pop() if sizes else 0))
+        for row, bands in zip(rows, kinds):
+            for k, arr in bands.items():
+                if abs(k) <= depth:
+                    row[k + depth] = arr
+        self.h, self.rows, self.epsilon = h, rows, epsilon
 
-    def uband(self, k: int) -> np.ndarray:
-        arr = self.u.get(k)
-        return arr if arr is not None else np.zeros(self.grid_size)
+    @classmethod
+    def _of(cls, h: float, rows: np.ndarray, epsilon: float) -> "ChainState":
+        s = cls.__new__(cls)
+        s.h, s.rows, s.epsilon = h, rows, epsilon
+        return s
 
-    def zband(self, k: int) -> np.ndarray:
-        arr = (self.z or {}).get(k)
-        return arr if arr is not None else np.zeros(self.grid_size)
+    depth = property(lambda self: (self.rows.shape[1] - 1) // 2)
+    grid_size = property(lambda self: self.rows.shape[2])
+    u = property(lambda self: _by_band(self.rows[0]))
+    z = property(lambda self: _by_band(self.rows[1]) if len(self.rows) > 1 else None)
+
+
+def _by_band(rows: np.ndarray) -> dict[int, np.ndarray]:
+    """{k: row k + depth} over a (2 depth + 1, grid) stack; the rows are views."""
+    depth = len(rows) // 2
+    return dict(zip(range(-depth, depth + 1), rows))
 
 
 # ---------------------------------------------------------------------------
@@ -121,7 +136,7 @@ _STENCILS = (None, _dx1, _dx2, _dx3)
 
 
 def _fields(s: ChainState) -> _Fields:
-    """(kind, band, x-derivative order) -> array of a state ("w" -> u,
+    """(kind, band, x-derivative order) -> array of a state's rows ("w" -> u,
     "v" -> z); absent bands read zero."""
 
     def derivative(row: np.ndarray, r: int) -> np.ndarray:
@@ -129,30 +144,30 @@ def _fields(s: ChainState) -> _Fields:
             raise ValueError("grid too coarse for the third-derivative stencil")
         return _STENCILS[r](row, s.h)
 
-    return _Fields({"w": s.u, "v": s.z or {}}, derivative, np.zeros(s.grid_size))
+    return _Fields(s.rows, derivative)
 
 
 def _continuum_rhs(s: ChainState, table: Callable[[int], list], order: int,
-                   rescale: bool, fields: _Fields) -> dict[int, np.ndarray]:
-    """sum_r eps^r (eps^r part of the expanded table) for every |k| <= depth."""
-    out = {}
-    for k in range(-s.depth, s.depth + 1):
+                   rescale: bool, fields: _Fields) -> np.ndarray:
+    """sum_r eps^r (eps^r part of the expanded table) for every |k| <= depth,
+    as (2 depth + 1, grid) rows."""
+    out = np.empty(s.rows.shape[1:])
+    for total, k in zip(out, range(-s.depth, s.depth + 1)):
         parts = [_sum_terms(terms, fields)
                  for terms in continuum_terms(table, k, order, rescale)]
-        total = parts[0]
+        total[:] = parts[0]
         for r, part in enumerate(parts[1:], 1):
             total += s.epsilon ** r * part
-        out[k] = total
     return out
 
 
-def chain_rhs_t2(s: ChainState) -> dict[int, np.ndarray]:
+def chain_rhs_t2(s: ChainState) -> np.ndarray:
     """Leading-order chain right-hand side (the O(eps) part of the even
     lattice flow over eps); central 4th-order x-derivatives."""
     return _continuum_rhs(s, t2_even_w_terms, 0, True, _fields(s))
 
 
-def chain_rhs_t2_corrected(s: ChainState, order: int) -> dict[int, np.ndarray]:
+def chain_rhs_t2_corrected(s: ChainState, order: int) -> np.ndarray:
     """Chain right-hand side including lattice-size corrections.
 
     order 0 is chain_rhs_t2; order 1 adds the O(eps) terms and order 2 the
@@ -163,16 +178,17 @@ def chain_rhs_t2_corrected(s: ChainState, order: int) -> dict[int, np.ndarray]:
     return _continuum_rhs(s, t2_even_w_terms, order, True, _fields(s))
 
 
-def continuum_t1_rhs(s: ChainState, order: int) -> tuple[dict, dict]:
+def continuum_t1_rhs(s: ChainState, order: int) -> tuple[np.ndarray, np.ndarray]:
     """Continuum limit of the first flow through the requested order.
 
-    Returns (du, dz); needs the z fields.  The first flow is not rescaled
-    in time, so order r terms carry eps^r directly.  The tables are the
-    mechanical expansion of the verified lattice first-flow formulas (the
-    printed continuum equations contain one stray x-derivative in the
-    z^{k+1} u^{-1}_xx correction of the k < -1 branch).
+    Returns (du, dz), each as (2 depth + 1, grid) rows; needs the z fields.
+    The first flow is not rescaled in time, so order r terms carry eps^r
+    directly.  The tables are the mechanical expansion of the verified
+    lattice first-flow formulas (the printed continuum equations contain one
+    stray x-derivative in the z^{k+1} u^{-1}_xx correction of the k < -1
+    branch).
     """
-    if s.z is None:
+    if len(s.rows) < 2:
         raise ValueError("first-flow continuum limit needs the z fields")
     if order not in (0, 1, 2):
         raise ValueError("order must be 0, 1 or 2")
@@ -221,18 +237,21 @@ class GradientCatastropheError(RuntimeError):
 
 def max_row_sum(s: ChainState) -> float:
     """max_k sum_j |a^k_j| over the grid; the CFL scale of the chain."""
+    fields = _fields(s)
     worst = 0.0
     for k in range(-s.depth, s.depth + 1):
-        total = sum(np.abs(v) for v in _row_values(k, s.uband).values())
+        total = sum(np.abs(v) for v in
+                    _row_values(k, lambda p: fields["w", p, 0]).values())
         worst = max(worst, float(np.max(total)))
     return worst
 
 
 def evolve_chain(s: ChainState, dt: float, steps: int,
                  scheme: str = "rk4-central") -> list[ChainState]:
-    """Time-step the leading-order chain with periodic boundaries; the bands
-    |k| <= depth are stepped as one (2 depth + 1, grid) stack and any other
-    band of ``s`` reads zero."""
+    """Time-step the leading-order chain with periodic boundaries: the u rows
+    ``s.rows[0]``, one (2 depth + 1, grid) stack, go through the lattice's
+    stepping loop.  Every state keeps ``h`` and ``epsilon``; the first is
+    ``s`` itself and the others carry the u kind only."""
     if not 0 < dt < math.inf:
         raise ValueError(f"dt must be positive and finite, got {dt}")
     if scheme not in ("rk4-central", "lax-friedrichs"):
@@ -241,15 +260,9 @@ def evolve_chain(s: ChainState, dt: float, steps: int,
         bound = s.h / (4 * max(max_row_sum(s), 1e-12))
         if dt > bound:
             raise ValueError(f"CFL violation: dt={dt} exceeds {bound:.3e}")
-    bands = range(-s.depth, s.depth + 1)
-
-    def state(y: np.ndarray) -> ChainState:
-        return ChainState(h=s.h, depth=s.depth, u=dict(zip(bands, y)),
-                          epsilon=s.epsilon)
 
     def rhs(y: np.ndarray) -> np.ndarray:
-        d = chain_rhs_t2(state(y))
-        return np.array([d[k] for k in bands])
+        return chain_rhs_t2(ChainState._of(s.h, y[None], s.epsilon))
 
     def step(y: np.ndarray) -> np.ndarray:
         if scheme == "rk4-central":
@@ -259,8 +272,8 @@ def evolve_chain(s: ChainState, dt: float, steps: int,
     def blowup(i: int, j: int) -> GradientCatastropheError:
         return GradientCatastropheError(i, j // s.grid_size - s.depth, j % s.grid_size)
 
-    y0 = np.array([s.uband(k) for k in bands])
-    return [s] + [state(y) for y in _march(y0, step, steps, blowup)[1:]]
+    return [s] + [ChainState._of(s.h, y[None], s.epsilon)
+                  for y in _march(s.rows[0], step, steps, blowup)[1:]]
 
 
 # ---------------------------------------------------------------------------
@@ -314,16 +327,14 @@ def continuum_residual(profile: Mapping[int, Callable], eps_list: Sequence[float
                              f"from the lattice ends")
         interior = slice(margin, n_sites - margin)
         x = eps * np.arange(1, n_sites + 1)
-        u = {k: fn(x) for k, fn in profile.items()}
-        bands = range(-depth, depth + 1)
-        rows = np.array([u.get(k, np.zeros(n_sites)) for k in bands], dtype=float)
-        lattice = flow_t2_even_explicit(LaxBands._of(rows[None], np.ones((1,) + rows.shape, bool)))
+        state = ChainState(h=eps, depth=depth, u={k: fn(x) for k, fn in profile.items()},
+                           epsilon=eps)
+        lattice = flow_t2_even_explicit(LaxBands._of(state.rows,
+                                                     np.ones(state.rows.shape, bool)))
         lat = lattice.rows[0, 2:-2, interior] / eps  # bands |k| <= depth - 2
-        state = ChainState(h=eps, depth=depth, u=dict(zip(bands, rows)), epsilon=eps)
         for r in orders:
-            cont = chain_rhs_t2_corrected(state, r)
-            cont_rows = np.array([cont[k][interior] for k in bands[2:-2]])
-            residuals[r].append(float(np.max(np.abs(lat - cont_rows))))
+            cont = chain_rhs_t2_corrected(state, r)[2:-2, interior]
+            residuals[r].append(float(np.max(np.abs(lat - cont))))
     for r in orders:
         res = residuals[r]
         # roundoff from the 1/eps rescaling sits at ~1e-13; genuine residuals
@@ -340,14 +351,14 @@ def continuum_residual(profile: Mapping[int, Callable], eps_list: Sequence[float
 
 
 def trajectory_to_csv(traj: Sequence[ChainState], path) -> None:
-    """Rows step,k,m,x,u with floats as ``repr`` and csv's \\r\\n line ends;
-    each band is written as one string."""
+    """Rows step,k,m,x,u for every band |k| <= depth of every state, with
+    floats as ``repr`` and csv's \\r\\n line ends; each band is written as
+    one string."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write("step,k,m,x,u\r\n")
         for step, state in enumerate(traj):
             cells = [f"{m},{m * state.h!r}," for m in range(state.grid_size)]
-            for k in sorted(state.u):
+            for k, row in zip(range(-state.depth, state.depth + 1), state.rows[0]):
                 head = f"{step},{k},"
-                vals = np.asarray(state.u[k], dtype=float).tolist()
                 fh.write("".join(f"{head}{cell}{val!r}\r\n"
-                                 for cell, val in zip(cells, vals)))
+                                 for cell, val in zip(cells, row.tolist())))

@@ -48,8 +48,6 @@ __all__ = [
     "WindowError",
     "ChainMatrixSpec",
     "paper_chain_spec",
-    "diagonal_chain_spec",
-    "constant_chain_spec",
     "spec_from_table",
     "spec_with_overrides",
     "load_spec_json",
@@ -197,9 +195,15 @@ class Poly:
 
     @staticmethod
     def from_table(table: Iterable) -> "Poly":
+        """Inverse of ``to_table``; a table of any other shape raises
+        ValueError."""
         terms: dict[Monomial, Fraction] = {}
-        for coeff, mono in table:
-            terms[tuple(sorted(int(p) for p in mono))] = Fraction(str(coeff))
+        try:
+            for coeff, mono in table:
+                terms[tuple(sorted(int(p) for p in mono))] = Fraction(str(coeff))
+        except TypeError as exc:
+            raise ValueError(f"bad term table {table!r}: need "
+                             f"[[coeff, [index, ...]], ...] ({exc})") from exc
         return Poly(terms)
 
 
@@ -274,24 +278,6 @@ def paper_chain_spec() -> ChainMatrixSpec:
     return ChainMatrixSpec(name="even-chain", rows=_paper_rows, stencil=1)
 
 
-def diagonal_chain_spec() -> ChainMatrixSpec:
-    """Control: diagonal rows a^k_k = (k+2) u^k; trivially diagonalisable."""
-
-    def rows(k: int) -> dict[int, Poly]:
-        return {k: (k + 2) * Poly.u(k)}
-
-    return ChainMatrixSpec(name="diagonal-control", rows=rows, stencil=0)
-
-
-def constant_chain_spec() -> ChainMatrixSpec:
-    """Control: constant coefficients; both tensors vanish identically."""
-
-    def rows(k: int) -> dict[int, Poly]:
-        return {k - 1: Poly.const(2), k: Poly.const(k), k + 1: Poly.const(3)}
-
-    return ChainMatrixSpec(name="constant-control", rows=rows, stencil=1)
-
-
 def spec_from_table(name: str, table: Mapping[str, Mapping[str, list]],
                     stencil: int) -> ChainMatrixSpec:
     """Build a spec from a finite coefficient table; absent rows are zero."""
@@ -346,8 +332,10 @@ def load_spec_json(path_or_obj) -> ChainMatrixSpec:
     if not isinstance(obj, Mapping) or not isinstance(obj.get("overrides", {}), Mapping):
         raise ValueError("spec JSON must be an object, and its 'overrides' an object")
     if "rows" in obj:
-        return spec_from_table(obj.get("name", "user-spec"), obj["rows"],
-                               int(obj.get("stencil", 1)))
+        stencil = obj.get("stencil", 1)
+        if not isinstance(stencil, int) or stencil < 0:
+            raise ValueError(f"spec 'stencil' must be a non-negative integer, got {stencil!r}")
+        return spec_from_table(obj.get("name", "user-spec"), obj["rows"], stencil)
     if obj.get("base") == "paper":
         return spec_with_overrides(paper_chain_spec(), obj.get("overrides", {}),
                                    name=obj.get("name"))

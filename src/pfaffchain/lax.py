@@ -17,12 +17,14 @@ with X_up/X_lo the strict upper/lower parts excluding the 2x2 diagonal
 blocks and X_blk those blocks.  The explicit t_1/t_2 flow formulas are kept
 as *term tables* (rational coefficient, product of shifted band factors).
 One evaluator (``_Fields``/``_sum_terms``) sums a table over whole band
-rows: here each factor is a zero-filling site shift, in ``chain`` an
-x-derivative stencil, and the rows are float64 for speed or object arrays
-of Fractions for exact commutator cross-validation.  The even reduction's
-second flow ``t2_even_w_terms`` is not a table of its own: it is the v = 0
-part of ``t2_w_terms``, so the commutator check of the full second flow
-covers it.
+rows.  It reads a state's (kinds, 2 depth + 1, n) stack directly, in the
+one layout that ``LaxBands.rows`` (n sites) and ``chain.ChainState.rows``
+(n grid points) share: here each factor is a zero-filling site shift, in
+``chain`` an x-derivative stencil, and the rows are float64 for speed or
+object arrays of Fractions for exact commutator cross-validation.  The even
+reduction's second flow ``t2_even_w_terms`` is not a table of its own: it is
+the v = 0 part of ``t2_w_terms``, so the commutator check of the full second
+flow covers it.
 The Taylor expansion of these tables (``expand_lattice_terms``, with the
 cached float form ``continuum_terms``) is the continuum limit: the chain
 right-hand sides in ``chain`` and the chain-matrix rows in ``integrability``
@@ -697,19 +699,21 @@ def t2_even_w_terms(k: int) -> tuple:
 
 class _Fields(dict):
     """(kind, band, m) -> ``op(row, m)`` for the row of that band (the row
-    itself at m = 0), computed on first reference; ``rows`` maps "w"/"v" to
-    {band: row} and absent kinds and bands read ``zero``.  The lattice
-    passes a site shift as ``op``, the continuum an x-derivative stencil, so
-    one evaluator serves both."""
+    itself at m = 0), computed on first reference.  ``rows`` is a band state's
+    (kinds, 2 depth + 1, n) stack, held as lists of its row views: kind "w"
+    is rows[0] and "v" rows[1], band k is row k + depth, and absent kinds and
+    bands read ``zero``, a zero row of the stack's dtype.  The lattice passes a site shift as ``op``, the
+    continuum an x-derivative stencil, so one evaluator serves both."""
 
-    def __init__(self, rows: Mapping[str, Mapping[int, np.ndarray]],
-                 op: Callable[[np.ndarray, int], np.ndarray], zero: np.ndarray):
+    def __init__(self, rows: np.ndarray, op: Callable[[np.ndarray, int], np.ndarray]):
         super().__init__()
-        self.rows, self.op, self.zero = rows, op, zero
+        self.rows, self.op = [list(kind) for kind in rows], op
+        self.depth, self.zero = rows.shape[1] // 2, np.zeros(rows.shape[2], rows.dtype)
 
     def __missing__(self, factor: tuple) -> np.ndarray:
         kind, band, m = factor
-        row = self.rows.get(kind, {}).get(band)
+        i, j = "wv".index(kind), band + self.depth
+        row = self.rows[i][j] if i < len(self.rows) and 0 <= j <= 2 * self.depth else None
         arr = self.zero if row is None else self.op(row, m) if m else row
         self[factor] = arr
         return arr
@@ -749,8 +753,7 @@ def _flow_from_tables(b: LaxBands, w_table: Callable[[int], list],
     (exact Fractions) with the tables' own coefficients."""
     exact = b.rows.dtype == object
     bands = range(-b.depth, b.depth + 1)
-    rows = {kind: dict(zip(bands, stack)) for kind, stack in zip("wv", b.rows)}
-    fields = _Fields(rows, _site_shift, np.zeros(b.sites, b.rows.dtype))
+    fields = _Fields(b.rows, _site_shift)
     tables = [w_table] if v_table is None or b.even_reduced else [w_table, v_table]
     d = np.array([[_sum_terms(table(k) if exact else [(float(c), f) for c, f in table(k)],
                               fields) for k in bands] for table in tables], b.rows.dtype)

@@ -18,6 +18,7 @@ from pfaffchain.chain import (
     evolve_chain,
     GradientCatastropheError,
     max_row_sum,
+    _dx1,
     _dx2,
 )
 from pfaffchain.lax import expand_lattice_terms, t2_even_w_terms
@@ -81,14 +82,13 @@ def test_rhs_equals_row_assembly():
     for _ in range(500):
         s = _random_state(rng, depth=3, grid=8)
         rhs = chain_rhs_t2(s)
-        from pfaffchain.chain import _dx1
-        ux = {k: _dx1(s.uband(k), s.h) for k in range(-4, 5)}
+        ux = {k: _dx1(row, s.h) for k, row in s.u.items()}
         m = rng.integers(0, 8)
         for k in range(-2, 3):
-            window = {p: float(s.uband(p)[m]) for p in range(-4, 5)}
+            window = {p: float(row[m]) for p, row in s.u.items()}
             assembled = sum(coeff * ux[j][m]
                             for j, coeff in chain_matrix_row(window, k).items())
-            worst = max(worst, abs(assembled - rhs[k][m])
+            worst = max(worst, abs(assembled - rhs[k + s.depth][m])
                         / max(1.0, abs(assembled)))
     assert worst < 1e-12
 
@@ -235,8 +235,7 @@ def test_order0_correction_equals_plain_rhs():
     s = _random_state(rng, epsilon=1 / 64)
     plain = chain_rhs_t2(s)
     corr = chain_rhs_t2_corrected(s, 0)
-    for k in plain:
-        assert np.abs(plain[k] - corr[k]).max() < 1e-12
+    assert np.abs(plain - corr).max() < 1e-12
 
 
 def test_zero_epsilon_reduces_corrections():
@@ -245,8 +244,7 @@ def test_zero_epsilon_reduces_corrections():
     base = chain_rhs_t2_corrected(s, 0)
     for order in (1, 2):
         full = chain_rhs_t2_corrected(s, order)
-        for k in base:
-            assert np.abs(full[k] - base[k]).max() == 0.0
+        assert np.abs(full - base).max() == 0.0
 
 
 def test_constant_state_has_zero_rhs_at_every_order():
@@ -255,8 +253,7 @@ def test_constant_state_has_zero_rhs_at_every_order():
     s = ChainState(h=1 / grid, depth=3, u=u, epsilon=1 / 64)
     for order in (0, 1, 2):
         rhs = chain_rhs_t2_corrected(s, order)
-        for arr in rhs.values():
-            assert np.abs(arr).max() < 1e-13
+        assert np.abs(rhs).max() < 1e-13
 
 
 def test_first_correction_of_u0_branch():
@@ -281,7 +278,7 @@ def test_t1_z0_is_exact_at_every_order():
     s = _random_state(rng, with_z=True, epsilon=1 / 64)
     for order in (0, 1, 2):
         _du, dz = continuum_t1_rhs(s, order)
-        assert np.abs(dz[0] - s.uband(0) * s.uband(1)).max() == 0.0
+        assert np.abs(dz[s.depth] - s.u[0] * s.u[1]).max() == 0.0
 
 
 def test_t1_leading_order_z_antisymmetry():
@@ -289,7 +286,7 @@ def test_t1_leading_order_z_antisymmetry():
     s = _random_state(rng, with_z=True, epsilon=0.0)
     _du, dz = continuum_t1_rhs(s, 0)
     for k in range(1, s.depth + 1):
-        assert np.abs(dz[k] + dz[-k]).max() < 1e-13
+        assert np.abs(dz[k + s.depth] + dz[-k + s.depth]).max() < 1e-13
 
 
 def test_t1_u0_corrections_start_at_second_order():
@@ -298,18 +295,52 @@ def test_t1_u0_corrections_start_at_second_order():
     du0, _ = continuum_t1_rhs(s, 0)
     du1, _ = continuum_t1_rhs(s, 1)
     du2, _ = continuum_t1_rhs(s, 2)
-    assert np.abs(du0[0]).max() == 0.0
-    assert np.abs(du1[0]).max() == 0.0
-    expected = 0.5 * s.epsilon ** 2 * _dx2(s.zband(0), s.h) * s.uband(0)
-    assert np.abs(du2[0] - expected).max() < 1e-14
+    assert np.abs(du0[s.depth]).max() == 0.0
+    assert np.abs(du1[s.depth]).max() == 0.0
+    expected = 0.5 * s.epsilon ** 2 * _dx2(s.z[0], s.h) * s.u[0]
+    assert np.abs(du2[s.depth] - expected).max() < 1e-14
 
 
 def test_t1_u_minus1_leading_order():
     rng = np.random.default_rng(7)
     s = _random_state(rng, with_z=True, epsilon=0.0)
     du, _ = continuum_t1_rhs(s, 0)
-    expected = s.uband(0) * (s.zband(-1) - s.zband(1))
-    assert np.abs(du[-1] - expected).max() < 1e-14
+    expected = s.u[0] * (s.z[-1] - s.z[1])
+    assert np.abs(du[-1 + s.depth] - expected).max() < 1e-14
+
+
+def test_chain_state_has_the_lattice_band_layout():
+    grid, d = 32, 3
+    rng = np.random.default_rng(9)
+    s = _random_state(rng, depth=d, grid=grid, with_z=True, epsilon=1 / 32)
+    assert s.rows.shape == (2, 2 * d + 1, grid) and s.rows.dtype == np.float64
+    assert (s.depth, s.grid_size, len(s.u), len(s.z)) == (d, grid, 2 * d + 1, 2 * d + 1)
+    # row k + depth of every right-hand side is band k: the printed u^0, u^1
+    # equations, z^0_t1 = u^0 u^1 and u^-1_t1 = u^0 (z^-1 - z^1)
+    u, z = s.u, s.z
+    ux = {k: _dx1(u[k], s.h) for k in (-1, 0, 1, 2)}
+    u0_t = u[0] * u[1] * ux[0] + u[0] ** 2 * ux[1] + u[0] * ux[-1]
+    u1_t = (2 * u[2] - u[1] ** 2) * ux[0] - u[0] * u[1] * ux[1] + u[0] * ux[2]
+    rhs = chain_rhs_t2(s)
+    assert rhs.shape == chain_rhs_t2_corrected(s, 2).shape == (2 * d + 1, grid)
+    assert np.abs(rhs[d] - u0_t).max() < 1e-12
+    assert np.abs(rhs[d + 1] - u1_t).max() < 1e-12
+    du, dz = continuum_t1_rhs(s, 0)
+    assert du.shape == dz.shape == (2 * d + 1, grid)
+    assert np.abs(dz[d] - u[0] * u[1]).max() == 0.0
+    assert np.abs(du[d - 1] - u[0] * (z[-1] - z[1])).max() < 1e-14
+
+    # a band beyond depth is dropped, an omitted band reads zero
+    x = np.arange(1, grid + 1) / grid
+    bands = {0: 1.0 + 0.1 * np.sin(2 * math.pi * x), 1: 0.2 * np.cos(2 * math.pi * x)}
+    plain = ChainState(h=1 / grid, depth=1, u=bands)
+    wide = ChainState(h=1 / grid, depth=1, u={**bands, 2: np.full(grid, 5.0)})
+    assert plain.z is None and plain.rows.shape == (1, 3, grid)
+    assert not plain.rows[0, 0].any() and sorted(wide.u) == [-1, 0, 1]
+    assert np.array_equal(chain_rhs_t2(wide), chain_rhs_t2(plain))
+
+    traj = evolve_chain(ChainState(h=1 / grid, depth=1, u=bands, epsilon=0.01), 1e-3, 2)
+    assert [(t.h, t.epsilon, t.rows.shape) for t in traj] == [(1 / grid, 0.01, (1, 3, grid))] * 3
 
 
 def test_t1_requires_z_fields():
@@ -329,7 +360,7 @@ def test_constant_state_stays_constant():
     s = ChainState(h=1 / grid, depth=2, u=u)
     traj = evolve_chain(s, dt=1e-3, steps=20)
     for k in u:
-        assert np.abs(traj[-1].uband(k) - u[k]).max() < 1e-12
+        assert np.abs(traj[-1].u[k] - u[k]).max() < 1e-12
 
 
 def test_smooth_small_amplitude_run_is_stable():
@@ -341,7 +372,7 @@ def test_smooth_small_amplitude_run_is_stable():
     u[0] = 1.0 + 0.1 * np.sin(2 * math.pi * x)
     s = ChainState(h=1 / grid, depth=3, u=u)
     traj = evolve_chain(s, dt=1e-3, steps=1000)  # T = 1
-    assert all(np.all(np.isfinite(state.uband(0))) for state in traj[-2:])
+    assert all(np.all(np.isfinite(state.u[0])) for state in traj[-2:])
 
 
 def test_self_convergence_under_refinement():
@@ -358,8 +389,8 @@ def test_self_convergence_under_refinement():
     coarse = run(64, int(t_final / dt), dt)
     mid = run(128, int(t_final / dt), dt)
     fine = run(256, int(t_final / dt), dt)
-    err_coarse = np.abs(coarse.uband(0) - mid.uband(0)[1::2]).max()
-    err_mid = np.abs(mid.uband(0) - fine.uband(0)[1::2]).max()
+    err_coarse = np.abs(coarse.u[0] - mid.u[0][1::2]).max()
+    err_mid = np.abs(mid.u[0] - fine.u[0][1::2]).max()
     assert err_coarse / err_mid >= 3.0
 
 

@@ -90,7 +90,13 @@ def test_gt_pass_and_mutate(tmp_path):
 
 _BAD_INPUT_FILES = {"top_level_list.json": [1], "rows_not_an_object.json": {"rows": 5},
                     "overrides_not_an_object.json": {"base": "paper", "overrides": [1]},
-                    "n_max_list.json": {"tau": {"n_max": [1]}}}
+                    "n_max_list.json": {"tau": {"n_max": [1]}},
+                    "term_list_not_a_list.json": {"rows": {"0": {"0": 5}}},
+                    "monomial_not_a_list.json": {"rows": {"0": {"0": [["1", 5]]}}},
+                    "override_not_a_list.json": {"base": "paper", "overrides": {"0,1": 5}},
+                    "stencil_list.json": {"stencil": [1], "rows": {"0": {"0": [["1", [0]]]}}},
+                    "stencil_null.json": {"stencil": None, "rows": {"0": {"0": [["1", [0]]]}}},
+                    "stencil_negative.json": {"stencil": -3, "rows": {"0": {"0": [["1", [0]]]}}}}
 
 
 @pytest.mark.parametrize("argv", [
@@ -116,6 +122,12 @@ _BAD_INPUT_FILES = {"top_level_list.json": [1], "rows_not_an_object.json": {"row
     ["haantjes", "--spec", "rows_not_an_object.json"],
     ["haantjes", "--spec", "overrides_not_an_object.json"],
     ["--config", "n_max_list.json", "tau"],
+    ["haantjes", "--spec", "term_list_not_a_list.json"],
+    ["haantjes", "--spec", "monomial_not_a_list.json"],
+    ["haantjes", "--spec", "override_not_a_list.json"],
+    ["haantjes", "--spec", "stencil_list.json"],
+    ["haantjes", "--spec", "stencil_null.json"],
+    ["haantjes", "--spec", "stencil_negative.json"],
 ], ids="_".join)
 def test_input_that_checks_nothing_is_a_usage_error(tmp_path, capsys, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)
@@ -124,6 +136,20 @@ def test_input_that_checks_nothing_is_a_usage_error(tmp_path, capsys, monkeypatc
     assert main(["--out", str(tmp_path)] + argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv, warnings", [
+    (["moments", "--n", "3"], 0),
+    (["tau", "--n-max", "3"], 0),
+    (["moments", "--n", "12"], 1),
+    (["tau", "--n-max", "12"], 1),
+], ids=["moments_n3", "tau_n3", "moments_n12", "tau_n12"])
+def test_zero_coupling_ratio_drift_past_the_budget_warns(tmp_path, capsys, argv, warnings):
+    # at 200 nodes |ratio - 1| is 8.2e-7 at n = 11 and 1.4e-5 at n = 12
+    assert main(["--out", str(tmp_path)] + argv) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == warnings
+    assert all(line.startswith("warning: n=12: ") and "1e-06 budget" in line for line in err)
 
 
 def test_chain_evolve(tmp_path):

@@ -9,8 +9,6 @@ from pfaffchain.integrability import (
     RationalPoint,
     TensorPoint,
     WindowError,
-    constant_chain_spec,
-    diagonal_chain_spec,
     haantjes,
     haantjes_scan,
     load_spec_json,
@@ -201,13 +199,25 @@ def test_haantjes_inherited_antisymmetry():
         assert ev.haantjes(i, j, k) + ev.haantjes(i, k, j) == 0
 
 
+def _control_spec(name, stencil, row):
+    """A control chain registered as a finite JSON table, rows |k| <= 9; ``row(k)``
+    gives {column j: (coefficient, monomial)}."""
+    return load_spec_json({"name": name, "stencil": stencil, "rows": {
+        str(k): {str(j): [[str(c), mono]] for j, (c, mono) in row(k).items()}
+        for k in range(-9, 10)}})
+
+
 def test_diagonal_control_spec_vanishes():
-    report = haantjes_scan(window=3, points=2, seed=2, spec=diagonal_chain_spec())
+    # diagonal rows a^k_k = (k+2) u^k: trivially diagonalisable
+    spec = _control_spec("diagonal-control", 0, lambda k: {k: (k + 2, [k])})
+    report = haantjes_scan(window=3, points=2, seed=2, spec=spec)
     assert report["haantjes_nonzero"] == []
 
 
 def test_constant_control_spec_tensors_vanish():
-    spec = constant_chain_spec()
+    # constant coefficients: both tensors vanish identically
+    spec = _control_spec("constant-control", 1,
+                         lambda k: {k - 1: (2, []), k: (k, []), k + 1: (3, [])})
     point = _point(11)
     ev = TensorPoint(spec, point)
     for i in range(-3, 4):
