@@ -197,8 +197,14 @@ class _MomentQuadrature:
     def __init__(self, t: CouplingVector, q: QuadratureConfig):
         self.t = t
         self.q = q
-        self.coarse = _TriangleTable(t, q.nodes_per_axis, q.domain_radius)
-        self.fine = _TriangleTable(t, 2 * q.nodes_per_axis, q.domain_radius)
+        nodes = q.nodes_per_axis
+        try:
+            self.coarse = _TriangleTable(t, nodes, q.domain_radius)
+            self.fine = _TriangleTable(t, 2 * nodes, q.domain_radius)
+        except MemoryError:
+            raise ValueError(f"nodes_per_axis={nodes} does not fit in memory: the "
+                             f"triangle rule builds float64 arrays up to "
+                             f"{2 * nodes} x {2 * nodes}") from None
 
     def mu_table(self, degree: int) -> np.ndarray:
         gf = self.fine.g_table(degree)
@@ -341,7 +347,12 @@ def tau_report(n: int, t: CouplingVector, q: QuadratureConfig) -> dict:
     if n >= 1:
         above = tau_from_moments(n + 1, t, q)
         below = tau_from_moments(n - 1, t, q)
-        record["selberg_ratio_check"] = (above * below / tau ** 2) / selberg_ratio(n)
+        try:
+            tau_sq = tau ** 2
+        except OverflowError:
+            raise OverflowError(f"n={n}: tau^2 overflows float64 "
+                                f"(tau_{2 * n} = {tau:.3g})") from None
+        record["selberg_ratio_check"] = (above * below / tau_sq) / selberg_ratio(n)
     return record
 
 

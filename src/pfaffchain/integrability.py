@@ -71,6 +71,8 @@ class WindowError(ValueError):
 
 Monomial = tuple[int, ...]  # sorted component indices with multiplicity
 
+_ZERO = Fraction(0)  # the one default for absent entries; Fractions are immutable
+
 
 class Poly:
     """Polynomial in the components u^p with exact rational coefficients.
@@ -178,7 +180,7 @@ class Poly:
             for p in mono:
                 term = term * value_of(p)
             total = term if total is None else total + term
-        return Fraction(0) if total is None else total
+        return _ZERO if total is None else total
 
     def __repr__(self) -> str:
         if not self.terms:
@@ -224,7 +226,7 @@ class RationalPoint:
             raise WindowError(
                 f"component u^{p} outside the supplied window |p| <= {self.window}"
             )
-        return self.values.get(p, Fraction(0))
+        return self.values.get(p, _ZERO)
 
 
 def random_rational_point(rng: random.Random, window: int) -> RationalPoint:
@@ -352,7 +354,9 @@ class TensorPoint:
 
     The nonzero-support supersets used to truncate the repeated-index sums are
     computed from the row sparsity alone, so completeness of the sums does not
-    assume any result about the tensors themselves.
+    assume any result about the tensors themselves.  Absent entries, partials
+    and the diagonal N^i_jj read as one shared ``Fraction(0)``, not a fresh
+    one per lookup.
     """
 
     def __init__(self, spec: ChainMatrixSpec, point: RationalPoint):
@@ -412,14 +416,14 @@ class TensorPoint:
         return row
 
     def entry(self, k: int, j: int) -> Fraction:
-        return self.row(k).get(j, Fraction(0))
+        return self.row(k).get(j, _ZERO)
 
     def partial(self, k: int, j: int, p: int) -> Fraction:
         key = (k, j, p)
         val = self._partials.get(key)
         if val is None:
             poly = self.row_polys(k).get(j)
-            val = poly.diff(p).eval(self.point.at) if poly is not None else Fraction(0)
+            val = poly.diff(p).eval(self.point.at) if poly is not None else _ZERO
             self._partials[key] = val
         return val
 
@@ -427,7 +431,7 @@ class TensorPoint:
 
     def nijenhuis(self, i: int, j: int, k: int) -> Fraction:
         if j == k:
-            return Fraction(0)
+            return _ZERO
         sign = 1
         if j > k:
             j, k, sign = k, j, -1
@@ -584,13 +588,14 @@ def appendix_nijenhuis_table(i: int, point: RationalPoint) -> dict[tuple[int, in
     return table
 
 
-def _expected_nijenhuis(i: int, j: int, k: int, point: RationalPoint) -> Fraction:
-    table = appendix_nijenhuis_table(i, point)
+def _expected_nijenhuis(table: Mapping[tuple[int, int], Fraction], j: int,
+                        k: int) -> Fraction:
+    """N^i_jk read off the printed table of one i, antisymmetric in (j, k)."""
     if (j, k) in table:
         return table[(j, k)]
     if (k, j) in table:
         return -table[(k, j)]
-    return Fraction(0)
+    return _ZERO
 
 
 def nijenhuis_oracle_check(point: RationalPoint) -> dict:
@@ -604,9 +609,10 @@ def nijenhuis_oracle_check(point: RationalPoint) -> dict:
     mismatches = []
     checked = 0
     for i in range(-6, 7):
+        table = appendix_nijenhuis_table(i, point)
         for j in range(-8, 9):
             for k in range(j + 1, 9):
-                expected = _expected_nijenhuis(i, j, k, point)
+                expected = _expected_nijenhuis(table, j, k)
                 got = ev.nijenhuis(i, j, k)
                 checked += 1
                 if got != expected:

@@ -333,35 +333,36 @@ def disassemble_derivs(C: np.ndarray, depth: int) -> BandDerivs:
 # ---------------------------------------------------------------------------
 
 
-def _block_j(M: int, dtype) -> np.ndarray:
-    one = Fraction(1) if dtype is object else 1.0
-    J = np.zeros((M, M), dtype=dtype)
-    J[np.arange(0, M - 1, 2), np.arange(1, M, 2)] = one
-    return J - J.T
-
-
 def _block_mask(M: int) -> np.ndarray:
     i = np.arange(M)
     return (i[:, None] // 2) == (i[None, :] // 2)
+
+
+def _minus_reflected(A: np.ndarray) -> np.ndarray:
+    """X = A - J A^T J.  J A^T J is a signed index permutation: its (a, b)
+    entry is -s_a s_b A[b ^ 1, a ^ 1], s = +1 on even indices, so X costs no
+    matrix product and is exact on any dtype."""
+    M = A.shape[0]
+    if M % 2:
+        raise ValueError("projection needs even dimension")
+    i = np.arange(M)
+    flip = A.T[np.ix_(i ^ 1, i ^ 1)]
+    same_parity = (i[:, None] % 2) == (i[None, :] % 2)
+    return np.where(same_parity, A + flip, A - flip)
 
 
 def project_t(A: np.ndarray) -> np.ndarray:
     """Projection onto the lower-triangular factor of the splitting.
 
     A_t = A_lo - J A_up^T J + (A_blk - J A_blk^T J)/2 with A_up/A_lo strict
-    block-triangular parts and A_blk the 2x2 diagonal blocks.
+    block-triangular parts and A_blk the 2x2 diagonal blocks.  With
+    X = A - J A^T J (J A^T J a signed permutation of A's entries, see
+    ``_minus_reflected``) that is X/2 on the diagonal blocks, the strict
+    lower triangle of X below them and zero above.
     """
-    M = A.shape[0]
-    if M % 2:
-        raise ValueError("projection needs even dimension")
-    exact = A.dtype == object
-    J = _block_j(M, object if exact else float)
-    half = Fraction(1, 2) if exact else 0.5
-    blk = _block_mask(M)
-    A_blk = np.where(blk, A, 0 * A)
-    A_up = np.triu(A, 1) * ~blk
-    A_lo = np.tril(A, -1) * ~blk
-    return A_lo - J @ A_up.T @ J + (A_blk - J @ A_blk.T @ J) * half
+    X = _minus_reflected(A)
+    half = Fraction(1, 2) if A.dtype == object else 0.5
+    return np.where(_block_mask(len(A)), X * half, np.tril(X, -1))
 
 
 def project_n(A: np.ndarray) -> np.ndarray:
@@ -392,16 +393,30 @@ def lax_rhs_commutator(b: LaxBands, k: int, M: int,
                        exact: bool = False) -> tuple[BandDerivs, set]:
     """Band derivatives of [-(L^k)_t, L] plus the interior mask.
 
-    ``exact`` runs the dense algebra over Fractions, in which case interior
-    agreement with the explicit flow tables is exact equality.
+    One dense algebra serves both paths: the projection's 1/2 is carried by
+    working with 2 B, so the matrix products give 2 [B, L].  ``exact``
+    runs it over Python integers, with L scaled by D, the lcm of its
+    entries' denominators; the products then give 2 D^(k+1) [B, L], and the
+    one exact division by 2 D^(k+1) happens only at the band slots read
+    back, which come out as Fractions.  No Fraction enters a matrix
+    product, and interior agreement with the explicit flow tables is exact
+    equality.  In floats the division by 2 is exact as well.
     """
     if M < 2 * (k + 2):
         raise ValueError(f"truncation too tight: need M >= {2 * (k + 2)}")
-    dtype = object if exact else float
-    L = assemble_lax(b, M, dtype=dtype)
-    B = -project_t(_matrix_power(L, k))
-    C = B @ L - L @ B
-    return disassemble_derivs(C, b.depth), interior_mask(M, b.depth, k)
+    if exact and b.rows.dtype != object:  # a float is an exact binary fraction
+        b = LaxBands._of(np.frompyfunc(Fraction, 1, 1)(b.rows), b.stored)
+    L = assemble_lax(b, M, dtype=object if exact else float)
+    D = math.lcm(*(x.denominator for x in L.flat)) if exact else 1
+    if exact:
+        L = np.frompyfunc(lambda x: x.numerator * (D // x.denominator), 1, 1)(L)
+    X = _minus_reflected(_matrix_power(L, k))
+    B2 = -np.where(_block_mask(M), X, 2 * np.tril(X, -1))  # 2 D^k B
+    d = disassemble_derivs(B2 @ L - L @ B2, b.depth)  # 2 D^(k+1) [B, L]
+    scale = 2 * D ** (k + 1)
+    d.rows[d.stored] = ([Fraction(x, scale) for x in d.rows[d.stored]] if exact
+                        else d.rows[d.stored] / scale)
+    return d, interior_mask(M, b.depth, k)
 
 
 # ---------------------------------------------------------------------------

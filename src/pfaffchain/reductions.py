@@ -30,6 +30,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Mapping
 
 from .integrability import RationalPoint, TensorPoint, paper_chain_spec, random_rational_point
@@ -59,7 +60,9 @@ class ReductionJet:
     ``lam`` maps the direction index i (1-based) to the characteristic speed
     lambda^i; ``du0``/``du1`` hold d_i u^0 and d_i u^1.  ``u_window`` carries
     the u^k values the tangent recursion needs (with u^0/u^1 agreeing with
-    the jet's own fields).
+    the jet's own fields).  ``_rows`` evaluates the chain rows at
+    ``u_window`` once per jet, for ``tangent_recursion`` and
+    ``eigen_residual`` in every direction.
     """
 
     n_components: int
@@ -78,6 +81,10 @@ class ReductionJet:
             raise DegenerateSpeedsError("characteristic speeds must be pairwise distinct")
         if self.u_window.at(0) != self.u0 or self.u_window.at(1) != self.u1:
             raise ValueError("u_window must agree with the jet's u^0, u^1")
+
+    @cached_property
+    def _rows(self) -> TensorPoint:
+        return TensorPoint(paper_chain_spec(), self.u_window)
 
 
 def random_jet(rng: random.Random, n_components: int = 3, window: int = 10) -> ReductionJet:
@@ -110,11 +117,10 @@ def tangent_recursion(jet: ReductionJet, i: int, depth: int) -> dict[int, Fracti
     if jet.u_window.window < depth + 1:
         raise ValueError(f"u_window must cover |k| <= {depth + 1}")
     lam = jet.lam[i]
-    rows = TensorPoint(paper_chain_spec(), jet.u_window)
     du: dict[int, Fraction] = {0: jet.du0[i], 1: jet.du1[i]}
 
     def solve_row(k: int, target: int) -> Fraction:
-        row = rows.row(k)
+        row = jet._rows.row(k)
         acc = lam * du[k]
         for j, coeff in row.items():
             if j != target:
@@ -138,11 +144,10 @@ def eigen_residual(jet: ReductionJet, i: int, depth: int) -> Fraction:
     """max_k |lambda^i d_i u^k - (A d_i u)^k| over |k| <= depth-1, exact."""
     du = tangent_recursion(jet, i, depth)
     lam = jet.lam[i]
-    rows = TensorPoint(paper_chain_spec(), jet.u_window)
     worst = Fraction(0)
     for k in range(-(depth - 1), depth):
         acc = Fraction(0)
-        for j, coeff in rows.row(k).items():
+        for j, coeff in jet._rows.row(k).items():
             acc += coeff * du.get(j, Fraction(0))
         res = abs(lam * du[k] - acc)
         if res > worst:

@@ -128,6 +128,9 @@ _BAD_INPUT_FILES = {"top_level_list.json": [1], "rows_not_an_object.json": {"row
     ["haantjes", "--spec", "stencil_list.json"],
     ["haantjes", "--spec", "stencil_null.json"],
     ["haantjes", "--spec", "stencil_negative.json"],
+    ["moments", "--n", "1", "--nodes", "3000000"],
+    ["tau", "--n-max", "2", "--nodes", "3000000"],
+    ["tau", "--n-max", "300"],
 ], ids="_".join)
 def test_input_that_checks_nothing_is_a_usage_error(tmp_path, capsys, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)

@@ -289,6 +289,12 @@ def test_selberg_overflow():
         selberg_tau_zero(200)
 
 
+def test_tau_squared_overflow_names_n():
+    # at 200 nodes tau_34 is about -1.5e180, so its square leaves float64
+    with pytest.raises(OverflowError, match=r"n=17: tau\^2 overflows float64"):
+        tau_report(17, ZERO, Q)
+
+
 def test_tau_zero_convention():
     assert tau_from_moments(0, ZERO, Q) == 1.0
 

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import random
@@ -16,6 +17,7 @@ from pfaffchain.lax import (
     assemble_lax,
     bands_from_json,
     bands_to_json,
+    disassemble_derivs,
     disassemble_lax,
     flow_t1_explicit,
     flow_t2_even_explicit,
@@ -165,6 +167,86 @@ def test_projection_kills_symplectic_part():
 def test_projection_rejects_odd_dimension():
     with pytest.raises(ValueError):
         project_t(np.zeros((5, 5)))
+
+
+# the dense route: J as a matrix, the projection by four J-products and the
+# commutator by two products, over Fractions when exact
+
+
+def _block_j(m, dtype):
+    one = Fraction(1) if dtype is object else 1.0
+    j = np.zeros((m, m), dtype=dtype)
+    j[np.arange(0, m - 1, 2), np.arange(1, m, 2)] = one
+    return j - j.T
+
+
+def _project_t_by_matmul(a):
+    m = a.shape[0]
+    exact = a.dtype == object
+    j = _block_j(m, object if exact else float)
+    half = Fraction(1, 2) if exact else 0.5
+    i = np.arange(m)
+    blk = (i[:, None] // 2) == (i[None, :] // 2)
+    a_blk = np.where(blk, a, 0 * a)
+    a_up = np.triu(a, 1) * ~blk
+    a_lo = np.tril(a, -1) * ~blk
+    return a_lo - j @ a_up.T @ j + (a_blk - j @ a_blk.T @ j) * half
+
+
+def _commutator_by_matmul(b, k, m):
+    lmat = assemble_lax(b, m, dtype=object)
+    power = lmat
+    for _ in range(k - 1):
+        power = power @ lmat
+    bmat = -_project_t_by_matmul(power)
+    return disassemble_derivs(bmat @ lmat - lmat @ bmat, b.depth)
+
+
+@pytest.mark.parametrize("m", [2, 36, 128])
+def test_projection_is_bitwise_the_j_product_formula(m):
+    rng = np.random.default_rng(m)
+    for a in (rng.standard_normal((m, m)), rng.uniform(-1e3, 1e3, (m, m)),
+              rng.integers(-3, 4, (m, m)).astype(float)):
+        assert np.array_equal(project_t(a), _project_t_by_matmul(a))
+
+
+def _coprime_bands(sites, depth, even):
+    # denominators 3, 7 and 11 in turn, so the common denominator is 231
+    dens = itertools.cycle((3, 7, 11))
+    num = itertools.cycle((1, -2, 5, -4, 3))
+    slots = [(k, n) for k in range(-depth, depth + 1) for n in range(1, sites + 1)]
+    w = {s: Fraction(next(num), next(dens)) for s in slots}
+    v = {} if even else {s: Fraction(next(num), next(dens)) for s in slots}
+    return LaxBands(sites, depth, w, v, even_reduced=even)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("even", [False, True], ids=["full", "even"])
+def test_exact_commutator_equals_the_dense_fraction_route(k, even):
+    rng = random.Random(f"{k}/{even}")
+    states = [random_bands(rng, sites, 3, even=even, exact=True) for sites in (8, 10, 12)]
+    states.append(_coprime_bands(9, 2, even))
+    for b in states:
+        m = 2 * b.sites
+        comm, _ = lax_rhs_commutator(b, k, m, exact=True)
+        oracle = _commutator_by_matmul(b, k, m)
+        assert np.array_equal(comm.stored, oracle.stored)
+        assert comm.rows.dtype == object
+        assert np.array_equal(comm.rows, oracle.rows)
+        assert all(type(x) in (Fraction, int) for x in comm.rows.flat)
+        assert any(x.denominator > 1 for x in comm.rows[comm.stored])
+
+
+def test_exact_commutator_reads_a_float_state_exactly():
+    # float rows enter as the Fractions they equal; an empty state has float rows
+    b = random_bands(random.Random(3), 10, 2)
+    as_fractions = LaxBands(b.sites, b.depth, {s: Fraction(x) for s, x in b.w.items()},
+                            {s: Fraction(x) for s, x in b.v.items()})
+    comm, _ = lax_rhs_commutator(b, 2, 20, exact=True)
+    assert all(type(x) in (Fraction, int) for x in comm.rows.flat)
+    assert np.array_equal(comm.rows, _commutator_by_matmul(as_fractions, 2, 20).rows)
+    zero, _ = lax_rhs_commutator(LaxBands(sites=8, depth=2), 2, 16, exact=True)
+    assert all(type(x) in (Fraction, int) and x == 0 for x in zero.rows.flat)
 
 
 # ---------------------------------------------------------------------------
