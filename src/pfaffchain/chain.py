@@ -12,16 +12,17 @@ The lattice table ``lax.t2_even_w_terms``, the v = 0 part of the second
 flow's table ``lax.t2_w_terms``, is the only definition of that chain: every
 right-hand side here (order 0, and the O(eps) and O(eps^2) corrections) is
 its Taylor expansion ``lax.continuum_terms``, compiled once per band and
-order, and the sparse coefficient rows a^k_j shared with the tensor engine
-(integrability.paper_chain_spec) are read off the same order-0 expansion.
-The expanded tables are summed by the lattice's own evaluator
-(``lax._Fields``/``lax._sum_terms``), with 4th-order x-derivative stencils
-in place of its site shifts.  A state (``ChainState``) has the lattice's
-band layout: one (kinds, 2 depth + 1, grid) array ``rows``, kind 0 the u
-bands and kind 1 the z bands, row k + depth band k, so u^k(x) = w^k(x / eps)
-is the same array read on a grid.  The right-hand sides return
-(2 depth + 1, grid) arrays in that row order, and ``evolve_chain`` steps the
-u kind through the lattice's stepping loop.
+order.  The coefficients a^k_j have one reader, ``lax.chain_matrix_terms``,
+which ``max_row_sum`` sums here and the tensor engine
+(``integrability.paper_chain_spec``) makes exact.  The expanded tables are
+summed by the lattice's own evaluator (``lax._Fields``/``lax._sum_bands``),
+with each 4th-order x-derivative stencil applied once to the whole band
+stack in place of its site shifts.  A state (``ChainState``) has the
+lattice's band layout: one (kinds, 2 depth + 1, grid) array ``rows``, kind 0
+the u bands and kind 1 the z bands, row k + depth band k, so
+u^k(x) = w^k(x / eps) is the same array read on a grid.  The right-hand
+sides return (2 depth + 1, grid) arrays in that row order, and
+``evolve_chain`` steps the u kind through the lattice's stepping loop.
 The printed correction formulas carry sign typos in the u^0 u^1 coupling
 group of the k < 0 and k > 1 branches; the tests keep the printed forms as
 oracles against the expansion.
@@ -35,19 +36,17 @@ evaluated through the same expansion.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .integrability import paper_chain_spec
-from .lax import (LaxBands, _Fields, _march, _rk4_step, _sum_terms, continuum_terms,
-                  flow_t2_even_explicit, t1_v_terms, t1_w_terms, t2_even_w_terms)
+from .lax import (LaxBands, _Fields, _march, _rk4_step, _sum_bands, _sum_terms,
+                  chain_matrix_terms, continuum_terms, flow_t2_even_explicit, t1_v_terms,
+                  t1_w_terms, t2_even_w_terms)
 
 __all__ = [
     "ChainState",
     "GradientCatastropheError",
-    "chain_matrix_row",
     "chain_rhs_t2",
     "chain_rhs_t2_corrected",
     "continuum_t1_rhs",
@@ -107,24 +106,25 @@ def _by_band(rows: np.ndarray) -> dict[int, np.ndarray]:
 
 
 # ---------------------------------------------------------------------------
-# periodic derivative stencils (4th order, so the FD error sits below the
-# eps^3 residual floor measured by the order test)
+# periodic derivative stencils along the last axis (4th order, so the FD
+# error sits below the eps^3 residual floor measured by the order test)
 # ---------------------------------------------------------------------------
 
 
 def _dx1(f: np.ndarray, h: float) -> np.ndarray:
-    return (-np.roll(f, -2) + 8 * np.roll(f, -1)
-            - 8 * np.roll(f, 1) + np.roll(f, 2)) / (12 * h)
+    return (-np.roll(f, -2, -1) + 8 * np.roll(f, -1, -1)
+            - 8 * np.roll(f, 1, -1) + np.roll(f, 2, -1)) / (12 * h)
 
 
 def _dx2(f: np.ndarray, h: float) -> np.ndarray:
-    return (-np.roll(f, -2) + 16 * np.roll(f, -1) - 30 * f
-            + 16 * np.roll(f, 1) - np.roll(f, 2)) / (12 * h * h)
+    return (-np.roll(f, -2, -1) + 16 * np.roll(f, -1, -1) - 30 * f
+            + 16 * np.roll(f, 1, -1) - np.roll(f, 2, -1)) / (12 * h * h)
 
 
 def _dx3(f: np.ndarray, h: float) -> np.ndarray:
-    return (-np.roll(f, -3) + 8 * np.roll(f, -2) - 13 * np.roll(f, -1)
-            + 13 * np.roll(f, 1) - 8 * np.roll(f, 2) + np.roll(f, 3)) / (8 * h ** 3)
+    return (-np.roll(f, -3, -1) + 8 * np.roll(f, -2, -1) - 13 * np.roll(f, -1, -1)
+            + 13 * np.roll(f, 1, -1) - 8 * np.roll(f, 2, -1)
+            + np.roll(f, 3, -1)) / (8 * h ** 3)
 
 
 _STENCILS = (None, _dx1, _dx2, _dx3)
@@ -139,10 +139,10 @@ def _fields(s: ChainState) -> _Fields:
     """(kind, band, x-derivative order) -> array of a state's rows ("w" -> u,
     "v" -> z); absent bands read zero."""
 
-    def derivative(row: np.ndarray, r: int) -> np.ndarray:
+    def derivative(rows: np.ndarray, r: int) -> np.ndarray:
         if r == 3 and s.grid_size < 7:
             raise ValueError("grid too coarse for the third-derivative stencil")
-        return _STENCILS[r](row, s.h)
+        return _STENCILS[r](rows, s.h)
 
     return _Fields(s.rows, derivative)
 
@@ -151,14 +151,11 @@ def _continuum_rhs(s: ChainState, table: Callable[[int], list], order: int,
                    rescale: bool, fields: _Fields) -> np.ndarray:
     """sum_r eps^r (eps^r part of the expanded table) for every |k| <= depth,
     as (2 depth + 1, grid) rows."""
-    out = np.empty(s.rows.shape[1:])
-    for total, k in zip(out, range(-s.depth, s.depth + 1)):
-        parts = [_sum_terms(terms, fields)
-                 for terms in continuum_terms(table, k, order, rescale)]
-        total[:] = parts[0]
-        for r, part in enumerate(parts[1:], 1):
-            total += s.epsilon ** r * part
-    return out
+    total, *parts = [_sum_bands(lambda k: continuum_terms(table, k, order, rescale)[r], fields)
+                     for r in range(order + 1)]
+    for r, part in enumerate(parts, 1):
+        total += s.epsilon ** r * part
+    return total
 
 
 def chain_rhs_t2(s: ChainState) -> np.ndarray:
@@ -198,33 +195,6 @@ def continuum_t1_rhs(s: ChainState, order: int) -> tuple[np.ndarray, np.ndarray]
 
 
 # ---------------------------------------------------------------------------
-# the chain matrix rows
-# ---------------------------------------------------------------------------
-
-
-@lru_cache(maxsize=None)
-def _float_row(k: int) -> tuple:
-    """Row k of paper_chain_spec with float coefficients: (j, ((c, mono), ...))."""
-    return tuple((j, tuple((float(c), mono) for mono, c in poly.terms.items()))
-                 for j, poly in paper_chain_spec().rows(k).items())
-
-
-def _row_values(k: int, value_of: Callable[[int], object]) -> dict:
-    return {j: sum(c * math.prod(value_of(p) for p in mono) for c, mono in terms)
-            for j, terms in _float_row(k)}
-
-
-def chain_matrix_row(u_window: Mapping[int, float], k: int) -> dict[int, float]:
-    """Nonzero coefficients of row k of the chain matrix at a point.
-
-    Colliding structural columns (k = -1 hits column 0, k = 2 hits column 1)
-    come out merged by summation, which is what the printed component
-    equations for u^0_t and u^1_t pin down.
-    """
-    return _row_values(k, lambda p: u_window.get(p, 0.0))
-
-
-# ---------------------------------------------------------------------------
 # evolution
 # ---------------------------------------------------------------------------
 
@@ -240,8 +210,8 @@ def max_row_sum(s: ChainState) -> float:
     fields = _fields(s)
     worst = 0.0
     for k in range(-s.depth, s.depth + 1):
-        total = sum(np.abs(v) for v in
-                    _row_values(k, lambda p: fields["w", p, 0]).values())
+        total = sum(np.abs(_sum_terms([(float(c), f) for c, f in terms], fields))
+                    for _j, terms in chain_matrix_terms(k))
         worst = max(worst, float(np.max(total)))
     return worst
 

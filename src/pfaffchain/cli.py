@@ -29,7 +29,7 @@ PASS, FAIL, USAGE = 0, 1, 2
 def _write_report(out_dir: Path, name: str, report: dict) -> Path:
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / name
-    path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n",
+    path.write_text(json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n",
                     encoding="utf-8")
     return path
 

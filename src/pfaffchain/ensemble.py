@@ -352,7 +352,12 @@ def tau_report(n: int, t: CouplingVector, q: QuadratureConfig) -> dict:
         except OverflowError:
             raise OverflowError(f"n={n}: tau^2 overflows float64 "
                                 f"(tau_{2 * n} = {tau:.3g})") from None
-        record["selberg_ratio_check"] = (above * below / tau_sq) / selberg_ratio(n)
+        ratio = (above * below / tau_sq) / selberg_ratio(n) if tau_sq else math.nan
+        if not math.isfinite(ratio):
+            raise ValueError(f"n={n}: tau_{2 * n + 2} tau_{2 * n - 2} / tau_{2 * n}^2 = "
+                             f"{above:.3g} * {below:.3g} / ({tau:.3g})^2 cannot be formed "
+                             f"in float64, so there is no ratio check")
+        record["selberg_ratio_check"] = ratio
     return record
 
 

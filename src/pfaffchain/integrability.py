@@ -15,10 +15,10 @@ repeated indices are derived mechanically from the sparsity of the registered
 matrix, which keeps the engine usable for user-supplied chain-class matrices.
 
 The flagship instance is the skew-ensemble chain matrix.  Its rows are not
-written out here: row k is read off the order-0 Taylor expansion of the even
-lattice flow ``lax.t2_even_w_terms``, the v = 0 part of the second flow's
-table ``lax.t2_w_terms`` (each term of the expansion carries exactly one
-x-derivative u^j_x, which names the column j).  They come out as
+written out here: row k is ``lax.chain_matrix_terms(k)``, the order-0 Taylor
+expansion of the even lattice flow ``lax.t2_even_w_terms`` (the v = 0 part
+of the second flow's table ``lax.t2_w_terms``) grouped by the column j that
+its one x-derivative factor u^j_x names, as exact Polys.  They come out as
 
     row k (generic):  col 0: (k+2)u^{k+1} - k u^{k-1} + u^1 u^k   (k < 0)
                              (k+1)u^{k+1} - (k-1)u^{k-1} - u^1 u^k (k > 1)
@@ -40,7 +40,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Iterable, Mapping
 
-from .lax import expand_lattice_terms, t2_even_w_terms
+from .lax import chain_matrix_terms
 
 __all__ = [
     "Poly",
@@ -256,19 +256,11 @@ class ChainMatrixSpec:
     stencil: int = 1
 
 
-def _row_add(row: dict[int, Poly], j: int, poly: Poly) -> None:
-    row[j] = row.get(j, Poly()) + poly
-
-
 @lru_cache(maxsize=None)
 def _even_chain_row(k: int) -> tuple[tuple[int, Poly], ...]:
-    row: dict[int, Poly] = {}
-    expansion = expand_lattice_terms(t2_even_w_terms(k), 0, rescale=True)[0]
-    for factors, coeff in expansion.items():
-        [col] = [band for _kind, band, d in factors if d == 1]
-        mono = tuple(band for _kind, band, d in factors if d == 0)
-        _row_add(row, col, Poly({mono: coeff}))
-    return tuple((j, p) for j, p in row.items() if p)
+    return tuple((j, Poly({tuple(band for _kind, band, _d in factors): coeff
+                           for coeff, factors in terms}))
+                 for j, terms in chain_matrix_terms(k))
 
 
 def _paper_rows(k: int) -> dict[int, Poly]:

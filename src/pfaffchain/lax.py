@@ -16,19 +16,20 @@ block-lower-triangular matrices with scalar 2x2 diagonal blocks:
 with X_up/X_lo the strict upper/lower parts excluding the 2x2 diagonal
 blocks and X_blk those blocks.  The explicit t_1/t_2 flow formulas are kept
 as *term tables* (rational coefficient, product of shifted band factors).
-One evaluator (``_Fields``/``_sum_terms``) sums a table over whole band
-rows.  It reads a state's (kinds, 2 depth + 1, n) stack directly, in the
-one layout that ``LaxBands.rows`` (n sites) and ``chain.ChainState.rows``
-(n grid points) share: here each factor is a zero-filling site shift, in
-``chain`` an x-derivative stencil, and the rows are float64 for speed or
+One evaluator sums a table over a state's whole (kinds, 2 depth + 1, n)
+band stack, the layout that ``LaxBands.rows`` (n sites) and
+``chain.ChainState.rows`` (n grid points) share: ``_Fields`` applies a
+zero-filling site shift (in ``chain`` an x-derivative stencil) to the whole
+stack once per shift, and ``_sum_bands`` sums one table per band.  The rows
+are float64, with float coefficients compiled once per table and band, or
 object arrays of Fractions for exact commutator cross-validation.  The even
-reduction's second flow ``t2_even_w_terms`` is not a table of its own: it is
-the v = 0 part of ``t2_w_terms``, so the commutator check of the full second
-flow covers it.
+reduction's second flow ``t2_even_w_terms`` is the v = 0 part of
+``t2_w_terms``, so the commutator check of the full second flow covers it.
 The Taylor expansion of these tables (``expand_lattice_terms``, with the
 cached float form ``continuum_terms``) is the continuum limit: the chain
-right-hand sides in ``chain`` and the chain-matrix rows in ``integrability``
-are both read off ``t2_even_w_terms`` that way.
+right-hand sides in ``chain`` are read off ``t2_even_w_terms`` that way, and
+so is the chain matrix a^k_j (``chain_matrix_terms``) that ``chain`` and
+``integrability`` read.
 
 A band state (``LaxBands``, and ``BandDerivs`` for its derivatives) is one
 array ``rows`` of shape (kinds, 2 depth + 1, sites): kind 0 is w and kind 1
@@ -52,7 +53,7 @@ import itertools
 import math
 from collections.abc import Callable, Iterable, Iterator, Mapping, MutableMapping
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -64,7 +65,6 @@ __all__ = [
     "assemble_lax",
     "disassemble_lax",
     "disassemble_derivs",
-    "placements",
     "project_t",
     "project_n",
     "lax_rhs_commutator",
@@ -80,6 +80,7 @@ __all__ = [
     "FLOWS",
     "expand_lattice_terms",
     "continuum_terms",
+    "chain_matrix_terms",
     "skew_factorize",
     "FactorizationError",
     "FlowBlowupError",
@@ -266,30 +267,22 @@ def random_bands(rng, sites: int, depth: int, even: bool = False,
 # ---------------------------------------------------------------------------
 
 
-def placements(M: int, depth: int) -> Iterator[tuple[str, int, int, int, int]]:
-    """Yield (kind, band k, site n, row, col), 0-based positions, within M."""
-    for n in range(1, M // 2 + 1):
-        if 2 * n + 1 <= M:
-            yield ("w", 0, n, 2 * n - 1, 2 * n)
-        yield ("v", 0, n, 2 * n - 1, 2 * n - 1)
-        for k in range(1, depth + 1):
-            if 2 * n + 2 * k - 2 <= M:
-                yield ("w", -k, n, 2 * n + 2 * k - 3, 2 * n - 2)
-            if 2 * n + 2 * k - 1 <= M:
-                yield ("w", k, n, 2 * n + 2 * k - 2, 2 * n - 1)
-            if 2 * n + 2 * k - 1 <= M:
-                yield ("v", -k, n, 2 * n + 2 * k - 2, 2 * n - 2)
-            if 2 * n + 2 * k <= M:
-                yield ("v", k, n, 2 * n + 2 * k - 1, 2 * n - 1)
-
-
 @lru_cache(maxsize=64)
 def _slot_index(M: int, depth: int, kinds: int) -> tuple[np.ndarray, ...]:
-    """``placements(M, depth)`` of the first ``kinds`` kinds (0 = w, 1 = v) as
-    index arrays (kind, band row k + depth, site column n - 1, row, col)."""
-    idx = np.array([("wv".index(kind), k + depth, n - 1, r, c)
-                    for kind, k, n, r, c in placements(M, depth)], dtype=int).reshape(-1, 5)
-    return tuple(idx[idx[:, 0] < kinds].T)
+    """Index arrays (kind, band row k + depth, site column n - 1, row, col),
+    0-based, of the slots of the first ``kinds`` kinds (0 = w, 1 = v) that
+    lie inside an M x M matrix, site by site: w^0_n, v^0_n, then w^-k_n,
+    w^k_n, v^-k_n, v^k_n for k = 1 .. depth.  Slot k != 0 of kind i sits in
+    col 2n - 2 + [k > 0], row col + 2|k| - 1 + i; v^0_n sits at
+    (2n - 1, 2n - 1) and w^0_n at (2n - 1, 2n)."""
+    kind = np.array([0, 1] + [0, 0, 1, 1] * depth)
+    k = np.array([0, 0] + [s * j for j in range(1, depth + 1) for s in (-1, 1, -1, 1)])
+    dcol = np.where(k == 0, 2 - kind, k > 0)
+    drow = np.where(k == 0, 1, dcol + 2 * abs(k) - 1 + kind)
+    site = np.arange(M // 2)[:, None]
+    idx = np.broadcast_arrays(kind, k + depth, site, 2 * site + drow, 2 * site + dcol)
+    keep = (idx[3] < M) & (idx[4] < M) & (idx[0] < kinds)
+    return tuple(a[keep] for a in idx)
 
 
 def assemble_lax(b: LaxBands, M: int, dtype=float) -> np.ndarray:
@@ -385,8 +378,10 @@ def interior_mask(M: int, depth: int, flow_k: int) -> set[tuple[str, int, int]]:
     reach, paid to keep every projected path of L^k inside the window).
     """
     margin = flow_k + depth + 1
-    return {(kind, k, n) for kind, k, n, _r, _c in placements(M, depth)
-            if n - 1 > margin and M // 2 - n > margin}
+    kind, band, site, _r, _c = _slot_index(M, depth, 2)
+    keep = (site > margin) & (M // 2 - 1 - site > margin)
+    return set(zip(np.array(["w", "v"])[kind[keep]].tolist(),
+                   (band[keep] - depth).tolist(), (site[keep] + 1).tolist()))
 
 
 def lax_rhs_commutator(b: LaxBands, k: int, M: int,
@@ -713,25 +708,26 @@ def t2_even_w_terms(k: int) -> tuple:
 
 
 class _Fields(dict):
-    """(kind, band, m) -> ``op(row, m)`` for the row of that band (the row
-    itself at m = 0), computed on first reference.  ``rows`` is a band state's
-    (kinds, 2 depth + 1, n) stack, held as lists of its row views: kind "w"
-    is rows[0] and "v" rows[1], band k is row k + depth, and absent kinds and
-    bands read ``zero``, a zero row of the stack's dtype.  The lattice passes a site shift as ``op``, the
-    continuum an x-derivative stencil, so one evaluator serves both."""
+    """(kind, band, m) -> row of ``op(rows, m)`` (of ``rows`` itself at
+    m = 0) for a band state's (kinds, 2 depth + 1, n) stack ``rows``: kind
+    "w" is rows[0] and "v" rows[1], band k is row k + depth, and absent kinds
+    and bands read ``zero``, a zero row of the stack's dtype.  ``op`` acts on
+    the last axis, once per m, on the whole stack.  The lattice passes a site
+    shift as ``op``, the continuum an x-derivative stencil."""
 
     def __init__(self, rows: np.ndarray, op: Callable[[np.ndarray, int], np.ndarray]):
         super().__init__()
-        self.rows, self.op = [list(kind) for kind in rows], op
+        self.stacks, self.op = {0: rows}, op
         self.depth, self.zero = rows.shape[1] // 2, np.zeros(rows.shape[2], rows.dtype)
 
     def __missing__(self, factor: tuple) -> np.ndarray:
         kind, band, m = factor
         i, j = "wv".index(kind), band + self.depth
-        row = self.rows[i][j] if i < len(self.rows) and 0 <= j <= 2 * self.depth else None
-        arr = self.zero if row is None else self.op(row, m) if m else row
-        self[factor] = arr
-        return arr
+        if not (i < len(self.stacks[0]) and 0 <= j <= 2 * self.depth):
+            return self.setdefault(factor, self.zero)
+        if m not in self.stacks:
+            self.stacks[m] = self.op(self.stacks[0], m)
+        return self.setdefault(factor, self.stacks[m][i, j])
 
 
 def _sum_terms(terms: Iterable, fields: _Fields) -> np.ndarray:
@@ -750,14 +746,26 @@ def _sum_terms(terms: Iterable, fields: _Fields) -> np.ndarray:
     return acc
 
 
-def _site_shift(row: np.ndarray, m: int) -> np.ndarray:
-    """The value at site n + m (m != 0) for every site n; sites off the
-    lattice read zero."""
-    out = np.zeros_like(row)
+def _sum_bands(terms_of: Callable[[int], Iterable], fields: _Fields) -> np.ndarray:
+    """The (2 depth + 1, n) rows whose row k + depth sums ``terms_of(k)``."""
+    return np.array([_sum_terms(terms_of(k), fields)
+                     for k in range(-fields.depth, fields.depth + 1)], fields.zero.dtype)
+
+
+@lru_cache(maxsize=None)
+def _float_terms(table: Callable[[int], list], k: int) -> tuple:
+    """``table(k)`` with float coefficients, built once per table and band."""
+    return tuple((float(c), factors) for c, factors in table(k))
+
+
+def _site_shift(rows: np.ndarray, m: int) -> np.ndarray:
+    """The value at site n + m (m != 0) for every site n, along the last
+    axis; sites off the lattice read zero."""
+    out = np.zeros_like(rows)
     if m > 0:
-        out[:-m] = row[m:]
+        out[..., :-m] = rows[..., m:]
     else:
-        out[-m:] = row[:m]
+        out[..., -m:] = rows[..., :m]
     return out
 
 
@@ -766,12 +774,11 @@ def _flow_from_tables(b: LaxBands, w_table: Callable[[int], list],
     """Every slot of every band |k| <= depth, read off the tables over the
     state's rows: float64 rows with float coefficients, or object rows
     (exact Fractions) with the tables' own coefficients."""
-    exact = b.rows.dtype == object
-    bands = range(-b.depth, b.depth + 1)
     fields = _Fields(b.rows, _site_shift)
     tables = [w_table] if v_table is None or b.even_reduced else [w_table, v_table]
-    d = np.array([[_sum_terms(table(k) if exact else [(float(c), f) for c, f in table(k)],
-                              fields) for k in bands] for table in tables], b.rows.dtype)
+    if b.rows.dtype != object:
+        tables = [partial(_float_terms, table) for table in tables]
+    d = np.array([_sum_bands(table, fields) for table in tables], b.rows.dtype)
     return BandDerivs(d, np.ones(d.shape, bool))
 
 
@@ -858,6 +865,22 @@ def continuum_terms(table: Callable[[int], list], k: int, order: int,
     expanded = expand_lattice_terms(table(k), order, rescale)
     return tuple(tuple((float(c), factors) for factors, c in expanded[r].items())
                  for r in range(order + 1))
+
+
+@lru_cache(maxsize=None)
+def chain_matrix_terms(k: int) -> tuple:
+    """Row k of the chain matrix a^k_j, read off the order-0 expansion of
+    ``t2_even_w_terms(k)``, built on first use and cached.  Each term of that
+    expansion carries exactly one x-derivative factor u^j_x, which names its
+    column j; the rest of the term is a^k_j.  Returns ((j, terms), ...) in
+    order of first appearance, where terms are (exact coefficient,
+    ((kind, band, 0), ...)) pairs; colliding columns (k = -1, 2) come out
+    merged."""
+    row: dict[int, list] = {}
+    for factors, coeff in expand_lattice_terms(t2_even_w_terms(k), 0, rescale=True)[0].items():
+        [col] = [band for _kind, band, d in factors if d == 1]
+        row.setdefault(col, []).append((coeff, tuple(f for f in factors if f[2] == 0)))
+    return tuple((j, tuple(terms)) for j, terms in row.items())
 
 
 # ---------------------------------------------------------------------------

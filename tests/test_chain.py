@@ -7,9 +7,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from pfaffchain import chain
 from pfaffchain.chain import (
     ChainState,
-    chain_matrix_row,
     chain_rhs_t2,
     chain_rhs_t2_corrected,
     continuum_residual,
@@ -20,8 +20,11 @@ from pfaffchain.chain import (
     max_row_sum,
     _dx1,
     _dx2,
+    _dx3,
 )
-from pfaffchain.lax import expand_lattice_terms, t2_even_w_terms
+from pfaffchain.integrability import Poly, paper_chain_spec
+from pfaffchain.lax import (continuum_terms, expand_lattice_terms, t1_v_terms, t1_w_terms,
+                            t2_even_w_terms)
 
 F = Fraction
 
@@ -43,37 +46,30 @@ def _random_state(rng, depth=3, grid=64, with_z=False, epsilon=0.0):
 # the sparse coefficient rows
 # ---------------------------------------------------------------------------
 
+ROWS = paper_chain_spec().rows
+
+
 def test_row_zero_matches_printed_component_equation():
     # u^0_t = u^0 u^1 u^0_x + (u^0)^2 u^1_x + u^0 u^-1_x
-    u = {0: 2.0, 1: 0.7, -1: -0.4}
-    row = chain_matrix_row(u, 0)
-    assert row == {0: pytest.approx(2.0 * 0.7), 1: pytest.approx(4.0),
-                   -1: pytest.approx(2.0)}
+    assert ROWS(0) == {0: Poly({(0, 1): 1}), 1: Poly({(0, 0): 1}), -1: Poly({(0,): 1})}
 
 
 def test_row_one_matches_printed_component_equation():
     # u^1_t = (2u^2 - (u^1)^2) u^0_x - u^0 u^1 u^1_x + u^0 u^2_x
-    u = {0: 1.5, 1: 1.0, 2: 3.0}
-    row = chain_matrix_row(u, 1)
-    assert row == {0: pytest.approx(2 * 3.0 - 1.0), 1: pytest.approx(-1.5),
-                   2: pytest.approx(1.5)}
+    assert ROWS(1) == {0: Poly({(2,): 2, (1, 1): -1}), 1: Poly({(0, 1): -1}),
+                       2: Poly({(0,): 1})}
 
 
 def test_colliding_columns_merge_by_summation():
-    rng = np.random.default_rng(0)
-    u = {k: float(v) for k, v in zip(range(-3, 4), rng.uniform(0.2, 1.0, 7))}
     # row -1: column 0 absorbs the structural a^k_{k+1} = u^0 entry
-    row = chain_matrix_row(u, -1)
-    assert row[0] == pytest.approx(2 * u[0] + u[-2] + u[1] * u[-1])
+    assert ROWS(-1)[0] == Poly({(0,): 2, (-2,): 1, (-1, 1): 1})
     # row 2: column 1 absorbs the structural a^k_{k-1} = u^0 entry
-    row = chain_matrix_row(u, 2)
-    assert row[1] == pytest.approx(u[0] - u[0] * u[2])
+    assert ROWS(2)[1] == Poly({(0,): 1, (0, 2): -1})
 
 
 def test_rows_have_at_most_four_columns():
-    u = {k: 0.3 * k + 1.0 for k in range(-9, 10)}
     for k in range(-8, 9):
-        assert len(chain_matrix_row(u, k)) <= 4
+        assert len(ROWS(k)) <= 4
 
 
 def test_rhs_equals_row_assembly():
@@ -86,8 +82,8 @@ def test_rhs_equals_row_assembly():
         m = rng.integers(0, 8)
         for k in range(-2, 3):
             window = {p: float(row[m]) for p, row in s.u.items()}
-            assembled = sum(coeff * ux[j][m]
-                            for j, coeff in chain_matrix_row(window, k).items())
+            assembled = sum(poly.eval(lambda p: window.get(p, 0.0)) * ux[j][m]
+                            for j, poly in ROWS(k).items())
             worst = max(worst, abs(assembled - rhs[k + s.depth][m])
                         / max(1.0, abs(assembled)))
     assert worst < 1e-12
@@ -222,12 +218,62 @@ def test_correction_tables_match_lattice_expansion_exactly(k):
 def test_no_expansion_runs_at_import():
     code = ("import pfaffchain.cli; from pfaffchain import chain, integrability, lax; "
             "print(lax.continuum_terms.cache_info().currsize, "
-            "integrability._even_chain_row.cache_info().currsize, "
-            "chain._float_row.cache_info().currsize)")
+            "lax.chain_matrix_terms.cache_info().currsize, "
+            "integrability._even_chain_row.cache_info().currsize)")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     done = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                           capture_output=True, text=True)
     assert done.stdout.split() == ["0", "0", "0"]
+
+
+def _rhs_band_by_band(s, table, order, rescale):
+    """A continuum right-hand side summed one band at a time, each factor
+    differentiated on its own row: the reference for the evaluator, which
+    applies each stencil once to the whole band stack."""
+    stencils = (None, _dx1, _dx2, _dx3)
+    kinds = {"w": s.u, "v": s.z or {}}
+
+    def field(kind, band, d):
+        row = kinds[kind].get(band, np.zeros(s.grid_size))
+        return stencils[d](row, s.h) if d else row
+
+    out = []
+    for k in range(-s.depth, s.depth + 1):
+        total = 0.0
+        for r, terms in enumerate(continuum_terms(table, k, order, rescale)):
+            part = np.zeros(s.grid_size)
+            for coeff, factors in terms:
+                part += coeff * math.prod((field(*f) for f in factors[1:]),
+                                          start=field(*factors[0]))
+            total = total + s.epsilon ** r * part
+        out.append(total)
+    return np.array(out)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_stack_evaluator_equals_the_band_by_band_sum(seed):
+    rng = np.random.default_rng(seed)
+    s = _random_state(rng, depth=seed, grid=16 + seed, with_z=True, epsilon=1 / 64)
+    assert np.array_equal(chain_rhs_t2(s), _rhs_band_by_band(s, t2_even_w_terms, 0, True))
+    for order in (1, 2):
+        assert np.array_equal(chain_rhs_t2_corrected(s, order),
+                              _rhs_band_by_band(s, t2_even_w_terms, order, True))
+        du, dz = continuum_t1_rhs(s, order)
+        assert np.array_equal(du, _rhs_band_by_band(s, t1_w_terms, order, False))
+        assert np.array_equal(dz, _rhs_band_by_band(s, t1_v_terms, order, False))
+
+
+def test_each_stencil_runs_once_on_the_whole_stack(monkeypatch):
+    calls = []
+    monkeypatch.setattr(chain, "_STENCILS", [None] + [
+        lambda rows, h, dx=dx: calls.append((rows.shape, dx)) or dx(rows, h)
+        for dx in (_dx1, _dx2, _dx3)])
+    s = _random_state(np.random.default_rng(10), with_z=True, epsilon=1 / 64)
+    for rhs in (chain_rhs_t2_corrected, continuum_t1_rhs):
+        calls.clear()
+        rhs(s, 2)
+        assert calls and all(shape == s.rows.shape for shape, _dx in calls)
+        assert len({dx for _shape, dx in calls}) == len(calls)
 
 
 def test_order0_correction_equals_plain_rhs():

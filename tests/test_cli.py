@@ -1,8 +1,9 @@
 import json
+import math
 
 import pytest
 
-from pfaffchain.cli import main
+from pfaffchain.cli import _write_report, main
 
 
 def test_moments_writes_reports(tmp_path):
@@ -131,6 +132,8 @@ _BAD_INPUT_FILES = {"top_level_list.json": [1], "rows_not_an_object.json": {"row
     ["moments", "--n", "1", "--nodes", "3000000"],
     ["tau", "--n-max", "2", "--nodes", "3000000"],
     ["tau", "--n-max", "300"],
+    ["tau", "--n-max", "16"],
+    ["moments", "--radius", "1e6"],
 ], ids="_".join)
 def test_input_that_checks_nothing_is_a_usage_error(tmp_path, capsys, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)
@@ -139,6 +142,12 @@ def test_input_that_checks_nothing_is_a_usage_error(tmp_path, capsys, monkeypatc
     assert main(["--out", str(tmp_path)] + argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_reports_refuse_values_that_are_not_json(tmp_path):
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            _write_report(tmp_path, "report.json", {"value": bad})
 
 
 @pytest.mark.parametrize("argv, warnings", [

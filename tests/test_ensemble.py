@@ -295,6 +295,14 @@ def test_tau_squared_overflow_names_n():
         tau_report(17, ZERO, Q)
 
 
+@pytest.mark.parametrize("n, q", [(16, Q), (2, QuadratureConfig(domain_radius=1e6))],
+                         ids=["product_overflows", "tau_is_zero"])
+def test_a_ratio_check_that_cannot_be_formed_names_n(n, q):
+    # at 200 nodes tau_34 tau_30 overflows to -inf; on radius 1e6 tau_4 = 0
+    with pytest.raises(ValueError, match=rf"n={n}: .* cannot be formed in float64"):
+        tau_report(n, ZERO, q)
+
+
 def test_tau_zero_convention():
     assert tau_from_moments(0, ZERO, Q) == 1.0
 

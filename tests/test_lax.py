@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from scipy.linalg import block_diag
 
+from pfaffchain import lax
 from pfaffchain.ensemble import QuadratureConfig
 from pfaffchain.lax import (
     FLOWS,
@@ -403,6 +404,18 @@ def test_table_flows_equal_the_slot_by_slot_oracle(name, exact):
                         else:
                             assert float(have[key]).hex() == float(e).hex(), \
                                 (sites, depth, even, key)
+
+
+def test_each_site_shift_runs_once_on_the_whole_stack(monkeypatch):
+    shift, calls = lax._site_shift, []
+    monkeypatch.setattr(lax, "_site_shift",
+                        lambda rows, m: calls.append((rows.shape, m)) or shift(rows, m))
+    for b in (random_bands(random.Random(5), 12, 3),
+              random_bands(random.Random(5), 12, 3, even=True)):
+        calls.clear()
+        flow_t2_explicit(b)
+        assert calls and all(shape == b.rows.shape for shape, _m in calls)
+        assert len({m for _shape, m in calls}) == len(calls)
 
 
 def test_band_views_write_through_to_the_rows():
