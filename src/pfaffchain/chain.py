@@ -40,9 +40,9 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .lax import (LaxBands, _Fields, _march, _rk4_step, _sum_bands, _sum_terms,
-                  chain_matrix_terms, continuum_terms, flow_t2_even_explicit, t1_v_terms,
-                  t1_w_terms, t2_even_w_terms)
+from .lax import (LaxBands, _Fields, _float_terms, _march, _rk4_step, _sum_bands,
+                  _sum_terms, chain_matrix_terms, continuum_terms, flow_t2_even_explicit,
+                  t1_v_terms, t1_w_terms, t2_even_w_terms)
 
 __all__ = [
     "ChainState",
@@ -210,7 +210,7 @@ def max_row_sum(s: ChainState) -> float:
     fields = _fields(s)
     worst = 0.0
     for k in range(-s.depth, s.depth + 1):
-        total = sum(np.abs(_sum_terms([(float(c), f) for c, f in terms], fields))
+        total = sum(np.abs(_sum_terms(_float_terms(terms), fields))
                     for _j, terms in chain_matrix_terms(k))
         worst = max(worst, float(np.max(total)))
     return worst

@@ -752,10 +752,15 @@ def _sum_bands(terms_of: Callable[[int], Iterable], fields: _Fields) -> np.ndarr
                      for k in range(-fields.depth, fields.depth + 1)], fields.zero.dtype)
 
 
+def _float_terms(terms: Iterable) -> tuple:
+    """(coefficient, factors) pairs with the coefficients made float."""
+    return tuple((float(c), factors) for c, factors in terms)
+
+
 @lru_cache(maxsize=None)
-def _float_terms(table: Callable[[int], list], k: int) -> tuple:
-    """``table(k)`` with float coefficients, built once per table and band."""
-    return tuple((float(c), factors) for c, factors in table(k))
+def _float_table(table: Callable[[int], list], k: int) -> tuple:
+    """``_float_terms(table(k))``, built once per table and band."""
+    return _float_terms(table(k))
 
 
 def _site_shift(rows: np.ndarray, m: int) -> np.ndarray:
@@ -777,7 +782,7 @@ def _flow_from_tables(b: LaxBands, w_table: Callable[[int], list],
     fields = _Fields(b.rows, _site_shift)
     tables = [w_table] if v_table is None or b.even_reduced else [w_table, v_table]
     if b.rows.dtype != object:
-        tables = [partial(_float_terms, table) for table in tables]
+        tables = [partial(_float_table, table) for table in tables]
     d = np.array([_sum_bands(table, fields) for table in tables], b.rows.dtype)
     return BandDerivs(d, np.ones(d.shape, bool))
 
@@ -863,7 +868,7 @@ def continuum_terms(table: Callable[[int], list], k: int, order: int,
     built on first use and cached: entry r holds the eps^r part as
     (coefficient, ((kind, band, x-derivative order), ...)) pairs."""
     expanded = expand_lattice_terms(table(k), order, rescale)
-    return tuple(tuple((float(c), factors) for factors, c in expanded[r].items())
+    return tuple(_float_terms((c, factors) for factors, c in expanded[r].items())
                  for r in range(order + 1))
 
 
