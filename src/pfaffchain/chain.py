@@ -256,6 +256,8 @@ def default_profile(band_support: int = 2) -> dict[int, Callable[[np.ndarray], n
 
     u^0 stays positive; amplitudes decay with |k| to keep the dynamics tame.
     """
+    if band_support < 0:
+        raise ValueError(f"band_support {band_support} must be non-negative")
     two_pi = 2 * math.pi
 
     def mk(a, b, phase):

@@ -80,7 +80,7 @@ def cmd_tau(args, out: Path) -> int:
     if args.n_max < 1:
         raise ValueError(f"--n-max {args.n_max} gives an empty table; need >= 1")
     t, q = _quadrature(args)
-    rows = [ensemble.tau_report(n, t, q) for n in range(1, args.n_max + 1)]
+    rows = ensemble.tau_table(args.n_max, t, q)
     path = _write_report(out, "tau_table.json", {"table": rows})
     for row in rows:
         print(f"n={row['n']}: tau={row['tau']:.12g} "
@@ -108,7 +108,12 @@ def cmd_lax_verify(args, out: Path) -> int:
         k_flow, table_flow, even = _FLOWS[name]
         for _ in range(args.trials):
             b = lax.random_bands(rng, args.sites, args.depth, even=even)
-            comm, mask = lax.lax_rhs_commutator(b, k_flow, m_dim)
+            try:
+                comm, mask = lax.lax_rhs_commutator(b, k_flow, m_dim)
+            except MemoryError:
+                raise ValueError(f"sites={args.sites} does not fit in memory: the "
+                                 f"commutator check builds dense {m_dim} x {m_dim} "
+                                 f"matrices") from None
             if not mask:
                 raise ValueError("truncation too tight: empty interior mask")
             expl = table_flow(b)

@@ -33,8 +33,8 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
-from typing import Mapping
+from functools import cache, lru_cache
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -51,6 +51,7 @@ __all__ = [
     "selberg_ratio",
     "moment_flow_residual",
     "tau_report",
+    "tau_table",
     "write_moment_csv",
 ]
 
@@ -85,9 +86,11 @@ class CouplingVector:
         object.__setattr__(self, "entries",
                            {int(k): float(v) for k, v in self.entries.items()
                             if float(v) != 0.0})
-        for k in self.entries:
+        for k, v in self.entries.items():
             if k < 1:
                 raise ValueError(f"coupling index must be positive, got {k}")
+            if not math.isfinite(v):
+                raise ValueError(f"coupling t{k} must be finite, got {v}")
             if self.even_only and k % 2:
                 raise ValueError(f"even_only couplings cannot contain t_{k}")
         if self.entries:
@@ -126,8 +129,9 @@ class QuadratureConfig:
     def __post_init__(self):
         if self.nodes_per_axis < 8:
             raise ValueError("nodes_per_axis must be >= 8")
-        if self.domain_radius <= 0:
-            raise ValueError("domain_radius must be positive")
+        if not 0 < self.domain_radius < math.inf:
+            raise ValueError(f"domain_radius must be positive and finite, "
+                             f"got {self.domain_radius}")
 
     def key(self) -> tuple:
         return (self.nodes_per_axis, self.domain_radius)
@@ -342,20 +346,31 @@ def selberg_ratio(n: int) -> float:
 def tau_report(n: int, t: CouplingVector, q: QuadratureConfig) -> dict:
     """JSON-ready record; ratio check compares the quadrature tau ratio
     around 2n with the closed-form zero-coupling ratio (== 1.0 at t = 0)."""
-    tau = tau_from_moments(n, t, q)
-    record = {"n": n, "t": t.as_dict(), "tau": tau, "selberg_ratio_check": None}
+    return _tau_record(n, t, lambda m: tau_from_moments(m, t, q))
+
+
+def tau_table(n_max: int, t: CouplingVector, q: QuadratureConfig) -> list[dict]:
+    """``tau_report(n, t, q)`` for n = 1..n_max, each tau_2m computed once,
+    in the order the reports first ask for it."""
+    tau = cache(lambda m: tau_from_moments(m, t, q))
+    return [_tau_record(n, t, tau) for n in range(1, n_max + 1)]
+
+
+def _tau_record(n: int, t: CouplingVector, tau: Callable[[int], float]) -> dict:
+    value = tau(n)
+    record = {"n": n, "t": t.as_dict(), "tau": value, "selberg_ratio_check": None}
     if n >= 1:
-        above = tau_from_moments(n + 1, t, q)
-        below = tau_from_moments(n - 1, t, q)
+        above = tau(n + 1)
+        below = tau(n - 1)
         try:
-            tau_sq = tau ** 2
+            tau_sq = value ** 2
         except OverflowError:
             raise OverflowError(f"n={n}: tau^2 overflows float64 "
-                                f"(tau_{2 * n} = {tau:.3g})") from None
+                                f"(tau_{2 * n} = {value:.3g})") from None
         ratio = (above * below / tau_sq) / selberg_ratio(n) if tau_sq else math.nan
         if not math.isfinite(ratio):
             raise ValueError(f"n={n}: tau_{2 * n + 2} tau_{2 * n - 2} / tau_{2 * n}^2 = "
-                             f"{above:.3g} * {below:.3g} / ({tau:.3g})^2 cannot be formed "
+                             f"{above:.3g} * {below:.3g} / ({value:.3g})^2 cannot be formed "
                              f"in float64, so there is no ratio check")
         record["selberg_ratio_check"] = ratio
     return record

@@ -10,9 +10,11 @@ diagonalisable iff its Haantjes tensor vanishes.  This module evaluates
              - N^p_rk a^i_p a^r_j + N^p_jk a^i_r a^r_p
 
 (summation over repeated indices, d_p = d/du^p) in exact rational arithmetic,
-so "vanishes" means the integer 0, never a tolerance.  Summation ranges for the
-repeated indices are derived mechanically from the sparsity of the registered
-matrix, which keeps the engine usable for user-supplied chain-class matrices.
+so "vanishes" means the integer 0, never a tolerance.  The sums are scattered,
+not gathered: for one upper index i, every nonzero product in them is reached
+by looping over nonzero matrix entries and partials and is added at the lower
+indices (j, k) it names.  No summation range is bounded, so the engine serves
+any user-supplied chain-class matrix.
 
 The flagship instance is the skew-ensemble chain matrix.  Its rows are not
 written out here: row k is ``lax.chain_matrix_terms(k)``, the order-0 Taylor
@@ -344,11 +346,12 @@ def load_spec_json(path_or_obj) -> ChainMatrixSpec:
 class TensorPoint:
     """All tensor evaluations of one spec at one rational point, cached.
 
-    The nonzero-support supersets used to truncate the repeated-index sums are
-    computed from the row sparsity alone, so completeness of the sums does not
-    assume any result about the tensors themselves.  Absent entries, partials
-    and the diagonal N^i_jj read as one shared ``Fraction(0)``, not a fresh
-    one per lookup.
+    Each object is a sparse row of exact values, built once per point on
+    first read: ``row(k)`` = {j: a^k_j}, the partials {(j, p): d_p a^k_j} of
+    row k, ``nijenhuis_row(i)`` = {(j, k): N^i_jk} and ``haantjes_row(i)`` =
+    {(j, k): H^i_jk}.  A tensor row is scattered from the nonzero entries of
+    the rows it reads (see the module docstring).  Zero values are dropped;
+    anything absent reads as one shared ``Fraction(0)``.
     """
 
     def __init__(self, spec: ChainMatrixSpec, point: RationalPoint):
@@ -356,11 +359,11 @@ class TensorPoint:
         self.point = point
         self._row_polys: dict[int, dict[int, Poly]] = {}
         self._rows: dict[int, dict[int, Fraction]] = {}
-        self._partials: dict[tuple[int, int, int], Fraction] = {}
-        self._nij: dict[tuple[int, int, int], Fraction] = {}
-        self._support: dict[int, tuple[int, ...]] = {}
+        self._jacobians: dict[int, dict[tuple[int, int], Fraction]] = {}
+        self._n: dict[int, dict[tuple[int, int], Fraction]] = {}
+        self._h: dict[int, dict[tuple[int, int], Fraction]] = {}
 
-    # -- sparsity bookkeeping ------------------------------------------------
+    # -- exact values ----------------------------------------------------------
 
     def row_polys(self, k: int) -> dict[int, Poly]:
         row = self._row_polys.get(k)
@@ -368,36 +371,6 @@ class TensorPoint:
             row = self.spec.rows(k)
             self._row_polys[k] = row
         return row
-
-    def cols(self, k: int) -> tuple[int, ...]:
-        return tuple(sorted(self.row_polys(k)))
-
-    def deps(self, k: int, j: int) -> frozenset[int]:
-        poly = self.row_polys(k).get(j)
-        return poly.variables() if poly is not None else frozenset()
-
-    def row_deps(self, k: int) -> frozenset[int]:
-        out: frozenset[int] = frozenset()
-        for poly in self.row_polys(k).values():
-            out |= poly.variables()
-        return out
-
-    def lower_support(self, i: int) -> tuple[int, ...]:
-        """Superset of indices that can occur as a lower index of N^i."""
-        cached = self._support.get(i)
-        if cached is not None:
-            return cached
-        s: set[int] = set(self.cols(i))
-        for p in self.row_deps(i):
-            s.update(self.cols(p))
-        for p in self.cols(i):
-            s.update(self.cols(p))
-            s.update(self.row_deps(p))
-        out = tuple(sorted(s))
-        self._support[i] = out
-        return out
-
-    # -- exact values ----------------------------------------------------------
 
     def row(self, k: int) -> dict[int, Fraction]:
         row = self._rows.get(k)
@@ -410,86 +383,81 @@ class TensorPoint:
     def entry(self, k: int, j: int) -> Fraction:
         return self.row(k).get(j, _ZERO)
 
+    def _jacobian(self, k: int) -> dict[tuple[int, int], Fraction]:
+        """{(j, p): d_p a^k_j}, the nonzero partials of row k."""
+        out = self._jacobians.get(k)
+        if out is None:
+            out = {}
+            for j, poly in self.row_polys(k).items():
+                for p in poly.variables():
+                    val = poly.diff(p).eval(self.point.at)
+                    if val:
+                        out[(j, p)] = val
+            self._jacobians[k] = out
+        return out
+
     def partial(self, k: int, j: int, p: int) -> Fraction:
-        key = (k, j, p)
-        val = self._partials.get(key)
-        if val is None:
-            poly = self.row_polys(k).get(j)
-            val = poly.diff(p).eval(self.point.at) if poly is not None else _ZERO
-            self._partials[key] = val
-        return val
+        return self._jacobian(k).get((j, p), _ZERO)
 
     # -- tensors ---------------------------------------------------------------
 
-    def nijenhuis(self, i: int, j: int, k: int) -> Fraction:
-        if j == k:
-            return _ZERO
-        sign = 1
-        if j > k:
-            j, k, sign = k, j, -1
-        key = (i, j, k)
-        val = self._nij.get(key)
-        if val is None:
-            val = self._nijenhuis_raw(i, j, k)
-            self._nij[key] = val
-        return val if sign == 1 else -val
+    def nijenhuis_row(self, i: int) -> dict[tuple[int, int], Fraction]:
+        """{(j, k): N^i_jk}, nonzero entries only."""
+        out = self._n.get(i)
+        if out is None:
+            acc: dict[tuple[int, int], Fraction] = {}
+            for (k, p), dik in self._jacobian(i).items():
+                for j, apj in self.row(p).items():
+                    v = apj * dik                    # a^p_j d_p a^i_k
+                    _scatter(acc, (j, k), v)
+                    _scatter(acc, (k, j), -v)
+            for p, aip in self.row(i).items():
+                for (k, j), dpk in self._jacobian(p).items():
+                    v = aip * dpk                    # a^i_p d_j a^p_k
+                    _scatter(acc, (j, k), -v)
+                    _scatter(acc, (k, j), v)
+            out = self._n[i] = _nonzero(acc)
+        return out
 
-    def _nijenhuis_raw(self, i: int, j: int, k: int) -> Fraction:
-        acc = Fraction(0)
-        for p in self.deps(i, k):
-            apj = self.entry(p, j)
-            if apj:
-                acc += apj * self.partial(i, k, p)
-        for p in self.deps(i, j):
-            apk = self.entry(p, k)
-            if apk:
-                acc -= apk * self.partial(i, j, p)
-        for p, aip in self.row(i).items():
-            if aip:
-                acc -= aip * (self.partial(p, k, j) - self.partial(p, j, k))
-        return acc
+    def haantjes_row(self, i: int) -> dict[tuple[int, int], Fraction]:
+        """{(j, k): H^i_jk}, nonzero entries only."""
+        out = self._h.get(i)
+        if out is None:
+            acc: dict[tuple[int, int], Fraction] = {}
+            # + N^i_pr a^p_j a^r_k
+            for (p, r), n in self.nijenhuis_row(i).items():
+                for j, apj in self.row(p).items():
+                    for k, ark in self.row(r).items():
+                        _scatter(acc, (j, k), n * apj * ark)
+            # - N^p_ab a^i_p a^b_k at (a, k), - N^p_ab a^i_p a^a_j at (j, b),
+            # + a^i_p a^p_q N^q_jk
+            for p, aip in self.row(i).items():
+                for (a, b), n in self.nijenhuis_row(p).items():
+                    v = aip * n
+                    for k, abk in self.row(b).items():
+                        _scatter(acc, (a, k), -v * abk)
+                    for j, aaj in self.row(a).items():
+                        _scatter(acc, (j, b), -v * aaj)
+                for q, apq in self.row(p).items():
+                    v = aip * apq
+                    for jk, n in self.nijenhuis_row(q).items():
+                        _scatter(acc, jk, v * n)
+            out = self._h[i] = _nonzero(acc)
+        return out
+
+    def nijenhuis(self, i: int, j: int, k: int) -> Fraction:
+        return self.nijenhuis_row(i).get((j, k), _ZERO)
 
     def haantjes(self, i: int, j: int, k: int) -> Fraction:
-        supp_i = self.lower_support(i)
-        acc = Fraction(0)
-        # N^i_pr a^p_j a^r_k
-        for p in supp_i:
-            apj = self.entry(p, j)
-            if not apj:
-                continue
-            for r in supp_i:
-                ark = self.entry(r, k)
-                if not ark:
-                    continue
-                n = self.nijenhuis(i, p, r)
-                if n:
-                    acc += n * apj * ark
-        # - N^p_jr a^i_p a^r_k  and  - N^p_rk a^i_p a^r_j
-        for p, aip in self.row(i).items():
-            if not aip:
-                continue
-            for r in self.lower_support(p):
-                ark = self.entry(r, k)
-                if ark:
-                    n = self.nijenhuis(p, j, r)
-                    if n:
-                        acc -= n * aip * ark
-                arj = self.entry(r, j)
-                if arj:
-                    n = self.nijenhuis(p, r, k)
-                    if n:
-                        acc -= n * aip * arj
-        # + N^p_jk a^i_r a^r_p
-        for r, air in self.row(i).items():
-            if not air:
-                continue
-            for p, arp in self.row(r).items():
-                if not arp:
-                    continue
-                n = self.nijenhuis(p, j, k)
-                if n:
-                    acc += n * air * arp
-        return acc
+        return self.haantjes_row(i).get((j, k), _ZERO)
+
+
+def _scatter(acc: dict, key: tuple[int, int], value: Fraction) -> None:
+    acc[key] = acc.get(key, _ZERO) + value
+
+
+def _nonzero(acc: dict) -> dict:
+    return {key: v for key, v in acc.items() if v}
 
 
 def _check_window(point: RationalPoint, spec: ChainMatrixSpec,
@@ -637,15 +605,13 @@ def haantjes_scan(window: int = 6, points: int = 50, seed: int = 0,
         point = random_rational_point(rng, point_window)
         ev = TensorPoint(spec, point)
         for i in range(-window, window + 1):
-            for j in range(-window, window + 1):
-                for k in range(j, window + 1):
-                    val = ev.haantjes(i, j, k)
-                    if val:
-                        nonzero.append({
-                            "entry": [i, j, k],
-                            "point_index": p_idx,
-                            "value": str(val),
-                        })
+            for (j, k), val in sorted(ev.haantjes_row(i).items()):
+                if -window <= j <= k <= window:
+                    nonzero.append({
+                        "entry": [i, j, k],
+                        "point_index": p_idx,
+                        "value": str(val),
+                    })
     return {
         "spec": spec.name,
         "window": window,

@@ -1,8 +1,10 @@
+import collections
 import json
 import math
 
 import pytest
 
+from pfaffchain import ensemble
 from pfaffchain.cli import _write_report, main
 
 
@@ -131,6 +133,7 @@ _BAD_INPUT_FILES = {"top_level_list.json": [1], "rows_not_an_object.json": {"row
     ["haantjes", "--spec", "stencil_negative.json"],
     ["moments", "--n", "1", "--nodes", "3000000"],
     ["tau", "--n-max", "2", "--nodes", "3000000"],
+    ["lax-verify", "--sites", "100000", "--trials", "1"],
     ["tau", "--n-max", "300"],
     ["tau", "--n-max", "16"],
     ["moments", "--radius", "1e6"],
@@ -142,6 +145,29 @@ def test_input_that_checks_nothing_is_a_usage_error(tmp_path, capsys, monkeypatc
     assert main(["--out", str(tmp_path)] + argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv, option", [
+    (["moments", "--t1", "nan"], "t1"),
+    (["tau", "--radius", "inf"], "radius"),
+    (["chain-evolve", "--band-support", "-3"], "band_support"),
+    (["continuum-check", "--band-support", "-3"], "band_support"),
+], ids=lambda v: "_".join(v) if isinstance(v, list) else v)
+def test_bad_value_is_blamed_on_its_option(tmp_path, capsys, argv, option):
+    assert main(["--out", str(tmp_path)] + argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and option in err
+
+
+def test_tau_table_computes_each_tau_once(tmp_path, monkeypatch):
+    calls = collections.Counter()
+    for name in ("moment_matrix", "pfaffian"):
+        def counted(*args, _fn=getattr(ensemble, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(ensemble, name, counted)
+    assert main(["--out", str(tmp_path), "tau", "--n-max", "12"]) == 0
+    assert calls == {"moment_matrix": 13, "pfaffian": 13}  # tau_2 .. tau_26
 
 
 def test_reports_refuse_values_that_are_not_json(tmp_path):

@@ -1,3 +1,5 @@
+import functools
+import itertools
 import random
 from fractions import Fraction
 
@@ -103,7 +105,7 @@ def test_partials_match_central_differences_under_float_demotion():
     ev = TensorPoint(SPEC, point)
     h = 1e-6
     for k in (-2, -1, 0, 1, 2, 3):
-        for j in list(ev.cols(k)):
+        for j in ev.row_polys(k):
             for p in range(-4, 5):
                 vals = {q: float(point.at(q)) for q in range(-8, 9)}
                 up = dict(vals); up[p] = vals[p] + h
@@ -261,3 +263,58 @@ def test_scan_report_shape():
     report = haantjes_scan(window=2, points=1, seed=5)
     assert {"window", "points", "haantjes_nonzero",
             "nijenhuis_mismatches"} <= set(report)
+
+
+# ---------------------------------------------------------------------------
+# the engine against the definitions, summed densely
+# ---------------------------------------------------------------------------
+
+def _dense_tensors(spec, point, reach):
+    """N^i_jk and H^i_jk by the module docstring's formulas, each repeated
+    index summed over every |p| <= reach: no sparsity of the rows is used
+    (the ifs skip zero factors, never an index)."""
+    idx = range(-reach, reach + 1)
+
+    @functools.cache
+    def a(k, j):
+        poly = spec.rows(k).get(j)
+        return poly.eval(point.at) if poly else F(0)
+
+    @functools.cache
+    def d(k, j, p):  # d_p a^k_j
+        poly = spec.rows(k).get(j)
+        return poly.diff(p).eval(point.at) if poly else F(0)
+
+    @functools.cache
+    def n(i, j, k):
+        return sum(a(p, j) * d(i, k, p) for p in idx if d(i, k, p)) \
+            - sum(a(p, k) * d(i, j, p) for p in idx if d(i, j, p)) \
+            - sum(a(i, p) * (d(p, k, j) - d(p, j, k)) for p in idx if a(i, p))
+
+    def h(i, j, k):
+        return sum(n(i, p, r) * a(p, j) * a(r, k)
+                   for p in idx if a(p, j) for r in idx if a(r, k)) \
+            - sum(a(i, p) * (n(p, j, r) * a(r, k) + n(p, r, k) * a(r, j))
+                  for p in idx if a(i, p) for r in idx) \
+            + sum(a(i, r) * a(r, p) * n(p, j, k)
+                  for r in idx if a(i, r) for p in idx)
+
+    return n, h
+
+
+@pytest.mark.parametrize("overrides", [{}, {"0,1": [["1", [0]]]},
+                                       {"0,0": [["1", [0, 0]]]}],
+                         ids=["paper", "a01=u0", "a00=u0^2"])
+def test_tensors_equal_their_dense_definitions(overrides):
+    spec = spec_with_overrides(SPEC, overrides)
+    point = _point(13)
+    n, h = _dense_tensors(spec, point, reach=7)  # reach 5 misses terms, 6 is exact
+    ev = TensorPoint(spec, point)
+    nonzero_h = 0
+    for i, j, k in itertools.product(range(-3, 4), repeat=3):
+        assert ev.nijenhuis(i, j, k) == n(i, j, k), (i, j, k)
+        if j <= k:  # both tensors are antisymmetric in (j, k)
+            hijk = h(i, j, k)
+            assert ev.haantjes(i, j, k) == hijk == -ev.haantjes(i, k, j), (i, j, k)
+            nonzero_h += hijk != 0
+    assert (nonzero_h > 0) == bool(overrides)

@@ -3,6 +3,7 @@ module's ``__all__`` and look every name up with ``getattr``."""
 
 import ast
 import importlib
+import sys
 from pathlib import Path
 
 import pytest
@@ -43,3 +44,16 @@ def test_every_imported_name_is_used(module):
                 isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
             exported |= set(ast.literal_eval(node.value))
     assert sorted(imported - used - exported) == []
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in SRC.glob("*.py")))
+def test_runtime_imports_are_stdlib_and_numpy(module):
+    # scipy is a test dependency only (pyproject's "test" extra)
+    tree = ast.parse((SRC / module).read_text(encoding="utf-8"))
+    top = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            top |= {a.name.split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            top.add(node.module.split(".")[0])
+    assert sorted(top - sys.stdlib_module_names - {"numpy"}) == []
