@@ -104,6 +104,12 @@ def cmd_lax_verify(args, out: Path) -> int:
     worst = 0.0
     checked = 0
     m_dim = 2 * args.sites
+    too_big = ValueError(f"sites={args.sites} does not fit in memory: the commutator "
+                         f"check builds dense {m_dim} x {m_dim} matrices")
+    try:
+        np.empty((m_dim, m_dim))  # fails here, before any band state is drawn
+    except MemoryError:
+        raise too_big from None
     for name in flows:
         k_flow, table_flow, even = _FLOWS[name]
         for _ in range(args.trials):
@@ -111,9 +117,7 @@ def cmd_lax_verify(args, out: Path) -> int:
             try:
                 comm, mask = lax.lax_rhs_commutator(b, k_flow, m_dim)
             except MemoryError:
-                raise ValueError(f"sites={args.sites} does not fit in memory: the "
-                                 f"commutator check builds dense {m_dim} x {m_dim} "
-                                 f"matrices") from None
+                raise too_big from None
             if not mask:
                 raise ValueError("truncation too tight: empty interior mask")
             expl = table_flow(b)

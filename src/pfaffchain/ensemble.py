@@ -23,9 +23,13 @@ of the second triangle gives
 
 which is exactly antisymmetric by construction.  G is computed by tensor
 Gauss-Legendre rules on [-R, R] with the inner y-rule mapped to [x, R], i.e.
-the integrand is smooth on every cell actually sampled.  ``moment_matrix``
-returns (mu_ij) as a plain antisymmetric ``ndarray``; the Pfaffian and the
-skew factorisation in ``lax`` take it as it is.
+the integrand is smooth on every cell actually sampled.  That rule (the
+outer nodes and weights and the inner grid with its weights) does not depend
+on t: it is built once per (nodes, radius) and shared by every coupling
+vector, whose table only evaluates the weight w on it and sums powers of x
+and y against it.  ``moment_matrix`` returns (mu_ij) as a plain antisymmetric
+``ndarray``; the Pfaffian and the skew factorisation in ``lax`` take it as it
+is.
 """
 
 from __future__ import annotations
@@ -42,7 +46,6 @@ __all__ = [
     "CouplingVector",
     "QuadratureConfig",
     "QuadratureError",
-    "weight_eval",
     "moment_mu",
     "moment_matrix",
     "pfaffian",
@@ -137,48 +140,44 @@ class QuadratureConfig:
         return (self.nodes_per_axis, self.domain_radius)
 
 
-def _exponent(x: np.ndarray, t: CouplingVector) -> np.ndarray:
+def _weight_array(x: np.ndarray, t: CouplingVector) -> np.ndarray:
+    """exp(-x^2/2 + sum_k t_k x^k) elementwise; raises on float overflow."""
     e = -0.5 * x * x
     for k, tk in t.entries.items():
         e = e + tk * x ** k
-    return e
-
-
-def weight_eval(x: float, t: CouplingVector) -> float:
-    """exp(-x^2/2 + sum_k t_k x^k); raises on float overflow."""
-    e = float(_exponent(np.asarray(float(x)), t))
-    if e > _MAX_EXPONENT:
-        raise OverflowError(f"weight overflow at x={x}")
-    return math.exp(e)
-
-
-def _weight_array(x: np.ndarray, t: CouplingVector) -> np.ndarray:
-    e = _exponent(x, t)
     bad = np.argmax(e)
     if e.flat[bad] > _MAX_EXPONENT:
         raise OverflowError(f"weight overflow at x={x.flat[bad]}")
     return np.exp(e)
 
 
+@lru_cache(maxsize=8)
+def _triangle_rule(nodes: int, radius: float) -> tuple[np.ndarray, ...]:
+    """Tensor Gauss-Legendre rule for the triangle y > x of [-R, R]^2, shared
+    by every coupling vector: outer nodes and weights ``x, wx`` on [-R, R],
+    and row a of the inner grid and weights ``y, wy`` on [x_a, R].  Read-only."""
+    nodes_x, wts = np.polynomial.legendre.leggauss(nodes)
+    x = radius * nodes_x
+    wx = radius * wts
+    half = 0.5 * (radius - x)
+    center = 0.5 * (x + radius)
+    y = center[:, None] + half[:, None] * nodes_x[None, :]
+    wy = half[:, None] * wts[None, :]
+    for a in (x, wx, y, wy):
+        a.flags.writeable = False
+    return x, wx, y, wy
+
+
 class _TriangleTable:
     """Gauss-Legendre table of G[i, j] over the triangle y > x, one level."""
 
     def __init__(self, t: CouplingVector, nodes: int, radius: float):
-        nodes_x, wts = np.polynomial.legendre.leggauss(nodes)
-        x = radius * nodes_x
-        wx = radius * wts
-        # inner rule on [x_a, R]
-        half = 0.5 * (radius - x)
-        center = 0.5 * (x + radius)
-        y = center[:, None] + half[:, None] * nodes_x[None, :]
-        wy = half[:, None] * wts[None, :]
-        self.x = x
-        self.ux = wx * _weight_array(x, t)          # outer weight incl. w(x)
-        self.y = y
-        self.uy = wy * _weight_array(y, t)          # inner weight incl. w(y)
-        self._xp = [np.ones_like(x)]
+        self.x, wx, self.y, wy = _triangle_rule(nodes, radius)
+        self.ux = wx * _weight_array(self.x, t)     # outer weight incl. w(x)
+        self.uy = wy * _weight_array(self.y, t)     # inner weight incl. w(y)
+        self._xp = [np.ones_like(self.x)]
         self._ty = [self.uy.sum(axis=1)]
-        self._ycur = np.array(self.uy)
+        self._ycur = self.uy
 
     def _extend(self, degree: int) -> None:
         while len(self._xp) <= degree:
@@ -226,8 +225,10 @@ class _MomentQuadrature:
 
 
 @lru_cache(maxsize=32)
-def _quadrature_for(t_key: tuple, even_only: bool, q_key: tuple) -> _MomentQuadrature:
-    t = CouplingVector(dict(t_key), even_only=even_only)
+def _quadrature_for(t_key: tuple, q_key: tuple) -> _MomentQuadrature:
+    """Keyed by the coupling entries alone: ``even_only`` does not change the
+    weight, so an even-only vector shares the table of its general twin."""
+    t = CouplingVector(dict(t_key))
     q = QuadratureConfig(*q_key)
     return _MomentQuadrature(t, q)
 
@@ -240,7 +241,7 @@ def moment_mu(i: int, j: int, t: CouplingVector, q: QuadratureConfig) -> float:
         return 0.0
     if i > j:
         return -moment_mu(j, i, t, q)
-    table = _quadrature_for(t.key(), t.even_only, q.key()).mu_table(j)
+    table = _quadrature_for(t.key(), q.key()).mu_table(j)
     return float(table[i, j])
 
 
@@ -250,7 +251,7 @@ def moment_matrix(n: int, t: CouplingVector, q: QuadratureConfig) -> np.ndarray:
     if n < 1:
         raise ValueError("n must be positive")
     try:
-        return _quadrature_for(t.key(), t.even_only, q.key()).mu_table(2 * n - 1)
+        return _quadrature_for(t.key(), q.key()).mu_table(2 * n - 1)
     except QuadratureError as exc:
         raise QuadratureError(f"moment matrix n={n}: {exc}", exc.coarse, exc.fine) from exc
 

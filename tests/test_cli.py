@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from pfaffchain import ensemble
+from pfaffchain import ensemble, lax
 from pfaffchain.cli import _write_report, main
 
 
@@ -44,6 +44,17 @@ def test_lax_verify_passes(tmp_path):
 def test_lax_verify_even_flow(tmp_path):
     assert main(["--out", str(tmp_path), "lax-verify", "--flows", "t2_even",
                  "--even", "--trials", "2"]) == 0
+
+
+def test_lax_verify_checks_the_dense_size_before_drawing_bands(tmp_path, capsys,
+                                                              monkeypatch):
+    calls = []
+    draw = lax.random_bands
+    monkeypatch.setattr(lax, "random_bands", lambda *a, **kw: calls.append(a) or draw(*a, **kw))
+    assert main(["--out", str(tmp_path), "lax-verify", "--sites", "100000",
+                 "--trials", "1"]) == 2
+    assert capsys.readouterr().err.startswith("error: sites=100000 does not fit in memory")
+    assert calls == []
 
 
 def test_lax_verify_truncation_too_tight(tmp_path):
@@ -205,11 +216,19 @@ def test_chain_evolve_reports_its_cfl_number_before_stepping(tmp_path, capsys, d
 
 
 def test_reports_are_deterministic(tmp_path):
-    out1, out2 = tmp_path / "a", tmp_path / "b"
-    for out in (out1, out2):
-        assert main(["--out", str(out), "--seed", "42", "gt", "--jets", "4"]) == 0
-    assert (out1 / "gt_involutivity.json").read_bytes() == \
-        (out2 / "gt_involutivity.json").read_bytes()
+    # moments and tau run cold, with the moment-table caches cleared, then warm
+    for i, (argv, files, tables) in enumerate([
+            (["--seed", "42", "gt", "--jets", "4"], ["gt_involutivity.json"], 0),
+            (["moments", "--n", "3"], ["moments_n3.csv", "tau_n3.json"], 1),
+            (["tau", "--n-max", "3"], ["tau_table.json"], 1)]):
+        ensemble._quadrature_for.cache_clear()
+        ensemble._triangle_rule.cache_clear()
+        out1, out2 = tmp_path / f"{i}a", tmp_path / f"{i}b"
+        for out in (out1, out2):
+            assert main(["--out", str(out)] + argv) == 0
+        assert ensemble._quadrature_for.cache_info().misses == tables
+        for name in files:
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
 def test_config_file_defaults(tmp_path):

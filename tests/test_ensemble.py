@@ -15,9 +15,9 @@ from pfaffchain.ensemble import (
     selberg_tau_zero,
     tau_from_moments,
     tau_report,
-    weight_eval,
     write_moment_csv,
 )
+from pfaffchain.ensemble import _quadrature_for, _triangle_rule, _weight_array
 
 ZERO = CouplingVector.zero()
 Q = QuadratureConfig()
@@ -27,23 +27,29 @@ Q = QuadratureConfig()
 # weights and the integrability guard
 # ---------------------------------------------------------------------------
 
+def weight_eval(x, t):
+    """Oracle for the adaptive rule: exp(-x^2/2 + sum_k t_k x^k) at one point."""
+    return math.exp(-0.5 * x * x + sum(tk * x ** k for k, tk in t.entries.items()))
+
+
 def test_weight_at_origin():
-    assert weight_eval(0.0, ZERO) == 1.0
+    assert _weight_array(np.array([0.0]), ZERO)[0] == 1.0
 
 
 def test_weight_even_in_gaussian_case():
-    for x in (0.3, 1.7, 4.2):
-        assert weight_eval(x, ZERO) == weight_eval(-x, ZERO)
+    x = np.array([0.3, 1.7, 4.2])
+    assert np.array_equal(_weight_array(x, ZERO), _weight_array(-x, ZERO))
 
 
 def test_weight_with_quadratic_coupling():
-    assert weight_eval(1.0, CouplingVector({2: -0.1})) == pytest.approx(math.exp(-0.6))
+    w = _weight_array(np.array([1.0]), CouplingVector({2: -0.1}))
+    assert w[0] == pytest.approx(math.exp(-0.6))
 
 
 def test_weight_overflow_names_the_point():
     t = CouplingVector({1: 800.0})  # guard fine (k_max <= 2, quadratic decay)
-    with pytest.raises(OverflowError, match="weight overflow"):
-        weight_eval(2.0, t)
+    with pytest.raises(OverflowError, match="weight overflow at x=2.0"):
+        _weight_array(np.array([-1.0, 2.0]), t)
 
 
 def test_guard_rejects_odd_leading_coupling():
@@ -148,6 +154,76 @@ def test_even_only_couplings_keep_parity_zeros():
         for j in range(4):
             if (i + j) % 2 == 0:
                 assert abs(dense[i, j]) < 1e-9
+
+
+def _inline_rule_levels(n, t, q):
+    """Oracle: both refinement levels of (mu_ij), 0 <= i, j <= 2n-1, with the
+    triangle rule built inline for the one table."""
+    levels = []
+    radius = q.domain_radius
+    for nodes in (q.nodes_per_axis, 2 * q.nodes_per_axis):
+        nodes_x, wts = np.polynomial.legendre.leggauss(nodes)
+        x = radius * nodes_x
+        wx = radius * wts
+        half = 0.5 * (radius - x)
+        center = 0.5 * (x + radius)
+        y = center[:, None] + half[:, None] * nodes_x[None, :]
+        wy = half[:, None] * wts[None, :]
+        ux = wx * _weight_array(x, t)
+        uy = wy * _weight_array(y, t)
+        xp, ty, ycur = [np.ones_like(x)], [uy.sum(axis=1)], np.array(uy)
+        for _ in range(2 * n - 1):
+            xp.append(xp[-1] * x)
+            ycur = ycur * y
+            ty.append(ycur.sum(axis=1))
+        g = np.array([p * ux for p in xp]) @ np.array(ty).T
+        levels.append(g - g.T)
+    return levels
+
+
+@pytest.mark.parametrize("nodes", [8, 40, 160, 200])
+def test_shared_rule_gives_the_inline_rule_bit_for_bit(nodes):
+    q = QuadratureConfig(nodes_per_axis=nodes)
+    for t in (ZERO, CouplingVector({2: -0.05}),
+              CouplingVector({1: 0.1, 2: -0.05, 4: -0.01})):
+        coarse, fine = _inline_rule_levels(3, t, q)
+        try:
+            assert np.array_equal(moment_matrix(3, t, q), fine)
+        except QuadratureError as exc:  # unconverged: both levels are carried
+            assert np.array_equal(exc.coarse, coarse) and np.array_equal(exc.fine, fine)
+
+
+def test_a_cold_table_reuses_the_rule_of_its_nodes_and_radius(monkeypatch):
+    calls = []
+    leggauss = np.polynomial.legendre.leggauss
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss",
+                        lambda deg: calls.append(deg) or leggauss(deg))
+    _quadrature_for.cache_clear()
+    _triangle_rule.cache_clear()
+    q = QuadratureConfig(nodes_per_axis=180)
+    moment_matrix(2, CouplingVector({2: -0.031}), q)
+    assert calls == [180, 360]
+    misses = _quadrature_for.cache_info().misses
+    moment_matrix(2, CouplingVector({1: 0.017, 2: -0.031}), q)
+    assert _quadrature_for.cache_info().misses == misses + 1  # a cold table
+    assert calls == [180, 360]
+
+
+def test_the_shared_rule_is_read_only():
+    rule = _triangle_rule(40, 10.0)
+    assert not any(a.flags.writeable for a in rule)
+    with pytest.raises(ValueError, match="read-only"):
+        rule[2][0, 0] = 0.0
+
+
+def test_even_only_and_general_twins_share_one_table():
+    entries = {2: -0.07, 4: -0.015}
+    general = moment_matrix(2, CouplingVector(entries), Q)
+    before = _quadrature_for.cache_info()
+    even = moment_matrix(2, CouplingVector(entries, even_only=True), Q)
+    after = _quadrature_for.cache_info()
+    assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+    assert np.array_equal(even, general)
 
 
 def test_quadrature_nonconvergence_error_carries_estimates():
