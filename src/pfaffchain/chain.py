@@ -8,12 +8,13 @@ quasilinear chain
 
     u^k_t = a^k_0 u^0_x + a^k_1 u^1_x + a^k_{k-1} u^{k-1}_x + a^k_{k+1} u^{k+1}_x
 
-The lattice table ``lax.t2_even_w_terms``, the v = 0 part of the second
-flow's table ``lax.t2_w_terms``, is the only definition of that chain: every
-right-hand side here (order 0, and the O(eps) and O(eps^2) corrections) is
-its Taylor expansion ``lax.continuum_terms``, compiled once per band and
-order.  The coefficients a^k_j have one reader, ``lax.chain_matrix_terms``,
-which ``max_row_sum`` sums here and the tensor engine
+The chain has no definition of its own.  Its source is the Lax matrix: the
+even second-flow table ``lax.flow_terms(2, "w", k, even=True)`` is read off
+the commutator on L with v = 0, and every right-hand side here (order 0,
+and the O(eps) and O(eps^2) corrections) is that table's Taylor expansion
+``lax.continuum_terms``, compiled once per band and order.  The
+coefficients a^k_j have one reader, ``lax.chain_matrix_terms``, which
+``max_row_sum`` sums here and the tensor engine
 (``integrability.paper_chain_spec``) makes exact.  The expanded tables are
 summed by the lattice's own evaluator (``lax._Fields``/``lax._sum_bands``),
 with each 4th-order x-derivative stencil applied once to the whole band
@@ -41,8 +42,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .lax import (LaxBands, _Fields, _float_terms, _march, _rk4_step, _sum_bands,
-                  _sum_terms, chain_matrix_terms, continuum_terms, flow_t2_even_explicit,
-                  t1_v_terms, t1_w_terms, t2_even_w_terms)
+                  _sum_terms, chain_matrix_terms, continuum_terms, flow_t2_even_explicit)
 
 __all__ = [
     "ChainState",
@@ -147,11 +147,12 @@ def _fields(s: ChainState) -> _Fields:
     return _Fields(s.rows, derivative)
 
 
-def _continuum_rhs(s: ChainState, table: Callable[[int], list], order: int,
-                   rescale: bool, fields: _Fields) -> np.ndarray:
-    """sum_r eps^r (eps^r part of the expanded table) for every |k| <= depth,
-    as (2 depth + 1, grid) rows."""
-    total, *parts = [_sum_bands(lambda k: continuum_terms(table, k, order, rescale)[r], fields)
+def _continuum_rhs(s: ChainState, fields: _Fields, order: int, flow_k: int, kind: str,
+                   rescale: bool = False, even: bool = False) -> np.ndarray:
+    """sum_r eps^r (eps^r part of the expanded ``lax.flow_terms`` table) for
+    every |k| <= depth, as (2 depth + 1, grid) rows."""
+    total, *parts = [_sum_bands(lambda k: continuum_terms(flow_k, kind, k, order,
+                                                          rescale, even)[r], fields)
                      for r in range(order + 1)]
     for r, part in enumerate(parts, 1):
         total += s.epsilon ** r * part
@@ -161,7 +162,7 @@ def _continuum_rhs(s: ChainState, table: Callable[[int], list], order: int,
 def chain_rhs_t2(s: ChainState) -> np.ndarray:
     """Leading-order chain right-hand side (the O(eps) part of the even
     lattice flow over eps); central 4th-order x-derivatives."""
-    return _continuum_rhs(s, t2_even_w_terms, 0, True, _fields(s))
+    return _continuum_rhs(s, _fields(s), 0, 2, "w", rescale=True, even=True)
 
 
 def chain_rhs_t2_corrected(s: ChainState, order: int) -> np.ndarray:
@@ -172,7 +173,7 @@ def chain_rhs_t2_corrected(s: ChainState, order: int) -> np.ndarray:
     """
     if order not in (0, 1, 2):
         raise ValueError("order must be 0, 1 or 2")
-    return _continuum_rhs(s, t2_even_w_terms, order, True, _fields(s))
+    return _continuum_rhs(s, _fields(s), order, 2, "w", rescale=True, even=True)
 
 
 def continuum_t1_rhs(s: ChainState, order: int) -> tuple[np.ndarray, np.ndarray]:
@@ -180,18 +181,18 @@ def continuum_t1_rhs(s: ChainState, order: int) -> tuple[np.ndarray, np.ndarray]
 
     Returns (du, dz), each as (2 depth + 1, grid) rows; needs the z fields.
     The first flow is not rescaled in time, so order r terms carry eps^r
-    directly.  The tables are the mechanical expansion of the verified
-    lattice first-flow formulas (the printed continuum equations contain one
-    stray x-derivative in the z^{k+1} u^{-1}_xx correction of the k < -1
-    branch).
+    directly.  The tables are the mechanical expansion of the lattice
+    first-flow tables ``lax.flow_terms(1, kind, k)`` (the printed continuum
+    equations contain one stray x-derivative in the z^{k+1} u^{-1}_xx
+    correction of the k < -1 branch).
     """
     if len(s.rows) < 2:
         raise ValueError("first-flow continuum limit needs the z fields")
     if order not in (0, 1, 2):
         raise ValueError("order must be 0, 1 or 2")
     fields = _fields(s)
-    return (_continuum_rhs(s, t1_w_terms, order, False, fields),
-            _continuum_rhs(s, t1_v_terms, order, False, fields))
+    return (_continuum_rhs(s, fields, order, 1, "w"),
+            _continuum_rhs(s, fields, order, 1, "v"))
 
 
 # ---------------------------------------------------------------------------

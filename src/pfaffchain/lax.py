@@ -1,5 +1,5 @@
 """Band representation of the lattice Lax matrix, its projection-commutator
-flows, the explicit flow formulas, skew factorisation and time stepping.
+flows and their term tables, skew factorisation and time stepping.
 
 Layout of the semi-infinite Lax matrix in band coordinates (1-based):
 
@@ -14,22 +14,28 @@ block-lower-triangular matrices with scalar 2x2 diagonal blocks:
     X_t = X_lo - J X_up^T J + (X_blk - J X_blk^T J) / 2,   J^2 = -I
 
 with X_up/X_lo the strict upper/lower parts excluding the 2x2 diagonal
-blocks and X_blk those blocks.  The explicit t_1/t_2 flow formulas are kept
-as *term tables* (rational coefficient, product of shifted band factors).
+blocks and X_blk those blocks.  Each flow is also written out as *term
+tables*, one per flow, kind and band (rational coefficient, product of
+shifted band factors).  ``flow_terms`` derives them from that definition
+alone: it takes the commutator over the symbolic Lax matrix, whose entries
+are the band factors as ``poly.Poly`` variables, and caches each table on
+first use; no table is written by hand.  With ``even`` the v bands of that
+matrix are zero, which gives the even reduction's tables (the v-free part of
+the full ones).
+
 One evaluator sums a table over a state's whole (kinds, 2 depth + 1, n)
 band stack, the layout that ``LaxBands.rows`` (n sites) and
 ``chain.ChainState.rows`` (n grid points) share: ``_Fields`` applies a
 zero-filling site shift (in ``chain`` an x-derivative stencil) to the whole
 stack once per shift, and ``_sum_bands`` sums one table per band.  The rows
 are float64, with float coefficients compiled once per table and band, or
-object arrays of Fractions for exact commutator cross-validation.  The even
-reduction's second flow ``t2_even_w_terms`` is the v = 0 part of
-``t2_w_terms``, so the commutator check of the full second flow covers it.
+object arrays of Fractions for exact commutator cross-validation.
+
 The Taylor expansion of these tables (``expand_lattice_terms``, with the
 cached float form ``continuum_terms``) is the continuum limit: the chain
-right-hand sides in ``chain`` are read off ``t2_even_w_terms`` that way, and
-so is the chain matrix a^k_j (``chain_matrix_terms``) that ``chain`` and
-``integrability`` read.
+right-hand sides in ``chain`` are read off the even second-flow table that
+way, and so is the chain matrix a^k_j (``chain_matrix_terms``) that
+``chain`` and ``integrability`` read.
 
 A band state (``LaxBands``, and ``BandDerivs`` for its derivatives) is one
 array ``rows`` of shape (kinds, 2 depth + 1, sites): kind 0 is w and kind 1
@@ -53,30 +59,25 @@ import itertools
 import math
 from collections.abc import Callable, Iterable, Iterator, Mapping, MutableMapping
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache
 
 import numpy as np
 
 from .ensemble import QuadratureConfig, CouplingVector, moment_matrix
+from .poly import Poly
 
 __all__ = [
     "LaxBands",
     "BandDerivs",
     "assemble_lax",
-    "disassemble_lax",
     "disassemble_derivs",
     "project_t",
-    "project_n",
     "lax_rhs_commutator",
     "interior_mask",
     "flow_t1_explicit",
     "flow_t2_explicit",
     "flow_t2_even_explicit",
-    "t1_v_terms",
-    "t1_w_terms",
-    "t2_v_terms",
-    "t2_w_terms",
-    "t2_even_w_terms",
+    "flow_terms",
     "FLOWS",
     "expand_lattice_terms",
     "continuum_terms",
@@ -302,18 +303,6 @@ def assemble_lax(b: LaxBands, M: int, dtype=float) -> np.ndarray:
     return L
 
 
-def disassemble_lax(A: np.ndarray, depth: int) -> LaxBands:
-    """Read band variables back from a dense matrix on the stored window;
-    each v^0_n must come with its -v^0_n partner on the diagonal."""
-    M = A.shape[0]
-    d = disassemble_derivs(A, depth)
-    n = np.arange(1, (M + 1) // 2)  # v^0_n at (2n - 1, 2n - 1), -v^0_n at (2n, 2n)
-    bad = A[2 * n, 2 * n] != -A[2 * n - 1, 2 * n - 1]
-    if bad.any():
-        raise ValueError(f"diagonal pair mismatch for v^0_{n[np.argmax(bad)]}")
-    return LaxBands._of(d.rows, d.stored)
-
-
 def disassemble_derivs(C: np.ndarray, depth: int) -> BandDerivs:
     """Read band-slot entries of a derivative matrix (no pair validation)."""
     M = C.shape[0]
@@ -356,11 +345,6 @@ def project_t(A: np.ndarray) -> np.ndarray:
     X = _minus_reflected(A)
     half = Fraction(1, 2) if A.dtype == object else 0.5
     return np.where(_block_mask(len(A)), X * half, np.tril(X, -1))
-
-
-def project_n(A: np.ndarray) -> np.ndarray:
-    """Complementary projection; the image satisfies J X^T J = X."""
-    return A - project_t(A)
 
 
 def _matrix_power(L: np.ndarray, k: int) -> np.ndarray:
@@ -415,290 +399,107 @@ def lax_rhs_commutator(b: LaxBands, k: int, M: int,
 
 
 # ---------------------------------------------------------------------------
-# explicit flow formulas as term tables
+# flow term tables, read off the symbolic Lax matrix
 # ---------------------------------------------------------------------------
 
 # A term is (coefficient, ((kind, band, site-offset), ...)); a flow table for
-# band k is the list of terms for d/dt of that band at site n, offsets taken
-# relative to n.
-
-Half = Fraction(1, 2)
-
-
-def _w(k: int, off: int) -> tuple[str, int, int]:
-    return ("w", k, off)
+# band k is the tuple of terms for d/dt of that band at site n, offsets taken
+# relative to n.  The tables are derived from the bi-infinite Lax matrix whose
+# entries are those factors, with the slot's own site at offset 0: since
+# [L^k, L] = 0, the flow [-(L^k)_t, L] equals [(L^k)_n, L] with
+# (L^k)_n = L^k - (L^k)_t, and (L^k)_n is banded (it reads L^k at most k + 2
+# off the diagonal), so one slot sums O(k) products of entries of L and L^k.
 
 
-def _v(k: int, off: int) -> tuple[str, int, int]:
-    return ("v", k, off)
+def _factor(kind: str, band: int, site: int) -> Poly:
+    return Poly({((kind, band, site),): 1})
 
 
-def t1_v_terms(k: int) -> list:
-    if k < -1:
-        return [
-            (Half, (_v(0, -1), _v(k, 0))),
-            (Half, (_v(0, 0), _v(k, 0))),
-            (-Half, (_v(0, -k - 1), _v(k, 0))),
-            (-Half, (_v(0, -k), _v(k, 0))),
-            (1, (_w(k - 1, 0),)),
-            (-1, (_w(0, 0), _w(-(k + 1), 1))),
-            (-1, (_w(-1, 0), _w(-k, 0))),
-            (-1, (_w(0, -1), _w(-(k - 1), -1))),
-        ]
-    if k == -1:
-        return [
-            (Half, (_v(0, -1), _v(-1, 0))),
-            (-Half, (_v(0, 1), _v(-1, 0))),
-            (1, (_w(-2, 0),)),
-            (-1, (_w(0, 0),)),
-            (-1, (_w(-1, 0), _w(1, 0))),
-            (-1, (_w(0, -1), _w(2, -1))),
-        ]
-    if k == 0:
-        return [(1, (_w(0, 0), _w(1, 0)))]
-    if k == 1:
-        return [
-            (Half, (_v(0, 1), _v(1, 0))),
-            (-Half, (_v(0, -1), _v(1, 0))),
-            (-1, (_w(-2, 0),)),
-            (1, (_w(0, 0),)),
-            (1, (_w(-1, 1), _w(1, 0))),
-            (1, (_w(0, 1), _w(2, 0))),
-        ]
-    return [
-        (Half, (_v(0, k), _v(k, 0))),
-        (Half, (_v(0, k - 1), _v(k, 0))),
-        (-Half, (_v(0, 0), _v(k, 0))),
-        (-Half, (_v(0, -1), _v(k, 0))),
-        (1, (_w(0, k - 1), _w(k - 1, 0))),
-        (1, (_w(-1, k), _w(k, 0))),
-        (1, (_w(0, k), _w(k + 1, 0))),
-        (-1, (_w(-(k + 1), 0),)),
-    ]
-
-
-def t1_w_terms(k: int) -> list:
-    if k == -2:
-        # collision case: v^{k+2} meets the signed v^0 diagonal, so the
-        # generic k < -1 pattern's +w^0_n v^0_n - w^0_n v^0_{n+1} pair turns
-        # into -w^0_n (v^0_{n+1} + v^0_{n-1}) (fixed against the commutator)
-        return [
-            (Half, (_v(0, 1), _w(-2, 0))),
-            (1, (_v(0, 0), _w(-2, 0))),
-            (Half, (_v(0, -1), _w(-2, 0))),
-            (-1, (_w(0, 0), _v(0, 1))),
-            (-1, (_w(0, 0), _v(0, -1))),
-            (1, (_w(-1, 1), _v(-1, 0))),
-            (-1, (_w(-1, 0), _v(1, 0))),
-            (1, (_w(0, 1), _v(-2, 0))),
-            (-1, (_w(0, -1), _v(2, -1))),
-        ]
-    if k < -1:
-        return [
-            (Half, (_v(0, -k - 1), _w(k, 0))),
-            (Half, (_v(0, -k - 2), _w(k, 0))),
-            (Half, (_v(0, 0), _w(k, 0))),
-            (Half, (_v(0, -1), _w(k, 0))),
-            (1, (_w(0, -k - 2), _v(k + 2, 0))),
-            (-1, (_w(0, 0), _v(-(k + 2), 1))),
-            (1, (_w(-1, -k - 1), _v(k + 1, 0))),
-            (-1, (_w(-1, 0), _v(-(k + 1), 0))),
-            (1, (_w(0, -k - 1), _v(k, 0))),
-            (-1, (_w(0, -1), _v(-k, -1))),
-        ]
-    if k == -1:
-        return [
-            (1, (_w(0, 0), _v(-1, 0))),
-            (-1, (_w(0, -1), _v(1, -1))),
-        ]
-    if k == 0:
-        return [
-            (Half, (_v(0, 1), _w(0, 0))),
-            (-1, (_v(0, 0), _w(0, 0))),
-            (Half, (_v(0, -1), _w(0, 0))),
-        ]
-    return [
-        (-Half, (_v(0, k), _w(k, 0))),
-        (-Half, (_v(0, k - 1), _w(k, 0))),
-        (-Half, (_v(0, 0), _w(k, 0))),
-        (-Half, (_v(0, -1), _w(k, 0))),
-        (1, (_v(k, 0),)),
-        (-1, (_v(-k, 0),)),
-    ]
-
-
-def t2_v_terms(k: int) -> list:
-    # The printed second-flow v-equations mislabel several band superscripts
-    # near the diagonal and flip the sign of the (v^0)^2 / w^0 w^1 groups at
-    # offsets 0 and -1 for k > 0; these tables are the commutator-derived
-    # corrected form (see the decisions ledger).
-    if k == 0:
-        return [(1, (_w(0, 0), _v(1, 0))), (1, (_w(0, 0), _v(-1, 0)))]
-    if k == -1:
-        return [
-            (-1, (_v(-2, -1), _w(0, -1))),
-            (1, (_v(-2, 0), _w(0, 1))),
-            (-Half, (_v(-1, 0), _v(0, -1), _v(0, -1))),
-            (1, (_v(-1, 0), _v(0, 0), _v(0, 0))),
-            (-Half, (_v(-1, 0), _v(0, 1), _v(0, 1))),
-            (-Half, (_v(-1, 0), _w(0, -1), _w(1, -1))),
-            (-Half, (_v(-1, 0), _w(0, 1), _w(1, 1))),
-            (1, (_v(0, -1), _w(-1, 0), _w(1, 0))),
-            (1, (_v(0, -1), _w(0, 0))),
-            (-1, (_v(0, 0), _w(-2, 0))),
-            (-1, (_v(0, 0), _w(-1, 0), _w(1, 0))),
-            (-1, (_v(0, 0), _w(0, 0))),
-            (1, (_v(0, 1), _w(-2, 0))),
-            (-1, (_v(1, -1), _w(0, -1), _w(1, 0))),
-        ]
-    if k == 1:
-        return [
-            (1, (_v(-1, 1), _w(0, 1), _w(1, 0))),
-            (Half, (_v(0, -1), _v(0, -1), _v(1, 0))),
-            (1, (_v(0, -1), _w(-2, 0))),
-            (-1, (_v(0, 0), _v(0, 0), _v(1, 0))),
-            (-1, (_v(0, 0), _w(-2, 0))),
-            (-1, (_v(0, 0), _w(-1, 1), _w(1, 0))),
-            (-1, (_v(0, 0), _w(0, 0))),
-            (Half, (_v(0, 1), _v(0, 1), _v(1, 0))),
-            (1, (_v(0, 1), _w(-1, 1), _w(1, 0))),
-            (1, (_v(0, 1), _w(0, 0))),
-            (Half, (_v(1, 0), _w(0, -1), _w(1, -1))),
-            (Half, (_v(1, 0), _w(0, 1), _w(1, 1))),
-            (-1, (_v(2, -1), _w(0, -1))),
-            (1, (_v(2, 0), _w(0, 1))),
-        ]
-    if k < -1:
-        return [
-            (-1, (_v(k - 1, -1), _w(0, -1))),
-            (1, (_v(k - 1, 0), _w(0, -k))),
-            (-Half, (_v(k, 0), _v(0, -1), _v(0, -1))),
-            (Half, (_v(k, 0), _v(0, 0), _v(0, 0))),
-            (Half, (_v(k, 0), _v(0, -k - 1), _v(0, -k - 1))),
-            (-Half, (_v(k, 0), _v(0, -k), _v(0, -k))),
-            (-Half, (_v(k, 0), _w(0, -1), _w(1, -1))),
-            (Half, (_v(k, 0), _w(0, 0), _w(1, 0))),
-            (Half, (_v(k, 0), _w(0, -k - 1), _w(1, -k - 1))),
-            (-Half, (_v(k, 0), _w(0, -k), _w(1, -k))),
-            (-1, (_v(k + 1, 0), _w(0, -k - 1))),
-            (1, (_v(k + 1, 1), _w(0, 0))),
-            (-1, (_v(-1, 0), _w(0, 0), _w(-k, 0))),
-            (1, (_v(0, -1), _w(-1, 0), _w(-k, 0))),
-            (-1, (_v(0, 0), _w(-1, 0), _w(-k, 0))),
-            (-1, (_v(0, -k - 1), _w(k - 1, 0))),
-            (1, (_v(0, -k), _w(k - 1, 0))),
-            (-1, (_v(1, -1), _w(0, -1), _w(-k, 0))),
-        ]
-    return [
-        (1, (_v(-1, k), _w(0, k), _w(k, 0))),
-        (Half, (_v(0, -1), _v(0, -1), _v(k, 0))),
-        (-Half, (_v(0, 0), _v(0, 0), _v(k, 0))),
-        (-Half, (_v(0, k - 1), _v(0, k - 1), _v(k, 0))),
-        (Half, (_v(0, k), _v(0, k), _v(k, 0))),
-        (1, (_v(0, -1), _w(-k - 1, 0))),
-        (-1, (_v(0, 0), _w(-k - 1, 0))),
-        (-1, (_v(0, k - 1), _w(-1, k), _w(k, 0))),
-        (1, (_v(0, k), _w(-1, k), _w(k, 0))),
-        (1, (_v(1, k - 1), _w(0, k - 1), _w(k, 0))),
-        (-1, (_v(k - 1, 0), _w(0, k - 1))),
-        (1, (_v(k - 1, 1), _w(0, 0))),
-        (Half, (_v(k, 0), _w(0, -1), _w(1, -1))),
-        (-Half, (_v(k, 0), _w(0, 0), _w(1, 0))),
-        (-Half, (_v(k, 0), _w(0, k - 1), _w(1, k - 1))),
-        (Half, (_v(k, 0), _w(0, k), _w(1, k))),
-        (-1, (_v(k + 1, -1), _w(0, -1))),
-        (1, (_v(k + 1, 0), _w(0, k))),
-    ]
-
-
-def t2_w_terms(k: int) -> list:
-    # Commutator-derived corrected form; the printed w-equations carry the
-    # same near-diagonal superscript mislabels as the v-equations, plus two
-    # spurious (w^0)^2-type terms at k = 1 and a site typo at k = 0.
-    if k == 0:
-        return [
-            (-Half, (_v(0, -1), _v(0, -1), _w(0, 0))),
-            (Half, (_v(0, 1), _v(0, 1), _w(0, 0))),
-            (-1, (_w(-1, 0), _w(0, 0))),
-            (1, (_w(-1, 1), _w(0, 0))),
-            (-Half, (_w(0, -1), _w(0, 0), _w(1, -1))),
-            (Half, (_w(0, 0), _w(0, 1), _w(1, 1))),
-        ]
-    if k == -1:
-        return [
-            (-1, (_v(-1, 0), _v(0, -1), _w(0, 0))),
-            (-1, (_v(-1, 0), _v(0, 0), _w(0, 0))),
-            (-1, (_v(0, -1), _v(1, -1), _w(0, -1))),
-            (-1, (_v(0, 0), _v(1, -1), _w(0, -1))),
-            (-1, (_w(-2, -1), _w(0, -1))),
-            (1, (_w(-2, 0), _w(0, 0))),
-            (-1, (_w(-1, 0), _w(0, -1), _w(1, -1))),
-            (1, (_w(-1, 0), _w(0, 0), _w(1, 0))),
-            (-1, (_w(0, -1), _w(0, -1))),
-            (1, (_w(0, 0), _w(0, 0))),
-        ]
-    if k == 1:
-        return [
-            (1, (_v(-1, 0), _v(0, -1))),
-            (-1, (_v(-1, 0), _v(0, 0))),
-            (Half, (_v(0, -1), _v(0, -1), _w(1, 0))),
-            (-1, (_v(0, 0), _v(1, 0))),
-            (-Half, (_v(0, 1), _v(0, 1), _w(1, 0))),
-            (1, (_v(0, 1), _v(1, 0))),
-            (Half, (_w(0, -1), _w(1, -1), _w(1, 0))),
-            (-1, (_w(0, -1), _w(2, -1))),
-            (-Half, (_w(0, 1), _w(1, 0), _w(1, 1))),
-            (1, (_w(0, 1), _w(2, 0))),
-        ]
-    if k < -1:
-        return [
-            (1, (_v(k + 1, 0), _v(-1, -k - 1), _w(0, -k - 1))),
-            (-1, (_v(k + 1, 0), _v(0, -k - 2), _w(-1, -k - 1))),
-            (1, (_v(k + 1, 0), _v(0, -k - 1), _w(-1, -k - 1))),
-            (1, (_v(k + 1, 0), _v(1, -k - 2), _w(0, -k - 2))),
-            (-1, (_v(-1, 0), _v(-k - 1, 0), _w(0, 0))),
-            (-Half, (_v(0, -1), _v(0, -1), _w(k, 0))),
-            (Half, (_v(0, 0), _v(0, 0), _w(k, 0))),
-            (-Half, (_v(0, -k - 2), _v(0, -k - 2), _w(k, 0))),
-            (Half, (_v(0, -k - 1), _v(0, -k - 1), _w(k, 0))),
-            (1, (_v(0, -1), _v(-k - 1, 0), _w(-1, 0))),
-            (-1, (_v(0, 0), _v(-k - 1, 0), _w(-1, 0))),
-            (-1, (_v(1, -1), _v(-k - 1, 0), _w(0, -1))),
-            (-1, (_w(k - 1, -1), _w(0, -1))),
-            (1, (_w(k - 1, 0), _w(0, -k - 1))),
-            (-Half, (_w(k, 0), _w(0, -1), _w(1, -1))),
-            (Half, (_w(k, 0), _w(0, 0), _w(1, 0))),
-            (-Half, (_w(k, 0), _w(0, -k - 2), _w(1, -k - 2))),
-            (Half, (_w(k, 0), _w(0, -k - 1), _w(1, -k - 1))),
-            (-1, (_w(k + 1, 0), _w(0, -k - 2))),
-            (1, (_w(k + 1, 1), _w(0, 0))),
-        ]
-    return [
-        (1, (_v(-k, 0), _v(0, -1))),
-        (-1, (_v(-k, 0), _v(0, 0))),
-        (Half, (_v(0, -1), _v(0, -1), _w(k, 0))),
-        (-Half, (_v(0, 0), _v(0, 0), _w(k, 0))),
-        (Half, (_v(0, k - 1), _v(0, k - 1), _w(k, 0))),
-        (-Half, (_v(0, k), _v(0, k), _w(k, 0))),
-        (-1, (_v(0, k - 1), _v(k, 0))),
-        (1, (_v(0, k), _v(k, 0))),
-        (Half, (_w(0, -1), _w(1, -1), _w(k, 0))),
-        (-Half, (_w(0, 0), _w(1, 0), _w(k, 0))),
-        (Half, (_w(0, k - 1), _w(1, k - 1), _w(k, 0))),
-        (-Half, (_w(0, k), _w(1, k), _w(k, 0))),
-        (-1, (_w(0, -1), _w(k + 1, -1))),
-        (1, (_w(0, 0), _w(k - 1, 1))),
-        (-1, (_w(0, k - 1), _w(k - 1, 0))),
-        (1, (_w(0, k), _w(k + 1, 0))),
-    ]
+def _shifted(p: Poly, sites: int) -> Poly:
+    """p with every factor moved by ``sites`` sites."""
+    return Poly({tuple((kind, band, n + sites) for kind, band, n in mono): c
+                 for mono, c in p.terms.items()}) if sites else p
 
 
 @lru_cache(maxsize=None)
-def t2_even_w_terms(k: int) -> tuple:
-    """Second flow of the even reduction: the terms of ``t2_w_terms(k)``
-    without a v factor, i.e. its v = 0 part (built once per k)."""
-    return tuple(term for term in t2_w_terms(k)
-                 if all(kind == "w" for kind, _band, _off in term[1]))
+def _lax_entry(a: int, b: int, even: bool) -> Poly:
+    """Entry (a, b) of the symbolic Lax matrix in the 0-based layout of
+    ``_slot_index`` (site s owns rows and columns 2s, 2s + 1); ``even`` zeroes
+    the v bands."""
+    d = a - b
+    if d < -1:
+        return Poly()
+    if d == -1:
+        return Poly.const(1) if a % 2 == 0 else _factor("w", 0, a // 2)
+    if d % 2 == 0 and even:
+        return Poly()
+    if d == 0:  # v^0_s at (2s + 1, 2s + 1), -v^0_s at (2s + 2, 2s + 2)
+        return _factor("v", 0, a // 2) if a % 2 else -_factor("v", 0, a // 2 - 1)
+    band = (d + 1) // 2
+    return _factor("wv"[d % 2 == 0], band if b % 2 else -band, b // 2)
+
+
+@lru_cache(maxsize=None)
+def _power_entry(k: int, a: int, d: int, even: bool) -> Poly:
+    """Entry (a, a + d) of L^k for a row a of site 0, as the sum over j of
+    (L^(k-1))_aj L_j(a+d); the first factor vanishes for j > a + k - 1 and
+    the second for j < a + d - 1, which bounds the sum."""
+    if k == 1:
+        return _lax_entry(a, a + d, even)
+    total = Poly()
+    for j in range(a + d - 1, a + k):
+        left = _power_entry(k - 1, a, j - a, even)
+        if left:
+            total = total + left * _lax_entry(j, a + d, even)
+    return total
+
+
+def _power(k: int, a: int, b: int, even: bool) -> Poly:
+    """Entry (a, b) of L^k, moved from site 0 by translation invariance."""
+    return _shifted(_power_entry(k, a % 2, b - a, even), a // 2)
+
+
+@lru_cache(maxsize=None)
+def _n_entry(k: int, a: int, b: int, even: bool) -> Poly:
+    """Entry (a, b) of (L^k)_n = L^k - (L^k)_t for a row a of site 0: L^k
+    above the diagonal blocks, (L^k - X/2) on them and L^k - X below, with
+    X = L^k - J (L^k)^T J as in ``project_t``."""
+    if b > 1:
+        return _power(k, a, b, even)
+    flip = _power(k, b ^ 1, a ^ 1, even) * (1 if a % 2 != b % 2 else -1)
+    if b < 0:
+        return flip
+    return (_power(k, a, b, even) + flip) * Fraction(1, 2)
+
+
+def _n(k: int, a: int, b: int, even: bool) -> Poly:
+    """Entry (a, b) of (L^k)_n, moved from site 0 by translation invariance."""
+    m = a // 2
+    return _shifted(_n_entry(k, a - 2 * m, b - 2 * m, even), m)
+
+
+@lru_cache(maxsize=None)
+def flow_terms(flow_k: int, kind: str, band: int, even: bool = False) -> tuple:
+    """Term table of d/dt_k of band slot (``kind`` "w" or "v", ``band``) at
+    site n under dL/dt_k = [-(L^k)_t, L], read off the symbolic Lax matrix
+    and cached per key.  The terms are (exact coefficient, sorted factors)
+    pairs in sorted order.  ``even`` sets the v bands to zero (the even
+    reduction), which keeps exactly the terms without a v factor."""
+    if flow_k < 1 or kind not in ("w", "v"):
+        raise ValueError(f"no flow table for flow_k={flow_k}, kind={kind!r}")
+    if band == 0:
+        r, c = (1, 1 + (kind == "w"))
+    else:
+        c = int(band > 0)
+        r = c + 2 * abs(band) - 1 + (kind == "v")
+    k, total = flow_k, Poly()
+    for j in range(r - k - 2, r + k + 1):  # (L^k)_n L
+        if e := _lax_entry(j, c, even):
+            total = total + _n(k, r, j, even) * e
+    for j in range(c - k, c + k + 3):  # - L (L^k)_n
+        if e := _lax_entry(r, j, even):
+            total = total - e * _n(k, j, c, even)
+    return tuple((coeff, mono) for mono, coeff in sorted(total.terms.items()))
 
 
 # ---------------------------------------------------------------------------
@@ -758,9 +559,9 @@ def _float_terms(terms: Iterable) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def _float_table(table: Callable[[int], list], k: int) -> tuple:
-    """``_float_terms(table(k))``, built once per table and band."""
-    return _float_terms(table(k))
+def _float_table(flow_k: int, kind: str, band: int, even: bool) -> tuple:
+    """``_float_terms(flow_terms(...))``, built once per table and band."""
+    return _float_terms(flow_terms(flow_k, kind, band, even))
 
 
 def _site_shift(rows: np.ndarray, m: int) -> np.ndarray:
@@ -774,34 +575,33 @@ def _site_shift(rows: np.ndarray, m: int) -> np.ndarray:
     return out
 
 
-def _flow_from_tables(b: LaxBands, w_table: Callable[[int], list],
-                      v_table: Callable[[int], list] | None) -> BandDerivs:
-    """Every slot of every band |k| <= depth, read off the tables over the
-    state's rows: float64 rows with float coefficients, or object rows
-    (exact Fractions) with the tables' own coefficients."""
+def _flow_from_tables(b: LaxBands, flow_k: int, even: bool = False) -> BandDerivs:
+    """Every slot of every band |k| <= depth, read off the ``flow_terms``
+    tables over the state's rows: float64 rows with float coefficients, or
+    object rows (exact Fractions) with the tables' own coefficients.  A state
+    without v rows gets the w tables only."""
     fields = _Fields(b.rows, _site_shift)
-    tables = [w_table] if v_table is None or b.even_reduced else [w_table, v_table]
-    if b.rows.dtype != object:
-        tables = [partial(_float_table, table) for table in tables]
-    d = np.array([_sum_bands(table, fields) for table in tables], b.rows.dtype)
+    table = flow_terms if b.rows.dtype == object else _float_table
+    d = np.array([_sum_bands(lambda k: table(flow_k, kind, k, even), fields)
+                  for kind in "wv"[:len(b.rows)]], b.rows.dtype)
     return BandDerivs(d, np.ones(d.shape, bool))
 
 
 def flow_t1_explicit(b: LaxBands) -> BandDerivs:
-    """First-flow band derivatives from the explicit formulas."""
-    return _flow_from_tables(b, t1_w_terms, t1_v_terms)
+    """First-flow band derivatives from the term tables."""
+    return _flow_from_tables(b, 1)
 
 
 def flow_t2_explicit(b: LaxBands) -> BandDerivs:
-    """Second-flow band derivatives from the explicit formulas."""
-    return _flow_from_tables(b, t2_w_terms, t2_v_terms)
+    """Second-flow band derivatives from the term tables."""
+    return _flow_from_tables(b, 2)
 
 
 def flow_t2_even_explicit(b: LaxBands) -> BandDerivs:
     """Second flow of the even reduction (v identically zero)."""
     if not b.even_reduced:
         raise ValueError("flow_t2_even_explicit needs an even-reduced state")
-    return _flow_from_tables(b, t2_even_w_terms, None)
+    return _flow_from_tables(b, 2, even=True)
 
 
 # flow name -> (power k of L in the commutator, explicit flow, even reduction)
@@ -862,12 +662,13 @@ def expand_lattice_terms(terms: Iterable, max_order: int,
 
 
 @lru_cache(maxsize=None)
-def continuum_terms(table: Callable[[int], list], k: int, order: int,
-                    rescale: bool = False) -> tuple:
-    """Float form of ``expand_lattice_terms(table(k), order, rescale)``,
-    built on first use and cached: entry r holds the eps^r part as
-    (coefficient, ((kind, band, x-derivative order), ...)) pairs."""
-    expanded = expand_lattice_terms(table(k), order, rescale)
+def continuum_terms(flow_k: int, kind: str, band: int, order: int,
+                    rescale: bool = False, even: bool = False) -> tuple:
+    """Float form of ``expand_lattice_terms(flow_terms(flow_k, kind, band,
+    even), order, rescale)``, built on first use and cached: entry r holds
+    the eps^r part as (coefficient, ((kind, band, x-derivative order), ...))
+    pairs."""
+    expanded = expand_lattice_terms(flow_terms(flow_k, kind, band, even), order, rescale)
     return tuple(_float_terms((c, factors) for factors, c in expanded[r].items())
                  for r in range(order + 1))
 
@@ -875,14 +676,15 @@ def continuum_terms(table: Callable[[int], list], k: int, order: int,
 @lru_cache(maxsize=None)
 def chain_matrix_terms(k: int) -> tuple:
     """Row k of the chain matrix a^k_j, read off the order-0 expansion of
-    ``t2_even_w_terms(k)``, built on first use and cached.  Each term of that
-    expansion carries exactly one x-derivative factor u^j_x, which names its
-    column j; the rest of the term is a^k_j.  Returns ((j, terms), ...) in
-    order of first appearance, where terms are (exact coefficient,
-    ((kind, band, 0), ...)) pairs; colliding columns (k = -1, 2) come out
-    merged."""
+    the even second-flow table ``flow_terms(2, "w", k, even=True)``, built
+    on first use and cached.  Each term of that expansion carries exactly
+    one x-derivative factor u^j_x, which names its column j; the rest of the
+    term is a^k_j.  Returns ((j, terms), ...) in order of first appearance,
+    where terms are (exact coefficient, ((kind, band, 0), ...)) pairs;
+    colliding columns (k = -1, 2) come out merged."""
     row: dict[int, list] = {}
-    for factors, coeff in expand_lattice_terms(t2_even_w_terms(k), 0, rescale=True)[0].items():
+    expanded = expand_lattice_terms(flow_terms(2, "w", k, even=True), 0, rescale=True)
+    for factors, coeff in expanded[0].items():
         [col] = [band for _kind, band, d in factors if d == 1]
         row.setdefault(col, []).append((coeff, tuple(f for f in factors if f[2] == 0)))
     return tuple((j, tuple(terms)) for j, terms in row.items())

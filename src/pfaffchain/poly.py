@@ -1,0 +1,156 @@
+"""Sparse exact polynomials with rational coefficients: the one exact ring
+of the package.
+
+A monomial is a sorted tuple of variables with multiplicity, so any
+mutually comparable values serve as variables: the chain components u^p as
+integers p (``integrability``), or the lattice band factors
+(kind, band, site offset) that ``lax.flow_terms`` reads its tables from.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from typing import Callable, Iterable, Mapping
+
+__all__ = ["Poly"]
+
+
+Monomial = tuple  # sorted variables with multiplicity
+
+_ZERO = Fraction(0)  # the one default for absent entries; Fractions are immutable
+
+
+class Poly:
+    """Polynomial with exact rational coefficients.
+
+    Monomials are sorted variable tuples with multiplicity: over the chain
+    components u^0*u^1 is (0, 1), (u^0)^2 is (0, 0), the constant monomial
+    is ().
+    """
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms: Mapping[Monomial, Fraction] | None = None):
+        self.terms: dict[Monomial, Fraction] = {}
+        if terms:
+            for mono, coeff in terms.items():
+                c = Fraction(coeff)
+                if c:
+                    self.terms[tuple(sorted(mono))] = c
+
+    @staticmethod
+    def const(c) -> "Poly":
+        return Poly({(): Fraction(c)})
+
+    @staticmethod
+    def u(p: int) -> "Poly":
+        return Poly({(p,): Fraction(1)})
+
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Poly) and self.terms == other.terms
+
+    def __hash__(self):
+        return hash(frozenset(self.terms.items()))
+
+    def __add__(self, other: "Poly") -> "Poly":
+        out = dict(self.terms)
+        for mono, c in other.terms.items():
+            s = out.get(mono, Fraction(0)) + c
+            if s:
+                out[mono] = s
+            else:
+                out.pop(mono, None)
+        res = Poly()
+        res.terms = out
+        return res
+
+    def __neg__(self) -> "Poly":
+        res = Poly()
+        res.terms = {m: -c for m, c in self.terms.items()}
+        return res
+
+    def __sub__(self, other: "Poly") -> "Poly":
+        return self + (-other)
+
+    def __mul__(self, other) -> "Poly":
+        if isinstance(other, Poly):
+            out: dict[Monomial, Fraction] = {}
+            for m1, c1 in self.terms.items():
+                for m2, c2 in other.terms.items():
+                    mono = tuple(sorted(m1 + m2))
+                    s = out.get(mono, Fraction(0)) + c1 * c2
+                    if s:
+                        out[mono] = s
+                    else:
+                        out.pop(mono, None)
+            res = Poly()
+            res.terms = out
+            return res
+        c = Fraction(other)
+        res = Poly()
+        if c:
+            res.terms = {m: cc * c for m, cc in self.terms.items()}
+        return res
+
+    __rmul__ = __mul__
+
+    def diff(self, p: int) -> "Poly":
+        """Exact partial derivative with respect to u^p."""
+        out: dict[Monomial, Fraction] = {}
+        for mono, c in self.terms.items():
+            mult = mono.count(p)
+            if not mult:
+                continue
+            reduced = list(mono)
+            reduced.remove(p)
+            mono2 = tuple(reduced)
+            s = out.get(mono2, Fraction(0)) + c * mult
+            if s:
+                out[mono2] = s
+            else:
+                out.pop(mono2, None)
+        res = Poly()
+        res.terms = out
+        return res
+
+    def variables(self) -> frozenset[int]:
+        return frozenset(p for mono in self.terms for p in mono)
+
+    def eval(self, value_of: Callable[[int], object]):
+        """Evaluate with any numeric type supplied by ``value_of``."""
+        total = None
+        for mono, c in self.terms.items():
+            term = c
+            for p in mono:
+                term = term * value_of(p)
+            total = term if total is None else total + term
+        return _ZERO if total is None else total
+
+    def __repr__(self) -> str:
+        if not self.terms:
+            return "0"
+        bits = []
+        for mono, c in sorted(self.terms.items()):
+            mono_s = "*".join(f"u[{p}]" for p in mono) or "1"
+            bits.append(f"{c}*{mono_s}")
+        return " + ".join(bits)
+
+    def to_table(self) -> list[list]:
+        """JSON-friendly form: [[coeff-string, [indices...]], ...]."""
+        return [[str(c), list(m)] for m, c in sorted(self.terms.items())]
+
+    @staticmethod
+    def from_table(table: Iterable) -> "Poly":
+        """Inverse of ``to_table``; a table of any other shape raises
+        ValueError."""
+        terms: dict[Monomial, Fraction] = {}
+        try:
+            for coeff, mono in table:
+                terms[tuple(sorted(int(p) for p in mono))] = Fraction(str(coeff))
+        except TypeError as exc:
+            raise ValueError(f"bad term table {table!r}: need "
+                             f"[[coeff, [index, ...]], ...] ({exc})") from exc
+        return Poly(terms)

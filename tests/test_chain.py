@@ -23,8 +23,7 @@ from pfaffchain.chain import (
     _dx3,
 )
 from pfaffchain.integrability import Poly, paper_chain_spec
-from pfaffchain.lax import (continuum_terms, expand_lattice_terms, t1_v_terms, t1_w_terms,
-                            t2_even_w_terms)
+from pfaffchain.lax import continuum_terms, expand_lattice_terms, flow_terms
 
 F = Fraction
 
@@ -209,7 +208,7 @@ def _canon(terms):
 
 @pytest.mark.parametrize("k", range(-7, 8))
 def test_correction_tables_match_lattice_expansion_exactly(k):
-    mech = expand_lattice_terms(t2_even_w_terms(k), 2, rescale=True)
+    mech = expand_lattice_terms(flow_terms(2, "w", k, even=True), 2, rescale=True)
     assert _canon(chain_t2_order0_terms(k)) == mech[0]
     assert _canon(chain_t2_correction_terms(k, 1)) == mech[1]
     assert _canon(chain_t2_correction_terms(k, 2)) == mech[2]
@@ -217,16 +216,17 @@ def test_correction_tables_match_lattice_expansion_exactly(k):
 
 def test_no_expansion_runs_at_import():
     code = ("import pfaffchain.cli; from pfaffchain import chain, integrability, lax; "
-            "print(lax.continuum_terms.cache_info().currsize, "
+            "print(lax.flow_terms.cache_info().currsize, "
+            "lax.continuum_terms.cache_info().currsize, "
             "lax.chain_matrix_terms.cache_info().currsize, "
             "integrability._even_chain_row.cache_info().currsize)")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     done = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                           capture_output=True, text=True)
-    assert done.stdout.split() == ["0", "0", "0"]
+    assert done.stdout.split() == ["0", "0", "0", "0"]
 
 
-def _rhs_band_by_band(s, table, order, rescale):
+def _rhs_band_by_band(s, order, flow_k, kind, rescale=False, even=False):
     """A continuum right-hand side summed one band at a time, each factor
     differentiated on its own row: the reference for the evaluator, which
     applies each stencil once to the whole band stack."""
@@ -240,7 +240,7 @@ def _rhs_band_by_band(s, table, order, rescale):
     out = []
     for k in range(-s.depth, s.depth + 1):
         total = 0.0
-        for r, terms in enumerate(continuum_terms(table, k, order, rescale)):
+        for r, terms in enumerate(continuum_terms(flow_k, kind, k, order, rescale, even)):
             part = np.zeros(s.grid_size)
             for coeff, factors in terms:
                 part += coeff * math.prod((field(*f) for f in factors[1:]),
@@ -254,13 +254,14 @@ def _rhs_band_by_band(s, table, order, rescale):
 def test_stack_evaluator_equals_the_band_by_band_sum(seed):
     rng = np.random.default_rng(seed)
     s = _random_state(rng, depth=seed, grid=16 + seed, with_z=True, epsilon=1 / 64)
-    assert np.array_equal(chain_rhs_t2(s), _rhs_band_by_band(s, t2_even_w_terms, 0, True))
+    even_t2 = dict(flow_k=2, kind="w", rescale=True, even=True)
+    assert np.array_equal(chain_rhs_t2(s), _rhs_band_by_band(s, 0, **even_t2))
     for order in (1, 2):
         assert np.array_equal(chain_rhs_t2_corrected(s, order),
-                              _rhs_band_by_band(s, t2_even_w_terms, order, True))
+                              _rhs_band_by_band(s, order, **even_t2))
         du, dz = continuum_t1_rhs(s, order)
-        assert np.array_equal(du, _rhs_band_by_band(s, t1_w_terms, order, False))
-        assert np.array_equal(dz, _rhs_band_by_band(s, t1_v_terms, order, False))
+        assert np.array_equal(du, _rhs_band_by_band(s, order, 1, "w"))
+        assert np.array_equal(dz, _rhs_band_by_band(s, order, 1, "v"))
 
 
 def test_each_stencil_runs_once_on_the_whole_stack(monkeypatch):
@@ -304,7 +305,7 @@ def test_constant_state_has_zero_rhs_at_every_order():
 
 def test_first_correction_of_u0_branch():
     # the O(eps) term of the u^0 equation is u^0 u^-1_xx / 2
-    mech = expand_lattice_terms(t2_even_w_terms(0), 1, rescale=True)
+    mech = expand_lattice_terms(flow_terms(2, "w", 0, even=True), 1, rescale=True)
     assert mech[1] == {(("w", -1, 2), ("w", 0, 0)): Fraction(1, 2)}
 
 

@@ -10,7 +10,7 @@ import pytest
 
 import pfaffchain
 
-LAYERS = ("chain", "ensemble", "integrability", "lax", "reductions")
+LAYERS = ("chain", "ensemble", "integrability", "lax", "poly", "reductions")
 
 
 @pytest.mark.parametrize("layer", LAYERS)
