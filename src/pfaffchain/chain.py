@@ -13,20 +13,20 @@ even second-flow table ``lax.flow_terms(2, "w", k, even=True)`` is read off
 the commutator on L with v = 0, and every right-hand side here (order 0,
 and the O(eps) and O(eps^2) corrections) is that table's Taylor expansion
 ``lax.continuum_terms``, compiled once per band and order.  The
-coefficients a^k_j have one reader, ``lax.chain_matrix_terms``, which
-``max_row_sum`` sums here and the tensor engine
-(``integrability.paper_chain_spec``) makes exact.  The expanded tables are
-summed by the lattice's own evaluator (``lax._Fields``/``lax._sum_bands``),
-with each 4th-order x-derivative stencil applied once to the whole band
-stack in place of its site shifts.  A state (``ChainState``) has the
-lattice's band layout: one (kinds, 2 depth + 1, grid) array ``rows``, kind 0
-the u bands and kind 1 the z bands, row k + depth band k, so
-u^k(x) = w^k(x / eps) is the same array read on a grid.  The right-hand
-sides return (2 depth + 1, grid) arrays in that row order, and
-``evolve_chain`` steps the u kind through the lattice's stepping loop.
-The printed correction formulas carry sign typos in the u^0 u^1 coupling
-group of the k < 0 and k > 1 branches; the tests keep the printed forms as
-oracles against the expansion.
+coefficients a^k_j have one reader, ``lax.chain_matrix_terms`` (Polys, the
+order-0 expansion's derivatives by u^j_x), which ``max_row_sum`` sums here
+and the tensor engine (``integrability.paper_chain_spec``) reads exactly.
+The expanded tables are summed by the lattice's own evaluator
+(``lax._Fields``/``lax._sum_bands``), with each 4th-order x-derivative
+stencil applied once to the whole band stack in place of its site shifts.
+A state (``ChainState``) has the lattice's band layout: one (kinds,
+2 depth + 1, grid) array ``rows``, kind 0 the u bands and kind 1 the z
+bands, row k + depth band k, so u^k(x) = w^k(x / eps) is the same array
+read on a grid.  The right-hand sides return (2 depth + 1, grid) arrays in
+that row order, and ``evolve_chain`` steps the u kind through the lattice's
+stepping loop.  The printed correction formulas carry sign typos in the
+u^0 u^1 coupling group of the k < 0 and k > 1 branches; the tests keep the
+printed forms as oracles against the expansion.
 
 The first flow has no quasilinear limit: its continuum equations for
 (u^k, z^k) = (w^k, v^k) interpolants mix orders, with z^0_t1 = u^0 u^1
@@ -211,8 +211,8 @@ def max_row_sum(s: ChainState) -> float:
     fields = _fields(s)
     worst = 0.0
     for k in range(-s.depth, s.depth + 1):
-        total = sum(np.abs(_sum_terms(_float_terms(terms), fields))
-                    for _j, terms in chain_matrix_terms(k))
+        total = sum(np.abs(_sum_terms(_float_terms(a), fields))
+                    for a in chain_matrix_terms(k).values())
         worst = max(worst, float(np.max(total)))
     return worst
 

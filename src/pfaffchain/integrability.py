@@ -18,11 +18,11 @@ any user-supplied chain-class matrix.
 
 The flagship instance is the skew-ensemble chain matrix.  Its rows are not
 written out here, nor anywhere else: row k is ``lax.chain_matrix_terms(k)``,
-the order-0 Taylor expansion of the even second-flow table
-``lax.flow_terms(2, "w", k, even=True)``, which is read off the commutator
-on the Lax matrix with v = 0.  Its terms are grouped by the column j that
-their one x-derivative factor u^j_x names and made exact Polys (the ring of
-``poly``, imported here as ``integrability.Poly``).  They come out as
+{j: a^k_j} with a^k_j the derivative by u^j_x of the order-0 Taylor
+expansion of the even second-flow table ``lax.flow_terms(2, "w", k,
+even=True)``, read off the commutator on the Lax matrix with v = 0.  Its
+entries are exact Polys (``poly``, imported here as ``integrability.Poly``)
+whose variables ("w", p, 0) are renamed to p.  They come out as
 
     row k (generic):  col 0: (k+2)u^{k+1} - k u^{k-1} + u^1 u^k   (k < 0)
                              (k+1)u^{k+1} - (k-1)u^{k-1} - u^1 u^k (k > 1)
@@ -39,10 +39,11 @@ from __future__ import annotations
 
 import json
 import random
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 from .lax import chain_matrix_terms
 from .poly import _ZERO, Poly
@@ -119,9 +120,8 @@ class ChainMatrixSpec:
 
 @lru_cache(maxsize=None)
 def _even_chain_row(k: int) -> tuple[tuple[int, Poly], ...]:
-    return tuple((j, Poly({tuple(band for _kind, band, _d in factors): coeff
-                           for coeff, factors in terms}))
-                 for j, terms in chain_matrix_terms(k))
+    return tuple((j, Poly({tuple(p for _w, p, _d in mono): c for mono, c in a.terms.items()}))
+                 for j, a in chain_matrix_terms(k).items())
 
 
 def _paper_rows(k: int) -> dict[int, Poly]:
@@ -140,7 +140,9 @@ def spec_from_table(name: str, table: Mapping[str, Mapping[str, list]],
         raise ValueError("spec 'rows' must be an object of per-row objects")
     parsed: dict[int, dict[int, Poly]] = {}
     for k_s, row in table.items():
-        parsed[int(k_s)] = {int(j_s): Poly.from_table(t) for j_s, t in row.items()}
+        for j_s, t in row.items():
+            with _blamed(f"spec row {k_s!r}, column {j_s!r}"):
+                parsed.setdefault(int(k_s), {})[int(j_s)] = Poly.from_table(t)
 
     def rows(k: int) -> dict[int, Poly]:
         return dict(parsed.get(k, {}))
@@ -154,8 +156,11 @@ def spec_with_overrides(base: ChainMatrixSpec,
     """Replace individual entries (key "k,j") of an existing spec."""
     parsed: dict[tuple[int, int], Poly] = {}
     for key, table in overrides.items():
-        k_s, j_s = key.split(",")
-        parsed[(int(k_s), int(j_s))] = Poly.from_table(table)
+        with _blamed(f"spec override {key!r}"):
+            if key.count(",") != 1:
+                raise ValueError("need a key 'k,j' and a table [[coeff, [index, ...]], ...]")
+            k_s, j_s = key.split(",")
+            parsed[(int(k_s), int(j_s))] = Poly.from_table(table)
 
     def rows(k: int) -> dict[int, Poly]:
         row = dict(base.rows(k))
@@ -169,6 +174,15 @@ def spec_with_overrides(base: ChainMatrixSpec,
 
     return ChainMatrixSpec(name=name or f"{base.name}+overrides",
                            rows=rows, stencil=base.stencil)
+
+
+@contextmanager
+def _blamed(where: str) -> Iterator[None]:
+    """Re-raise a ValueError from parsing one spec entry with the entry named."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from exc
 
 
 def load_spec_json(path_or_obj) -> ChainMatrixSpec:

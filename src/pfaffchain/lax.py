@@ -15,27 +15,29 @@ block-lower-triangular matrices with scalar 2x2 diagonal blocks:
 
 with X_up/X_lo the strict upper/lower parts excluding the 2x2 diagonal
 blocks and X_blk those blocks.  Each flow is also written out as *term
-tables*, one per flow, kind and band (rational coefficient, product of
-shifted band factors).  ``flow_terms`` derives them from that definition
-alone: it takes the commutator over the symbolic Lax matrix, whose entries
-are the band factors as ``poly.Poly`` variables, and caches each table on
-first use; no table is written by hand.  With ``even`` the v bands of that
-matrix are zero, which gives the even reduction's tables (the v-free part of
-the full ones).
+tables*, one per flow, kind and band: ``poly.Poly``s over the shifted band
+factors (kind, band, site offset), the one exact form of a table.
+``flow_terms`` derives them from that definition alone: it takes the
+commutator over the symbolic Lax matrix, whose entries are those factors,
+and caches each table on first use; no table is written by hand.  With
+``even`` the v bands of that matrix are zero, which gives the even
+reduction's tables (the v-free part of the full ones).
 
 One evaluator sums a table over a state's whole (kinds, 2 depth + 1, n)
 band stack, the layout that ``LaxBands.rows`` (n sites) and
 ``chain.ChainState.rows`` (n grid points) share: ``_Fields`` applies a
 zero-filling site shift (in ``chain`` an x-derivative stencil) to the whole
 stack once per shift, and ``_sum_bands`` sums one table per band.  The rows
-are float64, with float coefficients compiled once per table and band, or
-object arrays of Fractions for exact commutator cross-validation.
+are float64, with each table compiled once by ``_float_terms`` (the one
+float compile), or object arrays of Fractions for exact commutator
+cross-validation, summed over the Poly's own terms.
 
-The Taylor expansion of these tables (``expand_lattice_terms``, with the
-cached float form ``continuum_terms``) is the continuum limit: the chain
+The Taylor expansion of these tables (``expand_lattice_terms``, one Poly per
+eps order; float form ``continuum_terms``) is the continuum limit: the chain
 right-hand sides in ``chain`` are read off the even second-flow table that
-way, and so is the chain matrix a^k_j (``chain_matrix_terms``) that
-``chain`` and ``integrability`` read.
+way, and the chain matrix of u_t = A(u) u_x is its order-0 part's
+derivative by u^j_x (``chain_matrix_terms``, read by ``chain`` and
+``integrability``).
 
 A band state (``LaxBands``, and ``BandDerivs`` for its derivatives) is one
 array ``rows`` of shape (kinds, 2 depth + 1, sites): kind 0 is w and kind 1
@@ -381,6 +383,8 @@ def lax_rhs_commutator(b: LaxBands, k: int, M: int,
     product, and interior agreement with the explicit flow tables is exact
     equality.  In floats the division by 2 is exact as well.
     """
+    if k < 1:
+        raise ValueError(f"commutator flow needs a power k >= 1, got k={k}")
     if M < 2 * (k + 2):
         raise ValueError(f"truncation too tight: need M >= {2 * (k + 2)}")
     if exact and b.rows.dtype != object:  # a float is an exact binary fraction
@@ -402,8 +406,8 @@ def lax_rhs_commutator(b: LaxBands, k: int, M: int,
 # flow term tables, read off the symbolic Lax matrix
 # ---------------------------------------------------------------------------
 
-# A term is (coefficient, ((kind, band, site-offset), ...)); a flow table for
-# band k is the tuple of terms for d/dt of that band at site n, offsets taken
+# A flow table for band k is the Poly whose variables are the factors
+# (kind, band, site offset) of d/dt of that band at site n, offsets taken
 # relative to n.  The tables are derived from the bi-infinite Lax matrix whose
 # entries are those factors, with the slot's own site at offset 0: since
 # [L^k, L] = 0, the flow [-(L^k)_t, L] equals [(L^k)_n, L] with
@@ -479,12 +483,12 @@ def _n(k: int, a: int, b: int, even: bool) -> Poly:
 
 
 @lru_cache(maxsize=None)
-def flow_terms(flow_k: int, kind: str, band: int, even: bool = False) -> tuple:
+def flow_terms(flow_k: int, kind: str, band: int, even: bool = False) -> Poly:
     """Term table of d/dt_k of band slot (``kind`` "w" or "v", ``band``) at
     site n under dL/dt_k = [-(L^k)_t, L], read off the symbolic Lax matrix
-    and cached per key.  The terms are (exact coefficient, sorted factors)
-    pairs in sorted order.  ``even`` sets the v bands to zero (the even
-    reduction), which keeps exactly the terms without a v factor."""
+    and cached per key: a Poly over the factors (kind, band, site offset).
+    ``even`` sets the v bands to zero (the even reduction), which keeps
+    exactly the terms without a v factor."""
     if flow_k < 1 or kind not in ("w", "v"):
         raise ValueError(f"no flow table for flow_k={flow_k}, kind={kind!r}")
     if band == 0:
@@ -499,7 +503,7 @@ def flow_terms(flow_k: int, kind: str, band: int, even: bool = False) -> tuple:
     for j in range(c - k, c + k + 3):  # - L (L^k)_n
         if e := _lax_entry(r, j, even):
             total = total - e * _n(k, j, c, even)
-    return tuple((coeff, mono) for mono, coeff in sorted(total.terms.items()))
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -532,9 +536,10 @@ class _Fields(dict):
 
 
 def _sum_terms(terms: Iterable, fields: _Fields) -> np.ndarray:
-    """sum of coeff * prod(factors), into a new array."""
+    """sum of coeff * prod(factors) over (factors, coeff) pairs, into a new
+    array."""
     acc = fields.zero.copy()
-    for coeff, (first, *rest) in terms:
+    for (first, *rest), coeff in terms:
         prod = fields[first]
         for f in rest:
             prod = prod * fields[f]
@@ -553,9 +558,10 @@ def _sum_bands(terms_of: Callable[[int], Iterable], fields: _Fields) -> np.ndarr
                      for k in range(-fields.depth, fields.depth + 1)], fields.zero.dtype)
 
 
-def _float_terms(terms: Iterable) -> tuple:
-    """(coefficient, factors) pairs with the coefficients made float."""
-    return tuple((float(c), factors) for c, factors in terms)
+def _float_terms(table: Poly) -> tuple:
+    """The float compile of a term table: (factors, float coefficient)
+    pairs in sorted order."""
+    return tuple(sorted((mono, float(c)) for mono, c in table.terms.items()))
 
 
 @lru_cache(maxsize=None)
@@ -581,7 +587,8 @@ def _flow_from_tables(b: LaxBands, flow_k: int, even: bool = False) -> BandDeriv
     object rows (exact Fractions) with the tables' own coefficients.  A state
     without v rows gets the w tables only."""
     fields = _Fields(b.rows, _site_shift)
-    table = flow_terms if b.rows.dtype == object else _float_table
+    table = (lambda *key: flow_terms(*key).terms.items()) if b.rows.dtype == object \
+        else _float_table
     d = np.array([_sum_bands(lambda k: table(flow_k, kind, k, even), fields)
                   for kind in "wv"[:len(b.rows)]], b.rows.dtype)
     return BandDerivs(d, np.ones(d.shape, bool))
@@ -615,79 +622,66 @@ FLOWS = {"t1": (1, flow_t1_explicit, False),
 # ---------------------------------------------------------------------------
 
 
-def _multi_indices(n_factors: int, total: int):
-    if n_factors == 0:
-        if total == 0:
-            yield ()
-        return
-    for first in range(total + 1):
-        for rest in _multi_indices(n_factors - 1, total - first):
-            yield (first,) + rest
+def expand_lattice_terms(table: Poly, max_order: int,
+                         rescale: bool = False) -> tuple[Poly, ...]:
+    """Taylor-expand a lattice term table into continuum term tables.
 
-
-def expand_lattice_terms(terms: Iterable, max_order: int,
-                         rescale: bool = False) -> dict[int, dict]:
-    """Taylor-expand a lattice term table into continuum term lists.
-
-    Each lattice factor (kind, band, shift m) contributes derivatives with
-    weight m^a / a!.  Returns {order r: {factors: coeff}} where a factor is
-    (kind, band, derivative order).  With ``rescale`` the whole table is
-    divided by eps (the t = eps * t2 time identification), so order r reads
-    the lattice's eps^(r+1) coefficient and the eps^0 sum must cancel, which
-    is asserted.
+    Each lattice factor (kind, band, shift m) becomes its truncated Taylor
+    series sum_a m^a / a! eps^a (kind, band, a), with (kind, band, a) the
+    a-th x-derivative, so a continuum monomial's eps power is the sum of its
+    derivative orders.  Returns one Poly per order r = 0 .. max_order.  With
+    ``rescale`` the whole table is divided by eps (the t = eps * t2 time
+    identification), so order r reads the lattice's eps^(r+1) coefficient
+    and the eps^0 part must cancel, which is asserted.
     """
-    orders: dict[int, dict] = {r: {} for r in range(max_order + 1)}
-    top = max_order + (1 if rescale else 0)
-    zero_order: dict = {}
-    for coeff, factors in terms:
-        coeff = Fraction(coeff)
-        for total in range(top + 1):
-            for alpha in _multi_indices(len(factors), total):
-                c = coeff
-                key = []
-                for (kind, band, shift), a in zip(factors, alpha):
-                    c *= Fraction(shift) ** a / math.factorial(a)
-                    key.append((kind, band, a))
-                if c == 0:
-                    continue
-                key = tuple(sorted(key))
-                r = total - 1 if rescale else total
-                bucket = zero_order if r < 0 else orders[r]
-                bucket[key] = bucket.get(key, Fraction(0)) + c
-    if rescale:
-        bad = {k: v for k, v in zero_order.items() if v}
-        if bad:
-            raise AssertionError(f"lattice table has a non-vanishing O(1) part: {bad}")
-    return {r: {k: v for k, v in terms_r.items() if v} for r, terms_r in orders.items()}
+    top = max_order + rescale
+
+    def order(mono) -> int:
+        return sum(a for _kind, _band, a in mono)
+
+    def truncated(p: Poly) -> Poly:
+        return Poly({mono: c for mono, c in p.terms.items() if order(mono) <= top})
+
+    full = Poly()
+    for mono, coeff in table.terms.items():
+        term = Poly.const(coeff)
+        for kind, band, m in mono:
+            taylor = Poly({((kind, band, a),): Fraction(m) ** a / math.factorial(a)
+                           for a in range(top + 1)})
+            term = truncated(term * taylor)
+        full = full + term
+    parts = [Poly({mono: c for mono, c in full.terms.items() if order(mono) == r})
+             for r in range(top + 1)]
+    if rescale and parts[0]:
+        raise AssertionError(f"lattice table has a non-vanishing O(1) part: {parts[0]}")
+    return tuple(parts[rescale:])
 
 
 @lru_cache(maxsize=None)
 def continuum_terms(flow_k: int, kind: str, band: int, order: int,
                     rescale: bool = False, even: bool = False) -> tuple:
     """Float form of ``expand_lattice_terms(flow_terms(flow_k, kind, band,
-    even), order, rescale)``, built on first use and cached: entry r holds
-    the eps^r part as (coefficient, ((kind, band, x-derivative order), ...))
-    pairs."""
+    even), order, rescale)``, built on first use and cached: entry r is the
+    ``_float_terms`` compile of the eps^r part, (factors, coefficient)
+    pairs whose factors are (kind, band, x-derivative order)."""
     expanded = expand_lattice_terms(flow_terms(flow_k, kind, band, even), order, rescale)
-    return tuple(_float_terms((c, factors) for factors, c in expanded[r].items())
-                 for r in range(order + 1))
+    return tuple(map(_float_terms, expanded))
 
 
 @lru_cache(maxsize=None)
-def chain_matrix_terms(k: int) -> tuple:
-    """Row k of the chain matrix a^k_j, read off the order-0 expansion of
-    the even second-flow table ``flow_terms(2, "w", k, even=True)``, built
-    on first use and cached.  Each term of that expansion carries exactly
-    one x-derivative factor u^j_x, which names its column j; the rest of the
-    term is a^k_j.  Returns ((j, terms), ...) in order of first appearance,
-    where terms are (exact coefficient, ((kind, band, 0), ...)) pairs;
-    colliding columns (k = -1, 2) come out merged."""
-    row: dict[int, list] = {}
-    expanded = expand_lattice_terms(flow_terms(2, "w", k, even=True), 0, rescale=True)
-    for factors, coeff in expanded[0].items():
-        [col] = [band for _kind, band, d in factors if d == 1]
-        row.setdefault(col, []).append((coeff, tuple(f for f in factors if f[2] == 0)))
-    return tuple((j, tuple(terms)) for j, terms in row.items())
+def chain_matrix_terms(k: int) -> dict[int, Poly]:
+    """Row k of the chain matrix, {j: a^k_j}, built on first use and cached
+    (the Polys are shared; do not mutate them).  a^k_j is the derivative of
+    the order-0 expansion of the even second-flow table
+    ``flow_terms(2, "w", k, even=True)`` by u^j_x, the factor ("w", j, 1);
+    its factors are ("w", p, 0), the values u^p.  Raises unless that
+    expansion is exactly sum_j a^k_j u^j_x."""
+    order0 = expand_lattice_terms(flow_terms(2, "w", k, even=True), 0, rescale=True)[0]
+    cols = sorted({band for _kind, band, d in order0.variables() if d == 1})
+    row = {j: order0.diff(("w", j, 1)) for j in cols}
+    if sum((a * _factor("w", j, 1) for j, a in row.items()), Poly()) != order0:
+        raise AssertionError(f"order-0 chain row {k} is not linear in the u^j_x: {order0}")
+    return row
 
 
 # ---------------------------------------------------------------------------
@@ -774,8 +768,9 @@ def _rhs_for(flow: str, commutator_k: int | None):
     if flow == "commutator":
         if commutator_k is None:
             raise ValueError("commutator flow needs commutator_k")
-        if commutator_k > 6:
-            raise ValueError("commutator flows supported for k <= 6")
+        if not 1 <= commutator_k <= 6:
+            raise ValueError(f"commutator flows supported for 1 <= k <= 6, "
+                             f"got k={commutator_k}")
 
         def rhs(b: LaxBands) -> BandDerivs:
             derivs, _ = lax_rhs_commutator(b, commutator_k, 2 * b.sites)

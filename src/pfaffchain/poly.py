@@ -2,9 +2,13 @@
 of the package.
 
 A monomial is a sorted tuple of variables with multiplicity, so any
-mutually comparable values serve as variables: the chain components u^p as
-integers p (``integrability``), or the lattice band factors
-(kind, band, site offset) that ``lax.flow_terms`` reads its tables from.
+mutually comparable values serve as variables, and ``diff``, ``variables``
+and ``eval`` work for all of them: the chain components u^p as integers p
+(``integrability``), the lattice band factors (kind, band, site offset) of
+the flow tables ``lax.flow_terms`` reads off the Lax matrix, and the
+continuum factors (kind, band, x-derivative order) of their Taylor
+expansions.  Every term table of the package is a ``Poly``.  Tables are
+cached and shared, so nothing mutates ``terms`` after construction.
 """
 
 from __future__ import annotations
@@ -55,9 +59,10 @@ class Poly:
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
 
-    def __add__(self, other: "Poly") -> "Poly":
+    def __add__(self, other) -> "Poly":
+        """Sum with a Poly or a scalar (a constant polynomial)."""
         out = dict(self.terms)
-        for mono, c in other.terms.items():
+        for mono, c in _as_poly(other).terms.items():
             s = out.get(mono, Fraction(0)) + c
             if s:
                 out[mono] = s
@@ -67,13 +72,18 @@ class Poly:
         res.terms = out
         return res
 
+    __radd__ = __add__
+
     def __neg__(self) -> "Poly":
         res = Poly()
         res.terms = {m: -c for m, c in self.terms.items()}
         return res
 
-    def __sub__(self, other: "Poly") -> "Poly":
-        return self + (-other)
+    def __sub__(self, other) -> "Poly":
+        return self + (-_as_poly(other))
+
+    def __rsub__(self, other) -> "Poly":
+        return _as_poly(other) + (-self)
 
     def __mul__(self, other) -> "Poly":
         if isinstance(other, Poly):
@@ -97,8 +107,8 @@ class Poly:
 
     __rmul__ = __mul__
 
-    def diff(self, p: int) -> "Poly":
-        """Exact partial derivative with respect to u^p."""
+    def diff(self, p) -> "Poly":
+        """Exact partial derivative with respect to the variable ``p``."""
         out: dict[Monomial, Fraction] = {}
         for mono, c in self.terms.items():
             mult = mono.count(p)
@@ -116,11 +126,12 @@ class Poly:
         res.terms = out
         return res
 
-    def variables(self) -> frozenset[int]:
+    def variables(self) -> frozenset:
         return frozenset(p for mono in self.terms for p in mono)
 
-    def eval(self, value_of: Callable[[int], object]):
-        """Evaluate with any numeric type supplied by ``value_of``."""
+    def eval(self, value_of: Callable[[object], object]):
+        """Evaluate with the value ``value_of(p)``, of any numeric type, of
+        each variable p."""
         total = None
         for mono, c in self.terms.items():
             term = c
@@ -144,13 +155,18 @@ class Poly:
 
     @staticmethod
     def from_table(table: Iterable) -> "Poly":
-        """Inverse of ``to_table``; a table of any other shape raises
-        ValueError."""
+        """Inverse of ``to_table``; a table of any other shape, or with a
+        coefficient that is not a finite rational, raises ValueError."""
         terms: dict[Monomial, Fraction] = {}
         try:
             for coeff, mono in table:
                 terms[tuple(sorted(int(p) for p in mono))] = Fraction(str(coeff))
-        except TypeError as exc:
+        except (TypeError, ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"bad term table {table!r}: need "
                              f"[[coeff, [index, ...]], ...] ({exc})") from exc
         return Poly(terms)
+
+
+def _as_poly(x) -> Poly:
+    """A Poly as it is, a scalar as the constant polynomial."""
+    return x if isinstance(x, Poly) else Poly.const(x)

@@ -1,5 +1,6 @@
 import math
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -209,9 +210,9 @@ def _canon(terms):
 @pytest.mark.parametrize("k", range(-7, 8))
 def test_correction_tables_match_lattice_expansion_exactly(k):
     mech = expand_lattice_terms(flow_terms(2, "w", k, even=True), 2, rescale=True)
-    assert _canon(chain_t2_order0_terms(k)) == mech[0]
-    assert _canon(chain_t2_correction_terms(k, 1)) == mech[1]
-    assert _canon(chain_t2_correction_terms(k, 2)) == mech[2]
+    assert _canon(chain_t2_order0_terms(k)) == mech[0].terms
+    assert _canon(chain_t2_correction_terms(k, 1)) == mech[1].terms
+    assert _canon(chain_t2_correction_terms(k, 2)) == mech[2].terms
 
 
 def test_no_expansion_runs_at_import():
@@ -242,7 +243,7 @@ def _rhs_band_by_band(s, order, flow_k, kind, rescale=False, even=False):
         total = 0.0
         for r, terms in enumerate(continuum_terms(flow_k, kind, k, order, rescale, even)):
             part = np.zeros(s.grid_size)
-            for coeff, factors in terms:
+            for factors, coeff in terms:
                 part += coeff * math.prod((field(*f) for f in factors[1:]),
                                           start=field(*factors[0]))
             total = total + s.epsilon ** r * part
@@ -306,7 +307,7 @@ def test_constant_state_has_zero_rhs_at_every_order():
 def test_first_correction_of_u0_branch():
     # the O(eps) term of the u^0 equation is u^0 u^-1_xx / 2
     mech = expand_lattice_terms(flow_terms(2, "w", 0, even=True), 1, rescale=True)
-    assert mech[1] == {(("w", -1, 2), ("w", 0, 0)): Fraction(1, 2)}
+    assert mech[1] == Poly({(("w", -1, 2), ("w", 0, 0)): Fraction(1, 2)})
 
 
 def test_grid_too_coarse_for_third_derivative():
@@ -497,3 +498,35 @@ def test_evolve_chain_rejects_nonpositive_dt():
 def test_continuum_residual_needs_three_epsilons():
     with pytest.raises(ValueError, match="3 epsilon"):
         continuum_residual(default_profile(1), [1 / 64], depth=3)
+
+
+@pytest.mark.parametrize("flow_k, kind, even", [
+    (1, "w", False), (1, "v", False), (2, "w", False), (2, "v", False), (2, "w", True),
+], ids=["t1_w", "t1_v", "t2_w", "t2_v", "t2_even"])
+def test_full_expansion_equals_the_lattice_table_on_quadratic_profiles(flow_k, kind, even):
+    # every band is a quadratic in x, so each factor's Taylor series stops at
+    # eps^2 and the expansion through twice the largest factor count is exact
+    rng = random.Random(f"{flow_k}{kind}{even}")
+    eps, x, profile = F(1, 7), F(3, 5), {}
+
+    def coeffs(kd, band):
+        return profile.setdefault((kd, band), [F(rng.randint(-5, 5), rng.randint(1, 4))
+                                               for _ in range(3)])
+
+    def lattice_value(factor):  # (kind, band, site offset m) at x + eps m
+        a, b, c = coeffs(*factor[:2])
+        y = x + eps * factor[2]
+        return a + b * y + c * y * y
+
+    def continuum_value(factor):  # (kind, band, d): the d-th x-derivative at x
+        a, b, c = coeffs(*factor[:2])
+        d = factor[2]
+        return (a + b * x + c * x * x, b + 2 * c * x, 2 * c)[d] if d < 3 else 0
+
+    for k in range(-10, 11):
+        table = flow_terms(flow_k, kind, k, even)
+        top = 2 * max(map(len, table.terms))
+        parts = expand_lattice_terms(table, top)
+        assert len(parts) == top + 1
+        assert sum(eps ** r * part.eval(continuum_value)
+                   for r, part in enumerate(parts)) == table.eval(lattice_value), k

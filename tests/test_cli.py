@@ -267,3 +267,31 @@ def test_config_flag_set_false_stays_false(tmp_path):
     cfg.write_text(json.dumps({"lax-verify": {"even": False, "trials": 1}}))
     assert main(["--out", str(tmp_path), "--config", str(cfg), "lax-verify"]) == 0
     assert json.loads((tmp_path / "lax_verify.json").read_text())["flows"] == ["t1", "t2"]
+
+
+@pytest.mark.parametrize("argv, warned", [
+    ([], False),
+    (["--grid", "1024", "--depth", "4", "--steps", "1"], True),  # CFL 4.62
+], ids=["defaults", "grid1024"])
+def test_chain_evolve_warns_past_the_rk4_stability_bound(tmp_path, capsys, argv, warned):
+    assert main(["--out", str(tmp_path), "chain-evolve"] + argv) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert err[0].startswith("CFL number")
+    assert [line for line in err if line.startswith("warning:")] == (
+        ["warning: CFL number 4.62 exceeds the rk4-central stability bound 2.06; "
+         "roundoff can grow at every step"] if warned else [])
+
+
+@pytest.mark.parametrize("overrides, key", [
+    ({"0": [["1", [0]]]}, "'0'"),
+    ({"0,1": "x"}, "'0,1'"),
+    ({"0,1": [["1", [0], 5]]}, "'0,1'"),
+    ({"0,1": [["1/0", [0]]]}, "'0,1'"),
+], ids=["key_without_column", "table_not_a_list", "term_of_three", "zero_denominator"])
+def test_malformed_spec_entry_is_named(tmp_path, capsys, overrides, key):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"base": "paper", "overrides": overrides}))
+    assert main(["--out", str(tmp_path), "haantjes", "--spec", str(spec)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: spec override {key}: ") and err.count("\n") == 1
+    assert "[[coeff, [index, ...]], ...]" in err

@@ -41,6 +41,15 @@ def test_poly_algebra():
     assert p.diff(1) == 2 * u(0)
     assert p.diff(5) == Poly()
     assert p.variables() == {0, 1}
+    # scalars coerce to constant polynomials on either side of + and -
+    assert u(0) + 1 == 1 + u(0) == Poly({(0,): 1, (): 1})
+    assert 1 - u(0) == -(u(0) - 1) == Poly({(0,): -1, (): 1})
+    assert F(1, 2) - Poly.const(F(1, 2)) == Poly() == u(0) + 0 - u(0)
+    assert sum([u(0), u(1)]) == u(0) + u(1)
+    # any comparable values are variables: the lattice and continuum factors
+    q = Poly({(("w", 0, 1), ("w", 1, 0)): 3})
+    assert q.diff(("w", 0, 1)) == 3 * Poly({(("w", 1, 0),): 1})
+    assert q.variables() == {("w", 0, 1), ("w", 1, 0)}
 
 
 def test_poly_table_roundtrip():

@@ -31,6 +31,7 @@ from pfaffchain.lax import (
     random_bands,
     skew_factorize,
 )
+from pfaffchain.poly import Poly
 
 Q = QuadratureConfig()
 
@@ -665,15 +666,15 @@ def _as_dict(terms) -> dict:
 def test_derived_tables_equal_the_hand_tables(flow_k, kind):
     for k in _HAND_BANDS:
         derived = flow_terms(flow_k, kind, k)
-        assert _as_dict(derived) == _as_dict(_HAND[flow_k, kind](k)), k
-        assert [factors for _c, factors in derived] == sorted(_as_dict(derived))
-        assert all(type(c) is Fraction for c, _factors in derived)
+        assert derived.terms == _as_dict(_HAND[flow_k, kind](k)), k
+        assert all(list(factors) == sorted(factors) for factors in derived.terms)
+        assert all(type(c) is Fraction for c in derived.terms.values())
 
 
 def test_even_table_is_the_v_free_part_of_the_hand_t2_table():
     for k in _HAND_BANDS:
         v_free = [t for t in t2_w_terms(k) if all(kind == "w" for kind, _b, _o in t[1])]
-        assert _as_dict(flow_terms(2, "w", k, even=True)) == _as_dict(v_free), k
+        assert flow_terms(2, "w", k, even=True).terms == _as_dict(v_free), k
 
 
 def test_flow_terms_rejects_what_has_no_table():
@@ -686,9 +687,9 @@ def test_flow_terms_rejects_what_has_no_table():
 # the array evaluator against a slot-by-slot oracle
 # ---------------------------------------------------------------------------
 
-def _eval_terms(b: LaxBands, terms: list, n: int):
+def _eval_terms(b: LaxBands, table: Poly, n: int):
     total = 0
-    for coeff, factors in terms:
+    for factors, coeff in sorted(table.terms.items()):  # the float compile's order
         prod = coeff
         for kind, band, off in factors:
             val = b.value(kind, band, n + off)
@@ -965,6 +966,16 @@ def test_commutator_flow_k_limit():
     with pytest.raises(ValueError, match="k <= 6"):
         integrate_flow(LaxBands(sites=8, depth=1), "commutator", dt=0.1,
                        steps=1, commutator_k=7)
+
+
+@pytest.mark.parametrize("k", [0, -3])
+def test_commutator_flow_rejects_powers_below_one(k):
+    # L^0 is not L: without the check both read back the t1 flow
+    b = random_bands(random.Random(3), 8, 1)
+    with pytest.raises(ValueError, match=f"k={k}"):
+        lax_rhs_commutator(b, k, 16)
+    with pytest.raises(ValueError, match=f"k={k}"):
+        integrate_flow(b, "commutator", dt=0.1, steps=1, commutator_k=k)
 
 
 # ---------------------------------------------------------------------------

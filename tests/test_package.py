@@ -57,3 +57,32 @@ def test_runtime_imports_are_stdlib_and_numpy(module):
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
             top.add(node.module.split(".")[0])
     assert sorted(top - sys.stdlib_module_names - {"numpy"}) == []
+
+
+def _bound_names(node: ast.stmt) -> set[str]:
+    """The module-level names a top-level statement defines."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return {node.name}
+    targets = (node.targets if isinstance(node, ast.Assign)
+               else [node.target] if isinstance(node, ast.AnnAssign) else [])
+    return {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+
+
+def test_every_private_module_name_is_referenced():
+    # a reference inside the name's own definition (a recursive helper) does
+    # not count; an import by another module does
+    private, referenced = set(), set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            bound, refs = _bound_names(node), set()
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+                    refs.add(sub.id)
+                elif isinstance(sub, ast.Attribute):
+                    refs.add(sub.attr)
+                elif isinstance(sub, ast.ImportFrom):
+                    refs |= {a.name for a in sub.names}
+            private |= {name for name in bound
+                        if name.startswith("_") and not name.startswith("__")}
+            referenced |= refs - bound
+    assert sorted(private - referenced) == []
