@@ -27,9 +27,13 @@ the integrand is smooth on every cell actually sampled.  That rule (the
 outer nodes and weights and the inner grid with its weights) does not depend
 on t: it is built once per (nodes, radius) and shared by every coupling
 vector, whose table only evaluates the weight w on it and sums powers of x
-and y against it.  ``moment_matrix`` returns (mu_ij) as a plain antisymmetric
-``ndarray``; the Pfaffian and the skew factorisation in ``lax`` take it as it
-is.
+and y against it.  Each (mu_ij) table is formed once per (t, config,
+degree), on its first converged request, and lives as long as its
+quadrature stays cached; every later request for that degree, from
+``moment_mu``, ``moment_matrix``, the tau reports or the flow-law residual,
+returns the same read-only array.  ``moment_matrix`` returns (mu_ij) as a
+plain antisymmetric ``ndarray``; the Pfaffian and the skew factorisation in
+``lax`` copy it before they write.
 """
 
 from __future__ import annotations
@@ -195,7 +199,11 @@ class _TriangleTable:
 
 
 class _MomentQuadrature:
-    """Two refinement levels of the triangle table for one (t, config)."""
+    """Two refinement levels of the triangle table for one (t, config), and
+    the mu tables formed from them.  Each degree's table is formed once, on
+    its first converged request, and handed out read-only for as long as
+    this quadrature stays in ``_quadrature_for``; a request that does not
+    converge is not kept, so it raises again every time."""
 
     def __init__(self, t: CouplingVector, q: QuadratureConfig):
         self.t = t
@@ -208,8 +216,16 @@ class _MomentQuadrature:
             raise ValueError(f"nodes_per_axis={nodes} does not fit in memory: the "
                              f"triangle rule builds float64 arrays up to "
                              f"{2 * nodes} x {2 * nodes}") from None
+        self._tables: dict[int, np.ndarray] = {}
 
     def mu_table(self, degree: int) -> np.ndarray:
+        """(mu_ij) for 0 <= i, j <= degree, read-only."""
+        table = self._tables.get(degree)
+        if table is None:
+            table = self._tables[degree] = self._form(degree)
+        return table
+
+    def _form(self, degree: int) -> np.ndarray:
         gf = self.fine.g_table(degree)
         gc = self.coarse.g_table(degree)
         mu_f = gf - gf.T
@@ -221,6 +237,7 @@ class _MomentQuadrature:
                 f"quadrature not converged: refinement change {err:.3e} "
                 f"exceeds {_CONVERGENCE_TOL:.1e} * {scale:.3e}",
                 coarse=mu_c, fine=mu_f)
+        mu_f.flags.writeable = False
         return mu_f
 
 
@@ -239,15 +256,19 @@ def moment_mu(i: int, j: int, t: CouplingVector, q: QuadratureConfig) -> float:
         raise ValueError("moment indices must be nonnegative")
     if i == j:
         return 0.0
-    if i > j:
-        return -moment_mu(j, i, t, q)
-    table = _quadrature_for(t.key(), q.key()).mu_table(j)
-    return float(table[i, j])
+    lo, hi = min(i, j), max(i, j)
+    try:
+        table = _quadrature_for(t.key(), q.key()).mu_table(hi)
+    except QuadratureError as exc:
+        raise QuadratureError(f"moment (i, j) = ({i}, {j}): {exc}",
+                              exc.coarse, exc.fine) from exc
+    value = float(table[lo, hi])
+    return value if i < j else -value
 
 
 def moment_matrix(n: int, t: CouplingVector, q: QuadratureConfig) -> np.ndarray:
-    """The 2n x 2n matrix (mu_ij), 0 <= i, j <= 2n-1, as a plain array;
-    exactly antisymmetric with a zero diagonal."""
+    """The 2n x 2n matrix (mu_ij), 0 <= i, j <= 2n-1, as a plain read-only
+    array; exactly antisymmetric with a zero diagonal."""
     if n < 1:
         raise ValueError("n must be positive")
     try:

@@ -181,6 +181,18 @@ def test_tau_table_computes_each_tau_once(tmp_path, monkeypatch):
     assert calls == {"moment_matrix": 13, "pfaffian": 13}  # tau_2 .. tau_26
 
 
+def test_moments_forms_each_table_once(tmp_path, monkeypatch):
+    formed = collections.Counter()
+    g_table = ensemble._TriangleTable.g_table
+    monkeypatch.setattr(ensemble._TriangleTable, "g_table",
+                        lambda self, degree: formed.update([degree]) or g_table(self, degree))
+    ensemble._quadrature_for.cache_clear()
+    assert main(["--out", str(tmp_path), "moments", "--n", "3"]) == 0
+    # the 6 x 6 table serves both the CSV and tau_6; tau_8 and tau_4 need
+    # degrees 7 and 3; each is formed at two refinement levels
+    assert formed == {5: 2, 7: 2, 3: 2}
+
+
 def test_reports_refuse_values_that_are_not_json(tmp_path):
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="not JSON compliant"):

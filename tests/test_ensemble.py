@@ -1,3 +1,4 @@
+import collections
 import math
 
 import numpy as np
@@ -17,7 +18,13 @@ from pfaffchain.ensemble import (
     tau_report,
     write_moment_csv,
 )
-from pfaffchain.ensemble import _quadrature_for, _triangle_rule, _weight_array
+from pfaffchain.ensemble import (
+    _MomentQuadrature,
+    _quadrature_for,
+    _TriangleTable,
+    _triangle_rule,
+    _weight_array,
+)
 
 ZERO = CouplingVector.zero()
 Q = QuadratureConfig()
@@ -156,9 +163,9 @@ def test_even_only_couplings_keep_parity_zeros():
                 assert abs(dense[i, j]) < 1e-9
 
 
-def _inline_rule_levels(n, t, q):
-    """Oracle: both refinement levels of (mu_ij), 0 <= i, j <= 2n-1, with the
-    triangle rule built inline for the one table."""
+def _inline_rule_levels(degree, t, q):
+    """Oracle: both refinement levels of (mu_ij), 0 <= i, j <= degree, with
+    the triangle rule built inline for the one table."""
     levels = []
     radius = q.domain_radius
     for nodes in (q.nodes_per_axis, 2 * q.nodes_per_axis):
@@ -172,7 +179,7 @@ def _inline_rule_levels(n, t, q):
         ux = wx * _weight_array(x, t)
         uy = wy * _weight_array(y, t)
         xp, ty, ycur = [np.ones_like(x)], [uy.sum(axis=1)], np.array(uy)
-        for _ in range(2 * n - 1):
+        for _ in range(degree):
             xp.append(xp[-1] * x)
             ycur = ycur * y
             ty.append(ycur.sum(axis=1))
@@ -186,11 +193,65 @@ def test_shared_rule_gives_the_inline_rule_bit_for_bit(nodes):
     q = QuadratureConfig(nodes_per_axis=nodes)
     for t in (ZERO, CouplingVector({2: -0.05}),
               CouplingVector({1: 0.1, 2: -0.05, 4: -0.01})):
-        coarse, fine = _inline_rule_levels(3, t, q)
+        coarse, fine = _inline_rule_levels(5, t, q)
         try:
             assert np.array_equal(moment_matrix(3, t, q), fine)
         except QuadratureError as exc:  # unconverged: both levels are carried
             assert np.array_equal(exc.coarse, coarse) and np.array_equal(exc.fine, fine)
+
+
+@pytest.mark.parametrize("order", ["ascending", "descending", "shuffled"])
+@pytest.mark.parametrize("nodes", [160, 200])
+def test_a_memoized_table_has_the_bits_of_a_fresh_one(nodes, order):
+    # forming one big table and slicing it for smaller degrees changes bits
+    # here: a BLAS product of another shape need not round the same way
+    degrees = {"ascending": range(8), "descending": range(7, -1, -1),
+               "shuffled": [3, 7, 0, 5, 1, 6, 2, 4]}[order]
+    q = QuadratureConfig(nodes_per_axis=nodes)
+    for t in (ZERO, CouplingVector({1: 0.1, 2: -0.05, 4: -0.01})):
+        _quadrature_for.cache_clear()
+        memo = _quadrature_for(t.key(), q.key())
+        for d in degrees:
+            table = memo.mu_table(d)
+            assert table.shape == (d + 1, d + 1)
+            assert np.array_equal(table, _MomentQuadrature(t, q).mu_table(d))
+            assert np.array_equal(table, _inline_rule_levels(d, t, q)[1])
+        for d in degrees:
+            assert memo.mu_table(d) is memo.mu_table(d)
+
+
+def test_a_flow_law_sweep_forms_each_table_once(monkeypatch):
+    formed = collections.Counter()  # (level table, degree) -> g_table calls
+    g_table = _TriangleTable.g_table
+    monkeypatch.setattr(_TriangleTable, "g_table",
+                        lambda self, degree: formed.update([(self, degree)])
+                        or g_table(self, degree))
+    _quadrature_for.cache_clear()
+    t = CouplingVector({2: -0.05})
+
+    def sweep():
+        for i in range(4):
+            for j in range(4):
+                for k in (1, 2):
+                    moment_flow_residual(i, j, k, t, 1e-3, Q)
+
+    sweep()
+    # 9 vectors (t and its four shifts per k), two levels each
+    assert len({table for table, _ in formed}) == 18
+    assert set(formed.values()) == {1}
+    before = formed.copy()
+    sweep()
+    assert formed == before
+
+
+def test_a_memoized_table_cannot_be_written():
+    t = CouplingVector({2: -0.043})
+    m = moment_matrix(2, t, Q)
+    assert not m.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        m[0, 1] = 0.0
+    assert moment_matrix(2, t, Q)[0, 1] != 0.0
+    assert moment_mu(0, 1, t, Q) == m[0, 1]
 
 
 def test_a_cold_table_reuses_the_rule_of_its_nodes_and_radius(monkeypatch):
@@ -229,9 +290,25 @@ def test_even_only_and_general_twins_share_one_table():
 def test_quadrature_nonconvergence_error_carries_estimates():
     # 8 nodes on [-10, 10] cannot resolve the Gaussian: refinement must move
     bad = QuadratureConfig(nodes_per_axis=8)
-    with pytest.raises(QuadratureError) as err:
-        moment_matrix(2, ZERO, bad)
-    assert err.value.coarse is not None and err.value.fine is not None
+    coarse, fine = _inline_rule_levels(3, ZERO, bad)
+    for _ in range(2):  # a failure is not kept: each request raises again
+        with pytest.raises(QuadratureError, match="^moment matrix n=2: ") as err:
+            moment_matrix(2, ZERO, bad)
+        assert np.array_equal(err.value.coarse, coarse)
+        assert np.array_equal(err.value.fine, fine)
+
+
+@pytest.mark.parametrize("i, j", [(1, 3), (3, 1)])
+def test_a_moment_that_does_not_converge_names_its_indices(i, j):
+    bad = QuadratureConfig(nodes_per_axis=8)
+    coarse, fine = _inline_rule_levels(3, ZERO, bad)
+    for _ in range(2):
+        with pytest.raises(QuadratureError,
+                           match=rf"^moment \(i, j\) = \({i}, {j}\): quadrature not converged"
+                           ) as err:
+            moment_mu(i, j, ZERO, bad)
+        assert np.array_equal(err.value.coarse, coarse)
+        assert np.array_equal(err.value.fine, fine)
 
 
 def test_moment_csv_roundtrip(tmp_path):
