@@ -17,6 +17,7 @@ import math
 import random
 import sys
 from fractions import Fraction
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -339,10 +340,19 @@ def _read_config(argv: list[str]) -> dict | None:
     return config
 
 
+@cache
+def _plain_parser() -> argparse.ArgumentParser:
+    """The parser of a run without --config, built once: parsing does not
+    change it.  A config sets subcommand defaults, so it gets a fresh tree."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        args = build_parser(_read_config(argv)).parse_args(argv)
+        config = _read_config(argv)
+        parser = _plain_parser() if config is None else build_parser(config)
+        args = parser.parse_args(argv)
         return args.func(args, args.out)
     except (ValueError, ZeroDivisionError, OverflowError,
             ensemble.QuadratureError) as exc:

@@ -19,21 +19,26 @@ The kernel sigma(y - x) is discontinuous along the diagonal, so each moment
 integral is split into the two triangles y > x and y < x; the swap symmetry
 of the second triangle gives
 
-    mu_ij = G[i, j] - G[j, i],   G[i, j] = integral over {y > x} of x^i y^j w w,
+    mu_ij = G[i, j] - G[j, i],   G[i, j] = integral of x^i w(x) I_j(x) dx,
+    I_j(x) = integral from x to R of y^j w(y) dy,
 
-which is exactly antisymmetric by construction.  G is computed by tensor
-Gauss-Legendre rules on [-R, R] with the inner y-rule mapped to [x, R], i.e.
-the integrand is smooth on every cell actually sampled.  That rule (the
-outer nodes and weights and the inner grid with its weights) does not depend
-on t: it is built once per (nodes, radius) and shared by every coupling
-vector, whose table only evaluates the weight w on it and sums powers of x
-and y against it.  Each (mu_ij) table is formed once per (t, config,
-degree), on its first converged request, and lives as long as its
-quadrature stays cached; every later request for that degree, from
-``moment_mu``, ``moment_matrix``, the tau reports or the flow-law residual,
-returns the same read-only array.  ``moment_matrix`` returns (mu_ij) as a
-plain antisymmetric ``ndarray``; the Pfaffian and the skew factorisation in
-``lax`` copy it before they write.
+which is exactly antisymmetric by construction.  The outer integral is a
+Gauss-Legendre rule on [-R, R]; its integrand x^i w(x) I_j(x) is smooth.  The
+inner integrals at the outer nodes x_0 < ... < x_{n-1} come from one set of
+panels [x_b, x_{b+1}], with x_n = R, each carrying a fixed Gauss-Legendre
+rule of ``_PANEL_NODES`` points: I_j(x_a) is the reverse cumulative sum of
+the panel sums from panel a on, so a table costs O(nodes) weight
+evaluations, not O(nodes^2).  That rule (outer nodes and weights, panel
+points and weights) does not depend on t: it is built once per (nodes,
+radius) and shared by every coupling vector, whose table only evaluates the
+weight w on it and sums powers of x and y against it.  Each (mu_ij) table is
+formed once per (t, config, degree), on its first converged request, and
+lives as long as its quadrature stays cached; every later request for that
+degree, from ``moment_mu``, ``moment_matrix``, the tau reports or the
+flow-law residual, returns the same read-only array.  An entry does not
+depend on the degree of the table it is read from.  ``moment_matrix``
+returns (mu_ij) as a plain antisymmetric ``ndarray``; the Pfaffian and the
+skew factorisation in ``lax`` copy it before they write.
 """
 
 from __future__ import annotations
@@ -155,32 +160,44 @@ def _weight_array(x: np.ndarray, t: CouplingVector) -> np.ndarray:
     return np.exp(e)
 
 
+_PANEL_NODES = 8  # Gauss-Legendre points on each inner panel
+_PANEL_X, _PANEL_W = np.polynomial.legendre.leggauss(_PANEL_NODES)
+
+
 @lru_cache(maxsize=8)
 def _triangle_rule(nodes: int, radius: float) -> tuple[np.ndarray, ...]:
-    """Tensor Gauss-Legendre rule for the triangle y > x of [-R, R]^2, shared
-    by every coupling vector: outer nodes and weights ``x, wx`` on [-R, R],
-    and row a of the inner grid and weights ``y, wy`` on [x_a, R].  Read-only."""
+    """Quadrature rule for the triangle y > x of [-R, R]^2, shared by every
+    coupling vector: outer Gauss-Legendre nodes and weights ``x, wx`` on
+    [-R, R], and row b of the panel points and weights ``y, wy`` (shape
+    (nodes, ``_PANEL_NODES``)) on [x_b, x_{b+1}], with x_nodes = R.  The
+    inner integral from x_a to R is the sum of rows a, a+1, ...  Read-only."""
     nodes_x, wts = np.polynomial.legendre.leggauss(nodes)
     x = radius * nodes_x
     wx = radius * wts
-    half = 0.5 * (radius - x)
-    center = 0.5 * (x + radius)
-    y = center[:, None] + half[:, None] * nodes_x[None, :]
-    wy = half[:, None] * wts[None, :]
+    edges = np.append(x, radius)
+    half = 0.5 * np.diff(edges)
+    center = 0.5 * (edges[:-1] + edges[1:])
+    y = center[:, None] + half[:, None] * _PANEL_X[None, :]
+    wy = half[:, None] * _PANEL_W[None, :]
     for a in (x, wx, y, wy):
         a.flags.writeable = False
     return x, wx, y, wy
 
 
+def _inner_integrals(f: np.ndarray) -> np.ndarray:
+    """Sum of the panel rows b >= a of f, for every outer node a."""
+    return np.cumsum(f.sum(axis=1)[::-1])[::-1]
+
+
 class _TriangleTable:
-    """Gauss-Legendre table of G[i, j] over the triangle y > x, one level."""
+    """Table of G[i, j] over the triangle y > x, one refinement level."""
 
     def __init__(self, t: CouplingVector, nodes: int, radius: float):
         self.x, wx, self.y, wy = _triangle_rule(nodes, radius)
         self.ux = wx * _weight_array(self.x, t)     # outer weight incl. w(x)
-        self.uy = wy * _weight_array(self.y, t)     # inner weight incl. w(y)
+        self.uy = wy * _weight_array(self.y, t)     # panel weight incl. w(y)
         self._xp = [np.ones_like(self.x)]
-        self._ty = [self.uy.sum(axis=1)]
+        self._ty = [_inner_integrals(self.uy)]      # I_j at the outer nodes
         self._ycur = self.uy
 
     def _extend(self, degree: int) -> None:
@@ -188,14 +205,15 @@ class _TriangleTable:
             self._xp.append(self._xp[-1] * self.x)
         while len(self._ty) <= degree:
             self._ycur = self._ycur * self.y
-            self._ty.append(self._ycur.sum(axis=1))
+            self._ty.append(_inner_integrals(self._ycur))
 
     def g_table(self, degree: int) -> np.ndarray:
-        """G[i, j] for 0 <= i, j <= degree."""
+        """G[i, j] for 0 <= i, j <= degree; each entry is summed in the same
+        order at every degree (einsum, not a BLAS product)."""
         self._extend(degree)
         u = np.array([self._xp[i] * self.ux for i in range(degree + 1)])
         ty = np.array(self._ty[: degree + 1])
-        return u @ ty.T
+        return np.einsum("ia,ja->ij", u, ty)
 
 
 class _MomentQuadrature:
@@ -214,8 +232,9 @@ class _MomentQuadrature:
             self.fine = _TriangleTable(t, 2 * nodes, q.domain_radius)
         except MemoryError:
             raise ValueError(f"nodes_per_axis={nodes} does not fit in memory: the "
-                             f"triangle rule builds float64 arrays up to "
-                             f"{2 * nodes} x {2 * nodes}") from None
+                             f"Gauss-Legendre nodes of the fine level are the "
+                             f"eigenvalues of a {2 * nodes} x {2 * nodes} "
+                             f"float64 matrix") from None
         self._tables: dict[int, np.ndarray] = {}
 
     def mu_table(self, degree: int) -> np.ndarray:

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from pfaffchain import ensemble, lax
+from pfaffchain import cli, ensemble, lax
 from pfaffchain.cli import _write_report, main
 
 
@@ -206,7 +206,7 @@ def test_reports_refuse_values_that_are_not_json(tmp_path):
     (["tau", "--n-max", "12"], 1),
 ], ids=["moments_n3", "tau_n3", "moments_n12", "tau_n12"])
 def test_zero_coupling_ratio_drift_past_the_budget_warns(tmp_path, capsys, argv, warnings):
-    # at 200 nodes |ratio - 1| is 8.2e-7 at n = 11 and 1.4e-5 at n = 12
+    # at 200 nodes |ratio - 1| is 7.9e-7 at n = 11 and 8.1e-6 at n = 12
     assert main(["--out", str(tmp_path)] + argv) == 0
     err = capsys.readouterr().err.splitlines()
     assert len(err) == warnings
@@ -272,6 +272,23 @@ def test_config_defaults_of_one_command_leave_the_others_alone(tmp_path):
     cfg.write_text(json.dumps({"moments": {"nodes": 8}}))
     assert main(["--out", str(tmp_path), "--config", str(cfg), "tau",
                  "--n-max", "1"]) == 0
+
+
+def test_plain_runs_share_one_parser_and_a_config_run_builds_its_own(tmp_path, monkeypatch):
+    built = []
+    monkeypatch.setattr(cli, "build_parser",
+                        lambda config=None, _build=cli.build_parser:
+                        built.append(config) or _build(config))
+    cli._plain_parser.cache_clear()
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"tau": {"n_max": 1}}))
+    runs = [(["tau"], 3), (["--config", str(cfg), "tau"], 1), (["tau"], 3)]
+    for i, (argv, rows) in enumerate(runs):
+        out = tmp_path / str(i)
+        assert main(["--out", str(out)] + argv) == 0
+        assert len(json.loads((out / "tau_table.json").read_text())["table"]) == rows
+    # the config's n_max = 1 did not leak into the plain run after it
+    assert built == [None, {"tau": {"n_max": 1}}]
 
 
 def test_config_flag_set_false_stays_false(tmp_path):

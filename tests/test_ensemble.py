@@ -19,8 +19,10 @@ from pfaffchain.ensemble import (
     write_moment_csv,
 )
 from pfaffchain.ensemble import (
+    _PANEL_NODES,
     _MomentQuadrature,
     _quadrature_for,
+    _tau_record,
     _TriangleTable,
     _triangle_rule,
     _weight_array,
@@ -136,9 +138,11 @@ def _mu_adaptive(i, j, t, radius):
 
 
 def test_adaptive_scheme_matches_tensor_rule():
-    for (i, j) in [(0, 1), (1, 2)]:
-        assert _mu_adaptive(i, j, ZERO, Q.domain_radius) == pytest.approx(
-            moment_mu(i, j, ZERO, Q), abs=1e-8)
+    # dblquad is asked for 1e-10; the panel rule is within 1e-13 relative here
+    for t in (ZERO, CouplingVector({1: 0.1, 2: -0.05, 4: -0.01})):
+        for (i, j) in [(0, 1), (1, 2), (3, 8)]:
+            assert _mu_adaptive(i, j, t, Q.domain_radius) == pytest.approx(
+                moment_mu(i, j, t, Q), rel=1e-10, abs=1e-10)
 
 
 def test_moment_matrix_structure():
@@ -165,25 +169,28 @@ def test_even_only_couplings_keep_parity_zeros():
 
 def _inline_rule_levels(degree, t, q):
     """Oracle: both refinement levels of (mu_ij), 0 <= i, j <= degree, with
-    the triangle rule built inline for the one table."""
+    the panel rule built inline for the one table."""
     levels = []
     radius = q.domain_radius
+    panel_x, panel_w = np.polynomial.legendre.leggauss(_PANEL_NODES)
     for nodes in (q.nodes_per_axis, 2 * q.nodes_per_axis):
         nodes_x, wts = np.polynomial.legendre.leggauss(nodes)
         x = radius * nodes_x
         wx = radius * wts
-        half = 0.5 * (radius - x)
-        center = 0.5 * (x + radius)
-        y = center[:, None] + half[:, None] * nodes_x[None, :]
-        wy = half[:, None] * wts[None, :]
+        edges = np.append(x, radius)  # panel b is [x_b, x_{b+1}]
+        half = 0.5 * np.diff(edges)
+        center = 0.5 * (edges[:-1] + edges[1:])
+        y = center[:, None] + half[:, None] * panel_x[None, :]
+        wy = half[:, None] * panel_w[None, :]
         ux = wx * _weight_array(x, t)
         uy = wy * _weight_array(y, t)
-        xp, ty, ycur = [np.ones_like(x)], [uy.sum(axis=1)], np.array(uy)
+        xp, ycur = [np.ones_like(x)], np.array(uy)
+        ty = [np.cumsum(uy.sum(axis=1)[::-1])[::-1]]
         for _ in range(degree):
             xp.append(xp[-1] * x)
             ycur = ycur * y
-            ty.append(ycur.sum(axis=1))
-        g = np.array([p * ux for p in xp]) @ np.array(ty).T
+            ty.append(np.cumsum(ycur.sum(axis=1)[::-1])[::-1])
+        g = np.einsum("ia,ja->ij", np.array([p * ux for p in xp]), np.array(ty))
         levels.append(g - g.T)
     return levels
 
@@ -218,6 +225,17 @@ def test_a_memoized_table_has_the_bits_of_a_fresh_one(nodes, order):
             assert np.array_equal(table, _inline_rule_levels(d, t, q)[1])
         for d in degrees:
             assert memo.mu_table(d) is memo.mu_table(d)
+
+
+@pytest.mark.parametrize("t", [ZERO, CouplingVector({1: 0.1, 2: -0.05, 4: -0.01})],
+                         ids=["zero", "t1_t2_t4"])
+def test_every_table_is_the_leading_block_of_a_bigger_one(t):
+    # each entry is summed in one order whatever the table's degree
+    memo = _MomentQuadrature(t, Q)
+    big = memo.mu_table(27)
+    for d in range(28):
+        assert np.array_equal(memo.mu_table(d), big[: d + 1, : d + 1])
+        assert moment_mu(0, d, t, Q) == big[0, d]
 
 
 def test_a_flow_law_sweep_forms_each_table_once(monkeypatch):
@@ -268,6 +286,15 @@ def test_a_cold_table_reuses_the_rule_of_its_nodes_and_radius(monkeypatch):
     moment_matrix(2, CouplingVector({1: 0.017, 2: -0.031}), q)
     assert _quadrature_for.cache_info().misses == misses + 1  # a cold table
     assert calls == [180, 360]
+
+
+def test_the_inner_rule_is_one_panel_per_outer_node():
+    x, wx, y, wy = _triangle_rule(40, 10.0)
+    assert x.shape == wx.shape == (40,)
+    assert y.shape == wy.shape == (40, _PANEL_NODES)
+    edges = np.append(x, 10.0)  # panel b lies in [x_b, x_{b+1}]
+    assert np.all((edges[:-1, None] < y) & (y < edges[1:, None]))
+    assert wy.sum() == pytest.approx(10.0 - x[0], rel=1e-14)
 
 
 def test_the_shared_rule_is_read_only():
@@ -442,18 +469,41 @@ def test_selberg_overflow():
         selberg_tau_zero(200)
 
 
+def _taus(values):
+    """A tau callable over the given {n: tau_2n}, as ``_tau_record`` reads it."""
+    return values.__getitem__
+
+
+def test_tau_record_reads_the_ratio_of_its_three_taus():
+    rec = _tau_record(3, ZERO, _taus({n: selberg_tau_zero(n) for n in (2, 3, 4)}))
+    assert rec["tau"] == selberg_tau_zero(3)
+    assert rec["selberg_ratio_check"] == pytest.approx(1.0, rel=1e-14)
+    assert _tau_record(0, ZERO, _taus({0: 1.0}))["selberg_ratio_check"] is None
+
+
 def test_tau_squared_overflow_names_n():
-    # at 200 nodes tau_34 is about -1.5e180, so its square leaves float64
-    with pytest.raises(OverflowError, match=r"n=17: tau\^2 overflows float64"):
-        tau_report(17, ZERO, Q)
+    taus = _taus({16: 1e150, 17: -2e180, 18: 1e200})
+    with pytest.raises(OverflowError,
+                       match=r"^n=17: tau\^2 overflows float64 \(tau_34 = -2e\+180\)"):
+        _tau_record(17, ZERO, taus)
 
 
-@pytest.mark.parametrize("n, q", [(16, Q), (2, QuadratureConfig(domain_radius=1e6))],
+@pytest.mark.parametrize("taus", [{15: -1e200, 16: 1e100, 17: 1e200},
+                                  {1: 1.0, 2: 0.0, 3: 1.0}],
                          ids=["product_overflows", "tau_is_zero"])
-def test_a_ratio_check_that_cannot_be_formed_names_n(n, q):
-    # at 200 nodes tau_34 tau_30 overflows to -inf; on radius 1e6 tau_4 = 0
-    with pytest.raises(ValueError, match=rf"n={n}: .* cannot be formed in float64"):
-        tau_report(n, ZERO, q)
+def test_a_ratio_check_that_cannot_be_formed_names_n(taus):
+    # tau_{2n+2} tau_{2n-2} overflows to -inf, or tau_2n = 0 makes the ratio nan
+    n = sorted(taus)[1]
+    with pytest.raises(ValueError, match=rf"^n={n}: .* cannot be formed in float64"):
+        _tau_record(n, ZERO, _taus(taus))
+
+
+def test_a_tau_report_past_float64_names_n():
+    # the monomial moment basis is ill-conditioned: at 200 nodes the
+    # zero-coupling taus around n = 16 are roundoff far past float64's square
+    # root, so no ratio can be formed
+    with pytest.raises((OverflowError, ValueError), match=r"^n=16: "):
+        tau_report(16, ZERO, Q)
 
 
 def test_tau_zero_convention():
