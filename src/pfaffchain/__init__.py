@@ -11,6 +11,8 @@ chain limit, with each layer cross-checked against the others:
   matrices (diagonalisability test);
 - ``reductions``: Riemann-invariant tangent recursion and the
   Gibbons-Tsarev closure with its involutivity check;
+- ``lazyfraction``: the unreduced exact rationals those two certificates
+  compute on;
 - ``cli``: the ``pfaffchain`` command.
 """
 

@@ -16,6 +16,15 @@ by looping over nonzero matrix entries and partials and is added at the lower
 indices (j, k) it names.  No summation range is bounded, so the engine serves
 any user-supplied chain-class matrix.
 
+``TensorPoint`` computes over whatever values its point supplies: Fractions,
+Polys (a symbolic point) or, in the scans ``haantjes_scan`` and
+``nijenhuis_oracle_check``, unreduced ``lazyfraction.LazyFraction``s over
+one common denominator L (``RationalPoint.lazy``).  Every product then
+carries a power of L and every sum reuses the larger power, so no
+operation pays a gcd.  A value is reduced to a Fraction once, where it
+leaves the scan as a report string; an exact zero is a numerator 0, and
+zero entries are dropped from every row.
+
 The flagship instance is the skew-ensemble chain matrix.  Its rows are not
 written out here, nor anywhere else: row k is ``lax.chain_matrix_terms(k)``,
 {j: a^k_j} with a^k_j the derivative by u^j_x of the order-0 Taylor
@@ -43,9 +52,11 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 from typing import Callable, Iterable, Iterator, Mapping
 
 from .lax import chain_matrix_terms
+from .lazyfraction import LazyFraction
 from .poly import _ZERO, Poly
 
 __all__ = [
@@ -89,6 +100,16 @@ class RationalPoint:
                 f"component u^{p} outside the supplied window |p| <= {self.window}"
             )
         return self.values.get(p, _ZERO)
+
+    def lazy(self) -> "RationalPoint":
+        """The same point with LazyFraction values over one common
+        denominator, the lcm of the values' denominators."""
+        values = {p: Fraction(v) for p, v in self.values.items()}
+        common = lcm(*(v.denominator for v in values.values()))
+        return RationalPoint(
+            values={p: LazyFraction(v.numerator * (common // v.denominator), common)
+                    for p, v in values.items()},
+            window=self.window)
 
 
 def random_rational_point(rng: random.Random, window: int) -> RationalPoint:
@@ -223,8 +244,9 @@ class TensorPoint:
     first read: ``row(k)`` = {j: a^k_j}, the partials {(j, p): d_p a^k_j} of
     row k, ``nijenhuis_row(i)`` = {(j, k): N^i_jk} and ``haantjes_row(i)`` =
     {(j, k): H^i_jk}.  A tensor row is scattered from the nonzero entries of
-    the rows it reads (see the module docstring).  Zero values are dropped;
-    anything absent reads as one shared ``Fraction(0)``.
+    the rows it reads (see the module docstring).  Values are of the
+    point's type; zero values are dropped, and anything absent reads as one
+    shared ``Fraction(0)``.
     """
 
     def __init__(self, spec: ChainMatrixSpec, point: RationalPoint):
@@ -306,11 +328,11 @@ class TensorPoint:
             # + a^i_p a^p_q N^q_jk
             for p, aip in self.row(i).items():
                 for (a, b), n in self.nijenhuis_row(p).items():
-                    v = aip * n
+                    v = -(aip * n)
                     for k, abk in self.row(b).items():
-                        _scatter(acc, (a, k), -v * abk)
+                        _scatter(acc, (a, k), v * abk)
                     for j, aaj in self.row(a).items():
-                        _scatter(acc, (j, b), -v * aaj)
+                        _scatter(acc, (j, b), v * aaj)
                 for q, apq in self.row(p).items():
                     v = aip * apq
                     for jk, n in self.nijenhuis_row(q).items():
@@ -325,8 +347,9 @@ class TensorPoint:
         return self.haantjes_row(i).get((j, k), _ZERO)
 
 
-def _scatter(acc: dict, key: tuple[int, int], value: Fraction) -> None:
-    acc[key] = acc.get(key, _ZERO) + value
+def _scatter(acc: dict, key: tuple[int, int], value) -> None:
+    old = acc.get(key)
+    acc[key] = value if old is None else old + value
 
 
 def _nonzero(acc: dict) -> dict:
@@ -435,10 +458,11 @@ def nijenhuis_oracle_check(point: RationalPoint) -> dict:
     """Compare every engine N^i_jk against the printed table.
 
     Scans |i| <= 6 and |j|, |k| <= 8; entries absent from the printed table
-    must evaluate to the exact integer 0.
+    must evaluate to the exact integer 0.  Both sides are evaluated at
+    ``point.lazy()``; a mismatch is reported as reduced Fraction strings.
     """
-    spec = paper_chain_spec()
-    ev = TensorPoint(spec, point)
+    point = point.lazy()
+    ev = TensorPoint(paper_chain_spec(), point)
     mismatches = []
     checked = 0
     for i in range(-6, 7):
@@ -465,7 +489,9 @@ def haantjes_scan(window: int = 6, points: int = 50, seed: int = 0,
     """Evaluate H^i_jk for all |i|,|j|,|k| <= window at random rational points.
 
     Returns the JSON-ready report; ``haantjes_nonzero`` empty means the
-    diagonalisability test passed (exact zeros, no tolerance).
+    diagonalisability test passed (exact zeros, no tolerance).  Each point
+    is evaluated over one common denominator (``RationalPoint.lazy``) and a
+    nonzero entry is reduced once, for its report string.
     """
     if window < 0 or points < 1:
         raise ValueError(f"window {window} and points {points} check nothing; "
@@ -476,7 +502,7 @@ def haantjes_scan(window: int = 6, points: int = 50, seed: int = 0,
     nonzero = []
     for p_idx in range(points):
         point = random_rational_point(rng, point_window)
-        ev = TensorPoint(spec, point)
+        ev = TensorPoint(spec, point.lazy())
         for i in range(-window, window + 1):
             for (j, k), val in sorted(ev.haantjes_row(i).items()):
                 if -window <= j <= k <= window:

@@ -19,10 +19,20 @@ Gibbons-Tsarev system
                     - (i <-> j)
 
 whose involutivity (equality of mixed third derivatives modulo the closure)
-is what certifies integrability.  The involutivity check differentiates the
-closure formulas forward-mode over the jet coordinates, with the closure
-itself supplying the derivatives of the coordinates, so every residual is an
-exact Fraction and zero means zero.
+is what certifies integrability.  Each residual d_k F(i, j) - d_j F(i, k)
+reads one first derivative of each of two closure values, so the check runs
+the closure formulas forward-mode along one direction at a time: over duals
+(value, derivative along R^k) of the jet coordinates, with the closure itself
+supplying the derivatives of the coordinates.
+
+All of it runs on unreduced rationals (``lazyfraction.LazyFraction``): the
+chain rows are evaluated at the jet's u-window put over one common
+denominator, and the recursion, the closure values and the residuals are
+never reduced along the way.  A value is reduced to a Fraction once, where it
+leaves this module: the components ``tangent_recursion`` returns, the
+residuals ``gt_involutivity`` returns, the maximum ``eigen_residual`` returns
+and the strings of ``involutivity_report``.  Exact zero means numerator 0, so
+a residual reads as the integer 0, never as a value under a tolerance.
 """
 
 from __future__ import annotations
@@ -34,6 +44,7 @@ from functools import cached_property
 from typing import Mapping
 
 from .integrability import RationalPoint, TensorPoint, paper_chain_spec, random_rational_point
+from .lazyfraction import LazyFraction, lazy
 
 __all__ = [
     "ReductionJet",
@@ -41,9 +52,6 @@ __all__ = [
     "tangent_recursion",
     "eigen_residual",
     "DegenerateSpeedsError",
-    "GTDerivatives",
-    "gt_rhs",
-    "JetNum",
     "gt_involutivity",
     "involutivity_report",
 ]
@@ -61,8 +69,8 @@ class ReductionJet:
     lambda^i; ``du0``/``du1`` hold d_i u^0 and d_i u^1.  ``u_window`` carries
     the u^k values the tangent recursion needs (with u^0/u^1 agreeing with
     the jet's own fields).  ``_rows`` evaluates the chain rows at
-    ``u_window`` once per jet, for ``tangent_recursion`` and
-    ``eigen_residual`` in every direction.
+    ``u_window`` over one common denominator, once per jet, for
+    ``tangent_recursion`` and ``eigen_residual`` in every direction.
     """
 
     n_components: int
@@ -84,7 +92,7 @@ class ReductionJet:
 
     @cached_property
     def _rows(self) -> TensorPoint:
-        return TensorPoint(paper_chain_spec(), self.u_window)
+        return TensorPoint(paper_chain_spec(), self.u_window.lazy())
 
 
 def random_jet(rng: random.Random, n_components: int = 3, window: int = 10) -> ReductionJet:
@@ -114,12 +122,17 @@ def tangent_recursion(jet: ReductionJet, i: int, depth: int) -> dict[int, Fracti
     Row k determines the single unknown neighbour (k+1 going up, k-1 going
     down); each step divides by the structural entry a^k_{k+-1} = u^0.
     """
+    return {k: v.fraction() for k, v in _tangent(jet, i, depth).items()}
+
+
+def _tangent(jet: ReductionJet, i: int, depth: int) -> dict[int, LazyFraction]:
+    """``tangent_recursion``, unreduced."""
     if jet.u_window.window < depth + 1:
         raise ValueError(f"u_window must cover |k| <= {depth + 1}")
-    lam = jet.lam[i]
-    du: dict[int, Fraction] = {0: jet.du0[i], 1: jet.du1[i]}
+    lam = lazy(jet.lam[i])
+    du = {0: lazy(jet.du0[i]), 1: lazy(jet.du1[i])}
 
-    def solve_row(k: int, target: int) -> Fraction:
+    def solve_row(k: int, target: int) -> LazyFraction:
         row = jet._rows.row(k)
         acc = lam * du[k]
         for j, coeff in row.items():
@@ -142,30 +155,21 @@ def tangent_recursion(jet: ReductionJet, i: int, depth: int) -> dict[int, Fracti
 
 def eigen_residual(jet: ReductionJet, i: int, depth: int) -> Fraction:
     """max_k |lambda^i d_i u^k - (A d_i u)^k| over |k| <= depth-1, exact."""
-    du = tangent_recursion(jet, i, depth)
-    lam = jet.lam[i]
+    du = _tangent(jet, i, depth)
+    lam = lazy(jet.lam[i])
     worst = Fraction(0)
     for k in range(-(depth - 1), depth):
-        acc = Fraction(0)
+        res = lam * du[k]
         for j, coeff in jet._rows.row(k).items():
-            acc += coeff * du.get(j, Fraction(0))
-        res = abs(lam * du[k] - acc)
-        if res > worst:
-            worst = res
+            res -= coeff * du.get(j, 0)
+        if res:
+            worst = max(worst, abs(res.fraction()))
     return worst
 
 
 # ---------------------------------------------------------------------------
 # Gibbons-Tsarev closure
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class GTDerivatives:
-    dlam_ij: Fraction  # d_j lambda^i
-    dlam_ji: Fraction  # d_i lambda^j
-    d2u0_ij: Fraction  # d_i d_j u^0
-    d2u1_ij: Fraction  # d_i d_j u^1
 
 
 _COUPLING = Fraction(4)  # the constant in 4 (u^0)^2 of the closure
@@ -189,142 +193,69 @@ def _gt_d2u1(lam_i, lam_j, u0, diu0, dju0, diu1, dju1):
     return -(ci / den) * diu0 * dju1 - (cj / den) * dju0 * diu1
 
 
-def gt_rhs(jet: ReductionJet, i: int, j: int) -> GTDerivatives:
-    """The four closure values for a distinct pair (i, j), exact."""
-    if i == j:
-        raise ValueError("indices must be distinct")
-    li, lj = jet.lam[i], jet.lam[j]
-    if li == lj:
-        raise DegenerateSpeedsError(f"lambda^{i} == lambda^{j}")
-    u0 = jet.u0
-    return GTDerivatives(
-        dlam_ij=_gt_dlam(li, lj, u0, jet.du0[j]),
-        dlam_ji=_gt_dlam(lj, li, u0, jet.du0[i]),
-        d2u0_ij=_gt_d2u0(li, lj, u0, jet.du0[i], jet.du0[j]),
-        d2u1_ij=_gt_d2u1(li, lj, u0, jet.du0[i], jet.du0[j],
-                         jet.du1[i], jet.du1[j]),
-    )
-
-
 # ---------------------------------------------------------------------------
-# involutivity via forward-mode jets
+# involutivity, forward mode along one direction at a time
 # ---------------------------------------------------------------------------
 
 
-class JetNum:
-    """A value with its derivatives along the directions R^1..R^N.
+class _Dual:
+    """A value and its derivative along one direction R^k.  The closure
+    formulas combine duals by + - * / and ** and scale them by constants."""
 
-    A slot is None when the direction's action on the underlying coordinate
-    is not supplied by the closure (diagonal derivatives such as d_i
-    lambda^i); arithmetic propagates None so reading such a slot is an error
-    only if it is actually needed.
-    """
+    __slots__ = ("v", "d")
 
-    __slots__ = ("val", "d")
-
-    def __init__(self, val: Fraction, d: tuple):
-        self.val = val
+    def __init__(self, v, d):
+        self.v = v
         self.d = d
 
-    @staticmethod
-    def const(c, n: int) -> "JetNum":
-        return JetNum(Fraction(c), (Fraction(0),) * n)
-
-    def _coerce(self, other) -> "JetNum":
-        if isinstance(other, JetNum):
-            return other
-        return JetNum.const(other, len(self.d))
-
-    @staticmethod
-    def _zip(a, b, op):
-        return tuple(None if (x is None or y is None) else op(x, y)
-                     for x, y in zip(a, b))
-
     def __add__(self, other):
-        o = self._coerce(other)
-        return JetNum(self.val + o.val, self._zip(self.d, o.d, lambda x, y: x + y))
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return JetNum(-self.val, tuple(None if x is None else -x for x in self.d))
+        return _Dual(self.v + other.v, self.d + other.d)
 
     def __sub__(self, other):
-        return self + (-self._coerce(other))
+        return _Dual(self.v - other.v, self.d - other.d)
 
-    def __rsub__(self, other):
-        return self._coerce(other) + (-self)
+    def __neg__(self):
+        return _Dual(-self.v, -self.d)
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        d = tuple(None if (x is None or y is None)
-                  else x * o.val + self.val * y
-                  for x, y in zip(self.d, o.d))
-        return JetNum(self.val * o.val, d)
+        if type(other) is _Dual:
+            return _Dual(self.v * other.v, self.d * other.v + self.v * other.d)
+        return _Dual(self.v * other, self.d * other)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = self._coerce(other)
-        val = self.val / o.val
-        d = tuple(None if (x is None or y is None)
-                  else (x * o.val - self.val * y) / (o.val * o.val)
-                  for x, y in zip(self.d, o.d))
-        return JetNum(val, d)
+        q = self.v / other.v
+        return _Dual(q, (self.d - q * other.d) / other.v)
 
     def __pow__(self, n: int):
-        out = JetNum.const(1, len(self.d))
-        for _ in range(n):
-            out = out * self
-        return out
-
-    def slot(self, k: int) -> Fraction:
-        v = self.d[k - 1]
-        if v is None:
-            raise ValueError(f"derivative along R^{k} is not closed for this value")
-        return v
+        return _Dual(self.v ** n, n * self.v ** (n - 1) * self.d)
 
 
-def _jet_coordinates(jet: ReductionJet, c_lam: Fraction):
-    """Base coordinates as JetNums with closure-supplied first derivatives;
-    ``c_lam`` is the constant of the d_j lambda^i formula."""
-    n = jet.n_components
-    idx = range(1, n + 1)
-    u0 = JetNum(jet.u0, tuple(jet.du0[k] for k in idx))
-    u1 = JetNum(jet.u1, tuple(jet.du1[k] for k in idx))
-    lam = {}
-    for i in idx:
-        slots = tuple(
-            None if k == i else _gt_dlam(jet.lam[i], jet.lam[k], jet.u0,
-                                         jet.du0[k], c_lam)
-            for k in idx)
-        lam[i] = JetNum(jet.lam[i], slots)
-    du0 = {}
-    du1 = {}
-    for j in idx:
-        slots0 = tuple(
-            None if k == j else _gt_d2u0(jet.lam[k], jet.lam[j], jet.u0,
-                                         jet.du0[k], jet.du0[j])
-            for k in idx)
-        du0[j] = JetNum(jet.du0[j], slots0)
-        slots1 = tuple(
-            None if k == j else _gt_d2u1(jet.lam[k], jet.lam[j], jet.u0,
-                                         jet.du0[k], jet.du0[j],
-                                         jet.du1[k], jet.du1[j])
-            for k in idx)
-        du1[j] = JetNum(jet.du1[j], slots1)
-    return u0, u1, lam, du0, du1
+def _coordinates_along(k: int, u0, lam, du0, du1, c_lam):
+    """u^0 and {i: lambda^i}, {i: d_i u^0}, {i: d_i u^1} for i != k as duals
+    along R^k, their derivatives supplied by the closure (d_k of a
+    coordinate of direction k itself is not closed, and no residual reads
+    it); ``c_lam`` is the constant of the d_j lambda^i formula."""
+    others = [i for i in lam if i != k]
+    return (
+        _Dual(u0, du0[k]),
+        {i: _Dual(lam[i], _gt_dlam(lam[i], lam[k], u0, du0[k], c_lam)) for i in others},
+        {i: _Dual(du0[i], _gt_d2u0(lam[k], lam[i], u0, du0[k], du0[i])) for i in others},
+        {i: _Dual(du1[i], _gt_d2u1(lam[k], lam[i], u0, du0[k], du0[i], du1[k], du1[i]))
+         for i in others},
+    )
 
 
 def gt_involutivity(jet: ReductionJet,
                     mutate_dlam: Fraction | None = None) -> dict[str, Fraction]:
     """Symmetrized-derivative residuals of the closure at ``jet``, exact.
 
-    Re-evaluates the closure formulas over JetNum coordinates, so slot k of
-    d_j lambda^i is d_k d_j lambda^i with every first derivative replaced by
-    its closure value; involutivity says the (j, k) symmetrizations vanish.
-    Only fully distinct index triples are formed (N = 3 suffices: every
-    compatibility condition involves at most three directions).
+    d_k of a closure value is its formula re-evaluated over duals along R^k,
+    every first derivative replaced by its closure value; involutivity says
+    the (j, k) symmetrizations vanish.  Only fully distinct index triples
+    are formed (N = 3 suffices: every compatibility condition involves at
+    most three directions).
 
     ``mutate_dlam`` replaces the coupling constant in the d_j lambda^i
     formula only (the non-vacuity mutation).  Mutating the coupling in all
@@ -334,26 +265,33 @@ def gt_involutivity(jet: ReductionJet,
     """
     if jet.n_components != 3:
         raise ValueError("involutivity check uses exactly three components")
-    c_lam = _COUPLING if mutate_dlam is None else mutate_dlam
-    u0, u1, lam, du0, du1 = _jet_coordinates(jet, c_lam)
+    c_lam = lazy(_COUPLING if mutate_dlam is None else mutate_dlam)
+    lam = {i: lazy(v) for i, v in jet.lam.items()}
+    du0 = {i: lazy(v) for i, v in jet.du0.items()}
+    du1 = {i: lazy(v) for i, v in jet.du1.items()}
+    along = {k: _coordinates_along(k, lazy(jet.u0), lam, du0, du1, c_lam)
+             for k in (1, 2, 3)}
 
-    def dlam_expr(i, j):
-        return _gt_dlam(lam[i], lam[j], u0, du0[j], c_lam)
+    def dlam(i, j, k):  # d_k d_j lambda^i
+        u0, lam, du0, _du1 = along[k]
+        return _gt_dlam(lam[i], lam[j], u0, du0[j], c_lam).d
 
-    def d2u0_expr(i, j):
-        return _gt_d2u0(lam[i], lam[j], u0, du0[i], du0[j])
+    def d2u0(i, j, k):  # d_k d_i d_j u^0
+        u0, lam, du0, _du1 = along[k]
+        return _gt_d2u0(lam[i], lam[j], u0, du0[i], du0[j]).d
 
-    def d2u1_expr(i, j):
-        return _gt_d2u1(lam[i], lam[j], u0, du0[i], du0[j], du1[i], du1[j])
+    def d2u1(i, j, k):  # d_k d_i d_j u^1
+        u0, lam, du0, du1 = along[k]
+        return _gt_d2u1(lam[i], lam[j], u0, du0[i], du0[j], du1[i], du1[j]).d
 
     residuals: dict[str, Fraction] = {}
     for i, j, k in ((1, 2, 3), (2, 3, 1), (3, 1, 2)):
         residuals[f"lambda^{i}: d{k}d{j} - d{j}d{k}"] = (
-            dlam_expr(i, j).slot(k) - dlam_expr(i, k).slot(j))
+            dlam(i, j, k) - dlam(i, k, j)).fraction()
         residuals[f"u0: d{k}d{i}d{j} - d{j}d{i}d{k}"] = (
-            d2u0_expr(i, j).slot(k) - d2u0_expr(i, k).slot(j))
+            d2u0(i, j, k) - d2u0(i, k, j)).fraction()
         residuals[f"u1: d{k}d{i}d{j} - d{j}d{i}d{k}"] = (
-            d2u1_expr(i, j).slot(k) - d2u1_expr(i, k).slot(j))
+            d2u1(i, j, k) - d2u1(i, k, j)).fraction()
     return residuals
 
 

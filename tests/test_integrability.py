@@ -327,3 +327,61 @@ def test_tensors_equal_their_dense_definitions(overrides):
             assert ev.haantjes(i, j, k) == hijk == -ev.haantjes(i, k, j), (i, j, k)
             nonzero_h += hijk != 0
     assert (nonzero_h > 0) == bool(overrides)
+
+
+# ---------------------------------------------------------------------------
+# the scans' point over one common denominator, and a symbolic point
+# ---------------------------------------------------------------------------
+
+def _eleventh_spec():
+    """The paper rows |k| <= 16 as a JSON ``rows`` table, a^0_1 = (u^0)^2 / 11."""
+    rows = {str(k): {str(j): poly.to_table() for j, poly in SPEC.rows(k).items()}
+            for k in range(-16, 17)}
+    rows["0"]["1"] = [["1/11", [0, 0]]]
+    return load_spec_json({"name": "eleventh", "stencil": 1, "rows": rows})
+
+
+# Largest denominator, in bits, of any N^i_jk or H^i_jk with |i| <= 10 over
+# point.lazy().  The point's common denominator L divides lcm(1..7) = 420
+# (9 bits), N carries at most L^3 (27 bits) and H at most L^7 (61 bits);
+# both bounds are reached.  With the 1/11 coefficient the divisibility rule
+# no longer applies to every sum: seeds 0-19 reach 51-168 bits.  Without the
+# rule the mutated spec reaches 9612 bits at seed 0.
+@pytest.mark.parametrize("spec, max_bits", [
+    (SPEC, 27),
+    (spec_with_overrides(SPEC, {"0,1": [["1", [0]]]}), 61),
+    (_eleventh_spec(), 180),
+], ids=["paper", "a01=u0", "a01=u0^2/11"])
+def test_lazy_haantjes_rows_equal_the_fraction_rows(spec, max_bits):
+    window = 10
+    point = _point(0, window + 2 * spec.stencil + 2)
+    lazy_ev, exact_ev = TensorPoint(spec, point.lazy()), TensorPoint(spec, point)
+    bits = 0
+    for i in range(-window, window + 1):
+        row = lazy_ev.haantjes_row(i)
+        assert {jk: v.fraction() for jk, v in row.items()} == exact_ev.haantjes_row(i)
+        for v in [*row.values(), *lazy_ev.nijenhuis_row(i).values()]:
+            bits = max(bits, v.d.bit_length())
+    assert bits <= max_bits
+
+
+def test_lazy_point_shares_one_denominator():
+    point = _point(1)
+    values = point.lazy().values
+    assert len({v.d for v in values.values()}) == 1
+    assert all(v.fraction() == point.at(p) for p, v in values.items())
+
+
+def test_tensor_point_evaluates_over_a_poly_point():
+    # the symbolic route: rows, N and H come out as polynomials in the u^p
+    symbolic = RationalPoint(values={p: Poly.u(p) for p in range(-8, 9)}, window=8)
+    assert all(TensorPoint(SPEC, symbolic).haantjes_row(i) == {} for i in range(-4, 5))
+    mutated = spec_with_overrides(SPEC, {"0,1": [["1", [0]]]})
+    ev, sym = TensorPoint(mutated, _point(2, 8)), TensorPoint(mutated, symbolic)
+    for i in range(-4, 5):
+        for got, want in ((sym.nijenhuis_row(i), ev.nijenhuis_row(i)),
+                          (sym.haantjes_row(i), ev.haantjes_row(i))):
+            assert all(isinstance(v, Poly) for v in got.values())
+            values = {jk: v.eval(ev.point.at) for jk, v in got.items()}
+            assert {jk: v for jk, v in values.items() if v} == want
+    assert any(sym.haantjes_row(i) for i in range(-4, 5))

@@ -1,14 +1,19 @@
-"""Property tests: Pfaffian identities, the projection and band JSON."""
+"""Property tests: Pfaffian identities, the projection, band JSON and the
+unreduced exact rationals against Fraction."""
 
 import json
 import math
+import operator
+from fractions import Fraction
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from pfaffchain.ensemble import pfaffian
 from pfaffchain.lax import LaxBands, bands_from_json, bands_to_json, project_t
+from pfaffchain.lazyfraction import LazyFraction, lazy
 
 FEW = settings(max_examples=40, deadline=None)
 ENTRIES = st.floats(-2.0, 2.0, allow_subnormal=False)
@@ -68,3 +73,60 @@ def band_states(draw):
 @given(band_states())
 def test_bands_json_round_trip(b):
     assert bands_from_json(json.loads(json.dumps(bands_to_json(b)))) == b
+
+
+# a value with the kind of operand that carries it: an int, a reduced
+# Fraction, or a LazyFraction with its numerator and denominator scaled by a
+# common factor (an unreduced representation)
+@st.composite
+def exact_operands(draw):
+    kind = draw(st.sampled_from(["int", "fraction", "lazy"]))
+    if kind == "int":
+        value = draw(st.integers(-12, 12))
+        return Fraction(value), value
+    value = draw(st.fractions(-12, 12, max_denominator=30))
+    if kind == "fraction":
+        return value, value
+    scale = draw(st.integers(1, 6))
+    return value, LazyFraction(value.numerator * scale, value.denominator * scale)
+
+
+OPS = [operator.add, operator.sub, operator.mul, operator.truediv]
+
+
+@settings(max_examples=200, deadline=None)
+@given(exact_operands(), st.lists(st.tuples(st.sampled_from(OPS), exact_operands(),
+                                            st.booleans()), max_size=8))
+def test_lazy_fraction_chains_equal_fraction_chains(start, steps):
+    want, got = start[0], lazy(start[1])
+    for op, (value, operand), operand_first in steps:
+        # (exact value, operand) on each side of the operator
+        left, right = ((value, operand), (want, got)) if operand_first \
+            else ((want, got), (value, operand))
+        if op is operator.truediv and right[0] == 0:
+            with pytest.raises(ZeroDivisionError):
+                op(left[1], right[1])
+            continue
+        want, got = op(left[0], right[0]), op(left[1], right[1])
+        assert type(got) is LazyFraction and got.d > 0
+        assert got.fraction() == want and got == want and want == got
+        assert bool(got) == bool(want) and str(got) == str(want)
+        assert (-got).fraction() == -want
+    if want:
+        assert (got ** -2).fraction() == want ** -2
+    assert (got ** 3).fraction() == want ** 3
+
+
+def test_lazy_fraction_refuses_inexact_operands_and_ordering():
+    with pytest.raises(TypeError):
+        lazy(0.5)
+    with pytest.raises(TypeError):
+        LazyFraction(1, 2) + 0.5
+    with pytest.raises(TypeError):
+        LazyFraction(1, 2) < 1
+    with pytest.raises(TypeError):
+        hash(LazyFraction(1, 2))
+    with pytest.raises(ZeroDivisionError):
+        LazyFraction(1, 2) / LazyFraction(0, 7)
+    with pytest.raises(ZeroDivisionError):
+        3 / LazyFraction(0, 5)

@@ -1,21 +1,161 @@
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
 
 from pfaffchain.reductions import (
     DegenerateSpeedsError,
-    JetNum,
     ReductionJet,
+    _gt_d2u0,
+    _gt_d2u1,
+    _gt_dlam,
     eigen_residual,
     gt_involutivity,
-    gt_rhs,
     involutivity_report,
     random_jet,
     tangent_recursion,
 )
 
 F = Fraction
+
+
+# ---------------------------------------------------------------------------
+# oracles: the closure values, and involutivity by forward mode over all
+# directions at once on reduced Fractions
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class GTDerivatives:
+    dlam_ij: Fraction  # d_j lambda^i
+    dlam_ji: Fraction  # d_i lambda^j
+    d2u0_ij: Fraction  # d_i d_j u^0
+    d2u1_ij: Fraction  # d_i d_j u^1
+
+
+def gt_rhs(jet: ReductionJet, i: int, j: int) -> GTDerivatives:
+    """The four closure values for a distinct pair (i, j), exact."""
+    if i == j:
+        raise ValueError("indices must be distinct")
+    li, lj = jet.lam[i], jet.lam[j]
+    if li == lj:
+        raise DegenerateSpeedsError(f"lambda^{i} == lambda^{j}")
+    u0 = jet.u0
+    return GTDerivatives(
+        dlam_ij=_gt_dlam(li, lj, u0, jet.du0[j]),
+        dlam_ji=_gt_dlam(lj, li, u0, jet.du0[i]),
+        d2u0_ij=_gt_d2u0(li, lj, u0, jet.du0[i], jet.du0[j]),
+        d2u1_ij=_gt_d2u1(li, lj, u0, jet.du0[i], jet.du0[j],
+                         jet.du1[i], jet.du1[j]),
+    )
+
+
+class JetNum:
+    """A value with its derivatives along the directions R^1..R^N.
+
+    A slot is None when the direction's action on the underlying coordinate
+    is not supplied by the closure (diagonal derivatives such as d_i
+    lambda^i); arithmetic propagates None so reading such a slot is an error
+    only if it is actually needed.
+    """
+
+    __slots__ = ("val", "d")
+
+    def __init__(self, val: Fraction, d: tuple):
+        self.val = val
+        self.d = d
+
+    @staticmethod
+    def const(c, n: int) -> "JetNum":
+        return JetNum(Fraction(c), (Fraction(0),) * n)
+
+    def _coerce(self, other) -> "JetNum":
+        if isinstance(other, JetNum):
+            return other
+        return JetNum.const(other, len(self.d))
+
+    @staticmethod
+    def _zip(a, b, op):
+        return tuple(None if (x is None or y is None) else op(x, y)
+                     for x, y in zip(a, b))
+
+    def __add__(self, other):
+        o = self._coerce(other)
+        return JetNum(self.val + o.val, self._zip(self.d, o.d, lambda x, y: x + y))
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return JetNum(-self.val, tuple(None if x is None else -x for x in self.d))
+
+    def __sub__(self, other):
+        return self + (-self._coerce(other))
+
+    def __rsub__(self, other):
+        return self._coerce(other) + (-self)
+
+    def __mul__(self, other):
+        o = self._coerce(other)
+        d = tuple(None if (x is None or y is None)
+                  else x * o.val + self.val * y
+                  for x, y in zip(self.d, o.d))
+        return JetNum(self.val * o.val, d)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        o = self._coerce(other)
+        val = self.val / o.val
+        d = tuple(None if (x is None or y is None)
+                  else (x * o.val - self.val * y) / (o.val * o.val)
+                  for x, y in zip(self.d, o.d))
+        return JetNum(val, d)
+
+    def __pow__(self, n: int):
+        out = JetNum.const(1, len(self.d))
+        for _ in range(n):
+            out = out * self
+        return out
+
+    def slot(self, k: int) -> Fraction:
+        v = self.d[k - 1]
+        if v is None:
+            raise ValueError(f"derivative along R^{k} is not closed for this value")
+        return v
+
+
+def _oracle_involutivity(jet: ReductionJet, c_lam: Fraction) -> dict[str, Fraction]:
+    """``gt_involutivity`` over JetNum coordinates carrying every direction's
+    closure-supplied derivative at once; ``c_lam`` is the constant of the
+    d_j lambda^i formula."""
+    idx = (1, 2, 3)
+    u0 = JetNum(jet.u0, tuple(jet.du0[k] for k in idx))
+    lam = {i: JetNum(jet.lam[i], tuple(
+        None if k == i else _gt_dlam(jet.lam[i], jet.lam[k], jet.u0, jet.du0[k], c_lam)
+        for k in idx)) for i in idx}
+    du0 = {j: JetNum(jet.du0[j], tuple(
+        None if k == j else _gt_d2u0(jet.lam[k], jet.lam[j], jet.u0, jet.du0[k], jet.du0[j])
+        for k in idx)) for j in idx}
+    du1 = {j: JetNum(jet.du1[j], tuple(
+        None if k == j else _gt_d2u1(jet.lam[k], jet.lam[j], jet.u0, jet.du0[k],
+                                     jet.du0[j], jet.du1[k], jet.du1[j])
+        for k in idx)) for j in idx}
+
+    def dlam(i, j):
+        return _gt_dlam(lam[i], lam[j], u0, du0[j], c_lam)
+
+    def d2u0(i, j):
+        return _gt_d2u0(lam[i], lam[j], u0, du0[i], du0[j])
+
+    def d2u1(i, j):
+        return _gt_d2u1(lam[i], lam[j], u0, du0[i], du0[j], du1[i], du1[j])
+
+    residuals = {}
+    for i, j, k in ((1, 2, 3), (2, 3, 1), (3, 1, 2)):
+        residuals[f"lambda^{i}: d{k}d{j} - d{j}d{k}"] = dlam(i, j).slot(k) - dlam(i, k).slot(j)
+        residuals[f"u0: d{k}d{i}d{j} - d{j}d{i}d{k}"] = d2u0(i, j).slot(k) - d2u0(i, k).slot(j)
+        residuals[f"u1: d{k}d{i}d{j} - d{j}d{i}d{k}"] = d2u1(i, j).slot(k) - d2u1(i, k).slot(j)
+    return residuals
 
 
 # ---------------------------------------------------------------------------
@@ -178,6 +318,36 @@ def test_mutated_coefficient_breaks_involutivity():
         residuals = gt_involutivity(jet, mutate_dlam=F(3))
         hits += any(v != 0 for v in residuals.values())
     assert hits == 10
+
+
+@pytest.mark.parametrize("coupling", [None, F(3)], ids=["paper", "mutated"])
+def test_dual_residuals_equal_the_jetnum_oracle(coupling):
+    rng = random.Random(17)
+    nonzero = 0
+    for _ in range(200):
+        jet = random_jet(rng, 3)
+        got = gt_involutivity(jet, mutate_dlam=coupling)
+        assert got == _oracle_involutivity(jet, coupling or F(4))
+        assert all(type(v) is Fraction for v in got.values())
+        nonzero += any(got.values())
+    # a jet with d_j u^0 = 0 in some direction can leave the mutation silent
+    assert nonzero == 0 if coupling is None else nonzero >= 190
+
+
+@pytest.mark.parametrize("seed, residual", [(0, "1858347279/134560"),
+                                            (1, "1240191071/332928")])
+def test_mutated_report_keeps_its_exact_residual(seed, residual):
+    # the strings `gt --jets 20 --mutate` reported before the duals
+    assert involutivity_report(jets=20, seed=seed, mutate_dlam=F(3)) == {
+        "jets": 20, "seed": seed, "max_involutivity_residual": residual,
+        "eigen_residual": "0"}
+
+
+def test_public_values_are_reduced_fractions():
+    jet = random_jet(random.Random(18), 3)
+    values = list(tangent_recursion(jet, 2, 6).values())
+    values += [eigen_residual(jet, 2, 6)] + list(gt_involutivity(jet).values())
+    assert all(type(v) is Fraction for v in values)
 
 
 def test_involutivity_needs_three_components():
