@@ -2,11 +2,11 @@
 chain limit, with each layer cross-checked against the others:
 
 - ``ensemble``: moment matrices of the skew pairing by quadrature, Pfaffians,
-  closed-form zero-coupling values and the moment-flow law;
+  the closed-form zero-coupling tau ratio and the moment-flow law;
 - ``lax``: the band Lax matrix, projection-commutator flows, explicit flow
   tables, skew factorisation, Gaussian initial data and RK4 stepping;
 - ``chain``: the continuum hydrodynamic chain, its lattice-size corrections,
-  the first-flow limit and the lattice-vs-continuum order measurement;
+  grid evolution and the lattice-vs-continuum order measurement;
 - ``integrability``: exact Nijenhuis/Haantjes tensors for chain-class
   matrices (diagonalisability test);
 - ``reductions``: Riemann-invariant tangent recursion and the

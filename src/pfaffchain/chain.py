@@ -1,6 +1,6 @@
 """Continuum limit of the even lattice flow: the hydrodynamic chain, its
-lattice-size corrections, the non-quasilinear first-flow limit, grid
-evolution and the lattice-vs-continuum order measurement.
+lattice-size corrections, grid evolution and the lattice-vs-continuum
+order measurement.
 
 With the interpolation u^k(x) = w^k(x / eps), x = eps * n and the rescaled
 time t = eps * t_2, the leading order of the even second flow is the
@@ -19,19 +19,20 @@ and the tensor engine (``integrability.paper_chain_spec``) reads exactly.
 The expanded tables are summed by the lattice's own evaluator
 (``lax._Fields``/``lax._sum_bands``), with each 4th-order x-derivative
 stencil applied once to the whole band stack in place of its site shifts.
-A state (``ChainState``) has the lattice's band layout: one (kinds,
-2 depth + 1, grid) array ``rows``, kind 0 the u bands and kind 1 the z
-bands, row k + depth band k, so u^k(x) = w^k(x / eps) is the same array
-read on a grid.  The right-hand sides return (2 depth + 1, grid) arrays in
-that row order, and ``evolve_chain`` steps the u kind through the lattice's
-stepping loop.  The printed correction formulas carry sign typos in the
-u^0 u^1 coupling group of the k < 0 and k > 1 branches; the tests keep the
-printed forms as oracles against the expansion.
+A state (``ChainState``) has the even lattice's band layout: one (1,
+2 depth + 1, grid) array ``rows`` of the u bands, row k + depth band k, so
+u^k(x) = w^k(x / eps) is the same array read on a grid.  The right-hand
+sides return (2 depth + 1, grid) arrays in that row order, and
+``evolve_chain`` steps the rows through the lattice's stepping loop.  The
+printed correction formulas carry sign typos in the u^0 u^1 coupling group
+of the k < 0 and k > 1 branches; the tests keep the printed forms as
+oracles against the expansion.
 
 The first flow has no quasilinear limit: its continuum equations for
 (u^k, z^k) = (w^k, v^k) interpolants mix orders, with z^0_t1 = u^0 u^1
-exact and u^0_t1 starting only at eps^2.  Those right-hand sides are
-evaluated through the same expansion.
+exact and u^0_t1 starting only at eps^2.  The tests evaluate them as an
+oracle (``continuum_t1_rhs`` in ``tests/test_chain.py``) through the same
+expansion and evaluator, on a two-kind (u, z) stack.
 """
 
 from __future__ import annotations
@@ -49,7 +50,6 @@ __all__ = [
     "GradientCatastropheError",
     "chain_rhs_t2",
     "chain_rhs_t2_corrected",
-    "continuum_t1_rhs",
     "max_row_sum",
     "evolve_chain",
     "continuum_residual",
@@ -59,32 +59,29 @@ __all__ = [
 
 
 class ChainState:
-    """Grid samples of the chain fields u^k (and optionally z^k), |k| <= depth,
-    on a uniform periodic grid of spacing h.
+    """Grid samples of the chain fields u^k, |k| <= depth, on a uniform
+    periodic grid of spacing h.
 
-    ``rows[kind, k + depth]`` holds the samples of u^k (kind 0) or z^k
-    (kind 1), so ``rows`` is one float64 array of shape
-    (kinds, 2 depth + 1, grid), the ``lax.LaxBands`` layout; a state without
-    z carries the u kind only.  The constructor takes {k: samples} mappings:
-    omitted bands read zero and bands |k| > depth are dropped.  ``u`` and
-    ``z`` (None without z) are {k: row} views of ``rows``.  ``epsilon``
-    records the lattice spacing of the underlying lattice when the state was
-    sampled from one (it scales the corrected right-hand sides).
+    ``rows[0, k + depth]`` holds the samples of u^k, so ``rows`` is one
+    float64 array of shape (1, 2 depth + 1, grid), the ``lax.LaxBands``
+    layout of an even-reduced state.  The constructor takes a {k: samples}
+    mapping: omitted bands read zero and bands |k| > depth are dropped.
+    ``u`` is a {k: row} view of ``rows``.  ``epsilon`` records the lattice
+    spacing of the underlying lattice when the state was sampled from one
+    (it scales the corrected right-hand sides).
     """
 
     def __init__(self, h: float, depth: int, u: Mapping[int, np.ndarray],
-                 z: Mapping[int, np.ndarray] | None = None, epsilon: float = 0.0):
+                 epsilon: float = 0.0):
         if depth < 0:
             raise ValueError(f"depth {depth} must be non-negative")
-        kinds = [u] if z is None else [u, z]
-        sizes = {len(arr) for bands in kinds for arr in bands.values()}
+        sizes = {len(arr) for arr in u.values()}
         if len(sizes) > 1:
             raise ValueError("all band arrays must share one grid")
-        rows = np.zeros((len(kinds), 2 * depth + 1, sizes.pop() if sizes else 0))
-        for row, bands in zip(rows, kinds):
-            for k, arr in bands.items():
-                if abs(k) <= depth:
-                    row[k + depth] = arr
+        rows = np.zeros((1, 2 * depth + 1, sizes.pop() if sizes else 0))
+        for k, arr in u.items():
+            if abs(k) <= depth:
+                rows[0, k + depth] = arr
         self.h, self.rows, self.epsilon = h, rows, epsilon
 
     @classmethod
@@ -96,7 +93,6 @@ class ChainState:
     depth = property(lambda self: (self.rows.shape[1] - 1) // 2)
     grid_size = property(lambda self: self.rows.shape[2])
     u = property(lambda self: _by_band(self.rows[0]))
-    z = property(lambda self: _by_band(self.rows[1]) if len(self.rows) > 1 else None)
 
 
 def _by_band(rows: np.ndarray) -> dict[int, np.ndarray]:
@@ -136,8 +132,8 @@ _STENCILS = (None, _dx1, _dx2, _dx3)
 
 
 def _fields(s: ChainState) -> _Fields:
-    """(kind, band, x-derivative order) -> array of a state's rows ("w" -> u,
-    "v" -> z); absent bands read zero."""
+    """(kind, band, x-derivative order) -> array of a state's rows ("w" ->
+    rows[0], "v" -> rows[1]); absent kinds and bands read zero."""
 
     def derivative(rows: np.ndarray, r: int) -> np.ndarray:
         if r == 3 and s.grid_size < 7:
@@ -176,25 +172,6 @@ def chain_rhs_t2_corrected(s: ChainState, order: int) -> np.ndarray:
     return _continuum_rhs(s, _fields(s), order, 2, "w", rescale=True, even=True)
 
 
-def continuum_t1_rhs(s: ChainState, order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Continuum limit of the first flow through the requested order.
-
-    Returns (du, dz), each as (2 depth + 1, grid) rows; needs the z fields.
-    The first flow is not rescaled in time, so order r terms carry eps^r
-    directly.  The tables are the mechanical expansion of the lattice
-    first-flow tables ``lax.flow_terms(1, kind, k)`` (the printed continuum
-    equations contain one stray x-derivative in the z^{k+1} u^{-1}_xx
-    correction of the k < -1 branch).
-    """
-    if len(s.rows) < 2:
-        raise ValueError("first-flow continuum limit needs the z fields")
-    if order not in (0, 1, 2):
-        raise ValueError("order must be 0, 1 or 2")
-    fields = _fields(s)
-    return (_continuum_rhs(s, fields, order, 1, "w"),
-            _continuum_rhs(s, fields, order, 1, "v"))
-
-
 # ---------------------------------------------------------------------------
 # evolution
 # ---------------------------------------------------------------------------
@@ -217,12 +194,20 @@ def max_row_sum(s: ChainState) -> float:
     return worst
 
 
+# RK4 is stable on the imaginary axis up to |dt lambda| = 2 sqrt(2).  The
+# symbol of the 4th-order central first-derivative stencil, (8 sin t - sin 2t)
+# / 6, peaks at 1.3722 (at cos t = 1 - sqrt(3/2)), and every eigenvalue of the
+# chain matrix is bounded by its largest row sum, so a CFL number
+# dt * max_row_sum / h up to this bound keeps the linearised scheme stable.
+_RK4_CENTRAL_CFL = 2 * math.sqrt(2) / 1.3722
+
+
 def evolve_chain(s: ChainState, dt: float, steps: int,
                  scheme: str = "rk4-central") -> list[ChainState]:
     """Time-step the leading-order chain with periodic boundaries: the u rows
     ``s.rows[0]``, one (2 depth + 1, grid) stack, go through the lattice's
     stepping loop.  Every state keeps ``h`` and ``epsilon``; the first is
-    ``s`` itself and the others carry the u kind only."""
+    ``s`` itself."""
     if not 0 < dt < math.inf:
         raise ValueError(f"dt must be positive and finite, got {dt}")
     if scheme not in ("rk4-central", "lax-friedrichs"):
@@ -284,6 +269,9 @@ def continuum_residual(profile: Mapping[int, Callable], eps_list: Sequence[float
         raise ValueError("need at least 3 epsilon values to fit a slope")
     if not orders:
         raise ValueError("need at least one correction order")
+    for i, r in enumerate(orders):
+        if r in orders[:i]:
+            raise ValueError(f"correction order {r} is listed twice")
     if depth < 2:
         raise ValueError(f"depth {depth} leaves no band to compare; need depth >= 2")
     reports = []

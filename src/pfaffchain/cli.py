@@ -138,14 +138,6 @@ def cmd_lax_verify(args, out: Path) -> int:
     return PASS if report["pass"] else FAIL
 
 
-# RK4 is stable on the imaginary axis up to |dt lambda| = 2 sqrt(2).  The
-# symbol of the 4th-order central first-derivative stencil, (8 sin t - sin 2t)
-# / 6, peaks at 1.3722 (at cos t = 1 - sqrt(3/2)), and every eigenvalue of the
-# chain matrix is bounded by its largest row sum, so a CFL number
-# dt * max_row_sum / h up to this bound keeps the linearised scheme stable.
-_RK4_CENTRAL_CFL = 2 * math.sqrt(2) / 1.3722
-
-
 def cmd_chain_evolve(args, out: Path) -> int:
     if args.grid < 1:
         raise ValueError(f"--grid {args.grid} must be at least 1")
@@ -156,9 +148,9 @@ def cmd_chain_evolve(args, out: Path) -> int:
     if 0 < args.dt < math.inf and args.steps > 0:  # the CFL margin of a run that steps
         cfl = args.dt * chain.max_row_sum(state) / state.h
         print(f"CFL number dt*max_row_sum/h = {cfl:.3g}", file=sys.stderr)
-        if args.scheme == "rk4-central" and cfl > _RK4_CENTRAL_CFL:
+        if args.scheme == "rk4-central" and cfl > chain._RK4_CENTRAL_CFL:
             print(f"warning: CFL number {cfl:.3g} exceeds the rk4-central stability "
-                  f"bound {_RK4_CENTRAL_CFL:.3g}; roundoff can grow at every step",
+                  f"bound {chain._RK4_CENTRAL_CFL:.3g}; roundoff can grow at every step",
                   file=sys.stderr)
     try:
         traj = chain.evolve_chain(state, args.dt, args.steps, scheme=args.scheme)

@@ -9,11 +9,12 @@ matrix m_2n = (mu_ij) built from the skew-symmetric pairing
 with sigma the sign function.  Orientation convention: sigma(y - x), which
 makes mu_01(0) = +2 sqrt(pi) and hence tau_2(0) = pf(m_2(0)) > 0; the
 opposite orientation flips every Pfaffian's sign.  At zero coupling the
-quadrature taus are 2^n times the closed form ``selberg_tau_zero``
-(tau_2(0) = 2 sqrt(pi) against its sqrt(pi)): the two normalisations differ
-by a factor 2 per 2 x 2 block.  Only tau *ratios* are used as acceptance
-quantities, and in tau_{2n+2} tau_{2n-2} / tau_{2n}^2 both the orientation
-and that factor 2^n cancel.
+quadrature taus are 2^n times the Selberg closed form pi^(n/2) prod_{k<n}
+2^(-2k) (2k)! (tau_2(0) = 2 sqrt(pi) against its sqrt(pi); the tests keep
+the closed form as an oracle): the two normalisations differ by a factor 2
+per 2 x 2 block.  Only tau *ratios* are used as acceptance quantities, and
+in tau_{2n+2} tau_{2n-2} / tau_{2n}^2 both the orientation and that factor
+2^n cancel.
 
 The kernel sigma(y - x) is discontinuous along the diagonal, so each moment
 integral is split into the two triangles y > x and y < x; the swap symmetry
@@ -59,7 +60,6 @@ __all__ = [
     "moment_matrix",
     "pfaffian",
     "tau_from_moments",
-    "selberg_tau_zero",
     "selberg_ratio",
     "moment_flow_residual",
     "tau_report",
@@ -359,22 +359,6 @@ def tau_from_moments(n: int, t: CouplingVector, q: QuadratureConfig) -> float:
     if n == 0:
         return 1.0
     return pfaffian(moment_matrix(n, t, q))
-
-
-def selberg_tau_zero(n: int) -> float:
-    """Closed form at vanishing couplings: pi^(n/2) * prod 2^(-2k) (2k)!.
-
-    Selberg normalisation: the quadrature ``tau_from_moments(n, 0)`` is
-    2^n times this value; their ratios around 2n agree.
-    """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    value = math.pi ** (n / 2.0)
-    for k in range(n):
-        value *= 0.25 ** k * math.factorial(2 * k)
-        if math.isinf(value):
-            raise OverflowError(f"selberg product overflows float64 at n={n}")
-    return value
 
 
 def selberg_ratio(n: int) -> float:

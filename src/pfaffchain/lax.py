@@ -14,9 +14,12 @@ block-lower-triangular matrices with scalar 2x2 diagonal blocks:
     X_t = X_lo - J X_up^T J + (X_blk - J X_blk^T J) / 2,   J^2 = -I
 
 with X_up/X_lo the strict upper/lower parts excluding the 2x2 diagonal
-blocks and X_blk those blocks.  Each flow is also written out as *term
-tables*, one per flow, kind and band: ``poly.Poly``s over the shifted band
-factors (kind, band, site offset), the one exact form of a table.
+blocks and X_blk those blocks.  With Y = X - J X^T J (``_minus_reflected``)
+that is Y/2 on the diagonal blocks, Y below them and zero above, which
+``lax_rhs_commutator`` builds for X = L^k; the tests keep the projection
+itself as an oracle.  Each flow is also written out as *term tables*, one
+per flow, kind and band: ``poly.Poly``s over the shifted band factors
+(kind, band, site offset), the one exact form of a table.
 ``flow_terms`` derives them from that definition alone: it takes the
 commutator over the symbolic Lax matrix, whose entries are those factors,
 and caches each table on first use; no table is written by hand.  With
@@ -73,7 +76,6 @@ __all__ = [
     "BandDerivs",
     "assemble_lax",
     "disassemble_derivs",
-    "project_t",
     "lax_rhs_commutator",
     "interior_mask",
     "flow_t1_explicit",
@@ -90,8 +92,6 @@ __all__ = [
     "initial_bands_gaussian",
     "integrate_flow",
     "random_bands",
-    "bands_to_json",
-    "bands_from_json",
 ]
 
 
@@ -335,20 +335,6 @@ def _minus_reflected(A: np.ndarray) -> np.ndarray:
     return np.where(same_parity, A + flip, A - flip)
 
 
-def project_t(A: np.ndarray) -> np.ndarray:
-    """Projection onto the lower-triangular factor of the splitting.
-
-    A_t = A_lo - J A_up^T J + (A_blk - J A_blk^T J)/2 with A_up/A_lo strict
-    block-triangular parts and A_blk the 2x2 diagonal blocks.  With
-    X = A - J A^T J (J A^T J a signed permutation of A's entries, see
-    ``_minus_reflected``) that is X/2 on the diagonal blocks, the strict
-    lower triangle of X below them and zero above.
-    """
-    X = _minus_reflected(A)
-    half = Fraction(1, 2) if A.dtype == object else 0.5
-    return np.where(_block_mask(len(A)), X * half, np.tril(X, -1))
-
-
 def _matrix_power(L: np.ndarray, k: int) -> np.ndarray:
     P = L
     for _ in range(k - 1):
@@ -467,7 +453,7 @@ def _power(k: int, a: int, b: int, even: bool) -> Poly:
 def _n_entry(k: int, a: int, b: int, even: bool) -> Poly:
     """Entry (a, b) of (L^k)_n = L^k - (L^k)_t for a row a of site 0: L^k
     above the diagonal blocks, (L^k - X/2) on them and L^k - X below, with
-    X = L^k - J (L^k)^T J as in ``project_t``."""
+    X = L^k - J (L^k)^T J as in ``_minus_reflected``."""
     if b > 1:
         return _power(k, a, b, even)
     flip = _power(k, b ^ 1, a ^ 1, even) * (1 if a % 2 != b % 2 else -1)
@@ -837,28 +823,3 @@ def integrate_flow(b: LaxBands, flow: str, dt: float, steps: int,
 
     traj = _march(start.rows, lambda y: _rk4_step(derivs, dt, y), steps, blowup)
     return [start] + [LaxBands._of(y, stored.copy()) for y in traj[1:]]
-
-
-# ---------------------------------------------------------------------------
-# serialisation
-# ---------------------------------------------------------------------------
-
-
-def bands_to_json(b: LaxBands) -> dict:
-    return {
-        "N": b.sites,
-        "K": b.depth,
-        "even": b.even_reduced,
-        "w": sorted([k, n, float(val)] for (k, n), val in b.w.items()),
-        "v": sorted([k, n, float(val)] for (k, n), val in b.v.items()),
-    }
-
-
-def bands_from_json(obj: Mapping) -> LaxBands:
-    return LaxBands(
-        sites=int(obj["N"]),
-        depth=int(obj["K"]),
-        w={(int(k), int(n)): float(val) for k, n, val in obj.get("w", [])},
-        v={(int(k), int(n)): float(val) for k, n, val in obj.get("v", [])},
-        even_reduced=bool(obj.get("even", False)),
-    )

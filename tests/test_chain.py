@@ -14,7 +14,6 @@ from pfaffchain.chain import (
     chain_rhs_t2,
     chain_rhs_t2_corrected,
     continuum_residual,
-    continuum_t1_rhs,
     default_profile,
     evolve_chain,
     GradientCatastropheError,
@@ -38,8 +37,16 @@ def _random_state(rng, depth=3, grid=64, with_z=False, epsilon=0.0):
         return a + b * np.sin(2 * math.pi * x + p)
 
     u = {k: trig() for k in range(-depth - 1, depth + 2)}
-    z = {k: trig() for k in range(-depth - 1, depth + 2)} if with_z else None
-    return ChainState(h=h, depth=depth, u=u, z=z, epsilon=epsilon)
+    if not with_z:
+        return ChainState(h=h, depth=depth, u=u, epsilon=epsilon)
+    z = {k: trig() for k in range(-depth - 1, depth + 2)}
+    kinds = [ChainState(h=h, depth=depth, u=bands).rows[0] for bands in (u, z)]
+    return ChainState._of(h, np.stack(kinds), epsilon)
+
+
+def _z(s):
+    """{k: row} views of a two-kind state's z bands (kind 1); empty without."""
+    return chain._by_band(s.rows[1]) if len(s.rows) > 1 else {}
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +239,7 @@ def _rhs_band_by_band(s, order, flow_k, kind, rescale=False, even=False):
     differentiated on its own row: the reference for the evaluator, which
     applies each stencil once to the whole band stack."""
     stencils = (None, _dx1, _dx2, _dx3)
-    kinds = {"w": s.u, "v": s.z or {}}
+    kinds = {"w": s.u, "v": _z(s)}
 
     def field(kind, band, d):
         row = kinds[kind].get(band, np.zeros(s.grid_size))
@@ -321,6 +328,26 @@ def test_grid_too_coarse_for_third_derivative():
 # first-flow continuum limit
 # ---------------------------------------------------------------------------
 
+def continuum_t1_rhs(s, order):
+    """Continuum limit of the first flow through the requested order.
+
+    Returns (du, dz), each as (2 depth + 1, grid) rows; needs a two-kind
+    state, kind 1 the z fields.  The first flow is not rescaled in time, so
+    order r terms carry eps^r directly.  The tables are the mechanical
+    expansion of the lattice first-flow tables ``lax.flow_terms(1, kind, k)``
+    (the printed continuum equations contain one stray x-derivative in the
+    z^{k+1} u^{-1}_xx correction of the k < -1 branch), summed by the chain's
+    own evaluator.
+    """
+    if len(s.rows) < 2:
+        raise ValueError("first-flow continuum limit needs the z fields")
+    if order not in (0, 1, 2):
+        raise ValueError("order must be 0, 1 or 2")
+    fields = chain._fields(s)
+    return (chain._continuum_rhs(s, fields, order, 1, "w"),
+            chain._continuum_rhs(s, fields, order, 1, "v"))
+
+
 def test_t1_z0_is_exact_at_every_order():
     rng = np.random.default_rng(4)
     s = _random_state(rng, with_z=True, epsilon=1 / 64)
@@ -345,7 +372,7 @@ def test_t1_u0_corrections_start_at_second_order():
     du2, _ = continuum_t1_rhs(s, 2)
     assert np.abs(du0[s.depth]).max() == 0.0
     assert np.abs(du1[s.depth]).max() == 0.0
-    expected = 0.5 * s.epsilon ** 2 * _dx2(s.z[0], s.h) * s.u[0]
+    expected = 0.5 * s.epsilon ** 2 * _dx2(_z(s)[0], s.h) * s.u[0]
     assert np.abs(du2[s.depth] - expected).max() < 1e-14
 
 
@@ -353,7 +380,7 @@ def test_t1_u_minus1_leading_order():
     rng = np.random.default_rng(7)
     s = _random_state(rng, with_z=True, epsilon=0.0)
     du, _ = continuum_t1_rhs(s, 0)
-    expected = s.u[0] * (s.z[-1] - s.z[1])
+    expected = s.u[0] * (_z(s)[-1] - _z(s)[1])
     assert np.abs(du[-1 + s.depth] - expected).max() < 1e-14
 
 
@@ -362,10 +389,10 @@ def test_chain_state_has_the_lattice_band_layout():
     rng = np.random.default_rng(9)
     s = _random_state(rng, depth=d, grid=grid, with_z=True, epsilon=1 / 32)
     assert s.rows.shape == (2, 2 * d + 1, grid) and s.rows.dtype == np.float64
-    assert (s.depth, s.grid_size, len(s.u), len(s.z)) == (d, grid, 2 * d + 1, 2 * d + 1)
+    assert (s.depth, s.grid_size, len(s.u), len(_z(s))) == (d, grid, 2 * d + 1, 2 * d + 1)
     # row k + depth of every right-hand side is band k: the printed u^0, u^1
     # equations, z^0_t1 = u^0 u^1 and u^-1_t1 = u^0 (z^-1 - z^1)
-    u, z = s.u, s.z
+    u, z = s.u, _z(s)
     ux = {k: _dx1(u[k], s.h) for k in (-1, 0, 1, 2)}
     u0_t = u[0] * u[1] * ux[0] + u[0] ** 2 * ux[1] + u[0] * ux[-1]
     u1_t = (2 * u[2] - u[1] ** 2) * ux[0] - u[0] * u[1] * ux[1] + u[0] * ux[2]
@@ -383,7 +410,7 @@ def test_chain_state_has_the_lattice_band_layout():
     bands = {0: 1.0 + 0.1 * np.sin(2 * math.pi * x), 1: 0.2 * np.cos(2 * math.pi * x)}
     plain = ChainState(h=1 / grid, depth=1, u=bands)
     wide = ChainState(h=1 / grid, depth=1, u={**bands, 2: np.full(grid, 5.0)})
-    assert plain.z is None and plain.rows.shape == (1, 3, grid)
+    assert not hasattr(plain, "z") and plain.rows.shape == (1, 3, grid)
     assert not plain.rows[0, 0].any() and sorted(wide.u) == [-1, 0, 1]
     assert np.array_equal(chain_rhs_t2(wide), chain_rhs_t2(plain))
 
@@ -498,6 +525,11 @@ def test_evolve_chain_rejects_nonpositive_dt():
 def test_continuum_residual_needs_three_epsilons():
     with pytest.raises(ValueError, match="3 epsilon"):
         continuum_residual(default_profile(1), [1 / 64], depth=3)
+
+
+def test_continuum_residual_names_a_repeated_order():
+    with pytest.raises(ValueError, match="order 1 is listed twice"):
+        continuum_residual(default_profile(1), [1 / 64, 1 / 128, 1 / 256], (0, 1, 1), depth=3)
 
 
 @pytest.mark.parametrize("flow_k, kind, even", [

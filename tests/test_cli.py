@@ -116,6 +116,7 @@ _BAD_INPUT_FILES = {"top_level_list.json": [1], "rows_not_an_object.json": {"row
 @pytest.mark.parametrize("argv", [
     ["continuum-check", "--depth", "1"],
     ["continuum-check", "--eps", "1/0,1/2,1/4"],
+    ["continuum-check", "--orders", "0,0"],
     ["chain-evolve", "--grid", "0"],
     ["chain-evolve", "--dt", "-1"],
     ["gt", "--jets", "0"],

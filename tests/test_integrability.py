@@ -11,6 +11,8 @@ from pfaffchain.integrability import (
     RationalPoint,
     TensorPoint,
     WindowError,
+    _expected_nijenhuis,
+    appendix_nijenhuis_table,
     haantjes,
     haantjes_scan,
     load_spec_json,
@@ -372,12 +374,17 @@ def test_lazy_point_shares_one_denominator():
     assert all(v.fraction() == point.at(p) for p, v in values.items())
 
 
+# u^p itself for every |p| <= 14: a tensor entry evaluated there is a
+# polynomial, so a zero entry is a proof for every point, not a sample
+SYMBOLIC = RationalPoint(values={p: Poly.u(p) for p in range(-14, 15)}, window=14)
+
+
 def test_tensor_point_evaluates_over_a_poly_point():
-    # the symbolic route: rows, N and H come out as polynomials in the u^p
-    symbolic = RationalPoint(values={p: Poly.u(p) for p in range(-8, 9)}, window=8)
-    assert all(TensorPoint(SPEC, symbolic).haantjes_row(i) == {} for i in range(-4, 5))
+    # the symbolic route: rows, N and H come out as polynomials in the u^p;
+    # every H^i_jk of the paper spec with |i| <= 10 is the zero polynomial
+    assert all(TensorPoint(SPEC, SYMBOLIC).haantjes_row(i) == {} for i in range(-10, 11))
     mutated = spec_with_overrides(SPEC, {"0,1": [["1", [0]]]})
-    ev, sym = TensorPoint(mutated, _point(2, 8)), TensorPoint(mutated, symbolic)
+    ev, sym = TensorPoint(mutated, _point(2, 8)), TensorPoint(mutated, SYMBOLIC)
     for i in range(-4, 5):
         for got, want in ((sym.nijenhuis_row(i), ev.nijenhuis_row(i)),
                           (sym.haantjes_row(i), ev.haantjes_row(i))):
@@ -385,3 +392,15 @@ def test_tensor_point_evaluates_over_a_poly_point():
             values = {jk: v.eval(ev.point.at) for jk, v in got.items()}
             assert {jk: v for jk, v in values.items() if v} == want
     assert any(sym.haantjes_row(i) for i in range(-4, 5))
+    # the negative control: the mutated spec has 107 nonzero H polynomials
+    # with |i|, |j|, |k| <= 6 and j <= k
+    assert sum(-6 <= j <= k <= 6 for i in range(-6, 7) for j, k in sym.haantjes_row(i)) == 107
+
+
+def test_printed_nijenhuis_table_holds_as_polynomials():
+    # 21 rows i times 300 pairs j < k: 6300 entries, each a zero difference
+    sym = TensorPoint(SPEC, SYMBOLIC)
+    for i in range(-10, 11):
+        table = appendix_nijenhuis_table(i, SYMBOLIC)
+        for j, k in itertools.combinations(range(-12, 13), 2):
+            assert not sym.nijenhuis(i, j, k) - _expected_nijenhuis(table, j, k), (i, j, k)

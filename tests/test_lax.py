@@ -16,8 +16,6 @@ from pfaffchain.lax import (
     FlowBlowupError,
     LaxBands,
     assemble_lax,
-    bands_from_json,
-    bands_to_json,
     disassemble_derivs,
     flow_t1_explicit,
     flow_t2_even_explicit,
@@ -27,11 +25,12 @@ from pfaffchain.lax import (
     integrate_flow,
     interior_mask,
     lax_rhs_commutator,
-    project_t,
     random_bands,
     skew_factorize,
 )
 from pfaffchain.poly import Poly
+
+from oracles import bands_from_json, bands_to_json, project_t
 
 Q = QuadratureConfig()
 

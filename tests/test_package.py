@@ -10,7 +10,7 @@ import pytest
 
 import pfaffchain
 
-LAYERS = ("chain", "ensemble", "integrability", "lax", "poly", "reductions")
+LAYERS = ("chain", "ensemble", "integrability", "lax", "lazyfraction", "poly", "reductions")
 
 
 @pytest.mark.parametrize("layer", LAYERS)

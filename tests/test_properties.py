@@ -12,8 +12,10 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from pfaffchain.ensemble import pfaffian
-from pfaffchain.lax import LaxBands, bands_from_json, bands_to_json, project_t
+from pfaffchain.lax import LaxBands
 from pfaffchain.lazyfraction import LazyFraction, lazy
+
+from oracles import bands_from_json, bands_to_json, project_t
 
 FEW = settings(max_examples=40, deadline=None)
 ENTRIES = st.floats(-2.0, 2.0, allow_subnormal=False)
