@@ -133,13 +133,17 @@ _STENCILS = (None, _dx1, _dx2, _dx3)
 
 def _fields(s: ChainState) -> _Fields:
     """(kind, band, x-derivative order) -> array of a state's rows ("w" ->
-    rows[0], "v" -> rows[1]); absent kinds and bands read zero."""
+    rows[0], "v" -> rows[1]); absent kinds and bands read zero.  A periodic
+    stencil must not wrap onto itself: the 5-point first and second
+    derivatives need 5 grid points, the third derivative 7."""
 
     def derivative(rows: np.ndarray, r: int) -> np.ndarray:
         if r == 3 and s.grid_size < 7:
             raise ValueError("grid too coarse for the third-derivative stencil")
         return _STENCILS[r](rows, s.h)
 
+    if s.grid_size < 5:
+        raise ValueError(f"grid of {s.grid_size} points too coarse for the 5-point stencils")
     return _Fields(s.rows, derivative)
 
 
@@ -269,9 +273,10 @@ def continuum_residual(profile: Mapping[int, Callable], eps_list: Sequence[float
         raise ValueError("need at least 3 epsilon values to fit a slope")
     if not orders:
         raise ValueError("need at least one correction order")
-    for i, r in enumerate(orders):
-        if r in orders[:i]:
-            raise ValueError(f"correction order {r} is listed twice")
+    for what, values in (("eps", eps_list), ("correction order", orders)):
+        for i, v in enumerate(values):
+            if v in values[:i]:
+                raise ValueError(f"{what} {v} is listed twice")
     if depth < 2:
         raise ValueError(f"depth {depth} leaves no band to compare; need depth >= 2")
     reports = []

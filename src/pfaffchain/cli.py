@@ -2,9 +2,10 @@
 machine-readable reports.
 
 Exit codes: 0 pass, 1 verification failure, 2 input/precondition error.
-``main`` owns that contract: a ValueError, ZeroDivisionError, OverflowError or
-``ensemble.QuadratureError`` from the config or a command (whose own argument
-checks raise ValueError) prints one ``error: <message>`` line and exits 2.
+``main`` owns that contract: a ValueError, ZeroDivisionError, OverflowError,
+MemoryError (an input too large to allocate) or ``ensemble.QuadratureError``
+from the config or a command (whose own argument checks raise ValueError)
+prints one ``error: <message or exception name>`` line and exits 2.
 Reports are JSON with sorted keys, so identical seeds and flags reproduce
 byte-identical files; bulk data (matrices, trajectories) goes to CSV.
 """
@@ -105,22 +106,16 @@ def cmd_lax_verify(args, out: Path) -> int:
     worst = 0.0
     checked = 0
     m_dim = 2 * args.sites
-    too_big = ValueError(f"sites={args.sites} does not fit in memory: the commutator "
-                         f"check builds dense {m_dim} x {m_dim} matrices")
-    try:
-        np.empty((m_dim, m_dim))  # fails here, before any band state is drawn
-    except MemoryError:
-        raise too_big from None
+    np.empty((m_dim, m_dim))  # fails here, before any band state is drawn
+    masks = {name: lax.interior_mask(m_dim, args.depth, _FLOWS[name][0]) for name in flows}
+    if not all(masks.values()):
+        raise ValueError("truncation too tight: empty interior mask")
     for name in flows:
         k_flow, table_flow, even = _FLOWS[name]
+        mask = masks[name]
         for _ in range(args.trials):
             b = lax.random_bands(rng, args.sites, args.depth, even=even)
-            try:
-                comm, mask = lax.lax_rhs_commutator(b, k_flow, m_dim)
-            except MemoryError:
-                raise too_big from None
-            if not mask:
-                raise ValueError("truncation too tight: empty interior mask")
+            comm, _ = lax.lax_rhs_commutator(b, k_flow, m_dim)
             expl = table_flow(b)
             checked += len(mask)
             for kind, bk, n in mask:
@@ -346,9 +341,9 @@ def main(argv=None) -> int:
         parser = _plain_parser() if config is None else build_parser(config)
         args = parser.parse_args(argv)
         return args.func(args, args.out)
-    except (ValueError, ZeroDivisionError, OverflowError,
+    except (ValueError, ZeroDivisionError, OverflowError, MemoryError,
             ensemble.QuadratureError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return USAGE
 
 

@@ -37,9 +37,12 @@ formed once per (t, config, degree), on its first converged request, and
 lives as long as its quadrature stays cached; every later request for that
 degree, from ``moment_mu``, ``moment_matrix``, the tau reports or the
 flow-law residual, returns the same read-only array.  An entry does not
-depend on the degree of the table it is read from.  ``moment_matrix``
-returns (mu_ij) as a plain antisymmetric ``ndarray``; the Pfaffian and the
-skew factorisation in ``lax`` copy it before they write.
+depend on the degree of the table it is read from.  A table is finite or
+refused: a degree whose node powers R^degree overflow float64 raises
+OverflowError before any power is formed, and a table with a non-finite
+entry raises ``QuadratureError``, as one that does not converge does.
+``moment_matrix`` returns (mu_ij) as a plain antisymmetric ``ndarray``; the
+Pfaffian and the skew factorisation in ``lax`` copy it before they write.
 """
 
 from __future__ import annotations
@@ -87,12 +90,11 @@ class CouplingVector:
 
     The largest coupled power must keep the weight integrable: either k_max
     is even with t_{k_max} < 0, or k_max <= 2 and the quadratic exponent
-    coefficient -1/2 + t_2 stays negative.  ``even_only`` additionally
-    restricts the support to even k.
+    coefficient -1/2 + t_2 stays negative.  ``even_only`` is derived, not
+    set: it is True iff every coupled power is even (so the weight is even).
     """
 
     entries: Mapping[int, float] = field(default_factory=dict)
-    even_only: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "entries",
@@ -103,8 +105,6 @@ class CouplingVector:
                 raise ValueError(f"coupling index must be positive, got {k}")
             if not math.isfinite(v):
                 raise ValueError(f"coupling t{k} must be finite, got {v}")
-            if self.even_only and k % 2:
-                raise ValueError(f"even_only couplings cannot contain t_{k}")
         if self.entries:
             k_max = max(self.entries)
             t_max = self.entries[k_max]
@@ -114,13 +114,15 @@ class CouplingVector:
                 raise ValueError(
                     f"weight not integrable at infinity: leading coupling t_{k_max}={t_max}")
 
+    even_only = property(lambda self: all(k % 2 == 0 for k in self.entries))
+
     def get(self, k: int) -> float:
         return self.entries.get(k, 0.0)
 
     def shifted(self, k: int, dt: float) -> "CouplingVector":
         entries = dict(self.entries)
         entries[k] = entries.get(k, 0.0) + dt
-        return CouplingVector(entries, even_only=self.even_only and k % 2 == 0)
+        return CouplingVector(entries)
 
     def key(self) -> tuple:
         return tuple(sorted(self.entries.items()))
@@ -226,15 +228,8 @@ class _MomentQuadrature:
     def __init__(self, t: CouplingVector, q: QuadratureConfig):
         self.t = t
         self.q = q
-        nodes = q.nodes_per_axis
-        try:
-            self.coarse = _TriangleTable(t, nodes, q.domain_radius)
-            self.fine = _TriangleTable(t, 2 * nodes, q.domain_radius)
-        except MemoryError:
-            raise ValueError(f"nodes_per_axis={nodes} does not fit in memory: the "
-                             f"Gauss-Legendre nodes of the fine level are the "
-                             f"eigenvalues of a {2 * nodes} x {2 * nodes} "
-                             f"float64 matrix") from None
+        self.coarse = _TriangleTable(t, q.nodes_per_axis, q.domain_radius)
+        self.fine = _TriangleTable(t, 2 * q.nodes_per_axis, q.domain_radius)
         self._tables: dict[int, np.ndarray] = {}
 
     def mu_table(self, degree: int) -> np.ndarray:
@@ -245,12 +240,20 @@ class _MomentQuadrature:
         return table
 
     def _form(self, degree: int) -> np.ndarray:
-        gf = self.fine.g_table(degree)
-        gc = self.coarse.g_table(degree)
-        mu_f = gf - gf.T
-        mu_c = gc - gc.T
-        scale = max(1.0, float(np.abs(mu_f).max()))
-        err = float(np.abs(mu_f - mu_c).max())
+        if degree * math.log(self.q.domain_radius) > _MAX_EXPONENT:
+            raise OverflowError(f"degree {degree}: node powers up to "
+                                f"{self.q.domain_radius:g}^{degree} overflow float64")
+        with np.errstate(all="ignore"):  # a table that overflows is refused below
+            gf = self.fine.g_table(degree)
+            gc = self.coarse.g_table(degree)
+            mu_f = gf - gf.T
+            mu_c = gc - gc.T
+            peak = float(np.abs(mu_f).max())
+            err = float(np.abs(mu_f - mu_c).max())
+        if not math.isfinite(peak + err):
+            raise QuadratureError(f"the degree-{degree} moment table is not finite in "
+                                  f"float64", coarse=mu_c, fine=mu_f)
+        scale = max(1.0, peak)
         if err > _CONVERGENCE_TOL * scale:
             raise QuadratureError(
                 f"quadrature not converged: refinement change {err:.3e} "
@@ -262,8 +265,6 @@ class _MomentQuadrature:
 
 @lru_cache(maxsize=32)
 def _quadrature_for(t_key: tuple, q_key: tuple) -> _MomentQuadrature:
-    """Keyed by the coupling entries alone: ``even_only`` does not change the
-    weight, so an even-only vector shares the table of its general twin."""
     t = CouplingVector(dict(t_key))
     q = QuadratureConfig(*q_key)
     return _MomentQuadrature(t, q)
@@ -318,7 +319,10 @@ def _as_skew_array(m) -> np.ndarray:
     if a.shape[0] % 2:
         raise ValueError(f"pfaffian needs even dimension, got {a.shape[0]}")
     if a.size:
-        scale = max(1.0, float(np.abs(a).max()))
+        peak = float(np.abs(a).max())
+        if not math.isfinite(peak):
+            raise ValueError("pfaffian needs finite entries")
+        scale = max(1.0, peak)
         if float(np.abs(a + a.T).max()) > 1e-12 * scale:
             raise ValueError("matrix is not antisymmetric to 1e-12 relative")
     return a

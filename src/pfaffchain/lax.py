@@ -350,6 +350,8 @@ def interior_mask(M: int, depth: int, flow_k: int) -> set[tuple[str, int, int]]:
     reach, paid to keep every projected path of L^k inside the window).
     """
     margin = flow_k + depth + 1
+    if M // 2 < 2 * margin + 3:  # no site clears the margin at both ends
+        return set()
     kind, band, site, _r, _c = _slot_index(M, depth, 2)
     keep = (site > margin) & (M // 2 - 1 - site > margin)
     return set(zip(np.array(["w", "v"])[kind[keep]].tolist(),

@@ -42,6 +42,14 @@ class Poly:
                 if c:
                     self.terms[tuple(sorted(mono))] = c
 
+    @classmethod
+    def _of(cls, terms: dict[Monomial, Fraction]) -> "Poly":
+        """A Poly over ``terms`` as they are: sorted monomials, nonzero
+        coefficients."""
+        res = cls.__new__(cls)
+        res.terms = terms
+        return res
+
     @staticmethod
     def const(c) -> "Poly":
         return Poly({(): Fraction(c)})
@@ -63,21 +71,13 @@ class Poly:
         """Sum with a Poly or a scalar (a constant polynomial)."""
         out = dict(self.terms)
         for mono, c in _as_poly(other).terms.items():
-            s = out.get(mono, Fraction(0)) + c
-            if s:
-                out[mono] = s
-            else:
-                out.pop(mono, None)
-        res = Poly()
-        res.terms = out
-        return res
+            _accumulate(out, mono, c)
+        return Poly._of(out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Poly":
-        res = Poly()
-        res.terms = {m: -c for m, c in self.terms.items()}
-        return res
+        return Poly._of({m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other) -> "Poly":
         return self + (-_as_poly(other))
@@ -90,20 +90,10 @@ class Poly:
             out: dict[Monomial, Fraction] = {}
             for m1, c1 in self.terms.items():
                 for m2, c2 in other.terms.items():
-                    mono = tuple(sorted(m1 + m2))
-                    s = out.get(mono, Fraction(0)) + c1 * c2
-                    if s:
-                        out[mono] = s
-                    else:
-                        out.pop(mono, None)
-            res = Poly()
-            res.terms = out
-            return res
+                    _accumulate(out, tuple(sorted(m1 + m2)), c1 * c2)
+            return Poly._of(out)
         c = Fraction(other)
-        res = Poly()
-        if c:
-            res.terms = {m: cc * c for m, cc in self.terms.items()}
-        return res
+        return Poly._of({m: cc * c for m, cc in self.terms.items()} if c else {})
 
     __rmul__ = __mul__
 
@@ -116,15 +106,8 @@ class Poly:
                 continue
             reduced = list(mono)
             reduced.remove(p)
-            mono2 = tuple(reduced)
-            s = out.get(mono2, Fraction(0)) + c * mult
-            if s:
-                out[mono2] = s
-            else:
-                out.pop(mono2, None)
-        res = Poly()
-        res.terms = out
-        return res
+            _accumulate(out, tuple(reduced), c * mult)
+        return Poly._of(out)
 
     def variables(self) -> frozenset:
         return frozenset(p for mono in self.terms for p in mono)
@@ -165,6 +148,15 @@ class Poly:
             raise ValueError(f"bad term table {table!r}: need "
                              f"[[coeff, [index, ...]], ...] ({exc})") from exc
         return Poly(terms)
+
+
+def _accumulate(out: dict[Monomial, Fraction], mono: Monomial, c: Fraction) -> None:
+    """out[mono] += c, dropping the entry when the sum is zero."""
+    s = out.get(mono, _ZERO) + c
+    if s:
+        out[mono] = s
+    else:
+        out.pop(mono, None)
 
 
 def _as_poly(x) -> Poly:

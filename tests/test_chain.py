@@ -324,6 +324,17 @@ def test_grid_too_coarse_for_third_derivative():
         chain_rhs_t2_corrected(s, 2)
 
 
+@pytest.mark.parametrize("grid", [1, 2, 4])
+def test_grid_too_coarse_for_the_five_point_stencils(grid):
+    # the 5-point stencils would wrap onto themselves; a state that is not
+    # stepped stays valid
+    s = ChainState(h=1 / grid, depth=1, u={0: np.ones(grid)}, epsilon=0.1)
+    for rhs in (chain_rhs_t2, max_row_sum, lambda s: evolve_chain(s, 1e-3, 1)):
+        with pytest.raises(ValueError, match="5-point stencils"):
+            rhs(s)
+    assert evolve_chain(s, 1e-3, 0) == [s]
+
+
 # ---------------------------------------------------------------------------
 # first-flow continuum limit
 # ---------------------------------------------------------------------------
@@ -530,6 +541,12 @@ def test_continuum_residual_needs_three_epsilons():
 def test_continuum_residual_names_a_repeated_order():
     with pytest.raises(ValueError, match="order 1 is listed twice"):
         continuum_residual(default_profile(1), [1 / 64, 1 / 128, 1 / 256], (0, 1, 1), depth=3)
+
+
+def test_continuum_residual_names_a_repeated_epsilon():
+    # three values but two spacings: the slopes would be fits through two points
+    with pytest.raises(ValueError, match="eps 0.015625 is listed twice"):
+        continuum_residual(default_profile(1), [1 / 64, 1 / 64, 1 / 128], depth=3)
 
 
 @pytest.mark.parametrize("flow_k, kind, even", [

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from pfaffchain import cli, ensemble, lax
+from pfaffchain import cli, ensemble, lax, reductions
 from pfaffchain.cli import _write_report, main
 
 
@@ -53,8 +53,18 @@ def test_lax_verify_checks_the_dense_size_before_drawing_bands(tmp_path, capsys,
     monkeypatch.setattr(lax, "random_bands", lambda *a, **kw: calls.append(a) or draw(*a, **kw))
     assert main(["--out", str(tmp_path), "lax-verify", "--sites", "100000",
                  "--trials", "1"]) == 2
-    assert capsys.readouterr().err.startswith("error: sites=100000 does not fit in memory")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "(200000, 200000)" in err  # numpy's allocation error names the shape
     assert calls == []
+
+
+def test_a_bare_memory_error_still_prints_a_reason(tmp_path, capsys, monkeypatch):
+    def oversized(**kwargs):
+        raise MemoryError
+    monkeypatch.setattr(reductions, "involutivity_report", oversized)
+    assert main(["--out", str(tmp_path), "gt"]) == 2
+    assert capsys.readouterr().err == "error: MemoryError\n"
 
 
 def test_lax_verify_truncation_too_tight(tmp_path):
@@ -149,6 +159,17 @@ _BAD_INPUT_FILES = {"top_level_list.json": [1], "rows_not_an_object.json": {"row
     ["tau", "--n-max", "300"],
     ["tau", "--n-max", "16"],
     ["moments", "--radius", "1e6"],
+    # allocations past the 128 TiB address space fail at once under any
+    # overcommit setting
+    ["chain-evolve", "--grid", "100000000000000", "--steps", "0"],
+    ["chain-evolve", "--depth", "1000000000000", "--steps", "0"],
+    ["continuum-check", "--eps", "1/100000000000000,1/64,1/128"],
+    ["lax-verify", "--depth", "1000000000000", "--trials", "1"],
+    ["moments", "--n", "100"],
+    ["moments", "--n", "1000000000000"],
+    ["chain-evolve", "--grid", "4", "--steps", "1"],
+    ["chain-evolve", "--grid", "2", "--steps", "1", "--scheme", "lax-friedrichs"],
+    ["continuum-check", "--eps", "1/64,1/64,1/128"],
 ], ids="_".join)
 def test_input_that_checks_nothing_is_a_usage_error(tmp_path, capsys, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)
@@ -219,6 +240,12 @@ def test_chain_evolve(tmp_path):
     assert main(["--out", str(out), "chain-evolve", "--steps", "3",
                  "--grid", "64"]) == 0
     assert (out / "chain_trajectory.csv").exists()
+
+
+def test_chain_evolve_writes_the_initial_state_of_a_grid_too_coarse_to_step(tmp_path):
+    assert main(["--out", str(tmp_path), "chain-evolve", "--grid", "4", "--steps", "0"]) == 0
+    rows = (tmp_path / "chain_trajectory.csv").read_text().splitlines()
+    assert len(rows) == 1 + 7 * 4  # header, then bands |k| <= 3 at 4 points
 
 
 @pytest.mark.parametrize("dt, cfl", [("1e-3", "1.16"), ("0.05", "57.8")])

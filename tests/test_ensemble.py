@@ -75,9 +75,12 @@ def test_guard_allows_t1_with_gaussian_decay():
     CouplingVector({1: 5.0})
 
 
-def test_even_only_rejects_odd_keys():
-    with pytest.raises(ValueError, match="even_only"):
-        CouplingVector({1: 0.1}, even_only=True)
+def test_even_only_is_read_off_the_coupled_powers():
+    even = CouplingVector({2: -0.1, 4: -0.02})
+    assert ZERO.even_only and even.even_only and even.shifted(2, 0.01).even_only
+    assert not CouplingVector({1: 0.1}).even_only and not even.shifted(3, 0.01).even_only
+    with pytest.raises(TypeError):
+        CouplingVector({2: -0.1}, even_only=True)
 
 
 def test_quadrature_config_validation():
@@ -158,7 +161,7 @@ def test_moment_matrix_exact_antisymmetry():
 
 
 def test_even_only_couplings_keep_parity_zeros():
-    t = CouplingVector({2: -0.1, 4: -0.02}, even_only=True)
+    t = CouplingVector({2: -0.1, 4: -0.02})
     dense = moment_matrix(2, t, Q)
     for i in range(4):
         for j in range(4):
@@ -307,10 +310,33 @@ def test_even_only_and_general_twins_share_one_table():
     entries = {2: -0.07, 4: -0.015}
     general = moment_matrix(2, CouplingVector(entries), Q)
     before = _quadrature_for.cache_info()
-    even = moment_matrix(2, CouplingVector(entries, even_only=True), Q)
+    even = moment_matrix(2, CouplingVector(entries), Q)
     after = _quadrature_for.cache_info()
     assert (after.hits, after.misses) == (before.hits + 1, before.misses)
     assert np.array_equal(even, general)
+
+
+def test_a_table_that_is_not_finite_is_refused():
+    # at 200 nodes on [-10, 10] the zero-coupling tables are finite up to
+    # n = 88; from n = 92 products x^i y^j overflow, and NaN compares False
+    # with any tolerance, so finiteness is checked on its own
+    for _ in range(2):  # a failure is not kept
+        with pytest.raises(QuadratureError,
+                           match="^moment matrix n=100: the degree-199 moment table "
+                                 "is not finite") as err:
+            moment_matrix(100, ZERO, Q)
+    assert not np.isfinite(err.value.fine).all()
+    assert np.isfinite(moment_matrix(88, ZERO, Q)).all()
+
+
+def test_a_degree_whose_node_powers_overflow_is_refused_before_any_power():
+    quad = _quadrature_for(ZERO.key(), Q.key())
+    formed = len(quad.fine._xp), len(quad.fine._ty)
+    # 10^d overflows float64 for d > 700 / ln 10 = 304
+    with pytest.raises(OverflowError, match="^degree 305: node powers up to 10"):
+        moment_matrix(153, ZERO, Q)
+    assert (len(quad.fine._xp), len(quad.fine._ty)) == formed
+    assert np.isfinite(moment_matrix(2, ZERO, QuadratureConfig(domain_radius=0.5))).all()
 
 
 def test_quadrature_nonconvergence_error_carries_estimates():
@@ -376,6 +402,14 @@ def test_pfaffian_rejects_odd_dimension():
 def test_pfaffian_rejects_non_antisymmetric():
     with pytest.raises(ValueError, match="antisymmetric"):
         pfaffian(np.eye(4))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_pfaffian_rejects_non_finite_entries(bad):
+    with pytest.raises(ValueError, match="finite"):
+        pfaffian([[0.0, bad], [-bad, 0.0]])
+    with pytest.raises(ValueError, match="finite"):
+        pfaffian([[0.0, bad], [bad, 0.0]])
 
 
 def test_pfaffian_squared_is_determinant():
@@ -558,7 +592,7 @@ def test_moment_flow_diagonal_trivial():
 
 
 def test_moment_flow_even_parity_trivial():
-    t = CouplingVector({2: -0.05}, even_only=True)
+    t = CouplingVector({2: -0.05})
     # k even and i + j even: both sides vanish by parity
     assert moment_flow_residual(0, 2, 2, t, 1e-3, Q) < 1e-7
 
