@@ -40,7 +40,9 @@ flow-law residual, returns the same read-only array.  An entry does not
 depend on the degree of the table it is read from.  A table is finite or
 refused: a degree whose node powers R^degree overflow float64 raises
 OverflowError before any power is formed, and a table with a non-finite
-entry raises ``QuadratureError``, as one that does not converge does.
+entry raises ``QuadratureError``, as one that does not converge does, or
+one whose mu_01 is not positive: mu_01 = integral over y > x of
+(y - x) w(x) w(y) > 0 for every weight, so such a rule missed the weight.
 ``moment_matrix`` returns (mu_ij) as a plain antisymmetric ``ndarray``; the
 Pfaffian and the skew factorisation in ``lax`` copy it before they write.
 """
@@ -259,6 +261,12 @@ class _MomentQuadrature:
                 f"quadrature not converged: refinement change {err:.3e} "
                 f"exceeds {_CONVERGENCE_TOL:.1e} * {scale:.3e}",
                 coarse=mu_c, fine=mu_f)
+        if degree >= 1 and not mu_f[0, 1] > 0:  # mu_01 > 0 for every weight
+            raise QuadratureError(
+                f"the rule at {self.q.nodes_per_axis} nodes on radius "
+                f"{self.q.domain_radius:g} resolves no weight: mu_01 = "
+                f"{mu_f[0, 1]:.3g} is not positive",
+                coarse=mu_c, fine=mu_f)
         mu_f.flags.writeable = False
         return mu_f
 
@@ -332,7 +340,8 @@ def pfaffian(m) -> float:
     """pf(m) with pf(m)^2 = det(m); pf([[0, a], [-a, 0]]) = +a.
 
     Parlett-Reid skew tridiagonalisation with partial pivoting, parity
-    tracked (Wimmer, ACM TOMS 38 (2012)).
+    tracked (Wimmer, ACM TOMS 38 (2012)).  Raises OverflowError at the step
+    where the running product leaves float64.
     """
     a = _as_skew_array(m).copy()
     n = a.shape[0]
@@ -346,6 +355,8 @@ def pfaffian(m) -> float:
             a[:, [k + 1, pivot]] = a[:, [pivot, k + 1]]
             value = -value
         value *= float(a[k, k + 1])
+        if not math.isfinite(value):
+            raise OverflowError(f"the Pfaffian of the {n}x{n} matrix overflows float64")
         if k + 2 < n:
             tau = a[k, k + 2:] / a[k, k + 1]
             col = a[k + 2:, k + 1]

@@ -47,8 +47,9 @@ array ``rows`` of shape (kinds, 2 depth + 1, sites): kind 0 is w and kind 1
 is v (even-reduced states have the w kind only), row k + depth is band k and
 column n - 1 is site n.  A boolean ``stored`` mask of the same shape marks
 the stored slots; the others hold zero.  The rows are float64, or
-``dtype=object`` for exact Fraction states.  The mappings ``.w``/``.v`` and
-``.dw``/``.dv`` are writable views {(k, n): value} over the stored slots.
+``dtype=object`` for exact Fraction states.  ``rows`` and ``stored`` are the
+only writable form of a state; ``.w``/``.v`` and ``.dw``/``.dv`` are
+read-only snapshots {(k, n): value} of the stored slots, taken on access.
 
 Out-of-window band references read zero; the left lattice boundary (site 0)
 reads zero as well, which matches the semi-infinite matrix, while
@@ -62,9 +63,10 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Callable, Iterable, Iterator, Mapping, MutableMapping
+from collections.abc import Callable, Iterable, Mapping
 from fractions import Fraction
 from functools import lru_cache
+from types import MappingProxyType
 
 import numpy as np
 
@@ -113,67 +115,32 @@ class FlowBlowupError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 
-class _SlotView(MutableMapping):
-    """(k, n) -> value over the stored slots of one kind's (2 depth + 1,
-    sites) rows.  A write inside the window stores the value (cast to the
-    rows' dtype) and marks the slot; a write outside it raises KeyError;
-    ``del`` unmarks the slot, which reads zero again."""
-
-    def __init__(self, rows: np.ndarray, stored: np.ndarray):
-        self._rows, self._stored = rows, stored
-
-    def _at(self, key) -> tuple[int, int]:
-        k, n = key
-        i, j = k + self._rows.shape[0] // 2, n - 1
-        if not (0 <= i < self._rows.shape[0] and 0 <= j < self._rows.shape[1]):
-            raise KeyError(key)
-        return i, j
-
-    def __getitem__(self, key):
-        at = self._at(key)
-        if not self._stored[at]:
-            raise KeyError(key)
-        return self._rows.item(at)
-
-    def __setitem__(self, key, value):
-        at = self._at(key)
-        self._rows[at], self._stored[at] = value, True
-
-    def __delitem__(self, key):
-        at = self._at(key)
-        if not self._stored[at]:
-            raise KeyError(key)
-        self._rows[at], self._stored[at] = 0, False
-
-    def __iter__(self) -> Iterator[tuple[int, int]]:
-        ks, ns = np.nonzero(self._stored)
-        return zip((ks - self._rows.shape[0] // 2).tolist(), (ns + 1).tolist())
-
-    def __len__(self) -> int:
-        return int(np.count_nonzero(self._stored))
-
-    def values(self) -> list:
-        return self._rows[self._stored].tolist()
-
-
-_NO_SLOTS = _SlotView(np.zeros((0, 0)), np.zeros((0, 0), bool))  # a kind a state lacks
-
-
 class _BandSlots:
-    """The ``rows``/``stored`` pair shared by ``LaxBands`` and ``BandDerivs``,
-    with one view per kind; a kind beyond ``len(rows)`` has no slots."""
+    """The ``rows``/``stored`` pair shared by ``LaxBands`` and ``BandDerivs``;
+    a kind beyond ``len(rows)`` has no slots."""
 
     def __init__(self, rows: np.ndarray, stored: np.ndarray):
         self.rows, self.stored = rows, stored
-        self._views = tuple(map(_SlotView, rows, stored)) + (_NO_SLOTS,) * (2 - len(rows))
+
+    def _slots(self, i: int) -> Mapping:
+        """Read-only snapshot {(k, n): value} of kind i's stored slots."""
+        if i >= len(self.rows):
+            return MappingProxyType({})
+        ks, ns = np.nonzero(self.stored[i])
+        keys = zip((ks - self.rows.shape[1] // 2).tolist(), (ns + 1).tolist())
+        return MappingProxyType(dict(zip(keys, self.rows[i][self.stored[i]].tolist())))
 
     def value(self, kind: str, k: int, n: int):
         """The stored value of slot (k, n) of kind "w" or "v", else 0."""
-        return self._views[kind != "w"].get((k, n), 0)
+        at = (int(kind != "w"), k + self.rows.shape[1] // 2, n - 1)
+        if all(0 <= i < size for i, size in zip(at, self.rows.shape)) and self.stored[at]:
+            return self.rows.item(at)
+        return 0
 
     def __eq__(self, other):
         return (isinstance(other, type(self)) and self.rows.shape == other.rows.shape
-                and self._views == other._views)
+                and np.array_equal(self.stored, other.stored)
+                and np.array_equal(self.rows[self.stored], other.rows[other.stored]))
 
 
 class LaxBands(_BandSlots):
@@ -185,10 +152,10 @@ class LaxBands(_BandSlots):
     shape marks the stored slots, and a slot that is not stored holds zero.
     The rows are float64 when every value given is a float and
     ``dtype=object`` otherwise (exact Fractions), one dtype for w and v.
-    ``w`` and ``v`` are writable views {(k, n): value} of the stored slots.
-    References outside the window (site 0, sites beyond ``sites``, bands
-    |k| > depth) read zero, and such slots given to the constructor are
-    dropped.
+    Write through ``rows`` and ``stored``; ``w`` and ``v`` are read-only
+    snapshots {(k, n): value} of the stored slots.  References outside the
+    window (site 0, sites beyond ``sites``, bands |k| > depth) read zero,
+    and such slots given to the constructor are dropped.
     """
 
     def __init__(self, sites: int, depth: int, w: Mapping | None = None,
@@ -209,8 +176,8 @@ class LaxBands(_BandSlots):
     sites = property(lambda self: self.rows.shape[2])
     depth = property(lambda self: (self.rows.shape[1] - 1) // 2)
     even_reduced = property(lambda self: len(self.rows) == 1)
-    w = property(lambda self: self._views[0])
-    v = property(lambda self: self._views[1])
+    w = property(lambda self: self._slots(0))
+    v = property(lambda self: self._slots(1))
 
     def as_float(self) -> "LaxBands":
         return LaxBands._of(self.rows.astype(float), self.stored.copy())
@@ -218,10 +185,10 @@ class LaxBands(_BandSlots):
 
 class BandDerivs(_BandSlots):
     """Derivatives of band slots in the ``LaxBands`` layout; ``dw``/``dv`` are
-    writable views of the computed slots, and ``get`` reads others as 0."""
+    read-only snapshots of the computed slots, and ``get`` reads others as 0."""
 
-    dw = property(lambda self: self._views[0])
-    dv = property(lambda self: self._views[1])
+    dw = property(lambda self: self._slots(0))
+    dv = property(lambda self: self._slots(1))
     get = _BandSlots.value
 
 
@@ -251,18 +218,14 @@ def _slot_rows(slots: list[Mapping], depth: int, sites: int) -> tuple[np.ndarray
 
 def random_bands(rng, sites: int, depth: int, even: bool = False,
                  exact: bool = False) -> LaxBands:
-    """Random band state; ``exact`` draws small Fractions instead of floats."""
-
-    def draw():
-        if exact:
-            return Fraction(rng.randint(-4, 4), rng.randint(1, 3))
-        return rng.uniform(-2.0, 2.0)
-
-    w = {(k, n): draw() for k in range(-depth, depth + 1)
-         for n in range(1, sites + 1)}
-    v = {} if even else {(k, n): draw() for k in range(-depth, depth + 1)
-                         for n in range(1, sites + 1)}
-    return LaxBands(sites=sites, depth=depth, w=w, v=v, even_reduced=even)
+    """Random band state with every slot stored, drawn w then v, band by
+    band, site by site; ``exact`` draws small Fractions instead of floats."""
+    stored = np.ones(LaxBands(sites, depth, even_reduced=even).rows.shape, bool)  # checks depth
+    if exact:
+        vals = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(stored.size)]
+    else:
+        vals = [rng.uniform(-2.0, 2.0) for _ in range(stored.size)]
+    return LaxBands._of(np.array(vals, object if exact else float).reshape(stored.shape), stored)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """Reference routes that more than one test file checks the package against:
-the projection onto the lower-triangular factor of the splitting and the
-band-state JSON form."""
+the projection onto the lower-triangular factor of the splitting, the
+band-state JSON form and the slot-by-slot random band state."""
 
 from collections.abc import Mapping
 from fractions import Fraction
@@ -42,3 +42,20 @@ def bands_from_json(obj: Mapping) -> LaxBands:
         v={(int(k), int(n)): float(val) for k, n, val in obj.get("v", [])},
         even_reduced=bool(obj.get("even", False)),
     )
+
+
+def random_bands_from_slots(rng, sites: int, depth: int, even: bool = False,
+                            exact: bool = False) -> LaxBands:
+    """``lax.random_bands`` as {(k, n): value} dicts through the dict
+    constructor: w then v, band by band, site by site."""
+
+    def draw():
+        if exact:
+            return Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+        return rng.uniform(-2.0, 2.0)
+
+    w = {(k, n): draw() for k in range(-depth, depth + 1)
+         for n in range(1, sites + 1)}
+    v = {} if even else {(k, n): draw() for k in range(-depth, depth + 1)
+                         for n in range(1, sites + 1)}
+    return LaxBands(sites=sites, depth=depth, w=w, v=v, even_reduced=even)

@@ -1,6 +1,7 @@
 import collections
 import json
 import math
+import random
 
 import pytest
 
@@ -44,6 +45,52 @@ def test_lax_verify_passes(tmp_path):
 def test_lax_verify_even_flow(tmp_path):
     assert main(["--out", str(tmp_path), "lax-verify", "--flows", "t2_even",
                  "--even", "--trials", "2"]) == 0
+
+
+def _slot_by_slot_mismatch(flow, seed, sites, depth, trials):
+    """The worst |c - e| / max(1, |c|, |e|) over every interior slot of every
+    trial, read one ``.get`` at a time, with the draws ``lax-verify`` makes."""
+    rng, worst = random.Random(seed), 0.0
+    k_flow, table_flow, even = lax.FLOWS[flow]
+    for _ in range(trials):
+        b = lax.random_bands(rng, sites, depth, even=even)
+        comm, mask = lax.lax_rhs_commutator(b, k_flow, 2 * sites)
+        expl = table_flow(b)
+        for kind, bk, n in mask:
+            c, e = comm.get(kind, bk, n), expl.get(kind, bk, n)
+            worst = max(worst, abs(c - e) / max(1.0, abs(c), abs(e)))
+    return worst
+
+
+@pytest.mark.parametrize("flow, kind, target", [
+    ("t1", "w", "table"), ("t1", "v", "table"), ("t2", "w", "table"),
+    ("t2", "v", "table"), ("t2_even", "v", "commutator"),
+], ids=["t1_w", "t1_v", "t2_w", "t2_v", "t2_even_v_commutator"])
+def test_lax_verify_reads_every_interior_slot(tmp_path, monkeypatch, flow, kind, target):
+    sites, depth = 18, 3
+    slot = ("wv".index(kind), 1 + depth, 9 - 1)  # kind^1_9
+    assert (kind, 1, 9) in lax.interior_mask(2 * sites, depth, lax.FLOWS[flow][0])
+
+    def bumped(derivs):
+        derivs.rows[slot] += 0.5
+        return derivs
+
+    k_flow, table_flow, even = lax.FLOWS[flow]
+    if target == "table":
+        monkeypatch.setitem(lax.FLOWS, flow, (k_flow, lambda b: bumped(table_flow(b)), even))
+    else:
+        commutator = lax.lax_rhs_commutator
+
+        def bumped_commutator(*args):
+            derivs, mask = commutator(*args)
+            return bumped(derivs), mask
+
+        monkeypatch.setattr(lax, "lax_rhs_commutator", bumped_commutator)
+    assert main(["--out", str(tmp_path), "--seed", "3", "lax-verify", "--flows", flow,
+                 "--sites", str(sites), "--trials", "2"]) == 1
+    report = json.loads((tmp_path / "lax_verify.json").read_text())
+    assert report["max_mismatch"] == _slot_by_slot_mismatch(flow, 3, sites, depth, 2)
+    assert report["max_mismatch"] > 1e-3  # the bump shows, far above roundoff
 
 
 def test_lax_verify_checks_the_dense_size_before_drawing_bands(tmp_path, capsys,
@@ -123,6 +170,14 @@ _BAD_INPUT_FILES = {"top_level_list.json": [1], "rows_not_an_object.json": {"row
                     "stencil_negative.json": {"stencil": -3, "rows": {"0": {"0": [["1", [0]]]}}}}
 
 
+# the whole line for inputs that once failed in a later step, which it blamed
+_USAGE_MESSAGES = {
+    "moments --n 88": "the Pfaffian of the 176x176 matrix overflows float64",
+    "moments --radius 1e6": "moment matrix n=2: the rule at 200 nodes on radius 1e+06 "
+                            "resolves no weight: mu_01 = 0 is not positive",
+}
+
+
 @pytest.mark.parametrize("argv", [
     ["continuum-check", "--depth", "1"],
     ["continuum-check", "--eps", "1/0,1/2,1/4"],
@@ -165,6 +220,7 @@ _BAD_INPUT_FILES = {"top_level_list.json": [1], "rows_not_an_object.json": {"row
     ["chain-evolve", "--depth", "1000000000000", "--steps", "0"],
     ["continuum-check", "--eps", "1/100000000000000,1/64,1/128"],
     ["lax-verify", "--depth", "1000000000000", "--trials", "1"],
+    ["moments", "--n", "88"],
     ["moments", "--n", "100"],
     ["moments", "--n", "1000000000000"],
     ["chain-evolve", "--grid", "4", "--steps", "1"],
@@ -178,6 +234,8 @@ def test_input_that_checks_nothing_is_a_usage_error(tmp_path, capsys, monkeypatc
     assert main(["--out", str(tmp_path)] + argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+    if " ".join(argv) in _USAGE_MESSAGES:
+        assert err == f"error: {_USAGE_MESSAGES[' '.join(argv)]}\n"
 
 
 @pytest.mark.parametrize("argv, option", [

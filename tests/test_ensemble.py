@@ -329,6 +329,19 @@ def test_a_table_that_is_not_finite_is_refused():
     assert np.isfinite(moment_matrix(88, ZERO, Q)).all()
 
 
+def test_a_table_that_resolves_no_weight_is_refused():
+    # on [-1e6, 1e6] no node of either level lands where the Gaussian lives,
+    # so both tables are all zero and agree; mu_01 > 0 for every weight
+    q = QuadratureConfig(domain_radius=1e6)
+    for _ in range(2):  # a failure is not kept
+        with pytest.raises(QuadratureError, match=r"^moment matrix n=2: the rule at 200 "
+                           r"nodes on radius 1e\+06 resolves no weight: mu_01 = 0 is "
+                           r"not positive$") as err:
+            moment_matrix(2, ZERO, q)
+    assert not err.value.fine.any()
+    assert moment_matrix(1, ZERO, Q)[0, 1] == pytest.approx(2 * math.sqrt(math.pi), rel=1e-12)
+
+
 def test_a_degree_whose_node_powers_overflow_is_refused_before_any_power():
     quad = _quadrature_for(ZERO.key(), Q.key())
     formed = len(quad.fine._xp), len(quad.fine._ty)
@@ -410,6 +423,13 @@ def test_pfaffian_rejects_non_finite_entries(bad):
         pfaffian([[0.0, bad], [-bad, 0.0]])
     with pytest.raises(ValueError, match="finite"):
         pfaffian([[0.0, bad], [bad, 0.0]])
+
+
+def test_a_pfaffian_that_leaves_float64_is_refused():
+    big = np.array([[0.0, 1e200], [-1e200, 0.0]])
+    with pytest.raises(OverflowError, match="^the Pfaffian of the 4x4 matrix overflows float64$"):
+        pfaffian(np.kron(np.eye(2), big))
+    assert pfaffian(np.kron(np.diag([1.0, 1e-100]), big)) == 1e300
 
 
 def test_pfaffian_squared_is_determinant():

@@ -30,19 +30,15 @@ from pfaffchain.lax import (
 )
 from pfaffchain.poly import Poly
 
-from oracles import bands_from_json, bands_to_json, project_t
+from oracles import bands_from_json, bands_to_json, project_t, random_bands_from_slots
 
 Q = QuadratureConfig()
 
 
 def _numbered_bands(sites=4, depth=3):
-    b = LaxBands(sites=sites, depth=depth)
-    val = 100
-    for k in range(-depth, depth + 1):
-        for n in range(1, sites + 1):
-            b.w[(k, n)] = float(val); val += 1
-            b.v[(k, n)] = float(val); val += 1
-    return b
+    slots = [(k, n) for k in range(-depth, depth + 1) for n in range(1, sites + 1)]
+    return LaxBands(sites, depth, {s: 100.0 + 2 * i for i, s in enumerate(slots)},
+                    {s: 101.0 + 2 * i for i, s in enumerate(slots)})
 
 
 # ---------------------------------------------------------------------------
@@ -746,27 +742,37 @@ def test_each_site_shift_runs_once_on_the_whole_stack(monkeypatch):
         assert len({m for _shape, m in calls}) == len(calls)
 
 
-def test_band_views_write_through_to_the_rows():
+def test_band_mappings_are_read_only_snapshots_of_the_rows():
     b = random_bands(random.Random(4), 6, 2)
-    before = flow_t2_explicit(b)
-    b.w[(1, 3)] = 7.5  # inside the window: stored, and the flow reads it
-    assert b.w[(1, 3)] == 7.5 and b.value("w", 1, 3) == 7.5
+    d = flow_t2_explicit(b)
+    for mapping in (b.w, b.v, d.dw, d.dv):
+        with pytest.raises(TypeError):
+            mapping[(0, 1)] = 1.0
+    before, snapshot = flow_t2_explicit(b), b.w
+    b.rows[0, 1 + 2, 3 - 1] = 7.5  # w^1_3: the flow, value and a new snapshot read it
+    assert b.w[(1, 3)] == 7.5 and b.value("w", 1, 3) == 7.5 and snapshot[(1, 3)] != 7.5
     assert flow_t2_explicit(b) != before
     assert flow_t2_explicit(b) == flow_t2_explicit(LaxBands(6, 2, dict(b.w), dict(b.v)))
-    for key in ((3, 1), (0, 0), (0, 7)):
-        with pytest.raises(KeyError):
-            b.w[key] = 1.0
-    del b.v[(0, 2)]  # unmarked: absent, reads zero, and equality sees it
+    assert all(b.value("w", *key) == 0 for key in ((3, 1), (0, 0), (0, 7)))
+    b.rows[1, 2, 1], b.stored[1, 2, 1] = 0.0, False  # v^0_2 unstored: absent, reads zero
     assert (0, 2) not in b.v and b.value("v", 0, 2) == 0 and len(b.v) == 29
     assert b != random_bands(random.Random(4), 6, 2)
-    b.v[(0, 2)] = 0.25
+    b.rows[1, 2, 1], b.stored[1, 2, 1] = 0.25, True
     assert LaxBands(b.sites, b.depth, dict(b.w), dict(b.v)) == b
     even = random_bands(random.Random(4), 6, 2, even=True)
-    with pytest.raises(KeyError):
-        even.v[(0, 1)] = 1.0  # even-reduced states have no v slots
+    assert even.v == {} and even.value("v", 0, 1) == 0  # even-reduced states have no v slots
     d = flow_t2_explicit(b)
-    d.dw[(0, 1)] += 1.0
+    d.rows[0, 2, 0] += 1.0  # dw^0_1
     assert d != flow_t2_explicit(b) and d.get("w", 0, 1) == d.dw[(0, 1)]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7])
+def test_random_bands_draw_in_the_order_of_the_slot_dicts(seed):
+    for even, exact in itertools.product((False, True), repeat=2):
+        got = random_bands(random.Random(seed), 5, 2, even=even, exact=exact)
+        want = random_bands_from_slots(random.Random(seed), 5, 2, even=even, exact=exact)
+        assert got.rows.dtype == want.rows.dtype and np.array_equal(got.stored, want.stored)
+        assert np.array_equal(got.rows, want.rows) and got == want
 
 
 def test_slots_stored_outside_the_window_read_zero():
