@@ -112,8 +112,8 @@ def cmd_lax_verify(args, out: Path) -> int:
         raise ValueError("truncation too tight: empty interior mask")
     for name in flows:
         k_flow, table_flow, even = _FLOWS[name]
-        at = tuple(np.array([("wv".index(kind), bk + args.depth, n - 1)
-                             for kind, bk, n in masks[name]]).T)
+        at = lax.LaxBands(args.sites, args.depth, *(  # the interior slots, stored
+            {(bk, n): 0.0 for kind, bk, n in masks[name] if kind == want} for want in "wv")).stored
         for _ in range(args.trials):
             b = lax.random_bands(rng, args.sites, args.depth, even=even)
             comm, _ = lax.lax_rhs_commutator(b, k_flow, m_dim)

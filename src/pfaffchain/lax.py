@@ -47,9 +47,11 @@ array ``rows`` of shape (kinds, 2 depth + 1, sites): kind 0 is w and kind 1
 is v (even-reduced states have the w kind only), row k + depth is band k and
 column n - 1 is site n.  A boolean ``stored`` mask of the same shape marks
 the stored slots; the others hold zero.  The rows are float64, or
-``dtype=object`` for exact Fraction states.  ``rows`` and ``stored`` are the
-only writable form of a state; ``.w``/``.v`` and ``.dw``/``.dv`` are
-read-only snapshots {(k, n): value} of the stored slots, taken on access.
+``dtype=object`` for exact Fraction states.  Code here reads and writes
+``rows``/``stored`` directly.  The mappings ``.w``/``.v`` and ``.dw``/``.dv``
+{(k, n): value} read the stored slots live; their one write is item
+assignment to a slot in the window, kept for callers that still set a slot
+by key.
 
 Out-of-window band references read zero; the left lattice boundary (site 0)
 reads zero as well, which matches the semi-infinite matrix, while
@@ -63,10 +65,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Callable, Iterable, Mapping
+from collections.abc import Callable, Iterable, Iterator, Mapping
 from fractions import Fraction
 from functools import lru_cache
-from types import MappingProxyType
 
 import numpy as np
 
@@ -115,6 +116,39 @@ class FlowBlowupError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 
+class _SlotView(Mapping):
+    """{(k, n): value} over the stored slots of kind ``kind`` (0 = w, 1 = v)
+    of a state, read live from its rows.  Assigning to a slot inside the
+    window stores the value and marks the slot, and a slot outside it (or
+    of a kind the state lacks) raises KeyError; there is no other write."""
+
+    def __init__(self, state: "_BandSlots", kind: int):
+        self._state, self._kind = state, kind
+        self._sel = np.s_[kind:kind + 1]  # no rows for a kind the state lacks
+
+    def __getitem__(self, key):
+        at = self._state._at(self._kind, *key)
+        if at is None or not self._state.stored[at]:
+            raise KeyError(key)
+        return self._state.rows.item(at)
+
+    def __setitem__(self, key, value):
+        at = self._state._at(self._kind, *key)
+        if at is None:
+            raise KeyError(key)
+        self._state.rows[at], self._state.stored[at] = value, True
+
+    def __iter__(self) -> Iterator[tuple[int, int]]:
+        _, ks, ns = np.nonzero(self._state.stored[self._sel])
+        return zip((ks - self._state.rows.shape[1] // 2).tolist(), (ns + 1).tolist())
+
+    def __len__(self) -> int:
+        return int(np.count_nonzero(self._state.stored[self._sel]))
+
+    def values(self) -> list:
+        return self._state.rows[self._sel][self._state.stored[self._sel]].tolist()
+
+
 class _BandSlots:
     """The ``rows``/``stored`` pair shared by ``LaxBands`` and ``BandDerivs``;
     a kind beyond ``len(rows)`` has no slots."""
@@ -122,20 +156,16 @@ class _BandSlots:
     def __init__(self, rows: np.ndarray, stored: np.ndarray):
         self.rows, self.stored = rows, stored
 
-    def _slots(self, i: int) -> Mapping:
-        """Read-only snapshot {(k, n): value} of kind i's stored slots."""
-        if i >= len(self.rows):
-            return MappingProxyType({})
-        ks, ns = np.nonzero(self.stored[i])
-        keys = zip((ks - self.rows.shape[1] // 2).tolist(), (ns + 1).tolist())
-        return MappingProxyType(dict(zip(keys, self.rows[i][self.stored[i]].tolist())))
+    def _at(self, kind: int, k: int, n: int) -> tuple[int, int, int] | None:
+        """Index of slot (k, n) of kind 0 (w) or 1 (v) in ``rows``, or None
+        outside the window."""
+        at = (kind, k + self.rows.shape[1] // 2, n - 1)
+        return at if all(0 <= i < size for i, size in zip(at, self.rows.shape)) else None
 
     def value(self, kind: str, k: int, n: int):
         """The stored value of slot (k, n) of kind "w" or "v", else 0."""
-        at = (int(kind != "w"), k + self.rows.shape[1] // 2, n - 1)
-        if all(0 <= i < size for i, size in zip(at, self.rows.shape)) and self.stored[at]:
-            return self.rows.item(at)
-        return 0
+        at = self._at(int(kind != "w"), k, n)
+        return self.rows.item(at) if at is not None and self.stored[at] else 0
 
     def __eq__(self, other):
         return (isinstance(other, type(self)) and self.rows.shape == other.rows.shape
@@ -152,8 +182,8 @@ class LaxBands(_BandSlots):
     shape marks the stored slots, and a slot that is not stored holds zero.
     The rows are float64 when every value given is a float and
     ``dtype=object`` otherwise (exact Fractions), one dtype for w and v.
-    Write through ``rows`` and ``stored``; ``w`` and ``v`` are read-only
-    snapshots {(k, n): value} of the stored slots.  References outside the
+    ``w`` and ``v`` are live mappings {(k, n): value} of the stored slots
+    whose only write is item assignment.  References outside the
     window (site 0, sites beyond ``sites``, bands |k| > depth) read zero,
     and such slots given to the constructor are dropped.
     """
@@ -176,8 +206,8 @@ class LaxBands(_BandSlots):
     sites = property(lambda self: self.rows.shape[2])
     depth = property(lambda self: (self.rows.shape[1] - 1) // 2)
     even_reduced = property(lambda self: len(self.rows) == 1)
-    w = property(lambda self: self._slots(0))
-    v = property(lambda self: self._slots(1))
+    w = property(lambda self: _SlotView(self, 0))
+    v = property(lambda self: _SlotView(self, 1))
 
     def as_float(self) -> "LaxBands":
         return LaxBands._of(self.rows.astype(float), self.stored.copy())
@@ -185,10 +215,10 @@ class LaxBands(_BandSlots):
 
 class BandDerivs(_BandSlots):
     """Derivatives of band slots in the ``LaxBands`` layout; ``dw``/``dv`` are
-    read-only snapshots of the computed slots, and ``get`` reads others as 0."""
+    live mappings of the computed slots, and ``get`` reads others as 0."""
 
-    dw = property(lambda self: self._slots(0))
-    dv = property(lambda self: self._slots(1))
+    dw = property(lambda self: _SlotView(self, 0))
+    dv = property(lambda self: _SlotView(self, 1))
     get = _BandSlots.value
 
 

@@ -36,9 +36,13 @@ Q = QuadratureConfig()
 
 
 def _numbered_bands(sites=4, depth=3):
-    slots = [(k, n) for k in range(-depth, depth + 1) for n in range(1, sites + 1)]
-    return LaxBands(sites, depth, {s: 100.0 + 2 * i for i, s in enumerate(slots)},
-                    {s: 101.0 + 2 * i for i, s in enumerate(slots)})
+    b = LaxBands(sites=sites, depth=depth)
+    val = 100
+    for k in range(-depth, depth + 1):
+        for n in range(1, sites + 1):
+            b.w[(k, n)] = float(val); val += 1
+            b.v[(k, n)] = float(val); val += 1
+    return b
 
 
 # ---------------------------------------------------------------------------
@@ -742,28 +746,39 @@ def test_each_site_shift_runs_once_on_the_whole_stack(monkeypatch):
         assert len({m for _shape, m in calls}) == len(calls)
 
 
-def test_band_mappings_are_read_only_snapshots_of_the_rows():
+def test_band_views_write_through_to_the_rows():
     b = random_bands(random.Random(4), 6, 2)
-    d = flow_t2_explicit(b)
-    for mapping in (b.w, b.v, d.dw, d.dv):
-        with pytest.raises(TypeError):
-            mapping[(0, 1)] = 1.0
-    before, snapshot = flow_t2_explicit(b), b.w
-    b.rows[0, 1 + 2, 3 - 1] = 7.5  # w^1_3: the flow, value and a new snapshot read it
-    assert b.w[(1, 3)] == 7.5 and b.value("w", 1, 3) == 7.5 and snapshot[(1, 3)] != 7.5
+    before = flow_t2_explicit(b)
+    b.w[(1, 3)] = 7.5  # inside the window: stored, and the flow reads it
+    assert b.w[(1, 3)] == 7.5 and b.value("w", 1, 3) == 7.5
     assert flow_t2_explicit(b) != before
     assert flow_t2_explicit(b) == flow_t2_explicit(LaxBands(6, 2, dict(b.w), dict(b.v)))
-    assert all(b.value("w", *key) == 0 for key in ((3, 1), (0, 0), (0, 7)))
-    b.rows[1, 2, 1], b.stored[1, 2, 1] = 0.0, False  # v^0_2 unstored: absent, reads zero
+    for key in ((3, 1), (0, 0), (0, 7)):
+        with pytest.raises(KeyError):
+            b.w[key] = 1.0
+    b.rows[1, 2, 1], b.stored[1, 2, 1] = 0.0, False  # v^0_2 unmarked: absent, reads zero
     assert (0, 2) not in b.v and b.value("v", 0, 2) == 0 and len(b.v) == 29
     assert b != random_bands(random.Random(4), 6, 2)
-    b.rows[1, 2, 1], b.stored[1, 2, 1] = 0.25, True
+    b.v[(0, 2)] = 0.25
     assert LaxBands(b.sites, b.depth, dict(b.w), dict(b.v)) == b
     even = random_bands(random.Random(4), 6, 2, even=True)
-    assert even.v == {} and even.value("v", 0, 1) == 0  # even-reduced states have no v slots
+    with pytest.raises(KeyError):
+        even.v[(0, 1)] = 1.0  # even-reduced states have no v slots
     d = flow_t2_explicit(b)
-    d.rows[0, 2, 0] += 1.0  # dw^0_1
+    d.dw[(0, 1)] += 1.0
     assert d != flow_t2_explicit(b) and d.get("w", 0, 1) == d.dw[(0, 1)]
+
+
+def test_band_views_read_the_rows_live_and_delete_nothing():
+    b = random_bands(random.Random(4), 6, 2)
+    view = b.w
+    b.rows[0, 1 + 2, 3 - 1] = 7.5  # w^1_3, written in the rows
+    assert view[(1, 3)] == 7.5 and b.value("w", 1, 3) == 7.5 and b.w.values()[list(b.w).index((1, 3))] == 7.5
+    for mapping in (b.w, b.v, flow_t2_explicit(b).dv):
+        with pytest.raises(AttributeError):  # no __delitem__: unmark in ``stored``
+            del mapping[(0, 1)]
+    even = random_bands(random.Random(4), 6, 2, even=True)
+    assert even.v == {} and len(even.v) == 0 and even.v.values() == []
 
 
 @pytest.mark.parametrize("seed", [0, 1, 7])
