@@ -16,9 +16,11 @@ and the O(eps) and O(eps^2) corrections) is that table's Taylor expansion
 coefficients a^k_j have one reader, ``lax.chain_matrix_terms`` (Polys, the
 order-0 expansion's derivatives by u^j_x), which ``max_row_sum`` sums here
 and the tensor engine (``integrability.paper_chain_spec``) reads exactly.
-The expanded tables are summed by the lattice's own evaluator
-(``lax._Fields``/``lax._sum_bands``), with each 4th-order x-derivative
-stencil applied once to the whole band stack in place of its site shifts.
+The expanded tables of every band, and of every eps order a right-hand
+side reads, are compiled once per (order, depth) into one plan of the
+lattice's own evaluator (``lax._Plan``), which reads each 4th-order
+x-derivative where the lattice reads a site shift: each stencil runs once
+per call on the whole band stack, through slices of one periodic wrap-pad.
 A state (``ChainState``) has the even lattice's band layout: one (1,
 2 depth + 1, grid) array ``rows`` of the u bands, row k + depth band k, so
 u^k(x) = w^k(x / eps) is the same array read on a grid.  The right-hand
@@ -38,12 +40,13 @@ expansion and evaluator, on a two-kind (u, z) stack.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .lax import (LaxBands, _Fields, _float_terms, _march, _rk4_step, _sum_bands,
-                  _sum_terms, chain_matrix_terms, continuum_terms, flow_t2_even_explicit)
+from .lax import (LaxBands, _Plan, _field_rows, _march, _rk4_step, chain_matrix_terms,
+                  continuum_terms, flow_t2_even_explicit)
 
 __all__ = [
     "ChainState",
@@ -103,57 +106,95 @@ def _by_band(rows: np.ndarray) -> dict[int, np.ndarray]:
 
 # ---------------------------------------------------------------------------
 # periodic derivative stencils along the last axis (4th order, so the FD
-# error sits below the eps^3 residual floor measured by the order test)
+# error sits below the eps^3 residual floor measured by the order test),
+# read through slices of one periodic wrap-pad of the stack
 # ---------------------------------------------------------------------------
 
-
-def _dx1(f: np.ndarray, h: float) -> np.ndarray:
-    return (-np.roll(f, -2, -1) + 8 * np.roll(f, -1, -1)
-            - 8 * np.roll(f, 1, -1) + np.roll(f, 2, -1)) / (12 * h)
+_PAD = 3  # the reach of the widest stencil, the third derivative's
 
 
-def _dx2(f: np.ndarray, h: float) -> np.ndarray:
-    return (-np.roll(f, -2, -1) + 16 * np.roll(f, -1, -1) - 30 * f
-            + 16 * np.roll(f, 1, -1) - np.roll(f, 2, -1)) / (12 * h * h)
+def _wrap_pad(f: np.ndarray) -> np.ndarray:
+    """``f`` extended periodically by ``_PAD`` points at both ends of its
+    last axis."""
+    return np.concatenate([f[..., -_PAD:], f, f[..., :_PAD]], axis=-1)
 
 
-def _dx3(f: np.ndarray, h: float) -> np.ndarray:
-    return (-np.roll(f, -3, -1) + 8 * np.roll(f, -2, -1) - 13 * np.roll(f, -1, -1)
-            + 13 * np.roll(f, 1, -1) - 8 * np.roll(f, 2, -1)
-            + np.roll(f, 3, -1)) / (8 * h ** 3)
+def _at(fp: np.ndarray, s: int) -> np.ndarray:
+    """The value at point i + s of every point i, read off a wrap-padded
+    array (``np.roll(f, -s, -1)``)."""
+    return fp[..., _PAD + s:fp.shape[-1] - _PAD + s]
+
+
+def _dx1(fp: np.ndarray, h: float) -> np.ndarray:
+    return (-_at(fp, 2) + 8 * _at(fp, 1) - 8 * _at(fp, -1) + _at(fp, -2)) / (12 * h)
+
+
+def _dx2(fp: np.ndarray, h: float) -> np.ndarray:
+    return (-_at(fp, 2) + 16 * _at(fp, 1) - 30 * _at(fp, 0)
+            + 16 * _at(fp, -1) - _at(fp, -2)) / (12 * h * h)
+
+
+def _dx3(fp: np.ndarray, h: float) -> np.ndarray:
+    return (-_at(fp, 3) + 8 * _at(fp, 2) - 13 * _at(fp, 1)
+            + 13 * _at(fp, -1) - 8 * _at(fp, -2) + _at(fp, -3)) / (8 * h ** 3)
 
 
 _STENCILS = (None, _dx1, _dx2, _dx3)
 
 
-# ---------------------------------------------------------------------------
-# continuum right-hand sides: cached Taylor expansions of the lattice tables
-# ---------------------------------------------------------------------------
+class _Stencils:
+    """Continuum factor rows for a ``lax._Plan``: (kind, band, d) is the d-th
+    x-derivative of band k of the kind ("w" is rows[0], "v" rows[1]).  The
+    source rows hold the stack and each derivative order the plan reads
+    (``copies``), each stencil applied once to the whole wrap-padded stack,
+    then a zero row.  A periodic stencil must not wrap onto itself: the
+    5-point first and second derivatives need 5 grid points, the third
+    derivative 7."""
 
+    def __init__(self, fields: list, shape: tuple):
+        self.copies = sorted({d for _kind, _band, d in fields})
+        self.at = _field_rows(fields, shape, self.copies)
 
-def _fields(s: ChainState) -> _Fields:
-    """(kind, band, x-derivative order) -> array of a state's rows ("w" ->
-    rows[0], "v" -> rows[1]); absent kinds and bands read zero.  A periodic
-    stencil must not wrap onto itself: the 5-point first and second
-    derivatives need 5 grid points, the third derivative 7."""
-
-    def derivative(rows: np.ndarray, r: int) -> np.ndarray:
-        if r == 3 and s.grid_size < 7:
+    def fill(self, rows: np.ndarray, stack: np.ndarray, h: float) -> np.ndarray:
+        grid = stack.shape[2]
+        if grid < 5:
+            raise ValueError(f"grid of {grid} points too coarse for the 5-point stencils")
+        if 3 in self.copies and grid < 7:
             raise ValueError("grid too coarse for the third-derivative stencil")
-        return _STENCILS[r](rows, s.h)
+        flat = stack.reshape(-1, grid)
+        padded = _wrap_pad(flat) if max(self.copies, default=0) else None
+        for i, d in enumerate(self.copies):
+            rows[i * len(flat):(i + 1) * len(flat)] = _STENCILS[d](padded, h) if d else flat
+        return rows
 
-    if s.grid_size < 5:
-        raise ValueError(f"grid of {s.grid_size} points too coarse for the 5-point stencils")
-    return _Fields(s.rows, derivative)
+
+# ---------------------------------------------------------------------------
+# continuum right-hand sides: compiled Taylor expansions of the lattice tables
+# ---------------------------------------------------------------------------
 
 
-def _continuum_rhs(s: ChainState, fields: _Fields, order: int, flow_k: int, kind: str,
-                   rescale: bool = False, even: bool = False) -> np.ndarray:
-    """sum_r eps^r (eps^r part of the expanded ``lax.flow_terms`` table) for
-    every |k| <= depth, as (2 depth + 1, grid) rows."""
-    total, *parts = [_sum_bands(lambda k: continuum_terms(flow_k, kind, k, order,
-                                                          rescale, even)[r], fields)
-                     for r in range(order + 1)]
+@lru_cache(maxsize=None)
+def _continuum_plan(order: int, depth: int, flow_k: int = 2, kinds: str = "w",
+                    rescale: bool = True, even: bool = True) -> _Plan:
+    """Row (r, kind, k) is the eps^r part, r <= order, of the expanded
+    ``lax.flow_terms(flow_k, kind, k, even)`` table, for every |k| <= depth;
+    compiled on first use.  The defaults are the even chain's."""
+    return _Plan([continuum_terms(flow_k, kind, k, order, rescale, even)[r]
+                  for r in range(order + 1) for kind in kinds
+                  for k in range(-depth, depth + 1)], _Stencils)
+
+
+def _continuum_parts(s: ChainState, order: int, **table) -> np.ndarray:
+    """(order + 1, kinds, 2 depth + 1, grid): part r is the eps^r part of the
+    expanded tables over the state, before the factor eps^r."""
+    parts = _continuum_plan(order, s.depth, **table)(s.rows, s.h)
+    return parts.reshape(order + 1, -1, *s.rows.shape[1:])
+
+
+def _continuum_rhs(s: ChainState, order: int, **table) -> np.ndarray:
+    """sum_r eps^r (eps^r part of the expanded ``lax.flow_terms`` tables) for
+    every kind and every |k| <= depth, as (kinds, 2 depth + 1, grid) rows."""
+    total, *parts = _continuum_parts(s, order, **table)
     for r, part in enumerate(parts, 1):
         total += s.epsilon ** r * part
     return total
@@ -161,8 +202,9 @@ def _continuum_rhs(s: ChainState, fields: _Fields, order: int, flow_k: int, kind
 
 def chain_rhs_t2(s: ChainState) -> np.ndarray:
     """Leading-order chain right-hand side (the O(eps) part of the even
-    lattice flow over eps); central 4th-order x-derivatives."""
-    return _continuum_rhs(s, _fields(s), 0, 2, "w", rescale=True, even=True)
+    lattice flow over eps); central 4th-order x-derivatives.  It is the
+    order-0 case of ``chain_rhs_t2_corrected``."""
+    return chain_rhs_t2_corrected(s, 0)
 
 
 def chain_rhs_t2_corrected(s: ChainState, order: int) -> np.ndarray:
@@ -173,7 +215,7 @@ def chain_rhs_t2_corrected(s: ChainState, order: int) -> np.ndarray:
     """
     if order not in (0, 1, 2):
         raise ValueError("order must be 0, 1 or 2")
-    return _continuum_rhs(s, _fields(s), order, 2, "w", rescale=True, even=True)
+    return _continuum_rhs(s, order)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -187,13 +229,22 @@ class GradientCatastropheError(RuntimeError):
         self.step = step
 
 
+@lru_cache(maxsize=None)
+def _matrix_plan(depth: int) -> tuple[list[int], _Plan]:
+    """The entries a^k_j of the chain-matrix rows |k| <= depth, compiled on
+    first use, and the row k of each."""
+    entries = [(k, a) for k in range(-depth, depth + 1) for a in chain_matrix_terms(k).values()]
+    return ([k for k, _a in entries],
+            _Plan([sorted(a.terms.items()) for _k, a in entries], _Stencils))
+
+
 def max_row_sum(s: ChainState) -> float:
     """max_k sum_j |a^k_j| over the grid; the CFL scale of the chain."""
-    fields = _fields(s)
+    bands, plan = _matrix_plan(s.depth)
+    entries = np.abs(plan(s.rows, s.h))
     worst = 0.0
     for k in range(-s.depth, s.depth + 1):
-        total = sum(np.abs(_sum_terms(_float_terms(a), fields))
-                    for a in chain_matrix_terms(k).values())
+        total = sum(row for row, band in zip(entries, bands) if band == k)
         worst = max(worst, float(np.max(total)))
     return worst
 
@@ -279,6 +330,9 @@ def continuum_residual(profile: Mapping[int, Callable], eps_list: Sequence[float
                 raise ValueError(f"{what} {v} is listed twice")
     if depth < 2:
         raise ValueError(f"depth {depth} leaves no band to compare; need depth >= 2")
+    if any(r not in (0, 1, 2) for r in orders):
+        raise ValueError("order must be 0, 1 or 2")
+    top = max(orders)
     reports = []
     residuals = {r: [] for r in orders}
     for eps in eps_list:
@@ -298,9 +352,14 @@ def continuum_residual(profile: Mapping[int, Callable], eps_list: Sequence[float
         lattice = flow_t2_even_explicit(LaxBands._of(state.rows,
                                                      np.ones(state.rows.shape, bool)))
         lat = lattice.rows[0, 2:-2, interior] / eps  # bands |k| <= depth - 2
-        for r in orders:
-            cont = chain_rhs_t2_corrected(state, r)[2:-2, interior]
-            residuals[r].append(float(np.max(np.abs(lat - cont))))
+        # the order-r right-hand side is the order-(r - 1) one plus its
+        # eps^r part, so every order is read off one evaluation of the parts
+        total, *parts = _continuum_parts(state, top)[:, 0]
+        for r in range(top + 1):
+            if r:
+                total += state.epsilon ** r * parts[r - 1]
+            if r in residuals:
+                residuals[r].append(float(np.max(np.abs(lat - total[2:-2, interior]))))
     for r in orders:
         res = residuals[r]
         # roundoff from the 1/eps rescaling sits at ~1e-13; genuine residuals
@@ -318,12 +377,17 @@ def continuum_residual(profile: Mapping[int, Callable], eps_list: Sequence[float
 
 def trajectory_to_csv(traj: Sequence[ChainState], path) -> None:
     """Rows step,k,m,x,u for every band |k| <= depth of every state, with
-    floats as ``repr`` and csv's \\r\\n line ends; each band is written as
-    one string."""
+    floats as ``repr`` and csv's \\r\\n line ends.  The states share one
+    grid and spacing h (those of an ``evolve_chain`` trajectory), so the m,x
+    cells are built once; each band is written as one string."""
+    if any(s.h != traj[0].h or s.grid_size != traj[0].grid_size for s in traj):
+        raise ValueError("the states of a trajectory must share one grid and spacing")
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write("step,k,m,x,u\r\n")
+        if not traj or not traj[0].grid_size:
+            return
+        cells = [f"{m},{m * traj[0].h!r}," for m in range(traj[0].grid_size)]
         for step, state in enumerate(traj):
-            cells = [f"{m},{m * state.h!r}," for m in range(state.grid_size)]
             for k, row in zip(range(-state.depth, state.depth + 1), state.rows[0]):
                 head = f"{step},{k},"
                 fh.write("".join(f"{head}{cell}{val!r}\r\n"

@@ -16,6 +16,7 @@ import argparse
 import json
 import math
 import random
+import re
 import sys
 from fractions import Fraction
 from functools import cache
@@ -26,6 +27,12 @@ import numpy as np
 from . import chain, ensemble, integrability, lax, reductions
 
 PASS, FAIL, USAGE = 0, 1, 2
+
+# argparse reads a token that starts with "-" as an option name unless it
+# matches its negative-number pattern, which has no exponent, so "--t4
+# -1e-3" failed with "expected one argument".  Every parser of the tree
+# takes this pattern, which adds the exponent form.
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
 
 def _write_report(out_dir: Path, name: str, report: dict) -> Path:
@@ -142,6 +149,10 @@ def cmd_chain_evolve(args, out: Path) -> int:
     x = (1.0 / args.grid) * np.arange(1, args.grid + 1)
     state = chain.ChainState(h=1.0 / args.grid, depth=args.depth,
                              u={k: fn(x) for k, fn in profile.items()})
+    if args.band_support > args.depth:
+        print(f"warning: --band-support {args.band_support} exceeds --depth {args.depth}: "
+              f"the profile's bands {args.depth + 1} <= |k| <= {args.band_support} "
+              f"are dropped", file=sys.stderr)
     if 0 < args.dt < math.inf and args.steps > 0:  # the CFL margin of a run that steps
         cfl = args.dt * chain.max_row_sum(state) / state.h
         print(f"CFL number dt*max_row_sum/h = {cfl:.3g}", file=sys.stderr)
@@ -298,7 +309,9 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
                    help="corrupt the speed-equation coefficient (expect exit 1)")
     p.set_defaults(func=cmd_gt)
 
+    parser._negative_number_matcher = _NEGATIVE_NUMBER
     for name, sp in sub.choices.items():
+        sp._negative_number_matcher = _NEGATIVE_NUMBER
         types = {action.dest: action.type for action in sp._actions if action.type}
         given = {k.replace("-", "_"): v for k, v in (config or {}).get(name, {}).items()}
         try:  # each value as if typed on the command line; flags have no type

@@ -19,9 +19,10 @@ any user-supplied chain-class matrix.
 ``TensorPoint`` computes over whatever values its point supplies: Fractions,
 Polys (a symbolic point) or, in the scans ``haantjes_scan`` and
 ``nijenhuis_oracle_check``, unreduced ``lazyfraction.LazyFraction``s over
-one common denominator L (``RationalPoint.lazy``).  Every product then
-carries a power of L and every sum reuses the larger power, so no
-operation pays a gcd.  A value is reduced to a Fraction once, where it
+one common denominator L (``RationalPoint.lazy``), which takes in the
+spec's coefficient denominators too, and those coefficients are put over L
+(``_lazy_tensor_point``).  Every product then carries a power of L and
+every sum reuses the larger power, so no operation pays a gcd.  A value is reduced to a Fraction once, where it
 leaves the scan as a report string; an exact zero is a numerator 0, and
 zero entries are dropped from every row.
 
@@ -49,7 +50,7 @@ from __future__ import annotations
 import json
 import random
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
@@ -89,10 +90,12 @@ class WindowError(ValueError):
 
 @dataclass(frozen=True)
 class RationalPoint:
-    """Exact values for the components u^p on the window |p| <= window."""
+    """Exact values for the components u^p on the window |p| <= window;
+    ``common`` is the one denominator of a ``lazy`` point's values, else 0."""
 
     values: Mapping[int, Fraction]
     window: int
+    common: int = 0
 
     def at(self, p: int) -> Fraction:
         if abs(p) > self.window:
@@ -101,15 +104,17 @@ class RationalPoint:
             )
         return self.values.get(p, _ZERO)
 
-    def lazy(self) -> "RationalPoint":
+    def lazy(self, denominator: int = 1) -> "RationalPoint":
         """The same point with LazyFraction values over one common
-        denominator, the lcm of the values' denominators."""
+        denominator L, the lcm of ``denominator`` and the values'
+        denominators (``_lazy_tensor_point`` passes a spec's coefficient
+        denominators)."""
         values = {p: Fraction(v) for p, v in self.values.items()}
-        common = lcm(*(v.denominator for v in values.values()))
+        common = lcm(denominator, *(v.denominator for v in values.values()))
         return RationalPoint(
             values={p: LazyFraction(v.numerator * (common // v.denominator), common)
                     for p, v in values.items()},
-            window=self.window)
+            window=self.window, common=common)
 
 
 def random_rational_point(rng: random.Random, window: int) -> RationalPoint:
@@ -347,6 +352,38 @@ class TensorPoint:
         return self.haantjes_row(i).get((j, k), _ZERO)
 
 
+def _over(poly: Poly, common: int) -> Poly:
+    """``poly`` with each non-integer coefficient whose denominator divides
+    ``common`` written as a LazyFraction over ``common``."""
+    return Poly._of({m: LazyFraction(c.numerator * (common // c.denominator), common)
+                     if c.denominator != 1 and common % c.denominator == 0 else c
+                     for m, c in poly.terms.items()})
+
+
+def _lazy_tensor_point(spec: ChainMatrixSpec, point: RationalPoint) -> TensorPoint:
+    """``TensorPoint`` of ``spec`` over ``point.lazy``, with the coefficient
+    denominators of the spec's rows |k| <= point.window folded into the
+    common denominator L and those coefficients put over L.  Every
+    coefficient and value of those rows is then an integer or a
+    LazyFraction over L, so every product carries a power of L and every
+    sum reuses the larger power."""
+    denominator = _denominator(spec.rows, point.window)
+    point = point.lazy(denominator)
+    if denominator == 1:
+        return TensorPoint(spec, point)
+    rows = spec.rows
+    return TensorPoint(replace(spec, rows=lambda k: {j: _over(poly, point.common)
+                                                     for j, poly in rows(k).items()}), point)
+
+
+@lru_cache(maxsize=64)
+def _denominator(rows: Callable[[int], dict[int, Poly]], window: int) -> int:
+    """The lcm of the coefficient denominators of the rows |k| <= window that
+    a spec's ``rows`` generates, cached per generator and window."""
+    return lcm(1, *(c.denominator for k in range(-window, window + 1)
+                    for poly in rows(k).values() for c in poly.terms.values()))
+
+
 def _scatter(acc: dict, key: tuple[int, int], value) -> None:
     old = acc.get(key)
     acc[key] = value if old is None else old + value
@@ -461,8 +498,8 @@ def nijenhuis_oracle_check(point: RationalPoint) -> dict:
     must evaluate to the exact integer 0.  Both sides are evaluated at
     ``point.lazy()``; a mismatch is reported as reduced Fraction strings.
     """
-    point = point.lazy()
-    ev = TensorPoint(paper_chain_spec(), point)
+    ev = _lazy_tensor_point(paper_chain_spec(), point)
+    point = ev.point
     mismatches = []
     checked = 0
     for i in range(-6, 7):
@@ -502,7 +539,7 @@ def haantjes_scan(window: int = 6, points: int = 50, seed: int = 0,
     nonzero = []
     for p_idx in range(points):
         point = random_rational_point(rng, point_window)
-        ev = TensorPoint(spec, point.lazy())
+        ev = _lazy_tensor_point(spec, point)
         for i in range(-window, window + 1):
             for (j, k), val in sorted(ev.haantjes_row(i).items()):
                 if -window <= j <= k <= window:

@@ -26,14 +26,18 @@ and caches each table on first use; no table is written by hand.  With
 ``even`` the v bands of that matrix are zero, which gives the even
 reduction's tables (the v-free part of the full ones).
 
-One evaluator sums a table over a state's whole (kinds, 2 depth + 1, n)
-band stack, the layout that ``LaxBands.rows`` (n sites) and
-``chain.ChainState.rows`` (n grid points) share: ``_Fields`` applies a
-zero-filling site shift (in ``chain`` an x-derivative stencil) to the whole
-stack once per shift, and ``_sum_bands`` sums one table per band.  The rows
-are float64, with each table compiled once by ``_float_terms`` (the one
-float compile), or object arrays of Fractions for exact commutator
-cross-validation, summed over the Poly's own terms.
+One evaluator, ``_Plan``, sums a set of tables over a state's whole (kinds,
+2 depth + 1, n) band stack, the layout that ``LaxBands.rows`` (n sites) and
+``chain.ChainState.rows`` (n grid points) share.  Each set is compiled once,
+on first use, into index arrays: the lattice flow of every band of every
+kind is one plan per (flow_k, even, kinds, depth) (``_lattice_plan``), and
+``chain`` compiles its Taylor-expanded tables the same way.  A call lays the
+stack out once per site shift (in ``chain``, once per x-derivative
+stencil), gathers the factor rows of all terms of one arity at once,
+multiplies them, scales them by their coefficients and adds each table's
+terms in its own order, so a float result is bit-identical to summing the
+table term by term.  The rows are float64 or object arrays of Fractions for
+exact commutator cross-validation, which skip the +-1 multiplies.
 
 The Taylor expansion of these tables (``expand_lattice_terms``, one Poly per
 eps order; float form ``continuum_terms``) is the continuum limit: the chain
@@ -488,78 +492,192 @@ def flow_terms(flow_k: int, kind: str, band: int, even: bool = False) -> Poly:
 
 
 # ---------------------------------------------------------------------------
-# evaluating term tables: site shifts on the lattice, x-derivatives in the
-# continuum, over float64 or exact object arrays
+# evaluating term tables: each table set compiled once to index arrays, read
+# over site shifts on the lattice and x-derivatives in the continuum, on
+# float64 or exact object rows
 # ---------------------------------------------------------------------------
 
 
-class _Fields(dict):
-    """(kind, band, m) -> row of ``op(rows, m)`` (of ``rows`` itself at
-    m = 0) for a band state's (kinds, 2 depth + 1, n) stack ``rows``: kind
-    "w" is rows[0] and "v" rows[1], band k is row k + depth, and absent kinds
-    and bands read ``zero``, a zero row of the stack's dtype.  ``op`` acts on
-    the last axis, once per m, on the whole stack.  The lattice passes a site
-    shift as ``op``, the continuum an x-derivative stencil."""
+class _Plan:
+    """A set of term tables compiled once to index arrays, evaluated over a
+    state's (kinds, 2 depth + 1, n) band stack; one output row per table.
 
-    def __init__(self, rows: np.ndarray, op: Callable[[np.ndarray, int], np.ndarray]):
-        super().__init__()
-        self.stacks, self.op = {0: rows}, op
-        self.depth, self.zero = rows.shape[1] // 2, np.zeros(rows.shape[2], rows.dtype)
+    Each table is a sequence of (factors, coefficient) pairs in the order
+    they are summed.  A factor (kind, band, m) is a row of the ``source``
+    made from the stack: shifted by m sites (``_SiteShifts``) or its m-th
+    x-derivative (``chain._Stencils``).  The terms are laid out position by
+    position: with the rows sorted by decreasing term count, the p-th terms
+    of the rows that have one form one block, in the order of those rows.
 
-    def __missing__(self, factor: tuple) -> np.ndarray:
-        kind, band, m = factor
-        i, j = "wv".index(kind), band + self.depth
-        if not (i < len(self.stacks[0]) and 0 <= j <= 2 * self.depth):
-            return self.setdefault(factor, self.zero)
-        if m not in self.stacks:
-            self.stacks[m] = self.op(self.stacks[0], m)
-        return self.setdefault(factor, self.stacks[m][i, j])
+    A call fills the source, gathers the factor rows of each arity group
+    and multiplies them left to right, scales each product by its
+    coefficient, scatters the products into the block layout and adds the
+    blocks in order into zeroed rows.  Those are the float operations of
+    summing each table term by term, in the same order, so the results are
+    bit-identical to that sum.  Float rows fold each sign into the
+    coefficient (x * -1 is -x, and a - b is a + (-b), exactly); exact object
+    rows skip the +-1 multiplies and subtract the -1 terms instead.
+    """
+
+    def __init__(self, tables: Iterable[Iterable[tuple]], source: type):
+        tables = [list(t) for t in tables]
+        self.source, self.tables = source, len(tables)
+        order = sorted(range(len(tables)), key=lambda i: -len(tables[i]))
+        self.unsort = np.argsort(order)
+        terms, self.blocks = [], []
+        for p in range(len(tables[order[0]]) if tables else 0):
+            live = [i for i in order if len(tables[i]) > p]  # a prefix of order
+            self.blocks.append((len(terms), len(live)))
+            terms += [tables[i][p] for i in live]
+        self.fields = sorted({f for mono, _c in terms for f in mono})
+        at = {f: i for i, f in enumerate(self.fields)}
+        self.coeffs = [c for _mono, c in terms]
+        self.groups = []  # (term indices, (terms, arity) field indices) per arity
+        for arity in sorted({len(mono) for mono, _c in terms}):
+            group = [t for t, (mono, _c) in enumerate(terms) if len(mono) == arity]
+            self.groups.append((np.array(group), np.array(
+                [[at[f] for f in terms[t][0]] for t in group]).reshape(len(group), arity)))
+        self._layouts: dict[tuple, _Layout] = {}
+
+    def __call__(self, stack: np.ndarray, *args) -> np.ndarray:
+        """The (tables, n) sums over ``stack``, a fresh array of its dtype;
+        ``args`` go on to the source (the chain's grid spacing)."""
+        shape, dtype = stack.shape, stack.dtype
+        key = (shape[:2], dtype)
+        lay = self._layouts.get(key) or self._layouts.setdefault(key, _Layout(self, *key))
+        ws = _spare_for(self, shape, dtype) or _Buffers(self, lay, shape, dtype)
+        rows = lay.source.fill(ws.rows, stack, *args)
+        for (dest, _factors), cols, coef, scale in zip(self.groups, lay.cols, lay.coef, lay.scale):
+            prod, tmp = ws.prod[:len(dest)], ws.tmp[:len(dest)]
+            np.take(rows, cols[0], axis=0, out=prod)
+            for col in cols[1:]:
+                np.multiply(prod, np.take(rows, col, axis=0, out=tmp), out=prod)
+            if scale is not None:
+                np.multiply(prod, coef, out=prod, where=scale)
+            ws.terms[dest] = prod
+        acc = ws.acc
+        acc.fill(0)
+        for (start, live), plus, minus in zip(self.blocks, lay.plus, lay.minus):
+            head, block = acc[:live], ws.terms[start:start + live]
+            if plus is not None:
+                np.add(head, block, out=head, where=plus)
+            if minus is not None:
+                np.subtract(head, block, out=head, where=minus)
+        out = acc.take(self.unsort, axis=0)
+        _SPARE[:] = [(self, shape, dtype, ws)]
+        return out
 
 
-def _sum_terms(terms: Iterable, fields: _Fields) -> np.ndarray:
-    """sum of coeff * prod(factors) over (factors, coeff) pairs, into a new
-    array."""
-    acc = fields.zero.copy()
-    for (first, *rest), coeff in terms:
-        prod = fields[first]
-        for f in rest:
-            prod = prod * fields[f]
-        if coeff == 1.0:
-            acc += prod
-        elif coeff == -1.0:
-            acc -= prod
-        else:
-            acc += coeff * prod
-    return acc
+# The buffers of the last ``_Plan`` call, kept for a next call of the same
+# plan on the same stack shape and dtype (a stepping loop), so that such
+# calls allocate nothing but their results.  At most one set is held, and a
+# call takes it out while it runs, so calls that overlap never share one.
+_SPARE: list[tuple] = []
 
 
-def _sum_bands(terms_of: Callable[[int], Iterable], fields: _Fields) -> np.ndarray:
-    """The (2 depth + 1, n) rows whose row k + depth sums ``terms_of(k)``."""
-    return np.array([_sum_terms(terms_of(k), fields)
-                     for k in range(-fields.depth, fields.depth + 1)], fields.zero.dtype)
+def _spare_for(plan: _Plan, shape: tuple, dtype) -> "_Buffers | None":
+    """Take the kept buffers out of ``_SPARE``: returned when they belong to
+    ``plan`` on this shape and dtype, otherwise dropped."""
+    try:
+        owner, *key, ws = _SPARE.pop()
+    except IndexError:
+        return None
+    return ws if owner is plan and key == [shape, dtype] else None
 
 
-def _float_terms(table: Poly) -> tuple:
-    """The float compile of a term table: (factors, float coefficient)
-    pairs in sorted order."""
-    return tuple(sorted((mono, float(c)) for mono, c in table.terms.items()))
+def _where(mask: np.ndarray):
+    """``mask`` as a ufunc ``where``: True when every entry is set, None (no
+    call) when none is."""
+    return True if mask.all() else mask if mask.any() else None
+
+
+class _Layout:
+    """How one ``_Plan`` reads stacks of one (kinds, 2 depth + 1) shape, for
+    any n, and one dtype: the source, the source rows of every arity group's
+    factors, the coefficients in the dtype's form and the ufunc masks of the
+    coefficient multiplies and of the block adds and subtracts."""
+
+    def __init__(self, plan: _Plan, shape: tuple, dtype):
+        exact = dtype == object
+        self.source = plan.source(plan.fields, shape)
+        coeffs = np.array(plan.coeffs, object if exact else float)
+        unit = np.array([exact and c in (1, -1) for c in plan.coeffs], bool)
+        minus = np.array([exact and c == -1 for c in plan.coeffs], bool)
+        self.cols, self.coef, self.scale = [], [], []
+        for dest, factors in plan.groups:
+            self.cols.append([np.ascontiguousarray(col) for col in self.source.at[factors].T])
+            self.coef.append(coeffs[dest, None])
+            self.scale.append(_where(~unit[dest, None]))
+        self.plus = [_where(~minus[start:start + live, None]) for start, live in plan.blocks]
+        self.minus = [_where(minus[start:start + live, None]) for start, live in plan.blocks]
+
+
+class _Buffers:
+    """The (rows, n) arrays one ``_Plan`` call works in: the source rows
+    (zeroed once: a source writes only the entries it reads the stack into),
+    an arity group's products and the rows of its next factor, the terms in
+    block layout and the sums."""
+
+    def __init__(self, plan: _Plan, lay: _Layout, shape: tuple, dtype):
+        n = shape[2]
+        width = max((len(dest) for dest, _factors in plan.groups), default=0)
+        self.rows = np.zeros((len(lay.source.copies) * shape[0] * shape[1] + 1, n), dtype)
+        self.prod, self.tmp = np.empty((2, width, n), dtype)
+        self.terms = np.empty((len(plan.coeffs), n), dtype)
+        self.acc = np.empty((plan.tables, n), dtype)
+
+
+def _field_rows(fields: list, shape: tuple, copies: list) -> np.ndarray:
+    """The row of each (kind, band, x) field in a source that holds one copy
+    of the rows of a (kinds, 2 depth + 1) ``shape`` stack per entry x of
+    ``copies``, then one zero row, which absent kinds and bands read."""
+    kinds, bands = shape
+    depth, zero = bands // 2, len(copies) * kinds * bands
+
+    def row(kind: str, band: int, x: int) -> int:
+        i = "wv".index(kind)
+        if i >= kinds or abs(band) > depth:
+            return zero
+        return (copies.index(x) * kinds + i) * bands + band + depth
+
+    return np.array([row(*f) for f in fields], dtype=np.intp)
+
+
+def _site_shift(rows: np.ndarray, m: int, out: np.ndarray) -> None:
+    """Write the value at site n + m of every site n, along the last axis,
+    into ``out``; its sites that fall off the lattice are left as they are."""
+    if m > 0:
+        out[..., :-m] = rows[..., m:]
+    elif m < 0:
+        out[..., -m:] = rows[..., :m]
+    else:
+        out[...] = rows
+
+
+class _SiteShifts:
+    """Lattice factor rows: (kind, band, m) reads band k of the kind at site
+    n + m for every site n, zero off the lattice.  The source rows hold one
+    copy of the stack per shift m the plan reads (``copies``), then a zero
+    row; a fill writes each copy's sites on the lattice."""
+
+    def __init__(self, fields: list, shape: tuple):
+        self.copies = sorted({m for _kind, _band, m in fields})
+        self.at = _field_rows(fields, shape, self.copies)
+
+    def fill(self, rows: np.ndarray, stack: np.ndarray) -> np.ndarray:
+        size = stack.shape[0] * stack.shape[1]
+        for i, m in enumerate(self.copies):
+            _site_shift(stack, m, rows[i * size:(i + 1) * size].reshape(stack.shape))
+        return rows
 
 
 @lru_cache(maxsize=None)
-def _float_table(flow_k: int, kind: str, band: int, even: bool) -> tuple:
-    """``_float_terms(flow_terms(...))``, built once per table and band."""
-    return _float_terms(flow_terms(flow_k, kind, band, even))
-
-
-def _site_shift(rows: np.ndarray, m: int) -> np.ndarray:
-    """The value at site n + m (m != 0) for every site n, along the last
-    axis; sites off the lattice read zero."""
-    out = np.zeros_like(rows)
-    if m > 0:
-        out[..., :-m] = rows[..., m:]
-    else:
-        out[..., -m:] = rows[..., :m]
-    return out
+def _lattice_plan(flow_k: int, even: bool, kinds: int, depth: int) -> _Plan:
+    """The ``flow_terms`` tables of every band |k| <= depth of the first
+    ``kinds`` kinds, compiled over site shifts on first use; the terms are
+    summed in sorted order."""
+    return _Plan([sorted(flow_terms(flow_k, kind, k, even).terms.items())
+                  for kind in "wv"[:kinds] for k in range(-depth, depth + 1)], _SiteShifts)
 
 
 def _flow_from_tables(b: LaxBands, flow_k: int, even: bool = False) -> BandDerivs:
@@ -567,11 +685,7 @@ def _flow_from_tables(b: LaxBands, flow_k: int, even: bool = False) -> BandDeriv
     tables over the state's rows: float64 rows with float coefficients, or
     object rows (exact Fractions) with the tables' own coefficients.  A state
     without v rows gets the w tables only."""
-    fields = _Fields(b.rows, _site_shift)
-    table = (lambda *key: flow_terms(*key).terms.items()) if b.rows.dtype == object \
-        else _float_table
-    d = np.array([_sum_bands(lambda k: table(flow_k, kind, k, even), fields)
-                  for kind in "wv"[:len(b.rows)]], b.rows.dtype)
+    d = _lattice_plan(flow_k, even, len(b.rows), b.depth)(b.rows).reshape(b.rows.shape)
     return BandDerivs(d, np.ones(d.shape, bool))
 
 
@@ -643,10 +757,11 @@ def continuum_terms(flow_k: int, kind: str, band: int, order: int,
                     rescale: bool = False, even: bool = False) -> tuple:
     """Float form of ``expand_lattice_terms(flow_terms(flow_k, kind, band,
     even), order, rescale)``, built on first use and cached: entry r is the
-    ``_float_terms`` compile of the eps^r part, (factors, coefficient)
-    pairs whose factors are (kind, band, x-derivative order)."""
+    eps^r part as sorted (factors, float coefficient) pairs whose factors
+    are (kind, band, x-derivative order)."""
     expanded = expand_lattice_terms(flow_terms(flow_k, kind, band, even), order, rescale)
-    return tuple(map(_float_terms, expanded))
+    return tuple(tuple(sorted((mono, float(c)) for mono, c in part.terms.items()))
+                 for part in expanded)
 
 
 @lru_cache(maxsize=None)

@@ -43,7 +43,8 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Mapping
 
-from .integrability import RationalPoint, TensorPoint, paper_chain_spec, random_rational_point
+from .integrability import (RationalPoint, TensorPoint, _lazy_tensor_point, paper_chain_spec,
+                            random_rational_point)
 from .lazyfraction import LazyFraction, lazy
 
 __all__ = [
@@ -92,7 +93,7 @@ class ReductionJet:
 
     @cached_property
     def _rows(self) -> TensorPoint:
-        return TensorPoint(paper_chain_spec(), self.u_window.lazy())
+        return _lazy_tensor_point(paper_chain_spec(), self.u_window)
 
 
 def random_jet(rng: random.Random, n_components: int = 3, window: int = 10) -> ReductionJet:

@@ -1,13 +1,14 @@
 """Reference routes that more than one test file checks the package against:
 the projection onto the lower-triangular factor of the splitting, the
-band-state JSON form and the slot-by-slot random band state."""
+band-state JSON form, the slot-by-slot random band state and the
+band-by-band sum of the flow tables."""
 
 from collections.abc import Mapping
 from fractions import Fraction
 
 import numpy as np
 
-from pfaffchain.lax import LaxBands, _block_mask, _minus_reflected
+from pfaffchain.lax import LaxBands, _block_mask, _minus_reflected, flow_terms
 
 
 def project_t(A: np.ndarray) -> np.ndarray:
@@ -59,3 +60,44 @@ def random_bands_from_slots(rng, sites: int, depth: int, even: bool = False,
     v = {} if even else {(k, n): draw() for k in range(-depth, depth + 1)
                          for n in range(1, sites + 1)}
     return LaxBands(sites=sites, depth=depth, w=w, v=v, even_reduced=even)
+
+
+def flow_band_by_band(b: LaxBands, flow_k: int, even: bool) -> np.ndarray:
+    """The ``flow_terms`` flow of every slot of ``b``, as (kinds, 2 depth + 1,
+    sites) rows, summed one band at a time: each table term by term in
+    sorted order, into a zero row, over zero-filled site shifts of the
+    factor rows, a +-1 coefficient as an add or a subtract and any other
+    one (as a float on float rows) multiplied in.  The compiled evaluator
+    must match it bit for bit on float rows and exactly on Fraction rows."""
+    kinds, bands, n = b.rows.shape
+    exact = b.rows.dtype == object
+
+    def field(kind, band, m):
+        out = np.zeros(n, b.rows.dtype)
+        i = "wv".index(kind)
+        if i < kinds and abs(band) <= b.depth:
+            row = b.rows[i, band + b.depth]
+            if m > 0:
+                out[:-m] = row[m:]
+            elif m < 0:
+                out[-m:] = row[:m]
+            else:
+                out[:] = row
+        return out
+
+    sums = np.zeros(b.rows.shape, b.rows.dtype)
+    for i, kind in enumerate("wv"[:kinds]):
+        for k in range(-b.depth, b.depth + 1):
+            acc = np.zeros(n, b.rows.dtype)
+            for (first, *rest), coeff in sorted(flow_terms(flow_k, kind, k, even).terms.items()):
+                prod = field(*first)
+                for f in rest:
+                    prod = prod * field(*f)
+                if coeff == 1:
+                    acc += prod
+                elif coeff == -1:
+                    acc -= prod
+                else:
+                    acc += (coeff if exact else float(coeff)) * prod
+            sums[i, k + b.depth] = acc
+    return sums

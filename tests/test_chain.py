@@ -1,5 +1,6 @@
 import math
 import os
+from collections import Counter
 import random
 import subprocess
 import sys
@@ -18,14 +19,38 @@ from pfaffchain.chain import (
     evolve_chain,
     GradientCatastropheError,
     max_row_sum,
-    _dx1,
-    _dx2,
-    _dx3,
 )
 from pfaffchain.integrability import Poly, paper_chain_spec
 from pfaffchain.lax import continuum_terms, expand_lattice_terms, flow_terms
 
 F = Fraction
+
+
+# The periodic stencils as sums of np.roll copies: the oracle for the
+# package's stencils, which read one wrap-pad of the stack through slices.
+
+def dx1(f, h):
+    return (-np.roll(f, -2, -1) + 8 * np.roll(f, -1, -1)
+            - 8 * np.roll(f, 1, -1) + np.roll(f, 2, -1)) / (12 * h)
+
+
+def dx2(f, h):
+    return (-np.roll(f, -2, -1) + 16 * np.roll(f, -1, -1) - 30 * f
+            + 16 * np.roll(f, 1, -1) - np.roll(f, 2, -1)) / (12 * h * h)
+
+
+def dx3(f, h):
+    return (-np.roll(f, -3, -1) + 8 * np.roll(f, -2, -1) - 13 * np.roll(f, -1, -1)
+            + 13 * np.roll(f, 1, -1) - 8 * np.roll(f, 2, -1)
+            + np.roll(f, 3, -1)) / (8 * h ** 3)
+
+
+ROLL_STENCILS = (None, dx1, dx2, dx3)
+
+
+def _same_bits(a, b):
+    """Equal values with equal sign bits, so that -0.0 differs from 0.0."""
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
 
 
 def _random_state(rng, depth=3, grid=64, with_z=False, epsilon=0.0):
@@ -85,7 +110,7 @@ def test_rhs_equals_row_assembly():
     for _ in range(500):
         s = _random_state(rng, depth=3, grid=8)
         rhs = chain_rhs_t2(s)
-        ux = {k: _dx1(row, s.h) for k, row in s.u.items()}
+        ux = {k: dx1(row, s.h) for k, row in s.u.items()}
         m = rng.integers(0, 8)
         for k in range(-2, 3):
             window = {p: float(row[m]) for p, row in s.u.items()}
@@ -223,27 +248,31 @@ def test_correction_tables_match_lattice_expansion_exactly(k):
 
 
 def test_no_expansion_runs_at_import():
+    # neither a table nor its compiled evaluator plan is built at import
     code = ("import pfaffchain.cli; from pfaffchain import chain, integrability, lax; "
             "print(lax.flow_terms.cache_info().currsize, "
             "lax.continuum_terms.cache_info().currsize, "
             "lax.chain_matrix_terms.cache_info().currsize, "
-            "integrability._even_chain_row.cache_info().currsize)")
+            "integrability._even_chain_row.cache_info().currsize, "
+            "lax._lattice_plan.cache_info().currsize, "
+            "chain._continuum_plan.cache_info().currsize, "
+            "chain._matrix_plan.cache_info().currsize)")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     done = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                           capture_output=True, text=True)
-    assert done.stdout.split() == ["0", "0", "0", "0"]
+    assert done.stdout.split() == ["0"] * 7
 
 
 def _rhs_band_by_band(s, order, flow_k, kind, rescale=False, even=False):
     """A continuum right-hand side summed one band at a time, each factor
-    differentiated on its own row: the reference for the evaluator, which
-    applies each stencil once to the whole band stack."""
-    stencils = (None, _dx1, _dx2, _dx3)
+    differentiated on its own row by the np.roll stencils: the reference for
+    the compiled evaluator, which applies each stencil once to the whole
+    band stack."""
     kinds = {"w": s.u, "v": _z(s)}
 
     def field(kind, band, d):
         row = kinds[kind].get(band, np.zeros(s.grid_size))
-        return stencils[d](row, s.h) if d else row
+        return ROLL_STENCILS[d](row, s.h) if d else row
 
     out = []
     for k in range(-s.depth, s.depth + 1):
@@ -262,27 +291,53 @@ def _rhs_band_by_band(s, order, flow_k, kind, rescale=False, even=False):
 def test_stack_evaluator_equals_the_band_by_band_sum(seed):
     rng = np.random.default_rng(seed)
     s = _random_state(rng, depth=seed, grid=16 + seed, with_z=True, epsilon=1 / 64)
+    s.rows[:, 0, ::2] = 0.0  # exact zeros: products of either sign vanish
+    s.rows[0, -1] = 0.0
     even_t2 = dict(flow_k=2, kind="w", rescale=True, even=True)
-    assert np.array_equal(chain_rhs_t2(s), _rhs_band_by_band(s, 0, **even_t2))
+    assert _same_bits(chain_rhs_t2(s), _rhs_band_by_band(s, 0, **even_t2))
     for order in (1, 2):
-        assert np.array_equal(chain_rhs_t2_corrected(s, order),
-                              _rhs_band_by_band(s, order, **even_t2))
+        assert _same_bits(chain_rhs_t2_corrected(s, order),
+                          _rhs_band_by_band(s, order, **even_t2))
         du, dz = continuum_t1_rhs(s, order)
-        assert np.array_equal(du, _rhs_band_by_band(s, order, 1, "w"))
-        assert np.array_equal(dz, _rhs_band_by_band(s, order, 1, "v"))
+        assert _same_bits(du, _rhs_band_by_band(s, order, 1, "w"))
+        assert _same_bits(dz, _rhs_band_by_band(s, order, 1, "v"))
 
 
-def test_each_stencil_runs_once_on_the_whole_stack(monkeypatch):
+@pytest.mark.parametrize("grid", [5, 7, 257])
+def test_wrap_padded_stencils_equal_the_roll_sums(grid):
+    rng = np.random.default_rng(grid)
+    f = rng.uniform(-1.0, 1.0, (2, 3, grid))
+    f[0, 1, :3] = 0.0
+    h = 1 / grid
+    for padded, rolled in zip(chain._STENCILS[1:], ROLL_STENCILS[1:]):
+        assert _same_bits(padded(chain._wrap_pad(f), h), rolled(f, h))
+
+
+def _counted_stencils(monkeypatch) -> list:
+    """Record (input shape, stencil) of every stencil call from chain."""
     calls = []
     monkeypatch.setattr(chain, "_STENCILS", [None] + [
         lambda rows, h, dx=dx: calls.append((rows.shape, dx)) or dx(rows, h)
-        for dx in (_dx1, _dx2, _dx3)])
+        for dx in chain._STENCILS[1:]])
+    return calls
+
+
+def test_each_stencil_runs_once_on_the_whole_stack(monkeypatch):
+    calls = _counted_stencils(monkeypatch)
     s = _random_state(np.random.default_rng(10), with_z=True, epsilon=1 / 64)
+    padded = (len(s.rows) * (2 * s.depth + 1), s.grid_size + 2 * chain._PAD)
     for rhs in (chain_rhs_t2_corrected, continuum_t1_rhs):
         calls.clear()
         rhs(s, 2)
-        assert calls and all(shape == s.rows.shape for shape, _dx in calls)
+        assert calls and all(shape == padded for shape, _dx in calls)
         assert len({dx for _shape, dx in calls}) == len(calls)
+
+
+def test_continuum_residual_applies_each_stencil_once_per_eps(monkeypatch):
+    calls = _counted_stencils(monkeypatch)
+    eps = [1 / 32, 1 / 48, 1 / 64]
+    continuum_residual(default_profile(2), eps, orders=(2, 0, 1), depth=3)
+    assert sorted(Counter(dx for _shape, dx in calls).values()) == [len(eps)] * 3
 
 
 def test_order0_correction_equals_plain_rhs():
@@ -354,9 +409,8 @@ def continuum_t1_rhs(s, order):
         raise ValueError("first-flow continuum limit needs the z fields")
     if order not in (0, 1, 2):
         raise ValueError("order must be 0, 1 or 2")
-    fields = chain._fields(s)
-    return (chain._continuum_rhs(s, fields, order, 1, "w"),
-            chain._continuum_rhs(s, fields, order, 1, "v"))
+    du, dz = chain._continuum_rhs(s, order, flow_k=1, kinds="wv", rescale=False, even=False)
+    return du, dz
 
 
 def test_t1_z0_is_exact_at_every_order():
@@ -383,7 +437,7 @@ def test_t1_u0_corrections_start_at_second_order():
     du2, _ = continuum_t1_rhs(s, 2)
     assert np.abs(du0[s.depth]).max() == 0.0
     assert np.abs(du1[s.depth]).max() == 0.0
-    expected = 0.5 * s.epsilon ** 2 * _dx2(_z(s)[0], s.h) * s.u[0]
+    expected = 0.5 * s.epsilon ** 2 * dx2(_z(s)[0], s.h) * s.u[0]
     assert np.abs(du2[s.depth] - expected).max() < 1e-14
 
 
@@ -404,7 +458,7 @@ def test_chain_state_has_the_lattice_band_layout():
     # row k + depth of every right-hand side is band k: the printed u^0, u^1
     # equations, z^0_t1 = u^0 u^1 and u^-1_t1 = u^0 (z^-1 - z^1)
     u, z = s.u, _z(s)
-    ux = {k: _dx1(u[k], s.h) for k in (-1, 0, 1, 2)}
+    ux = {k: dx1(u[k], s.h) for k in (-1, 0, 1, 2)}
     u0_t = u[0] * u[1] * ux[0] + u[0] ** 2 * ux[1] + u[0] * ux[-1]
     u1_t = (2 * u[2] - u[1] ** 2) * ux[0] - u[0] * u[1] * ux[1] + u[0] * ux[2]
     rhs = chain_rhs_t2(s)

@@ -410,3 +410,33 @@ def test_malformed_spec_entry_is_named(tmp_path, capsys, overrides, key):
     err = capsys.readouterr().err
     assert err.startswith(f"error: spec override {key}: ") and err.count("\n") == 1
     assert "[[coeff, [index, ...]], ...]" in err
+
+
+def test_float_options_take_a_negative_exponent(tmp_path):
+    # "--t4 -1e-3" used to stop at "argument --t4: expected one argument"
+    out = {form: tmp_path / form for form in ("split", "joined")}
+    assert main(["--out", str(out["split"]), "tau", "--n-max", "2", "--t4", "-1e-3"]) == 0
+    assert main(["--out", str(out["joined"]), "tau", "--n-max", "2", "--t4=-1e-3"]) == 0
+    assert ((out["split"] / "tau_table.json").read_bytes()
+            == (out["joined"] / "tau_table.json").read_bytes())
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if a.dest == "command")
+    floats = [(name, action.option_strings[0]) for name, sp in sub.choices.items()
+              for action in sp._actions if action.type is float]
+    assert len(floats) == 2 * 9 + 1  # --t1..--t8 and --radius twice, --dt
+    for name, option in floats:
+        assert getattr(parser.parse_args([name, option, "-2.5E-3"]),
+                       option.lstrip("-").replace("-", "_")) == -2.5e-3
+
+
+def test_chain_evolve_names_the_bands_beyond_depth_it_drops(tmp_path, capsys):
+    argv = ["chain-evolve", "--grid", "32", "--steps", "2", "--depth", "3"]
+    assert main(["--out", str(tmp_path / "wide")] + argv + ["--band-support", "50"]) == 0
+    warnings = [line for line in capsys.readouterr().err.splitlines()
+                if line.startswith("warning:")]
+    assert warnings == ["warning: --band-support 50 exceeds --depth 3: "
+                        "the profile's bands 4 <= |k| <= 50 are dropped"]
+    assert main(["--out", str(tmp_path / "fit")] + argv + ["--band-support", "3"]) == 0
+    assert "warning:" not in capsys.readouterr().err
+    assert ((tmp_path / "wide" / "chain_trajectory.csv").read_bytes()
+            == (tmp_path / "fit" / "chain_trajectory.csv").read_bytes())

@@ -12,6 +12,7 @@ from pfaffchain.integrability import (
     TensorPoint,
     WindowError,
     _expected_nijenhuis,
+    _lazy_tensor_point,
     appendix_nijenhuis_table,
     haantjes,
     haantjes_scan,
@@ -344,27 +345,36 @@ def _eleventh_spec():
 
 
 # Largest denominator, in bits, of any N^i_jk or H^i_jk with |i| <= 10 over
-# point.lazy().  The point's common denominator L divides lcm(1..7) = 420
-# (9 bits), N carries at most L^3 (27 bits) and H at most L^7 (61 bits);
-# both bounds are reached.  With the 1/11 coefficient the divisibility rule
-# no longer applies to every sum: seeds 0-19 reach 51-168 bits.  Without the
-# rule the mutated spec reaches 9612 bits at seed 0.
+# the lazy point, whose common denominator L takes in the spec's coefficient
+# denominators.  Every denominator is a power of L.  The point's own
+# denominators divide lcm(1..7) = 420 (9 bits): N carries at most L^3 (27
+# bits) and H at most L^7 (61 bits).  With the 1/11 coefficient L = 4620 (13
+# bits) and H reaches L^9 (110 bits); before the coefficient denominators
+# were folded into L, seeds 0-19 reached 51-168 bits.  All bounds are reached.
+def _is_power_of(d: int, base: int) -> bool:
+    while d % base == 0:
+        d //= base
+    return d == 1
+
+
 @pytest.mark.parametrize("spec, max_bits", [
     (SPEC, 27),
     (spec_with_overrides(SPEC, {"0,1": [["1", [0]]]}), 61),
-    (_eleventh_spec(), 180),
+    (_eleventh_spec(), 110),
 ], ids=["paper", "a01=u0", "a01=u0^2/11"])
 def test_lazy_haantjes_rows_equal_the_fraction_rows(spec, max_bits):
     window = 10
     point = _point(0, window + 2 * spec.stencil + 2)
-    lazy_ev, exact_ev = TensorPoint(spec, point.lazy()), TensorPoint(spec, point)
+    lazy_ev, exact_ev = _lazy_tensor_point(spec, point), TensorPoint(spec, point)
+    common = lazy_ev.point.common
     bits = 0
     for i in range(-window, window + 1):
         row = lazy_ev.haantjes_row(i)
         assert {jk: v.fraction() for jk, v in row.items()} == exact_ev.haantjes_row(i)
         for v in [*row.values(), *lazy_ev.nijenhuis_row(i).values()]:
             bits = max(bits, v.d.bit_length())
-    assert bits <= max_bits
+            assert _is_power_of(v.d, common)
+    assert bits == max_bits
 
 
 def test_lazy_point_shares_one_denominator():

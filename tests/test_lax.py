@@ -30,7 +30,8 @@ from pfaffchain.lax import (
 )
 from pfaffchain.poly import Poly
 
-from oracles import bands_from_json, bands_to_json, project_t, random_bands_from_slots
+from oracles import (bands_from_json, bands_to_json, flow_band_by_band, project_t,
+                     random_bands_from_slots)
 
 Q = QuadratureConfig()
 
@@ -734,10 +735,47 @@ def test_table_flows_equal_the_slot_by_slot_oracle(name, exact):
                                 (sites, depth, even, key)
 
 
+def _with_zeros(rows: np.ndarray, rng) -> np.ndarray:
+    """``rows`` with exact zeros at random slots and one whole zero band, so
+    that products of either sign vanish."""
+    rows[rng.random(rows.shape) < 0.2] = 0
+    rows[:, 0] = 0
+    return rows
+
+
+@pytest.mark.parametrize("name", sorted(FLOWS))
+def test_table_flows_are_bitwise_the_band_by_band_sum(name):
+    # values and sign bits equal, so a -0.0 where the sum has 0.0 fails
+    flow_k, flow, needs_even = FLOWS[name]
+    rng = np.random.default_rng(sorted(FLOWS).index(name))
+    for sites in (5, 6, 17, 64, 2048):
+        for depth in range(7):
+            for even in {needs_even, True}:
+                shape = (1 if even else 2, 2 * depth + 1, sites)
+                rows = _with_zeros(rng.uniform(-2.0, 2.0, shape), rng)
+                b = LaxBands._of(rows, np.ones(shape, bool))
+                got, want = flow(b).rows, flow_band_by_band(b, flow_k, needs_even)
+                assert np.array_equal(got, want), (sites, depth, even)
+                assert np.array_equal(np.signbit(got), np.signbit(want)), (sites, depth, even)
+
+
+@pytest.mark.parametrize("name", sorted(FLOWS))
+def test_exact_table_flows_equal_the_band_by_band_sum(name):
+    flow_k, flow, needs_even = FLOWS[name]
+    rng = random.Random(name)
+    for sites in (5, 18):
+        for depth in range(4):
+            b = random_bands(rng, sites, depth, even=needs_even, exact=True)
+            b.rows[0, 0] = 0
+            got = flow(b).rows
+            assert got.dtype == object
+            assert np.array_equal(got, flow_band_by_band(b, flow_k, needs_even))
+
+
 def test_each_site_shift_runs_once_on_the_whole_stack(monkeypatch):
     shift, calls = lax._site_shift, []
     monkeypatch.setattr(lax, "_site_shift",
-                        lambda rows, m: calls.append((rows.shape, m)) or shift(rows, m))
+                        lambda rows, m, out: calls.append((rows.shape, m)) or shift(rows, m, out))
     for b in (random_bands(random.Random(5), 12, 3),
               random_bands(random.Random(5), 12, 3, even=True)):
         calls.clear()
