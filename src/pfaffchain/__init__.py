@@ -11,8 +11,8 @@ chain limit, with each layer cross-checked against the others:
   matrices (diagonalisability test);
 - ``reductions``: Riemann-invariant tangent recursion and the
   Gibbons-Tsarev closure with its involutivity check;
-- ``lazyfraction``: the unreduced exact rationals those two certificates
-  compute on;
+- ``lazyfraction``: the unreduced exact rationals every exact kernel
+  computes on (those two certificates and the exact lattice flows);
 - ``cli``: the ``pfaffchain`` command.
 """
 

@@ -33,8 +33,8 @@ oracles against the expansion.
 The first flow has no quasilinear limit: its continuum equations for
 (u^k, z^k) = (w^k, v^k) interpolants mix orders, with z^0_t1 = u^0 u^1
 exact and u^0_t1 starting only at eps^2.  The tests evaluate them as an
-oracle (``continuum_t1_rhs`` in ``tests/test_chain.py``) through the same
-expansion and evaluator, on a two-kind (u, z) stack.
+oracle (``continuum_t1_rhs`` in ``tests/test_chain.py``) through their own
+``lax._Plan`` over ``_Stencils``, on a two-kind (u, z) stack.
 """
 
 from __future__ import annotations
@@ -174,30 +174,18 @@ class _Stencils:
 
 
 @lru_cache(maxsize=None)
-def _continuum_plan(order: int, depth: int, flow_k: int = 2, kinds: str = "w",
-                    rescale: bool = True, even: bool = True) -> _Plan:
-    """Row (r, kind, k) is the eps^r part, r <= order, of the expanded
-    ``lax.flow_terms(flow_k, kind, k, even)`` table, for every |k| <= depth;
-    compiled on first use.  The defaults are the even chain's."""
-    return _Plan([continuum_terms(flow_k, kind, k, order, rescale, even)[r]
-                  for r in range(order + 1) for kind in kinds
-                  for k in range(-depth, depth + 1)], _Stencils)
+def _continuum_plan(order: int, depth: int, flow_k: int = 2) -> _Plan:
+    """Row (r, k) is the eps^r part, r <= order, of the expanded even
+    ``lax.flow_terms(flow_k, "w", k, even=True)`` table over eps, for every
+    |k| <= depth; compiled on first use."""
+    return _Plan([continuum_terms(flow_k, k, order)[r]
+                  for r in range(order + 1) for k in range(-depth, depth + 1)], _Stencils)
 
 
-def _continuum_parts(s: ChainState, order: int, **table) -> np.ndarray:
-    """(order + 1, kinds, 2 depth + 1, grid): part r is the eps^r part of the
+def _continuum_parts(s: ChainState, order: int) -> np.ndarray:
+    """(order + 1, 2 depth + 1, grid): part r is the eps^r part of the
     expanded tables over the state, before the factor eps^r."""
-    parts = _continuum_plan(order, s.depth, **table)(s.rows, s.h)
-    return parts.reshape(order + 1, -1, *s.rows.shape[1:])
-
-
-def _continuum_rhs(s: ChainState, order: int, **table) -> np.ndarray:
-    """sum_r eps^r (eps^r part of the expanded ``lax.flow_terms`` tables) for
-    every kind and every |k| <= depth, as (kinds, 2 depth + 1, grid) rows."""
-    total, *parts = _continuum_parts(s, order, **table)
-    for r, part in enumerate(parts, 1):
-        total += s.epsilon ** r * part
-    return total
+    return _continuum_plan(order, s.depth)(s.rows, s.h).reshape(order + 1, *s.rows.shape[1:])
 
 
 def chain_rhs_t2(s: ChainState) -> np.ndarray:
@@ -215,7 +203,10 @@ def chain_rhs_t2_corrected(s: ChainState, order: int) -> np.ndarray:
     """
     if order not in (0, 1, 2):
         raise ValueError("order must be 0, 1 or 2")
-    return _continuum_rhs(s, order)[0]
+    total, *parts = _continuum_parts(s, order)
+    for r, part in enumerate(parts, 1):
+        total += s.epsilon ** r * part
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -354,7 +345,7 @@ def continuum_residual(profile: Mapping[int, Callable], eps_list: Sequence[float
         lat = lattice.rows[0, 2:-2, interior] / eps  # bands |k| <= depth - 2
         # the order-r right-hand side is the order-(r - 1) one plus its
         # eps^r part, so every order is read off one evaluation of the parts
-        total, *parts = _continuum_parts(state, top)[:, 0]
+        total, *parts = _continuum_parts(state, top)
         for r in range(top + 1):
             if r:
                 total += state.epsilon ** r * parts[r - 1]

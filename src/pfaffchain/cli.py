@@ -31,8 +31,10 @@ PASS, FAIL, USAGE = 0, 1, 2
 # argparse reads a token that starts with "-" as an option name unless it
 # matches its negative-number pattern, which has no exponent, so "--t4
 # -1e-3" failed with "expected one argument".  Every parser of the tree
-# takes this pattern, which adds the exponent form.
-_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+# takes this pattern, which adds exponents, p/q and comma lists (--eps
+# -1/64,1/128 reaches the eps check).
+_NUMBER = r"(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?(/\d+)?"
+_NEGATIVE_NUMBER = re.compile(rf"^-{_NUMBER}(,\s*-?{_NUMBER})*$")
 
 
 def _write_report(out_dir: Path, name: str, report: dict) -> Path:
@@ -109,6 +111,8 @@ def cmd_lax_verify(args, out: Path) -> int:
     for name in flows:
         if name not in _FLOWS:
             raise ValueError(f"unknown flow {name!r}")
+    if args.sites < 1:
+        raise ValueError(f"--sites {args.sites} must be at least 1")
     rng = random.Random(args.seed)
     worst = 0.0
     checked = 0
@@ -142,6 +146,14 @@ def cmd_lax_verify(args, out: Path) -> int:
     return PASS if report["pass"] else FAIL
 
 
+def _warn_dropped_bands(args) -> None:
+    """Name the profile's bands that a state of --depth drops."""
+    if args.band_support > args.depth:
+        print(f"warning: --band-support {args.band_support} exceeds --depth {args.depth}: "
+              f"the profile's bands {args.depth + 1} <= |k| <= {args.band_support} "
+              f"are dropped", file=sys.stderr)
+
+
 def cmd_chain_evolve(args, out: Path) -> int:
     if args.grid < 1:
         raise ValueError(f"--grid {args.grid} must be at least 1")
@@ -149,10 +161,7 @@ def cmd_chain_evolve(args, out: Path) -> int:
     x = (1.0 / args.grid) * np.arange(1, args.grid + 1)
     state = chain.ChainState(h=1.0 / args.grid, depth=args.depth,
                              u={k: fn(x) for k, fn in profile.items()})
-    if args.band_support > args.depth:
-        print(f"warning: --band-support {args.band_support} exceeds --depth {args.depth}: "
-              f"the profile's bands {args.depth + 1} <= |k| <= {args.band_support} "
-              f"are dropped", file=sys.stderr)
+    _warn_dropped_bands(args)
     if 0 < args.dt < math.inf and args.steps > 0:  # the CFL margin of a run that steps
         cfl = args.dt * chain.max_row_sum(state) / state.h
         print(f"CFL number dt*max_row_sum/h = {cfl:.3g}", file=sys.stderr)
@@ -173,11 +182,15 @@ def cmd_chain_evolve(args, out: Path) -> int:
 
 
 def cmd_continuum_check(args, out: Path) -> int:
-    eps = [Fraction(tok) for tok in args.eps.split(",") if tok.strip()]
+    try:
+        eps = [Fraction(tok) for tok in args.eps.split(",") if tok.strip()]
+    except ZeroDivisionError:
+        raise ValueError(f"--eps {args.eps} has a zero denominator") from None
     orders = [int(tok) for tok in args.orders.split(",") if tok.strip()]
     reports = chain.continuum_residual(chain.default_profile(args.band_support),
                                        [float(e) for e in eps],
                                        orders=orders, depth=args.depth)
+    _warn_dropped_bands(args)
     ok = True
     for rep in reports:
         if rep["slope"] == "exact":

@@ -53,11 +53,10 @@ from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
 from typing import Callable, Iterable, Iterator, Mapping
 
 from .lax import chain_matrix_terms
-from .lazyfraction import LazyFraction
+from .lazyfraction import LazyFraction, over_lcm
 from .poly import _ZERO, Poly
 
 __all__ = [
@@ -105,16 +104,13 @@ class RationalPoint:
         return self.values.get(p, _ZERO)
 
     def lazy(self, denominator: int = 1) -> "RationalPoint":
-        """The same point with LazyFraction values over one common
-        denominator L, the lcm of ``denominator`` and the values'
-        denominators (``_lazy_tensor_point`` passes a spec's coefficient
-        denominators)."""
-        values = {p: Fraction(v) for p, v in self.values.items()}
-        common = lcm(denominator, *(v.denominator for v in values.values()))
-        return RationalPoint(
-            values={p: LazyFraction(v.numerator * (common // v.denominator), common)
-                    for p, v in values.items()},
-            window=self.window, common=common)
+        """The same point with LazyFraction values over one denominator L,
+        the lcm of theirs and ``denominator`` (``_lazy_tensor_point`` passes
+        that of a spec's coefficients)."""
+        common, numerators = over_lcm(self.values.values(), denominator)
+        return RationalPoint(values={p: LazyFraction(n, common)
+                                     for p, n in zip(self.values, numerators)},
+                             window=self.window, common=common)
 
 
 def random_rational_point(rng: random.Random, window: int) -> RationalPoint:
@@ -380,8 +376,8 @@ def _lazy_tensor_point(spec: ChainMatrixSpec, point: RationalPoint) -> TensorPoi
 def _denominator(rows: Callable[[int], dict[int, Poly]], window: int) -> int:
     """The lcm of the coefficient denominators of the rows |k| <= window that
     a spec's ``rows`` generates, cached per generator and window."""
-    return lcm(1, *(c.denominator for k in range(-window, window + 1)
-                    for poly in rows(k).values() for c in poly.terms.values()))
+    return over_lcm(c for k in range(-window, window + 1)
+                    for poly in rows(k).values() for c in poly.terms.values())[0]
 
 
 def _scatter(acc: dict, key: tuple[int, int], value) -> None:

@@ -31,13 +31,11 @@ One evaluator, ``_Plan``, sums a set of tables over a state's whole (kinds,
 ``chain.ChainState.rows`` (n grid points) share.  Each set is compiled once,
 on first use, into index arrays: the lattice flow of every band of every
 kind is one plan per (flow_k, even, kinds, depth) (``_lattice_plan``), and
-``chain`` compiles its Taylor-expanded tables the same way.  A call lays the
-stack out once per site shift (in ``chain``, once per x-derivative
-stencil), gathers the factor rows of all terms of one arity at once,
-multiplies them, scales them by their coefficients and adds each table's
-terms in its own order, so a float result is bit-identical to summing the
-table term by term.  The rows are float64 or object arrays of Fractions for
-exact commutator cross-validation, which skip the +-1 multiplies.
+``chain`` compiles its Taylor-expanded tables the same way.  A float
+result is bit-identical to summing each table term by term; exact (object)
+rows make the same calls on unreduced ``lazyfraction.LazyFraction``s over
+one common denominator, and each slot is reduced to a Fraction once, on
+the way out.
 
 The Taylor expansion of these tables (``expand_lattice_terms``, one Poly per
 eps order; float form ``continuum_terms``) is the continuum limit: the chain
@@ -76,6 +74,7 @@ from functools import lru_cache
 import numpy as np
 
 from .ensemble import QuadratureConfig, CouplingVector, moment_matrix
+from .lazyfraction import LazyFraction, lazy, over_lcm
 from .poly import Poly
 
 __all__ = [
@@ -362,22 +361,21 @@ def lax_rhs_commutator(b: LaxBands, k: int, M: int,
     One dense algebra serves both paths: the projection's 1/2 is carried by
     working with 2 B, so the matrix products give 2 [B, L].  ``exact``
     runs it over Python integers, with L scaled by D, the lcm of its
-    entries' denominators; the products then give 2 D^(k+1) [B, L], and the
-    one exact division by 2 D^(k+1) happens only at the band slots read
-    back, which come out as Fractions.  No Fraction enters a matrix
-    product, and interior agreement with the explicit flow tables is exact
-    equality.  In floats the division by 2 is exact as well.
+    entries' denominators (``lazyfraction.over_lcm``); the products give
+    2 D^(k+1) [B, L], and the one exact division by 2 D^(k+1) happens only
+    at the band slots read back, which come out as Fractions.  No Fraction
+    enters a matrix product, and interior agreement with the explicit flow
+    tables is exact equality.  In floats the division by 2 is exact too.
     """
     if k < 1:
         raise ValueError(f"commutator flow needs a power k >= 1, got k={k}")
     if M < 2 * (k + 2):
         raise ValueError(f"truncation too tight: need M >= {2 * (k + 2)}")
-    if exact and b.rows.dtype != object:  # a float is an exact binary fraction
-        b = LaxBands._of(np.frompyfunc(Fraction, 1, 1)(b.rows), b.stored)
     L = assemble_lax(b, M, dtype=object if exact else float)
-    D = math.lcm(*(x.denominator for x in L.flat)) if exact else 1
+    D = 1
     if exact:
-        L = np.frompyfunc(lambda x: x.numerator * (D // x.denominator), 1, 1)(L)
+        D, numerators = over_lcm(L.flat)
+        L = np.array(numerators, object).reshape(L.shape)
     X = _minus_reflected(_matrix_power(L, k))
     B2 = -np.where(_block_mask(M), X, 2 * np.tril(X, -1))  # 2 D^k B
     d = disassemble_derivs(B2 @ L - L @ B2, b.depth)  # 2 D^(k+1) [B, L]
@@ -514,9 +512,9 @@ class _Plan:
     coefficient, scatters the products into the block layout and adds the
     blocks in order into zeroed rows.  Those are the float operations of
     summing each table term by term, in the same order, so the results are
-    bit-identical to that sum.  Float rows fold each sign into the
-    coefficient (x * -1 is -x, and a - b is a + (-b), exactly); exact object
-    rows skip the +-1 multiplies and subtract the -1 terms instead.
+    bit-identical to that sum (x * -1 is -x, and a - b is a + (-b),
+    exactly).  Object rows make the same calls on unreduced
+    ``LazyFraction``s, where a multiply by +-1 costs no gcd.
     """
 
     def __init__(self, tables: Iterable[Iterable[tuple]], source: type):
@@ -547,31 +545,28 @@ class _Plan:
         lay = self._layouts.get(key) or self._layouts.setdefault(key, _Layout(self, *key))
         ws = _spare_for(self, shape, dtype) or _Buffers(self, lay, shape, dtype)
         rows = lay.source.fill(ws.rows, stack, *args)
-        for (dest, _factors), cols, coef, scale in zip(self.groups, lay.cols, lay.coef, lay.scale):
+        for (dest, _factors), (cols, coef) in zip(self.groups, lay.groups):
             prod, tmp = ws.prod[:len(dest)], ws.tmp[:len(dest)]
             np.take(rows, cols[0], axis=0, out=prod)
             for col in cols[1:]:
                 np.multiply(prod, np.take(rows, col, axis=0, out=tmp), out=prod)
-            if scale is not None:
-                np.multiply(prod, coef, out=prod, where=scale)
+            np.multiply(prod, coef, out=prod)
             ws.terms[dest] = prod
-        acc = ws.acc
-        acc.fill(0)
-        for (start, live), plus, minus in zip(self.blocks, lay.plus, lay.minus):
-            head, block = acc[:live], ws.terms[start:start + live]
-            if plus is not None:
-                np.add(head, block, out=head, where=plus)
-            if minus is not None:
-                np.subtract(head, block, out=head, where=minus)
-        out = acc.take(self.unsort, axis=0)
+        ws.acc.fill(0)
+        for start, live in self.blocks:
+            np.add(ws.acc[:live], ws.terms[start:start + live], out=ws.acc[:live])
         _SPARE[:] = [(self, shape, dtype, ws)]
-        return out
+        return ws.acc.take(self.unsort, axis=0)
 
 
 # The buffers of the last ``_Plan`` call, kept for a next call of the same
 # plan on the same stack shape and dtype (a stepping loop), so that such
 # calls allocate nothing but their results.  At most one set is held, and a
 # call takes it out while it runs, so calls that overlap never share one.
+# ``_spare_for`` drops a set that does not match before the call allocates
+# its own: variants that kept it referenced through that allocation ran
+# ``continuum-check`` 16-24 % slower in in-process A/B runs, so it is not
+# to be inlined into a lookup that holds the set until the call returns.
 _SPARE: list[tuple] = []
 
 
@@ -585,31 +580,17 @@ def _spare_for(plan: _Plan, shape: tuple, dtype) -> "_Buffers | None":
     return ws if owner is plan and key == [shape, dtype] else None
 
 
-def _where(mask: np.ndarray):
-    """``mask`` as a ufunc ``where``: True when every entry is set, None (no
-    call) when none is."""
-    return True if mask.all() else mask if mask.any() else None
-
-
 class _Layout:
     """How one ``_Plan`` reads stacks of one (kinds, 2 depth + 1) shape, for
-    any n, and one dtype: the source, the source rows of every arity group's
-    factors, the coefficients in the dtype's form and the ufunc masks of the
-    coefficient multiplies and of the block adds and subtracts."""
+    any n, and one dtype: the source, and per arity group the source rows of
+    its factors and its coefficients in the dtype (floats, or the tables'
+    own exact values in object rows)."""
 
     def __init__(self, plan: _Plan, shape: tuple, dtype):
-        exact = dtype == object
         self.source = plan.source(plan.fields, shape)
-        coeffs = np.array(plan.coeffs, object if exact else float)
-        unit = np.array([exact and c in (1, -1) for c in plan.coeffs], bool)
-        minus = np.array([exact and c == -1 for c in plan.coeffs], bool)
-        self.cols, self.coef, self.scale = [], [], []
-        for dest, factors in plan.groups:
-            self.cols.append([np.ascontiguousarray(col) for col in self.source.at[factors].T])
-            self.coef.append(coeffs[dest, None])
-            self.scale.append(_where(~unit[dest, None]))
-        self.plus = [_where(~minus[start:start + live, None]) for start, live in plan.blocks]
-        self.minus = [_where(minus[start:start + live, None]) for start, live in plan.blocks]
+        coeffs = np.array(plan.coeffs, dtype)
+        self.groups = [([np.ascontiguousarray(col) for col in self.source.at[factors].T],
+                        coeffs[dest, None]) for dest, factors in plan.groups]
 
 
 class _Buffers:
@@ -682,10 +663,17 @@ def _lattice_plan(flow_k: int, even: bool, kinds: int, depth: int) -> _Plan:
 
 def _flow_from_tables(b: LaxBands, flow_k: int, even: bool = False) -> BandDerivs:
     """Every slot of every band |k| <= depth, read off the ``flow_terms``
-    tables over the state's rows: float64 rows with float coefficients, or
-    object rows (exact Fractions) with the tables' own coefficients.  A state
-    without v rows gets the w tables only."""
-    d = _lattice_plan(flow_k, even, len(b.rows), b.depth)(b.rows).reshape(b.rows.shape)
+    tables: float64 rows with float coefficients, or object rows (each value
+    taken exactly, as LazyFractions over one denominator) with the tables'
+    own, whose slots come out as reduced Fractions.  A state without v rows
+    gets the w tables only."""
+    rows = b.rows
+    if rows.dtype == object:
+        common, numerators = over_lcm(rows.flat)
+        rows = np.array([LazyFraction(n, common) for n in numerators], object).reshape(rows.shape)
+    d = _lattice_plan(flow_k, even, len(rows), b.depth)(rows).reshape(rows.shape)
+    if d.dtype == object:
+        d = np.frompyfunc(lambda x: lazy(x).fraction(), 1, 1)(d)
     return BandDerivs(d, np.ones(d.shape, bool))
 
 
@@ -753,13 +741,12 @@ def expand_lattice_terms(table: Poly, max_order: int,
 
 
 @lru_cache(maxsize=None)
-def continuum_terms(flow_k: int, kind: str, band: int, order: int,
-                    rescale: bool = False, even: bool = False) -> tuple:
-    """Float form of ``expand_lattice_terms(flow_terms(flow_k, kind, band,
-    even), order, rescale)``, built on first use and cached: entry r is the
-    eps^r part as sorted (factors, float coefficient) pairs whose factors
-    are (kind, band, x-derivative order)."""
-    expanded = expand_lattice_terms(flow_terms(flow_k, kind, band, even), order, rescale)
+def continuum_terms(flow_k: int, band: int, order: int) -> tuple:
+    """Float form of the chain's tables ``expand_lattice_terms(flow_terms(
+    flow_k, "w", band, even=True), order, rescale=True)``, built on first use
+    and cached: entry r is the eps^r part as sorted (factors, float
+    coefficient) pairs whose factors are ("w", band, x-derivative order)."""
+    expanded = expand_lattice_terms(flow_terms(flow_k, "w", band, True), order, True)
     return tuple(tuple(sorted((mono, float(c)) for mono, c in part.terms.items()))
                  for part in expanded)
 

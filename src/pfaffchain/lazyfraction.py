@@ -1,4 +1,4 @@
-"""Unreduced exact rationals: the kernel scalar of the exact certificates.
+"""Unreduced exact rationals: the scalar of every exact kernel.
 
 A ``LazyFraction`` is an integer numerator over a positive integer
 denominator that no operation reduces.  ``fractions.Fraction`` pays one or
@@ -6,10 +6,11 @@ two gcds on every operation; here a value is reduced once, by
 ``fraction()``, where it leaves the kernel (a report string, a max over
 residuals, a public return value).  Sums keep denominators small by one
 rule: when one denominator divides the other, the larger one is reused,
-otherwise the two are multiplied.  Over a point whose values share one
-denominator L (``integrability.RationalPoint.lazy``), every product then
-carries a power of L and every sum reuses the larger power, so denominators
-grow with the degree of an expression, not with its number of terms.
+otherwise the two are multiplied.  Every exact kernel starts from values
+over one denominator L (``over_lcm``: ``integrability``'s points, and the
+exact table flows and integer commutator matrices of ``lax``), so every
+product carries a power of L and every sum reuses the larger power:
+denominators grow with the degree of an expression, not its term count.
 
 Exact zero means numerator 0, whatever the denominator.  Operands of + - * /
 may be ints, Fractions or LazyFractions on either side; dividing by a zero
@@ -20,8 +21,9 @@ need the reduced value, so they are left to ``fraction()``.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
-__all__ = ["LazyFraction", "lazy"]
+__all__ = ["LazyFraction", "lazy", "over_lcm"]
 
 
 class LazyFraction:
@@ -152,3 +154,11 @@ def lazy(x) -> LazyFraction:
         raise TypeError(f"not an exact rational: {x!r}")
     return x if type(x) is LazyFraction else LazyFraction(*parts)
 
+
+def over_lcm(values, denominator: int = 1) -> tuple[int, list[int]]:
+    """L, the lcm of ``denominator`` and the denominators of ``values``, and
+    each value's numerator over L.  Ints go first (most entries of a band
+    matrix are the int 0); a float is taken exactly, as ``Fraction(x)``."""
+    parts = [(x, 1) if type(x) is int else _parts(x) or _parts(Fraction(x)) for x in values]
+    common = lcm(denominator, *{d for _n, d in parts})
+    return common, [n * (common // d) for n, d in parts]

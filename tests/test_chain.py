@@ -1,6 +1,7 @@
 import math
 import os
 from collections import Counter
+from functools import lru_cache
 import random
 import subprocess
 import sys
@@ -9,7 +10,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from pfaffchain import chain
+from pfaffchain import chain, lax
 from pfaffchain.chain import (
     ChainState,
     chain_rhs_t2,
@@ -263,6 +264,16 @@ def test_no_expansion_runs_at_import():
     assert done.stdout.split() == ["0"] * 7
 
 
+@lru_cache(maxsize=None)
+def _float_tables(flow_k, kind, k, order, rescale=False, even=False):
+    """The expansion of ``flow_terms(flow_k, kind, k, even)`` in the float
+    form of ``lax.continuum_terms``, for any kind and time scaling: entry r
+    is the eps^r part as sorted (factors, float coefficient) pairs."""
+    expanded = expand_lattice_terms(flow_terms(flow_k, kind, k, even), order, rescale)
+    return tuple(tuple(sorted((mono, float(c)) for mono, c in part.terms.items()))
+                 for part in expanded)
+
+
 def _rhs_band_by_band(s, order, flow_k, kind, rescale=False, even=False):
     """A continuum right-hand side summed one band at a time, each factor
     differentiated on its own row by the np.roll stencils: the reference for
@@ -277,7 +288,7 @@ def _rhs_band_by_band(s, order, flow_k, kind, rescale=False, even=False):
     out = []
     for k in range(-s.depth, s.depth + 1):
         total = 0.0
-        for r, terms in enumerate(continuum_terms(flow_k, kind, k, order, rescale, even)):
+        for r, terms in enumerate(_float_tables(flow_k, kind, k, order, rescale, even)):
             part = np.zeros(s.grid_size)
             for factors, coeff in terms:
                 part += coeff * math.prod((field(*f) for f in factors[1:]),
@@ -294,6 +305,8 @@ def test_stack_evaluator_equals_the_band_by_band_sum(seed):
     s.rows[:, 0, ::2] = 0.0  # exact zeros: products of either sign vanish
     s.rows[0, -1] = 0.0
     even_t2 = dict(flow_k=2, kind="w", rescale=True, even=True)
+    assert all(continuum_terms(2, k, 2) == _float_tables(2, "w", k, 2, True, True)
+               for k in range(-s.depth, s.depth + 1))
     assert _same_bits(chain_rhs_t2(s), _rhs_band_by_band(s, 0, **even_t2))
     for order in (1, 2):
         assert _same_bits(chain_rhs_t2_corrected(s, order),
@@ -409,8 +422,19 @@ def continuum_t1_rhs(s, order):
         raise ValueError("first-flow continuum limit needs the z fields")
     if order not in (0, 1, 2):
         raise ValueError("order must be 0, 1 or 2")
-    du, dz = chain._continuum_rhs(s, order, flow_k=1, kinds="wv", rescale=False, even=False)
+    total, *parts = _t1_plan(order, s.depth)(s.rows, s.h).reshape(order + 1, *s.rows.shape)
+    for r, part in enumerate(parts, 1):
+        total += s.epsilon ** r * part
+    du, dz = total
     return du, dz
+
+
+@lru_cache(maxsize=None)
+def _t1_plan(order, depth):
+    """Row (r, kind, k) is the eps^r part of the expanded first-flow table
+    of band k of the kind, compiled over the chain's stencils."""
+    return lax._Plan([_float_tables(1, kind, k, order)[r] for r in range(order + 1)
+                      for kind in "wv" for k in range(-depth, depth + 1)], chain._Stencils)
 
 
 def test_t1_z0_is_exact_at_every_order():

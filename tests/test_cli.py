@@ -243,6 +243,12 @@ def test_input_that_checks_nothing_is_a_usage_error(tmp_path, capsys, monkeypatc
     (["tau", "--radius", "inf"], "radius"),
     (["chain-evolve", "--band-support", "-3"], "band_support"),
     (["continuum-check", "--band-support", "-3"], "band_support"),
+    # numpy's "negative dimensions are not allowed" before
+    (["lax-verify", "--sites", "-5"], "--sites"),
+    # "Fraction(1, 0)" before
+    (["continuum-check", "--eps", "1/0,1/2,1/3"], "--eps"),
+    # argparse's "expected one argument" before: -1/64 read as an option
+    (["continuum-check", "--eps", "-1/64,1/128,1/256"], "eps=-0.015625 must be positive"),
 ], ids=lambda v: "_".join(v) if isinstance(v, list) else v)
 def test_bad_value_is_blamed_on_its_option(tmp_path, capsys, argv, option):
     assert main(["--out", str(tmp_path)] + argv) == 2
@@ -440,3 +446,16 @@ def test_chain_evolve_names_the_bands_beyond_depth_it_drops(tmp_path, capsys):
     assert "warning:" not in capsys.readouterr().err
     assert ((tmp_path / "wide" / "chain_trajectory.csv").read_bytes()
             == (tmp_path / "fit" / "chain_trajectory.csv").read_bytes())
+
+
+def test_continuum_check_names_the_bands_beyond_depth_it_drops(tmp_path, capsys):
+    argv = ["continuum-check", "--eps", "1/32,1/48,1/64", "--depth", "4"]
+    assert main(["--out", str(tmp_path / "wide")] + argv + ["--band-support", "50"]) == 0
+    warnings = [line for line in capsys.readouterr().err.splitlines()
+                if line.startswith("warning:")]
+    assert warnings == ["warning: --band-support 50 exceeds --depth 4: "
+                        "the profile's bands 5 <= |k| <= 50 are dropped"]
+    assert main(["--out", str(tmp_path / "fit")] + argv + ["--band-support", "4"]) == 0
+    assert "warning:" not in capsys.readouterr().err
+    assert ((tmp_path / "wide" / "continuum_check.json").read_bytes()
+            == (tmp_path / "fit" / "continuum_check.json").read_bytes())

@@ -761,15 +761,29 @@ def test_table_flows_are_bitwise_the_band_by_band_sum(name):
 
 @pytest.mark.parametrize("name", sorted(FLOWS))
 def test_exact_table_flows_equal_the_band_by_band_sum(name):
+    # every slot comes out a reduced, hashable Fraction, also from object
+    # rows that mix ints and floats (each taken exactly) with Fractions, and
+    # equals the exact commutator on the interior mask
     flow_k, flow, needs_even = FLOWS[name]
     rng = random.Random(name)
     for sites in (5, 18):
         for depth in range(4):
             b = random_bands(rng, sites, depth, even=needs_even, exact=True)
             b.rows[0, 0] = 0
-            got = flow(b).rows
-            assert got.dtype == object
-            assert np.array_equal(got, flow_band_by_band(b, flow_k, needs_even))
+            mixed = LaxBands._of(b.rows.copy(), b.stored)
+            flat = mixed.rows.reshape(-1)
+            flat[1::3] = [rng.randint(-3, 3) for _ in flat[1::3]]
+            flat[2::3] = [rng.uniform(-2.0, 2.0) for _ in flat[2::3]]
+            for state in (b, mixed):
+                got = flow(state)
+                assert got.rows.dtype == object
+                assert all(type(x) is Fraction for x in got.rows.flat)
+                assert {hash(x) for x in got.rows.flat}
+                exact = LaxBands._of(np.frompyfunc(Fraction, 1, 1)(state.rows), state.stored)
+                assert np.array_equal(got.rows, flow_band_by_band(exact, flow_k, needs_even))
+                comm, mask = lax_rhs_commutator(state, flow_k, 2 * sites, exact=True)
+                assert mask or sites == 5
+                assert all(got.get(*slot) == comm.get(*slot) for slot in mask)
 
 
 def test_each_site_shift_runs_once_on_the_whole_stack(monkeypatch):
