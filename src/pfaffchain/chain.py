@@ -12,15 +12,15 @@ The chain has no definition of its own.  Its source is the Lax matrix: the
 even second-flow table ``lax.flow_terms(2, "w", k, even=True)`` is read off
 the commutator on L with v = 0, and every right-hand side here (order 0,
 and the O(eps) and O(eps^2) corrections) is that table's Taylor expansion
-``lax.continuum_terms``, compiled once per band and order.  The
-coefficients a^k_j have one reader, ``lax.chain_matrix_terms`` (Polys, the
-order-0 expansion's derivatives by u^j_x), which ``max_row_sum`` sums here
-and the tensor engine (``integrability.paper_chain_spec``) reads exactly.
-The expanded tables of every band, and of every eps order a right-hand
-side reads, are compiled once per (order, depth) into one plan of the
-lattice's own evaluator (``lax._Plan``), which reads each 4th-order
-x-derivative where the lattice reads a site shift: each stencil runs once
-per call on the whole band stack, through slices of one periodic wrap-pad.
+``lax.expand_lattice_terms``.  The coefficients a^k_j have one reader,
+``lax.chain_matrix_terms`` (Polys, the order-0 expansion's derivatives by
+u^j_x), which ``max_row_sum`` sums here and the tensor engine
+(``integrability.paper_chain_spec``) reads exactly.  The expanded tables
+of every band, and of every eps order a right-hand side reads, are
+compiled once per (order, depth) into one plan of the lattice's own
+evaluator (``lax._Plan``), which reads each 4th-order x-derivative where
+the lattice reads a site shift: each stencil runs once per call on the
+whole band stack, through slices of one periodic wrap-pad (``_stencils``).
 A state (``ChainState``) has the even lattice's band layout: one (1,
 2 depth + 1, grid) array ``rows`` of the u bands, row k + depth band k, so
 u^k(x) = w^k(x / eps) is the same array read on a grid.  The right-hand
@@ -34,7 +34,7 @@ The first flow has no quasilinear limit: its continuum equations for
 (u^k, z^k) = (w^k, v^k) interpolants mix orders, with z^0_t1 = u^0 u^1
 exact and u^0_t1 starting only at eps^2.  The tests evaluate them as an
 oracle (``continuum_t1_rhs`` in ``tests/test_chain.py``) through their own
-``lax._Plan`` over ``_Stencils``, on a two-kind (u, z) stack.
+``lax._Plan`` over ``_stencils``, on a two-kind (u, z) stack.
 """
 
 from __future__ import annotations
@@ -45,8 +45,8 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .lax import (LaxBands, _Plan, _field_rows, _march, _rk4_step, chain_matrix_terms,
-                  continuum_terms, flow_t2_even_explicit)
+from .lax import (LaxBands, _Plan, _march, _rk4_step, chain_matrix_terms,
+                  expand_lattice_terms, flow_t2_even_explicit, flow_terms)
 
 __all__ = [
     "ChainState",
@@ -142,30 +142,21 @@ def _dx3(fp: np.ndarray, h: float) -> np.ndarray:
 _STENCILS = (None, _dx1, _dx2, _dx3)
 
 
-class _Stencils:
-    """Continuum factor rows for a ``lax._Plan``: (kind, band, d) is the d-th
-    x-derivative of band k of the kind ("w" is rows[0], "v" rows[1]).  The
-    source rows hold the stack and each derivative order the plan reads
-    (``copies``), each stencil applied once to the whole wrap-padded stack,
-    then a zero row.  A periodic stencil must not wrap onto itself: the
-    5-point first and second derivatives need 5 grid points, the third
-    derivative 7."""
-
-    def __init__(self, fields: list, shape: tuple):
-        self.copies = sorted({d for _kind, _band, d in fields})
-        self.at = _field_rows(fields, shape, self.copies)
-
-    def fill(self, rows: np.ndarray, stack: np.ndarray, h: float) -> np.ndarray:
-        grid = stack.shape[2]
-        if grid < 5:
-            raise ValueError(f"grid of {grid} points too coarse for the 5-point stencils")
-        if 3 in self.copies and grid < 7:
-            raise ValueError("grid too coarse for the third-derivative stencil")
-        flat = stack.reshape(-1, grid)
-        padded = _wrap_pad(flat) if max(self.copies, default=0) else None
-        for i, d in enumerate(self.copies):
-            rows[i * len(flat):(i + 1) * len(flat)] = _STENCILS[d](padded, h) if d else flat
-        return rows
+def _stencils(rows: np.ndarray, stack: np.ndarray, copies: list, h: float) -> None:
+    """Continuum factor rows for a ``lax._Plan``: copy i is the copies[i]-th
+    x-derivative of the stack (copy 0 the stack itself), each stencil
+    applied once to the whole wrap-padded stack.  A periodic stencil must
+    not wrap onto itself: the 5-point first and second derivatives need 5
+    grid points, the third derivative 7."""
+    grid = stack.shape[2]
+    if grid < 5:
+        raise ValueError(f"grid of {grid} points too coarse for the 5-point stencils")
+    if 3 in copies and grid < 7:
+        raise ValueError("grid too coarse for the third-derivative stencil")
+    flat = stack.reshape(-1, grid)
+    padded = _wrap_pad(flat) if max(copies, default=0) else None
+    for i, d in enumerate(copies):
+        rows[i * len(flat):(i + 1) * len(flat)] = _STENCILS[d](padded, h) if d else flat
 
 
 # ---------------------------------------------------------------------------
@@ -177,9 +168,11 @@ class _Stencils:
 def _continuum_plan(order: int, depth: int, flow_k: int = 2) -> _Plan:
     """Row (r, k) is the eps^r part, r <= order, of the expanded even
     ``lax.flow_terms(flow_k, "w", k, even=True)`` table over eps, for every
-    |k| <= depth; compiled on first use."""
-    return _Plan([continuum_terms(flow_k, k, order)[r]
-                  for r in range(order + 1) for k in range(-depth, depth + 1)], _Stencils)
+    |k| <= depth; compiled on first use for the u stack."""
+    parts = [expand_lattice_terms(flow_terms(flow_k, "w", k, True), order, True)
+             for k in range(-depth, depth + 1)]
+    return _Plan([sorted(part[r].terms.items()) for r in range(order + 1) for part in parts],
+                 _stencils, (1, 2 * depth + 1))
 
 
 def _continuum_parts(s: ChainState, order: int) -> np.ndarray:
@@ -221,23 +214,22 @@ class GradientCatastropheError(RuntimeError):
 
 
 @lru_cache(maxsize=None)
-def _matrix_plan(depth: int) -> tuple[list[int], _Plan]:
-    """The entries a^k_j of the chain-matrix rows |k| <= depth, compiled on
-    first use, and the row k of each."""
-    entries = [(k, a) for k in range(-depth, depth + 1) for a in chain_matrix_terms(k).values()]
-    return ([k for k, _a in entries],
-            _Plan([sorted(a.terms.items()) for _k, a in entries], _Stencils))
+def _matrix_plan(depth: int) -> tuple[list[slice], _Plan]:
+    """The slice of each chain-matrix row |k| <= depth in its entries a^k_j,
+    and the entries, compiled on first use for the u stack."""
+    slices, tables = [], []
+    for k in range(-depth, depth + 1):
+        row = chain_matrix_terms(k).values()
+        slices.append(slice(len(tables), len(tables) + len(row)))
+        tables += [sorted(a.terms.items()) for a in row]
+    return slices, _Plan(tables, _stencils, (1, 2 * depth + 1))
 
 
 def max_row_sum(s: ChainState) -> float:
     """max_k sum_j |a^k_j| over the grid; the CFL scale of the chain."""
-    bands, plan = _matrix_plan(s.depth)
+    slices, plan = _matrix_plan(s.depth)
     entries = np.abs(plan(s.rows, s.h))
-    worst = 0.0
-    for k in range(-s.depth, s.depth + 1):
-        total = sum(row for row, band in zip(entries, bands) if band == k)
-        worst = max(worst, float(np.max(total)))
-    return worst
+    return max([0.0] + [float(np.max(sum(entries[at]))) for at in slices])
 
 
 # RK4 is stable on the imaginary axis up to |dt lambda| = 2 sqrt(2).  The

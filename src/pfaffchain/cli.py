@@ -4,7 +4,8 @@ machine-readable reports.
 Exit codes: 0 pass, 1 verification failure, 2 input/precondition error.
 ``main`` owns that contract: a ValueError, ZeroDivisionError, OverflowError,
 MemoryError (an input too large to allocate) or ``ensemble.QuadratureError``
-from the config or a command (whose own argument checks raise ValueError)
+from the config, the ``--out`` directory (made in ``main``, before the
+command runs) or a command (whose own argument checks raise ValueError)
 prints one ``error: <message or exception name>`` line and exits 2.
 Reports are JSON with sorted keys, so identical seeds and flags reproduce
 byte-identical files; bulk data (matrices, trajectories) goes to CSV.
@@ -38,7 +39,6 @@ _NEGATIVE_NUMBER = re.compile(rf"^-{_NUMBER}(,\s*-?{_NUMBER})*$")
 
 
 def _write_report(out_dir: Path, name: str, report: dict) -> Path:
-    out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / name
     path.write_text(json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n",
                     encoding="utf-8")
@@ -78,7 +78,6 @@ def cmd_moments(args, out: Path) -> int:
     t, q = _quadrature(args)
     m = ensemble.moment_matrix(args.n, t, q)
     report = ensemble.tau_report(args.n, t, q)
-    out.mkdir(parents=True, exist_ok=True)
     ensemble.write_moment_csv(m, out / f"moments_n{args.n}.csv")
     path = _write_report(out, f"tau_n{args.n}.json", report)
     print(f"tau_{2 * args.n} = {report['tau']:.12g}  "
@@ -174,21 +173,30 @@ def cmd_chain_evolve(args, out: Path) -> int:
     except chain.GradientCatastropheError as exc:
         print(f"blow-up: {exc}", file=sys.stderr)
         return FAIL
-    out.mkdir(parents=True, exist_ok=True)
     path = out / "chain_trajectory.csv"
     chain.trajectory_to_csv(traj, path)
     print(f"{args.steps} steps -> {path}")
     return PASS
 
 
+def _listed(option: str, text: str, convert, what: str) -> list:
+    """The comma-separated values ``text`` of ``option``, each token
+    converted; a token that does not convert is named with its option."""
+    values = []
+    for tok in filter(None, map(str.strip, text.split(","))):
+        try:
+            values.append(convert(tok))
+        except ZeroDivisionError:
+            raise ValueError(f"{option} {text} has a zero denominator") from None
+        except (ValueError, OverflowError):
+            raise ValueError(f"{option} {text}: {tok!r} is not {what}") from None
+    return values
+
+
 def cmd_continuum_check(args, out: Path) -> int:
-    try:
-        eps = [Fraction(tok) for tok in args.eps.split(",") if tok.strip()]
-    except ZeroDivisionError:
-        raise ValueError(f"--eps {args.eps} has a zero denominator") from None
-    orders = [int(tok) for tok in args.orders.split(",") if tok.strip()]
-    reports = chain.continuum_residual(chain.default_profile(args.band_support),
-                                       [float(e) for e in eps],
+    eps = _listed("--eps", args.eps, lambda tok: float(Fraction(tok)), "a finite float or p/q")
+    orders = _listed("--orders", args.orders, int, "an integer")
+    reports = chain.continuum_residual(chain.default_profile(args.band_support), eps,
                                        orders=orders, depth=args.depth)
     _warn_dropped_bands(args)
     ok = True
@@ -259,7 +267,9 @@ def cmd_gt(args, out: Path) -> int:
 
 def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
     """The ``pfaffchain`` parser; ``config`` maps a subcommand name to
-    defaults for its options (dashes or underscores in the keys)."""
+    defaults for its own options (dashes or underscores in the keys).  A
+    section that names no subcommand, a key that names no option of its
+    section and a flag given anything but true or false raise ValueError."""
     parser = argparse.ArgumentParser(
         prog="pfaffchain",
         description="verification experiments for the skew-ensemble tau "
@@ -323,12 +333,23 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_gt)
 
     parser._negative_number_matcher = _NEGATIVE_NUMBER
+    config = config or {}
+    if unknown := sorted(config.keys() - sub.choices.keys()):
+        raise ValueError(f"bad config: {unknown[0]!r} names no subcommand")
     for name, sp in sub.choices.items():
         sp._negative_number_matcher = _NEGATIVE_NUMBER
-        types = {action.dest: action.type for action in sp._actions if action.type}
-        given = {k.replace("-", "_"): v for k, v in (config or {}).get(name, {}).items()}
+        options = {a.dest: a for a in sp._actions if a.option_strings and a.dest != "help"}
+        given = {k.replace("-", "_"): v for k, v in config.get(name, {}).items()}
+        for key, value in given.items():
+            flag = f"--{key.replace('_', '-')}"
+            if key not in options:
+                raise ValueError(f"bad config: {name}: {flag} is no option of {name}")
+            if options[key].type is None and not isinstance(value, bool):
+                raise ValueError(f"bad config: {name}: {flag} is a flag, "
+                                 f"so true or false, not {value!r}")
         try:  # each value as if typed on the command line; flags have no type
-            sp.set_defaults(**{k: types[k](str(v)) if k in types else v for k, v in given.items()})
+            sp.set_defaults(**{k: options[k].type(str(v)) if options[k].type else v
+                               for k, v in given.items()})
         except ValueError as exc:
             raise ValueError(f"bad config: {name}: {exc}") from exc
     return parser
@@ -368,6 +389,11 @@ def main(argv=None) -> int:
         config = _read_config(argv)
         parser = _plain_parser() if config is None else build_parser(config)
         args = parser.parse_args(argv)
+        try:  # the one place the report directory is made
+            args.out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ValueError(f"--out {args.out}: cannot make the directory: "
+                             f"{exc.strerror or exc}") from None
         return args.func(args, args.out)
     except (ValueError, ZeroDivisionError, OverflowError, MemoryError,
             ensemble.QuadratureError) as exc:

@@ -29,20 +29,19 @@ reduction's tables (the v-free part of the full ones).
 One evaluator, ``_Plan``, sums a set of tables over a state's whole (kinds,
 2 depth + 1, n) band stack, the layout that ``LaxBands.rows`` (n sites) and
 ``chain.ChainState.rows`` (n grid points) share.  Each set is compiled once,
-on first use, into index arrays: the lattice flow of every band of every
-kind is one plan per (flow_k, even, kinds, depth) (``_lattice_plan``), and
-``chain`` compiles its Taylor-expanded tables the same way.  A float
-result is bit-identical to summing each table term by term; exact (object)
-rows make the same calls on unreduced ``lazyfraction.LazyFraction``s over
-one common denominator, and each slot is reduced to a Fraction once, on
-the way out.
+on first use, into index arrays for its one stack shape: the lattice flow
+of every band of every kind is one plan per (flow_k, even, kinds, depth)
+(``_lattice_plan``), and ``chain`` compiles its Taylor-expanded tables the
+same way.  A float result is bit-identical to summing each table term by
+term; exact (object) rows make the same calls on unreduced
+``lazyfraction.LazyFraction``s over one common denominator, and each slot
+is reduced to a Fraction once, on the way out.
 
 The Taylor expansion of these tables (``expand_lattice_terms``, one Poly per
-eps order; float form ``continuum_terms``) is the continuum limit: the chain
-right-hand sides in ``chain`` are read off the even second-flow table that
-way, and the chain matrix of u_t = A(u) u_x is its order-0 part's
-derivative by u^j_x (``chain_matrix_terms``, read by ``chain`` and
-``integrability``).
+eps order) is the continuum limit: the chain right-hand sides in ``chain``
+are read off the even second-flow table that way, and the chain matrix of
+u_t = A(u) u_x is its order-0 part's derivative by u^j_x
+(``chain_matrix_terms``, read by ``chain`` and ``integrability``).
 
 A band state (``LaxBands``, and ``BandDerivs`` for its derivatives) is one
 array ``rows`` of shape (kinds, 2 depth + 1, sites): kind 0 is w and kind 1
@@ -90,7 +89,6 @@ __all__ = [
     "flow_terms",
     "FLOWS",
     "expand_lattice_terms",
-    "continuum_terms",
     "chain_matrix_terms",
     "skew_factorize",
     "FactorizationError",
@@ -497,13 +495,16 @@ def flow_terms(flow_k: int, kind: str, band: int, even: bool = False) -> Poly:
 
 
 class _Plan:
-    """A set of term tables compiled once to index arrays, evaluated over a
-    state's (kinds, 2 depth + 1, n) band stack; one output row per table.
+    """A set of term tables compiled once to index arrays for stacks of one
+    (kinds, 2 depth + 1) ``shape`` and any n; a call sums them over a
+    (kinds, 2 depth + 1, n) band stack, one output row per table.
 
     Each table is a sequence of (factors, coefficient) pairs in the order
-    they are summed.  A factor (kind, band, m) is a row of the ``source``
-    made from the stack: shifted by m sites (``_SiteShifts``) or its m-th
-    x-derivative (``chain._Stencils``).  The terms are laid out position by
+    they are summed.  A factor (kind, band, x) is a row that ``fill(rows,
+    stack, copies, *args)`` writes into the source rows: one copy of the
+    stack per entry x of ``copies`` (a site shift, ``_site_shifts``, or an
+    x-derivative order, ``chain._stencils``), then one zero row, which
+    absent kinds and bands read.  The terms are laid out position by
     position: with the rows sorted by decreasing term count, the p-th terms
     of the rows that have one form one block, in the order of those rows.
 
@@ -513,13 +514,14 @@ class _Plan:
     blocks in order into zeroed rows.  Those are the float operations of
     summing each table term by term, in the same order, so the results are
     bit-identical to that sum (x * -1 is -x, and a - b is a + (-b),
-    exactly).  Object rows make the same calls on unreduced
+    exactly).  Float rows take each coefficient as ``float(c)``; object
+    rows take the tables' own values and make the same calls on unreduced
     ``LazyFraction``s, where a multiply by +-1 costs no gcd.
     """
 
-    def __init__(self, tables: Iterable[Iterable[tuple]], source: type):
+    def __init__(self, tables: Iterable[Iterable[tuple]], fill: Callable, shape: tuple):
         tables = [list(t) for t in tables]
-        self.source, self.tables = source, len(tables)
+        self.fill, self.shape, self.tables = fill, shape, len(tables)
         order = sorted(range(len(tables)), key=lambda i: -len(tables[i]))
         self.unsort = np.argsort(order)
         terms, self.blocks = [], []
@@ -527,30 +529,34 @@ class _Plan:
             live = [i for i in order if len(tables[i]) > p]  # a prefix of order
             self.blocks.append((len(terms), len(live)))
             terms += [tables[i][p] for i in live]
-        self.fields = sorted({f for mono, _c in terms for f in mono})
-        at = {f: i for i, f in enumerate(self.fields)}
-        self.coeffs = [c for _mono, c in terms]
-        self.groups = []  # (term indices, (terms, arity) field indices) per arity
+        self.terms = len(terms)
+        fields = sorted({f for mono, _c in terms for f in mono})
+        self.copies = sorted({x for _kind, _band, x in fields})
+        at = dict(zip(fields, _field_rows(fields, shape, self.copies)))
+        coeffs = (np.array([float(c) for _mono, c in terms]),
+                  np.array([c for _mono, c in terms], object))
+        # per arity: term indices, the rows of each factor, coefficients (float, object)
+        self.groups = []
         for arity in sorted({len(mono) for mono, _c in terms}):
-            group = [t for t, (mono, _c) in enumerate(terms) if len(mono) == arity]
-            self.groups.append((np.array(group), np.array(
-                [[at[f] for f in terms[t][0]] for t in group]).reshape(len(group), arity)))
-        self._layouts: dict[tuple, _Layout] = {}
+            dest = np.array([t for t, (mono, _c) in enumerate(terms) if len(mono) == arity])
+            rows = np.array([[at[f] for f in terms[t][0]] for t in dest]).reshape(len(dest), arity)
+            self.groups.append((dest, [np.ascontiguousarray(col) for col in rows.T],
+                                [c[dest, None] for c in coeffs]))
 
     def __call__(self, stack: np.ndarray, *args) -> np.ndarray:
         """The (tables, n) sums over ``stack``, a fresh array of its dtype;
-        ``args`` go on to the source (the chain's grid spacing)."""
+        ``args`` go on to ``fill`` (the chain's grid spacing)."""
         shape, dtype = stack.shape, stack.dtype
-        key = (shape[:2], dtype)
-        lay = self._layouts.get(key) or self._layouts.setdefault(key, _Layout(self, *key))
-        ws = _spare_for(self, shape, dtype) or _Buffers(self, lay, shape, dtype)
-        rows = lay.source.fill(ws.rows, stack, *args)
-        for (dest, _factors), (cols, coef) in zip(self.groups, lay.groups):
+        if shape[:2] != self.shape:
+            raise ValueError(f"a stack of shape {shape} for a plan compiled for {self.shape}")
+        ws = _spare_for(self, shape, dtype) or _Buffers(self, shape[2], dtype)
+        self.fill(ws.rows, stack, self.copies, *args)
+        for dest, cols, coeffs in self.groups:
             prod, tmp = ws.prod[:len(dest)], ws.tmp[:len(dest)]
-            np.take(rows, cols[0], axis=0, out=prod)
+            np.take(ws.rows, cols[0], axis=0, out=prod)
             for col in cols[1:]:
-                np.multiply(prod, np.take(rows, col, axis=0, out=tmp), out=prod)
-            np.multiply(prod, coef, out=prod)
+                np.multiply(prod, np.take(ws.rows, col, axis=0, out=tmp), out=prod)
+            np.multiply(prod, coeffs[dtype == object], out=prod)
             ws.terms[dest] = prod
         ws.acc.fill(0)
         for start, live in self.blocks:
@@ -580,31 +586,17 @@ def _spare_for(plan: _Plan, shape: tuple, dtype) -> "_Buffers | None":
     return ws if owner is plan and key == [shape, dtype] else None
 
 
-class _Layout:
-    """How one ``_Plan`` reads stacks of one (kinds, 2 depth + 1) shape, for
-    any n, and one dtype: the source, and per arity group the source rows of
-    its factors and its coefficients in the dtype (floats, or the tables'
-    own exact values in object rows)."""
-
-    def __init__(self, plan: _Plan, shape: tuple, dtype):
-        self.source = plan.source(plan.fields, shape)
-        coeffs = np.array(plan.coeffs, dtype)
-        self.groups = [([np.ascontiguousarray(col) for col in self.source.at[factors].T],
-                        coeffs[dest, None]) for dest, factors in plan.groups]
-
-
 class _Buffers:
     """The (rows, n) arrays one ``_Plan`` call works in: the source rows
-    (zeroed once: a source writes only the entries it reads the stack into),
+    (zeroed once: a fill writes only the entries it reads the stack into),
     an arity group's products and the rows of its next factor, the terms in
     block layout and the sums."""
 
-    def __init__(self, plan: _Plan, lay: _Layout, shape: tuple, dtype):
-        n = shape[2]
-        width = max((len(dest) for dest, _factors in plan.groups), default=0)
-        self.rows = np.zeros((len(lay.source.copies) * shape[0] * shape[1] + 1, n), dtype)
+    def __init__(self, plan: _Plan, n: int, dtype):
+        width = max((len(dest) for dest, _cols, _coeffs in plan.groups), default=0)
+        self.rows = np.zeros((len(plan.copies) * math.prod(plan.shape) + 1, n), dtype)
         self.prod, self.tmp = np.empty((2, width, n), dtype)
-        self.terms = np.empty((len(plan.coeffs), n), dtype)
+        self.terms = np.empty((plan.terms, n), dtype)
         self.acc = np.empty((plan.tables, n), dtype)
 
 
@@ -635,21 +627,13 @@ def _site_shift(rows: np.ndarray, m: int, out: np.ndarray) -> None:
         out[...] = rows
 
 
-class _SiteShifts:
-    """Lattice factor rows: (kind, band, m) reads band k of the kind at site
-    n + m for every site n, zero off the lattice.  The source rows hold one
-    copy of the stack per shift m the plan reads (``copies``), then a zero
-    row; a fill writes each copy's sites on the lattice."""
-
-    def __init__(self, fields: list, shape: tuple):
-        self.copies = sorted({m for _kind, _band, m in fields})
-        self.at = _field_rows(fields, shape, self.copies)
-
-    def fill(self, rows: np.ndarray, stack: np.ndarray) -> np.ndarray:
-        size = stack.shape[0] * stack.shape[1]
-        for i, m in enumerate(self.copies):
-            _site_shift(stack, m, rows[i * size:(i + 1) * size].reshape(stack.shape))
-        return rows
+def _site_shifts(rows: np.ndarray, stack: np.ndarray, copies: list) -> None:
+    """Lattice factor rows for a ``_Plan``: copy i of the stack read at site
+    n + copies[i] for every site n; its sites off the lattice keep the zeros
+    the rows were made with."""
+    size = stack.shape[0] * stack.shape[1]
+    for i, m in enumerate(copies):
+        _site_shift(stack, m, rows[i * size:(i + 1) * size].reshape(stack.shape))
 
 
 @lru_cache(maxsize=None)
@@ -658,7 +642,8 @@ def _lattice_plan(flow_k: int, even: bool, kinds: int, depth: int) -> _Plan:
     ``kinds`` kinds, compiled over site shifts on first use; the terms are
     summed in sorted order."""
     return _Plan([sorted(flow_terms(flow_k, kind, k, even).terms.items())
-                  for kind in "wv"[:kinds] for k in range(-depth, depth + 1)], _SiteShifts)
+                  for kind in "wv"[:kinds] for k in range(-depth, depth + 1)],
+                 _site_shifts, (kinds, 2 * depth + 1))
 
 
 def _flow_from_tables(b: LaxBands, flow_k: int, even: bool = False) -> BandDerivs:
@@ -738,17 +723,6 @@ def expand_lattice_terms(table: Poly, max_order: int,
     if rescale and parts[0]:
         raise AssertionError(f"lattice table has a non-vanishing O(1) part: {parts[0]}")
     return tuple(parts[rescale:])
-
-
-@lru_cache(maxsize=None)
-def continuum_terms(flow_k: int, band: int, order: int) -> tuple:
-    """Float form of the chain's tables ``expand_lattice_terms(flow_terms(
-    flow_k, "w", band, even=True), order, rescale=True)``, built on first use
-    and cached: entry r is the eps^r part as sorted (factors, float
-    coefficient) pairs whose factors are ("w", band, x-derivative order)."""
-    expanded = expand_lattice_terms(flow_terms(flow_k, "w", band, True), order, True)
-    return tuple(tuple(sorted((mono, float(c)) for mono, c in part.terms.items()))
-                 for part in expanded)
 
 
 @lru_cache(maxsize=None)

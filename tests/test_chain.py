@@ -22,7 +22,7 @@ from pfaffchain.chain import (
     max_row_sum,
 )
 from pfaffchain.integrability import Poly, paper_chain_spec
-from pfaffchain.lax import continuum_terms, expand_lattice_terms, flow_terms
+from pfaffchain.lax import expand_lattice_terms, flow_terms
 
 F = Fraction
 
@@ -73,6 +73,12 @@ def _random_state(rng, depth=3, grid=64, with_z=False, epsilon=0.0):
 def _z(s):
     """{k: row} views of a two-kind state's z bands (kind 1); empty without."""
     return chain._by_band(s.rows[1]) if len(s.rows) > 1 else {}
+
+
+def _u_kind(s):
+    """The u kind of a two-kind state, the stack the t2 chain reads (it
+    reads no z)."""
+    return ChainState._of(s.h, s.rows[:1], s.epsilon)
 
 
 # ---------------------------------------------------------------------------
@@ -252,7 +258,6 @@ def test_no_expansion_runs_at_import():
     # neither a table nor its compiled evaluator plan is built at import
     code = ("import pfaffchain.cli; from pfaffchain import chain, integrability, lax; "
             "print(lax.flow_terms.cache_info().currsize, "
-            "lax.continuum_terms.cache_info().currsize, "
             "lax.chain_matrix_terms.cache_info().currsize, "
             "integrability._even_chain_row.cache_info().currsize, "
             "lax._lattice_plan.cache_info().currsize, "
@@ -261,14 +266,15 @@ def test_no_expansion_runs_at_import():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     done = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                           capture_output=True, text=True)
-    assert done.stdout.split() == ["0"] * 7
+    assert done.stdout.split() == ["0"] * 6
 
 
 @lru_cache(maxsize=None)
 def _float_tables(flow_k, kind, k, order, rescale=False, even=False):
-    """The expansion of ``flow_terms(flow_k, kind, k, even)`` in the float
-    form of ``lax.continuum_terms``, for any kind and time scaling: entry r
-    is the eps^r part as sorted (factors, float coefficient) pairs."""
+    """The expansion of ``flow_terms(flow_k, kind, k, even)`` with float
+    coefficients, as a float plan of the chain takes them, for any kind and
+    time scaling: entry r is the eps^r part as sorted (factors, float
+    coefficient) pairs."""
     expanded = expand_lattice_terms(flow_terms(flow_k, kind, k, even), order, rescale)
     return tuple(tuple(sorted((mono, float(c)) for mono, c in part.terms.items()))
                  for part in expanded)
@@ -305,11 +311,9 @@ def test_stack_evaluator_equals_the_band_by_band_sum(seed):
     s.rows[:, 0, ::2] = 0.0  # exact zeros: products of either sign vanish
     s.rows[0, -1] = 0.0
     even_t2 = dict(flow_k=2, kind="w", rescale=True, even=True)
-    assert all(continuum_terms(2, k, 2) == _float_tables(2, "w", k, 2, True, True)
-               for k in range(-s.depth, s.depth + 1))
-    assert _same_bits(chain_rhs_t2(s), _rhs_band_by_band(s, 0, **even_t2))
+    assert _same_bits(chain_rhs_t2(_u_kind(s)), _rhs_band_by_band(s, 0, **even_t2))
     for order in (1, 2):
-        assert _same_bits(chain_rhs_t2_corrected(s, order),
+        assert _same_bits(chain_rhs_t2_corrected(_u_kind(s), order),
                           _rhs_band_by_band(s, order, **even_t2))
         du, dz = continuum_t1_rhs(s, order)
         assert _same_bits(du, _rhs_band_by_band(s, order, 1, "w"))
@@ -338,10 +342,10 @@ def _counted_stencils(monkeypatch) -> list:
 def test_each_stencil_runs_once_on_the_whole_stack(monkeypatch):
     calls = _counted_stencils(monkeypatch)
     s = _random_state(np.random.default_rng(10), with_z=True, epsilon=1 / 64)
-    padded = (len(s.rows) * (2 * s.depth + 1), s.grid_size + 2 * chain._PAD)
-    for rhs in (chain_rhs_t2_corrected, continuum_t1_rhs):
+    for rhs, state in ((chain_rhs_t2_corrected, _u_kind(s)), (continuum_t1_rhs, s)):
+        padded = (len(state.rows) * (2 * s.depth + 1), s.grid_size + 2 * chain._PAD)
         calls.clear()
-        rhs(s, 2)
+        rhs(state, 2)
         assert calls and all(shape == padded for shape, _dx in calls)
         assert len({dx for _shape, dx in calls}) == len(calls)
 
@@ -434,7 +438,8 @@ def _t1_plan(order, depth):
     """Row (r, kind, k) is the eps^r part of the expanded first-flow table
     of band k of the kind, compiled over the chain's stencils."""
     return lax._Plan([_float_tables(1, kind, k, order)[r] for r in range(order + 1)
-                      for kind in "wv" for k in range(-depth, depth + 1)], chain._Stencils)
+                      for kind in "wv" for k in range(-depth, depth + 1)],
+                     chain._stencils, (2, 2 * depth + 1))
 
 
 def test_t1_z0_is_exact_at_every_order():
@@ -485,8 +490,8 @@ def test_chain_state_has_the_lattice_band_layout():
     ux = {k: dx1(u[k], s.h) for k in (-1, 0, 1, 2)}
     u0_t = u[0] * u[1] * ux[0] + u[0] ** 2 * ux[1] + u[0] * ux[-1]
     u1_t = (2 * u[2] - u[1] ** 2) * ux[0] - u[0] * u[1] * ux[1] + u[0] * ux[2]
-    rhs = chain_rhs_t2(s)
-    assert rhs.shape == chain_rhs_t2_corrected(s, 2).shape == (2 * d + 1, grid)
+    rhs = chain_rhs_t2(_u_kind(s))
+    assert rhs.shape == chain_rhs_t2_corrected(_u_kind(s), 2).shape == (2 * d + 1, grid)
     assert np.abs(rhs[d] - u0_t).max() < 1e-12
     assert np.abs(rhs[d + 1] - u1_t).max() < 1e-12
     du, dz = continuum_t1_rhs(s, 0)
@@ -566,6 +571,39 @@ def test_lax_friedrichs_cfl_guard():
     with pytest.raises(ValueError, match="CFL"):
         evolve_chain(s, dt=2 * bound, steps=1, scheme="lax-friedrichs")
     evolve_chain(s, dt=0.5 * bound, steps=2, scheme="lax-friedrichs")
+
+
+def _max_row_sum_band_by_band(s):
+    """max_row_sum as each row k's entries filtered out of all of them by
+    band and summed in order: the reference for the row slices."""
+    entries = np.abs(chain._matrix_plan(s.depth)[1](s.rows, s.h))
+    bands = [k for k in range(-s.depth, s.depth + 1) for _a in lax.chain_matrix_terms(k)]
+    worst = 0.0
+    for k in range(-s.depth, s.depth + 1):
+        total = sum(row for row, band in zip(entries, bands) if band == k)
+        worst = max(worst, float(np.max(total)))
+    return worst
+
+
+@pytest.mark.parametrize("depth", [0, 3, 6])
+def test_max_row_sum_equals_the_band_by_band_filter_sum(depth):
+    s = _random_state(np.random.default_rng(depth), depth=depth, grid=256)
+    got = max_row_sum(s)
+    assert got > 0
+    assert got.hex() == _max_row_sum_band_by_band(s).hex()
+
+
+def test_a_plan_refuses_a_stack_of_another_shape():
+    s = _random_state(np.random.default_rng(11), with_z=True, epsilon=1 / 64)
+    t2 = chain._continuum_plan(0, s.depth)
+    assert t2.shape == (1, 2 * s.depth + 1)
+    for stack in (s.rows, s.rows[:1, 1:-1], s.rows[0]):
+        with pytest.raises(ValueError, match="compiled for"):
+            t2(stack, s.h)
+    b = lax.random_bands(random.Random(3), 12, 3, even=True)
+    with pytest.raises(ValueError, match="compiled for"):
+        lax._lattice_plan(2, True, 1, 2)(b.rows)
+    assert lax._lattice_plan(2, True, 1, 3)(b.rows).shape == (7, 12)
 
 
 def test_unknown_scheme_rejected():

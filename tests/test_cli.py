@@ -167,7 +167,14 @@ _BAD_INPUT_FILES = {"top_level_list.json": [1], "rows_not_an_object.json": {"row
                     "override_not_a_list.json": {"base": "paper", "overrides": {"0,1": 5}},
                     "stencil_list.json": {"stencil": [1], "rows": {"0": {"0": [["1", [0]]]}}},
                     "stencil_null.json": {"stencil": None, "rows": {"0": {"0": [["1", [0]]]}}},
-                    "stencil_negative.json": {"stencil": -3, "rows": {"0": {"0": [["1", [0]]]}}}}
+                    "stencil_negative.json": {"stencil": -3, "rows": {"0": {"0": [["1", [0]]]}}},
+                    # a config section sets only its own subcommand's options
+                    "config_func.json": {"gt": {"func": 1}},
+                    "config_out.json": {"gt": {"out": "x"}},
+                    "config_seed.json": {"gt": {"seed": 5}},
+                    "config_flag_string.json": {"lax-verify": {"even": "false"}},
+                    "config_unknown_key.json": {"lax-verify": {"sties": 64}},
+                    "config_unknown_section.json": {"sties": {"depth": 1}}}
 
 
 # the whole line for inputs that once failed in a later step, which it blamed
@@ -175,6 +182,24 @@ _USAGE_MESSAGES = {
     "moments --n 88": "the Pfaffian of the 176x176 matrix overflows float64",
     "moments --radius 1e6": "moment matrix n=2: the rule at 200 nodes on radius 1e+06 "
                             "resolves no weight: mu_01 = 0 is not positive",
+    # a TypeError traceback before
+    "--config config_func.json gt": "bad config: gt: --func is no option of gt",
+    # an AttributeError traceback before
+    "--config config_out.json gt": "bad config: gt: --out is no option of gt",
+    # overrode --seed typed on the command line before
+    "--config config_seed.json --seed 1 gt": "bad config: gt: --seed is no option of gt",
+    # turned --even on before
+    "--config config_flag_string.json lax-verify":
+        "bad config: lax-verify: --even is a flag, so true or false, not 'false'",
+    # ignored before
+    "--config config_unknown_key.json lax-verify":
+        "bad config: lax-verify: --sties is no option of lax-verify",
+    "--config config_unknown_section.json gt": "bad config: 'sties' names no subcommand",
+    # FileExistsError and NotADirectoryError tracebacks before
+    "--out top_level_list.json gt": "--out top_level_list.json: cannot make the directory: "
+                                    "File exists",
+    "--out top_level_list.json/sub tau": "--out top_level_list.json/sub: cannot make the "
+                                         "directory: Not a directory",
 }
 
 
@@ -226,6 +251,14 @@ _USAGE_MESSAGES = {
     ["chain-evolve", "--grid", "4", "--steps", "1"],
     ["chain-evolve", "--grid", "2", "--steps", "1", "--scheme", "lax-friedrichs"],
     ["continuum-check", "--eps", "1/64,1/64,1/128"],
+    ["--config", "config_func.json", "gt"],
+    ["--config", "config_out.json", "gt"],
+    ["--config", "config_seed.json", "--seed", "1", "gt"],
+    ["--config", "config_flag_string.json", "lax-verify"],
+    ["--config", "config_unknown_key.json", "lax-verify"],
+    ["--config", "config_unknown_section.json", "gt"],
+    ["--out", "top_level_list.json", "gt"],
+    ["--out", "top_level_list.json/sub", "tau"],
 ], ids="_".join)
 def test_input_that_checks_nothing_is_a_usage_error(tmp_path, capsys, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)
@@ -249,6 +282,14 @@ def test_input_that_checks_nothing_is_a_usage_error(tmp_path, capsys, monkeypatc
     (["continuum-check", "--eps", "1/0,1/2,1/3"], "--eps"),
     # argparse's "expected one argument" before: -1/64 read as an option
     (["continuum-check", "--eps", "-1/64,1/128,1/256"], "eps=-0.015625 must be positive"),
+    # "invalid literal for int() with base 10: 'x'" before
+    (["continuum-check", "--orders", "x"], "--orders x: 'x' is not an integer"),
+    # "Invalid literal for Fraction: 'abc'" (and 'nan', 'inf') before
+    (["continuum-check", "--eps", "abc"], "--eps abc: 'abc' is not a finite float or p/q"),
+    (["continuum-check", "--eps", "nan"], "--eps nan: 'nan' is not a finite float or p/q"),
+    (["continuum-check", "--eps", "inf"], "--eps inf: 'inf' is not a finite float or p/q"),
+    # "integer division result too large for a float" before
+    (["continuum-check", "--eps", "1e400,1/2,1/3"], "'1e400' is not a finite float or p/q"),
 ], ids=lambda v: "_".join(v) if isinstance(v, list) else v)
 def test_bad_value_is_blamed_on_its_option(tmp_path, capsys, argv, option):
     assert main(["--out", str(tmp_path)] + argv) == 2
