@@ -165,11 +165,11 @@ def _stencils(rows: np.ndarray, stack: np.ndarray, copies: list, h: float) -> No
 
 
 @lru_cache(maxsize=None)
-def _continuum_plan(order: int, depth: int, flow_k: int = 2) -> _Plan:
+def _continuum_plan(order: int, depth: int) -> _Plan:
     """Row (r, k) is the eps^r part, r <= order, of the expanded even
-    ``lax.flow_terms(flow_k, "w", k, even=True)`` table over eps, for every
+    ``lax.flow_terms(2, "w", k, even=True)`` table over eps, for every
     |k| <= depth; compiled on first use for the u stack."""
-    parts = [expand_lattice_terms(flow_terms(flow_k, "w", k, True), order, True)
+    parts = [expand_lattice_terms(flow_terms(2, "w", k, True), order, True)
              for k in range(-depth, depth + 1)]
     return _Plan([sorted(part[r].terms.items()) for r in range(order + 1) for part in parts],
                  _stencils, (1, 2 * depth + 1))

@@ -105,11 +105,13 @@ _FLOWS = lax.FLOWS
 
 def cmd_lax_verify(args, out: Path) -> int:
     flows = [f.strip() for f in args.flows.split(",") if f.strip()]
-    if args.even and "t2_even" not in flows:
-        flows.append("t2_even")
-    for name in flows:
+    for i, name in enumerate(flows):
         if name not in _FLOWS:
             raise ValueError(f"unknown flow {name!r}")
+        if name in flows[:i]:
+            raise ValueError(f"--flows {args.flows}: flow {name!r} is listed twice")
+    if args.even and "t2_even" not in flows:
+        flows.append("t2_even")
     if args.sites < 1:
         raise ValueError(f"--sites {args.sites} must be at least 1")
     rng = random.Random(args.seed)

@@ -22,20 +22,21 @@ per flow, kind and band: ``poly.Poly``s over the shifted band factors
 (kind, band, site offset), the one exact form of a table.
 ``flow_terms`` derives them from that definition alone: it takes the
 commutator over the symbolic Lax matrix, whose entries are those factors,
-and caches each table on first use; no table is written by hand.  With
-``even`` the v bands of that matrix are zero, which gives the even
-reduction's tables (the v-free part of the full ones).
+and caches each table on first use; no table is written by hand.  The
+even reduction (v = 0, invariant under the even flows) keeps the terms
+without a v factor: ``flow_terms(..., even=True)``.
 
 One evaluator, ``_Plan``, sums a set of tables over a state's whole (kinds,
 2 depth + 1, n) band stack, the layout that ``LaxBands.rows`` (n sites) and
 ``chain.ChainState.rows`` (n grid points) share.  Each set is compiled once,
-on first use, into index arrays for its one stack shape: the lattice flow
-of every band of every kind is one plan per (flow_k, even, kinds, depth)
-(``_lattice_plan``), and ``chain`` compiles its Taylor-expanded tables the
-same way.  A float result is bit-identical to summing each table term by
-term; exact (object) rows make the same calls on unreduced
-``lazyfraction.LazyFraction``s over one common denominator, and each slot
-is reduced to a Fraction once, on the way out.
+on first use, into index arrays for its one stack shape, dropping the
+terms with a factor the shape lacks (v on a one-kind stack, so that is the
+even reduction, or a band beyond depth): the lattice flow of every band of
+every kind is one plan per (flow_k, kinds, depth) (``_lattice_plan``), and
+``chain`` compiles its Taylor-expanded tables the same way.  A float
+result is bit-identical to summing each table term by term; exact (object)
+rows make the same calls on unreduced ``lazyfraction.LazyFraction``s over
+one common denominator, and each slot is reduced to a Fraction once.
 
 The Taylor expansion of these tables (``expand_lattice_terms``, one Poly per
 eps order) is the continuum limit: the chain right-hand sides in ``chain``
@@ -407,17 +408,14 @@ def _shifted(p: Poly, sites: int) -> Poly:
 
 
 @lru_cache(maxsize=None)
-def _lax_entry(a: int, b: int, even: bool) -> Poly:
+def _lax_entry(a: int, b: int) -> Poly:
     """Entry (a, b) of the symbolic Lax matrix in the 0-based layout of
-    ``_slot_index`` (site s owns rows and columns 2s, 2s + 1); ``even`` zeroes
-    the v bands."""
+    ``_slot_index`` (site s owns rows and columns 2s, 2s + 1)."""
     d = a - b
     if d < -1:
         return Poly()
     if d == -1:
         return Poly.const(1) if a % 2 == 0 else _factor("w", 0, a // 2)
-    if d % 2 == 0 and even:
-        return Poly()
     if d == 0:  # v^0_s at (2s + 1, 2s + 1), -v^0_s at (2s + 2, 2s + 2)
         return _factor("v", 0, a // 2) if a % 2 else -_factor("v", 0, a // 2 - 1)
     band = (d + 1) // 2
@@ -425,42 +423,42 @@ def _lax_entry(a: int, b: int, even: bool) -> Poly:
 
 
 @lru_cache(maxsize=None)
-def _power_entry(k: int, a: int, d: int, even: bool) -> Poly:
+def _power_entry(k: int, a: int, d: int) -> Poly:
     """Entry (a, a + d) of L^k for a row a of site 0, as the sum over j of
     (L^(k-1))_aj L_j(a+d); the first factor vanishes for j > a + k - 1 and
     the second for j < a + d - 1, which bounds the sum."""
     if k == 1:
-        return _lax_entry(a, a + d, even)
+        return _lax_entry(a, a + d)
     total = Poly()
     for j in range(a + d - 1, a + k):
-        left = _power_entry(k - 1, a, j - a, even)
+        left = _power_entry(k - 1, a, j - a)
         if left:
-            total = total + left * _lax_entry(j, a + d, even)
+            total = total + left * _lax_entry(j, a + d)
     return total
 
 
-def _power(k: int, a: int, b: int, even: bool) -> Poly:
+def _power(k: int, a: int, b: int) -> Poly:
     """Entry (a, b) of L^k, moved from site 0 by translation invariance."""
-    return _shifted(_power_entry(k, a % 2, b - a, even), a // 2)
+    return _shifted(_power_entry(k, a % 2, b - a), a // 2)
 
 
 @lru_cache(maxsize=None)
-def _n_entry(k: int, a: int, b: int, even: bool) -> Poly:
+def _n_entry(k: int, a: int, b: int) -> Poly:
     """Entry (a, b) of (L^k)_n = L^k - (L^k)_t for a row a of site 0: L^k
     above the diagonal blocks, (L^k - X/2) on them and L^k - X below, with
     X = L^k - J (L^k)^T J as in ``_minus_reflected``."""
     if b > 1:
-        return _power(k, a, b, even)
-    flip = _power(k, b ^ 1, a ^ 1, even) * (1 if a % 2 != b % 2 else -1)
+        return _power(k, a, b)
+    flip = _power(k, b ^ 1, a ^ 1) * (1 if a % 2 != b % 2 else -1)
     if b < 0:
         return flip
-    return (_power(k, a, b, even) + flip) * Fraction(1, 2)
+    return (_power(k, a, b) + flip) * Fraction(1, 2)
 
 
-def _n(k: int, a: int, b: int, even: bool) -> Poly:
+def _n(k: int, a: int, b: int) -> Poly:
     """Entry (a, b) of (L^k)_n, moved from site 0 by translation invariance."""
     m = a // 2
-    return _shifted(_n_entry(k, a - 2 * m, b - 2 * m, even), m)
+    return _shifted(_n_entry(k, a - 2 * m, b - 2 * m), m)
 
 
 @lru_cache(maxsize=None)
@@ -468,8 +466,11 @@ def flow_terms(flow_k: int, kind: str, band: int, even: bool = False) -> Poly:
     """Term table of d/dt_k of band slot (``kind`` "w" or "v", ``band``) at
     site n under dL/dt_k = [-(L^k)_t, L], read off the symbolic Lax matrix
     and cached per key: a Poly over the factors (kind, band, site offset).
-    ``even`` sets the v bands to zero (the even reduction), which keeps
-    exactly the terms without a v factor."""
+    ``even`` gives the even reduction's table (v = 0): the terms of the full
+    table that have no v factor."""
+    if even:
+        return Poly._of({mono: c for mono, c in flow_terms(flow_k, kind, band).terms.items()
+                         if all(f[0] == "w" for f in mono)})
     if flow_k < 1 or kind not in ("w", "v"):
         raise ValueError(f"no flow table for flow_k={flow_k}, kind={kind!r}")
     if band == 0:
@@ -479,11 +480,11 @@ def flow_terms(flow_k: int, kind: str, band: int, even: bool = False) -> Poly:
         r = c + 2 * abs(band) - 1 + (kind == "v")
     k, total = flow_k, Poly()
     for j in range(r - k - 2, r + k + 1):  # (L^k)_n L
-        if e := _lax_entry(j, c, even):
-            total = total + _n(k, r, j, even) * e
+        if e := _lax_entry(j, c):
+            total = total + _n(k, r, j) * e
     for j in range(c - k, c + k + 3):  # - L (L^k)_n
-        if e := _lax_entry(r, j, even):
-            total = total - e * _n(k, j, c, even)
+        if e := _lax_entry(r, j):
+            total = total - e * _n(k, j, c)
     return total
 
 
@@ -503,10 +504,12 @@ class _Plan:
     they are summed.  A factor (kind, band, x) is a row that ``fill(rows,
     stack, copies, *args)`` writes into the source rows: one copy of the
     stack per entry x of ``copies`` (a site shift, ``_site_shifts``, or an
-    x-derivative order, ``chain._stencils``), then one zero row, which
-    absent kinds and bands read.  The terms are laid out position by
-    position: with the rows sorted by decreasing term count, the p-th terms
-    of the rows that have one form one block, in the order of those rows.
+    x-derivative order, ``chain._stencils``).  A term with a factor of a
+    kind or band the shape lacks is zero and is dropped: +-0 added to a sum
+    that starts at +0 changes no bit (only an inf beside it, inf * 0 = NaN,
+    would).  The kept terms are laid out position by position: with the rows
+    sorted by decreasing term count, the p-th terms of the rows that have
+    one form one block, in the order of those rows.
 
     A call fills the source, gathers the factor rows of each arity group
     and multiplies them left to right, scales each product by its
@@ -520,7 +523,10 @@ class _Plan:
     """
 
     def __init__(self, tables: Iterable[Iterable[tuple]], fill: Callable, shape: tuple):
-        tables = [list(t) for t in tables]
+        kinds, bands = shape
+        tables = [[(mono, c) for mono, c in t  # the terms on the stack
+                   if all("wv".index(f[0]) < kinds and 2 * abs(f[1]) < bands for f in mono)]
+                  for t in tables]
         self.fill, self.shape, self.tables = fill, shape, len(tables)
         order = sorted(range(len(tables)), key=lambda i: -len(tables[i]))
         self.unsort = np.argsort(order)
@@ -532,7 +538,8 @@ class _Plan:
         self.terms = len(terms)
         fields = sorted({f for mono, _c in terms for f in mono})
         self.copies = sorted({x for _kind, _band, x in fields})
-        at = dict(zip(fields, _field_rows(fields, shape, self.copies)))
+        at = {(kind, band, x): (self.copies.index(x) * kinds + "wv".index(kind)) * bands
+              + band + bands // 2 for kind, band, x in fields}  # its row in the source
         coeffs = (np.array([float(c) for _mono, c in terms]),
                   np.array([c for _mono, c in terms], object))
         # per arity: term indices, the rows of each factor, coefficients (float, object)
@@ -594,26 +601,10 @@ class _Buffers:
 
     def __init__(self, plan: _Plan, n: int, dtype):
         width = max((len(dest) for dest, _cols, _coeffs in plan.groups), default=0)
-        self.rows = np.zeros((len(plan.copies) * math.prod(plan.shape) + 1, n), dtype)
+        self.rows = np.zeros((len(plan.copies) * math.prod(plan.shape), n), dtype)
         self.prod, self.tmp = np.empty((2, width, n), dtype)
         self.terms = np.empty((plan.terms, n), dtype)
         self.acc = np.empty((plan.tables, n), dtype)
-
-
-def _field_rows(fields: list, shape: tuple, copies: list) -> np.ndarray:
-    """The row of each (kind, band, x) field in a source that holds one copy
-    of the rows of a (kinds, 2 depth + 1) ``shape`` stack per entry x of
-    ``copies``, then one zero row, which absent kinds and bands read."""
-    kinds, bands = shape
-    depth, zero = bands // 2, len(copies) * kinds * bands
-
-    def row(kind: str, band: int, x: int) -> int:
-        i = "wv".index(kind)
-        if i >= kinds or abs(band) > depth:
-            return zero
-        return (copies.index(x) * kinds + i) * bands + band + depth
-
-    return np.array([row(*f) for f in fields], dtype=np.intp)
 
 
 def _site_shift(rows: np.ndarray, m: int, out: np.ndarray) -> None:
@@ -637,26 +628,26 @@ def _site_shifts(rows: np.ndarray, stack: np.ndarray, copies: list) -> None:
 
 
 @lru_cache(maxsize=None)
-def _lattice_plan(flow_k: int, even: bool, kinds: int, depth: int) -> _Plan:
+def _lattice_plan(flow_k: int, kinds: int, depth: int) -> _Plan:
     """The ``flow_terms`` tables of every band |k| <= depth of the first
     ``kinds`` kinds, compiled over site shifts on first use; the terms are
-    summed in sorted order."""
-    return _Plan([sorted(flow_terms(flow_k, kind, k, even).terms.items())
+    summed in sorted order.  One kind is the even reduction (no v terms)."""
+    return _Plan([sorted(flow_terms(flow_k, kind, k).terms.items())
                   for kind in "wv"[:kinds] for k in range(-depth, depth + 1)],
                  _site_shifts, (kinds, 2 * depth + 1))
 
 
-def _flow_from_tables(b: LaxBands, flow_k: int, even: bool = False) -> BandDerivs:
+def _flow_from_tables(b: LaxBands, flow_k: int) -> BandDerivs:
     """Every slot of every band |k| <= depth, read off the ``flow_terms``
     tables: float64 rows with float coefficients, or object rows (each value
     taken exactly, as LazyFractions over one denominator) with the tables'
     own, whose slots come out as reduced Fractions.  A state without v rows
-    gets the w tables only."""
+    gets the w tables of the even reduction."""
     rows = b.rows
     if rows.dtype == object:
         common, numerators = over_lcm(rows.flat)
         rows = np.array([LazyFraction(n, common) for n in numerators], object).reshape(rows.shape)
-    d = _lattice_plan(flow_k, even, len(rows), b.depth)(rows).reshape(rows.shape)
+    d = _lattice_plan(flow_k, len(rows), b.depth)(rows).reshape(rows.shape)
     if d.dtype == object:
         d = np.frompyfunc(lambda x: lazy(x).fraction(), 1, 1)(d)
     return BandDerivs(d, np.ones(d.shape, bool))
@@ -676,7 +667,7 @@ def flow_t2_even_explicit(b: LaxBands) -> BandDerivs:
     """Second flow of the even reduction (v identically zero)."""
     if not b.even_reduced:
         raise ValueError("flow_t2_even_explicit needs an even-reduced state")
-    return _flow_from_tables(b, 2, even=True)
+    return _flow_from_tables(b, 2)
 
 
 # flow name -> (power k of L in the commutator, explicit flow, even reduction)
@@ -819,9 +810,10 @@ def initial_bands_gaussian(sites: int, depth: int, q: QuadratureConfig) -> LaxBa
 # ---------------------------------------------------------------------------
 
 
-def _rhs_for(flow: str, commutator_k: int | None):
+def _rhs_for(flow: str, commutator_k: int | None) -> tuple[int, Callable]:
+    """The power k of L in the flow and its band right-hand side."""
     if flow in FLOWS:
-        return FLOWS[flow][1]
+        return FLOWS[flow][:2]
     if flow == "commutator":
         if commutator_k is None:
             raise ValueError("commutator flow needs commutator_k")
@@ -833,7 +825,7 @@ def _rhs_for(flow: str, commutator_k: int | None):
             derivs, _ = lax_rhs_commutator(b, commutator_k, 2 * b.sites)
             return derivs
 
-        return rhs
+        return commutator_k, rhs
     raise ValueError(f"unknown flow {flow!r}")
 
 
@@ -874,14 +866,19 @@ def integrate_flow(b: LaxBands, flow: str, dt: float, steps: int,
     The (kinds, 2 depth + 1, sites) rows are stepped as one stack.  Under
     every table flow band +-depth is polluted by truncation: its equations
     read w^{+-(depth+1)} (under t1 in the v equation only; under t2 also
-    v^{+-(depth+1)}), which lie outside the window and read zero, so the
-    band moves as if the state had no bands beyond depth.  ``lax-verify``
-    does not see this: its dense commutator is truncated at the same depth,
-    and ``interior_mask`` trims sites, not bands.
+    v^{+-(depth+1)}), which lie outside the window; the plan drops the
+    terms that read them, so the band moves as if the state had no bands
+    beyond depth.  ``lax-verify`` does not see this: its dense commutator is
+    truncated at the same depth, and ``interior_mask`` trims sites, not
+    bands.  An odd power of L (t1, or an odd ``commutator_k``) moves v off
+    0, so it is refused on a state without v rows.
     """
     if not 0 < dt < math.inf:
         raise ValueError(f"dt must be positive and finite, got {dt}")
-    rhs = _rhs_for(flow, commutator_k)
+    power, rhs = _rhs_for(flow, commutator_k)
+    if b.even_reduced and power % 2:
+        name = flow if flow in FLOWS else f"commutator k={commutator_k}"
+        raise ValueError(f"flow {name} is an odd power of L: it moves the v bands this state lacks")
     start = b.as_float()
     stored = start.stored
 

@@ -602,8 +602,8 @@ def test_a_plan_refuses_a_stack_of_another_shape():
             t2(stack, s.h)
     b = lax.random_bands(random.Random(3), 12, 3, even=True)
     with pytest.raises(ValueError, match="compiled for"):
-        lax._lattice_plan(2, True, 1, 2)(b.rows)
-    assert lax._lattice_plan(2, True, 1, 3)(b.rows).shape == (7, 12)
+        lax._lattice_plan(2, 1, 2)(b.rows)
+    assert lax._lattice_plan(2, 1, 3)(b.rows).shape == (7, 12)
 
 
 def test_unknown_scheme_rejected():

@@ -290,6 +290,8 @@ def test_input_that_checks_nothing_is_a_usage_error(tmp_path, capsys, monkeypatc
     (["continuum-check", "--eps", "inf"], "--eps inf: 'inf' is not a finite float or p/q"),
     # "integer division result too large for a float" before
     (["continuum-check", "--eps", "1e400,1/2,1/3"], "'1e400' is not a finite float or p/q"),
+    # exit 0 before, with each slot of the repeated flow checked and counted twice
+    (["lax-verify", "--flows", "t1,t1"], "--flows t1,t1: flow 't1' is listed twice"),
 ], ids=lambda v: "_".join(v) if isinstance(v, list) else v)
 def test_bad_value_is_blamed_on_its_option(tmp_path, capsys, argv, option):
     assert main(["--out", str(tmp_path)] + argv) == 2

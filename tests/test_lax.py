@@ -786,6 +786,66 @@ def test_exact_table_flows_equal_the_band_by_band_sum(name):
                 assert all(got.get(*slot) == comm.get(*slot) for slot in mask)
 
 
+@pytest.mark.parametrize("k, slots", [(1, 70), (2, 60), (3, 50), (4, 40)])
+def test_even_state_tables_equal_the_commutator_at_v_zero(k, slots):
+    # one symbolic Lax matrix serves both: on a state without v rows the
+    # compiled plan keeps the v-free terms, which are the commutator's w
+    # derivatives at v = 0, at odd powers as well as even ones
+    for seed in range(3):
+        b = random_bands(random.Random(f"even/{k}/{seed}"), 24, 2, even=True, exact=True)
+        got = lax._flow_from_tables(b, k)
+        comm, mask = lax_rhs_commutator(b, k, 48, exact=True)
+        w_slots = [(bk, n) for kind, bk, n in mask if kind == "w"]
+        assert len(w_slots) == slots
+        assert all(got.get("w", *slot) == comm.get("w", *slot) for slot in w_slots)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_commutator_keeps_v_zero_at_even_powers_only(k):
+    # v = 0 is invariant under even powers of L (the even reduction); odd
+    # powers move v off it, the negative control
+    b = random_bands(random.Random(f"v0/{k}"), 24, 2, even=True, exact=True)
+    comm, mask = lax_rhs_commutator(b, k, 48, exact=True)
+    v = [comm.get("v", bk, n) for kind, bk, n in mask if kind == "v"]
+    assert v and all(type(x) is Fraction for x in v)
+    assert any(v) == bool(k % 2)
+
+
+def _compiled_tables(plan: lax._Plan) -> list[list[tuple]]:
+    """The (factors, coefficient) pairs of each table of a site-shift plan,
+    in summation order, decoded from its index arrays; a factor row outside
+    the plan's source stack fails."""
+    kinds, bands = plan.shape
+    size = len(plan.copies) * kinds * bands
+    terms = [None] * plan.terms
+    for dest, cols, coeffs in plan.groups:
+        for i, t in enumerate(dest):
+            rows = [int(col[i]) for col in cols]
+            assert all(0 <= r < size for r in rows)
+            terms[t] = (tuple((("wv"[r % (kinds * bands) // bands],
+                                r % bands - bands // 2, plan.copies[r // (kinds * bands)])
+                               for r in rows)), coeffs[1][i, 0])
+    order = np.argsort(plan.unsort)
+    tables = [[] for _ in range(plan.tables)]
+    for start, live in plan.blocks:
+        for i in range(live):
+            tables[order[i]].append(terms[start + i])
+    return tables
+
+
+@pytest.mark.parametrize("flow_k", [1, 2, 3])
+@pytest.mark.parametrize("kinds", [1, 2])
+def test_a_plan_compiles_the_tables_on_its_stack(flow_k, kinds):
+    # a one-kind plan holds the even tables, and every plan the terms whose
+    # bands lie within its depth, each table in sorted order
+    for depth in range(4):
+        tables = [flow_terms(flow_k, kind, k, kinds == 1)
+                  for kind in "wv"[:kinds] for k in range(-depth, depth + 1)]
+        want = [[(mono, c) for mono, c in sorted(t.terms.items())
+                 if all(abs(band) <= depth for _kind, band, _x in mono)] for t in tables]
+        assert _compiled_tables(lax._lattice_plan(flow_k, kinds, depth)) == want
+
+
 def test_each_site_shift_runs_once_on_the_whole_stack(monkeypatch):
     shift, calls = lax._site_shift, []
     monkeypatch.setattr(lax, "_site_shift",
@@ -1032,6 +1092,20 @@ def test_integrator_blowup_names_the_step():
     full = random_bands(random.Random(1), 10, 2)
     with pytest.raises(FlowBlowupError, match=r"step 1 \(w\^-2_1\)"):
         integrate_flow(full, "t2", dt=3, steps=5)
+
+
+@pytest.mark.parametrize("flow, k", [("t1", None), ("commutator", 3), ("t2", None),
+                                     ("t2_even", None), ("commutator", 4)])
+def test_only_even_flows_step_a_state_without_v_rows(flow, k):
+    # an odd one would step w with v frozen at 0, which is not that flow
+    b = random_bands(random.Random(5), 24, 2, even=True)
+    if flow == "t1" or k == 3:
+        name = flow if k is None else f"commutator k={k}"
+        with pytest.raises(ValueError, match=f"flow {name} is an odd power"):
+            integrate_flow(b, flow, dt=0.01, steps=1, commutator_k=k)
+    else:
+        traj = integrate_flow(b, flow, dt=0.01, steps=2, commutator_k=k)
+        assert len(traj) == 3 and traj[-1].even_reduced and traj[-1] != b
 
 
 def test_commutator_flow_k_limit():
