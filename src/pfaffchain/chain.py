@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -175,10 +175,16 @@ def _continuum_plan(order: int, depth: int) -> _Plan:
                  _stencils, (1, 2 * depth + 1))
 
 
-def _continuum_parts(s: ChainState, order: int) -> np.ndarray:
-    """(order + 1, 2 depth + 1, grid): part r is the eps^r part of the
-    expanded tables over the state, before the factor eps^r."""
-    return _continuum_plan(order, s.depth)(s.rows, s.h).reshape(order + 1, *s.rows.shape[1:])
+def _continuum_totals(s: ChainState, order: int) -> Iterator[np.ndarray]:
+    """The chain right-hand sides of orders 0..order, from one evaluation of
+    the eps^r parts of the expanded tables over the state: order r is order
+    r - 1 plus eps^r times part r, added in place to the one array yielded."""
+    total, *parts = _continuum_plan(order, s.depth)(s.rows, s.h).reshape(
+        order + 1, *s.rows.shape[1:])
+    yield total
+    for r, part in enumerate(parts, 1):
+        total += s.epsilon ** r * part
+        yield total
 
 
 def chain_rhs_t2(s: ChainState) -> np.ndarray:
@@ -196,9 +202,7 @@ def chain_rhs_t2_corrected(s: ChainState, order: int) -> np.ndarray:
     """
     if order not in (0, 1, 2):
         raise ValueError("order must be 0, 1 or 2")
-    total, *parts = _continuum_parts(s, order)
-    for r, part in enumerate(parts, 1):
-        total += s.epsilon ** r * part
+    *_, total = _continuum_totals(s, order)
     return total
 
 
@@ -237,7 +241,7 @@ def max_row_sum(s: ChainState) -> float:
 # / 6, peaks at 1.3722 (at cos t = 1 - sqrt(3/2)), and every eigenvalue of the
 # chain matrix is bounded by its largest row sum, so a CFL number
 # dt * max_row_sum / h up to this bound keeps the linearised scheme stable.
-_RK4_CENTRAL_CFL = 2 * math.sqrt(2) / 1.3722
+RK4_CENTRAL_CFL = 2 * math.sqrt(2) / 1.3722
 
 
 def evolve_chain(s: ChainState, dt: float, steps: int,
@@ -335,12 +339,7 @@ def continuum_residual(profile: Mapping[int, Callable], eps_list: Sequence[float
         lattice = flow_t2_even_explicit(LaxBands._of(state.rows,
                                                      np.ones(state.rows.shape, bool)))
         lat = lattice.rows[0, 2:-2, interior] / eps  # bands |k| <= depth - 2
-        # the order-r right-hand side is the order-(r - 1) one plus its
-        # eps^r part, so every order is read off one evaluation of the parts
-        total, *parts = _continuum_parts(state, top)
-        for r in range(top + 1):
-            if r:
-                total += state.epsilon ** r * parts[r - 1]
+        for r, total in enumerate(_continuum_totals(state, top)):
             if r in residuals:
                 residuals[r].append(float(np.max(np.abs(lat - total[2:-2, interior]))))
     for r in orders:

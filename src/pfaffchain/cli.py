@@ -103,11 +103,15 @@ def cmd_tau(args, out: Path) -> int:
 _FLOWS = lax.FLOWS
 
 
+def _flow(name: str) -> str:
+    if name not in _FLOWS:
+        raise ValueError(name)
+    return name
+
+
 def cmd_lax_verify(args, out: Path) -> int:
-    flows = [f.strip() for f in args.flows.split(",") if f.strip()]
+    flows = _listed("--flows", args.flows, _flow, f"a flow ({', '.join(_FLOWS)})")
     for i, name in enumerate(flows):
-        if name not in _FLOWS:
-            raise ValueError(f"unknown flow {name!r}")
         if name in flows[:i]:
             raise ValueError(f"--flows {args.flows}: flow {name!r} is listed twice")
     if args.even and "t2_even" not in flows:
@@ -166,9 +170,9 @@ def cmd_chain_evolve(args, out: Path) -> int:
     if 0 < args.dt < math.inf and args.steps > 0:  # the CFL margin of a run that steps
         cfl = args.dt * chain.max_row_sum(state) / state.h
         print(f"CFL number dt*max_row_sum/h = {cfl:.3g}", file=sys.stderr)
-        if args.scheme == "rk4-central" and cfl > chain._RK4_CENTRAL_CFL:
+        if args.scheme == "rk4-central" and cfl > chain.RK4_CENTRAL_CFL:
             print(f"warning: CFL number {cfl:.3g} exceeds the rk4-central stability "
-                  f"bound {chain._RK4_CENTRAL_CFL:.3g}; roundoff can grow at every step",
+                  f"bound {chain.RK4_CENTRAL_CFL:.3g}; roundoff can grow at every step",
                   file=sys.stderr)
     try:
         traj = chain.evolve_chain(state, args.dt, args.steps, scheme=args.scheme)

@@ -22,9 +22,14 @@ Polys (a symbolic point) or, in the scans ``haantjes_scan`` and
 one common denominator L (``RationalPoint.lazy``), which takes in the
 spec's coefficient denominators too, and those coefficients are put over L
 (``_lazy_tensor_point``).  Every product then carries a power of L and
-every sum reuses the larger power, so no operation pays a gcd.  A value is reduced to a Fraction once, where it
-leaves the scan as a report string; an exact zero is a numerator 0, and
-zero entries are dropped from every row.
+every sum reuses the larger power, so no operation pays a gcd.  A value is
+reduced to a Fraction once, where it leaves the scan as a report string; an
+exact zero is a numerator 0, and zero entries are dropped from every row.
+
+Every per-point table of a ``TensorPoint`` follows one memo rule
+(``_Memo``): a missing row is built on first read and kept.  A build
+closes over the memos it reads, never over the ``TensorPoint``, so the
+object is in no reference cycle and is freed with its last reference.
 
 The flagship instance is the skew-ensemble chain matrix.  Its rows are not
 written out here, nor anywhere else: row k is ``lax.chain_matrix_terms(k)``,
@@ -47,12 +52,12 @@ col 1 becomes u^0 - u^0 u^2).
 
 from __future__ import annotations
 
+import functools
 import json
 import random
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Mapping
 
 from .lax import chain_matrix_terms
@@ -140,7 +145,7 @@ class ChainMatrixSpec:
     stencil: int = 1
 
 
-@lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=None)
 def _even_chain_row(k: int) -> tuple[tuple[int, Poly], ...]:
     return tuple((j, Poly({tuple(p for _w, p, _d in mono): c for mono, c in a.terms.items()}))
                  for j, a in chain_matrix_terms(k).items())
@@ -238,14 +243,26 @@ def load_spec_json(path_or_obj) -> ChainMatrixSpec:
 # ---------------------------------------------------------------------------
 
 
-class TensorPoint:
-    """All tensor evaluations of one spec at one rational point, cached.
+class _Memo(dict):
+    """A table whose missing entry is built by ``build(key)`` on first read
+    and kept; ``memo(key)`` reads as ``memo[key]`` does."""
 
-    Each object is a sparse row of exact values, built once per point on
-    first read: ``row(k)`` = {j: a^k_j}, the partials {(j, p): d_p a^k_j} of
-    row k, ``nijenhuis_row(i)`` = {(j, k): N^i_jk} and ``haantjes_row(i)`` =
-    {(j, k): H^i_jk}.  A tensor row is scattered from the nonzero entries of
-    the rows it reads (see the module docstring).  Values are of the
+    def __init__(self, build: Callable):
+        self._build = build
+
+    def __missing__(self, key):
+        value = self[key] = self._build(key)
+        return value
+
+    __call__ = dict.__getitem__
+
+
+class TensorPoint:
+    """All tensor evaluations of one spec at one rational point, each table a
+    ``_Memo`` of sparse rows: ``row_polys(k)`` = ``spec.rows(k)``, ``row(k)`` =
+    {j: a^k_j}, ``_jacobian(k)`` = {(j, p): d_p a^k_j}, ``nijenhuis_row(i)`` =
+    {(j, k): N^i_jk} and ``haantjes_row(i)`` = {(j, k): H^i_jk}.  A build
+    closes over the memos it reads, not over the object.  Values are of the
     point's type; zero values are dropped, and anything absent reads as one
     shared ``Fraction(0)``.
     """
@@ -253,99 +270,75 @@ class TensorPoint:
     def __init__(self, spec: ChainMatrixSpec, point: RationalPoint):
         self.spec = spec
         self.point = point
-        self._row_polys: dict[int, dict[int, Poly]] = {}
-        self._rows: dict[int, dict[int, Fraction]] = {}
-        self._jacobians: dict[int, dict[tuple[int, int], Fraction]] = {}
-        self._n: dict[int, dict[tuple[int, int], Fraction]] = {}
-        self._h: dict[int, dict[tuple[int, int], Fraction]] = {}
-
-    # -- exact values ----------------------------------------------------------
-
-    def row_polys(self, k: int) -> dict[int, Poly]:
-        row = self._row_polys.get(k)
-        if row is None:
-            row = self.spec.rows(k)
-            self._row_polys[k] = row
-        return row
-
-    def row(self, k: int) -> dict[int, Fraction]:
-        row = self._rows.get(k)
-        if row is None:
-            row = {j: poly.eval(self.point.at)
-                   for j, poly in self.row_polys(k).items()}
-            self._rows[k] = row
-        return row
+        at = point.at
+        self.row_polys = row_polys = _Memo(spec.rows)
+        self.row = row = _Memo(lambda k: {j: poly.eval(at) for j, poly in row_polys[k].items()})
+        self._jacobian = jacobian = _Memo(functools.partial(_jacobian, row_polys, at))
+        self.nijenhuis_row = n_row = _Memo(functools.partial(_nijenhuis_row, row, jacobian))
+        self.haantjes_row = _Memo(functools.partial(_haantjes_row, row, n_row))
 
     def entry(self, k: int, j: int) -> Fraction:
         return self.row(k).get(j, _ZERO)
 
-    def _jacobian(self, k: int) -> dict[tuple[int, int], Fraction]:
-        """{(j, p): d_p a^k_j}, the nonzero partials of row k."""
-        out = self._jacobians.get(k)
-        if out is None:
-            out = {}
-            for j, poly in self.row_polys(k).items():
-                for p in poly.variables():
-                    val = poly.diff(p).eval(self.point.at)
-                    if val:
-                        out[(j, p)] = val
-            self._jacobians[k] = out
-        return out
-
     def partial(self, k: int, j: int, p: int) -> Fraction:
         return self._jacobian(k).get((j, p), _ZERO)
-
-    # -- tensors ---------------------------------------------------------------
-
-    def nijenhuis_row(self, i: int) -> dict[tuple[int, int], Fraction]:
-        """{(j, k): N^i_jk}, nonzero entries only."""
-        out = self._n.get(i)
-        if out is None:
-            acc: dict[tuple[int, int], Fraction] = {}
-            for (k, p), dik in self._jacobian(i).items():
-                for j, apj in self.row(p).items():
-                    v = apj * dik                    # a^p_j d_p a^i_k
-                    _scatter(acc, (j, k), v)
-                    _scatter(acc, (k, j), -v)
-            for p, aip in self.row(i).items():
-                for (k, j), dpk in self._jacobian(p).items():
-                    v = aip * dpk                    # a^i_p d_j a^p_k
-                    _scatter(acc, (j, k), -v)
-                    _scatter(acc, (k, j), v)
-            out = self._n[i] = _nonzero(acc)
-        return out
-
-    def haantjes_row(self, i: int) -> dict[tuple[int, int], Fraction]:
-        """{(j, k): H^i_jk}, nonzero entries only."""
-        out = self._h.get(i)
-        if out is None:
-            acc: dict[tuple[int, int], Fraction] = {}
-            # + N^i_pr a^p_j a^r_k
-            for (p, r), n in self.nijenhuis_row(i).items():
-                for j, apj in self.row(p).items():
-                    for k, ark in self.row(r).items():
-                        _scatter(acc, (j, k), n * apj * ark)
-            # - N^p_ab a^i_p a^b_k at (a, k), - N^p_ab a^i_p a^a_j at (j, b),
-            # + a^i_p a^p_q N^q_jk
-            for p, aip in self.row(i).items():
-                for (a, b), n in self.nijenhuis_row(p).items():
-                    v = -(aip * n)
-                    for k, abk in self.row(b).items():
-                        _scatter(acc, (a, k), v * abk)
-                    for j, aaj in self.row(a).items():
-                        _scatter(acc, (j, b), v * aaj)
-                for q, apq in self.row(p).items():
-                    v = aip * apq
-                    for jk, n in self.nijenhuis_row(q).items():
-                        _scatter(acc, jk, v * n)
-            out = self._h[i] = _nonzero(acc)
-        return out
 
     def nijenhuis(self, i: int, j: int, k: int) -> Fraction:
         return self.nijenhuis_row(i).get((j, k), _ZERO)
 
     def haantjes(self, i: int, j: int, k: int) -> Fraction:
         return self.haantjes_row(i).get((j, k), _ZERO)
+
+
+def _jacobian(row_polys: _Memo, at: Callable, k: int) -> dict[tuple[int, int], Fraction]:
+    """{(j, p): d_p a^k_j}, the nonzero partials of row k."""
+    out = {}
+    for j, poly in row_polys[k].items():
+        for p in poly.variables():
+            val = poly.diff(p).eval(at)
+            if val:
+                out[(j, p)] = val
+    return out
+
+
+def _nijenhuis_row(row: _Memo, jacobian: _Memo, i: int) -> dict[tuple[int, int], Fraction]:
+    """{(j, k): N^i_jk}, nonzero entries only."""
+    acc: dict[tuple[int, int], Fraction] = {}
+    for (k, p), dik in jacobian[i].items():
+        for j, apj in row[p].items():
+            v = apj * dik                    # a^p_j d_p a^i_k
+            _scatter(acc, (j, k), v)
+            _scatter(acc, (k, j), -v)
+    for p, aip in row[i].items():
+        for (k, j), dpk in jacobian[p].items():
+            v = aip * dpk                    # a^i_p d_j a^p_k
+            _scatter(acc, (j, k), -v)
+            _scatter(acc, (k, j), v)
+    return _nonzero(acc)
+
+
+def _haantjes_row(row: _Memo, nijenhuis_row: _Memo, i: int) -> dict[tuple[int, int], Fraction]:
+    """{(j, k): H^i_jk}, nonzero entries only."""
+    acc: dict[tuple[int, int], Fraction] = {}
+    # + N^i_pr a^p_j a^r_k
+    for (p, r), n in nijenhuis_row[i].items():
+        for j, apj in row[p].items():
+            for k, ark in row[r].items():
+                _scatter(acc, (j, k), n * apj * ark)
+    # - N^p_ab a^i_p a^b_k at (a, k), - N^p_ab a^i_p a^a_j at (j, b),
+    # + a^i_p a^p_q N^q_jk
+    for p, aip in row[i].items():
+        for (a, b), n in nijenhuis_row[p].items():
+            v = -(aip * n)
+            for k, abk in row[b].items():
+                _scatter(acc, (a, k), v * abk)
+            for j, aaj in row[a].items():
+                _scatter(acc, (j, b), v * aaj)
+        for q, apq in row[p].items():
+            v = aip * apq
+            for jk, n in nijenhuis_row[q].items():
+                _scatter(acc, jk, v * n)
+    return _nonzero(acc)
 
 
 def _over(poly: Poly, common: int) -> Poly:
@@ -372,7 +365,7 @@ def _lazy_tensor_point(spec: ChainMatrixSpec, point: RationalPoint) -> TensorPoi
                                                      for j, poly in rows(k).items()}), point)
 
 
-@lru_cache(maxsize=64)
+@functools.lru_cache(maxsize=64)
 def _denominator(rows: Callable[[int], dict[int, Poly]], window: int) -> int:
     """The lcm of the coefficient denominators of the rows |k| <= window that
     a spec's ``rows`` generates, cached per generator and window."""

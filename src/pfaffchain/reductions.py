@@ -25,6 +25,9 @@ the closure formulas forward-mode along one direction at a time: over duals
 (value, derivative along R^k) of the jet coordinates, with the closure itself
 supplying the derivatives of the coordinates.
 
+A ``ReductionJet`` reads N, u^0 and u^1 off ``lam`` and ``u_window``, and
+refuses ``lam``, ``du0`` and ``du1`` unless all three name the directions 1..N.
+
 All of it runs on unreduced rationals (``lazyfraction.LazyFraction``): the
 chain rows are evaluated at the jet's u-window put over one common
 denominator, and the recursion, the closure values and the residuals are
@@ -66,30 +69,32 @@ class DegenerateSpeedsError(ValueError):
 class ReductionJet:
     """First-order jet data of an N-component reduction at one point.
 
-    ``lam`` maps the direction index i (1-based) to the characteristic speed
-    lambda^i; ``du0``/``du1`` hold d_i u^0 and d_i u^1.  ``u_window`` carries
-    the u^k values the tangent recursion needs (with u^0/u^1 agreeing with
-    the jet's own fields).  ``_rows`` evaluates the chain rows at
-    ``u_window`` over one common denominator, once per jet, for
-    ``tangent_recursion`` and ``eigen_residual`` in every direction.
+    ``lam``, ``du0`` and ``du1`` map each direction i = 1..N, and only those,
+    to lambda^i, d_i u^0 and d_i u^1; ``u_window`` carries the u^k values the
+    tangent recursion needs, and N, u^0 and u^1 are read off ``lam`` and
+    ``u_window``.  ``_rows`` evaluates the chain rows at ``u_window`` over
+    one common denominator, once per jet, for ``tangent_recursion`` and
+    ``eigen_residual`` in every direction.
     """
 
-    n_components: int
     lam: Mapping[int, Fraction]
-    u0: Fraction
-    u1: Fraction
     du0: Mapping[int, Fraction]
     du1: Mapping[int, Fraction]
     u_window: RationalPoint
 
     def __post_init__(self):
+        directions = set(range(1, len(self.lam) + 1))
+        if not self.lam.keys() == self.du0.keys() == self.du1.keys() == directions:
+            raise ValueError(f"lam, du0 and du1 must name the directions 1..{len(self.lam)}, "
+                             f"not {sorted(self.lam)}, {sorted(self.du0)}, {sorted(self.du1)}")
         if self.u0 == 0:
             raise ValueError("u^0 must be nonzero")
-        speeds = [self.lam[i] for i in range(1, self.n_components + 1)]
-        if len(set(speeds)) != len(speeds):
+        if len(set(self.lam.values())) != len(self.lam):
             raise DegenerateSpeedsError("characteristic speeds must be pairwise distinct")
-        if self.u_window.at(0) != self.u0 or self.u_window.at(1) != self.u1:
-            raise ValueError("u_window must agree with the jet's u^0, u^1")
+
+    n_components = property(lambda self: len(self.lam))
+    u0 = property(lambda self: self.u_window.at(0))
+    u1 = property(lambda self: self.u_window.at(1))
 
     @cached_property
     def _rows(self) -> TensorPoint:
@@ -107,9 +112,7 @@ def random_jet(rng: random.Random, n_components: int = 3, window: int = 10) -> R
            for i in range(1, n_components + 1)}
     du1 = {i: Fraction(rng.randint(-9, 9), rng.randint(1, 7))
            for i in range(1, n_components + 1)}
-    return ReductionJet(n_components=n_components, lam=lam,
-                        u0=point.at(0), u1=point.at(1),
-                        du0=du0, du1=du1, u_window=point)
+    return ReductionJet(lam=lam, du0=du0, du1=du1, u_window=point)
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +267,7 @@ def gt_involutivity(jet: ReductionJet,
     equivalent to the original under a rescaling of u^0 -- so a corrupted
     constant has to be injected non-coherently to have any power.
     """
-    if jet.n_components != 3:
+    if len(jet.lam) != 3:
         raise ValueError("involutivity check uses exactly three components")
     c_lam = lazy(_COUPLING if mutate_dlam is None else mutate_dlam)
     lam = {i: lazy(v) for i, v in jet.lam.items()}

@@ -1,6 +1,9 @@
+import collections
 import functools
+import gc
 import itertools
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -414,3 +417,41 @@ def test_printed_nijenhuis_table_holds_as_polynomials():
         table = appendix_nijenhuis_table(i, SYMBOLIC)
         for j, k in itertools.combinations(range(-12, 13), 2):
             assert not sym.nijenhuis(i, j, k) - _expected_nijenhuis(table, j, k), (i, j, k)
+
+
+# ---------------------------------------------------------------------------
+# the per-point memo: every row is built once, and no cycle keeps a point
+# ---------------------------------------------------------------------------
+
+def _counted_spec() -> tuple[ChainMatrixSpec, collections.Counter]:
+    reads = collections.Counter()
+
+    def rows(k):
+        reads[k] += 1
+        return SPEC.rows(k)
+
+    return ChainMatrixSpec(name="counted", rows=rows), reads
+
+
+def _sweep(ev: TensorPoint) -> None:
+    for _ in range(2):
+        for i in range(-4, 5):
+            ev.haantjes_row(i)
+
+
+def test_each_spec_row_is_read_once_per_point():
+    spec, reads = _counted_spec()
+    _sweep(TensorPoint(spec, _point()))
+    assert set(range(-6, 7)) <= reads.keys() and set(reads.values()) == {1}
+
+
+def test_a_tensor_point_is_freed_with_its_last_reference():
+    ev = TensorPoint(SPEC, _point())
+    gc.disable()
+    try:
+        _sweep(ev)
+        ref = weakref.ref(ev)
+        del ev
+        assert ref() is None  # freed by reference counting, not by the GC
+    finally:
+        gc.enable()

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -186,10 +187,8 @@ def test_recursion_reproduces_printed_equations():
 def test_zero_seeds_give_zero_tangent():
     rng = random.Random(2)
     jet = random_jet(rng, 3)
-    jet = ReductionJet(n_components=3, lam=jet.lam, u0=jet.u0, u1=jet.u1,
-                       du0={i: F(0) for i in (1, 2, 3)},
-                       du1={i: F(0) for i in (1, 2, 3)},
-                       u_window=jet.u_window)
+    jet = ReductionJet(lam=jet.lam, du0={i: F(0) for i in (1, 2, 3)},
+                       du1={i: F(0) for i in (1, 2, 3)}, u_window=jet.u_window)
     du = tangent_recursion(jet, 1, 5)
     assert all(v == 0 for v in du.values())
 
@@ -237,10 +236,26 @@ def test_degenerate_speeds_rejected():
     rng = random.Random(7)
     jet = random_jet(rng, 3)
     with pytest.raises(DegenerateSpeedsError):
-        ReductionJet(n_components=3,
-                     lam={1: F(1), 2: F(1), 3: F(2)},
-                     u0=jet.u0, u1=jet.u1, du0=jet.du0, du1=jet.du1,
+        ReductionJet(lam={1: F(1), 2: F(1), 3: F(2)}, du0=jet.du0, du1=jet.du1,
                      u_window=jet.u_window)
+
+
+def test_a_jet_refuses_directions_other_than_1_to_n():
+    jet = random_jet(random.Random(7), 3)
+    directions = r"must name the directions 1\.\.3, not "
+    with pytest.raises(ValueError, match=directions + r"\[1, 2, 3\], \[1, 2\], \[1, 2, 3\]"):
+        ReductionJet(lam=jet.lam, du0={1: jet.du0[1], 2: jet.du0[2]}, du1=jet.du1,
+                     u_window=jet.u_window)
+    lam = {1: jet.lam[1], 2: jet.lam[2], 4: jet.lam[3]}
+    with pytest.raises(ValueError, match=directions + r"\[1, 2, 4\], \[1, 2, 3\]"):
+        ReductionJet(lam=lam, du0=jet.du0, du1=jet.du1, u_window=jet.u_window)
+
+
+def test_n_u0_and_u1_are_read_off_the_jet_data():
+    jet = random_jet(random.Random(7), 4)
+    assert [f.name for f in dataclasses.fields(jet)] == ["lam", "du0", "du1", "u_window"]
+    assert (jet.n_components, jet.u0, jet.u1) == (4, jet.u_window.at(0), jet.u_window.at(1))
+    assert all(getattr(ReductionJet, name).fset is None for name in ("n_components", "u0", "u1"))
 
 
 # ---------------------------------------------------------------------------
@@ -250,8 +265,7 @@ def test_degenerate_speeds_rejected():
 def test_gt_rhs_proportional_to_du0():
     rng = random.Random(8)
     jet = random_jet(rng, 3)
-    jet = ReductionJet(n_components=3, lam=jet.lam, u0=jet.u0, u1=jet.u1,
-                       du0={1: jet.du0[1], 2: F(0), 3: jet.du0[3]},
+    jet = ReductionJet(lam=jet.lam, du0={1: jet.du0[1], 2: F(0), 3: jet.du0[3]},
                        du1=jet.du1, u_window=jet.u_window)
     gt = gt_rhs(jet, 1, 2)
     assert gt.dlam_ij == 0  # d_2 u^0 = 0 forces d_2 lambda^1 = 0
@@ -276,8 +290,7 @@ def test_gt_speed_2u0_simplification():
         lam[1] = 2 * jet.u0
         if lam[1] in (lam[2], lam[3]):
             continue
-        jet2 = ReductionJet(n_components=3, lam=lam, u0=jet.u0, u1=jet.u1,
-                            du0=jet.du0, du1=jet.du1, u_window=jet.u_window)
+        jet2 = ReductionJet(lam=lam, du0=jet.du0, du1=jet.du1, u_window=jet.u_window)
         gt = gt_rhs(jet2, 1, 2)
         assert gt.dlam_ij == 2 * jet.du0[2]
 
@@ -304,8 +317,7 @@ def test_involutivity_exact_zero_on_random_jets():
 def test_involutivity_trivial_for_flat_jets():
     rng = random.Random(13)
     jet = random_jet(rng, 3)
-    jet = ReductionJet(n_components=3, lam=jet.lam, u0=jet.u0, u1=jet.u1,
-                       du0={i: F(0) for i in (1, 2, 3)}, du1=jet.du1,
+    jet = ReductionJet(lam=jet.lam, du0={i: F(0) for i in (1, 2, 3)}, du1=jet.du1,
                        u_window=jet.u_window)
     assert all(v == 0 for v in gt_involutivity(jet).values())
 
