@@ -53,12 +53,13 @@ col 1 becomes u^0 - u^0 u^2).
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import random
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Callable, Iterator, Mapping
 
 from .lax import chain_matrix_terms
 from .lazyfraction import LazyFraction, over_lcm
@@ -74,8 +75,6 @@ __all__ = [
     "spec_with_overrides",
     "load_spec_json",
     "TensorPoint",
-    "nijenhuis",
-    "haantjes",
     "random_rational_point",
     "appendix_nijenhuis_table",
     "nijenhuis_oracle_check",
@@ -170,6 +169,10 @@ def spec_from_table(name: str, table: Mapping[str, Mapping[str, list]],
         for j_s, t in row.items():
             with _blamed(f"spec row {k_s!r}, column {j_s!r}"):
                 parsed.setdefault(int(k_s), {})[int(j_s)] = Poly.from_table(t)
+    band = max([1] + [abs(j - k) for k, row in parsed.items() for j in row if j not in (0, 1)])
+    if stencil > band:
+        raise ValueError(f"spec 'stencil' {stencil} is past the table's band: its entries "
+                         f"with j not in {{0, 1}} need stencil <= {band}")
 
     def rows(k: int) -> dict[int, Poly]:
         return dict(parsed.get(k, {}))
@@ -219,6 +222,10 @@ def load_spec_json(path_or_obj) -> ChainMatrixSpec:
 
         {"name": ..., "stencil": s, "rows": {"k": {"j": [[coeff, [p..]], ..]}}}
         {"base": "paper", "overrides": {"k,j": [[coeff, [p..]], ...]}}
+
+    The ``stencil`` s (default 1) sizes a scan's random points
+    (``_scan_points``); it must be an integer 0 <= s <= max(1, the largest
+    |j - k| over the entries with j not in {0, 1}), else ValueError.
     """
     if isinstance(path_or_obj, Mapping):
         obj = path_or_obj
@@ -382,25 +389,16 @@ def _nonzero(acc: dict) -> dict:
     return {key: v for key, v in acc.items() if v}
 
 
-def _check_window(point: RationalPoint, spec: ChainMatrixSpec,
-                  indices: Iterable[int], depth: int) -> None:
-    need = max(abs(i) for i in indices) + depth * spec.stencil + depth
-    if point.window < need:
-        raise WindowError(f"window {point.window} too small; need W >= {need}")
-
-
-def nijenhuis(spec: ChainMatrixSpec, i: int, j: int, k: int,
-              point: RationalPoint) -> Fraction:
-    """Exact N^i_jk of ``spec`` at ``point`` (window W >= max index + s + 1)."""
-    _check_window(point, spec, (i, j, k), 1)
-    return TensorPoint(spec, point).nijenhuis(i, j, k)
-
-
-def haantjes(spec: ChainMatrixSpec, i: int, j: int, k: int,
-             point: RationalPoint) -> Fraction:
-    """Exact H^i_jk of ``spec`` at ``point`` (window W >= max index + 2s + 2)."""
-    _check_window(point, spec, (i, j, k), 2)
-    return TensorPoint(spec, point).haantjes(i, j, k)
+def _scan_points(spec: ChainMatrixSpec, points: int, seed: int, reach: int,
+                 order: int) -> Iterator[TensorPoint]:
+    """``_lazy_tensor_point``s of ``spec`` at ``points`` random points of one
+    ``random.Random(seed)``, of the least window at which every N (``order``
+    1) or H (``order`` 2) entry with indices in [-reach, reach] evaluates:
+    each order reads rows ``spec.stencil`` further out, and partials one more."""
+    rng = random.Random(seed)
+    window = reach + order * (spec.stencil + 1)
+    for _ in range(points):
+        yield _lazy_tensor_point(spec, random_rational_point(rng, window))
 
 
 # ---------------------------------------------------------------------------
@@ -480,34 +478,28 @@ def _expected_nijenhuis(table: Mapping[tuple[int, int], Fraction], j: int,
     return _ZERO
 
 
-def nijenhuis_oracle_check(point: RationalPoint) -> dict:
-    """Compare every engine N^i_jk against the printed table.
+def nijenhuis_oracle_check(points: int = 5, seed: int = 0) -> dict:
+    """Compare every engine N^i_jk against the printed table at ``points``
+    random points drawn from one ``random.Random(seed)``.
 
     Scans |i| <= 6 and |j|, |k| <= 8; entries absent from the printed table
     must evaluate to the exact integer 0.  Both sides are evaluated at
     ``point.lazy()``; a mismatch is reported as reduced Fraction strings.
     """
-    ev = _lazy_tensor_point(paper_chain_spec(), point)
-    point = ev.point
     mismatches = []
     checked = 0
-    for i in range(-6, 7):
-        table = appendix_nijenhuis_table(i, point)
-        for j in range(-8, 9):
-            for k in range(j + 1, 9):
+    for ev in _scan_points(paper_chain_spec(), points, seed, 8, 1):
+        for i in range(-6, 7):
+            table = appendix_nijenhuis_table(i, ev.point)
+            for j, k in itertools.combinations(range(-8, 9), 2):
                 expected = _expected_nijenhuis(table, j, k)
                 got = ev.nijenhuis(i, j, k)
                 checked += 1
                 if got != expected:
-                    mismatches.append({
-                        "entry": [i, j, k],
-                        "engine": str(got),
-                        "printed": str(expected),
-                    })
-    return {
-        "entries_checked": checked,
-        "nijenhuis_mismatches": mismatches,
-    }
+                    mismatches.append({"entry": [i, j, k], "engine": str(got),
+                                       "printed": str(expected)})
+    return {"points": points, "seed": seed, "entries_checked": checked,
+            "nijenhuis_mismatches": mismatches}
 
 
 def haantjes_scan(window: int = 6, points: int = 50, seed: int = 0,
@@ -523,12 +515,8 @@ def haantjes_scan(window: int = 6, points: int = 50, seed: int = 0,
         raise ValueError(f"window {window} and points {points} check nothing; "
                          f"need window >= 0 and points >= 1")
     spec = spec or paper_chain_spec()
-    rng = random.Random(seed)
-    point_window = window + 2 * spec.stencil + 2
     nonzero = []
-    for p_idx in range(points):
-        point = random_rational_point(rng, point_window)
-        ev = _lazy_tensor_point(spec, point)
+    for p_idx, ev in enumerate(_scan_points(spec, points, seed, window, 2)):
         for i in range(-window, window + 1):
             for (j, k), val in sorted(ev.haantjes_row(i).items()):
                 if -window <= j <= k <= window:

@@ -67,6 +67,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import random
 from collections.abc import Callable, Iterable, Iterator, Mapping
 from fractions import Fraction
 from functools import lru_cache
@@ -89,6 +90,7 @@ __all__ = [
     "flow_t2_even_explicit",
     "flow_terms",
     "FLOWS",
+    "verify_flows",
     "expand_lattice_terms",
     "chain_matrix_terms",
     "skew_factorize",
@@ -337,20 +339,25 @@ def _matrix_power(L: np.ndarray, k: int) -> np.ndarray:
     return P
 
 
-def interior_mask(M: int, depth: int, flow_k: int) -> set[tuple[str, int, int]]:
-    """Band slots whose commutator stencil avoids the truncated boundary.
-
-    A slot at site n survives when its index margin from both lattice ends
-    exceeds flow_k + depth + 1 (one extra site over the nominal stencil
-    reach, paid to keep every projected path of L^k inside the window).
-    """
+def _interior_slots(M: int, depth: int, flow_k: int) -> tuple[np.ndarray, ...]:
+    """Index arrays (kind, band row, site column) into a state's ``rows`` of
+    the slots whose commutator stencil avoids the truncated boundary: a slot
+    at site n survives when its index margin from both lattice ends exceeds
+    flow_k + depth + 1 (one extra site over the nominal stencil reach, paid
+    to keep every projected path of L^k inside the window)."""
     margin = flow_k + depth + 1
     if M // 2 < 2 * margin + 3:  # no site clears the margin at both ends
-        return set()
+        return (np.zeros(0, int),) * 3
     kind, band, site, _r, _c = _slot_index(M, depth, 2)
     keep = (site > margin) & (M // 2 - 1 - site > margin)
-    return set(zip(np.array(["w", "v"])[kind[keep]].tolist(),
-                   (band[keep] - depth).tolist(), (site[keep] + 1).tolist()))
+    return kind[keep], band[keep], site[keep]
+
+
+def interior_mask(M: int, depth: int, flow_k: int) -> set[tuple[str, int, int]]:
+    """The ``_interior_slots`` as a set of (kind "w" or "v", band k, site n)."""
+    kind, band, site = _interior_slots(M, depth, flow_k)
+    return set(zip(np.array(["w", "v"])[kind].tolist(), (band - depth).tolist(),
+                   (site + 1).tolist()))
 
 
 def lax_rhs_commutator(b: LaxBands, k: int, M: int,
@@ -674,6 +681,40 @@ def flow_t2_even_explicit(b: LaxBands) -> BandDerivs:
 FLOWS = {"t1": (1, flow_t1_explicit, False),
          "t2": (2, flow_t2_explicit, False),
          "t2_even": (2, flow_t2_even_explicit, True)}
+
+_COMMUTATOR_TOL = 1e-12  # largest |c - e| / max(1, |c|, |e|) that verify_flows passes
+
+
+def verify_flows(flows: list[str], sites: int, depth: int, trials: int, seed: int) -> dict:
+    """The ``lax-verify`` report: per flow of ``FLOWS`` named, ``trials``
+    states drawn by ``random_bands`` from one ``random.Random(seed)``, their
+    commutator flow (2 sites x 2 sites) against the tables at the interior
+    slots.  An empty interior mask or a run that checks no slot raises."""
+    rng, m_dim = random.Random(seed), 2 * sites
+    np.empty((m_dim, m_dim))  # fails here, before any band state is drawn
+    slots = {name: _interior_slots(m_dim, depth, FLOWS[name][0]) for name in flows}
+    if not all(len(kind) for kind, _band, _site in slots.values()):
+        raise ValueError("truncation too tight: empty interior mask")
+    worst, checked = 0.0, 0
+    for name in flows:
+        k_flow, table_flow, even = FLOWS[name]
+        at = np.zeros(LaxBands(sites, depth).rows.shape, bool)  # checks depth
+        at[slots[name]] = True
+        for _ in range(trials):
+            b = random_bands(rng, sites, depth, even=even)
+            comm, _ = lax_rhs_commutator(b, k_flow, m_dim)
+            expl = table_flow(b).rows
+            # a state without v rows has none in its table flow: they read 0
+            expl = np.concatenate([expl, np.zeros_like(comm.rows[len(expl):])])
+            c, e = comm.rows[at], expl[at]
+            worst = max(worst, float(np.max(np.abs(c - e) / np.maximum(
+                1.0, np.maximum(np.abs(c), np.abs(e))))))
+            checked += len(c)
+    if not checked:
+        raise ValueError("no slot was checked: need a flow and --trials >= 1")
+    return {"flows": flows, "trials": trials, "seed": seed, "sites": sites, "depth": depth,
+            "slots_checked": checked, "max_mismatch": worst,
+            "tolerance": _COMMUTATOR_TOL, "pass": worst <= _COMMUTATOR_TOL}
 
 
 # ---------------------------------------------------------------------------

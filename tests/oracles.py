@@ -1,8 +1,9 @@
 """Reference routes that more than one test file checks the package against:
 the projection onto the lower-triangular factor of the splitting, the
-band-state JSON form, the slot-by-slot random band state and the
-band-by-band sum of the flow tables."""
+band-state JSON form, the slot-by-slot random band state, the band-by-band
+sum of the flow tables and the closed-form bands of the Gaussian orbit."""
 
+import math
 from collections.abc import Mapping
 from fractions import Fraction
 
@@ -101,3 +102,14 @@ def flow_band_by_band(b: LaxBands, flow_k: int, even: bool) -> np.ndarray:
                     acc += (coeff if exact else float(coeff)) * prod
             sums[i, k + b.depth] = acc
     return sums
+
+
+def gaussian_orbit_band(k: int, n: int) -> float:
+    """w^k_n of the zero-coupling (t = 0) Lax matrix in closed form:
+    w^0_n = sqrt(n (2n - 1) / 2) = -w^-2_n, w^-1_n = 1/2, w^k_n = 0 below
+    k = -2, and w^k_n = sqrt(4 (n)_k / (n - 1/2)_k) for k >= 1, with (a)_k
+    the rising factorial a (a + 1) ... (a + k - 1)."""
+    if k >= 1:
+        return math.sqrt(4 * math.prod((n + i) / (n - 0.5 + i) for i in range(k)))
+    w0 = math.sqrt(n * (2 * n - 1) / 2)
+    return {0: w0, -1: 0.5, -2: -w0}.get(k, 0.0)

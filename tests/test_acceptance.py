@@ -160,15 +160,12 @@ def test_criterion_6_haantjes_vanishing():
 def test_criterion_7_nijenhuis_oracle():
     started = time.perf_counter()
     failures = []
-    rng = random.Random(107)
-    for _ in range(5):
-        point = integrability.random_rational_point(rng, 10)
-        report = integrability.nijenhuis_oracle_check(point)
-        # the engine confirms the one entry flagged as not independently
-        # checkable (N^-1_{0,-1} with its -6u^0 term), so the honest outcome
-        # is an empty mismatch list; any mismatch would be reported verbatim
-        for item in report["nijenhuis_mismatches"]:
-            failures.append(str(item))
+    report = integrability.nijenhuis_oracle_check(5, seed=107)
+    # the engine confirms the one entry flagged as not independently
+    # checkable (N^-1_{0,-1} with its -6u^0 term), so the honest outcome
+    # is an empty mismatch list; any mismatch would be reported verbatim
+    for item in report["nijenhuis_mismatches"]:
+        failures.append(str(item))
     _report(7, "printed Nijenhuis table oracle", started, failures)
 
 

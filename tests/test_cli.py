@@ -168,6 +168,9 @@ _BAD_INPUT_FILES = {"top_level_list.json": [1], "rows_not_an_object.json": {"row
                     "stencil_list.json": {"stencil": [1], "rows": {"0": {"0": [["1", [0]]]}}},
                     "stencil_null.json": {"stencil": None, "rows": {"0": {"0": [["1", [0]]]}}},
                     "stencil_negative.json": {"stencil": -3, "rows": {"0": {"0": [["1", [0]]]}}},
+                    # a stencil sizes the random points: 1e9 would not finish
+                    "stencil_past_the_band.json": {"stencil": 1000000000,
+                                                   "rows": {"0": {"1": [["1", [0]]]}}},
                     # a config section sets only its own subcommand's options
                     "config_func.json": {"gt": {"func": 1}},
                     "config_out.json": {"gt": {"out": "x"}},
@@ -195,6 +198,10 @@ _USAGE_MESSAGES = {
     "--config config_unknown_key.json lax-verify":
         "bad config: lax-verify: --sties is no option of lax-verify",
     "--config config_unknown_section.json gt": "bad config: 'sties' names no subcommand",
+    # ran for a time that grows with the stencil before
+    "haantjes --spec stencil_past_the_band.json":
+        "spec 'stencil' 1000000000 is past the table's band: its entries with j not in "
+        "{0, 1} need stencil <= 1",
     # FileExistsError and NotADirectoryError tracebacks before
     "--out top_level_list.json gt": "--out top_level_list.json: cannot make the directory: "
                                     "File exists",
@@ -233,6 +240,7 @@ _USAGE_MESSAGES = {
     ["haantjes", "--spec", "stencil_list.json"],
     ["haantjes", "--spec", "stencil_null.json"],
     ["haantjes", "--spec", "stencil_negative.json"],
+    ["haantjes", "--spec", "stencil_past_the_band.json"],
     ["moments", "--n", "1", "--nodes", "3000000"],
     ["tau", "--n-max", "2", "--nodes", "3000000"],
     ["lax-verify", "--sites", "100000", "--trials", "1"],

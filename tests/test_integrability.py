@@ -15,12 +15,10 @@ from pfaffchain.integrability import (
     TensorPoint,
     WindowError,
     _expected_nijenhuis,
-    _lazy_tensor_point,
+    _scan_points,
     appendix_nijenhuis_table,
-    haantjes,
     haantjes_scan,
     load_spec_json,
-    nijenhuis,
     nijenhuis_oracle_check,
     paper_chain_spec,
     random_rational_point,
@@ -155,7 +153,7 @@ def test_nijenhuis_example_value():
     values = {p: F(0) for p in range(-10, 11)}
     values[0] = F(1)
     point = RationalPoint(values=values, window=10)
-    assert nijenhuis(SPEC, 1, 0, 1, point) == -4
+    assert TensorPoint(SPEC, point).nijenhuis(1, 0, 1) == -4
 
 
 def test_nijenhuis_flagged_entry_matches_print():
@@ -163,7 +161,7 @@ def test_nijenhuis_flagged_entry_matches_print():
     # N^-1_{0,-1} = -u^-2 - 6 u^0 - u^-1 u^1; the engine confirms it
     point = _point(6)
     u = point.at
-    assert nijenhuis(SPEC, -1, 0, -1, point) == -u(-2) - 6 * u(0) - u(-1) * u(1)
+    assert TensorPoint(SPEC, point).nijenhuis(-1, 0, -1) == -u(-2) - 6 * u(0) - u(-1) * u(1)
 
 
 def test_nijenhuis_generic_family_entries():
@@ -185,17 +183,34 @@ def test_nijenhuis_absent_entry_is_zero():
 
 
 def test_oracle_check_full_window():
-    report = nijenhuis_oracle_check(_point(9))
+    report = nijenhuis_oracle_check(1, seed=9)
     assert report["nijenhuis_mismatches"] == []
     assert report["entries_checked"] > 1500
+    assert (report["points"], report["seed"]) == (1, 9)
 
 
-def test_window_error_names_requirement():
+def test_window_error_names_the_component():
     small = RationalPoint(values={k: F(1) for k in range(-3, 4)}, window=3)
-    with pytest.raises(WindowError, match="need W >="):
-        nijenhuis(SPEC, 5, 0, 1, small)
+    with pytest.raises(WindowError, match="u\\^5 outside the supplied window"):
+        TensorPoint(SPEC, small).nijenhuis(5, 0, 1)
     with pytest.raises(WindowError):
-        haantjes(SPEC, 3, 0, 1, small)
+        TensorPoint(SPEC, small).haantjes(3, 0, 1)
+
+
+@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("reach", [0, 3, 6])
+def test_scan_points_have_the_least_window_that_evaluates_every_entry(order, reach):
+    # the paper rows reach one column and one component further per order,
+    # so the window rule is tight: one component less fails at row +-reach
+    rows = {1: "nijenhuis_row", 2: "haantjes_row"}[order]
+    ev, = _scan_points(SPEC, 1, 14, reach, order)
+    assert ev.point.window == reach + 2 * order
+    smaller = TensorPoint(SPEC, _point(14, ev.point.window - 1))
+    for i in range(-reach, reach + 1):
+        getattr(ev, rows)(i)
+    with pytest.raises(WindowError):
+        for i in range(-reach, reach + 1):
+            getattr(smaller, rows)(i)
 
 
 # ---------------------------------------------------------------------------
@@ -272,6 +287,22 @@ def test_spec_json_forms(tmp_path):
 
     with pytest.raises(ValueError):
         load_spec_json({"nonsense": True})
+
+
+def test_a_stencil_past_the_table_band_is_refused():
+    # the band is the largest |j - k| over entries with j not in {0, 1}, and
+    # at least 1: the structural columns 0 and 1 do not count
+    def spec(stencil, rows):
+        return load_spec_json({"stencil": stencil, "rows": rows})
+
+    far = {"0": {"1": [["1", [0]]]}, "5": {"8": [["1", [5]]], "0": [["1", [1]]]}}
+    assert spec(3, far).stencil == 3
+    assert spec(0, {"2": {"2": [["1", [2]]]}}).stencil == 0
+    assert spec(1, {"0": {"1": [["1", [0]]]}}).stencil == 1
+    with pytest.raises(ValueError, match="stencil' 4 is past the table's band.*<= 3"):
+        spec(4, far)
+    with pytest.raises(ValueError, match="<= 1"):
+        spec(2, {"7": {"0": [["1", [7]]], "1": [["1", [0]]]}})
 
 
 def test_scan_report_shape():
@@ -367,8 +398,8 @@ def _is_power_of(d: int, base: int) -> bool:
 ], ids=["paper", "a01=u0", "a01=u0^2/11"])
 def test_lazy_haantjes_rows_equal_the_fraction_rows(spec, max_bits):
     window = 10
-    point = _point(0, window + 2 * spec.stencil + 2)
-    lazy_ev, exact_ev = _lazy_tensor_point(spec, point), TensorPoint(spec, point)
+    lazy_ev, = _scan_points(spec, 1, 0, window, 2)  # haantjes_scan's first point at seed 0
+    exact_ev = TensorPoint(spec, _point(0, lazy_ev.point.window))
     common = lazy_ev.point.common
     bits = 0
     for i in range(-window, window + 1):

@@ -9,7 +9,7 @@ import pytest
 from scipy.linalg import block_diag
 
 from pfaffchain import lax
-from pfaffchain.ensemble import QuadratureConfig
+from pfaffchain.ensemble import CouplingVector, QuadratureConfig, moment_matrix
 from pfaffchain.lax import (
     FLOWS,
     FactorizationError,
@@ -30,8 +30,8 @@ from pfaffchain.lax import (
 )
 from pfaffchain.poly import Poly
 
-from oracles import (bands_from_json, bands_to_json, flow_band_by_band, project_t,
-                     random_bands_from_slots)
+from oracles import (bands_from_json, bands_to_json, flow_band_by_band, gaussian_orbit_band,
+                     project_t, random_bands_from_slots)
 
 Q = QuadratureConfig()
 
@@ -368,6 +368,26 @@ def test_interior_mask_margins():
     mask = interior_mask(36, 3, 2)
     sites = {n for (_, _, n) in mask}
     assert sites and min(sites) > 6 and max(sites) < 13
+
+
+@pytest.mark.parametrize("sites, depth, flow_k", [(18, 3, 1), (18, 3, 2), (30, 2, 2), (6, 3, 1)])
+def test_verify_flows_reads_the_interior_mask_slots(sites, depth, flow_k):
+    # the boolean mask verify_flows builds from the index arrays holds the
+    # slots of the set interior_mask returns, and only those
+    at = np.zeros((2, 2 * depth + 1, sites), bool)
+    at[lax._interior_slots(2 * sites, depth, flow_k)] = True
+    kind, band, site = np.nonzero(at)
+    assert set(zip(np.array(["w", "v"])[kind], band - depth, site + 1)) == \
+        interior_mask(2 * sites, depth, flow_k)
+
+
+def test_verify_flows_reports_the_worst_mismatch_of_every_flow():
+    report = lax.verify_flows(["t1", "t2_even"], 18, 3, 2, 5)
+    assert report["pass"] and report["max_mismatch"] <= report["tolerance"] == 1e-12
+    assert report["flows"] == ["t1", "t2_even"]
+    # 2 trials x (84 interior slots of t1 + 56 of the second flow, w and v)
+    assert report["slots_checked"] == 2 * (len(interior_mask(36, 3, 1))
+                                           + len(interior_mask(36, 3, 2))) == 280
 
 
 # ---------------------------------------------------------------------------
@@ -1004,6 +1024,42 @@ def test_initial_bands_gaussian_values():
         expected = math.sqrt(2 * n * (2 * n - 1)) / 2
         assert b.value("w", 0, n) == pytest.approx(expected, rel=1e-9)
         assert b.value("w", 0, n) ** 2 == pytest.approx(2 * n * (2 * n - 1) / 4, rel=1e-9)
+
+
+@pytest.mark.parametrize("sites, slots", [(8, 51), (10, 69)])
+def test_initial_bands_follow_the_closed_form_orbit(sites, slots):
+    # every stored slot of every band |k| <= 4, not only w^0: the largest
+    # relative deviation is 1.2e-9 at 8 sites and 1.4e-7 at 10, where the
+    # monomial moment basis loses digits (at 12 sites the v bands already
+    # fail their tolerance)
+    b = initial_bands_gaussian(sites, 4, Q)
+    assert len(b.w) == slots  # the slots inside the matrix, its last row excluded
+    for (k, n), value in b.w.items():
+        want = gaussian_orbit_band(k, n)
+        assert abs(value - want) <= 1e-6 * max(1.0, abs(want)), (k, n)
+
+
+@pytest.mark.parametrize("t", [{}, {2: -0.1}, {1: 0.2, 4: -0.02}],
+                         ids=["t=0", "t2=-0.1", "t1=0.2,t4=-0.02"])
+def test_log_tau_derivative_is_the_trace_of_the_lax_power(t):
+    # d_k log tau_2n = 1/2 tr(m^-1 d_k m), with d_k m read off the moment law
+    # (d_k m)_ij = mu_{i+k,j} + mu_{i,j+k}, equals tr of the leading 2n x 2n
+    # block of L^k, L = Q Lambda Q^-1 from the skew factorisation.  The table
+    # is pinned at n + k + 1 pairs, the smallest that holds every mu the law
+    # reads: at n + k + 8 the gap grows to 9e-7, the conditioning of the
+    # monomial moment basis, not the seam.  The largest deviation is 5.3e-12.
+    t = CouplingVector(t)
+    for n in range(1, 5):
+        for k in range(1, 5):
+            mu = moment_matrix(n + k + 1, t, Q)
+            i = np.arange(2 * n)
+            m = mu[:2 * n, :2 * n]
+            dm = mu[np.ix_(i + k, i)] + mu[np.ix_(i, i + k)]
+            lhs = np.trace(np.linalg.solve(m, dm)) / 2
+            q = skew_factorize(mu)
+            L = q @ np.eye(len(mu), k=1) @ np.linalg.inv(q)
+            rhs = np.trace(np.linalg.matrix_power(L, k)[:2 * n, :2 * n])
+            assert abs(lhs - rhs) <= 1e-9 * max(1.0, abs(rhs)), (n, k)
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,16 @@
 import dataclasses
+import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
 
+from pfaffchain.lazyfraction import lazy
 from pfaffchain.reductions import (
     DegenerateSpeedsError,
     ReductionJet,
+    _coordinates_along,
     _gt_d2u0,
     _gt_d2u1,
     _gt_dlam,
@@ -353,6 +356,33 @@ def test_mutated_report_keeps_its_exact_residual(seed, residual):
     assert involutivity_report(jets=20, seed=seed, mutate_dlam=F(3)) == {
         "jets": 20, "seed": seed, "max_involutivity_residual": residual,
         "eigen_residual": "0"}
+
+
+def _semi_hamiltonian_residuals(jet: ReductionJet, coupling: Fraction) -> list[Fraction]:
+    """d_k(d_j lambda^i / (lambda^j - lambda^i)) - d_j(d_k lambda^i / (lambda^k
+    - lambda^i)) for the six ordered triples (i, j, k), each d_k taken over
+    the closure's duals along R^k with ``coupling`` in d_j lambda^i."""
+    c = lazy(coupling)
+    lam, du0, du1 = ({i: lazy(v) for i, v in d.items()} for d in (jet.lam, jet.du0, jet.du1))
+    along = {k: _coordinates_along(k, lazy(jet.u0), lam, du0, du1, c) for k in (1, 2, 3)}
+
+    def d(k, i, j):  # d_k (d_j lambda^i / (lambda^j - lambda^i))
+        u0, lam_k, du0_k, _du1_k = along[k]
+        return (_gt_dlam(lam_k[i], lam_k[j], u0, du0_k[j], c) / (lam_k[j] - lam_k[i])).d
+
+    return [(d(k, i, j) - d(j, i, k)).fraction()
+            for i, j, k in itertools.permutations((1, 2, 3))]
+
+
+def test_the_closure_is_semi_hamiltonian():
+    # Tsarev's condition for a diagonal system to be integrable by the
+    # generalised hodograph method holds as the exact integer 0 ...
+    rng = random.Random(0)
+    for _ in range(100):
+        assert _semi_hamiltonian_residuals(random_jet(rng, 3), F(4)) == [0] * 6
+    # ... and fails on every jet once d_j lambda^i carries another constant
+    rng = random.Random(0)
+    assert all(any(_semi_hamiltonian_residuals(random_jet(rng, 3), F(5))) for _ in range(20))
 
 
 def test_public_values_are_reduced_fractions():
