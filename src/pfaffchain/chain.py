@@ -35,16 +35,29 @@ The first flow has no quasilinear limit: its continuum equations for
 exact and u^0_t1 starting only at eps^2.  The tests evaluate them as an
 oracle (``continuum_t1_rhs`` in ``tests/test_chain.py``) through their own
 ``lax._Plan`` over ``_stencils``, on a two-kind (u, z) stack.
+
+A trajectory's CSV (``trajectory_to_csv``) is formatted by one function,
+``_csvrows.format_bands``, whose file also runs as a stdlib-only worker
+script.  On two usable CPUs a large trajectory is written by two processes
+at once: a worker interpreter formats the first bands straight into the
+file and this process the rest.  The bytes are those of one process: the
+worker is the same interpreter, so ``repr`` gives the same shortest digits,
+and the rows reach it as raw float64 and h as its ``repr``.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
+import tempfile
 from functools import lru_cache
 from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
+from . import _csvrows
 from .lax import (LaxBands, _Plan, _march, _rk4_step, chain_matrix_terms,
                   expand_lattice_terms, flow_t2_even_explicit, flow_terms)
 
@@ -357,20 +370,82 @@ def continuum_residual(profile: Mapping[int, Callable], eps_list: Sequence[float
     return reports
 
 
+_CSV_HEADER = b"step,k,m,x,u\r\n"
+# A worker interpreter (python -I -S) starts in about 7.6 ms, against 25 ms
+# with site-packages, and repr formats about 2 M values/s on one core, so
+# the worker is given 15k values fewer than half: about what this process
+# formats while it starts.  Measured on 2 vCPUs with Python 3.11, a worker
+# saves time from about 18k values on (10.0 against 11.0 ms at 19.7k) and
+# an even split of 3.6k or 4.9k values takes 10 ms against 2-3 ms here, so
+# a trajectory splits from twice the start-up share.
+_WORKER_START_VALUES = 15_000
+_SPLIT_MIN_VALUES = 2 * _WORKER_START_VALUES
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _worker_bands(n_values: int, grid: int) -> int:
+    """How many leading band rows a worker formats; 0 formats all here."""
+    if n_values < _SPLIT_MIN_VALUES or not sys.executable or _usable_cpus() < 2:
+        return 0
+    return (n_values - _WORKER_START_VALUES) // (2 * grid)
+
+
+def _start_worker(fh, bands: np.ndarray, depth: int, h: float):
+    """A ``_csvrows`` worker writing ``bands`` at fh's offset, or None if
+    none can start."""
+    with tempfile.TemporaryFile() as rows:
+        rows.write(f"{depth} {bands.shape[1]} {h!r}\n".encode("ascii"))
+        rows.write(bands.tobytes())
+        rows.seek(0)
+        fh.flush()
+        try:
+            return subprocess.Popen([sys.executable, "-I", "-S", _csvrows.__file__],
+                                    stdin=rows, stdout=fh, stderr=subprocess.DEVNULL)
+        except OSError:
+            return None
+
+
 def trajectory_to_csv(traj: Sequence[ChainState], path) -> None:
     """Rows step,k,m,x,u for every band |k| <= depth of every state, with
-    floats as ``repr`` and csv's \\r\\n line ends.  The states share one
-    grid and spacing h (those of an ``evolve_chain`` trajectory), so the m,x
-    cells are built once; each band is written as one string."""
-    if any(s.h != traj[0].h or s.grid_size != traj[0].grid_size for s in traj):
-        raise ValueError("the states of a trajectory must share one grid and spacing")
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write("step,k,m,x,u\r\n")
+    floats as ``repr`` and csv's \\r\\n line ends (``_csvrows.format_bands``).
+
+    The states share one grid, spacing h and depth (those of an
+    ``evolve_chain`` trajectory).  When two CPUs are usable and the
+    trajectory is large enough to pay for an interpreter's start-up, a
+    stdlib-only worker (``python -I -S _csvrows.py``) formats the first
+    bands straight into the file, after the header, while this process
+    formats the rest; it writes them once the worker has exited.  The bytes
+    are those of formatting everything here: the worker is the same
+    interpreter (``sys.executable``), so ``repr`` gives the same shortest
+    digits, the band rows reach it as raw float64 and h as its ``repr``.  A
+    worker that cannot start, fails or is killed is replaced by formatting
+    its bands here; none outlives the call."""
+    if any(s.h != traj[0].h or s.grid_size != traj[0].grid_size
+           or s.depth != traj[0].depth for s in traj):
+        raise ValueError("the states of a trajectory must share one grid, spacing and depth")
+    with open(path, "wb") as fh:
+        fh.write(_CSV_HEADER)
         if not traj or not traj[0].grid_size:
             return
-        cells = [f"{m},{m * traj[0].h!r}," for m in range(traj[0].grid_size)]
-        for step, state in enumerate(traj):
-            for k, row in zip(range(-state.depth, state.depth + 1), state.rows[0]):
-                head = f"{step},{k},"
-                fh.write("".join(f"{head}{cell}{val!r}\r\n"
-                                 for cell, val in zip(cells, row.tolist())))
+        h, depth, grid = traj[0].h, traj[0].depth, traj[0].grid_size
+        bands = np.concatenate([s.rows[0] for s in traj])
+        split = _worker_bands(bands.size, grid)
+        worker = _start_worker(fh, bands[:split], depth, h) if split else None
+        try:
+            own = _csvrows.format_bands(split, depth, h, grid,
+                                        bands[split:].ravel().tolist())
+            if split and (worker is None or worker.wait() != 0):
+                fh.seek(len(_CSV_HEADER))
+                fh.truncate()
+                fh.write(_csvrows.format_bands(0, depth, h, grid,
+                                               bands[:split].ravel().tolist()))
+        finally:
+            if worker is not None and worker.returncode is None:
+                worker.kill()
+                worker.wait()
+        fh.write(own)

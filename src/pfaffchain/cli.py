@@ -219,8 +219,6 @@ def cmd_haantjes(args, out: Path) -> int:
 
 
 def cmd_nijenhuis_oracle(args, out: Path) -> int:
-    if args.points < 1:
-        raise ValueError(f"--points {args.points} checks nothing; need >= 1")
     report = integrability.nijenhuis_oracle_check(args.points, args.seed)
     path = _write_report(out, "nijenhuis_oracle.json", report)
     n_bad = len(report["nijenhuis_mismatches"])

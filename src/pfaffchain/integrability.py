@@ -486,6 +486,8 @@ def nijenhuis_oracle_check(points: int = 5, seed: int = 0) -> dict:
     must evaluate to the exact integer 0.  Both sides are evaluated at
     ``point.lazy()``; a mismatch is reported as reduced Fraction strings.
     """
+    if points < 1:
+        raise ValueError(f"points={points} checks nothing; need points >= 1")
     mismatches = []
     checked = 0
     for ev in _scan_points(paper_chain_spec(), points, seed, 8, 1):

@@ -14,13 +14,11 @@ Tolerances are pinned here and nowhere else:
   9. involutivity:    exact zeros at 100 jets, mutated coefficient nonzero
 """
 
-import math
 import random
 import time
 from fractions import Fraction
 
 import numpy as np
-import pytest
 
 from pfaffchain import chain, ensemble, integrability, lax, reductions
 

@@ -1,8 +1,11 @@
+import csv
+import io
 import math
 import os
 from collections import Counter
 from functools import lru_cache
 import random
+import signal
 import subprocess
 import sys
 from fractions import Fraction
@@ -695,3 +698,142 @@ def test_full_expansion_equals_the_lattice_table_on_quadratic_profiles(flow_k, k
         assert len(parts) == top + 1
         assert sum(eps ** r * part.eval(continuum_value)
                    for r, part in enumerate(parts)) == table.eval(lattice_value), k
+
+
+# The trajectory CSV: written row by row with the csv module, the oracle of
+# the band-at-a-time writer, in this process and split with a worker.
+
+def _csv_oracle(traj):
+    buf = io.StringIO(newline="")
+    rows = csv.writer(buf)
+    rows.writerow(["step", "k", "m", "x", "u"])
+    for step, s in enumerate(traj):
+        for k in range(-s.depth, s.depth + 1):
+            for m, val in enumerate(s.rows[0, k + s.depth]):
+                rows.writerow([step, k, m, repr(m * s.h), repr(float(val))])
+    return buf.getvalue().encode("ascii")
+
+
+def _states(n, grid, depth, h=0.1, values=None):
+    rng = np.random.default_rng(n * 100 + grid * 10 + depth)
+    return [ChainState(h, depth, {k: rng.standard_normal(grid) if values is None
+                                  else np.roll(values, step + k)
+                                  for k in range(-depth, depth + 1)})
+            for step in range(n)]
+
+
+# -0.0, a subnormal, the least normal, values whose repr has 17 digits, inf, nan
+_AWKWARD = np.array([-0.0, 5e-324, 2.2250738585072014e-308, 0.1 + 0.2,
+                     -1.0000000000000002, 1e300 * 1e10, math.nan])
+TRAJECTORIES = {
+    "empty": [],
+    "grid 0": [ChainState(0.5, 2, {})],
+    "1 state": _states(1, 8, 3),
+    "2 states": _states(2, 8, 3),
+    "5 states": _states(5, 6, 2),
+    "grid 1": _states(3, 1, 2),
+    "depth 0": _states(3, 5, 0),
+    "awkward values": _states(3, len(_AWKWARD), 1, 1 / 3, _AWKWARD),
+}
+
+
+def _spy_popen(monkeypatch):
+    """The list that every worker started from now on is appended to."""
+    started, popen = [], subprocess.Popen
+
+    def spy(*args, **kwargs):
+        started.append(popen(*args, **kwargs))
+        return started[-1]
+
+    monkeypatch.setattr(subprocess, "Popen", spy)
+    return started
+
+
+@pytest.fixture
+def split_any(monkeypatch):
+    """Split every trajectory of two bands or more with a worker, as on two
+    CPUs; returns the list of started workers."""
+    monkeypatch.setattr(chain, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(chain, "_SPLIT_MIN_VALUES", 0)
+    monkeypatch.setattr(chain, "_WORKER_START_VALUES", 0)
+    return _spy_popen(monkeypatch)
+
+
+def _csv_bytes(traj, path, monkeypatch, cpus):
+    with monkeypatch.context() as m:
+        m.setattr(chain, "_usable_cpus", lambda: cpus)
+        chain.trajectory_to_csv(traj, path)
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize("name", TRAJECTORIES)
+def test_trajectory_csv_in_process_matches_the_row_by_row_oracle(tmp_path, monkeypatch, name):
+    traj = TRAJECTORIES[name]
+    assert _csv_bytes(traj, tmp_path / "t.csv", monkeypatch, 1) == _csv_oracle(traj)
+
+
+@pytest.mark.parametrize("name", TRAJECTORIES)
+def test_a_split_trajectory_csv_is_bit_identical(tmp_path, monkeypatch, split_any, name):
+    traj = TRAJECTORIES[name]
+    chain.trajectory_to_csv(traj, tmp_path / "split.csv")
+    n_bands = sum(s.rows.shape[1] for s in traj) if traj and traj[0].grid_size else 0
+    assert [p.returncode for p in split_any] == [0] * (n_bands >= 2)
+    assert (tmp_path / "split.csv").read_bytes() == _csv_oracle(traj)
+    assert (tmp_path / "split.csv").read_bytes() == _csv_bytes(
+        traj, tmp_path / "one.csv", monkeypatch, 1)
+
+
+def test_the_default_trajectory_splits_on_two_cpus_and_keeps_its_bytes(tmp_path, monkeypatch):
+    profile = default_profile()
+    x = np.arange(1, 257) / 256
+    s = ChainState(1 / 256, 3, {k: fn(x) for k, fn in profile.items()})
+    traj = evolve_chain(s, 1e-3, 100)
+    started = _spy_popen(monkeypatch)
+    split = _csv_bytes(traj, tmp_path / "split.csv", monkeypatch, 2)
+    assert [p.returncode for p in started] == [0]
+    assert split == _csv_bytes(traj, tmp_path / "one.csv", monkeypatch, 1)
+    assert len(started) == 1  # one CPU: formatted in this process
+
+
+def _script(tmp_path, body):
+    exe = tmp_path / "worker.sh"
+    exe.write_text(f"#!/bin/sh\n{body}\n")
+    exe.chmod(0o755)
+    return str(exe)
+
+
+@pytest.mark.parametrize("worker, code", [
+    ("/bin/false", 1),
+    ("sh: printf 'garbage'; exit 3", 3),
+    ("sh: printf 'garbage'; kill -9 $$", -signal.SIGKILL),
+    ("missing", None),
+    ("", None),
+], ids=["false", "fails after writing", "killed after writing", "missing", "empty"])
+def test_a_worker_that_fails_leaves_the_bytes(tmp_path, monkeypatch, split_any, worker, code):
+    if worker.startswith("sh: "):
+        worker = _script(tmp_path, worker[4:])
+    elif worker == "missing":
+        worker = str(tmp_path / "missing")
+    monkeypatch.setattr(sys, "executable", worker)
+    traj = TRAJECTORIES["5 states"]
+    chain.trajectory_to_csv(traj, tmp_path / "t.csv")
+    assert [p.returncode for p in split_any] == ([] if code is None else [code])
+    assert (tmp_path / "t.csv").read_bytes() == _csv_oracle(traj)
+
+
+def test_an_interrupted_write_leaves_no_worker(tmp_path, monkeypatch, split_any):
+    monkeypatch.setattr(sys, "executable", _script(tmp_path, "exec sleep 30"))
+
+    def interrupt(*args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(chain._csvrows, "format_bands", interrupt)
+    with pytest.raises(KeyboardInterrupt):
+        chain.trajectory_to_csv(TRAJECTORIES["5 states"], tmp_path / "t.csv")
+    assert [p.returncode for p in split_any] == [-signal.SIGKILL]
+
+
+def test_trajectory_csv_refuses_states_of_another_depth(tmp_path):
+    traj = [ChainState(0.5, 1, {0: np.ones(4)}), ChainState(0.5, 2, {0: np.ones(4)})]
+    with pytest.raises(ValueError, match="one grid, spacing and depth"):
+        chain.trajectory_to_csv(traj, tmp_path / "t.csv")

@@ -189,6 +189,13 @@ def test_oracle_check_full_window():
     assert (report["points"], report["seed"]) == (1, 9)
 
 
+@pytest.mark.parametrize("points", [0, -2])
+def test_oracle_check_refuses_a_scan_of_no_points(points):
+    # a report with entries_checked 0 and no mismatches would read as a pass
+    with pytest.raises(ValueError, match=f"points={points} checks nothing"):
+        nijenhuis_oracle_check(points)
+
+
 def test_window_error_names_the_component():
     small = RationalPoint(values={k: F(1) for k in range(-3, 4)}, window=3)
     with pytest.raises(WindowError, match="u\\^5 outside the supplied window"):

@@ -26,11 +26,14 @@ def test_all_resolves_and_lists_every_public_definition(layer):
 
 
 SRC = Path(pfaffchain.__file__).parent
+# the package's modules by file name, the test modules as tests/<file name>
+SOURCES = {**{p.name: p for p in SRC.glob("*.py")},
+           **{f"tests/{p.name}": p for p in Path(__file__).parent.glob("*.py")}}
 
 
-@pytest.mark.parametrize("module", sorted(p.name for p in SRC.glob("*.py")))
+@pytest.mark.parametrize("module", sorted(SOURCES))
 def test_every_imported_name_is_used(module):
-    tree = ast.parse((SRC / module).read_text(encoding="utf-8"))
+    tree = ast.parse(SOURCES[module].read_text(encoding="utf-8"))
     imported = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
