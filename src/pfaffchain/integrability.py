@@ -19,12 +19,12 @@ any user-supplied chain-class matrix.
 ``TensorPoint`` computes over whatever values its point supplies: Fractions,
 Polys (a symbolic point) or, in the scans ``haantjes_scan`` and
 ``nijenhuis_oracle_check``, unreduced ``lazyfraction.LazyFraction``s over
-one common denominator L (``RationalPoint.lazy``), which takes in the
-spec's coefficient denominators too, and those coefficients are put over L
-(``_lazy_tensor_point``).  Every product then carries a power of L and
-every sum reuses the larger power, so no operation pays a gcd.  A value is
-reduced to a Fraction once, where it leaves the scan as a report string; an
-exact zero is a numerator 0, and zero entries are dropped from every row.
+one common denominator L (``RationalPoint.lazy``).  Every product then
+carries a power of L and every sum reuses the larger power, so no operation
+pays a gcd; a non-integer spec coefficient multiplies its own denominator
+in.  A value is reduced to a Fraction once, where it leaves the scan as a
+report string; an exact zero is a numerator 0, and zero entries are dropped
+from every row.
 
 Every per-point table of a ``TensorPoint`` follows one memo rule
 (``_Memo``): a missing row is built on first read and kept.  A build
@@ -57,7 +57,7 @@ import itertools
 import json
 import random
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, Mapping
 
@@ -93,12 +93,10 @@ class WindowError(ValueError):
 
 @dataclass(frozen=True)
 class RationalPoint:
-    """Exact values for the components u^p on the window |p| <= window;
-    ``common`` is the one denominator of a ``lazy`` point's values, else 0."""
+    """Exact values for the components u^p on the window |p| <= window."""
 
     values: Mapping[int, Fraction]
     window: int
-    common: int = 0
 
     def at(self, p: int) -> Fraction:
         if abs(p) > self.window:
@@ -107,14 +105,13 @@ class RationalPoint:
             )
         return self.values.get(p, _ZERO)
 
-    def lazy(self, denominator: int = 1) -> "RationalPoint":
+    def lazy(self) -> "RationalPoint":
         """The same point with LazyFraction values over one denominator L,
-        the lcm of theirs and ``denominator`` (``_lazy_tensor_point`` passes
-        that of a spec's coefficients)."""
-        common, numerators = over_lcm(self.values.values(), denominator)
+        the lcm of theirs."""
+        common, numerators = over_lcm(self.values.values())
         return RationalPoint(values={p: LazyFraction(n, common)
                                      for p, n in zip(self.values, numerators)},
-                             window=self.window, common=common)
+                             window=self.window)
 
 
 def random_rational_point(rng: random.Random, window: int) -> RationalPoint:
@@ -348,38 +345,6 @@ def _haantjes_row(row: _Memo, nijenhuis_row: _Memo, i: int) -> dict[tuple[int, i
     return _nonzero(acc)
 
 
-def _over(poly: Poly, common: int) -> Poly:
-    """``poly`` with each non-integer coefficient whose denominator divides
-    ``common`` written as a LazyFraction over ``common``."""
-    return Poly._of({m: LazyFraction(c.numerator * (common // c.denominator), common)
-                     if c.denominator != 1 and common % c.denominator == 0 else c
-                     for m, c in poly.terms.items()})
-
-
-def _lazy_tensor_point(spec: ChainMatrixSpec, point: RationalPoint) -> TensorPoint:
-    """``TensorPoint`` of ``spec`` over ``point.lazy``, with the coefficient
-    denominators of the spec's rows |k| <= point.window folded into the
-    common denominator L and those coefficients put over L.  Every
-    coefficient and value of those rows is then an integer or a
-    LazyFraction over L, so every product carries a power of L and every
-    sum reuses the larger power."""
-    denominator = _denominator(spec.rows, point.window)
-    point = point.lazy(denominator)
-    if denominator == 1:
-        return TensorPoint(spec, point)
-    rows = spec.rows
-    return TensorPoint(replace(spec, rows=lambda k: {j: _over(poly, point.common)
-                                                     for j, poly in rows(k).items()}), point)
-
-
-@functools.lru_cache(maxsize=64)
-def _denominator(rows: Callable[[int], dict[int, Poly]], window: int) -> int:
-    """The lcm of the coefficient denominators of the rows |k| <= window that
-    a spec's ``rows`` generates, cached per generator and window."""
-    return over_lcm(c for k in range(-window, window + 1)
-                    for poly in rows(k).values() for c in poly.terms.values())[0]
-
-
 def _scatter(acc: dict, key: tuple[int, int], value) -> None:
     old = acc.get(key)
     acc[key] = value if old is None else old + value
@@ -391,14 +356,15 @@ def _nonzero(acc: dict) -> dict:
 
 def _scan_points(spec: ChainMatrixSpec, points: int, seed: int, reach: int,
                  order: int) -> Iterator[TensorPoint]:
-    """``_lazy_tensor_point``s of ``spec`` at ``points`` random points of one
-    ``random.Random(seed)``, of the least window at which every N (``order``
-    1) or H (``order`` 2) entry with indices in [-reach, reach] evaluates:
-    each order reads rows ``spec.stencil`` further out, and partials one more."""
+    """``TensorPoint``s of ``spec`` over ``RationalPoint.lazy`` of ``points``
+    random points of one ``random.Random(seed)``, of the least window at
+    which every N (``order`` 1) or H (``order`` 2) entry with indices in
+    [-reach, reach] evaluates: each order reads rows ``spec.stencil``
+    further out, and partials one more."""
     rng = random.Random(seed)
     window = reach + order * (spec.stencil + 1)
     for _ in range(points):
-        yield _lazy_tensor_point(spec, random_rational_point(rng, window))
+        yield TensorPoint(spec, random_rational_point(rng, window).lazy())
 
 
 # ---------------------------------------------------------------------------

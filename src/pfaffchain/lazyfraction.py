@@ -7,10 +7,11 @@ two gcds on every operation; here a value is reduced once, by
 residuals, a public return value).  Sums keep denominators small by one
 rule: when one denominator divides the other, the larger one is reused,
 otherwise the two are multiplied.  Every exact kernel starts from values
-over one denominator L (``over_lcm``: ``integrability``'s points, and the
-exact table flows and integer commutator matrices of ``lax``), so every
-product carries a power of L and every sum reuses the larger power:
-denominators grow with the degree of an expression, not its term count.
+over one denominator L (``over_lcm``: ``integrability.RationalPoint.lazy``
+and the exact table flows and integer commutator matrices of ``lax``), so
+every product carries a power of L and every sum reuses the larger power:
+denominators grow with the degree of an expression, not its term count; a
+non-integer coefficient multiplies its own denominator in.
 
 Exact zero means numerator 0, whatever the denominator.  Operands of + - * /
 may be ints, Fractions or LazyFractions on either side; dividing by a zero
@@ -155,10 +156,10 @@ def lazy(x) -> LazyFraction:
     return x if type(x) is LazyFraction else LazyFraction(*parts)
 
 
-def over_lcm(values, denominator: int = 1) -> tuple[int, list[int]]:
-    """L, the lcm of ``denominator`` and the denominators of ``values``, and
-    each value's numerator over L.  Ints go first (most entries of a band
+def over_lcm(values) -> tuple[int, list[int]]:
+    """L, the lcm of the denominators of ``values``, and each value's
+    numerator over L.  Ints go first (most entries of a band
     matrix are the int 0); a float is taken exactly, as ``Fraction(x)``."""
     parts = [(x, 1) if type(x) is int else _parts(x) or _parts(Fraction(x)) for x in values]
-    common = lcm(denominator, *{d for _n, d in parts})
+    common = lcm(*{d for _n, d in parts})
     return common, [n * (common // d) for n, d in parts]

@@ -19,11 +19,14 @@ Gibbons-Tsarev system
                     - (i <-> j)
 
 whose involutivity (equality of mixed third derivatives modulo the closure)
-is what certifies integrability.  Each residual d_k F(i, j) - d_j F(i, k)
-reads one first derivative of each of two closure values, so the check runs
-the closure formulas forward-mode along one direction at a time: over duals
-(value, derivative along R^k) of the jet coordinates, with the closure itself
-supplying the derivatives of the coordinates.
+is what certifies integrability.  The system is written once, as
+``_closure``, which returns the three values of a pair (i, j), the last two
+symmetric in (i, j).  Each residual d_k F(i, j) - d_j F(i, k) reads one
+first derivative of each of two closure values, so the check runs
+``_closure`` forward-mode along one direction R^k at a time, over duals
+(value, derivative along R^k): ``_closure`` of a pair (i, k) supplies the
+derivatives of i's coordinates along R^k, and over those duals it gives the
+residuals' terms.
 
 A ``ReductionJet`` reads N, u^0 and u^1 off ``lam`` and ``u_window``, and
 refuses ``lam``, ``du0`` and ``du1`` unless all three name the directions 1..N.
@@ -46,8 +49,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Mapping
 
-from .integrability import (RationalPoint, TensorPoint, _lazy_tensor_point, paper_chain_spec,
-                            random_rational_point)
+from .integrability import RationalPoint, TensorPoint, paper_chain_spec, random_rational_point
 from .lazyfraction import LazyFraction, lazy
 
 __all__ = [
@@ -98,7 +100,7 @@ class ReductionJet:
 
     @cached_property
     def _rows(self) -> TensorPoint:
-        return _lazy_tensor_point(paper_chain_spec(), self.u_window)
+        return TensorPoint(paper_chain_spec(), self.u_window.lazy())
 
 
 def random_jet(rng: random.Random, n_components: int = 3, window: int = 10) -> ReductionJet:
@@ -125,12 +127,18 @@ def tangent_recursion(jet: ReductionJet, i: int, depth: int) -> dict[int, Fracti
 
     Row k determines the single unknown neighbour (k+1 going up, k-1 going
     down); each step divides by the structural entry a^k_{k+-1} = u^0.
+    ValueError for depth < 1, a direction outside the jet's 1..N or a
+    ``u_window`` narrower than depth + 1.
     """
     return {k: v.fraction() for k, v in _tangent(jet, i, depth).items()}
 
 
 def _tangent(jet: ReductionJet, i: int, depth: int) -> dict[int, LazyFraction]:
     """``tangent_recursion``, unreduced."""
+    if depth < 1:
+        raise ValueError(f"depth={depth} solves no row; need depth >= 1")
+    if i not in jet.lam:
+        raise ValueError(f"direction {i} is not one of the jet's 1..{jet.n_components}")
     if jet.u_window.window < depth + 1:
         raise ValueError(f"u_window must cover |k| <= {depth + 1}")
     lam = lazy(jet.lam[i])
@@ -138,14 +146,10 @@ def _tangent(jet: ReductionJet, i: int, depth: int) -> dict[int, LazyFraction]:
 
     def solve_row(k: int, target: int) -> LazyFraction:
         row = jet._rows.row(k)
-        acc = lam * du[k]
-        for j, coeff in row.items():
-            if j != target:
-                acc -= coeff * du[j]
         pivot = row[target]
         if pivot == 0:
             raise ZeroDivisionError(f"row {k} pivot a^{k}_{target} vanished")
-        return acc / pivot
+        return _row_defect(row, lam, du, k, target) / pivot
 
     du[-1] = solve_row(0, -1)
     if depth >= 2:
@@ -157,15 +161,23 @@ def _tangent(jet: ReductionJet, i: int, depth: int) -> dict[int, LazyFraction]:
     return {k: v for k, v in du.items() if abs(k) <= depth}
 
 
+def _row_defect(row, lam, du, k: int, unknown: int | None = None) -> LazyFraction:
+    """lambda d_i u^k - sum_j a^k_j d_i u^j over the columns j of ``row`` (row
+    k of A) other than ``unknown``."""
+    acc = lam * du[k]
+    for j, coeff in row.items():
+        if j != unknown:
+            acc -= coeff * du[j]
+    return acc
+
+
 def eigen_residual(jet: ReductionJet, i: int, depth: int) -> Fraction:
     """max_k |lambda^i d_i u^k - (A d_i u)^k| over |k| <= depth-1, exact."""
     du = _tangent(jet, i, depth)
     lam = lazy(jet.lam[i])
     worst = Fraction(0)
     for k in range(-(depth - 1), depth):
-        res = lam * du[k]
-        for j, coeff in jet._rows.row(k).items():
-            res -= coeff * du.get(j, 0)
+        res = _row_defect(jet._rows.row(k), lam, du, k)
         if res:
             worst = max(worst, abs(res.fraction()))
     return worst
@@ -176,25 +188,23 @@ def eigen_residual(jet: ReductionJet, i: int, depth: int) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-_COUPLING = Fraction(4)  # the constant in 4 (u^0)^2 of the closure
+_COUPLING = 4  # the constant in 4 (u^0)^2 of the closure
 
 
-def _gt_dlam(lam_i, lam_j, u0, dju0, coupling=_COUPLING):
-    # d_j lambda^i; `coupling` differs from _COUPLING only in the
-    # non-vacuity mutation
-    return (coupling * u0 * u0 - lam_i * lam_j) / (u0 * (lam_i - lam_j)) * dju0
-
-
-def _gt_d2u0(lam_i, lam_j, u0, diu0, dju0):
-    num = lam_i * lam_i + lam_j * lam_j - 2 * _COUPLING * u0 * u0
-    return num / (u0 * (lam_i - lam_j) ** 2) * diu0 * dju0
-
-
-def _gt_d2u1(lam_i, lam_j, u0, diu0, dju0, diu1, dju1):
-    den = u0 * (lam_i - lam_j) ** 2
-    ci = (lam_j - 2 * lam_i) * lam_j + _COUPLING * u0 * u0
-    cj = (lam_i - 2 * lam_j) * lam_i + _COUPLING * u0 * u0
-    return -(ci / den) * diu0 * dju1 - (cj / den) * dju0 * diu1
+def _closure(lam_i, lam_j, u0, diu0, dju0, diu1, dju1, c_lam):
+    """(d_j lambda^i, d_i d_j u^0, d_i d_j u^1) of the Gibbons-Tsarev system
+    for a distinct pair (i, j); the last two are symmetric in (i, j).
+    ``c_lam`` is the constant of the d_j lambda^i formula: ``_COUPLING``
+    except in the non-vacuity mutation."""
+    sq = u0 * u0
+    gap = lam_i - lam_j
+    den = u0 * gap
+    den2 = den * gap
+    dlam = (c_lam * sq - lam_i * lam_j) / den * dju0
+    d2u0 = (lam_i * lam_i + lam_j * lam_j - 2 * _COUPLING * sq) / den2 * diu0 * dju0
+    ci = (lam_j - 2 * lam_i) * lam_j + _COUPLING * sq
+    cj = (lam_i - 2 * lam_j) * lam_i + _COUPLING * sq
+    return dlam, d2u0, -(ci * diu0 * dju1 + cj * dju0 * diu1) / den2
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +214,7 @@ def _gt_d2u1(lam_i, lam_j, u0, diu0, dju0, diu1, dju1):
 
 class _Dual:
     """A value and its derivative along one direction R^k.  The closure
-    formulas combine duals by + - * / and ** and scale them by constants."""
+    formulas combine duals by + - * / and scale them by constants."""
 
     __slots__ = ("v", "d")
 
@@ -232,23 +242,16 @@ class _Dual:
         q = self.v / other.v
         return _Dual(q, (self.d - q * other.d) / other.v)
 
-    def __pow__(self, n: int):
-        return _Dual(self.v ** n, n * self.v ** (n - 1) * self.d)
 
-
-def _coordinates_along(k: int, u0, lam, du0, du1, c_lam):
-    """u^0 and {i: lambda^i}, {i: d_i u^0}, {i: d_i u^1} for i != k as duals
-    along R^k, their derivatives supplied by the closure (d_k of a
-    coordinate of direction k itself is not closed, and no residual reads
-    it); ``c_lam`` is the constant of the d_j lambda^i formula."""
-    others = [i for i in lam if i != k]
-    return (
-        _Dual(u0, du0[k]),
-        {i: _Dual(lam[i], _gt_dlam(lam[i], lam[k], u0, du0[k], c_lam)) for i in others},
-        {i: _Dual(du0[i], _gt_d2u0(lam[k], lam[i], u0, du0[k], du0[i])) for i in others},
-        {i: _Dual(du1[i], _gt_d2u1(lam[k], lam[i], u0, du0[k], du0[i], du1[k], du1[i]))
-         for i in others},
-    )
+def _coordinates_along(k: int, u0, coords, c_lam):
+    """u^0 and, for each direction i != k, i's coordinates (lambda^i, d_i u^0,
+    d_i u^1) of ``coords`` as duals along R^k, their derivatives the closure
+    of the pair (i, k); d_k of k's own is not closed, and no residual reads it."""
+    lam_k, du0_k, du1_k = coords[k]
+    return _Dual(u0, du0_k), {
+        i: tuple(map(_Dual, (lam_i, du0_i, du1_i),
+                     _closure(lam_i, lam_k, u0, du0_i, du0_k, du1_i, du1_k, c_lam)))
+        for i, (lam_i, du0_i, du1_i) in coords.items() if i != k}
 
 
 def gt_involutivity(jet: ReductionJet,
@@ -270,32 +273,20 @@ def gt_involutivity(jet: ReductionJet,
     if len(jet.lam) != 3:
         raise ValueError("involutivity check uses exactly three components")
     c_lam = lazy(_COUPLING if mutate_dlam is None else mutate_dlam)
-    lam = {i: lazy(v) for i, v in jet.lam.items()}
-    du0 = {i: lazy(v) for i, v in jet.du0.items()}
-    du1 = {i: lazy(v) for i, v in jet.du1.items()}
-    along = {k: _coordinates_along(k, lazy(jet.u0), lam, du0, du1, c_lam)
-             for k in (1, 2, 3)}
+    coords = {i: (lazy(jet.lam[i]), lazy(jet.du0[i]), lazy(jet.du1[i])) for i in (1, 2, 3)}
+    along = {k: _coordinates_along(k, lazy(jet.u0), coords, c_lam) for k in (1, 2, 3)}
 
-    def dlam(i, j, k):  # d_k d_j lambda^i
-        u0, lam, du0, _du1 = along[k]
-        return _gt_dlam(lam[i], lam[j], u0, du0[j], c_lam).d
-
-    def d2u0(i, j, k):  # d_k d_i d_j u^0
-        u0, lam, du0, _du1 = along[k]
-        return _gt_d2u0(lam[i], lam[j], u0, du0[i], du0[j]).d
-
-    def d2u1(i, j, k):  # d_k d_i d_j u^1
-        u0, lam, du0, du1 = along[k]
-        return _gt_d2u1(lam[i], lam[j], u0, du0[i], du0[j], du1[i], du1[j]).d
+    def closure_along(k, i, j):  # d_k of the closure values of the pair (i, j)
+        u0, duals = along[k]
+        (lam_i, du0_i, du1_i), (lam_j, du0_j, du1_j) = duals[i], duals[j]
+        return [v.d for v in _closure(lam_i, lam_j, u0, du0_i, du0_j, du1_i, du1_j, c_lam)]
 
     residuals: dict[str, Fraction] = {}
     for i, j, k in ((1, 2, 3), (2, 3, 1), (3, 1, 2)):
-        residuals[f"lambda^{i}: d{k}d{j} - d{j}d{k}"] = (
-            dlam(i, j, k) - dlam(i, k, j)).fraction()
-        residuals[f"u0: d{k}d{i}d{j} - d{j}d{i}d{k}"] = (
-            d2u0(i, j, k) - d2u0(i, k, j)).fraction()
-        residuals[f"u1: d{k}d{i}d{j} - d{j}d{i}d{k}"] = (
-            d2u1(i, j, k) - d2u1(i, k, j)).fraction()
+        names = (f"lambda^{i}: d{k}d{j} - d{j}d{k}", f"u0: d{k}d{i}d{j} - d{j}d{i}d{k}",
+                 f"u1: d{k}d{i}d{j} - d{j}d{i}d{k}")
+        for name, a, b in zip(names, closure_along(k, i, j), closure_along(j, i, k)):
+            residuals[name] = (a - b).fraction()
     return residuals
 
 

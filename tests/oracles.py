@@ -1,7 +1,8 @@
-"""Reference routes that more than one test file checks the package against:
-the projection onto the lower-triangular factor of the splitting, the
-band-state JSON form, the slot-by-slot random band state, the band-by-band
-sum of the flow tables and the closed-form bands of the Gaussian orbit."""
+"""Reference routes that tests check the package against: the projection
+onto the lower-triangular factor of the splitting, the band-state JSON form,
+the slot-by-slot random band state, the band-by-band sum of the flow tables,
+the closed-form bands of the Gaussian orbit and the printed Gibbons-Tsarev
+system."""
 
 import math
 from collections.abc import Mapping
@@ -104,12 +105,30 @@ def flow_band_by_band(b: LaxBands, flow_k: int, even: bool) -> np.ndarray:
     return sums
 
 
-def gaussian_orbit_band(k: int, n: int) -> float:
+def gaussian_orbit_band(k: int, n: int, sqrt=math.sqrt):
     """w^k_n of the zero-coupling (t = 0) Lax matrix in closed form:
     w^0_n = sqrt(n (2n - 1) / 2) = -w^-2_n, w^-1_n = 1/2, w^k_n = 0 below
     k = -2, and w^k_n = sqrt(4 (n)_k / (n - 1/2)_k) for k >= 1, with (a)_k
-    the rising factorial a (a + 1) ... (a + k - 1)."""
+    the rising factorial a (a + 1) ... (a + k - 1).  The square is an exact
+    Fraction; ``sqrt`` takes it to the returned number type."""
     if k >= 1:
-        return math.sqrt(4 * math.prod((n + i) / (n - 0.5 + i) for i in range(k)))
-    w0 = math.sqrt(n * (2 * n - 1) / 2)
-    return {0: w0, -1: 0.5, -2: -w0}.get(k, 0.0)
+        square = 4 * math.prod(Fraction(n + i) / (n - Fraction(1, 2) + i) for i in range(k))
+    else:
+        square = {0: Fraction(n * (2 * n - 1), 2), -1: Fraction(1, 4),
+                  -2: Fraction(n * (2 * n - 1), 2)}.get(k, Fraction(0))
+    return -sqrt(square) if k == -2 else sqrt(square)
+
+
+def gibbons_tsarev(lam_i, lam_j, u0, diu0, dju0, diu1, dju1, c_lam=4):
+    """d_j lambda^i, d_i d_j u^0 and d_i d_j u^1 for a distinct pair (i, j),
+    formula by formula as ``reductions`` prints the Gibbons-Tsarev system,
+    with the constant ``c_lam`` in place of the 4 of d_j lambda^i only.  The
+    "- (i <-> j)" of d_i d_j u^1 subtracts its printed term with i and j
+    swapped, so the value is symmetric in (i, j)."""
+    def u1_term(lam_i, lam_j, diu0, dju1):
+        return ((lam_j - 2 * lam_i) * lam_j + 4 * u0 ** 2) / (u0 * (lam_i - lam_j) ** 2) \
+            * diu0 * dju1
+
+    return ((c_lam * u0 ** 2 - lam_i * lam_j) / (u0 * (lam_i - lam_j)) * dju0,
+            (lam_i ** 2 + lam_j ** 2 - 8 * u0 ** 2) / (u0 * (lam_i - lam_j) ** 2) * diu0 * dju0,
+            -u1_term(lam_i, lam_j, diu0, dju1) - u1_term(lam_j, lam_i, dju0, diu1))

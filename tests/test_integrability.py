@@ -2,6 +2,7 @@ import collections
 import functools
 import gc
 import itertools
+import math
 import random
 import weakref
 from fractions import Fraction
@@ -386,35 +387,44 @@ def _eleventh_spec():
 
 
 # Largest denominator, in bits, of any N^i_jk or H^i_jk with |i| <= 10 over
-# the lazy point, whose common denominator L takes in the spec's coefficient
-# denominators.  Every denominator is a power of L.  The point's own
-# denominators divide lcm(1..7) = 420 (9 bits): N carries at most L^3 (27
-# bits) and H at most L^7 (61 bits).  With the 1/11 coefficient L = 4620 (13
-# bits) and H reaches L^9 (110 bits); before the coefficient denominators
-# were folded into L, seeds 0-19 reached 51-168 bits.  All bounds are reached.
+# the lazy point, whose values share one denominator L.  The point's own
+# denominators divide lcm(1..7) = 420 (9 bits): on the integer-coefficient
+# specs every denominator is a power of L, N carries at most L^3 (27 bits)
+# and H at most L^7 (61 bits).  A 1/11 coefficient multiplies its 11 in as
+# it is, so there every denominator divides a power of 11 L, and H reaches
+# 168 bits.  All bounds are reached.
+def _divides_a_power_of(d: int, base: int) -> bool:
+    while (g := math.gcd(d, base)) > 1:
+        d //= g
+    return d == 1
+
+
 def _is_power_of(d: int, base: int) -> bool:
     while d % base == 0:
         d //= base
     return d == 1
 
 
-@pytest.mark.parametrize("spec, max_bits", [
-    (SPEC, 27),
-    (spec_with_overrides(SPEC, {"0,1": [["1", [0]]]}), 61),
-    (_eleventh_spec(), 110),
+@pytest.mark.parametrize("spec, coefficient_denominator, max_bits", [
+    (SPEC, 1, 27),
+    (spec_with_overrides(SPEC, {"0,1": [["1", [0]]]}), 1, 61),
+    (_eleventh_spec(), 11, 168),
 ], ids=["paper", "a01=u0", "a01=u0^2/11"])
-def test_lazy_haantjes_rows_equal_the_fraction_rows(spec, max_bits):
+def test_lazy_haantjes_rows_equal_the_fraction_rows(spec, coefficient_denominator, max_bits):
     window = 10
     lazy_ev, = _scan_points(spec, 1, 0, window, 2)  # haantjes_scan's first point at seed 0
     exact_ev = TensorPoint(spec, _point(0, lazy_ev.point.window))
-    common = lazy_ev.point.common
+    common, = {v.d for v in lazy_ev.point.values.values()}
     bits = 0
     for i in range(-window, window + 1):
         row = lazy_ev.haantjes_row(i)
         assert {jk: v.fraction() for jk, v in row.items()} == exact_ev.haantjes_row(i)
         for v in [*row.values(), *lazy_ev.nijenhuis_row(i).values()]:
             bits = max(bits, v.d.bit_length())
-            assert _is_power_of(v.d, common)
+            if coefficient_denominator == 1:
+                assert _is_power_of(v.d, common)
+            else:
+                assert _divides_a_power_of(v.d, coefficient_denominator * common)
     assert bits == max_bits
 
 

@@ -4,6 +4,7 @@ import math
 import random
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.linalg import block_diag
@@ -1037,6 +1038,45 @@ def test_initial_bands_follow_the_closed_form_orbit(sites, slots):
     for (k, n), value in b.w.items():
         want = gaussian_orbit_band(k, n)
         assert abs(value - want) <= 1e-6 * max(1.0, abs(want)), (k, n)
+
+
+DPS = 40
+
+
+def _orbit_band_to_dps(k: int, n: int, depth: int) -> Fraction:
+    """``gaussian_orbit_band`` rounded to DPS digits by mpmath and taken
+    exactly as a Fraction; the bands beyond +-depth read 0."""
+    def sqrt(square: Fraction) -> Fraction:
+        with mpmath.workdps(DPS):
+            root = mpmath.sqrt(mpmath.mpf(square.numerator) / square.denominator)
+        return int(root.man) * Fraction(2) ** int(root.exp)
+
+    return gaussian_orbit_band(k, n, sqrt) if abs(k) <= depth else Fraction(0)
+
+
+@pytest.mark.parametrize("n", [10, 10 ** 5])
+def test_the_even_t2_tables_move_the_gaussian_orbit_by_its_scaling_law(n):
+    # Along t2 alone the Gaussian ensemble's Lax matrix rescales as
+    # L(t2)_ij = s^(1 + p_i - p_j) L(0)_ij, s = (1 - 2 t2)^(-1/2) and p the
+    # index parity, so at t2 = 0 a w slot moves as 2 w on bands -2..0 and
+    # stays put on every other band.  On the depth-4 closed-form state, given
+    # to 40 digits, the exact tables must say so at every n; their
+    # right-hand side amplifies input error by about n^2, hence the budget.
+    # The largest error is 1.2e-39 at n = 10 and 1.2e-31 at n = 1e5.  Band
+    # +depth is left out: it reads w^(depth+1), which the truncation sets to
+    # 0, and moves as -5 w.
+    depth = 4
+
+    def w(factor):
+        _kind, band, offset = factor
+        return _orbit_band_to_dps(band, n + offset, depth)
+
+    largest = max(abs(w(("w", k, 0))) for k in range(-depth, depth + 1))
+    budget = Fraction(10) ** -DPS * n ** 2 * largest
+    for k in range(-depth, depth):
+        want = 2 * w(("w", k, 0)) if -2 <= k <= 0 else 0
+        assert abs(flow_terms(2, "w", k, even=True).eval(w) - want) <= budget, k
+    assert abs(flow_terms(2, "w", depth, even=True).eval(w) + 5 * w(("w", depth, 0))) <= budget
 
 
 @pytest.mark.parametrize("t", [{}, {2: -0.1}, {1: 0.2, 4: -0.02}],

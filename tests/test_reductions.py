@@ -10,10 +10,8 @@ from pfaffchain.lazyfraction import lazy
 from pfaffchain.reductions import (
     DegenerateSpeedsError,
     ReductionJet,
+    _closure,
     _coordinates_along,
-    _gt_d2u0,
-    _gt_d2u1,
-    _gt_dlam,
     eigen_residual,
     gt_involutivity,
     involutivity_report,
@@ -21,12 +19,14 @@ from pfaffchain.reductions import (
     tangent_recursion,
 )
 
+from oracles import gibbons_tsarev
+
 F = Fraction
 
 
 # ---------------------------------------------------------------------------
-# oracles: the closure values, and involutivity by forward mode over all
-# directions at once on reduced Fractions
+# oracles: the closure values of the printed system, and involutivity by
+# forward mode over all directions at once on reduced Fractions
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -44,14 +44,10 @@ def gt_rhs(jet: ReductionJet, i: int, j: int) -> GTDerivatives:
     li, lj = jet.lam[i], jet.lam[j]
     if li == lj:
         raise DegenerateSpeedsError(f"lambda^{i} == lambda^{j}")
-    u0 = jet.u0
-    return GTDerivatives(
-        dlam_ij=_gt_dlam(li, lj, u0, jet.du0[j]),
-        dlam_ji=_gt_dlam(lj, li, u0, jet.du0[i]),
-        d2u0_ij=_gt_d2u0(li, lj, u0, jet.du0[i], jet.du0[j]),
-        d2u1_ij=_gt_d2u1(li, lj, u0, jet.du0[i], jet.du0[j],
-                         jet.du1[i], jet.du1[j]),
-    )
+    dlam_ij, d2u0_ij, d2u1_ij = gibbons_tsarev(li, lj, jet.u0, jet.du0[i], jet.du0[j],
+                                               jet.du1[i], jet.du1[j])
+    dlam_ji = gibbons_tsarev(lj, li, jet.u0, jet.du0[j], jet.du0[i], jet.du1[j], jet.du1[i])[0]
+    return GTDerivatives(dlam_ij=dlam_ij, dlam_ji=dlam_ji, d2u0_ij=d2u0_ij, d2u1_ij=d2u1_ij)
 
 
 class JetNum:
@@ -130,35 +126,28 @@ class JetNum:
 
 def _oracle_involutivity(jet: ReductionJet, c_lam: Fraction) -> dict[str, Fraction]:
     """``gt_involutivity`` over JetNum coordinates carrying every direction's
-    closure-supplied derivative at once; ``c_lam`` is the constant of the
-    d_j lambda^i formula."""
+    derivative at once, each the printed system's value (``c_lam`` is the
+    constant of its d_j lambda^i formula)."""
     idx = (1, 2, 3)
+
+    def printed(i, j):  # the closure values of the pair (i, j) at the jet
+        return gibbons_tsarev(jet.lam[i], jet.lam[j], jet.u0, jet.du0[i], jet.du0[j],
+                              jet.du1[i], jet.du1[j], c_lam)
+
     u0 = JetNum(jet.u0, tuple(jet.du0[k] for k in idx))
-    lam = {i: JetNum(jet.lam[i], tuple(
-        None if k == i else _gt_dlam(jet.lam[i], jet.lam[k], jet.u0, jet.du0[k], c_lam)
-        for k in idx)) for i in idx}
-    du0 = {j: JetNum(jet.du0[j], tuple(
-        None if k == j else _gt_d2u0(jet.lam[k], jet.lam[j], jet.u0, jet.du0[k], jet.du0[j])
-        for k in idx)) for j in idx}
-    du1 = {j: JetNum(jet.du1[j], tuple(
-        None if k == j else _gt_d2u1(jet.lam[k], jet.lam[j], jet.u0, jet.du0[k],
-                                     jet.du0[j], jet.du1[k], jet.du1[j])
-        for k in idx)) for j in idx}
+    lam, du0, du1 = ({i: JetNum(values[i], tuple(None if k == i else printed(i, k)[n]
+                                                 for k in idx)) for i in idx}
+                     for n, values in enumerate((jet.lam, jet.du0, jet.du1)))
 
-    def dlam(i, j):
-        return _gt_dlam(lam[i], lam[j], u0, du0[j], c_lam)
-
-    def d2u0(i, j):
-        return _gt_d2u0(lam[i], lam[j], u0, du0[i], du0[j])
-
-    def d2u1(i, j):
-        return _gt_d2u1(lam[i], lam[j], u0, du0[i], du0[j], du1[i], du1[j])
+    def d(i, j):  # the closure values of the pair (i, j) over the JetNums
+        return gibbons_tsarev(lam[i], lam[j], u0, du0[i], du0[j], du1[i], du1[j], c_lam)
 
     residuals = {}
     for i, j, k in ((1, 2, 3), (2, 3, 1), (3, 1, 2)):
-        residuals[f"lambda^{i}: d{k}d{j} - d{j}d{k}"] = dlam(i, j).slot(k) - dlam(i, k).slot(j)
-        residuals[f"u0: d{k}d{i}d{j} - d{j}d{i}d{k}"] = d2u0(i, j).slot(k) - d2u0(i, k).slot(j)
-        residuals[f"u1: d{k}d{i}d{j} - d{j}d{i}d{k}"] = d2u1(i, j).slot(k) - d2u1(i, k).slot(j)
+        names = (f"lambda^{i}: d{k}d{j} - d{j}d{k}", f"u0: d{k}d{i}d{j} - d{j}d{i}d{k}",
+                 f"u1: d{k}d{i}d{j} - d{j}d{i}d{k}")
+        for name, a, b in zip(names, d(i, j), d(i, k)):
+            residuals[name] = a.slot(k) - b.slot(j)
     return residuals
 
 
@@ -235,6 +224,19 @@ def test_recursion_window_requirement():
         tangent_recursion(jet, 1, 6)
 
 
+@pytest.mark.parametrize("call, value", [
+    (lambda jet: eigen_residual(jet, 1, 0), "depth=0"),
+    (lambda jet: eigen_residual(jet, 1, -3), "depth=-3"),
+    (lambda jet: tangent_recursion(jet, 1, -2), "depth=-2"),
+    (lambda jet: eigen_residual(jet, 4, 3), "direction 4 "),
+    (lambda jet: tangent_recursion(jet, 0, 3), "direction 0 "),
+], ids=["eigen depth 0", "eigen depth -3", "tangent depth -2", "direction 4", "direction 0"])
+def test_a_depth_below_1_or_a_direction_outside_1_to_n_is_refused(call, value):
+    # a depth below 1 solves no row, so its residual 0 would read as a pass
+    with pytest.raises(ValueError, match=value):
+        call(random_jet(random.Random(6), 3))
+
+
 def test_degenerate_speeds_rejected():
     rng = random.Random(7)
     jet = random_jet(rng, 3)
@@ -305,6 +307,17 @@ def test_gt_rejects_equal_indices():
         gt_rhs(jet, 2, 2)
 
 
+@pytest.mark.parametrize("c_lam", [4, 3, 5])
+def test_the_closure_is_the_printed_system(c_lam):
+    rng = random.Random(19)
+    for _ in range(100):
+        jet = random_jet(rng, 3)
+        for i, j in itertools.permutations((1, 2, 3), 2):
+            args = (jet.lam[i], jet.lam[j], jet.u0, jet.du0[i], jet.du0[j], jet.du1[i], jet.du1[j])
+            got = _closure(*map(lazy, args), lazy(c_lam))
+            assert [v.fraction() for v in got] == list(gibbons_tsarev(*args, c_lam)), (i, j)
+
+
 # ---------------------------------------------------------------------------
 # involutivity
 # ---------------------------------------------------------------------------
@@ -363,12 +376,14 @@ def _semi_hamiltonian_residuals(jet: ReductionJet, coupling: Fraction) -> list[F
     - lambda^i)) for the six ordered triples (i, j, k), each d_k taken over
     the closure's duals along R^k with ``coupling`` in d_j lambda^i."""
     c = lazy(coupling)
-    lam, du0, du1 = ({i: lazy(v) for i, v in d.items()} for d in (jet.lam, jet.du0, jet.du1))
-    along = {k: _coordinates_along(k, lazy(jet.u0), lam, du0, du1, c) for k in (1, 2, 3)}
+    coords = {i: (lazy(jet.lam[i]), lazy(jet.du0[i]), lazy(jet.du1[i])) for i in (1, 2, 3)}
+    along = {k: _coordinates_along(k, lazy(jet.u0), coords, c) for k in (1, 2, 3)}
 
     def d(k, i, j):  # d_k (d_j lambda^i / (lambda^j - lambda^i))
-        u0, lam_k, du0_k, _du1_k = along[k]
-        return (_gt_dlam(lam_k[i], lam_k[j], u0, du0_k[j], c) / (lam_k[j] - lam_k[i])).d
+        u0, duals = along[k]
+        (lam_i, du0_i, du1_i), (lam_j, du0_j, du1_j) = duals[i], duals[j]
+        dlam = _closure(lam_i, lam_j, u0, du0_i, du0_j, du1_i, du1_j, c)[0]
+        return (dlam / (lam_j - lam_i)).d
 
     return [(d(k, i, j) - d(j, i, k)).fraction()
             for i, j, k in itertools.permutations((1, 2, 3))]
