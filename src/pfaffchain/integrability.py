@@ -18,13 +18,17 @@ any user-supplied chain-class matrix.
 
 ``TensorPoint`` computes over whatever values its point supplies: Fractions,
 Polys (a symbolic point) or, in the scans ``haantjes_scan`` and
-``nijenhuis_oracle_check``, unreduced ``lazyfraction.LazyFraction``s over
-one common denominator L (``RationalPoint.lazy``).  Every product then
-carries a power of L and every sum reuses the larger power, so no operation
-pays a gcd; a non-integer spec coefficient multiplies its own denominator
-in.  A value is reduced to a Fraction once, where it leaves the scan as a
-report string; an exact zero is a numerator 0, and zero entries are dropped
-from every row.
+``nijenhuis_oracle_check``, plain ints.  A scan point's values share one
+denominator L, u^p = n_p / L, and the spec's rows are rewritten once per
+point as integer polynomials at one scale (``_IntegerRows``): with D the
+largest monomial degree (at least 1) and C the lcm of the coefficient
+denominators over the rows the scan can read, a term c u^{p_1}..u^{p_d}
+becomes c C L^(D-d) n_{p_1}..n_{p_d}.  At the numerators n_p a row entry
+then evaluates to a^k_j S with S = C L^D, a partial by n_p to d_p a^k_j S/L,
+so N^i_jk carries S^2/L and H^i_jk S^4/L, and no operation pays a gcd.  A
+value is reduced once, ``Fraction(value, scale)``, where it enters a report;
+an exact zero is the int 0, and zero entries are dropped from the N and H
+rows.
 
 Every per-point table of a ``TensorPoint`` follows one memo rule
 (``_Memo``): a missing row is built on first read and kept.  A build
@@ -59,7 +63,8 @@ import random
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, Mapping
+from math import lcm
+from typing import Callable, Iterator, Mapping, NamedTuple
 
 from .lax import chain_matrix_terms
 from .lazyfraction import LazyFraction, over_lcm
@@ -354,17 +359,85 @@ def _nonzero(acc: dict) -> dict:
     return {key: v for key, v in acc.items() if v}
 
 
+class _IntegerRows:
+    """The rows of ``spec`` as integer polynomials, one scale per point.
+
+    Over the rows |k| <= ``window``, the scan's point window, ``degree`` D
+    is the largest monomial degree, at least 1 so that a partial's scale S/L
+    is an integer, and ``denominator`` C the lcm of the coefficient
+    denominators.  ``at(L)`` is the spec whose term
+    c u^{p_1}..u^{p_d} has the int coefficient c C L^(D-d): at the
+    numerators n_p = L u^p its entry is a^k_j S, S = C L^D, exactly.  A row
+    of degree above D or with a coefficient denominator that does not divide
+    C (one outside the range, say) raises ValueError: it has no value at
+    that scale.
+    """
+
+    def __init__(self, spec: ChainMatrixSpec, window: int):
+        self.spec = spec
+        polys = [poly for k in range(-window, window + 1) for poly in spec.rows(k).values()]
+        self.degree = max([1] + [len(mono) for poly in polys for mono in poly.terms])
+        self.denominator = lcm(*(c.denominator for poly in polys for c in poly.terms.values()))
+        self._window = window
+        self._terms = _Memo(self._integer_terms)
+
+    def _integer_terms(self, k: int) -> dict[int, tuple[tuple[tuple, int, int], ...]]:
+        """{j: ((monomial, c C, D - d), ...)} of row k, its zero entries dropped."""
+        out = {}
+        for j, poly in self.spec.rows(k).items():
+            terms = []
+            for mono, c in poly.terms.items():
+                if len(mono) > self.degree or self.denominator % c.denominator:
+                    raise ValueError(
+                        f"spec row {k}, column {j}: the term {c} at u^{list(mono)} has no "
+                        f"integer value at the scale C L^D with C = {self.denominator}, "
+                        f"D = {self.degree}, set by the rows |k| <= {self._window}")
+                terms.append((mono, c.numerator * (self.denominator // c.denominator),
+                              self.degree - len(mono)))
+            if terms:
+                out[j] = tuple(terms)
+        return out
+
+    def at(self, common: int) -> ChainMatrixSpec:
+        """The spec with every row at the scale C common^D."""
+        powers = [common ** e for e in range(self.degree + 1)]
+        terms = self._terms
+
+        def rows(k: int) -> dict[int, Poly]:
+            return {j: Poly._of({mono: c * powers[e] for mono, c, e in row})
+                    for j, row in terms[k].items()}
+
+        return ChainMatrixSpec(name=self.spec.name, rows=rows, stencil=self.spec.stencil)
+
+
+class _ScanPoint(NamedTuple):
+    """One scan point: the exact ``point`` and ``tensors``, the spec at it in
+    ints.  a^k_j is ``tensors.entry(k, j)`` / ``scale`` (S = C L^D, with L =
+    ``common`` the lcm of the point's denominators); a partial carries S/L,
+    N^i_jk S^2/L and H^i_jk S^4/L."""
+
+    point: RationalPoint
+    tensors: TensorPoint
+    scale: int
+    common: int
+
+
 def _scan_points(spec: ChainMatrixSpec, points: int, seed: int, reach: int,
-                 order: int) -> Iterator[TensorPoint]:
-    """``TensorPoint``s of ``spec`` over ``RationalPoint.lazy`` of ``points``
-    random points of one ``random.Random(seed)``, of the least window at
-    which every N (``order`` 1) or H (``order`` 2) entry with indices in
-    [-reach, reach] evaluates: each order reads rows ``spec.stencil``
-    further out, and partials one more."""
+                 order: int) -> Iterator[_ScanPoint]:
+    """``_ScanPoint``s of ``spec`` at ``points`` random points of one
+    ``random.Random(seed)``, of the least window at which every N (``order``
+    1) or H (``order`` 2) entry with indices in [-reach, reach] evaluates:
+    each order reads rows ``spec.stencil`` further out, and partials one
+    more."""
     rng = random.Random(seed)
     window = reach + order * (spec.stencil + 1)
+    integer_rows = _IntegerRows(spec, window)
     for _ in range(points):
-        yield TensorPoint(spec, random_rational_point(rng, window).lazy())
+        point = random_rational_point(rng, window)
+        common, numerators = over_lcm(point.values.values())
+        integers = RationalPoint(values=dict(zip(point.values, numerators)), window=window)
+        yield _ScanPoint(point, TensorPoint(integer_rows.at(common), integers),
+                         integer_rows.denominator * common ** integer_rows.degree, common)
 
 
 # ---------------------------------------------------------------------------
@@ -449,20 +522,27 @@ def nijenhuis_oracle_check(points: int = 5, seed: int = 0) -> dict:
     random points drawn from one ``random.Random(seed)``.
 
     Scans |i| <= 6 and |j|, |k| <= 8; entries absent from the printed table
-    must evaluate to the exact integer 0.  Both sides are evaluated at
-    ``point.lazy()``; a mismatch is reported as reduced Fraction strings.
+    must evaluate to the exact integer 0.  The printed table is evaluated at
+    the Fraction point, the engine in ints (``_scan_points``); an engine
+    value is reduced once, over its scale S^2/L, and a mismatch is reported
+    as reduced Fraction strings.
     """
     if points < 1:
         raise ValueError(f"points={points} checks nothing; need points >= 1")
     mismatches = []
     checked = 0
-    for ev in _scan_points(paper_chain_spec(), points, seed, 8, 1):
+    pairs = set(itertools.combinations(range(-8, 9), 2))
+    for point, ev, scale, common in _scan_points(paper_chain_spec(), points, seed, 8, 1):
+        n_scale = scale * scale // common
         for i in range(-6, 7):
-            table = appendix_nijenhuis_table(i, ev.point)
-            for j, k in itertools.combinations(range(-8, 9), 2):
+            table = appendix_nijenhuis_table(i, point)
+            row = ev.nijenhuis_row(i)
+            checked += len(pairs)
+            # a pair in neither the printed table nor the engine row is 0 on both sides
+            for j, k in sorted(pairs.intersection((min(jk), max(jk)) for jk in (*table, *row))):
                 expected = _expected_nijenhuis(table, j, k)
-                got = ev.nijenhuis(i, j, k)
-                checked += 1
+                got = row.get((j, k))
+                got = Fraction(got, n_scale) if got else _ZERO
                 if got != expected:
                     mismatches.append({"entry": [i, j, k], "engine": str(got),
                                        "printed": str(expected)})
@@ -476,22 +556,24 @@ def haantjes_scan(window: int = 6, points: int = 50, seed: int = 0,
 
     Returns the JSON-ready report; ``haantjes_nonzero`` empty means the
     diagonalisability test passed (exact zeros, no tolerance).  Each point
-    is evaluated over one common denominator (``RationalPoint.lazy``) and a
-    nonzero entry is reduced once, for its report string.
+    is evaluated in ints at one scale (``_scan_points``) and a nonzero entry
+    is reduced once, over its scale S^4/L, for its report string.
     """
     if window < 0 or points < 1:
         raise ValueError(f"window {window} and points {points} check nothing; "
                          f"need window >= 0 and points >= 1")
     spec = spec or paper_chain_spec()
     nonzero = []
-    for p_idx, ev in enumerate(_scan_points(spec, points, seed, window, 2)):
+    for p_idx, (_point, ev, scale, common) in enumerate(
+            _scan_points(spec, points, seed, window, 2)):
+        h_scale = scale ** 4 // common
         for i in range(-window, window + 1):
             for (j, k), val in sorted(ev.haantjes_row(i).items()):
                 if -window <= j <= k <= window:
                     nonzero.append({
                         "entry": [i, j, k],
                         "point_index": p_idx,
-                        "value": str(val),
+                        "value": str(Fraction(val, h_scale)),
                     })
     return {
         "spec": spec.name,

@@ -6,12 +6,15 @@ two gcds on every operation; here a value is reduced once, by
 ``fraction()``, where it leaves the kernel (a report string, a max over
 residuals, a public return value).  Sums keep denominators small by one
 rule: when one denominator divides the other, the larger one is reused,
-otherwise the two are multiplied.  Every exact kernel starts from values
-over one denominator L (``over_lcm``: ``integrability.RationalPoint.lazy``
-and the exact table flows and integer commutator matrices of ``lax``), so
-every product carries a power of L and every sum reuses the larger power:
+otherwise the two are multiplied.  Every kernel on LazyFractions starts
+from values over one denominator L (``over_lcm``: the exact table flows and
+integer commutator matrices of ``lax``, and ``integrability.RationalPoint.lazy``,
+at which the reduction jets of ``reductions`` read the chain rows), so every
+product carries a power of L and every sum reuses the larger power:
 denominators grow with the degree of an expression, not its term count; a
-non-integer coefficient multiplies its own denominator in.
+non-integer coefficient multiplies its own denominator in.  The Haantjes and
+Nijenhuis scans of ``integrability`` take only L and the numerators from
+``over_lcm`` and run on plain ints at one scale.
 
 Exact zero means numerator 0, whatever the denominator.  Operands of + - * /
 may be ints, Fractions or LazyFractions on either side; dividing by a zero

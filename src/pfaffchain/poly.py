@@ -151,8 +151,9 @@ class Poly:
 
 
 def _accumulate(out: dict[Monomial, Fraction], mono: Monomial, c: Fraction) -> None:
-    """out[mono] += c, dropping the entry when the sum is zero."""
-    s = out.get(mono, _ZERO) + c
+    """out[mono] += c, dropping the entry when the sum is zero; a first
+    coefficient is kept as it is, so int coefficients stay ints."""
+    s = out[mono] + c if mono in out else c
     if s:
         out[mono] = s
     else:

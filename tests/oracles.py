@@ -1,8 +1,8 @@
 """Reference routes that tests check the package against: the projection
 onto the lower-triangular factor of the splitting, the band-state JSON form,
 the slot-by-slot random band state, the band-by-band sum of the flow tables,
-the closed-form bands of the Gaussian orbit and the printed Gibbons-Tsarev
-system."""
+the closed-form bands of the Gaussian orbit, the printed Gibbons-Tsarev
+system and the even chain's conserved densities."""
 
 import math
 from collections.abc import Mapping
@@ -11,6 +11,7 @@ from fractions import Fraction
 import numpy as np
 
 from pfaffchain.lax import LaxBands, _block_mask, _minus_reflected, flow_terms
+from pfaffchain.poly import Poly
 
 
 def project_t(A: np.ndarray) -> np.ndarray:
@@ -132,3 +133,16 @@ def gibbons_tsarev(lam_i, lam_j, u0, diu0, dju0, diu1, dju1, c_lam=4):
     return ((c_lam * u0 ** 2 - lam_i * lam_j) / (u0 * (lam_i - lam_j)) * dju0,
             (lam_i ** 2 + lam_j ** 2 - 8 * u0 ** 2) / (u0 * (lam_i - lam_j) ** 2) * diu0 * dju0,
             -u1_term(lam_i, lam_j, diu0, dju1) - u1_term(lam_j, lam_i, dju0, diu1))
+
+
+def chain_density(j: int) -> Poly:
+    """h_j for j in {2, 4}, a conserved density of the even chain: the
+    lattice density rho_j(n) = (L^j)_{2n-1,2n-1} + (L^j)_{2n,2n} with every
+    site offset set to 0, over the chain components u^p as variables p."""
+    u = Poly.u
+    if j == 2:
+        return 2 * (u(-1) + u(0) * u(1))
+    if j == 4:
+        return (4 * u(-2) * u(0) + 2 * u(-1) * u(-1) + 8 * u(-1) * u(0) * u(1)
+                + 2 * u(0) * u(0) * u(1) * u(1) + 4 * u(0) * u(0) * u(2))
+    raise ValueError(f"no density h_{j} here; j is 2 or 4")

@@ -26,6 +26,8 @@ from pfaffchain.integrability import (
     spec_with_overrides,
 )
 
+from oracles import chain_density
+
 F = Fraction
 SPEC = paper_chain_spec()
 
@@ -211,7 +213,8 @@ def test_scan_points_have_the_least_window_that_evaluates_every_entry(order, rea
     # the paper rows reach one column and one component further per order,
     # so the window rule is tight: one component less fails at row +-reach
     rows = {1: "nijenhuis_row", 2: "haantjes_row"}[order]
-    ev, = _scan_points(SPEC, 1, 14, reach, order)
+    scan, = _scan_points(SPEC, 1, 14, reach, order)
+    ev = scan.tensors
     assert ev.point.window == reach + 2 * order
     smaller = TensorPoint(SPEC, _point(14, ev.point.window - 1))
     for i in range(-reach, reach + 1):
@@ -247,6 +250,11 @@ def _control_spec(name, stencil, row):
         for k in range(-9, 10)}})
 
 
+def _constant_spec():
+    return _control_spec("constant-control", 1,
+                         lambda k: {k - 1: (2, []), k: (k, []), k + 1: (3, [])})
+
+
 def test_diagonal_control_spec_vanishes():
     # diagonal rows a^k_k = (k+2) u^k: trivially diagonalisable
     spec = _control_spec("diagonal-control", 0, lambda k: {k: (k + 2, [k])})
@@ -256,8 +264,7 @@ def test_diagonal_control_spec_vanishes():
 
 def test_constant_control_spec_tensors_vanish():
     # constant coefficients: both tensors vanish identically
-    spec = _control_spec("constant-control", 1,
-                         lambda k: {k - 1: (2, []), k: (k, []), k + 1: (3, [])})
+    spec = _constant_spec()
     point = _point(11)
     ev = TensorPoint(spec, point)
     for i in range(-3, 4):
@@ -266,6 +273,28 @@ def test_constant_control_spec_tensors_vanish():
                 assert ev.nijenhuis(i, j, k) == 0
     report = haantjes_scan(window=3, points=1, seed=3, spec=spec)
     assert report["haantjes_nonzero"] == []
+
+
+def _asymmetric_pairs(spec: ChainMatrixSpec, h: Poly, reach: int = 5) -> int:
+    """Ordered pairs (i, j), |i|, |j| <= reach, with dF_j/du^i != dF_i/du^j,
+    where F_j = sum_k dh/du^k a^k_j."""
+    grads = {k: h.diff(k) for k in h.variables()}
+    rows = {k: spec.rows(k) for k in grads}
+    F = {j: sum((g * rows[k][j] for k, g in grads.items() if j in rows[k]), Poly())
+         for j in range(-reach, reach + 1)}
+    return sum(F[j].diff(i) != F[i].diff(j)
+               for i in range(-reach, reach + 1) for j in range(-reach, reach + 1))
+
+
+@pytest.mark.parametrize("j, mutated_pairs", [(2, 2), (4, 8)])
+def test_the_chain_conserves_its_densities(j, mutated_pairs):
+    # along u_t = A(u) u_x, h_t = F_j u^j_x with F_j = sum_k dh/du^k a^k_j, a
+    # total x-derivative iff F is a gradient: dF_j/du^i = dF_i/du^j, exactly,
+    # as polynomials.  Corrupting a^0_1 from (u^0)^2 to u^0 breaks it
+    h = chain_density(j)
+    assert _asymmetric_pairs(SPEC, h) == 0
+    mutated = spec_with_overrides(SPEC, {"0,1": [["1", [0]]]})
+    assert _asymmetric_pairs(mutated, h) == mutated_pairs
 
 
 def test_mutated_spec_fails_the_scan():
@@ -386,46 +415,65 @@ def _eleventh_spec():
     return load_spec_json({"name": "eleventh", "stencil": 1, "rows": rows})
 
 
-# Largest denominator, in bits, of any N^i_jk or H^i_jk with |i| <= 10 over
-# the lazy point, whose values share one denominator L.  The point's own
-# denominators divide lcm(1..7) = 420 (9 bits): on the integer-coefficient
-# specs every denominator is a power of L, N carries at most L^3 (27 bits)
-# and H at most L^7 (61 bits).  A 1/11 coefficient multiplies its 11 in as
-# it is, so there every denominator divides a power of 11 L, and H reaches
-# 168 bits.  All bounds are reached.
-def _divides_a_power_of(d: int, base: int) -> bool:
-    while (g := math.gcd(d, base)) > 1:
-        d //= g
-    return d == 1
+def _degree3_spec():
+    """A degree-3 override whose coefficients 1/3 and 2/7 set C = 21."""
+    return spec_with_overrides(SPEC, {"0,1": [["1/3", [0, 0, 1]]], "5,4": [["2/7", [5, 5, 5]]]})
 
 
-def _is_power_of(d: int, base: int) -> bool:
-    while d % base == 0:
-        d //= base
-    return d == 1
-
-
-@pytest.mark.parametrize("spec, coefficient_denominator, max_bits", [
-    (SPEC, 1, 27),
-    (spec_with_overrides(SPEC, {"0,1": [["1", [0]]]}), 1, 61),
-    (_eleventh_spec(), 11, 168),
-], ids=["paper", "a01=u0", "a01=u0^2/11"])
-def test_lazy_haantjes_rows_equal_the_fraction_rows(spec, coefficient_denominator, max_bits):
+# A scan point evaluates the spec in ints: with L the lcm of the point's
+# denominators, D the largest monomial degree (at least 1) and C the lcm of
+# the coefficient denominators over the rows the scan reads, row entries
+# carry S = C L^D, N entries S^2 / L and H entries S^4 / L.  Divided by their
+# scale they are the Fraction engine's values at the same point.
+@pytest.mark.parametrize("spec, denominator, degree", [
+    (SPEC, 1, 2),
+    (spec_with_overrides(SPEC, {"0,1": [["1", [0]]]}), 1, 2),
+    (_eleventh_spec(), 11, 2),
+    (_degree3_spec(), 21, 3),
+    (_constant_spec(), 1, 1),  # degree 0, and D is at least 1
+], ids=["paper", "a01=u0", "a01=u0^2/11", "degree3", "constant"])
+def test_integer_scan_rows_equal_the_fraction_rows(spec, denominator, degree):
     window = 10
-    lazy_ev, = _scan_points(spec, 1, 0, window, 2)  # haantjes_scan's first point at seed 0
-    exact_ev = TensorPoint(spec, _point(0, lazy_ev.point.window))
-    common, = {v.d for v in lazy_ev.point.values.values()}
-    bits = 0
+    scan, = _scan_points(spec, 1, 0, window, 2)  # haantjes_scan's first point at seed 0
+    point, ints, scale, common = scan
+    assert point == _point(0, window + 4)
+    assert common == math.lcm(*(v.denominator for v in point.values.values()))
+    assert scale == denominator * common ** degree
+    assert all(ints.point.at(p) == v * common for p, v in point.values.items())
+    exact_ev = TensorPoint(spec, point)
+    scales = {"row": scale, "nijenhuis_row": scale ** 2 // common,
+              "haantjes_row": scale ** 4 // common}
     for i in range(-window, window + 1):
-        row = lazy_ev.haantjes_row(i)
-        assert {jk: v.fraction() for jk, v in row.items()} == exact_ev.haantjes_row(i)
-        for v in [*row.values(), *lazy_ev.nijenhuis_row(i).values()]:
-            bits = max(bits, v.d.bit_length())
-            if coefficient_denominator == 1:
-                assert _is_power_of(v.d, common)
-            else:
-                assert _divides_a_power_of(v.d, coefficient_denominator * common)
-    assert bits == max_bits
+        for name, s in scales.items():
+            got = getattr(ints, name)(i)
+            assert all(type(v) is int for v in got.values())
+            want = {key: v for key, v in getattr(exact_ev, name)(i).items() if v}
+            assert {key: F(v, s) for key, v in got.items() if v} == want
+        assert {jp: F(v, scale // common) for jp, v in ints._jacobian(i).items()} == \
+            exact_ev._jacobian(i)
+    # the paper and constant rows have no nonzero H; the others have some
+    nonzero = sum(len(ints.haantjes_row(i)) for i in range(-window, window + 1))
+    assert (nonzero > 0) == (spec.name not in ("even-chain", "constant-control"))
+
+
+@pytest.mark.parametrize("far_entry", [Poly.u(0) * Poly.u(0) * Poly.u(0), F(1, 13) * Poly.u(0)],
+                         ids=["degree", "denominator"])
+def test_a_far_row_with_no_integer_value_at_the_scale_raises(far_entry):
+    # a window-0 scan draws points of window 4; rows |k| <= 4 set D = 2 and
+    # C = 1.  Row 0 reaches row 5 through a column 5, and row 5 has a higher
+    # degree or a new denominator: the scan must refuse, not round
+    def rows(k):
+        if k == 5:
+            return {0: far_entry}
+        row = SPEC.rows(k)
+        if k == 0:
+            row[5] = Poly.u(0)
+        return row
+
+    spec = ChainMatrixSpec(name="far-row", rows=rows)
+    assert TensorPoint(spec, _point(0, 4)).haantjes_row(0)  # the Fraction engine reads it
+    with pytest.raises(ValueError, match="spec row 5, column 0: .* no integer value"):
+        haantjes_scan(window=0, points=1, spec=spec)
 
 
 def test_lazy_point_shares_one_denominator():

@@ -1079,6 +1079,33 @@ def test_the_even_t2_tables_move_the_gaussian_orbit_by_its_scaling_law(n):
     assert abs(flow_terms(2, "w", depth, even=True).eval(w) + 5 * w(("w", depth, 0))) <= budget
 
 
+def _harvested_lax_matrix(sites: int, t2: float) -> np.ndarray:
+    """L = Q Lambda Q^-1 from the skew factorisation of the moment matrix."""
+    mu = moment_matrix(sites, CouplingVector({2: t2}), Q)
+    q = skew_factorize(mu)
+    return q @ np.eye(len(mu), k=1) @ np.linalg.inv(q)
+
+
+@pytest.mark.parametrize("sites", [6, 8])
+@pytest.mark.parametrize("t2", [-0.3, -0.05])
+def test_the_harvested_lax_matrix_follows_the_t2_scaling_law(sites, t2):
+    # x -> s x with s = (1 - 2 t2)^(-1/2) takes the t2 weight to the t = 0
+    # one, so L(t2)_ij = s^(1 + p_i - p_j) L(0)_ij with p the index parity.
+    # Checked on rows < M - 1 (the last row is truncation-polluted) and on
+    # slots above 1e-9 max|L|; the largest relative deviation is 1.5e-11 at
+    # 6 sites and 3.5e-9 at 8, the conditioning of the monomial moment
+    # basis.  At t2 > 0 the quadrature's radius cuts the widened weight's
+    # tail (1.3e-5 at t2 = 0.2, 8 sites), so no positive t2 is tested.
+    zero = _harvested_lax_matrix(sites, 0.0)
+    M = len(zero)
+    s = (1 - 2 * t2) ** -0.5
+    p = np.arange(M) % 2
+    want = s ** (1 + p[:, None] - p[None, :]) * zero
+    live = (np.arange(M)[:, None] < M - 1) & (np.abs(zero) > 1e-9 * np.abs(zero).max())
+    got = _harvested_lax_matrix(sites, t2)
+    assert np.all(np.abs(got - want)[live] <= 1e-8 * np.abs(want)[live])
+
+
 @pytest.mark.parametrize("t", [{}, {2: -0.1}, {1: 0.2, 4: -0.02}],
                          ids=["t=0", "t2=-0.1", "t1=0.2,t4=-0.02"])
 def test_log_tau_derivative_is_the_trace_of_the_lax_power(t):
