@@ -11,8 +11,9 @@ chain limit, with each layer cross-checked against the others:
   matrices (diagonalisability test);
 - ``reductions``: Riemann-invariant tangent recursion and the
   Gibbons-Tsarev closure with its involutivity check;
-- ``lazyfraction``: the unreduced exact rationals every exact kernel
-  computes on (those two certificates and the exact lattice flows);
+- ``lazyfraction``: the common denominator every exact kernel starts
+  from, and the unreduced rationals of the two kernels that divide (the
+  tangent solve and the closure of ``reductions``);
 - ``cli``: the ``pfaffchain`` command.
 """
 

@@ -17,18 +17,19 @@ indices (j, k) it names.  No summation range is bounded, so the engine serves
 any user-supplied chain-class matrix.
 
 ``TensorPoint`` computes over whatever values its point supplies: Fractions,
-Polys (a symbolic point) or, in the scans ``haantjes_scan`` and
-``nijenhuis_oracle_check``, plain ints.  A scan point's values share one
-denominator L, u^p = n_p / L, and the spec's rows are rewritten once per
-point as integer polynomials at one scale (``_IntegerRows``): with D the
-largest monomial degree (at least 1) and C the lcm of the coefficient
-denominators over the rows the scan can read, a term c u^{p_1}..u^{p_d}
-becomes c C L^(D-d) n_{p_1}..n_{p_d}.  At the numerators n_p a row entry
-then evaluates to a^k_j S with S = C L^D, a partial by n_p to d_p a^k_j S/L,
-so N^i_jk carries S^2/L and H^i_jk S^4/L, and no operation pays a gcd.  A
+Polys (a symbolic point) or plain ints.  Every exact point the package
+draws is read in ints, by one reader: ``_IntegerRows.point`` serves both
+the scans ``haantjes_scan`` and ``nijenhuis_oracle_check`` and the chain
+rows of the reduction jets (``reductions.ReductionJet``).  A point's values
+share one denominator L, u^p = n_p / L, and the spec's rows are rewritten
+once per point as integer polynomials at one scale: with D the largest
+monomial degree (at least 1) and C the lcm of the coefficient denominators
+over the rows the reader's window covers, a term c u^{p_1}..u^{p_d} becomes
+c C L^(D-d) n_{p_1}..n_{p_d}.  At the numerators n_p a row entry then
+evaluates to a^k_j S with S = C L^D, a partial by n_p to d_p a^k_j S/L, so
+N^i_jk carries S^2/L and H^i_jk S^4/L, and no operation pays a gcd.  A
 value is reduced once, ``Fraction(value, scale)``, where it enters a report;
-an exact zero is the int 0, and zero entries are dropped from the N and H
-rows.
+an exact zero is the int 0, and zero entries are dropped from every row.
 
 Every per-point table of a ``TensorPoint`` follows one memo rule
 (``_Memo``): a missing row is built on first read and kept.  A build
@@ -67,7 +68,7 @@ from math import lcm
 from typing import Callable, Iterator, Mapping, NamedTuple
 
 from .lax import chain_matrix_terms
-from .lazyfraction import LazyFraction, over_lcm
+from .lazyfraction import over_lcm
 from .poly import _ZERO, Poly
 
 __all__ = [
@@ -109,14 +110,6 @@ class RationalPoint:
                 f"component u^{p} outside the supplied window |p| <= {self.window}"
             )
         return self.values.get(p, _ZERO)
-
-    def lazy(self) -> "RationalPoint":
-        """The same point with LazyFraction values over one denominator L,
-        the lcm of theirs."""
-        common, numerators = over_lcm(self.values.values())
-        return RationalPoint(values={p: LazyFraction(n, common)
-                                     for p, n in zip(self.values, numerators)},
-                             window=self.window)
 
 
 def random_rational_point(rng: random.Random, window: int) -> RationalPoint:
@@ -238,7 +231,7 @@ def load_spec_json(path_or_obj) -> ChainMatrixSpec:
         raise ValueError("spec JSON must be an object, and its 'overrides' an object")
     if "rows" in obj:
         stencil = obj.get("stencil", 1)
-        if not isinstance(stencil, int) or stencil < 0:
+        if type(stencil) is not int or stencil < 0:
             raise ValueError(f"spec 'stencil' must be a non-negative integer, got {stencil!r}")
         return spec_from_table(obj.get("name", "user-spec"), obj["rows"], stencil)
     if obj.get("base") == "paper":
@@ -281,7 +274,8 @@ class TensorPoint:
         self.point = point
         at = point.at
         self.row_polys = row_polys = _Memo(spec.rows)
-        self.row = row = _Memo(lambda k: {j: poly.eval(at) for j, poly in row_polys[k].items()})
+        self.row = row = _Memo(lambda k: {j: v for j, poly in row_polys[k].items()
+                                          if (v := poly.eval(at))})
         self._jacobian = jacobian = _Memo(functools.partial(_jacobian, row_polys, at))
         self.nijenhuis_row = n_row = _Memo(functools.partial(_nijenhuis_row, row, jacobian))
         self.haantjes_row = _Memo(functools.partial(_haantjes_row, row, n_row))
@@ -362,15 +356,15 @@ def _nonzero(acc: dict) -> dict:
 class _IntegerRows:
     """The rows of ``spec`` as integer polynomials, one scale per point.
 
-    Over the rows |k| <= ``window``, the scan's point window, ``degree`` D
+    Over the rows |k| <= ``window``, the window of the points read, ``degree`` D
     is the largest monomial degree, at least 1 so that a partial's scale S/L
     is an integer, and ``denominator`` C the lcm of the coefficient
-    denominators.  ``at(L)`` is the spec whose term
-    c u^{p_1}..u^{p_d} has the int coefficient c C L^(D-d): at the
-    numerators n_p = L u^p its entry is a^k_j S, S = C L^D, exactly.  A row
-    of degree above D or with a coefficient denominator that does not divide
-    C (one outside the range, say) raises ValueError: it has no value at
-    that scale.
+    denominators.  ``point`` evaluates a point in ints: with L the lcm of
+    its denominators, the spec whose term c u^{p_1}..u^{p_d} has the int
+    coefficient c C L^(D-d), at the numerators n_p = L u^p, gives each entry
+    as a^k_j S, S = C L^D, exactly.  A row of degree above D or with a
+    coefficient denominator that does not divide C (one outside the range,
+    say) raises ValueError: it has no value at that scale.
     """
 
     def __init__(self, spec: ChainMatrixSpec, window: int):
@@ -398,8 +392,11 @@ class _IntegerRows:
                 out[j] = tuple(terms)
         return out
 
-    def at(self, common: int) -> ChainMatrixSpec:
-        """The spec with every row at the scale C common^D."""
+    def point(self, point: RationalPoint) -> "_ScanPoint":
+        """``point`` and the spec at it in ints: with L the lcm of the point's
+        denominators, the numerators n_p = L u^p and every row at the scale
+        S = C L^D."""
+        common, numerators = over_lcm(point.values.values())
         powers = [common ** e for e in range(self.degree + 1)]
         terms = self._terms
 
@@ -407,12 +404,15 @@ class _IntegerRows:
             return {j: Poly._of({mono: c * powers[e] for mono, c, e in row})
                     for j, row in terms[k].items()}
 
-        return ChainMatrixSpec(name=self.spec.name, rows=rows, stencil=self.spec.stencil)
+        spec = ChainMatrixSpec(name=self.spec.name, rows=rows, stencil=self.spec.stencil)
+        integers = RationalPoint(values=dict(zip(point.values, numerators)), window=point.window)
+        return _ScanPoint(point, TensorPoint(spec, integers), self.denominator * powers[-1],
+                          common)
 
 
 class _ScanPoint(NamedTuple):
-    """One scan point: the exact ``point`` and ``tensors``, the spec at it in
-    ints.  a^k_j is ``tensors.entry(k, j)`` / ``scale`` (S = C L^D, with L =
+    """One point read in ints: the exact ``point`` and ``tensors``, the spec
+    at it in ints.  a^k_j is ``tensors.entry(k, j)`` / ``scale`` (S = C L^D, with L =
     ``common`` the lcm of the point's denominators); a partial carries S/L,
     N^i_jk S^2/L and H^i_jk S^4/L."""
 
@@ -433,11 +433,7 @@ def _scan_points(spec: ChainMatrixSpec, points: int, seed: int, reach: int,
     window = reach + order * (spec.stencil + 1)
     integer_rows = _IntegerRows(spec, window)
     for _ in range(points):
-        point = random_rational_point(rng, window)
-        common, numerators = over_lcm(point.values.values())
-        integers = RationalPoint(values=dict(zip(point.values, numerators)), window=window)
-        yield _ScanPoint(point, TensorPoint(integer_rows.at(common), integers),
-                         integer_rows.denominator * common ** integer_rows.degree, common)
+        yield integer_rows.point(random_rational_point(rng, window))
 
 
 # ---------------------------------------------------------------------------

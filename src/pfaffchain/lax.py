@@ -34,9 +34,12 @@ terms with a factor the shape lacks (v on a one-kind stack, so that is the
 even reduction, or a band beyond depth): the lattice flow of every band of
 every kind is one plan per (flow_k, kinds, depth) (``_lattice_plan``), and
 ``chain`` compiles its Taylor-expanded tables the same way.  A float
-result is bit-identical to summing each table term by term; exact (object)
-rows make the same calls on unreduced ``lazyfraction.LazyFraction``s over
-one common denominator, and each slot is reduced to a Fraction once.
+result is bit-identical to summing each table term by term.  Exact
+(object) rows are put over one common denominator L
+(``lazyfraction.over_lcm``) and make the same calls in Python ints at one
+scale, and each slot is reduced to a Fraction once.  The chain plans read
+x-derivative stencils that divide by the grid spacing, so they take float
+stacks only.
 
 The Taylor expansion of these tables (``expand_lattice_terms``, one Poly per
 eps order) is the continuum limit: the chain right-hand sides in ``chain``
@@ -75,7 +78,7 @@ from functools import lru_cache
 import numpy as np
 
 from .ensemble import QuadratureConfig, CouplingVector, moment_matrix
-from .lazyfraction import LazyFraction, lazy, over_lcm
+from .lazyfraction import over_lcm
 from .poly import Poly
 
 __all__ = [
@@ -524,9 +527,15 @@ class _Plan:
     blocks in order into zeroed rows.  Those are the float operations of
     summing each table term by term, in the same order, so the results are
     bit-identical to that sum (x * -1 is -x, and a - b is a + (-b),
-    exactly).  Float rows take each coefficient as ``float(c)``; object
-    rows take the tables' own values and make the same calls on unreduced
-    ``LazyFraction``s, where a multiply by +-1 costs no gcd.
+    exactly).  Float rows take each coefficient as ``float(c)``.
+
+    Object rows are exact: each value (a float too) is taken as a rational
+    and the stack is put over L, the lcm of its denominators, so the calls
+    run on the int numerators.  With C the lcm of the coefficients'
+    denominators (``denominator``) and D the largest arity (``degree``), a
+    term of arity d is scaled by the int c C L^(D-d), so every product
+    carries the one scale C L^D, and each slot comes out reduced once, as
+    ``Fraction(sum, C L^D)``.  No operation on the way pays a gcd.
     """
 
     def __init__(self, tables: Iterable[Iterable[tuple]], fill: Callable, shape: tuple):
@@ -547,9 +556,11 @@ class _Plan:
         self.copies = sorted({x for _kind, _band, x in fields})
         at = {(kind, band, x): (self.copies.index(x) * kinds + "wv".index(kind)) * bands
               + band + bands // 2 for kind, band, x in fields}  # its row in the source
+        self.degree = max((len(mono) for mono, _c in terms), default=0)
+        self.denominator = math.lcm(*(Fraction(c).denominator for _mono, c in terms))
         coeffs = (np.array([float(c) for _mono, c in terms]),
-                  np.array([c for _mono, c in terms], object))
-        # per arity: term indices, the rows of each factor, coefficients (float, object)
+                  np.array([int(c * self.denominator) for _mono, c in terms], object))
+        # per arity: term indices, the rows of each factor, coefficients (float, c C)
         self.groups = []
         for arity in sorted({len(mono) for mono, _c in terms}):
             dest = np.array([t for t, (mono, _c) in enumerate(terms) if len(mono) == arity])
@@ -563,20 +574,26 @@ class _Plan:
         shape, dtype = stack.shape, stack.dtype
         if shape[:2] != self.shape:
             raise ValueError(f"a stack of shape {shape} for a plan compiled for {self.shape}")
+        if exact := dtype == object:
+            common, numerators = over_lcm(stack.flat)
+            stack = np.array(numerators, object).reshape(shape)
+            scale = self.denominator * common ** self.degree
         ws = _spare_for(self, shape, dtype) or _Buffers(self, shape[2], dtype)
         self.fill(ws.rows, stack, self.copies, *args)
-        for dest, cols, coeffs in self.groups:
+        for dest, cols, (floats, ints) in self.groups:
             prod, tmp = ws.prod[:len(dest)], ws.tmp[:len(dest)]
             np.take(ws.rows, cols[0], axis=0, out=prod)
             for col in cols[1:]:
                 np.multiply(prod, np.take(ws.rows, col, axis=0, out=tmp), out=prod)
-            np.multiply(prod, coeffs[dtype == object], out=prod)
+            np.multiply(prod, ints * common ** (self.degree - len(cols)) if exact else floats,
+                        out=prod)
             ws.terms[dest] = prod
         ws.acc.fill(0)
         for start, live in self.blocks:
             np.add(ws.acc[:live], ws.terms[start:start + live], out=ws.acc[:live])
         _SPARE[:] = [(self, shape, dtype, ws)]
-        return ws.acc.take(self.unsort, axis=0)
+        sums = ws.acc.take(self.unsort, axis=0)
+        return np.frompyfunc(lambda x: Fraction(x, scale), 1, 1)(sums) if exact else sums
 
 
 # The buffers of the last ``_Plan`` call, kept for a next call of the same
@@ -646,17 +663,10 @@ def _lattice_plan(flow_k: int, kinds: int, depth: int) -> _Plan:
 
 def _flow_from_tables(b: LaxBands, flow_k: int) -> BandDerivs:
     """Every slot of every band |k| <= depth, read off the ``flow_terms``
-    tables: float64 rows with float coefficients, or object rows (each value
-    taken exactly, as LazyFractions over one denominator) with the tables'
-    own, whose slots come out as reduced Fractions.  A state without v rows
-    gets the w tables of the even reduction."""
-    rows = b.rows
-    if rows.dtype == object:
-        common, numerators = over_lcm(rows.flat)
-        rows = np.array([LazyFraction(n, common) for n in numerators], object).reshape(rows.shape)
-    d = _lattice_plan(flow_k, len(rows), b.depth)(rows).reshape(rows.shape)
-    if d.dtype == object:
-        d = np.frompyfunc(lambda x: lazy(x).fraction(), 1, 1)(d)
+    tables by ``_lattice_plan``: float64 rows give floats, object rows (each
+    value taken exactly) reduced Fractions.  A state without v rows gets the
+    w tables of the even reduction."""
+    d = _lattice_plan(flow_k, len(b.rows), b.depth)(b.rows).reshape(b.rows.shape)
     return BandDerivs(d, np.ones(d.shape, bool))
 
 

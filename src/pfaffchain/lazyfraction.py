@@ -1,4 +1,5 @@
-"""Unreduced exact rationals: the scalar of every exact kernel.
+"""Unreduced exact rationals for the exact kernels that divide, and the one
+rule that puts exact values over a common denominator.
 
 A ``LazyFraction`` is an integer numerator over a positive integer
 denominator that no operation reduces.  ``fractions.Fraction`` pays one or
@@ -6,15 +7,18 @@ two gcds on every operation; here a value is reduced once, by
 ``fraction()``, where it leaves the kernel (a report string, a max over
 residuals, a public return value).  Sums keep denominators small by one
 rule: when one denominator divides the other, the larger one is reused,
-otherwise the two are multiplied.  Every kernel on LazyFractions starts
-from values over one denominator L (``over_lcm``: the exact table flows and
-integer commutator matrices of ``lax``, and ``integrability.RationalPoint.lazy``,
-at which the reduction jets of ``reductions`` read the chain rows), so every
-product carries a power of L and every sum reuses the larger power:
-denominators grow with the degree of an expression, not its term count; a
-non-integer coefficient multiplies its own denominator in.  The Haantjes and
-Nijenhuis scans of ``integrability`` take only L and the numerators from
-``over_lcm`` and run on plain ints at one scale.
+otherwise the two are multiplied.  It has one client, ``reductions``: the
+tangent solve divides by a pivot and the Gibbons-Tsarev closure by
+differences of speeds, so their values cannot stay over one denominator
+fixed in advance.
+
+Every exact kernel that only adds and multiplies runs on plain ints
+instead: ``over_lcm`` gives L, the lcm of its inputs' denominators, and
+each input's numerator over L, the kernel computes in ints at one known
+scale, and each value is reduced once, ``Fraction(value, scale)``.  Those
+are the exact lattice flows and the integer commutator of ``lax``, and the
+chain rows that ``integrability`` evaluates for the Haantjes and Nijenhuis
+scans and for the reduction jets.
 
 Exact zero means numerator 0, whatever the denominator.  Operands of + - * /
 may be ints, Fractions or LazyFractions on either side; dividing by a zero

@@ -138,12 +138,16 @@ class Poly:
 
     @staticmethod
     def from_table(table: Iterable) -> "Poly":
-        """Inverse of ``to_table``; a table of any other shape, or with a
-        coefficient that is not a finite rational, raises ValueError."""
+        """Inverse of ``to_table``; a table of any other shape, with a
+        monomial index that is not an int (a bool, float or string is not
+        one), or with a coefficient that is not a finite rational, raises
+        ValueError."""
         terms: dict[Monomial, Fraction] = {}
         try:
             for coeff, mono in table:
-                terms[tuple(sorted(int(p) for p in mono))] = Fraction(str(coeff))
+                if any(type(p) is not int for p in mono):
+                    raise ValueError(f"the indices {mono!r} are not all integers")
+                terms[tuple(sorted(mono))] = Fraction(str(coeff))
         except (TypeError, ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"bad term table {table!r}: need "
                              f"[[coeff, [index, ...]], ...] ({exc})") from exc

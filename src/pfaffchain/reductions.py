@@ -31,14 +31,20 @@ residuals' terms.
 A ``ReductionJet`` reads N, u^0 and u^1 off ``lam`` and ``u_window``, and
 refuses ``lam``, ``du0`` and ``du1`` unless all three name the directions 1..N.
 
-All of it runs on unreduced rationals (``lazyfraction.LazyFraction``): the
-chain rows are evaluated at the jet's u-window put over one common
-denominator, and the recursion, the closure values and the residuals are
-never reduced along the way.  A value is reduced to a Fraction once, where it
-leaves this module: the components ``tangent_recursion`` returns, the
-residuals ``gt_involutivity`` returns, the maximum ``eigen_residual`` returns
-and the strings of ``involutivity_report``.  Exact zero means numerator 0, so
-a residual reads as the integer 0, never as a value under a tolerance.
+The chain rows only add and multiply, so they are read in ints by the
+scans' reader (``integrability._IntegerRows``, one per u-window for the
+paper rows): entry a^k_j reads as a^k_j S, S = C L^D with L the lcm of the
+u-window's denominators.  lambda^i d_i u = A d_i u is homogeneous, so the
+tangent solve multiplies lambda^i by S and every d_i u^k comes out the same
+rational; ``eigen_residual`` divides its maximum by S once.  The tangent
+solve divides by a pivot and the closure by differences of speeds, so those
+two kernels run on unreduced rationals (``lazyfraction.LazyFraction``),
+never reduced along the way.  A value is reduced to a Fraction once, where
+it leaves this module: the components ``tangent_recursion`` returns, the
+residuals ``gt_involutivity`` returns, the maximum ``eigen_residual``
+returns and the strings of ``involutivity_report``.  Exact zero means
+numerator 0, so a residual reads as the integer 0, never as a value under a
+tolerance.
 """
 
 from __future__ import annotations
@@ -46,10 +52,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Mapping
 
-from .integrability import RationalPoint, TensorPoint, paper_chain_spec, random_rational_point
+from .integrability import (RationalPoint, _IntegerRows, _ScanPoint, paper_chain_spec,
+                            random_rational_point)
 from .lazyfraction import LazyFraction, lazy
 
 __all__ = [
@@ -74,9 +81,9 @@ class ReductionJet:
     ``lam``, ``du0`` and ``du1`` map each direction i = 1..N, and only those,
     to lambda^i, d_i u^0 and d_i u^1; ``u_window`` carries the u^k values the
     tangent recursion needs, and N, u^0 and u^1 are read off ``lam`` and
-    ``u_window``.  ``_rows`` evaluates the chain rows at ``u_window`` over
-    one common denominator, once per jet, for ``tangent_recursion`` and
-    ``eigen_residual`` in every direction.
+    ``u_window``.  ``_rows`` reads the chain rows at ``u_window`` in ints at
+    the scale S (an ``integrability._ScanPoint``), once per jet, for
+    ``tangent_recursion`` and ``eigen_residual`` in every direction.
     """
 
     lam: Mapping[int, Fraction]
@@ -99,8 +106,14 @@ class ReductionJet:
     u1 = property(lambda self: self.u_window.at(1))
 
     @cached_property
-    def _rows(self) -> TensorPoint:
-        return TensorPoint(paper_chain_spec(), self.u_window.lazy())
+    def _rows(self) -> _ScanPoint:
+        return _paper_integer_rows(self.u_window.window).point(self.u_window)
+
+
+@lru_cache(maxsize=None)
+def _paper_integer_rows(window: int) -> _IntegerRows:
+    """The paper spec's integer rows for jets of one u-window."""
+    return _IntegerRows(paper_chain_spec(), window)
 
 
 def random_jet(rng: random.Random, n_components: int = 3, window: int = 10) -> ReductionJet:
@@ -141,12 +154,12 @@ def _tangent(jet: ReductionJet, i: int, depth: int) -> dict[int, LazyFraction]:
         raise ValueError(f"direction {i} is not one of the jet's 1..{jet.n_components}")
     if jet.u_window.window < depth + 1:
         raise ValueError(f"u_window must cover |k| <= {depth + 1}")
-    lam = lazy(jet.lam[i])
+    lam = lazy(jet.lam[i]) * jet._rows.scale
     du = {0: lazy(jet.du0[i]), 1: lazy(jet.du1[i])}
 
     def solve_row(k: int, target: int) -> LazyFraction:
-        row = jet._rows.row(k)
-        pivot = row[target]
+        row = jet._rows.tensors.row(k)
+        pivot = row.get(target, 0)
         if pivot == 0:
             raise ZeroDivisionError(f"row {k} pivot a^{k}_{target} vanished")
         return _row_defect(row, lam, du, k, target) / pivot
@@ -174,13 +187,13 @@ def _row_defect(row, lam, du, k: int, unknown: int | None = None) -> LazyFractio
 def eigen_residual(jet: ReductionJet, i: int, depth: int) -> Fraction:
     """max_k |lambda^i d_i u^k - (A d_i u)^k| over |k| <= depth-1, exact."""
     du = _tangent(jet, i, depth)
-    lam = lazy(jet.lam[i])
+    lam = lazy(jet.lam[i]) * jet._rows.scale
     worst = Fraction(0)
     for k in range(-(depth - 1), depth):
-        res = _row_defect(jet._rows.row(k), lam, du, k)
+        res = _row_defect(jet._rows.tensors.row(k), lam, du, k)
         if res:
             worst = max(worst, abs(res.fraction()))
-    return worst
+    return worst / jet._rows.scale
 
 
 # ---------------------------------------------------------------------------

@@ -136,7 +136,7 @@ def gibbons_tsarev(lam_i, lam_j, u0, diu0, dju0, diu1, dju1, c_lam=4):
 
 
 def chain_density(j: int) -> Poly:
-    """h_j for j in {2, 4}, a conserved density of the even chain: the
+    """h_j for j in {2, 4, 6}, a conserved density of the even chain: the
     lattice density rho_j(n) = (L^j)_{2n-1,2n-1} + (L^j)_{2n,2n} with every
     site offset set to 0, over the chain components u^p as variables p."""
     u = Poly.u
@@ -145,4 +145,11 @@ def chain_density(j: int) -> Poly:
     if j == 4:
         return (4 * u(-2) * u(0) + 2 * u(-1) * u(-1) + 8 * u(-1) * u(0) * u(1)
                 + 2 * u(0) * u(0) * u(1) * u(1) + 4 * u(0) * u(0) * u(2))
-    raise ValueError(f"no density h_{j} here; j is 2 or 4")
+    if j == 6:
+        cube = u(0) * u(0) * u(0)
+        return (6 * u(-3) * u(0) * u(0) + 12 * u(-2) * u(-1) * u(0)
+                + 18 * u(-2) * u(0) * u(0) * u(1) + 2 * u(-1) * u(-1) * u(-1)
+                + 18 * u(-1) * u(-1) * u(0) * u(1) + 18 * u(-1) * u(0) * u(0) * u(1) * u(1)
+                + 18 * u(-1) * u(0) * u(0) * u(2) + 2 * cube * u(1) * u(1) * u(1)
+                + 12 * cube * u(1) * u(2) + 6 * cube * u(3))
+    raise ValueError(f"no density h_{j} here; j is 2, 4 or 6")

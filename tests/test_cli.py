@@ -168,6 +168,13 @@ _BAD_INPUT_FILES = {"top_level_list.json": [1], "rows_not_an_object.json": {"row
                     "stencil_list.json": {"stencil": [1], "rows": {"0": {"0": [["1", [0]]]}}},
                     "stencil_null.json": {"stencil": None, "rows": {"0": {"0": [["1", [0]]]}}},
                     "stencil_negative.json": {"stencil": -3, "rows": {"0": {"0": [["1", [0]]]}}},
+                    # each certified a chain with another index or stencil before
+                    "index_float.json": {"rows": {"0": {"0": [["1", [1.7]]]}}},
+                    "index_negative_half.json": {"rows": {"0": {"0": [["1", [-0.5]]]}}},
+                    "index_rounds_down.json": {"rows": {"0": {"0": [["1", [2.9]]]}}},
+                    "index_true.json": {"rows": {"0": {"0": [["1", [True]]]}}},
+                    "index_string.json": {"base": "paper", "overrides": {"0,1": [["1", ["2"]]]}},
+                    "stencil_true.json": {"stencil": True, "rows": {"0": {"0": [["1", [0]]]}}},
                     # a stencil sizes the random points: 1e9 would not finish
                     "stencil_past_the_band.json": {"stencil": 1000000000,
                                                    "rows": {"0": {"1": [["1", [0]]]}}},
@@ -198,6 +205,13 @@ _USAGE_MESSAGES = {
     "--config config_unknown_key.json lax-verify":
         "bad config: lax-verify: --sties is no option of lax-verify",
     "--config config_unknown_section.json gt": "bad config: 'sties' names no subcommand",
+    # read as u^1 with exit 0 before
+    "haantjes --spec index_float.json": "spec row '0', column '0': bad term table "
+                                        "[['1', [1.7]]]: need [[coeff, [index, ...]], ...] "
+                                        "(the indices [1.7] are not all integers)",
+    # read as stencil 1 with exit 0 before
+    "haantjes --spec stencil_true.json": "spec 'stencil' must be a non-negative integer, "
+                                         "got True",
     # ran for a time that grows with the stencil before
     "haantjes --spec stencil_past_the_band.json":
         "spec 'stencil' 1000000000 is past the table's band: its entries with j not in "
@@ -241,6 +255,12 @@ _USAGE_MESSAGES = {
     ["haantjes", "--spec", "stencil_null.json"],
     ["haantjes", "--spec", "stencil_negative.json"],
     ["haantjes", "--spec", "stencil_past_the_band.json"],
+    ["haantjes", "--spec", "index_float.json"],
+    ["haantjes", "--spec", "index_negative_half.json"],
+    ["haantjes", "--spec", "index_rounds_down.json"],
+    ["haantjes", "--spec", "index_true.json"],
+    ["haantjes", "--spec", "index_string.json"],
+    ["haantjes", "--spec", "stencil_true.json"],
     ["moments", "--n", "1", "--nodes", "3000000"],
     ["tau", "--n-max", "2", "--nodes", "3000000"],
     ["lax-verify", "--sites", "100000", "--trials", "1"],

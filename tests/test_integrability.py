@@ -9,6 +9,7 @@ from fractions import Fraction
 
 import pytest
 
+from pfaffchain import integrability, lax
 from pfaffchain.integrability import (
     ChainMatrixSpec,
     Poly,
@@ -286,7 +287,19 @@ def _asymmetric_pairs(spec: ChainMatrixSpec, h: Poly, reach: int = 5) -> int:
                for i in range(-reach, reach + 1) for j in range(-reach, reach + 1))
 
 
-@pytest.mark.parametrize("j, mutated_pairs", [(2, 2), (4, 8)])
+@pytest.mark.parametrize("j", [1, 2, 3, 4, 6])
+def test_the_densities_are_read_off_the_lax_matrix(j):
+    # rho_j(n) = (L^j)_{2n-1,2n-1} + (L^j)_{2n,2n} with every site offset set
+    # to 0 and the v terms dropped, its factors w^p read as u^p, is h_j; the
+    # odd powers leave nothing
+    rho = Poly()
+    for mono, c in (lax._power(j, 0, 0) + lax._power(j, 1, 1)).terms.items():
+        if all(kind == "w" for kind, _band, _site in mono):
+            rho = rho + Poly({tuple(band for _kind, band, _site in mono): c})
+    assert rho == (Poly() if j % 2 else chain_density(j))
+
+
+@pytest.mark.parametrize("j, mutated_pairs", [(2, 2), (4, 8), (6, 12)])
 def test_the_chain_conserves_its_densities(j, mutated_pairs):
     # along u_t = A(u) u_x, h_t = F_j u^j_x with F_j = sum_k dh/du^k a^k_j, a
     # total x-derivative iff F is a gradient: dF_j/du^i = dF_i/du^j, exactly,
@@ -476,11 +489,21 @@ def test_a_far_row_with_no_integer_value_at_the_scale_raises(far_entry):
         haantjes_scan(window=0, points=1, spec=spec)
 
 
-def test_lazy_point_shares_one_denominator():
-    point = _point(1)
-    values = point.lazy().values
-    assert len({v.d for v in values.values()}) == 1
-    assert all(v.fraction() == point.at(p) for p, v in values.items())
+def test_a_row_holds_no_zero_entry():
+    # u^{-10} is 0 at this point, so a^{-10}_1 = u^0 u^{-10} evaluates to 0:
+    # the row drops it, and N and H come out as from rows that keep zeros
+    point = _point(0, 14)
+    ev = TensorPoint(SPEC, point)
+    assert all(v for k in range(-13, 14) for v in ev.row(k).values())
+    kept = integrability._Memo(lambda k: {j: poly.eval(point.at)
+                                          for j, poly in SPEC.rows(k).items()})
+    assert kept(-10)[1] == 0 and 1 not in ev.row(-10)
+    n_kept = integrability._Memo(functools.partial(integrability._nijenhuis_row, kept,
+                                                   ev._jacobian))
+    h_kept = integrability._Memo(functools.partial(integrability._haantjes_row, kept, n_kept))
+    for i in range(-10, 11):
+        assert ev.nijenhuis_row(i) == n_kept(i) and ev.haantjes_row(i) == h_kept(i)
+    assert any(ev.nijenhuis_row(i) for i in range(-10, 11))
 
 
 # u^p itself for every |p| <= 14: a tensor entry evaluated there is a

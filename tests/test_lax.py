@@ -807,6 +807,60 @@ def test_exact_table_flows_equal_the_band_by_band_sum(name):
                 assert all(got.get(*slot) == comm.get(*slot) for slot in mask)
 
 
+def _exact_states(rng, kinds: int, depth: int, sites: int) -> dict:
+    """Object band stacks of every kind of value the exact plan takes: small
+    Fractions, Fractions over large coprime denominators, ints only (L = 1),
+    zeros only, and Fractions with one row holding a float."""
+    shape = (kinds, 2 * depth + 1, sites)
+
+    def stack(draw):
+        return np.array([draw() for _ in range(math.prod(shape))], object).reshape(shape)
+
+    primes = (1000003, 1000033, 1000037, 1000039, 999983)
+    floats = random_bands(rng, sites, depth, even=kinds == 1, exact=True).rows
+    floats[-1, 0] = rng.uniform(-2.0, 2.0)
+    return {"random_bands": random_bands(rng, sites, depth, even=kinds == 1, exact=True).rows,
+            "coprime": stack(lambda: Fraction(rng.randint(-10 ** 6, 10 ** 6), rng.choice(primes))),
+            "ints": stack(lambda: rng.randint(-5, 5)),
+            "zeros": stack(lambda: 0),
+            "a float row": floats}
+
+
+def _term_by_term(rows: np.ndarray, flow_k: int) -> np.ndarray:
+    """Every slot of the ``flow_terms`` flow, each table summed term by term
+    on reduced Fractions at the slot's own factors: a factor of a kind the
+    stack lacks, of a band past its depth or at a site off the lattice is 0."""
+    kinds, bands, sites = rows.shape
+    depth = bands // 2
+    out = np.empty(rows.shape, object)
+    for i, kind in enumerate("wv"[:kinds]):
+        for k in range(-depth, depth + 1):
+            table = flow_terms(flow_k, kind, k)
+            for n in range(sites):
+                def factor(f, n=n):
+                    f_kind, band, m = f
+                    inside = "wv".index(f_kind) < kinds and abs(band) <= depth
+                    if inside and 0 <= n + m < sites:
+                        return Fraction(rows["wv".index(f_kind), band + depth, n + m])
+                    return Fraction(0)
+                out[i, k + depth, n] = table.eval(factor)
+    return out
+
+
+@pytest.mark.parametrize("flow_k", [1, 2, 3, 4])
+@pytest.mark.parametrize("kinds", [1, 2])
+def test_an_exact_plan_equals_the_term_by_term_sum_at_every_slot(flow_k, kinds):
+    # ints at one scale C L^D, each slot reduced once: every slot, the
+    # boundary sites included, is the Fraction sum of its table's terms
+    rng = random.Random(f"exact plan/{flow_k}/{kinds}")
+    for depth in range(4):
+        plan = lax._lattice_plan(flow_k, kinds, depth)
+        for name, rows in _exact_states(rng, kinds, depth, 6).items():
+            got = plan(rows).reshape(rows.shape)
+            assert all(type(x) is Fraction for x in got.flat), name
+            assert np.array_equal(got, _term_by_term(rows, flow_k)), (depth, name)
+
+
 @pytest.mark.parametrize("k, slots", [(1, 70), (2, 60), (3, 50), (4, 40)])
 def test_even_state_tables_equal_the_commutator_at_v_zero(k, slots):
     # one symbolic Lax matrix serves both: on a state without v rows the
@@ -834,8 +888,9 @@ def test_commutator_keeps_v_zero_at_even_powers_only(k):
 
 def _compiled_tables(plan: lax._Plan) -> list[list[tuple]]:
     """The (factors, coefficient) pairs of each table of a site-shift plan,
-    in summation order, decoded from its index arrays; a factor row outside
-    the plan's source stack fails."""
+    in summation order, decoded from its index arrays and its int
+    coefficients c C over the plan's C; a factor row outside the plan's
+    source stack fails."""
     kinds, bands = plan.shape
     size = len(plan.copies) * kinds * bands
     terms = [None] * plan.terms
@@ -845,7 +900,7 @@ def _compiled_tables(plan: lax._Plan) -> list[list[tuple]]:
             assert all(0 <= r < size for r in rows)
             terms[t] = (tuple((("wv"[r % (kinds * bands) // bands],
                                 r % bands - bands // 2, plan.copies[r // (kinds * bands)])
-                               for r in rows)), coeffs[1][i, 0])
+                               for r in rows)), Fraction(coeffs[1][i, 0], plan.denominator))
     order = np.argsort(plan.unsort)
     tables = [[] for _ in range(plan.tables)]
     for start, live in plan.blocks:

@@ -89,3 +89,16 @@ def test_every_private_module_name_is_referenced():
                         if name.startswith("_") and not name.startswith("__")}
             referenced |= refs - bound
     assert sorted(private - referenced) == []
+
+
+def test_only_reductions_imports_lazy_fractions():
+    # the kernels that only add and multiply run on ints at one scale; the
+    # tangent solve and the closure duals divide, so they keep LazyFraction
+    importers = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.module and \
+                    node.module.endswith("lazyfraction"):
+                if {"LazyFraction", "lazy"} & {a.name for a in node.names}:
+                    importers.add(path.stem)
+    assert importers == {"reductions"}

@@ -1,11 +1,15 @@
 import dataclasses
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
 
+from pfaffchain.integrability import (TensorPoint, _IntegerRows, _ScanPoint, paper_chain_spec,
+                                     spec_with_overrides)
+from pfaffchain import reductions
 from pfaffchain.lazyfraction import lazy
 from pfaffchain.reductions import (
     DegenerateSpeedsError,
@@ -205,7 +209,6 @@ def test_perturbed_tangent_leaves_residual():
     du = tangent_recursion(jet, 1, 4)
     du[2] += 1  # corrupt one component
     lam = jet.lam[1]
-    from pfaffchain.integrability import TensorPoint, paper_chain_spec
     rows = TensorPoint(paper_chain_spec(), jet.u_window)
     residuals = {}
     for k in range(-3, 4):
@@ -222,6 +225,77 @@ def test_recursion_window_requirement():
     jet = random_jet(rng, 3, window=4)
     with pytest.raises(ValueError, match="u_window"):
         tangent_recursion(jet, 1, 6)
+
+
+def _fraction_tangent(jet: ReductionJet, i: int, depth: int) -> tuple[dict, Fraction]:
+    """d_i u^k for |k| <= depth, solved row by row in the order of
+    ``tangent_recursion`` on reduced Fractions from the Fraction engine's
+    rows at the jet's u-window, and the largest row defect over
+    |k| <= depth - 1."""
+    rows = TensorPoint(paper_chain_spec(), jet.u_window)
+    lam, du = jet.lam[i], {0: jet.du0[i], 1: jet.du1[i]}
+
+    def defect(k, unknown=None):
+        return lam * du[k] - sum(a * du[j] for j, a in rows.row(k).items() if j != unknown)
+
+    for k, target in ([(0, -1)] + [(k, k + 1) for k in range(1, depth)]
+                      + [(k, k - 1) for k in range(-1, -depth, -1)]):
+        du[target] = defect(k, target) / rows.row(k)[target]
+    worst = max(abs(defect(k)) for k in range(1 - depth, depth))
+    return {k: v for k, v in du.items() if abs(k) <= depth}, worst
+
+
+@pytest.mark.parametrize("window", [6, 10])
+def test_integer_rows_solve_as_the_fraction_rows(window):
+    # the jet reads its rows in ints at the scale S and multiplies lambda by
+    # S; every d_i u^k and the residual are the Fraction rows' values
+    rng = random.Random(f"integer rows/{window}")
+    for _ in range(20):
+        jet = random_jet(rng, 3, window)
+        for i in (1, 2, 3):
+            du, worst = _fraction_tangent(jet, i, window - 1)
+            assert tangent_recursion(jet, i, window - 1) == du
+            assert eigen_residual(jet, i, window - 1) == worst == 0
+
+
+def test_a_corrupted_tangent_leaves_the_fraction_rows_residual(monkeypatch):
+    # eigen_residual reads its defects at the scale S and divides the
+    # maximum by S once: with d_i u^2 corrupted it is the largest Fraction
+    # row defect
+    jet = random_jet(random.Random(5), 3)
+    du = reductions._tangent(jet, 1, 4)
+    du[2] += 1
+    monkeypatch.setattr(reductions, "_tangent", lambda *_args: du)
+    rows, lam = TensorPoint(paper_chain_spec(), jet.u_window), jet.lam[1]
+    exact = {k: v.fraction() for k, v in du.items()}
+    want = max(abs(lam * exact[k] - sum(a * exact[j] for j, a in rows.row(k).items()))
+               for k in range(-3, 4))
+    assert want and eigen_residual(jet, 1, 4) == want
+
+
+def test_a_jet_reads_the_integer_rows_at_one_scale():
+    # the jet's rows are the scans' integer reader over its u-window: with L
+    # the lcm of the window's denominators, a^k_j reads as the int a^k_j S,
+    # S = C L^D = L^2 on the paper rows (C = 1, D = 2), built once per jet
+    jet = random_jet(random.Random(8), 3)
+    rows = jet._rows
+    common = math.lcm(*(v.denominator for v in jet.u_window.values.values()))
+    assert type(rows) is _ScanPoint
+    assert (rows.point, rows.common, rows.scale) == (jet.u_window, common, common ** 2)
+    exact = TensorPoint(paper_chain_spec(), jet.u_window)
+    for k in range(-9, 10):
+        assert all(type(a) is int for a in rows.tensors.row(k).values())
+        assert {j: F(a, rows.scale) for j, a in rows.tensors.row(k).items()} == exact.row(k)
+    assert jet._rows is rows
+
+
+def test_a_vanished_pivot_is_named():
+    # rows with a^2_3 dropped have no pivot in row 2: the solve names it
+    jet = random_jet(random.Random(9), 3)
+    spec = spec_with_overrides(paper_chain_spec(), {"2,3": []})
+    jet.__dict__["_rows"] = _IntegerRows(spec, jet.u_window.window).point(jet.u_window)
+    with pytest.raises(ZeroDivisionError, match=r"row 2 pivot a\^2_3 vanished"):
+        tangent_recursion(jet, 1, 4)
 
 
 @pytest.mark.parametrize("call, value", [
