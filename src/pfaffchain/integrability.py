@@ -398,11 +398,10 @@ class _IntegerRows:
         S = C L^D."""
         common, numerators = over_lcm(point.values.values())
         powers = [common ** e for e in range(self.degree + 1)]
-        terms = self._terms
 
         def rows(k: int) -> dict[int, Poly]:
             return {j: Poly._of({mono: c * powers[e] for mono, c, e in row})
-                    for j, row in terms[k].items()}
+                    for j, row in self._terms[k].items()}
 
         spec = ChainMatrixSpec(name=self.spec.name, rows=rows, stencil=self.spec.stencil)
         integers = RationalPoint(values=dict(zip(point.values, numerators)), window=point.window)

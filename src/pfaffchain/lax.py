@@ -39,7 +39,7 @@ result is bit-identical to summing each table term by term.  Exact
 (``lazyfraction.over_lcm``) and make the same calls in Python ints at one
 scale, and each slot is reduced to a Fraction once.  The chain plans read
 x-derivative stencils that divide by the grid spacing, so they take float
-stacks only.
+stacks only and refuse an object stack with a ``ValueError``.
 
 The Taylor expansion of these tables (``expand_lattice_terms``, one Poly per
 eps order) is the continuum limit: the chain right-hand sides in ``chain``
@@ -535,7 +535,9 @@ class _Plan:
     denominators (``denominator``) and D the largest arity (``degree``), a
     term of arity d is scaled by the int c C L^(D-d), so every product
     carries the one scale C L^D, and each slot comes out reduced once, as
-    ``Fraction(sum, C L^D)``.  No operation on the way pays a gcd.
+    ``Fraction(sum, C L^D)``.  No operation on the way pays a gcd.  Only a
+    plan read over site shifts takes object rows: a ``chain._stencils`` fill
+    divides by h, so a chain plan raises ``ValueError`` on them.
     """
 
     def __init__(self, tables: Iterable[Iterable[tuple]], fill: Callable, shape: tuple):
@@ -575,6 +577,8 @@ class _Plan:
         if shape[:2] != self.shape:
             raise ValueError(f"a stack of shape {shape} for a plan compiled for {self.shape}")
         if exact := dtype == object:
+            if self.fill is not _site_shifts:
+                raise ValueError("chain plans take float stacks only: their stencils divide by h")
             common, numerators = over_lcm(stack.flat)
             stack = np.array(numerators, object).reshape(shape)
             scale = self.denominator * common ** self.degree

@@ -609,6 +609,16 @@ def test_a_plan_refuses_a_stack_of_another_shape():
     assert lax._lattice_plan(2, 1, 3)(b.rows).shape == (7, 12)
 
 
+def test_a_chain_plan_refuses_an_exact_stack():
+    s = _random_state(np.random.default_rng(11), with_z=True, epsilon=1 / 64)
+    exact = s.rows[:1].astype(object)
+    with pytest.raises(ValueError, match="float stacks only"):
+        chain._continuum_plan(0, s.depth)(exact, s.h)
+    _slices, plan = chain._matrix_plan(s.depth)
+    with pytest.raises(ValueError, match="float stacks only"):
+        plan(exact, s.h)
+
+
 def test_unknown_scheme_rejected():
     s = ChainState(h=0.1, depth=1, u={0: np.ones(8)})
     with pytest.raises(ValueError, match="scheme"):
