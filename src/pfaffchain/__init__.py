@@ -10,10 +10,9 @@ chain limit, with each layer cross-checked against the others:
 - ``integrability``: exact Nijenhuis/Haantjes tensors for chain-class
   matrices (diagonalisability test);
 - ``reductions``: Riemann-invariant tangent recursion and the
-  Gibbons-Tsarev closure with its involutivity check;
-- ``lazyfraction``: the common denominator every exact kernel starts
-  from, and the unreduced rationals of the two kernels that divide (the
-  tangent solve and the closure of ``reductions``);
+  Gibbons-Tsarev closure with its involutivity check, both in Python ints;
+- ``poly``: sparse exact polynomials, and ``over_lcm``, the common
+  denominator every exact kernel starts from;
 - ``cli``: the ``pfaffchain`` command.
 """
 

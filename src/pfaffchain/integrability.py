@@ -21,13 +21,14 @@ Polys (a symbolic point) or plain ints.  Every exact point the package
 draws is read in ints, by one reader: ``_IntegerRows.point`` serves both
 the scans ``haantjes_scan`` and ``nijenhuis_oracle_check`` and the chain
 rows of the reduction jets (``reductions.ReductionJet``).  A point's values
-share one denominator L, u^p = n_p / L, and the spec's rows are rewritten
-once per point as integer polynomials at one scale: with D the largest
-monomial degree (at least 1) and C the lcm of the coefficient denominators
-over the rows the reader's window covers, a term c u^{p_1}..u^{p_d} becomes
-c C L^(D-d) n_{p_1}..n_{p_d}.  At the numerators n_p a row entry then
-evaluates to a^k_j S with S = C L^D, a partial by n_p to d_p a^k_j S/L, so
-N^i_jk carries S^2/L and H^i_jk S^4/L, and no operation pays a gcd.  A
+are put over one denominator L by ``poly.over_lcm``, u^p = n_p / L, and the
+spec's rows are rewritten once per point as integer polynomials at one
+scale: with D the largest monomial degree (at least 1) and C the lcm of the
+coefficient denominators over the rows the reader's window covers, a term
+c u^{p_1}..u^{p_d} becomes c C L^(D-d) n_{p_1}..n_{p_d}.  At the numerators
+n_p a row entry then evaluates to a^k_j S with S = C L^D, a partial by n_p
+to d_p a^k_j S/L, so N^i_jk carries S^2/L and H^i_jk S^4/L, and no
+operation pays a gcd.  A
 value is reduced once, ``Fraction(value, scale)``, where it enters a report;
 an exact zero is the int 0, and zero entries are dropped from every row.
 
@@ -61,6 +62,7 @@ import functools
 import itertools
 import json
 import random
+import re
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
@@ -68,8 +70,7 @@ from math import lcm
 from typing import Callable, Iterator, Mapping, NamedTuple
 
 from .lax import chain_matrix_terms
-from .lazyfraction import over_lcm
-from .poly import _ZERO, Poly
+from .poly import _ZERO, Poly, over_lcm
 
 __all__ = [
     "Poly",
@@ -163,7 +164,7 @@ def spec_from_table(name: str, table: Mapping[str, Mapping[str, list]],
     for k_s, row in table.items():
         for j_s, t in row.items():
             with _blamed(f"spec row {k_s!r}, column {j_s!r}"):
-                parsed.setdefault(int(k_s), {})[int(j_s)] = Poly.from_table(t)
+                parsed.setdefault(_index(k_s), {})[_index(j_s)] = Poly.from_table(t)
     band = max([1] + [abs(j - k) for k, row in parsed.items() for j in row if j not in (0, 1)])
     if stencil > band:
         raise ValueError(f"spec 'stencil' {stencil} is past the table's band: its entries "
@@ -185,7 +186,7 @@ def spec_with_overrides(base: ChainMatrixSpec,
             if key.count(",") != 1:
                 raise ValueError("need a key 'k,j' and a table [[coeff, [index, ...]], ...]")
             k_s, j_s = key.split(",")
-            parsed[(int(k_s), int(j_s))] = Poly.from_table(table)
+            parsed[(_index(k_s), _index(j_s))] = Poly.from_table(table)
 
     def rows(k: int) -> dict[int, Poly]:
         row = dict(base.rows(k))
@@ -199,6 +200,30 @@ def spec_with_overrides(base: ChainMatrixSpec,
 
     return ChainMatrixSpec(name=name or f"{base.name}+overrides",
                            rows=rows, stencil=base.stencil)
+
+
+def _index(key: str) -> int:
+    """A spec's row or column key: an optional minus sign and ASCII digits,
+    so that "1_0", " 2", "+3" or a non-ASCII digit, which ``int`` reads as
+    another row or column, is a ValueError."""
+    if not isinstance(key, str) or not re.fullmatch(r"-?[0-9]+", key):
+        raise ValueError(f"the key {key!r} is not an optional '-' and the digits 0-9")
+    return int(key)
+
+
+class _JSONNumber(Fraction):
+    """A JSON number read exactly from its decimal text, which it shows as
+    its repr: 1e-400 is 10^-400, not the float 0.0."""
+
+    __slots__ = ("_text",)
+
+    def __new__(cls, text: str):
+        self = super().__new__(cls, text)
+        self._text = text
+        return self
+
+    def __repr__(self) -> str:
+        return self._text
 
 
 @contextmanager
@@ -220,13 +245,16 @@ def load_spec_json(path_or_obj) -> ChainMatrixSpec:
 
     The ``stencil`` s (default 1) sizes a scan's random points
     (``_scan_points``); it must be an integer 0 <= s <= max(1, the largest
-    |j - k| over the entries with j not in {0, 1}), else ValueError.
+    |j - k| over the entries with j not in {0, 1}), else ValueError.  A
+    row key k or column key j is an optional '-' and the digits 0-9.  A
+    file's JSON numbers with a fraction or an exponent are read exactly
+    from their decimal text, so a coefficient 1e-400 is 10^-400.
     """
     if isinstance(path_or_obj, Mapping):
         obj = path_or_obj
     else:
         with open(path_or_obj, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
+            obj = json.load(fh, parse_float=_JSONNumber)
     if not isinstance(obj, Mapping) or not isinstance(obj.get("overrides", {}), Mapping):
         raise ValueError("spec JSON must be an object, and its 'overrides' an object")
     if "rows" in obj:

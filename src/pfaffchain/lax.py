@@ -36,7 +36,7 @@ every kind is one plan per (flow_k, kinds, depth) (``_lattice_plan``), and
 ``chain`` compiles its Taylor-expanded tables the same way.  A float
 result is bit-identical to summing each table term by term.  Exact
 (object) rows are put over one common denominator L
-(``lazyfraction.over_lcm``) and make the same calls in Python ints at one
+(``poly.over_lcm``) and make the same calls in Python ints at one
 scale, and each slot is reduced to a Fraction once.  The chain plans read
 x-derivative stencils that divide by the grid spacing, so they take float
 stacks only and refuse an object stack with a ``ValueError``.
@@ -78,8 +78,7 @@ from functools import lru_cache
 import numpy as np
 
 from .ensemble import QuadratureConfig, CouplingVector, moment_matrix
-from .lazyfraction import over_lcm
-from .poly import Poly
+from .poly import Poly, over_lcm
 
 __all__ = [
     "LaxBands",
@@ -370,7 +369,7 @@ def lax_rhs_commutator(b: LaxBands, k: int, M: int,
     One dense algebra serves both paths: the projection's 1/2 is carried by
     working with 2 B, so the matrix products give 2 [B, L].  ``exact``
     runs it over Python integers, with L scaled by D, the lcm of its
-    entries' denominators (``lazyfraction.over_lcm``); the products give
+    entries' denominators (``poly.over_lcm``); the products give
     2 D^(k+1) [B, L], and the one exact division by 2 D^(k+1) happens only
     at the band slots read back, which come out as Fractions.  No Fraction
     enters a matrix product, and interior agreement with the explicit flow

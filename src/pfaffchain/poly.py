@@ -9,14 +9,20 @@ the flow tables ``lax.flow_terms`` reads off the Lax matrix, and the
 continuum factors (kind, band, x-derivative order) of their Taylor
 expansions.  Every term table of the package is a ``Poly``.  Tables are
 cached and shared, so nothing mutates ``terms`` after construction.
+
+``over_lcm`` is the one rule by which every exact kernel of the package
+starts: it gives L, the lcm of the inputs' denominators, and each input's
+numerator over L; the kernel computes in Python ints at one known scale,
+and each value is reduced once, ``Fraction(value, scale)``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Callable, Iterable, Mapping
 
-__all__ = ["Poly"]
+__all__ = ["Poly", "over_lcm"]
 
 
 Monomial = tuple  # sorted variables with multiplicity
@@ -167,3 +173,14 @@ def _accumulate(out: dict[Monomial, Fraction], mono: Monomial, c: Fraction) -> N
 def _as_poly(x) -> Poly:
     """A Poly as it is, a scalar as the constant polynomial."""
     return x if isinstance(x, Poly) else Poly.const(x)
+
+
+def over_lcm(values) -> tuple[int, list[int]]:
+    """L, the lcm of the denominators of ``values``, and each value's
+    numerator over L.  Ints go first (most entries of a band matrix are the
+    int 0); a float is taken exactly, as ``Fraction(x)``."""
+    parts = [(x, 1) if type(x) is int
+             else (x.numerator, x.denominator) if isinstance(x, Fraction)
+             else Fraction(x).as_integer_ratio() for x in values]
+    common = lcm(*{d for _n, d in parts})
+    return common, [n * (common // d) for n, d in parts]

@@ -2,7 +2,8 @@
 onto the lower-triangular factor of the splitting, the band-state JSON form,
 the slot-by-slot random band state, the band-by-band sum of the flow tables,
 the closed-form bands of the Gaussian orbit, the printed Gibbons-Tsarev
-system and the even chain's conserved densities."""
+system, the closure's involutivity and the tangent solve on reduced
+Fractions, and the even chain's conserved densities."""
 
 import math
 from collections.abc import Mapping
@@ -10,6 +11,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from pfaffchain.integrability import TensorPoint, paper_chain_spec
 from pfaffchain.lax import LaxBands, _block_mask, _minus_reflected, flow_terms
 from pfaffchain.poly import Poly
 
@@ -133,6 +135,126 @@ def gibbons_tsarev(lam_i, lam_j, u0, diu0, dju0, diu1, dju1, c_lam=4):
     return ((c_lam * u0 ** 2 - lam_i * lam_j) / (u0 * (lam_i - lam_j)) * dju0,
             (lam_i ** 2 + lam_j ** 2 - 8 * u0 ** 2) / (u0 * (lam_i - lam_j) ** 2) * diu0 * dju0,
             -u1_term(lam_i, lam_j, diu0, dju1) - u1_term(lam_j, lam_i, dju0, diu1))
+
+
+class JetNum:
+    """A value with its derivatives along the directions R^1..R^N.
+
+    A slot is None when the direction's action on the underlying coordinate
+    is not supplied by the closure (diagonal derivatives such as d_i
+    lambda^i); arithmetic propagates None so reading such a slot is an error
+    only if it is actually needed.
+    """
+
+    __slots__ = ("val", "d")
+
+    def __init__(self, val: Fraction, d: tuple):
+        self.val = val
+        self.d = d
+
+    @staticmethod
+    def const(c, n: int) -> "JetNum":
+        return JetNum(Fraction(c), (Fraction(0),) * n)
+
+    def _coerce(self, other) -> "JetNum":
+        if isinstance(other, JetNum):
+            return other
+        return JetNum.const(other, len(self.d))
+
+    @staticmethod
+    def _zip(a, b, op):
+        return tuple(None if (x is None or y is None) else op(x, y)
+                     for x, y in zip(a, b))
+
+    def __add__(self, other):
+        o = self._coerce(other)
+        return JetNum(self.val + o.val, self._zip(self.d, o.d, lambda x, y: x + y))
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return JetNum(-self.val, tuple(None if x is None else -x for x in self.d))
+
+    def __sub__(self, other):
+        return self + (-self._coerce(other))
+
+    def __rsub__(self, other):
+        return self._coerce(other) + (-self)
+
+    def __mul__(self, other):
+        o = self._coerce(other)
+        d = tuple(None if (x is None or y is None)
+                  else x * o.val + self.val * y
+                  for x, y in zip(self.d, o.d))
+        return JetNum(self.val * o.val, d)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        o = self._coerce(other)
+        val = self.val / o.val
+        d = tuple(None if (x is None or y is None)
+                  else (x * o.val - self.val * y) / (o.val * o.val)
+                  for x, y in zip(self.d, o.d))
+        return JetNum(val, d)
+
+    def __pow__(self, n: int):
+        out = JetNum.const(1, len(self.d))
+        for _ in range(n):
+            out = out * self
+        return out
+
+    def slot(self, k: int) -> Fraction:
+        v = self.d[k - 1]
+        if v is None:
+            raise ValueError(f"derivative along R^{k} is not closed for this value")
+        return v
+
+
+def oracle_involutivity(jet, c_lam: Fraction) -> dict[str, Fraction]:
+    """``reductions.gt_involutivity`` by forward mode over all directions at
+    once on reduced Fractions: JetNum coordinates carry every direction's
+    derivative, each the printed system's value (``c_lam`` is the constant
+    of its d_j lambda^i formula)."""
+    idx = (1, 2, 3)
+
+    def printed(i, j):  # the closure values of the pair (i, j) at the jet
+        return gibbons_tsarev(jet.lam[i], jet.lam[j], jet.u0, jet.du0[i], jet.du0[j],
+                              jet.du1[i], jet.du1[j], c_lam)
+
+    u0 = JetNum(jet.u0, tuple(jet.du0[k] for k in idx))
+    lam, du0, du1 = ({i: JetNum(values[i], tuple(None if k == i else printed(i, k)[n]
+                                                 for k in idx)) for i in idx}
+                     for n, values in enumerate((jet.lam, jet.du0, jet.du1)))
+
+    def d(i, j):  # the closure values of the pair (i, j) over the JetNums
+        return gibbons_tsarev(lam[i], lam[j], u0, du0[i], du0[j], du1[i], du1[j], c_lam)
+
+    residuals = {}
+    for i, j, k in ((1, 2, 3), (2, 3, 1), (3, 1, 2)):
+        names = (f"lambda^{i}: d{k}d{j} - d{j}d{k}", f"u0: d{k}d{i}d{j} - d{j}d{i}d{k}",
+                 f"u1: d{k}d{i}d{j} - d{j}d{i}d{k}")
+        for name, a, b in zip(names, d(i, j), d(i, k)):
+            residuals[name] = a.slot(k) - b.slot(j)
+    return residuals
+
+
+def fraction_tangent(jet, i: int, depth: int) -> tuple[dict, Fraction]:
+    """d_i u^k for |k| <= depth, solved row by row in the order of
+    ``reductions.tangent_recursion`` on reduced Fractions from the Fraction
+    engine's rows at the jet's u-window, and the largest row defect over
+    |k| <= depth - 1."""
+    rows = TensorPoint(paper_chain_spec(), jet.u_window)
+    lam, du = jet.lam[i], {0: jet.du0[i], 1: jet.du1[i]}
+
+    def defect(k, unknown=None):
+        return lam * du[k] - sum(a * du[j] for j, a in rows.row(k).items() if j != unknown)
+
+    for k, target in ([(0, -1)] + [(k, k + 1) for k in range(1, depth)]
+                      + [(k, k - 1) for k in range(-1, -depth, -1)]):
+        du[target] = defect(k, target) / rows.row(k)[target]
+    worst = max(abs(defect(k)) for k in range(1 - depth, depth))
+    return {k: v for k, v in du.items() if abs(k) <= depth}, worst
 
 
 def chain_density(j: int) -> Poly:

@@ -175,6 +175,11 @@ _BAD_INPUT_FILES = {"top_level_list.json": [1], "rows_not_an_object.json": {"row
                     "index_true.json": {"rows": {"0": {"0": [["1", [True]]]}}},
                     "index_string.json": {"base": "paper", "overrides": {"0,1": [["1", ["2"]]]}},
                     "stencil_true.json": {"stencil": True, "rows": {"0": {"0": [["1", [0]]]}}},
+                    # each was read as another row or column by int() before
+                    "key_underscore.json": {"rows": {"1_0": {"0": [["1", [0]]]}}},
+                    "key_space.json": {"rows": {"0": {" 2": [["1", [0]]]}}},
+                    "key_plus.json": {"base": "paper", "overrides": {"+3,1": [["1", [0]]]}},
+                    "key_arabic_digit.json": {"rows": {"\u0663": {"0": [["1", [0]]]}}},
                     # a stencil sizes the random points: 1e9 would not finish
                     "stencil_past_the_band.json": {"stencil": 1000000000,
                                                    "rows": {"0": {"1": [["1", [0]]]}}},
@@ -212,6 +217,12 @@ _USAGE_MESSAGES = {
     # read as stencil 1 with exit 0 before
     "haantjes --spec stencil_true.json": "spec 'stencil' must be a non-negative integer, "
                                          "got True",
+    # read as row 10 with exit 0 before
+    "haantjes --spec key_underscore.json": "spec row '1_0', column '0': the key '1_0' is not "
+                                           "an optional '-' and the digits 0-9",
+    # read as row 3 of the paper spec before
+    "haantjes --spec key_plus.json": "spec override '+3,1': the key '+3' is not an optional "
+                                     "'-' and the digits 0-9",
     # ran for a time that grows with the stencil before
     "haantjes --spec stencil_past_the_band.json":
         "spec 'stencil' 1000000000 is past the table's band: its entries with j not in "
@@ -261,6 +272,10 @@ _USAGE_MESSAGES = {
     ["haantjes", "--spec", "index_true.json"],
     ["haantjes", "--spec", "index_string.json"],
     ["haantjes", "--spec", "stencil_true.json"],
+    ["haantjes", "--spec", "key_underscore.json"],
+    ["haantjes", "--spec", "key_space.json"],
+    ["haantjes", "--spec", "key_plus.json"],
+    ["haantjes", "--spec", "key_arabic_digit.json"],
     ["moments", "--n", "1", "--nodes", "3000000"],
     ["tau", "--n-max", "2", "--nodes", "3000000"],
     ["lax-verify", "--sites", "100000", "--trials", "1"],

@@ -2,6 +2,7 @@ import collections
 import functools
 import gc
 import itertools
+import json
 import math
 import random
 import weakref
@@ -318,8 +319,6 @@ def test_mutated_spec_fails_the_scan():
 
 
 def test_spec_json_forms(tmp_path):
-    import json
-
     override = {"base": "paper", "overrides": {"0,1": [["1", [0]]]}}
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(override))
@@ -337,6 +336,39 @@ def test_spec_json_forms(tmp_path):
 
     with pytest.raises(ValueError):
         load_spec_json({"nonsense": True})
+
+
+def test_a_spec_file_reads_a_tiny_coefficient_exactly(tmp_path):
+    # json.load took 1e-400 as the float 0.0, and the override deleted a^0_1
+    path = tmp_path / "tiny.json"
+    path.write_text('{"base": "paper", "overrides": {"0,1": [[1e-400, [0]]]}}')
+    assert load_spec_json(str(path)).rows(0)[1] == Poly({(0,): F(1, 10 ** 400)})
+
+
+# the spec files the CLI is run on, and JSON numbers in every written form
+SPEC_FILES = [
+    '{"base": "paper", "overrides": {"0,1": [["1", [0]]]}}',
+    '{"base": "paper", "overrides": {"0,1": [["1/11", [0, 0]]]}}',
+    '{"name": "diagonal", "stencil": 0, "rows": {"-1": {"-1": [["1", [-1]]]}, '
+    '"2": {"2": [["4", [2]]]}, "3": {"3": [["5", [3]]]}}}',
+    '{"base": "paper", "overrides": {"0,1": [["1/3", [0, 0, 1]]], "5,4": [["2/7", [5, 5, 5]]]}}',
+    '{"name": "constant", "stencil": 1, "rows": {"-1": {"-2": [["2", []]], "-1": [["-1", []]], '
+    '"0": [["3", []]]}, "0": {"-1": [["2", []]], "1": [["3/5", []]]}, "1": {"0": [["2", []]], '
+    '"1": [["1", []]], "2": [["3", []]]}}}',
+    '{"base": "paper", "overrides": {"0,1": [[0.5, [0]], [-2.5e-3, [1]], [1E22, [0, 1]]], '
+    '"1,2": [[-1.25E+2, []], [3, [2]], [0.1, [0, 0]]]}}',
+]
+
+
+@pytest.mark.parametrize("text", SPEC_FILES)
+def test_a_spec_file_loads_as_its_parsed_object(tmp_path, text):
+    # reading JSON numbers from their decimal text changes no spec that a
+    # float reads exactly as written
+    path = tmp_path / "spec.json"
+    path.write_text(text)
+    got, want = load_spec_json(str(path)), load_spec_json(json.loads(text))
+    assert (got.name, got.stencil) == (want.name, want.stencil)
+    assert all(got.rows(k) == want.rows(k) for k in range(-8, 9))
 
 
 def test_a_stencil_past_the_table_band_is_refused():

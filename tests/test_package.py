@@ -10,7 +10,7 @@ import pytest
 
 import pfaffchain
 
-LAYERS = ("chain", "ensemble", "integrability", "lax", "lazyfraction", "poly", "reductions")
+LAYERS = ("chain", "ensemble", "integrability", "lax", "poly", "reductions")
 
 
 @pytest.mark.parametrize("layer", LAYERS)
@@ -91,14 +91,14 @@ def test_every_private_module_name_is_referenced():
     assert sorted(private - referenced) == []
 
 
-def test_only_reductions_imports_lazy_fractions():
-    # the kernels that only add and multiply run on ints at one scale; the
-    # tangent solve and the closure duals divide, so they keep LazyFraction
-    importers = set()
-    for path in sorted(SRC.glob("*.py")):
+def test_no_module_defines_or_imports_lazy_fractions():
+    # every exact kernel runs on ints at one scale, the tangent solve and the
+    # closure duals too, so no unreduced-rational class is left
+    for name, path in sorted(SOURCES.items()):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.ImportFrom) and node.module and \
-                    node.module.endswith("lazyfraction"):
-                if {"LazyFraction", "lazy"} & {a.name for a in node.names}:
-                    importers.add(path.stem)
-    assert importers == {"reductions"}
+            if isinstance(node, ast.ClassDef):
+                assert node.name != "LazyFraction", name
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = {a.name for a in node.names} | {getattr(node, "module", None) or ""}
+                assert not {"LazyFraction", "lazy", "lazyfraction"} & {
+                    n.split(".")[-1] for n in names}, (name, names)

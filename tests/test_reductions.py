@@ -10,12 +10,12 @@ import pytest
 from pfaffchain.integrability import (TensorPoint, _IntegerRows, _ScanPoint, paper_chain_spec,
                                      spec_with_overrides)
 from pfaffchain import reductions
-from pfaffchain.lazyfraction import lazy
+from pfaffchain.poly import over_lcm
 from pfaffchain.reductions import (
     DegenerateSpeedsError,
     ReductionJet,
     _closure,
-    _coordinates_along,
+    _duals,
     eigen_residual,
     gt_involutivity,
     involutivity_report,
@@ -23,14 +23,13 @@ from pfaffchain.reductions import (
     tangent_recursion,
 )
 
-from oracles import gibbons_tsarev
+from oracles import JetNum, fraction_tangent, gibbons_tsarev, oracle_involutivity
 
 F = Fraction
 
 
 # ---------------------------------------------------------------------------
-# oracles: the closure values of the printed system, and involutivity by
-# forward mode over all directions at once on reduced Fractions
+# oracle: the closure values of the printed system
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -52,107 +51,6 @@ def gt_rhs(jet: ReductionJet, i: int, j: int) -> GTDerivatives:
                                                jet.du1[i], jet.du1[j])
     dlam_ji = gibbons_tsarev(lj, li, jet.u0, jet.du0[j], jet.du0[i], jet.du1[j], jet.du1[i])[0]
     return GTDerivatives(dlam_ij=dlam_ij, dlam_ji=dlam_ji, d2u0_ij=d2u0_ij, d2u1_ij=d2u1_ij)
-
-
-class JetNum:
-    """A value with its derivatives along the directions R^1..R^N.
-
-    A slot is None when the direction's action on the underlying coordinate
-    is not supplied by the closure (diagonal derivatives such as d_i
-    lambda^i); arithmetic propagates None so reading such a slot is an error
-    only if it is actually needed.
-    """
-
-    __slots__ = ("val", "d")
-
-    def __init__(self, val: Fraction, d: tuple):
-        self.val = val
-        self.d = d
-
-    @staticmethod
-    def const(c, n: int) -> "JetNum":
-        return JetNum(Fraction(c), (Fraction(0),) * n)
-
-    def _coerce(self, other) -> "JetNum":
-        if isinstance(other, JetNum):
-            return other
-        return JetNum.const(other, len(self.d))
-
-    @staticmethod
-    def _zip(a, b, op):
-        return tuple(None if (x is None or y is None) else op(x, y)
-                     for x, y in zip(a, b))
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        return JetNum(self.val + o.val, self._zip(self.d, o.d, lambda x, y: x + y))
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return JetNum(-self.val, tuple(None if x is None else -x for x in self.d))
-
-    def __sub__(self, other):
-        return self + (-self._coerce(other))
-
-    def __rsub__(self, other):
-        return self._coerce(other) + (-self)
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        d = tuple(None if (x is None or y is None)
-                  else x * o.val + self.val * y
-                  for x, y in zip(self.d, o.d))
-        return JetNum(self.val * o.val, d)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        val = self.val / o.val
-        d = tuple(None if (x is None or y is None)
-                  else (x * o.val - self.val * y) / (o.val * o.val)
-                  for x, y in zip(self.d, o.d))
-        return JetNum(val, d)
-
-    def __pow__(self, n: int):
-        out = JetNum.const(1, len(self.d))
-        for _ in range(n):
-            out = out * self
-        return out
-
-    def slot(self, k: int) -> Fraction:
-        v = self.d[k - 1]
-        if v is None:
-            raise ValueError(f"derivative along R^{k} is not closed for this value")
-        return v
-
-
-def _oracle_involutivity(jet: ReductionJet, c_lam: Fraction) -> dict[str, Fraction]:
-    """``gt_involutivity`` over JetNum coordinates carrying every direction's
-    derivative at once, each the printed system's value (``c_lam`` is the
-    constant of its d_j lambda^i formula)."""
-    idx = (1, 2, 3)
-
-    def printed(i, j):  # the closure values of the pair (i, j) at the jet
-        return gibbons_tsarev(jet.lam[i], jet.lam[j], jet.u0, jet.du0[i], jet.du0[j],
-                              jet.du1[i], jet.du1[j], c_lam)
-
-    u0 = JetNum(jet.u0, tuple(jet.du0[k] for k in idx))
-    lam, du0, du1 = ({i: JetNum(values[i], tuple(None if k == i else printed(i, k)[n]
-                                                 for k in idx)) for i in idx}
-                     for n, values in enumerate((jet.lam, jet.du0, jet.du1)))
-
-    def d(i, j):  # the closure values of the pair (i, j) over the JetNums
-        return gibbons_tsarev(lam[i], lam[j], u0, du0[i], du0[j], du1[i], du1[j], c_lam)
-
-    residuals = {}
-    for i, j, k in ((1, 2, 3), (2, 3, 1), (3, 1, 2)):
-        names = (f"lambda^{i}: d{k}d{j} - d{j}d{k}", f"u0: d{k}d{i}d{j} - d{j}d{i}d{k}",
-                 f"u1: d{k}d{i}d{j} - d{j}d{i}d{k}")
-        for name, a, b in zip(names, d(i, j), d(i, k)):
-            residuals[name] = a.slot(k) - b.slot(j)
-    return residuals
 
 
 # ---------------------------------------------------------------------------
@@ -227,24 +125,6 @@ def test_recursion_window_requirement():
         tangent_recursion(jet, 1, 6)
 
 
-def _fraction_tangent(jet: ReductionJet, i: int, depth: int) -> tuple[dict, Fraction]:
-    """d_i u^k for |k| <= depth, solved row by row in the order of
-    ``tangent_recursion`` on reduced Fractions from the Fraction engine's
-    rows at the jet's u-window, and the largest row defect over
-    |k| <= depth - 1."""
-    rows = TensorPoint(paper_chain_spec(), jet.u_window)
-    lam, du = jet.lam[i], {0: jet.du0[i], 1: jet.du1[i]}
-
-    def defect(k, unknown=None):
-        return lam * du[k] - sum(a * du[j] for j, a in rows.row(k).items() if j != unknown)
-
-    for k, target in ([(0, -1)] + [(k, k + 1) for k in range(1, depth)]
-                      + [(k, k - 1) for k in range(-1, -depth, -1)]):
-        du[target] = defect(k, target) / rows.row(k)[target]
-    worst = max(abs(defect(k)) for k in range(1 - depth, depth))
-    return {k: v for k, v in du.items() if abs(k) <= depth}, worst
-
-
 @pytest.mark.parametrize("window", [6, 10])
 def test_integer_rows_solve_as_the_fraction_rows(window):
     # the jet reads its rows in ints at the scale S and multiplies lambda by
@@ -253,21 +133,22 @@ def test_integer_rows_solve_as_the_fraction_rows(window):
     for _ in range(20):
         jet = random_jet(rng, 3, window)
         for i in (1, 2, 3):
-            du, worst = _fraction_tangent(jet, i, window - 1)
+            du, worst = fraction_tangent(jet, i, window - 1)
             assert tangent_recursion(jet, i, window - 1) == du
             assert eigen_residual(jet, i, window - 1) == worst == 0
 
 
 def test_a_corrupted_tangent_leaves_the_fraction_rows_residual(monkeypatch):
-    # eigen_residual reads its defects at the scale S and divides the
-    # maximum by S once: with d_i u^2 corrupted it is the largest Fraction
-    # row defect
+    # eigen_residual reads its defects in the tangent's numerators over its
+    # scale sigma, at the rows' scale S, and divides the maximum by
+    # sigma q S once: with d_i u^2 corrupted it is the largest Fraction row
+    # defect
     jet = random_jet(random.Random(5), 3)
-    du = reductions._tangent(jet, 1, 4)
-    du[2] += 1
-    monkeypatch.setattr(reductions, "_tangent", lambda *_args: du)
+    du, sigma = reductions._tangent(jet, 1, 4)
+    du[2] += sigma  # d_i u^2 + 1
+    monkeypatch.setattr(reductions, "_tangent", lambda *_args: (du, sigma))
     rows, lam = TensorPoint(paper_chain_spec(), jet.u_window), jet.lam[1]
-    exact = {k: v.fraction() for k, v in du.items()}
+    exact = {k: F(n, sigma) for k, n in du.items()}
     want = max(abs(lam * exact[k] - sum(a * exact[j] for j, a in rows.row(k).items()))
                for k in range(-3, 4))
     assert want and eigen_residual(jet, 1, 4) == want
@@ -330,6 +211,19 @@ def test_a_jet_refuses_directions_other_than_1_to_n():
         ReductionJet(lam=lam, du0=jet.du0, du1=jet.du1, u_window=jet.u_window)
 
 
+def test_a_float_in_the_jet_or_the_mutation_is_refused():
+    # every value is read as an exact int numerator; a float would be taken
+    # as its binary value, so it is refused as the unreduced rationals did
+    jet = random_jet(random.Random(7), 3)
+    with pytest.raises(TypeError, match="exact rationals"):
+        ReductionJet(lam={**jet.lam, 1: 0.5}, du0=jet.du0, du1=jet.du1, u_window=jet.u_window)
+    point = dataclasses.replace(jet.u_window, values={**jet.u_window.values, 0: 1.5})
+    with pytest.raises(TypeError, match="exact rationals"):
+        ReductionJet(lam=jet.lam, du0=jet.du0, du1=jet.du1, u_window=point)
+    with pytest.raises(TypeError, match="mutate_dlam must be an exact rational, not 0.5"):
+        gt_involutivity(jet, mutate_dlam=0.5)
+
+
 def test_n_u0_and_u1_are_read_off_the_jet_data():
     jet = random_jet(random.Random(7), 4)
     assert [f.name for f in dataclasses.fields(jet)] == ["lam", "du0", "du1", "u_window"]
@@ -381,15 +275,20 @@ def test_gt_rejects_equal_indices():
         gt_rhs(jet, 2, 2)
 
 
-@pytest.mark.parametrize("c_lam", [4, 3, 5])
+@pytest.mark.parametrize("c_lam", [4, 3, 5, F(7, 3), F(-5, 2)], ids=str)
 def test_the_closure_is_the_printed_system(c_lam):
+    # _closure adds and multiplies only: over the pair's coordinates put
+    # over one L it gives numerators and denominators in ints, and each
+    # value, homogeneous of degree 1, is L times the printed one
     rng = random.Random(19)
     for _ in range(100):
         jet = random_jet(rng, 3)
         for i, j in itertools.permutations((1, 2, 3), 2):
             args = (jet.lam[i], jet.lam[j], jet.u0, jet.du0[i], jet.du0[j], jet.du1[i], jet.du1[j])
-            got = _closure(*map(lazy, args), lazy(c_lam))
-            assert [v.fraction() for v in got] == list(gibbons_tsarev(*args, c_lam)), (i, j)
+            common, ints = over_lcm(args)
+            got = _closure(*ints, F(c_lam))
+            assert all(type(x) is int for pair in got for x in pair)
+            assert [F(n, d * common) for n, d in got] == list(gibbons_tsarev(*args, c_lam)), (i, j)
 
 
 # ---------------------------------------------------------------------------
@@ -429,7 +328,7 @@ def test_dual_residuals_equal_the_jetnum_oracle(coupling):
     for _ in range(200):
         jet = random_jet(rng, 3)
         got = gt_involutivity(jet, mutate_dlam=coupling)
-        assert got == _oracle_involutivity(jet, coupling or F(4))
+        assert got == oracle_involutivity(jet, coupling or F(4))
         assert all(type(v) is Fraction for v in got.values())
         nonzero += any(got.values())
     # a jet with d_j u^0 = 0 in some direction can leave the mutation silent
@@ -448,19 +347,21 @@ def test_mutated_report_keeps_its_exact_residual(seed, residual):
 def _semi_hamiltonian_residuals(jet: ReductionJet, coupling: Fraction) -> list[Fraction]:
     """d_k(d_j lambda^i / (lambda^j - lambda^i)) - d_j(d_k lambda^i / (lambda^k
     - lambda^i)) for the six ordered triples (i, j, k), each d_k taken over
-    the closure's duals along R^k with ``coupling`` in d_j lambda^i."""
-    c = lazy(coupling)
-    coords = {i: (lazy(jet.lam[i]), lazy(jet.du0[i]), lazy(jet.du1[i])) for i in (1, 2, 3)}
-    along = {k: _coordinates_along(k, lazy(jet.u0), coords, c) for k in (1, 2, 3)}
+    the closure's int duals along R^k with ``coupling`` in d_j lambda^i.  The
+    quotient is homogeneous of degree 0, so its derivatives need no L."""
+    c = F(coupling)
+    _common, along = _duals(jet, c)
 
-    def d(k, i, j):  # d_k (d_j lambda^i / (lambda^j - lambda^i))
-        u0, duals = along[k]
+    def d(k, i, j):  # d_k (d_j lambda^i / (lambda^j - lambda^i)) as (n, d)
+        u0, duals, q_k = along[k]
         (lam_i, du0_i, du1_i), (lam_j, du0_j, du1_j) = duals[i], duals[j]
-        dlam = _closure(lam_i, lam_j, u0, du0_i, du0_j, du1_i, du1_j, c)[0]
-        return (dlam / (lam_j - lam_i)).d
+        num, den = _closure(lam_i, lam_j, u0, du0_i, du0_j, du1_i, du1_j, c)[0]
+        den = den * (lam_j - lam_i)
+        return num.d * den.v - num.v * den.d, q_k * den.v * den.v
 
-    return [(d(k, i, j) - d(j, i, k)).fraction()
-            for i, j, k in itertools.permutations((1, 2, 3))]
+    return [F(a_n * b_d - b_n * a_d, a_d * b_d)
+            for (a_n, a_d), (b_n, b_d) in (
+                (d(k, i, j), d(j, i, k)) for i, j, k in itertools.permutations((1, 2, 3)))]
 
 
 def test_the_closure_is_semi_hamiltonian():
