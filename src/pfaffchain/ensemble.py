@@ -44,7 +44,21 @@ entry raises ``QuadratureError``, as one that does not converge does, or
 one whose mu_01 is not positive: mu_01 = integral over y > x of
 (y - x) w(x) w(y) > 0 for every weight, so such a rule missed the weight.
 ``moment_matrix`` returns (mu_ij) as a plain antisymmetric ``ndarray``; the
-Pfaffian and the skew factorisation in ``lax`` copy it before they write.
+tau elimination, the Pfaffian and the skew factorisation in ``lax`` copy it
+before they write.
+
+Every tau_2n is a leading Pfaffian of one moment matrix, and for a positive
+weight every one is positive, so the leading blocks share one skew
+elimination without pivoting (the skew-orthogonal-polynomial structure of
+Adler, Horozov and van Moerbeke, IMRN 1999): its first n pivots multiply to
+tau_2n.  ``tau_from_moments``, ``tau_report`` and ``tau_table`` read every
+tau they need off one such elimination of the largest table the call needs.
+Its first n steps touch only the leading 2n x 2n block, which is the same
+bits in every table, so each tau_2n is the same float from every call.  A
+pivot that is not positive means the table lost its precision, and the tau
+is refused with a ``ValueError`` that names it; a tau past float64 raises
+``OverflowError``.  The pivoted ``pfaffian`` is kept for general skew
+matrices.
 """
 
 from __future__ import annotations
@@ -52,8 +66,8 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
-from functools import cache, lru_cache
-from typing import Callable, Mapping
+from functools import lru_cache
+from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
@@ -340,8 +354,11 @@ def pfaffian(m) -> float:
     """pf(m) with pf(m)^2 = det(m); pf([[0, a], [-a, 0]]) = +a.
 
     Parlett-Reid skew tridiagonalisation with partial pivoting, parity
-    tracked (Wimmer, ACM TOMS 38 (2012)).  Raises OverflowError at the step
-    where the running product leaves float64.
+    tracked (Wimmer, ACM TOMS 38 (2012)), for any finite antisymmetric
+    matrix.  Raises OverflowError at the step where the running product
+    leaves float64.  The taus do not come from here: a moment table's
+    leading Pfaffians are all read off one elimination without pivoting
+    (``tau_from_moments``).
     """
     a = _as_skew_array(m).copy()
     n = a.shape[0]
@@ -369,11 +386,82 @@ def pfaffian(m) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _leading_pfaffians(m: np.ndarray) -> tuple[list[float], float | None]:
+    """``[tau_0, tau_2, ..., tau_2r]``, the leading Pfaffians pf(m_2s) of the
+    moment table m, read off one Parlett-Reid elimination without pivoting,
+    and the pivot at which it stopped (None once every block is read).
+
+    Step s takes the Schur complement of the leading 2 x 2 block, whose
+    entry (0, 1) is the pivot p_s, so pf(m_2s) = p_1 ... p_s.  The first s
+    steps read and write only the leading 2s x 2s block, each entry by the
+    same elementwise operations at every size, so tau_2s comes out the same
+    bits from every table that holds m_2s.  Every tau of a positive weight
+    is positive, so the elimination stops at a pivot that is not positive
+    and finite, where the table has lost its precision, or that takes the
+    product out of float64.
+    """
+    a = np.array(m, dtype=float)
+    taus = [1.0]
+    with np.errstate(all="ignore"):  # a pivot that is not finite stops the loop
+        for k in range(0, len(a), 2):
+            pivot = float(a[k, k + 1])
+            value = taus[-1] * pivot
+            if not (pivot > 0 and value < math.inf):
+                return taus, pivot
+            taus.append(value)
+            tau = a[k, k + 2:] / pivot
+            col = a[k + 2:, k + 1]
+            a[k + 2:, k + 2:] += np.outer(tau, col) - np.outer(col, tau)
+    return taus, None
+
+
+def _tau_reader(sizes: Iterable[int], t: CouplingVector,
+                q: QuadratureConfig) -> Callable[[int], float]:
+    """tau_2m for each m in ``sizes``, listed in the order the caller reads them.
+
+    Each table m_2m is requested through ``moment_matrix`` in that order, so
+    each keeps its own convergence check, and every tau is read off one
+    elimination of the largest.  A refused table ends the requests; its
+    error is raised when its tau is read, as the elimination's refusal of a
+    tau is, so the caller meets the first failure in its own reading order.
+    """
+    tables: dict[int, np.ndarray] = {}
+    refused: Exception | None = None
+    for m in sizes:
+        if m == 0:  # tau_0 = 1 needs no table
+            continue
+        try:
+            tables[m] = moment_matrix(m, t, q)
+        except (QuadratureError, OverflowError) as exc:
+            refused = exc
+            break
+    taus, pivot = _leading_pfaffians(tables[max(tables)]) if tables else ([1.0], None)
+
+    def tau(m: int) -> float:
+        if m and m not in tables:
+            raise refused
+        if m < len(taus):
+            return taus[m]
+        s = len(taus)
+        if pivot > 0:
+            raise OverflowError(f"tau_{2 * m} overflows float64: tau_{2 * s} = "
+                                f"{taus[-1]:.3g} * {pivot:.3g}")
+        raise ValueError(f"tau_{2 * m} cannot be formed: pivot {s} of the elimination is "
+                         f"{pivot:.3g}, but every tau of a positive weight is positive, so "
+                         f"the moment table has lost its precision")
+
+    return tau
+
+
 def tau_from_moments(n: int, t: CouplingVector, q: QuadratureConfig) -> float:
-    """tau_2n(t) = pf(m_2n(t)); tau_0 := 1 by convention."""
-    if n == 0:
-        return 1.0
-    return pfaffian(moment_matrix(n, t, q))
+    """tau_2n(t) = pf(m_2n(t)); tau_0 := 1 by convention.
+
+    Read off the elimination of m_2n without pivoting, whose first s pivots
+    multiply to tau_2s (see ``_leading_pfaffians``): the same bits as from
+    any larger table.  Raises ValueError when a pivot is not positive and
+    finite, and OverflowError when the product leaves float64.
+    """
+    return _tau_reader((n,), t, q)(n)
 
 
 def selberg_ratio(n: int) -> float:
@@ -385,23 +473,27 @@ def selberg_ratio(n: int) -> float:
 
 def tau_report(n: int, t: CouplingVector, q: QuadratureConfig) -> dict:
     """JSON-ready record; ratio check compares the quadrature tau ratio
-    around 2n with the closed-form zero-coupling ratio (== 1.0 at t = 0)."""
-    return _tau_record(n, t, lambda m: tau_from_moments(m, t, q))
+    around 2n with the closed-form zero-coupling ratio (== 1.0 at t = 0).
+    Its three taus come off one elimination of m_{2n+2}."""
+    return _tau_record(n, t, _tau_reader((n, n + 1, n - 1) if n else (0,), t, q))
 
 
 def tau_table(n_max: int, t: CouplingVector, q: QuadratureConfig) -> list[dict]:
-    """``tau_report(n, t, q)`` for n = 1..n_max, each tau_2m computed once,
-    in the order the reports first ask for it."""
-    tau = cache(lambda m: tau_from_moments(m, t, q))
+    """``tau_report(n, t, q)`` for n = 1..n_max, built in order, every tau
+    read off one elimination of m_{2 n_max + 2}; a refusal names the first
+    n that cannot be reported."""
+    tau = _tau_reader(range(1, n_max + 2), t, q)
     return [_tau_record(n, t, tau) for n in range(1, n_max + 1)]
 
 
 def _tau_record(n: int, t: CouplingVector, tau: Callable[[int], float]) -> dict:
-    value = tau(n)
+    try:
+        value = tau(n)
+        above, below = (tau(n + 1), tau(n - 1)) if n >= 1 else (None, None)
+    except (ValueError, OverflowError) as exc:
+        raise type(exc)(f"n={n}: {exc}") from None
     record = {"n": n, "t": t.as_dict(), "tau": value, "selberg_ratio_check": None}
     if n >= 1:
-        above = tau(n + 1)
-        below = tau(n - 1)
         try:
             tau_sq = value ** 2
         except OverflowError:

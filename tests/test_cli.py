@@ -194,7 +194,13 @@ _BAD_INPUT_FILES = {"top_level_list.json": [1], "rows_not_an_object.json": {"row
 
 # the whole line for inputs that once failed in a later step, which it blamed
 _USAGE_MESSAGES = {
-    "moments --n 88": "the Pfaffian of the 176x176 matrix overflows float64",
+    "moments --n 88": "n=88: tau_176 cannot be formed: pivot 21 of the elimination is "
+                      "-3.01e+39, but every tau of a positive weight is positive, so the "
+                      "moment table has lost its precision",
+    # the first record that cannot be reported, not the first table that cannot be formed
+    "tau --n-max 17": "n=17: tau^2 overflows float64 (tau_34 = 1.15e+179)",
+    "tau --n-max 300": "n=17: tau^2 overflows float64 (tau_34 = 1.15e+179)",
+    "moments --n 100": "moment matrix n=100: the degree-199 moment table is not finite in float64",
     "moments --radius 1e6": "moment matrix n=2: the rule at 200 nodes on radius 1e+06 "
                             "resolves no weight: mu_01 = 0 is not positive",
     # a TypeError traceback before
@@ -280,7 +286,7 @@ _USAGE_MESSAGES = {
     ["tau", "--n-max", "2", "--nodes", "3000000"],
     ["lax-verify", "--sites", "100000", "--trials", "1"],
     ["tau", "--n-max", "300"],
-    ["tau", "--n-max", "16"],
+    ["tau", "--n-max", "17"],
     ["moments", "--radius", "1e6"],
     # allocations past the 128 TiB address space fail at once under any
     # overcommit setting
@@ -346,13 +352,15 @@ def test_bad_value_is_blamed_on_its_option(tmp_path, capsys, argv, option):
 
 def test_tau_table_computes_each_tau_once(tmp_path, monkeypatch):
     calls = collections.Counter()
-    for name in ("moment_matrix", "pfaffian"):
+    for name in ("moment_matrix", "pfaffian", "_leading_pfaffians"):
         def counted(*args, _fn=getattr(ensemble, name), _name=name):
             calls[_name] += 1
             return _fn(*args)
         monkeypatch.setattr(ensemble, name, counted)
     assert main(["--out", str(tmp_path), "tau", "--n-max", "12"]) == 0
-    assert calls == {"moment_matrix": 13, "pfaffian": 13}  # tau_2 .. tau_26
+    # tables m_2 .. m_26, each with its own convergence check, and every tau
+    # read off one elimination of m_26
+    assert calls == {"moment_matrix": 13, "_leading_pfaffians": 1}
 
 
 def test_moments_forms_each_table_once(tmp_path, monkeypatch):
@@ -373,18 +381,19 @@ def test_reports_refuse_values_that_are_not_json(tmp_path):
             _write_report(tmp_path, "report.json", {"value": bad})
 
 
-@pytest.mark.parametrize("argv, warnings", [
-    (["moments", "--n", "3"], 0),
-    (["tau", "--n-max", "3"], 0),
-    (["moments", "--n", "12"], 1),
-    (["tau", "--n-max", "12"], 1),
+@pytest.mark.parametrize("argv, warned", [
+    (["moments", "--n", "3"], []),
+    (["tau", "--n-max", "3"], []),
+    (["moments", "--n", "12"], [12]),
+    (["tau", "--n-max", "12"], [11, 12]),
 ], ids=["moments_n3", "tau_n3", "moments_n12", "tau_n12"])
-def test_zero_coupling_ratio_drift_past_the_budget_warns(tmp_path, capsys, argv, warnings):
-    # at 200 nodes |ratio - 1| is 7.9e-7 at n = 11 and 8.1e-6 at n = 12
+def test_zero_coupling_ratio_drift_past_the_budget_warns(tmp_path, capsys, argv, warned):
+    # at 200 nodes |ratio - 1| is 2.6e-7 at n = 10, 1.5e-6 at n = 11 and
+    # 8.3e-6 at n = 12
     assert main(["--out", str(tmp_path)] + argv) == 0
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == warnings
-    assert all(line.startswith("warning: n=12: ") and "1e-06 budget" in line for line in err)
+    assert [line.split(": ")[:2] for line in err] == [["warning", f"n={n}"] for n in warned]
+    assert all("1e-06 budget" in line for line in err)
 
 
 def test_chain_evolve(tmp_path):

@@ -15,10 +15,12 @@ from pfaffchain.ensemble import (
     selberg_ratio,
     tau_from_moments,
     tau_report,
+    tau_table,
     write_moment_csv,
 )
 from pfaffchain.ensemble import (
     _PANEL_NODES,
+    _leading_pfaffians,
     _MomentQuadrature,
     _quadrature_for,
     _tau_record,
@@ -495,6 +497,82 @@ def test_pfaffian_zero_column():
 
 
 # ---------------------------------------------------------------------------
+# every tau off one elimination without pivoting
+# ---------------------------------------------------------------------------
+
+def test_leading_pfaffians_of_a_block_triangular_congruence_are_exact():
+    # m = L J L^T with L lower block-triangular, diagonal blocks c_r I_2 and
+    # J = diag([[0, 1], [-1, 0]], ...): pf(m_2r) = det(L_2r) = (c_1 ... c_r)^2.
+    # Powers of two on the diagonal and quarters below it keep every step of
+    # the elimination exact in float64
+    rng = np.random.default_rng(11)
+    for blocks in (1, 2, 5, 8):
+        c = 2.0 ** rng.integers(-2, 3, blocks)
+        below = np.kron(np.tri(blocks, k=-1), np.ones((2, 2)))
+        lower = np.kron(np.diag(c), np.eye(2)) + below * rng.integers(-4, 5, below.shape) / 4
+        j = np.kron(np.eye(blocks), [[0.0, 1.0], [-1.0, 0.0]])
+        m = lower @ j @ lower.T
+        taus, stop = _leading_pfaffians(m)
+        assert stop is None
+        assert taus == [1.0] + list(np.cumprod(c * c))
+
+
+_TAU_COUPLINGS = [{}, {2: -0.3}, {1: 0.1, 3: 0.05, 4: -0.02}, {2: 0.1, 4: -0.01}]
+
+
+@pytest.mark.parametrize("nodes", [160, 200])
+@pytest.mark.parametrize("t", _TAU_COUPLINGS, ids=["zero", "t2", "odd", "t4_negative"])
+def test_every_tau_reads_the_same_bits_off_any_larger_table(t, nodes):
+    # the first r steps touch only the leading 2r x 2r block, and a table's
+    # entries do not depend on its degree, so tau_2n from m_2N is tau_2n from m_2n
+    t, q = CouplingVector(t), QuadratureConfig(nodes_per_axis=nodes)
+    table = tau_table(10, t, q)
+    largest, _ = _leading_pfaffians(moment_matrix(11, t, q))
+    for n in range(1, 12):
+        assert _leading_pfaffians(moment_matrix(n, t, q))[0] == largest[:n + 1]
+        assert tau_from_moments(n, t, q) == largest[n]
+    for row in table:
+        assert row["tau"] == largest[row["n"]]
+        assert tau_report(row["n"], t, q) == row
+
+
+@pytest.mark.parametrize("nodes", [160, 200])
+@pytest.mark.parametrize("t", _TAU_COUPLINGS, ids=["zero", "t2", "odd", "t4_negative"])
+def test_the_elimination_agrees_with_the_pivoted_pfaffian(t, nodes):
+    # the two eliminations round differently on tables whose conditioning
+    # grows about tenfold per n: budget 10^(n - 16) relative for n <= 10,
+    # measured at most 0.41 of it on these vectors
+    t, q = CouplingVector(t), QuadratureConfig(nodes_per_axis=nodes)
+    taus, _ = _leading_pfaffians(moment_matrix(10, t, q))
+    for n in range(1, 11):
+        pivoted = pfaffian(moment_matrix(n, t, q))
+        assert abs(taus[n] - pivoted) <= 10.0 ** (n - 16) * pivoted
+
+
+@pytest.mark.parametrize("pivot, error, message", [
+    (-2.0, ValueError, r"^tau_4 cannot be formed: pivot 2 of the elimination is -2, "),
+    (0.0, ValueError, r"^tau_4 cannot be formed: pivot 2 of the elimination is 0, "),
+    (math.nan, ValueError, r"^tau_4 cannot be formed: pivot 2 of the elimination is nan, "),
+    (1e300, OverflowError, r"^tau_4 overflows float64: tau_4 = 1e\+10 \* 1e\+300$"),
+], ids=["negative", "zero", "nan", "overflow"])
+def test_a_pivot_that_is_not_positive_is_refused(monkeypatch, pivot, error, message):
+    # every tau of a positive weight is positive: a pivot that is not means
+    # the table lost its precision, and the tau is refused, not reported
+    m = np.zeros((4, 4))
+    m[0, 1], m[2, 3] = 1e10, pivot
+    m -= m.T
+    taus, stop = _leading_pfaffians(m)
+    assert taus == [1.0, 1e10]
+    assert stop == pivot or math.isnan(pivot) and math.isnan(stop)
+    monkeypatch.setattr("pfaffchain.ensemble.moment_matrix", lambda n, t, q: m[:2 * n, :2 * n])
+    assert tau_from_moments(1, ZERO, Q) == 1e10
+    with pytest.raises(error, match=message):
+        tau_from_moments(2, ZERO, Q)
+    with pytest.raises(error, match="^n=1: " + message[1:]):
+        tau_report(1, ZERO, Q)
+
+
+# ---------------------------------------------------------------------------
 # closed forms at zero coupling and tau ratios
 # ---------------------------------------------------------------------------
 
@@ -578,11 +656,12 @@ def test_a_ratio_check_that_cannot_be_formed_names_n(taus):
 
 
 def test_a_tau_report_past_float64_names_n():
-    # the monomial moment basis is ill-conditioned: at 200 nodes the
-    # zero-coupling taus around n = 16 are roundoff far past float64's square
-    # root, so no ratio can be formed
-    with pytest.raises((OverflowError, ValueError), match=r"^n=16: "):
-        tau_report(16, ZERO, Q)
+    # at 200 nodes the zero-coupling taus stay positive up to tau_34 =
+    # 1.15e179, whose square leaves float64, so n = 17 is the first n whose
+    # ratio cannot be formed
+    assert tau_report(16, ZERO, Q)["tau"] > 0
+    with pytest.raises(OverflowError, match=r"^n=17: tau\^2 overflows float64"):
+        tau_report(17, ZERO, Q)
 
 
 def test_tau_zero_convention():
