@@ -44,19 +44,22 @@ entry raises ``QuadratureError``, as one that does not converge does, or
 one whose mu_01 is not positive: mu_01 = integral over y > x of
 (y - x) w(x) w(y) > 0 for every weight, so such a rule missed the weight.
 ``moment_matrix`` returns (mu_ij) as a plain antisymmetric ``ndarray``; the
-tau elimination, the Pfaffian and the skew factorisation in ``lax`` copy it
-before they write.
+skew elimination and the Pfaffian copy it before they write.
 
 Every tau_2n is a leading Pfaffian of one moment matrix, and for a positive
 weight every one is positive, so the leading blocks share one skew
-elimination without pivoting (the skew-orthogonal-polynomial structure of
-Adler, Horozov and van Moerbeke, IMRN 1999): its first n pivots multiply to
-tau_2n.  ``tau_from_moments``, ``tau_report`` and ``tau_table`` read every
-tau they need off one such elimination of the largest table the call needs.
-Its first n steps touch only the leading 2n x 2n block, which is the same
-bits in every table, so each tau_2n is the same float from every call.  A
-pivot that is not positive means the table lost its precision, and the tau
-is refused with a ``ValueError`` that names it; a tau past float64 raises
+elimination without pivoting, ``_skew_elimination`` (the
+skew-orthogonal-polynomial structure of Adler, Horozov and van Moerbeke,
+IMRN 1999): its first n pivots multiply to tau_2n, and the array it leaves
+holds the factor m = Lf J Lf^T from which ``lax`` builds the Lax matrix.
+It is the package's one elimination without pivoting.
+``tau_from_moments``, ``tau_report`` and ``tau_table`` read every tau they
+need off one such elimination of the largest table the call needs, as the
+running product of its pivots, and build no factor.  Its first n steps
+touch only the leading 2n x 2n block, which is the same bits in every
+table, so each tau_2n is the same float from every call.  A pivot that is
+not positive means the table lost its precision, and the tau is refused
+with a ``ValueError`` that names it; a tau past float64 raises
 ``OverflowError``.  The pivoted ``pfaffian`` is kept for general skew
 matrices.
 """
@@ -335,15 +338,18 @@ def write_moment_csv(m: np.ndarray, path) -> None:
 
 
 def _as_skew_array(m) -> np.ndarray:
+    """m as a float array, refused unless square, of even dimension, finite
+    and antisymmetric to 1e-12 relative; shared by ``pfaffian`` and
+    ``lax.skew_factorize``."""
     a = np.asarray(m, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("pfaffian needs a square matrix")
+        raise ValueError(f"a skew matrix must be square, got shape {a.shape}")
     if a.shape[0] % 2:
-        raise ValueError(f"pfaffian needs even dimension, got {a.shape[0]}")
+        raise ValueError(f"a skew matrix needs even dimension, got {a.shape[0]}")
     if a.size:
         peak = float(np.abs(a).max())
         if not math.isfinite(peak):
-            raise ValueError("pfaffian needs finite entries")
+            raise ValueError("a skew matrix needs finite entries")
         scale = max(1.0, peak)
         if float(np.abs(a + a.T).max()) > 1e-12 * scale:
             raise ValueError("matrix is not antisymmetric to 1e-12 relative")
@@ -386,33 +392,34 @@ def pfaffian(m) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _leading_pfaffians(m: np.ndarray) -> tuple[list[float], float | None]:
-    """``[tau_0, tau_2, ..., tau_2r]``, the leading Pfaffians pf(m_2s) of the
-    moment table m, read off one Parlett-Reid elimination without pivoting,
-    and the pivot at which it stopped (None once every block is read).
+def _skew_elimination(m) -> tuple[list[float], np.ndarray]:
+    """The pivots [p_1, p_2, ...] of one Parlett-Reid elimination of the
+    antisymmetric m without pivoting, and the eliminated array.
 
     Step s takes the Schur complement of the leading 2 x 2 block, whose
     entry (0, 1) is the pivot p_s, so pf(m_2s) = p_1 ... p_s.  The first s
     steps read and write only the leading 2s x 2s block, each entry by the
-    same elementwise operations at every size, so tau_2s comes out the same
-    bits from every table that holds m_2s.  Every tau of a positive weight
-    is positive, so the elimination stops at a pivot that is not positive
-    and finite, where the table has lost its precision, or that takes the
-    product out of float64.
+    same elementwise operations at every size, so p_s comes out the same
+    bits from every table that holds m_2s.  The elimination stops at, and
+    lists, the first pivot that is not positive and finite.
+
+    Step s writes only the trailing block below and right of its own 2 x 2
+    block, so the two columns of that block below it keep the values step s
+    read.  They hold the factor m = Lf J Lf^T, J = diag([[0, 1], [-1, 0]], ...)
+    that ``lax`` reads: with k = 2s - 2, Lf[k+2:, k] = a[k+2:, k+1] / sqrt(p_s),
+    Lf[k+2:, k+1] = -a[k+2:, k] / sqrt(p_s) and the diagonal block sqrt(p_s) I.
     """
     a = np.array(m, dtype=float)
-    taus = [1.0]
+    pivots = []
     with np.errstate(all="ignore"):  # a pivot that is not finite stops the loop
         for k in range(0, len(a), 2):
-            pivot = float(a[k, k + 1])
-            value = taus[-1] * pivot
-            if not (pivot > 0 and value < math.inf):
-                return taus, pivot
-            taus.append(value)
-            tau = a[k, k + 2:] / pivot
+            pivots.append(float(a[k, k + 1]))
+            if not 0 < pivots[-1] < math.inf:
+                break
+            tau = a[k, k + 2:] / pivots[-1]
             col = a[k + 2:, k + 1]
             a[k + 2:, k + 2:] += np.outer(tau, col) - np.outer(col, tau)
-    return taus, None
+    return pivots, a
 
 
 def _tau_reader(sizes: Iterable[int], t: CouplingVector,
@@ -420,10 +427,13 @@ def _tau_reader(sizes: Iterable[int], t: CouplingVector,
     """tau_2m for each m in ``sizes``, listed in the order the caller reads them.
 
     Each table m_2m is requested through ``moment_matrix`` in that order, so
-    each keeps its own convergence check, and every tau is read off one
-    elimination of the largest.  A refused table ends the requests; its
-    error is raised when its tau is read, as the elimination's refusal of a
-    tau is, so the caller meets the first failure in its own reading order.
+    each keeps its own convergence check, and every tau is the running
+    product of the pivots of one elimination of the largest, the same
+    multiplications in the same order at every size; it is refused where a
+    pivot is not positive or the product leaves float64.  A refused table
+    ends the requests; its error is raised when its tau is read, as a
+    refused tau's is, so the caller meets the first failure in its own
+    reading order.
     """
     tables: dict[int, np.ndarray] = {}
     refused: Exception | None = None
@@ -435,7 +445,12 @@ def _tau_reader(sizes: Iterable[int], t: CouplingVector,
         except (QuadratureError, OverflowError) as exc:
             refused = exc
             break
-    taus, pivot = _leading_pfaffians(tables[max(tables)]) if tables else ([1.0], None)
+    pivots = _skew_elimination(tables[max(tables)])[0] if tables else []
+    taus = [1.0]  # tau_2s = p_1 ... p_s while every pivot is positive
+    for pivot in pivots:
+        if not (pivot > 0 and taus[-1] * pivot < math.inf):
+            break
+        taus.append(taus[-1] * pivot)
 
     def tau(m: int) -> float:
         if m and m not in tables:
@@ -443,6 +458,7 @@ def _tau_reader(sizes: Iterable[int], t: CouplingVector,
         if m < len(taus):
             return taus[m]
         s = len(taus)
+        pivot = pivots[s - 1]
         if pivot > 0:
             raise OverflowError(f"tau_{2 * m} overflows float64: tau_{2 * s} = "
                                 f"{taus[-1]:.3g} * {pivot:.3g}")
@@ -457,7 +473,7 @@ def tau_from_moments(n: int, t: CouplingVector, q: QuadratureConfig) -> float:
     """tau_2n(t) = pf(m_2n(t)); tau_0 := 1 by convention.
 
     Read off the elimination of m_2n without pivoting, whose first s pivots
-    multiply to tau_2s (see ``_leading_pfaffians``): the same bits as from
+    multiply to tau_2s (see ``_skew_elimination``): the same bits as from
     any larger table.  Raises ValueError when a pivot is not positive and
     finite, and OverflowError when the product leaves float64.
     """

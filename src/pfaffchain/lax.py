@@ -41,6 +41,13 @@ scale, and each slot is reduced to a Fraction once.  The chain plans read
 x-derivative stencils that divide by the grid spacing, so they take float
 stacks only and refuse an object stack with a ``ValueError``.
 
+The skew factorisation m = Lf J Lf^T of a moment matrix is read off
+``ensemble._skew_elimination``, the one elimination without pivoting, whose
+pivots also multiply to the taus: they give Lf's diagonal blocks, and the
+columns the elimination leaves below each block give the rest of Lf.
+``skew_factorize`` returns Q = Lf^{-1}, and ``initial_bands_gaussian`` forms
+the Lax matrix Q Lambda Q^{-1} = Lf^{-1} (Lambda Lf) by one solve.
+
 The Taylor expansion of these tables (``expand_lattice_terms``, one Poly per
 eps order) is the continuum limit: the chain right-hand sides in ``chain``
 are read off the even second-flow table that way, and the chain matrix of
@@ -77,7 +84,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .ensemble import QuadratureConfig, CouplingVector, moment_matrix
+from .ensemble import (QuadratureConfig, CouplingVector, _as_skew_array, _skew_elimination,
+                       moment_matrix)
 from .poly import Poly, over_lcm
 
 __all__ = [
@@ -791,61 +799,69 @@ def chain_matrix_terms(k: int) -> dict[int, Poly]:
 # ---------------------------------------------------------------------------
 
 
+def _skew_factor(m) -> np.ndarray:
+    """Lf, lower-triangular with scalar 2x2 diagonal blocks and m = Lf J Lf^T,
+    read off the columns that ``ensemble._skew_elimination`` leaves below
+    each diagonal block.  A pivot that is not finite, or not above 1e-14
+    times the largest entry of its own leading minor, raises
+    ``FactorizationError``."""
+    a = _as_skew_array(m)
+    pivots, e = _skew_elimination(a)
+    # max|a[:b, :b]| for b = 2, 4, ...; a is antisymmetric, so its lower triangle holds it
+    peaks = np.maximum.accumulate(np.abs(np.tril(a)).max(axis=1, initial=0.0))[1::2]
+    p = np.array(pivots)
+    ok = (p > 1e-14 * peaks[:len(p)]) & (p < math.inf)
+    if not ok.all():
+        r = ok.argmin()
+        raise FactorizationError(f"singular or nonpositive leading minor: pivot of the "
+                                 f"{2 * r + 2}x{2 * r + 2} block is {p[r]}")
+    i = np.arange(len(a))
+    c = np.sqrt(p).repeat(2)
+    # below the diagonal blocks, column k of Lf is column k ^ 1 of e, negated for odd k
+    below = np.tril(~_block_mask(len(a)))
+    return np.where(below, e[:, i ^ 1] * (1 - 2 * (i % 2)) / c, 0.0) + np.diag(c)
+
+
 def skew_factorize(m) -> np.ndarray:
     """Lower-triangular Q with scalar 2x2 diagonal blocks and Q m Q^T = J.
 
-    The factorisation m = L J L^T is built by 2x2 block forward elimination
-    (L = Q^{-1} has the same shape); existence over the reals needs every
-    leading 2r x 2r Pfaffian minor positive, and the positive-diagonal
-    choice makes Q unique.  Each pivot is judged against the largest entry
-    of its own leading minor, so blocks of very different magnitude factorise.
+    Q = Lf^{-1} for the factor m = Lf J Lf^T of ``_skew_factor``, which
+    reads it, and its pivots, off the one elimination without pivoting that
+    also gives the taus; existence over the reals needs every leading
+    2r x 2r Pfaffian minor positive, and the positive-diagonal choice makes
+    Q unique.  Each pivot is judged against the largest entry of its own
+    leading minor, so blocks of very different magnitude factorise; a pivot
+    not above 1e-14 times that, or not finite, raises
+    ``FactorizationError``.  An m that is not a finite antisymmetric square
+    matrix of even dimension raises ``ValueError``.
     """
-    a = np.asarray(m, dtype=float)
-    M = a.shape[0]
-    if M % 2:
-        raise FactorizationError("even dimension required")
-    S = a.copy()
-    L = np.zeros_like(a)
-    for r in range(M // 2):
-        base = 2 * r
-        mu = S[base, base + 1]
-        if not np.isfinite(mu) or mu <= 1e-14 * np.abs(a[:base + 2, :base + 2]).max():
-            raise FactorizationError(
-                f"singular or nonpositive leading minor: pivot of the "
-                f"{base + 2}x{base + 2} block is {mu!r}")
-        c = math.sqrt(mu)
-        L[base, base] = c
-        L[base + 1, base + 1] = c
-        if base + 2 < M:
-            b1 = S[base + 2:, base]
-            b2 = S[base + 2:, base + 1]
-            # rows of L below the block: L_i = S_i,(pair) * (-J2) / c
-            L[base + 2:, base] = b2 / c
-            L[base + 2:, base + 1] = -b1 / c
-            # Schur update S' = S - L J2 L^T on the trailing block
-            lower = np.outer(L[base + 2:, base], L[base + 2:, base + 1])
-            S[base + 2:, base + 2:] -= lower - lower.T
-    q = np.tril(np.linalg.inv(L))
-    # enforce the block shape structurally: scalar 2x2 diagonal blocks
-    for r in range(0, M, 2):
-        q[r + 1, r + 1] = q[r, r]
-        q[r + 1, r] = 0.0
-    return q
+    Lf = _skew_factor(m)
+    # the block shape is set structurally: below the diagonal blocks Q is
+    # Lf^{-1}, each diagonal block is Lf's inverted exactly, and above is zero
+    below = np.tril(~_block_mask(len(Lf)))
+    return np.where(below, np.linalg.inv(Lf), np.diag(1 / np.diag(Lf)))
 
 
 def initial_bands_gaussian(sites: int, depth: int, q: QuadratureConfig) -> LaxBands:
     """Even-reduced band state of the zero-coupling Lax matrix.
 
-    Builds the 2*sites moment matrix at t = 0, factorises, forms
-    Q Lambda Q^{-1} and harvests the bands; all v bands must vanish to
-    ``_V_TOL`` (they are integrals of odd functions) and are then zeroed.
-    The final matrix row is truncation-polluted, so only slots with row
-    index < 2*sites are read, i.e. w^0_n comes out for n < sites.
+    Builds the 2*sites moment matrix at t = 0, factorises it as
+    m = Lf J Lf^T (``_skew_factor``, with ``skew_factorize``'s refusals)
+    and forms Q Lambda Q^{-1} = Lf^{-1} (Lambda Lf) by one solve, with
+    Lambda the shift, so Lambda Lf is Lf's rows moved up by one; then
+    harvests the bands.  All v bands must vanish to ``_V_TOL`` (they are
+    integrals of odd functions) and are then zeroed.  The final matrix row
+    is truncation-polluted, so only slots with row index < 2*sites are
+    read, i.e. w^0_n comes out for n < sites.  ``sites < 1`` and
+    ``depth < 0`` are refused before any table is built.
     """
-    m = moment_matrix(sites, CouplingVector.zero(), q)
-    Q = skew_factorize(m)
-    M = len(m)
-    L = Q @ np.eye(M, k=1) @ np.linalg.inv(Q)
+    if sites < 1:
+        raise ValueError(f"sites {sites} must be at least 1")
+    if depth < 0:
+        raise ValueError(f"depth {depth} must be non-negative")
+    Lf = _skew_factor(moment_matrix(sites, CouplingVector.zero(), q))
+    M = len(Lf)
+    L = np.linalg.solve(Lf, np.vstack([Lf[1:], np.zeros(M)]))
     kind, band, site, r, c = _slot_index(M, depth, 2)
     vals = L[r, c]
     live = r < M - 1  # the last row is polluted by truncation

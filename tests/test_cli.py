@@ -352,7 +352,7 @@ def test_bad_value_is_blamed_on_its_option(tmp_path, capsys, argv, option):
 
 def test_tau_table_computes_each_tau_once(tmp_path, monkeypatch):
     calls = collections.Counter()
-    for name in ("moment_matrix", "pfaffian", "_leading_pfaffians"):
+    for name in ("moment_matrix", "pfaffian", "_skew_elimination"):
         def counted(*args, _fn=getattr(ensemble, name), _name=name):
             calls[_name] += 1
             return _fn(*args)
@@ -360,7 +360,7 @@ def test_tau_table_computes_each_tau_once(tmp_path, monkeypatch):
     assert main(["--out", str(tmp_path), "tau", "--n-max", "12"]) == 0
     # tables m_2 .. m_26, each with its own convergence check, and every tau
     # read off one elimination of m_26
-    assert calls == {"moment_matrix": 13, "_leading_pfaffians": 1}
+    assert calls == {"moment_matrix": 13, "_skew_elimination": 1}
 
 
 def test_moments_forms_each_table_once(tmp_path, monkeypatch):
@@ -386,10 +386,16 @@ def test_reports_refuse_values_that_are_not_json(tmp_path):
     (["tau", "--n-max", "3"], []),
     (["moments", "--n", "12"], [12]),
     (["tau", "--n-max", "12"], [11, 12]),
-], ids=["moments_n3", "tau_n3", "moments_n12", "tau_n12"])
+    (["tau", "--n-max", "16", "--t2", "-0.05"], list(range(11, 17))),
+    (["tau", "--n-max", "6", "--t2", "0.3"], list(range(2, 7))),
+], ids=["moments_n3", "tau_n3", "moments_n12", "tau_n12", "tau_n16_t2_negative",
+        "tau_n6_t2_positive"])
 def test_zero_coupling_ratio_drift_past_the_budget_warns(tmp_path, capsys, argv, warned):
     # at 200 nodes |ratio - 1| is 2.6e-7 at n = 10, 1.5e-6 at n = 11 and
-    # 8.3e-6 at n = 12
+    # 8.3e-6 at n = 12.  Along t2 alone the ratio should read (1 - 2 t2)^-2
+    # at every n; at t2 = -0.05 the relative drift is 7.7e-8 at n = 10,
+    # 1.2e-6 at n = 11 and 6.9e-2 at n = 16, and at t2 = 0.3, where the
+    # radius cuts the widened weight's tail, 1.1e-7 at n = 1 and 2e-6 at n = 2
     assert main(["--out", str(tmp_path)] + argv) == 0
     err = capsys.readouterr().err.splitlines()
     assert [line.split(": ")[:2] for line in err] == [["warning", f"n={n}"] for n in warned]

@@ -1,5 +1,7 @@
 import collections
+import itertools
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -20,14 +22,15 @@ from pfaffchain.ensemble import (
 )
 from pfaffchain.ensemble import (
     _PANEL_NODES,
-    _leading_pfaffians,
     _MomentQuadrature,
     _quadrature_for,
+    _skew_elimination,
     _tau_record,
     _TriangleTable,
     _triangle_rule,
     _weight_array,
 )
+from pfaffchain.lax import _skew_factor
 
 ZERO = CouplingVector.zero()
 Q = QuadratureConfig()
@@ -500,7 +503,12 @@ def test_pfaffian_zero_column():
 # every tau off one elimination without pivoting
 # ---------------------------------------------------------------------------
 
-def test_leading_pfaffians_of_a_block_triangular_congruence_are_exact():
+def _running_product(pivots):
+    """[1, p_1, p_1 p_2, ...], multiplied in the order the tau reader does."""
+    return list(itertools.accumulate(pivots, operator.mul, initial=1.0))
+
+
+def test_leading_pfaffians_of_a_block_triangular_congruence_are_exact(monkeypatch):
     # m = L J L^T with L lower block-triangular, diagonal blocks c_r I_2 and
     # J = diag([[0, 1], [-1, 0]], ...): pf(m_2r) = det(L_2r) = (c_1 ... c_r)^2.
     # Powers of two on the diagonal and quarters below it keep every step of
@@ -512,9 +520,12 @@ def test_leading_pfaffians_of_a_block_triangular_congruence_are_exact():
         lower = np.kron(np.diag(c), np.eye(2)) + below * rng.integers(-4, 5, below.shape) / 4
         j = np.kron(np.eye(blocks), [[0.0, 1.0], [-1.0, 0.0]])
         m = lower @ j @ lower.T
-        taus, stop = _leading_pfaffians(m)
-        assert stop is None
-        assert taus == [1.0] + list(np.cumprod(c * c))
+        assert _skew_elimination(m)[0] == list(c * c)
+        assert np.array_equal(_skew_factor(m), lower)  # the factor is read off the same array
+        monkeypatch.setattr("pfaffchain.ensemble.moment_matrix",
+                            lambda n, t, q: m[:2 * n, :2 * n])
+        assert [tau_from_moments(n, ZERO, Q) for n in range(blocks + 1)] == \
+            [1.0] + list(np.cumprod(c * c))
 
 
 _TAU_COUPLINGS = [{}, {2: -0.3}, {1: 0.1, 3: 0.05, 4: -0.02}, {2: 0.1, 4: -0.01}]
@@ -527,9 +538,10 @@ def test_every_tau_reads_the_same_bits_off_any_larger_table(t, nodes):
     # entries do not depend on its degree, so tau_2n from m_2N is tau_2n from m_2n
     t, q = CouplingVector(t), QuadratureConfig(nodes_per_axis=nodes)
     table = tau_table(10, t, q)
-    largest, _ = _leading_pfaffians(moment_matrix(11, t, q))
+    pivots = _skew_elimination(moment_matrix(11, t, q))[0]
+    largest = _running_product(pivots)
     for n in range(1, 12):
-        assert _leading_pfaffians(moment_matrix(n, t, q))[0] == largest[:n + 1]
+        assert _skew_elimination(moment_matrix(n, t, q))[0] == pivots[:n]
         assert tau_from_moments(n, t, q) == largest[n]
     for row in table:
         assert row["tau"] == largest[row["n"]]
@@ -543,7 +555,7 @@ def test_the_elimination_agrees_with_the_pivoted_pfaffian(t, nodes):
     # grows about tenfold per n: budget 10^(n - 16) relative for n <= 10,
     # measured at most 0.41 of it on these vectors
     t, q = CouplingVector(t), QuadratureConfig(nodes_per_axis=nodes)
-    taus, _ = _leading_pfaffians(moment_matrix(10, t, q))
+    taus = _running_product(_skew_elimination(moment_matrix(10, t, q))[0])
     for n in range(1, 11):
         pivoted = pfaffian(moment_matrix(n, t, q))
         assert abs(taus[n] - pivoted) <= 10.0 ** (n - 16) * pivoted
@@ -561,8 +573,8 @@ def test_a_pivot_that_is_not_positive_is_refused(monkeypatch, pivot, error, mess
     m = np.zeros((4, 4))
     m[0, 1], m[2, 3] = 1e10, pivot
     m -= m.T
-    taus, stop = _leading_pfaffians(m)
-    assert taus == [1.0, 1e10]
+    (first, stop), _ = _skew_elimination(m)
+    assert first == 1e10
     assert stop == pivot or math.isnan(pivot) and math.isnan(stop)
     monkeypatch.setattr("pfaffchain.ensemble.moment_matrix", lambda n, t, q: m[:2 * n, :2 * n])
     assert tau_from_moments(1, ZERO, Q) == 1e10

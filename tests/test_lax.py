@@ -10,7 +10,8 @@ import pytest
 from scipy.linalg import block_diag
 
 from pfaffchain import lax
-from pfaffchain.ensemble import CouplingVector, QuadratureConfig, moment_matrix
+from pfaffchain.ensemble import (CouplingVector, QuadratureConfig, _skew_elimination,
+                                 moment_matrix, tau_from_moments)
 from pfaffchain.lax import (
     FLOWS,
     FactorizationError,
@@ -1066,11 +1067,48 @@ def test_factorize_pivot_threshold_scales_with_its_own_minor():
     # against its own leading minor is singular
     q = skew_factorize(block_diag(_J(2), 1e20 * _J(2)))
     assert np.allclose(np.diag(q), [1.0, 1.0, 1e-10, 1e-10], rtol=1e-14, atol=0)
+    with pytest.raises(FactorizationError, match="pivot of the 4x4 block is 1e-15"):
+        skew_factorize(block_diag(_J(2), 1e-15 * _J(2)))
 
 
 def test_factorize_nonpositive_minor_error():
     with pytest.raises(FactorizationError, match="minor"):
         skew_factorize(-_J(4))
+
+
+@pytest.mark.parametrize("m, message", [
+    (np.zeros((3, 3)), "even"),
+    ([[0.0, 1.0], [1.0, 0.0]], "antisymmetric"),
+    ([[0.0, 1.0], [-1.0, 5.0]], "antisymmetric"),
+    ([[0.0, math.nan], [math.nan, 0.0]], "finite"),
+    (np.ones((2, 3)), "square"),
+], ids=["odd", "symmetric", "diagonal", "nan", "not_square"])
+def test_factorize_refuses_a_matrix_that_is_not_skew(m, message):
+    # a symmetric matrix and one with a diagonal entry factorised to the
+    # identity before, and a 2 x 3 one ended in numpy's LinAlgError
+    with pytest.raises(ValueError, match=message):
+        skew_factorize(m)
+
+
+@pytest.mark.parametrize("t", [{}, {1: 0.2, 4: -0.02}], ids=["t=0", "t1=0.2,t4=-0.02"])
+def test_factorize_reads_the_pivots_whose_running_product_is_the_tau(monkeypatch, t):
+    # one elimination serves both: the running product of the pivots that
+    # skew_factorize reads is every tau, bit for bit
+    t, read = CouplingVector(t), []
+
+    def spy(m):
+        pivots, a = _skew_elimination(m)
+        read.append(pivots)
+        return pivots, a
+
+    monkeypatch.setattr(lax, "_skew_elimination", spy)
+    skew_factorize(moment_matrix(8, t, Q))
+    [pivots] = read
+    assert len(pivots) == 8
+    tau = 1.0
+    for n, pivot in enumerate(pivots, 1):
+        tau *= pivot
+        assert tau == tau_from_moments(n, t, Q), n
 
 
 def test_initial_bands_gaussian_values():
@@ -1082,10 +1120,48 @@ def test_initial_bands_gaussian_values():
         assert b.value("w", 0, n) ** 2 == pytest.approx(2 * n * (2 * n - 1) / 4, rel=1e-9)
 
 
+@pytest.mark.parametrize("sites", range(4, 11))
+def test_initial_bands_match_the_inverse_route(sites):
+    # L = Lf^-1 (Lambda Lf) by one solve against the oracle Q Lambda Q^-1 on
+    # every stored slot of bands |k| <= 4: the largest gap, relative to
+    # max(1, |L|), grows from 2.3e-15 at 4 sites to 6.4e-10 at 10 (the
+    # conditioning of the monomial moment basis), under the budget 1e-8
+    depth = 4
+    b = initial_bands_gaussian(sites, depth, Q)
+    want = _harvested_lax_matrix(sites, 0.0)
+    kind, band, site, r, c = lax._slot_index(2 * sites, depth, 1)
+    stored = b.stored[kind, band, site]
+    assert np.array_equal(stored, r < 2 * sites - 1)
+    got, want = b.rows[kind, band, site][stored], want[r, c][stored]
+    assert np.all(np.abs(got - want) <= 1e-8 * np.maximum(1.0, np.abs(want)))
+
+
+@pytest.mark.parametrize("sites, depth, message", [
+    (0, 3, "sites 0 must be at least 1"),
+    (-2, 3, "sites -2 must be at least 1"),
+    (4, -1, "depth -1 must be non-negative"),
+])
+def test_initial_bands_refuse_their_arguments_before_any_table(monkeypatch, sites, depth,
+                                                               message):
+    # depth -1 ended in numpy's "negative dimensions are not allowed" before
+    def no_table(*args):
+        raise AssertionError("a table was built")
+
+    monkeypatch.setattr(lax, "moment_matrix", no_table)
+    with pytest.raises(ValueError, match=message):
+        initial_bands_gaussian(sites, depth, Q)
+
+
+def test_initial_bands_refuse_a_nonpositive_minor(monkeypatch):
+    monkeypatch.setattr(lax, "moment_matrix", lambda n, t, q: -_J(2 * n))
+    with pytest.raises(FactorizationError, match="minor"):
+        initial_bands_gaussian(4, 2, Q)
+
+
 @pytest.mark.parametrize("sites, slots", [(8, 51), (10, 69)])
 def test_initial_bands_follow_the_closed_form_orbit(sites, slots):
     # every stored slot of every band |k| <= 4, not only w^0: the largest
-    # relative deviation is 1.2e-9 at 8 sites and 1.4e-7 at 10, where the
+    # relative deviation is 1.1e-9 at 8 sites and 1.1e-7 at 10, where the
     # monomial moment basis loses digits (at 12 sites the v bands already
     # fail their tolerance)
     b = initial_bands_gaussian(sites, 4, Q)
