@@ -333,18 +333,25 @@ def continuum_residual(profile: Mapping[int, Callable], eps_list: Sequence[float
     if any(r not in (0, 1, 2) for r in orders):
         raise ValueError("order must be 0, 1 or 2")
     top = max(orders)
-    reports = []
-    residuals = {r: [] for r in orders}
-    for eps in eps_list:
+    margin = depth + 3
+    sites = []
+    for eps in eps_list:  # every lattice is checked before any is drawn
         if not eps > 0:
             raise ValueError(f"eps={eps} must be positive")
+        if not 1 / eps <= sys.maxsize // (8 * (2 * depth + 1)):
+            raise ValueError(f"eps={eps} needs a lattice of {1 / eps:.3g} sites, and its "
+                             f"{2 * depth + 1} bands of float64 are past the largest "
+                             f"array numpy can allocate")
         n_sites = int(round(1 / eps))
         if abs(n_sites * eps - 1) > 1e-12:
             raise ValueError(f"eps={eps} does not divide the period 1")
-        margin = depth + 3
         if n_sites <= 2 * margin:
             raise ValueError(f"eps={eps} leaves no site more than {margin} "
                              f"from the lattice ends")
+        sites.append(n_sites)
+    reports = []
+    residuals = {r: [] for r in orders}
+    for eps, n_sites in zip(eps_list, sites):
         interior = slice(margin, n_sites - margin)
         x = eps * np.arange(1, n_sites + 1)
         state = ChainState(h=eps, depth=depth, u={k: fn(x) for k, fn in profile.items()},

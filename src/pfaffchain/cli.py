@@ -78,7 +78,7 @@ def _warn_selberg_drift(t: ensemble.CouplingVector, row: dict) -> None:
     if set(t.entries) <= {2}:
         dev = abs(row["selberg_ratio_check"] / (1 - 2 * t.get(2)) ** -2 - 1)
         if dev > _SELBERG_BUDGET:
-            at = f"t2 = {t.get(2):g} against (1 - 2 t2)^-2" if t.entries else "zero couplings"
+            at = f"t2 = {t.get(2)!r} against (1 - 2 t2)^-2" if t.entries else "zero couplings"
             print(f"warning: n={row['n']}: selberg_ratio_check is off by {dev:.2g}, "
                   f"past the {_SELBERG_BUDGET:g} budget at {at}", file=sys.stderr)
 

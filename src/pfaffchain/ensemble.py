@@ -13,8 +13,9 @@ quadrature taus are 2^n times the Selberg closed form pi^(n/2) prod_{k<n}
 2^(-2k) (2k)! (tau_2(0) = 2 sqrt(pi) against its sqrt(pi); the tests keep
 the closed form as an oracle): the two normalisations differ by a factor 2
 per 2 x 2 block.  Only tau *ratios* are used as acceptance quantities, and
-in tau_{2n+2} tau_{2n-2} / tau_{2n}^2 both the orientation and that factor
-2^n cancel.
+in tau_{2n+2} tau_{2n-2} / tau_{2n}^2 = p_{n+1} / p_n, a ratio of two
+pivots of the elimination below, both the orientation and that factor 2^n
+cancel.
 
 The kernel sigma(y - x) is discontinuous along the diagonal, so each moment
 integral is split into the two triangles y > x and y < x; the swap symmetry
@@ -52,15 +53,18 @@ elimination without pivoting, ``_skew_elimination`` (the
 skew-orthogonal-polynomial structure of Adler, Horozov and van Moerbeke,
 IMRN 1999): its first n pivots multiply to tau_2n, and the array it leaves
 holds the factor m = Lf J Lf^T from which ``lax`` builds the Lax matrix.
-It is the package's one elimination without pivoting.
-``tau_from_moments``, ``tau_report`` and ``tau_table`` read every tau they
-need off one such elimination of the largest table the call needs, as the
-running product of its pivots, and build no factor.  Its first n steps
-touch only the leading 2n x 2n block, which is the same bits in every
-table, so each tau_2n is the same float from every call.  A pivot that is
-not positive means the table lost its precision, and the tau is refused
-with a ``ValueError`` that names it; a tau past float64 raises
-``OverflowError``.  The pivoted ``pfaffian`` is kept for general skew
+It is the package's one elimination without pivoting.  Its pivot list is
+the one output of the tau layer: ``tau_from_moments``, ``tau_report`` and
+``tau_table`` read the pivots they need off one such elimination of the
+largest table the call needs, and build no factor.  Each tau_2n is the
+running product p_1 ... p_n, and each ratio check is p_{n+1} / p_n, so no
+tau is squared and a ratio never touches a tau's magnitude.  The first n
+steps touch only the leading 2n x 2n block, which is the same bits in
+every table, so each pivot and each tau_2n is the same float from every
+call.  A pivot that is not positive means the table lost its precision,
+and it is refused with a ``ValueError`` that names it; a tau past float64
+raises ``OverflowError``, and a pivot ratio that is not finite a
+``ValueError``.  The pivoted ``pfaffian`` is kept for general skew
 matrices.
 """
 
@@ -397,7 +401,8 @@ def _skew_elimination(m) -> tuple[list[float], np.ndarray]:
     antisymmetric m without pivoting, and the eliminated array.
 
     Step s takes the Schur complement of the leading 2 x 2 block, whose
-    entry (0, 1) is the pivot p_s, so pf(m_2s) = p_1 ... p_s.  The first s
+    entry (0, 1) is the pivot p_s, so pf(m_2s) = p_1 ... p_s and the tau
+    ratio tau_{2s+2} tau_{2s-2} / tau_{2s}^2 is p_{s+1} / p_s.  The first s
     steps read and write only the leading 2s x 2s block, each entry by the
     same elementwise operations at every size, so p_s comes out the same
     bits from every table that holds m_2s.  The elimination stops at, and
@@ -422,51 +427,54 @@ def _skew_elimination(m) -> tuple[list[float], np.ndarray]:
     return pivots, a
 
 
-def _tau_reader(sizes: Iterable[int], t: CouplingVector,
-                q: QuadratureConfig) -> Callable[[int], float]:
-    """tau_2m for each m in ``sizes``, listed in the order the caller reads them.
+def _pivot_reader(sizes: Iterable[int], t: CouplingVector,
+                  q: QuadratureConfig) -> Callable[[int], list[float]]:
+    """[p_1, ..., p_m], the first m pivots of one elimination without
+    pivoting, for each m in ``sizes``, listed in the order the caller reads
+    them, which is increasing.
 
     Each table m_2m is requested through ``moment_matrix`` in that order, so
-    each keeps its own convergence check, and every tau is the running
-    product of the pivots of one elimination of the largest, the same
-    multiplications in the same order at every size; it is refused where a
-    pivot is not positive or the product leaves float64.  A refused table
-    ends the requests; its error is raised when its tau is read, as a
-    refused tau's is, so the caller meets the first failure in its own
-    reading order.
+    each keeps its own convergence check, and the largest is eliminated
+    once, so every pivot is the same bits at every size.  A refused table
+    ends the requests; its error is raised when its pivots are read, as a
+    pivot that is not positive is refused when read, so the caller meets
+    the first failure in its own reading order.
     """
-    tables: dict[int, np.ndarray] = {}
-    refused: Exception | None = None
+    table, refused = np.zeros((0, 0)), None
     for m in sizes:
         if m == 0:  # tau_0 = 1 needs no table
             continue
         try:
-            tables[m] = moment_matrix(m, t, q)
+            table = moment_matrix(m, t, q)
         except (QuadratureError, OverflowError) as exc:
             refused = exc
             break
-    pivots = _skew_elimination(tables[max(tables)])[0] if tables else []
-    taus = [1.0]  # tau_2s = p_1 ... p_s while every pivot is positive
-    for pivot in pivots:
-        if not (pivot > 0 and taus[-1] * pivot < math.inf):
-            break
-        taus.append(taus[-1] * pivot)
+    pivots = _skew_elimination(table)[0]
 
-    def tau(m: int) -> float:
-        if m and m not in tables:
+    def first(m: int) -> list[float]:
+        if 2 * m > len(table):
             raise refused
-        if m < len(taus):
-            return taus[m]
-        s = len(taus)
-        pivot = pivots[s - 1]
-        if pivot > 0:
-            raise OverflowError(f"tau_{2 * m} overflows float64: tau_{2 * s} = "
-                                f"{taus[-1]:.3g} * {pivot:.3g}")
-        raise ValueError(f"tau_{2 * m} cannot be formed: pivot {s} of the elimination is "
-                         f"{pivot:.3g}, but every tau of a positive weight is positive, so "
-                         f"the moment table has lost its precision")
+        # the elimination stops at, and lists, the first pivot that is not positive
+        if m >= len(pivots) and pivots and not pivots[-1] > 0:
+            raise ValueError(f"tau_{2 * m} cannot be formed: pivot {len(pivots)} of the "
+                             f"elimination is {pivots[-1]:.3g}, but every tau of a positive "
+                             f"weight is positive, so the moment table has lost its precision")
+        return pivots[:m]
 
-    return tau
+    return first
+
+
+def _tau(m: int, pivots: list[float]) -> float:
+    """tau_2m = p_1 ... p_m, multiplied in order from 1; refused where the
+    product leaves float64.  An elimination stops at a pivot that is not
+    finite, so a list shorter than m ends in +inf and overflows here."""
+    value = 1.0
+    for s, pivot in enumerate(pivots, 1):
+        if not value * pivot < math.inf:
+            raise OverflowError(f"tau_{2 * m} overflows float64: tau_{2 * s} = "
+                                f"{value:.3g} * {pivot:.3g}")
+        value *= pivot
+    return value
 
 
 def tau_from_moments(n: int, t: CouplingVector, q: QuadratureConfig) -> float:
@@ -474,54 +482,49 @@ def tau_from_moments(n: int, t: CouplingVector, q: QuadratureConfig) -> float:
 
     Read off the elimination of m_2n without pivoting, whose first s pivots
     multiply to tau_2s (see ``_skew_elimination``): the same bits as from
-    any larger table.  Raises ValueError when a pivot is not positive and
-    finite, and OverflowError when the product leaves float64.
+    any larger table.  Raises ValueError when a pivot is not positive, and
+    OverflowError when the product leaves float64.
     """
-    return _tau_reader((n,), t, q)(n)
+    return _tau(n, _pivot_reader((n,), t, q)(n))
 
 
 def selberg_ratio(n: int) -> float:
-    """tau_{2n+2} tau_{2n-2} / tau_{2n}^2 at zero couplings: (2n)(2n-1)/4."""
+    """p_{n+1} / p_n = tau_{2n+2} tau_{2n-2} / tau_{2n}^2 at zero couplings:
+    (2n)(2n-1)/4."""
     if n < 1:
         raise ValueError("ratio needs n >= 1")
     return 0.25 * (2 * n) * (2 * n - 1)
 
 
 def tau_report(n: int, t: CouplingVector, q: QuadratureConfig) -> dict:
-    """JSON-ready record; ratio check compares the quadrature tau ratio
-    around 2n with the closed-form zero-coupling ratio (== 1.0 at t = 0).
-    Its three taus come off one elimination of m_{2n+2}."""
-    return _tau_record(n, t, _tau_reader((n, n + 1, n - 1) if n else (0,), t, q))
+    """JSON-ready record of tau_2n and its ratio check: the pivot ratio
+    p_{n+1} / p_n, which is tau_{2n+2} tau_{2n-2} / tau_{2n}^2 with no tau
+    squared, over its closed form at zero couplings (== 1.0 at t = 0).
+    Tables m_2n and m_{2n+2} are requested, and the pivots come off one
+    elimination of m_{2n+2}."""
+    return _tau_record(n, t, _pivot_reader((n, n + 1), t, q))
 
 
 def tau_table(n_max: int, t: CouplingVector, q: QuadratureConfig) -> list[dict]:
-    """``tau_report(n, t, q)`` for n = 1..n_max, built in order, every tau
-    read off one elimination of m_{2 n_max + 2}; a refusal names the first
-    n that cannot be reported."""
-    tau = _tau_reader(range(1, n_max + 2), t, q)
-    return [_tau_record(n, t, tau) for n in range(1, n_max + 1)]
+    """``tau_report(n, t, q)`` for n = 1..n_max, built in order, every pivot
+    read off one elimination of m_{2 n_max + 2}: each tau_2n is the running
+    product p_1 ... p_n and each ratio check p_{n+1} / p_n, so no tau is
+    squared.  A refusal names the first n that cannot be reported."""
+    pivots = _pivot_reader(range(1, n_max + 2), t, q)
+    return [_tau_record(n, t, pivots) for n in range(1, n_max + 1)]
 
 
-def _tau_record(n: int, t: CouplingVector, tau: Callable[[int], float]) -> dict:
+def _tau_record(n: int, t: CouplingVector, pivots: Callable[[int], list[float]]) -> dict:
     try:
-        value = tau(n)
-        above, below = (tau(n + 1), tau(n - 1)) if n >= 1 else (None, None)
+        value = _tau(n, pivots(n))
+        below, above = pivots(n + 1)[n - 1:] if n else (None, None)
     except (ValueError, OverflowError) as exc:
         raise type(exc)(f"n={n}: {exc}") from None
-    record = {"n": n, "t": t.as_dict(), "tau": value, "selberg_ratio_check": None}
-    if n >= 1:
-        try:
-            tau_sq = value ** 2
-        except OverflowError:
-            raise OverflowError(f"n={n}: tau^2 overflows float64 "
-                                f"(tau_{2 * n} = {value:.3g})") from None
-        ratio = (above * below / tau_sq) / selberg_ratio(n) if tau_sq else math.nan
-        if not math.isfinite(ratio):
-            raise ValueError(f"n={n}: tau_{2 * n + 2} tau_{2 * n - 2} / tau_{2 * n}^2 = "
-                             f"{above:.3g} * {below:.3g} / ({value:.3g})^2 cannot be formed "
-                             f"in float64, so there is no ratio check")
-        record["selberg_ratio_check"] = ratio
-    return record
+    ratio = above / below / selberg_ratio(n) if n else None
+    if n and not math.isfinite(ratio):
+        raise ValueError(f"n={n}: the pivot ratio p_{n + 1} / p_{n} = {above:.3g} / "
+                         f"{below:.3g} is not finite in float64, so there is no ratio check")
+    return {"n": n, "t": t.as_dict(), "tau": value, "selberg_ratio_check": ratio}
 
 
 def moment_flow_residual(i: int, j: int, k: int, t: CouplingVector,

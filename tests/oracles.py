@@ -1,9 +1,10 @@
 """Reference routes that tests check the package against: the projection
 onto the lower-triangular factor of the splitting, the band-state JSON form,
 the slot-by-slot random band state, the band-by-band sum of the flow tables,
-the closed-form bands of the Gaussian orbit, the printed Gibbons-Tsarev
-system, the closure's involutivity and the tangent solve on reduced
-Fractions, and the even chain's conserved densities."""
+the closed-form bands of the Gaussian orbit and of its thermodynamic limit,
+the printed Gibbons-Tsarev system, the closure's involutivity and the
+tangent solve on reduced Fractions, and the even chain's conserved
+densities."""
 
 import math
 from collections.abc import Mapping
@@ -120,6 +121,21 @@ def gaussian_orbit_band(k: int, n: int, sqrt=math.sqrt):
         square = {0: Fraction(n * (2 * n - 1), 2), -1: Fraction(1, 4),
                   -2: Fraction(n * (2 * n - 1), 2)}.get(k, Fraction(0))
     return -sqrt(square) if k == -2 else sqrt(square)
+
+
+def gaussian_orbit_limit(k: int, x, t, c):
+    """u^k(x, t) of the Gaussian orbit's thermodynamic limit at leading order:
+    u^0 = -u^-2 = x / (1 - 2t), u^-1 = c / (1 - 2t), u^k = 2 for k >= 1 and
+    u^k = 0 below k = -2.  The eps-scaled weight exp(-x^2 / (2 eps) + t2 x^2)
+    has variance eps / (1 - 2t) at the chain time t = eps t2, and each band is
+    (eps / (1 - 2t))^(a_k / 2) ``gaussian_orbit_band`` read at real n = x / eps,
+    with a_k = 2 for k <= 0 and 0 above, so c = eps / 2 on the orbit.  x, t
+    and c may be numbers or symbols."""
+    if k in (0, -2):
+        return (1 if k == 0 else -1) * x / (1 - 2 * t)
+    if k == -1:
+        return c / (1 - 2 * t)
+    return 2 if k >= 1 else 0
 
 
 def gibbons_tsarev(lam_i, lam_j, u0, diu0, dju0, diu1, dju1, c_lam=4):

@@ -27,6 +27,8 @@ from pfaffchain.chain import (
 from pfaffchain.integrability import Poly, paper_chain_spec
 from pfaffchain.lax import expand_lattice_terms, flow_terms
 
+from oracles import gaussian_orbit_limit
+
 F = Fraction
 
 
@@ -112,6 +114,29 @@ def test_colliding_columns_merge_by_summation():
 def test_rows_have_at_most_four_columns():
     for k in range(-8, 9):
         assert len(ROWS(k)) <= 4
+
+
+def test_the_gaussian_orbit_limit_solves_every_chain_row_identically():
+    # u^k_t = sum_j a^k_j(u) u^j_x as an identity in (x, t), for every c;
+    # held at the unscaled 1/2 of the lattice orbit, u^-1 fails row -1 only
+    sympy = pytest.importorskip("sympy")
+    x, t, c = sympy.symbols("x t c")
+
+    def residuals(u):
+        return {k: sympy.simplify(sympy.diff(u(k), t) - sum(
+            a.eval(lambda var: u(var[1])) * sympy.diff(u(j), x)
+            for j, a in lax.chain_matrix_terms(k).items())) for k in range(-8, 9)}
+
+    def orbit(k):
+        return gaussian_orbit_limit(k, x, t, c)
+
+    def unscaled(k):
+        return sympy.Rational(1, 2) if k == -1 else orbit(k)
+
+    assert residuals(orbit) == dict.fromkeys(range(-8, 9), 0)
+    control = residuals(unscaled)
+    assert sympy.simplify(control.pop(-1) - 1 / (2 * t - 1)) == 0
+    assert control == dict.fromkeys(set(range(-8, 9)) - {-1}, 0)
 
 
 def test_rhs_equals_row_assembly():

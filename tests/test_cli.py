@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from pfaffchain import cli, ensemble, lax, reductions
+from pfaffchain import chain, cli, ensemble, lax, reductions
 from pfaffchain.cli import _write_report, main
 
 
@@ -198,8 +198,12 @@ _USAGE_MESSAGES = {
                       "-3.01e+39, but every tau of a positive weight is positive, so the "
                       "moment table has lost its precision",
     # the first record that cannot be reported, not the first table that cannot be formed
-    "tau --n-max 17": "n=17: tau^2 overflows float64 (tau_34 = 1.15e+179)",
-    "tau --n-max 300": "n=17: tau^2 overflows float64 (tau_34 = 1.15e+179)",
+    "tau --n-max 20": "n=20: tau_42 cannot be formed: pivot 21 of the elimination is "
+                      "-3.01e+39, but every tau of a positive weight is positive, so the "
+                      "moment table has lost its precision",
+    "tau --n-max 300": "n=20: tau_42 cannot be formed: pivot 21 of the elimination is "
+                       "-3.01e+39, but every tau of a positive weight is positive, so the "
+                       "moment table has lost its precision",
     "moments --n 100": "moment matrix n=100: the degree-199 moment table is not finite in float64",
     "moments --radius 1e6": "moment matrix n=2: the rule at 200 nodes on radius 1e+06 "
                             "resolves no weight: mu_01 = 0 is not positive",
@@ -286,7 +290,7 @@ _USAGE_MESSAGES = {
     ["tau", "--n-max", "2", "--nodes", "3000000"],
     ["lax-verify", "--sites", "100000", "--trials", "1"],
     ["tau", "--n-max", "300"],
-    ["tau", "--n-max", "17"],
+    ["tau", "--n-max", "20"],
     ["moments", "--radius", "1e6"],
     # allocations past the 128 TiB address space fail at once under any
     # overcommit setting
@@ -339,6 +343,9 @@ def test_input_that_checks_nothing_is_a_usage_error(tmp_path, capsys, monkeypatc
     (["continuum-check", "--eps", "inf"], "--eps inf: 'inf' is not a finite float or p/q"),
     # "integer division result too large for a float" before
     (["continuum-check", "--eps", "1e400,1/2,1/3"], "'1e400' is not a finite float or p/q"),
+    # numpy's bare "Maximum allowed size exceeded" before
+    (["continuum-check", "--eps", "1e-300,1e-301,1e-302"],
+     "eps=1e-300 needs a lattice of 1e+300 sites"),
     # exit 0 before, with each slot of the repeated flow checked and counted twice
     (["lax-verify", "--flows", "t1,t1"], "--flows t1,t1: flow 't1' is listed twice"),
     # "unknown flow 'bogus'" before, the one list option's line without its option
@@ -350,6 +357,15 @@ def test_bad_value_is_blamed_on_its_option(tmp_path, capsys, argv, option):
     assert err.startswith("error: ") and err.count("\n") == 1 and option in err
 
 
+def test_a_lattice_past_the_largest_array_is_refused_before_any_is_drawn(tmp_path, capsys,
+                                                                         monkeypatch):
+    monkeypatch.setattr(chain, "ChainState", None)  # drawing a state would raise TypeError
+    assert main(["--out", str(tmp_path), "continuum-check", "--eps", "1/64,1/128,1e-300"]) == 2
+    assert capsys.readouterr().err == (
+        "error: eps=1e-300 needs a lattice of 1e+300 sites, and its 9 bands of float64 are "
+        "past the largest array numpy can allocate\n")
+
+
 def test_tau_table_computes_each_tau_once(tmp_path, monkeypatch):
     calls = collections.Counter()
     for name in ("moment_matrix", "pfaffian", "_skew_elimination"):
@@ -358,9 +374,13 @@ def test_tau_table_computes_each_tau_once(tmp_path, monkeypatch):
             return _fn(*args)
         monkeypatch.setattr(ensemble, name, counted)
     assert main(["--out", str(tmp_path), "tau", "--n-max", "12"]) == 0
-    # tables m_2 .. m_26, each with its own convergence check, and every tau
-    # read off one elimination of m_26
+    # tables m_2 .. m_26, each with its own convergence check, and every
+    # pivot read off one elimination of m_26
     assert calls == {"moment_matrix": 13, "_skew_elimination": 1}
+    calls.clear()
+    assert main(["--out", str(tmp_path), "moments", "--n", "12"]) == 0
+    # m_24 for the CSV, then m_24 and m_26 for tau_24 and its ratio check
+    assert calls == {"moment_matrix": 3, "_skew_elimination": 1}
 
 
 def test_moments_forms_each_table_once(tmp_path, monkeypatch):
@@ -370,9 +390,9 @@ def test_moments_forms_each_table_once(tmp_path, monkeypatch):
                         lambda self, degree: formed.update([degree]) or g_table(self, degree))
     ensemble._quadrature_for.cache_clear()
     assert main(["--out", str(tmp_path), "moments", "--n", "3"]) == 0
-    # the 6 x 6 table serves both the CSV and tau_6; tau_8 and tau_4 need
-    # degrees 7 and 3; each is formed at two refinement levels
-    assert formed == {5: 2, 7: 2, 3: 2}
+    # the 6 x 6 table serves both the CSV and tau_6, and the ratio check's
+    # pivot p_4 needs degree 7; each is formed at two refinement levels
+    assert formed == {5: 2, 7: 2}
 
 
 def test_reports_refuse_values_that_are_not_json(tmp_path):
@@ -388,8 +408,10 @@ def test_reports_refuse_values_that_are_not_json(tmp_path):
     (["tau", "--n-max", "12"], [11, 12]),
     (["tau", "--n-max", "16", "--t2", "-0.05"], list(range(11, 17))),
     (["tau", "--n-max", "6", "--t2", "0.3"], list(range(2, 7))),
+    # named "t2 = 0.5", a weight that is not integrable, before
+    (["tau", "--t2", "0.4999999"], [1, 2, 3]),
 ], ids=["moments_n3", "tau_n3", "moments_n12", "tau_n12", "tau_n16_t2_negative",
-        "tau_n6_t2_positive"])
+        "tau_n6_t2_positive", "tau_n3_t2_near_one_half"])
 def test_zero_coupling_ratio_drift_past_the_budget_warns(tmp_path, capsys, argv, warned):
     # at 200 nodes |ratio - 1| is 2.6e-7 at n = 10, 1.5e-6 at n = 11 and
     # 8.3e-6 at n = 12.  Along t2 alone the ratio should read (1 - 2 t2)^-2
@@ -400,6 +422,8 @@ def test_zero_coupling_ratio_drift_past_the_budget_warns(tmp_path, capsys, argv,
     err = capsys.readouterr().err.splitlines()
     assert [line.split(": ")[:2] for line in err] == [["warning", f"n={n}"] for n in warned]
     assert all("1e-06 budget" in line for line in err)
+    if "--t2" in argv:  # the coupling as given
+        assert all(f"at t2 = {argv[argv.index('--t2') + 1]} against" in line for line in err)
 
 
 def test_chain_evolve(tmp_path):

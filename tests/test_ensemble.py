@@ -2,6 +2,7 @@ import collections
 import itertools
 import math
 import operator
+import re
 
 import numpy as np
 import pytest
@@ -25,7 +26,6 @@ from pfaffchain.ensemble import (
     _MomentQuadrature,
     _quadrature_for,
     _skew_elimination,
-    _tau_record,
     _TriangleTable,
     _triangle_rule,
     _weight_array,
@@ -580,8 +580,28 @@ def test_a_pivot_that_is_not_positive_is_refused(monkeypatch, pivot, error, mess
     assert tau_from_moments(1, ZERO, Q) == 1e10
     with pytest.raises(error, match=message):
         tau_from_moments(2, ZERO, Q)
-    with pytest.raises(error, match="^n=1: " + message[1:]):
-        tau_report(1, ZERO, Q)
+    if error is OverflowError:  # the ratio check reads p_2 / p_1 and forms no tau_4
+        assert tau_report(1, ZERO, Q)["selberg_ratio_check"] == pivot / 1e10 / selberg_ratio(1)
+    else:
+        with pytest.raises(error, match="^n=1: " + message[1:]):
+            tau_report(1, ZERO, Q)
+
+
+@pytest.mark.parametrize("nodes, stop, pivot", [(200, 21, "-3.01e+39"), (160, 19, "-1.74e+32")],
+                         ids=["200_nodes", "160_nodes"])
+def test_the_zero_coupling_reports_end_at_the_first_pivot_that_is_not_positive(nodes, stop,
+                                                                                 pivot):
+    # no tau is squared, so the reports run past tau_34 = 1.15e179, whose
+    # square leaves float64, up to n = stop - 2, whose ratio check reads
+    # pivot stop - 1; pivot stop is where the table has lost its precision
+    q = QuadratureConfig(nodes_per_axis=nodes)
+    rows = tau_table(stop - 2, ZERO, q)
+    assert [row["n"] for row in rows] == list(range(1, stop - 1))
+    assert rows[16]["tau"] > 2.0 ** 512  # tau_34^2 > 2^1024
+    refusal = f"n={stop - 1}: tau_{2 * stop} cannot be formed: pivot {stop} of the elimination " \
+              f"is {pivot}, "
+    with pytest.raises(ValueError, match="^" + re.escape(refusal)):
+        tau_report(stop - 1, ZERO, q)
 
 
 # ---------------------------------------------------------------------------
@@ -638,42 +658,44 @@ def test_selberg_overflow():
         selberg_tau_zero(200)
 
 
-def _taus(values):
-    """A tau callable over the given {n: tau_2n}, as ``_tau_record`` reads it."""
-    return values.__getitem__
+def _three_tau_ratio(n, t, q):
+    """The oracle: tau_{2n+2} tau_{2n-2} / tau_{2n}^2 over the closed form,
+    which the reports read as the pivot ratio p_{n+1} / p_n instead."""
+    taus = [tau_from_moments(m, t, q) for m in (n - 1, n, n + 1)]
+    return taus[2] * taus[0] / taus[1] ** 2 / selberg_ratio(n)
 
 
-def test_tau_record_reads_the_ratio_of_its_three_taus():
-    rec = _tau_record(3, ZERO, _taus({n: selberg_tau_zero(n) for n in (2, 3, 4)}))
-    assert rec["tau"] == selberg_tau_zero(3)
-    assert rec["selberg_ratio_check"] == pytest.approx(1.0, rel=1e-14)
-    assert _tau_record(0, ZERO, _taus({0: 1.0}))["selberg_ratio_check"] is None
+@pytest.mark.parametrize("nodes", [160, 200])
+@pytest.mark.parametrize("t", _TAU_COUPLINGS, ids=["zero", "t2", "odd", "t4_negative"])
+def test_the_ratio_check_is_the_three_tau_ratio(t, nodes):
+    # the two forms round differently: measured at most 3.3e-16 relative
+    t, q = CouplingVector(t), QuadratureConfig(nodes_per_axis=nodes)
+    for row in tau_table(12, t, q):
+        want = _three_tau_ratio(row["n"], t, q)
+        assert abs(row["selberg_ratio_check"] - want) <= 1e-15 * want, row["n"]
 
 
-def test_tau_squared_overflow_names_n():
-    taus = _taus({16: 1e150, 17: -2e180, 18: 1e200})
-    with pytest.raises(OverflowError,
-                       match=r"^n=17: tau\^2 overflows float64 \(tau_34 = -2e\+180\)"):
-        _tau_record(17, ZERO, taus)
+def test_tau_zero_has_no_ratio_check():
+    assert tau_report(0, ZERO, Q) == {"n": 0, "t": {}, "tau": 1.0, "selberg_ratio_check": None}
 
 
-@pytest.mark.parametrize("taus", [{15: -1e200, 16: 1e100, 17: 1e200},
-                                  {1: 1.0, 2: 0.0, 3: 1.0}],
-                         ids=["product_overflows", "tau_is_zero"])
-def test_a_ratio_check_that_cannot_be_formed_names_n(taus):
-    # tau_{2n+2} tau_{2n-2} overflows to -inf, or tau_2n = 0 makes the ratio nan
-    n = sorted(taus)[1]
-    with pytest.raises(ValueError, match=rf"^n={n}: .* cannot be formed in float64"):
-        _tau_record(n, ZERO, _taus(taus))
-
-
-def test_a_tau_report_past_float64_names_n():
-    # at 200 nodes the zero-coupling taus stay positive up to tau_34 =
-    # 1.15e179, whose square leaves float64, so n = 17 is the first n whose
-    # ratio cannot be formed
-    assert tau_report(16, ZERO, Q)["tau"] > 0
-    with pytest.raises(OverflowError, match=r"^n=17: tau\^2 overflows float64"):
-        tau_report(17, ZERO, Q)
+@pytest.mark.parametrize("pivots, message", [
+    ((1e-300, 1e300), r"^n=1: the pivot ratio p_2 / p_1 = 1e\+300 / 1e-300 is not finite "),
+    ((1.0, math.inf), r"^n=1: the pivot ratio p_2 / p_1 = inf / 1 is not finite "),
+], ids=["ratio_overflows", "pivot_is_inf"])
+def test_a_ratio_check_that_is_not_finite_is_refused(monkeypatch, pivots, message):
+    # tau_2 = p_1 and tau_4 = p_1 p_2 may be finite while p_2 / p_1 is not;
+    # an infinite pivot ends the elimination, and tau_4 overflows
+    m = np.zeros((6, 6))
+    m[0, 1], m[2, 3], m[4, 5] = *pivots, 1.0
+    m -= m.T
+    monkeypatch.setattr("pfaffchain.ensemble.moment_matrix", lambda n, t, q: m[:2 * n, :2 * n])
+    assert tau_from_moments(1, ZERO, Q) == pivots[0]
+    with pytest.raises(ValueError, match=message + "in float64, so there is no ratio check$"):
+        tau_report(1, ZERO, Q)
+    if math.isinf(pivots[1]):  # the elimination stops at p_2, and tau_6 needs it
+        with pytest.raises(OverflowError, match=r"^tau_6 overflows float64: tau_4 = 1 \* inf$"):
+            tau_from_moments(3, ZERO, Q)
 
 
 def test_tau_zero_convention():
