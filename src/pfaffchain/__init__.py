@@ -2,9 +2,10 @@
 chain limit, with each layer cross-checked against the others:
 
 - ``ensemble``: moment matrices of the skew pairing by quadrature, Pfaffians,
+  the one skew elimination that gives the taus and the skew factorisation,
   the closed-form zero-coupling tau ratio and the moment-flow law;
 - ``lax``: the band Lax matrix, projection-commutator flows, explicit flow
-  tables, skew factorisation, Gaussian initial data and RK4 stepping;
+  tables, Gaussian initial data and RK4 stepping of the table flows;
 - ``chain``: the continuum hydrodynamic chain, its lattice-size corrections,
   grid evolution and the lattice-vs-continuum order measurement;
 - ``integrability``: exact Nijenhuis/Haantjes tensors for chain-class

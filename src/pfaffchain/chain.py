@@ -69,6 +69,7 @@ __all__ = [
     "max_row_sum",
     "evolve_chain",
     "continuum_residual",
+    "SLOPE_BANDS",
     "default_profile",
     "trajectory_to_csv",
 ]
@@ -312,13 +313,29 @@ def default_profile(band_support: int = 2) -> dict[int, Callable[[np.ndarray], n
     return profile
 
 
+# how far the residual slope of each correction order may fall from order + 1
+SLOPE_BANDS = {0: 0.15, 1: 0.2, 2: 0.3}
+
+
+def _physical_memory() -> float:
+    """The machine's physical memory in bytes, or inf where the platform
+    does not report it."""
+    try:
+        size = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):  # no sysconf, or no such name
+        return math.inf
+    return size if size > 0 else math.inf
+
+
 def continuum_residual(profile: Mapping[int, Callable], eps_list: Sequence[float],
                        orders: Sequence[int] = (0, 1, 2), depth: int = 4) -> list[dict]:
     """Sample the 1-periodic profile on lattices of spacing eps, evaluate the
     even lattice flow, and measure how fast the corrected chain right-hand
-    side converges to it: sup-norm residual slopes ~ order + 1.  Bands
-    |k| <= depth - 2 are compared at sites more than depth + 3 from either
-    end of the lattice.
+    side converges to it: sup-norm residual slopes ~ order + 1, within
+    ``SLOPE_BANDS``.  Bands |k| <= depth - 2 are compared at sites more than
+    depth + 3 from either end of the lattice.  An eps whose lattice's
+    2 depth + 1 float64 bands exceed the machine's physical memory is
+    refused before any lattice is drawn.
     """
     if len(eps_list) < 3:
         raise ValueError("need at least 3 epsilon values to fit a slope")
@@ -334,7 +351,7 @@ def continuum_residual(profile: Mapping[int, Callable], eps_list: Sequence[float
         raise ValueError("order must be 0, 1 or 2")
     top = max(orders)
     margin = depth + 3
-    sites = []
+    memory, sites = _physical_memory(), []
     for eps in eps_list:  # every lattice is checked before any is drawn
         if not eps > 0:
             raise ValueError(f"eps={eps} must be positive")
@@ -343,6 +360,10 @@ def continuum_residual(profile: Mapping[int, Callable], eps_list: Sequence[float
                              f"{2 * depth + 1} bands of float64 are past the largest "
                              f"array numpy can allocate")
         n_sites = int(round(1 / eps))
+        if (n_bytes := 8 * (2 * depth + 1) * n_sites) > memory:
+            raise ValueError(f"eps={eps} needs a lattice of {1 / eps:.3g} sites, and its "
+                             f"{2 * depth + 1} bands of float64 ({n_bytes:.3g} bytes) exceed "
+                             f"the {memory:.3g} bytes of physical memory")
         if abs(n_sites * eps - 1) > 1e-12:
             raise ValueError(f"eps={eps} does not divide the period 1")
         if n_sites <= 2 * margin:

@@ -194,7 +194,7 @@ def cmd_continuum_check(args, out: Path) -> int:
             print(f"order {rep['order']}: residuals all zero (exact)")
             continue
         expected = rep["order"] + 1
-        good = abs(rep["slope"] - expected) <= 0.3
+        good = abs(rep["slope"] - expected) <= chain.SLOPE_BANDS[rep["order"]]
         ok = ok and good
         print(f"order {rep['order']}: slope {rep['slope']:.3f} "
               f"(expected ~{expected}) {'ok' if good else 'FAIL'}")

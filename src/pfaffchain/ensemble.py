@@ -52,11 +52,14 @@ weight every one is positive, so the leading blocks share one skew
 elimination without pivoting, ``_skew_elimination`` (the
 skew-orthogonal-polynomial structure of Adler, Horozov and van Moerbeke,
 IMRN 1999): its first n pivots multiply to tau_2n, and the array it leaves
-holds the factor m = Lf J Lf^T from which ``lax`` builds the Lax matrix.
-It is the package's one elimination without pivoting.  Its pivot list is
-the one output of the tau layer: ``tau_from_moments``, ``tau_report`` and
-``tau_table`` read the pivots they need off one such elimination of the
-largest table the call needs, and build no factor.  Each tau_2n is the
+holds the factor m = Lf J Lf^T.  It is the package's one elimination
+without pivoting.  ``skew_factor`` is the one reader of the array: it
+reads Lf off it and judges each pivot against its own leading minor;
+``skew_factorize`` returns Q = Lf^{-1}, and ``lax`` builds the Lax matrix
+from Lf.  The elimination's pivot list is the one output of the tau layer:
+``tau_from_moments``, ``tau_report`` and ``tau_table`` read the pivots they
+need off one such elimination of the largest table the call needs, and
+build no factor.  Each tau_2n is the
 running product p_1 ... p_n, and each ratio check is p_{n+1} / p_n, so no
 tau is squared and a ratio never touches a tau's magnitude.  The first n
 steps touch only the leading 2n x 2n block, which is the same bits in
@@ -82,9 +85,12 @@ __all__ = [
     "CouplingVector",
     "QuadratureConfig",
     "QuadratureError",
+    "FactorizationError",
     "moment_mu",
     "moment_matrix",
     "pfaffian",
+    "skew_factor",
+    "skew_factorize",
     "tau_from_moments",
     "selberg_ratio",
     "moment_flow_residual",
@@ -105,6 +111,11 @@ class QuadratureError(RuntimeError):
         super().__init__(msg)
         self.coarse = coarse
         self.fine = fine
+
+
+class FactorizationError(RuntimeError):
+    """A pivot of the skew factorisation is not finite, or not above 1e-14
+    times the largest entry of its own leading minor."""
 
 
 @dataclass(frozen=True)
@@ -344,7 +355,7 @@ def write_moment_csv(m: np.ndarray, path) -> None:
 def _as_skew_array(m) -> np.ndarray:
     """m as a float array, refused unless square, of even dimension, finite
     and antisymmetric to 1e-12 relative; shared by ``pfaffian`` and
-    ``lax.skew_factorize``."""
+    ``skew_factor``."""
     a = np.asarray(m, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"a skew matrix must be square, got shape {a.shape}")
@@ -392,7 +403,7 @@ def pfaffian(m) -> float:
 
 
 # ---------------------------------------------------------------------------
-# tau functions
+# the skew elimination: tau functions and the skew factor
 # ---------------------------------------------------------------------------
 
 
@@ -411,8 +422,9 @@ def _skew_elimination(m) -> tuple[list[float], np.ndarray]:
     Step s writes only the trailing block below and right of its own 2 x 2
     block, so the two columns of that block below it keep the values step s
     read.  They hold the factor m = Lf J Lf^T, J = diag([[0, 1], [-1, 0]], ...)
-    that ``lax`` reads: with k = 2s - 2, Lf[k+2:, k] = a[k+2:, k+1] / sqrt(p_s),
-    Lf[k+2:, k+1] = -a[k+2:, k] / sqrt(p_s) and the diagonal block sqrt(p_s) I.
+    that ``skew_factor`` reads: with k = 2s - 2, Lf[k+2:, k] = a[k+2:, k+1] /
+    sqrt(p_s), Lf[k+2:, k+1] = -a[k+2:, k] / sqrt(p_s) and the diagonal block
+    sqrt(p_s) I.
     """
     a = np.array(m, dtype=float)
     pivots = []
@@ -425,6 +437,54 @@ def _skew_elimination(m) -> tuple[list[float], np.ndarray]:
             col = a[k + 2:, k + 1]
             a[k + 2:, k + 2:] += np.outer(tau, col) - np.outer(col, tau)
     return pivots, a
+
+
+def _below_blocks(size: int) -> np.ndarray:
+    """The entries of a size x size matrix below its 2 x 2 diagonal blocks."""
+    i = np.arange(size) // 2
+    return i[:, None] > i[None, :]
+
+
+def skew_factor(m) -> np.ndarray:
+    """Lf, lower-triangular with scalar 2x2 diagonal blocks and m = Lf J Lf^T,
+    read off the columns that ``_skew_elimination`` leaves below each
+    diagonal block.  A pivot that is not finite, or not above 1e-14 times
+    the largest entry of its own leading minor, raises
+    ``FactorizationError``; an m that is not a finite antisymmetric square
+    matrix of even dimension raises ``ValueError``."""
+    a = _as_skew_array(m)
+    pivots, e = _skew_elimination(a)
+    # max|a[:b, :b]| for b = 2, 4, ...; a is antisymmetric, so its lower triangle holds it
+    peaks = np.maximum.accumulate(np.abs(np.tril(a)).max(axis=1, initial=0.0))[1::2]
+    p = np.array(pivots)
+    ok = (p > 1e-14 * peaks[:len(p)]) & (p < math.inf)
+    if not ok.all():
+        r = ok.argmin()
+        raise FactorizationError(f"singular or nonpositive leading minor: pivot of the "
+                                 f"{2 * r + 2}x{2 * r + 2} block is {p[r]}")
+    i = np.arange(len(a))
+    c = np.sqrt(p).repeat(2)
+    # below the diagonal blocks, column k of Lf is column k ^ 1 of e, negated for odd k
+    return np.where(_below_blocks(len(a)), e[:, i ^ 1] * (1 - 2 * (i % 2)) / c, 0.0) + np.diag(c)
+
+
+def skew_factorize(m) -> np.ndarray:
+    """Lower-triangular Q with scalar 2x2 diagonal blocks and Q m Q^T = J.
+
+    Q = Lf^{-1} for the factor m = Lf J Lf^T of ``skew_factor``, which
+    reads it, and its pivots, off the one elimination without pivoting that
+    also gives the taus; existence over the reals needs every leading
+    2r x 2r Pfaffian minor positive, and the positive-diagonal choice makes
+    Q unique.  Each pivot is judged against the largest entry of its own
+    leading minor, so blocks of very different magnitude factorise; a pivot
+    not above 1e-14 times that, or not finite, raises
+    ``FactorizationError``.  An m that is not a finite antisymmetric square
+    matrix of even dimension raises ``ValueError``.
+    """
+    Lf = skew_factor(m)
+    # the block shape is set structurally: below the diagonal blocks Q is
+    # Lf^{-1}, each diagonal block is Lf's inverted exactly, and above is zero
+    return np.where(_below_blocks(len(Lf)), np.linalg.inv(Lf), np.diag(1 / np.diag(Lf)))
 
 
 def _pivot_reader(sizes: Iterable[int], t: CouplingVector,

@@ -293,8 +293,8 @@ class TensorPoint:
     {j: a^k_j}, ``_jacobian(k)`` = {(j, p): d_p a^k_j}, ``nijenhuis_row(i)`` =
     {(j, k): N^i_jk} and ``haantjes_row(i)`` = {(j, k): H^i_jk}.  A build
     closes over the memos it reads, not over the object.  Values are of the
-    point's type; zero values are dropped, and anything absent reads as one
-    shared ``Fraction(0)``.
+    point's type; zero values are dropped, so an entry absent from its row
+    is zero (``row.get(key, 0)``); there are no single-entry readers.
     """
 
     def __init__(self, spec: ChainMatrixSpec, point: RationalPoint):
@@ -307,18 +307,6 @@ class TensorPoint:
         self._jacobian = jacobian = _Memo(functools.partial(_jacobian, row_polys, at))
         self.nijenhuis_row = n_row = _Memo(functools.partial(_nijenhuis_row, row, jacobian))
         self.haantjes_row = _Memo(functools.partial(_haantjes_row, row, n_row))
-
-    def entry(self, k: int, j: int) -> Fraction:
-        return self.row(k).get(j, _ZERO)
-
-    def partial(self, k: int, j: int, p: int) -> Fraction:
-        return self._jacobian(k).get((j, p), _ZERO)
-
-    def nijenhuis(self, i: int, j: int, k: int) -> Fraction:
-        return self.nijenhuis_row(i).get((j, k), _ZERO)
-
-    def haantjes(self, i: int, j: int, k: int) -> Fraction:
-        return self.haantjes_row(i).get((j, k), _ZERO)
 
 
 def _jacobian(row_polys: _Memo, at: Callable, k: int) -> dict[tuple[int, int], Fraction]:
@@ -439,7 +427,7 @@ class _IntegerRows:
 
 class _ScanPoint(NamedTuple):
     """One point read in ints: the exact ``point`` and ``tensors``, the spec
-    at it in ints.  a^k_j is ``tensors.entry(k, j)`` / ``scale`` (S = C L^D, with L =
+    at it in ints.  a^k_j is ``tensors.row(k)[j]`` / ``scale`` (S = C L^D, with L =
     ``common`` the lcm of the point's denominators); a partial carries S/L,
     N^i_jk S^2/L and H^i_jk S^4/L."""
 

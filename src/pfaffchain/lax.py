@@ -1,5 +1,5 @@
 """Band representation of the lattice Lax matrix, its projection-commutator
-flows and their term tables, skew factorisation and time stepping.
+flows and their term tables, the Gaussian initial state and time stepping.
 
 Layout of the semi-infinite Lax matrix in band coordinates (1-based):
 
@@ -41,12 +41,11 @@ scale, and each slot is reduced to a Fraction once.  The chain plans read
 x-derivative stencils that divide by the grid spacing, so they take float
 stacks only and refuse an object stack with a ``ValueError``.
 
-The skew factorisation m = Lf J Lf^T of a moment matrix is read off
-``ensemble._skew_elimination``, the one elimination without pivoting, whose
-pivots also multiply to the taus: they give Lf's diagonal blocks, and the
-columns the elimination leaves below each block give the rest of Lf.
-``skew_factorize`` returns Q = Lf^{-1}, and ``initial_bands_gaussian`` forms
-the Lax matrix Q Lambda Q^{-1} = Lf^{-1} (Lambda Lf) by one solve.
+The skew factorisation m = Lf J Lf^T of a moment matrix lives in
+``ensemble`` beside the elimination whose array holds it
+(``ensemble.skew_factor``); ``initial_bands_gaussian`` reads Lf there and
+forms the Lax matrix Q Lambda Q^{-1} = Lf^{-1} (Lambda Lf), Q = Lf^{-1},
+by one solve.
 
 The Taylor expansion of these tables (``expand_lattice_terms``, one Poly per
 eps order) is the continuum limit: the chain right-hand sides in ``chain``
@@ -69,8 +68,10 @@ Out-of-window band references read zero; the left lattice boundary (site 0)
 reads zero as well, which matches the semi-infinite matrix, while
 right-boundary truncation is quarantined by the interior mask.
 
-``integrate_flow`` and ``chain.evolve_chain`` share one stepping loop
-(``_march``) and one RK4 step (``_rk4_step``) over the state rows.
+``integrate_flow`` steps a flow of ``FLOWS`` from its tables only (the dense
+commutator is ``verify_flows``' oracle), and it and ``chain.evolve_chain``
+share one stepping loop (``_march``) and one RK4 step (``_rk4_step``) over
+the state rows.
 """
 
 from __future__ import annotations
@@ -84,8 +85,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .ensemble import (QuadratureConfig, CouplingVector, _as_skew_array, _skew_elimination,
-                       moment_matrix)
+from .ensemble import CouplingVector, QuadratureConfig, moment_matrix, skew_factor
 from .poly import Poly, over_lcm
 
 __all__ = [
@@ -103,8 +103,6 @@ __all__ = [
     "verify_flows",
     "expand_lattice_terms",
     "chain_matrix_terms",
-    "skew_factorize",
-    "FactorizationError",
     "FlowBlowupError",
     "initial_bands_gaussian",
     "integrate_flow",
@@ -113,10 +111,6 @@ __all__ = [
 
 
 _V_TOL = 1e-8  # largest |v| that initial_bands_gaussian reads as zero
-
-
-class FactorizationError(RuntimeError):
-    pass
 
 
 class FlowBlowupError(RuntimeError):
@@ -176,7 +170,7 @@ class _BandSlots:
         at = (kind, k + self.rows.shape[1] // 2, n - 1)
         return at if all(0 <= i < size for i, size in zip(at, self.rows.shape)) else None
 
-    def value(self, kind: str, k: int, n: int):
+    def get(self, kind: str, k: int, n: int):
         """The stored value of slot (k, n) of kind "w" or "v", else 0."""
         at = self._at(int(kind != "w"), k, n)
         return self.rows.item(at) if at is not None and self.stored[at] else 0
@@ -233,7 +227,6 @@ class BandDerivs(_BandSlots):
 
     dw = property(lambda self: _SlotView(self, 0))
     dv = property(lambda self: _SlotView(self, 1))
-    get = _BandSlots.value
 
 
 def _placed(kinds: int, depth: int, sites: int, at: tuple, values,
@@ -795,61 +788,18 @@ def chain_matrix_terms(k: int) -> dict[int, Poly]:
 
 
 # ---------------------------------------------------------------------------
-# skew factorisation and the Gaussian initial state
+# the Gaussian initial state
 # ---------------------------------------------------------------------------
-
-
-def _skew_factor(m) -> np.ndarray:
-    """Lf, lower-triangular with scalar 2x2 diagonal blocks and m = Lf J Lf^T,
-    read off the columns that ``ensemble._skew_elimination`` leaves below
-    each diagonal block.  A pivot that is not finite, or not above 1e-14
-    times the largest entry of its own leading minor, raises
-    ``FactorizationError``."""
-    a = _as_skew_array(m)
-    pivots, e = _skew_elimination(a)
-    # max|a[:b, :b]| for b = 2, 4, ...; a is antisymmetric, so its lower triangle holds it
-    peaks = np.maximum.accumulate(np.abs(np.tril(a)).max(axis=1, initial=0.0))[1::2]
-    p = np.array(pivots)
-    ok = (p > 1e-14 * peaks[:len(p)]) & (p < math.inf)
-    if not ok.all():
-        r = ok.argmin()
-        raise FactorizationError(f"singular or nonpositive leading minor: pivot of the "
-                                 f"{2 * r + 2}x{2 * r + 2} block is {p[r]}")
-    i = np.arange(len(a))
-    c = np.sqrt(p).repeat(2)
-    # below the diagonal blocks, column k of Lf is column k ^ 1 of e, negated for odd k
-    below = np.tril(~_block_mask(len(a)))
-    return np.where(below, e[:, i ^ 1] * (1 - 2 * (i % 2)) / c, 0.0) + np.diag(c)
-
-
-def skew_factorize(m) -> np.ndarray:
-    """Lower-triangular Q with scalar 2x2 diagonal blocks and Q m Q^T = J.
-
-    Q = Lf^{-1} for the factor m = Lf J Lf^T of ``_skew_factor``, which
-    reads it, and its pivots, off the one elimination without pivoting that
-    also gives the taus; existence over the reals needs every leading
-    2r x 2r Pfaffian minor positive, and the positive-diagonal choice makes
-    Q unique.  Each pivot is judged against the largest entry of its own
-    leading minor, so blocks of very different magnitude factorise; a pivot
-    not above 1e-14 times that, or not finite, raises
-    ``FactorizationError``.  An m that is not a finite antisymmetric square
-    matrix of even dimension raises ``ValueError``.
-    """
-    Lf = _skew_factor(m)
-    # the block shape is set structurally: below the diagonal blocks Q is
-    # Lf^{-1}, each diagonal block is Lf's inverted exactly, and above is zero
-    below = np.tril(~_block_mask(len(Lf)))
-    return np.where(below, np.linalg.inv(Lf), np.diag(1 / np.diag(Lf)))
 
 
 def initial_bands_gaussian(sites: int, depth: int, q: QuadratureConfig) -> LaxBands:
     """Even-reduced band state of the zero-coupling Lax matrix.
 
     Builds the 2*sites moment matrix at t = 0, factorises it as
-    m = Lf J Lf^T (``_skew_factor``, with ``skew_factorize``'s refusals)
-    and forms Q Lambda Q^{-1} = Lf^{-1} (Lambda Lf) by one solve, with
-    Lambda the shift, so Lambda Lf is Lf's rows moved up by one; then
-    harvests the bands.  All v bands must vanish to ``_V_TOL`` (they are
+    m = Lf J Lf^T (``ensemble.skew_factor``, with its refusals) and forms
+    Q Lambda Q^{-1} = Lf^{-1} (Lambda Lf) by one solve, with Lambda the
+    shift, so Lambda Lf is Lf's rows moved up by one; then harvests the
+    bands.  All v bands must vanish to ``_V_TOL`` (they are
     integrals of odd functions) and are then zeroed.  The final matrix row
     is truncation-polluted, so only slots with row index < 2*sites are
     read, i.e. w^0_n comes out for n < sites.  ``sites < 1`` and
@@ -859,7 +809,7 @@ def initial_bands_gaussian(sites: int, depth: int, q: QuadratureConfig) -> LaxBa
         raise ValueError(f"sites {sites} must be at least 1")
     if depth < 0:
         raise ValueError(f"depth {depth} must be non-negative")
-    Lf = _skew_factor(moment_matrix(sites, CouplingVector.zero(), q))
+    Lf = skew_factor(moment_matrix(sites, CouplingVector.zero(), q))
     M = len(Lf)
     L = np.linalg.solve(Lf, np.vstack([Lf[1:], np.zeros(M)]))
     kind, band, site, r, c = _slot_index(M, depth, 2)
@@ -878,25 +828,6 @@ def initial_bands_gaussian(sites: int, depth: int, q: QuadratureConfig) -> LaxBa
 # ---------------------------------------------------------------------------
 # time stepping
 # ---------------------------------------------------------------------------
-
-
-def _rhs_for(flow: str, commutator_k: int | None) -> tuple[int, Callable]:
-    """The power k of L in the flow and its band right-hand side."""
-    if flow in FLOWS:
-        return FLOWS[flow][:2]
-    if flow == "commutator":
-        if commutator_k is None:
-            raise ValueError("commutator flow needs commutator_k")
-        if not 1 <= commutator_k <= 6:
-            raise ValueError(f"commutator flows supported for 1 <= k <= 6, "
-                             f"got k={commutator_k}")
-
-        def rhs(b: LaxBands) -> BandDerivs:
-            derivs, _ = lax_rhs_commutator(b, commutator_k, 2 * b.sites)
-            return derivs
-
-        return commutator_k, rhs
-    raise ValueError(f"unknown flow {flow!r}")
 
 
 def _rk4_step(rhs: Callable[[np.ndarray], np.ndarray], dt: float,
@@ -927,11 +858,10 @@ def _march(y: np.ndarray, step: Callable[[np.ndarray], np.ndarray], steps: int,
     return states
 
 
-def integrate_flow(b: LaxBands, flow: str, dt: float, steps: int,
-                   commutator_k: int | None = None) -> list[LaxBands]:
-    """Classical fixed-step RK4 trajectory of the selected band flow over the
-    slots stored in ``b`` (slots it omits stay absent); the commutator flow
-    uses the full 2 * sites window.
+def integrate_flow(b: LaxBands, flow: str, dt: float, steps: int) -> list[LaxBands]:
+    """Classical fixed-step RK4 trajectory of the band flow ``flow``, a name
+    of ``FLOWS`` stepped from its term tables, over the slots stored in
+    ``b`` (slots it omits stay absent); any other name raises ``ValueError``.
 
     The (kinds, 2 depth + 1, sites) rows are stepped as one stack.  Under
     every table flow band +-depth is polluted by truncation: its equations
@@ -940,20 +870,21 @@ def integrate_flow(b: LaxBands, flow: str, dt: float, steps: int,
     terms that read them, so the band moves as if the state had no bands
     beyond depth.  ``lax-verify`` does not see this: its dense commutator is
     truncated at the same depth, and ``interior_mask`` trims sites, not
-    bands.  An odd power of L (t1, or an odd ``commutator_k``) moves v off
-    0, so it is refused on a state without v rows.
+    bands.  An odd power of L (t1) moves v off 0, so it is refused on a
+    state without v rows.
     """
     if not 0 < dt < math.inf:
         raise ValueError(f"dt must be positive and finite, got {dt}")
-    power, rhs = _rhs_for(flow, commutator_k)
+    if flow not in FLOWS:
+        raise ValueError(f"unknown flow {flow!r}")
+    power, rhs, _even = FLOWS[flow]
     if b.even_reduced and power % 2:
-        name = flow if flow in FLOWS else f"commutator k={commutator_k}"
-        raise ValueError(f"flow {name} is an odd power of L: it moves the v bands this state lacks")
+        raise ValueError(f"flow {flow} is an odd power of L: it moves the v bands this state lacks")
     start = b.as_float()
     stored = start.stored
 
     def derivs(y: np.ndarray) -> np.ndarray:
-        return np.where(stored, rhs(LaxBands._of(y, stored)).rows[:len(y)], 0.0)
+        return np.where(stored, rhs(LaxBands._of(y, stored)).rows, 0.0)
 
     def blowup(step: int, i: int) -> FlowBlowupError:
         kind, row, col = np.unravel_index(i, stored.shape)

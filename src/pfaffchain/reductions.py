@@ -19,14 +19,22 @@ Gibbons-Tsarev system
                     - (i <-> j)
 
 whose involutivity (equality of mixed third derivatives modulo the closure)
-is what certifies integrability.  The system is written once, as
-``_closure``, which returns the three values of a pair (i, j) as numerators
-over denominators, using only + - *; the last two are symmetric in (i, j).
-Each residual d_k F(i, j) - d_j F(i, k) reads one first derivative of each
-of two closure values, so the check runs ``_closure`` forward-mode along one
-direction R^k at a time, over duals (value, derivative along R^k):
-``_closure`` of a pair (i, k) supplies the derivatives of i's coordinates
-along R^k, and over those duals it gives the residuals' terms.
+is what certifies integrability.  Every compatibility condition involves at
+most three directions, so involutivity and Tsarev's semi-Hamiltonian
+property for a generic triple prove them for reductions in any number of
+components.  That proof is in tier-1
+(``tests/test_reductions.py::test_the_closure_is_involutive_and_semi_hamiltonian_for_every_n``):
+it runs ``_closure`` over sympy's rational-function field on its 10
+generators, and every residual vanishes identically.  The ``gt`` report is
+an exact regression check of the same closure on sampled jets.  The system
+is written once, as ``_closure``, which returns the three values of a pair
+(i, j) as numerators over denominators, using only + - *; the last two are
+symmetric in (i, j).  Each residual d_k F(i, j) - d_j F(i, k) reads one
+first derivative of each of two closure values, so the check runs
+``_closure`` forward-mode along one direction R^k at a time, over duals
+(value, derivative along R^k): ``_closure`` of a pair (i, k) supplies the
+derivatives of i's coordinates along R^k, and over those duals it gives
+the residuals' terms.
 
 A ``ReductionJet`` reads N, u^0 and u^1 off ``lam`` and ``u_window``, and
 refuses ``lam``, ``du0`` and ``du1`` unless all three name the directions 1..N

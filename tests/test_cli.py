@@ -127,6 +127,17 @@ def test_continuum_check(tmp_path):
     assert len(report["reports"]) == 3
 
 
+def test_continuum_check_judges_each_order_by_its_own_band(tmp_path, capsys):
+    # order 0 passed within order 2's band of 0.3 before
+    argv = ["--out", str(tmp_path), "continuum-check", "--eps", "1/24,1/32,1/48",
+            "--band-support", "4", "--depth", "4"]
+    assert main(argv) == 1
+    assert capsys.readouterr().out.splitlines()[:3] == [
+        "order 0: slope 0.836 (expected ~1) FAIL",
+        "order 1: slope 1.974 (expected ~2) ok",
+        "order 2: slope 2.976 (expected ~3) ok"]
+
+
 def test_continuum_check_single_epsilon(tmp_path):
     assert main(["--out", str(tmp_path), "continuum-check",
                  "--eps", "1/64"]) == 2
@@ -364,6 +375,23 @@ def test_a_lattice_past_the_largest_array_is_refused_before_any_is_drawn(tmp_pat
     assert capsys.readouterr().err == (
         "error: eps=1e-300 needs a lattice of 1e+300 sites, and its 9 bands of float64 are "
         "past the largest array numpy can allocate\n")
+
+
+def test_a_lattice_past_the_physical_memory_is_refused_before_any_is_drawn(tmp_path, capsys,
+                                                                          monkeypatch):
+    # numpy's "Unable to allocate 728. TiB" named no eps before
+    monkeypatch.setattr(chain, "ChainState", None)  # drawing a state would raise TypeError
+    argv = ["--out", str(tmp_path), "continuum-check", "--eps"]
+    assert main(argv + ["1/100000000000000,1/64,1/128"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: eps=1e-14 needs a lattice of 1e+14 sites, and its 9 bands "
+                          "of float64 (7.2e+15 bytes) exceed the ")
+    assert err.endswith(" bytes of physical memory\n") and err.count("\n") == 1
+    monkeypatch.setattr(chain, "_physical_memory", lambda: 2.0 ** 30)
+    assert main(argv + ["1/64,1/20000000,1/128"]) == 2
+    assert capsys.readouterr().err == (
+        "error: eps=5e-08 needs a lattice of 2e+07 sites, and its 9 bands of float64 "
+        "(1.44e+09 bytes) exceed the 1.07e+09 bytes of physical memory\n")
 
 
 def test_tau_table_computes_each_tau_once(tmp_path, monkeypatch):

@@ -16,6 +16,7 @@ from pfaffchain.ensemble import (
     moment_mu,
     pfaffian,
     selberg_ratio,
+    skew_factor,
     tau_from_moments,
     tau_report,
     tau_table,
@@ -30,7 +31,6 @@ from pfaffchain.ensemble import (
     _triangle_rule,
     _weight_array,
 )
-from pfaffchain.lax import _skew_factor
 
 ZERO = CouplingVector.zero()
 Q = QuadratureConfig()
@@ -521,7 +521,7 @@ def test_leading_pfaffians_of_a_block_triangular_congruence_are_exact(monkeypatc
         j = np.kron(np.eye(blocks), [[0.0, 1.0], [-1.0, 0.0]])
         m = lower @ j @ lower.T
         assert _skew_elimination(m)[0] == list(c * c)
-        assert np.array_equal(_skew_factor(m), lower)  # the factor is read off the same array
+        assert np.array_equal(skew_factor(m), lower)  # the factor is read off the same array
         monkeypatch.setattr("pfaffchain.ensemble.moment_matrix",
                             lambda n, t, q: m[:2 * n, :2 * n])
         assert [tau_from_moments(n, ZERO, Q) for n in range(blocks + 1)] == \

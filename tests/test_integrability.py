@@ -72,8 +72,8 @@ def test_poly_table_roundtrip():
 
 def test_row_zero_partials():
     ev = TensorPoint(SPEC, _point())
-    assert ev.partial(0, 0, 0) == ev.point.at(1)   # d(u0 u1)/du0 = u1
-    assert ev.partial(0, 0, 1) == ev.point.at(0)   # d(u0 u1)/du1 = u0
+    assert ev._jacobian(0).get((0, 0), 0) == ev.point.at(1)   # d(u0 u1)/du0 = u1
+    assert ev._jacobian(0).get((0, 1), 0) == ev.point.at(0)   # d(u0 u1)/du1 = u0
 
 
 def _row_add(row, j, poly):
@@ -113,8 +113,8 @@ def test_rows_are_fresh_dicts():
 def test_structural_column_partial_is_one():
     ev = TensorPoint(SPEC, _point())
     for k in (-4, -3, 3, 5):
-        assert ev.partial(k, k + 1, 0) == 1
-        assert all(ev.partial(k, k + 1, p) == 0 for p in range(-6, 7) if p != 0)
+        assert ev._jacobian(k).get((k + 1, 0), 0) == 1
+        assert all(ev._jacobian(k).get((k + 1, p), 0) == 0 for p in range(-6, 7) if p != 0)
 
 
 def test_partials_match_central_differences_under_float_demotion():
@@ -130,7 +130,7 @@ def test_partials_match_central_differences_under_float_demotion():
                 dn = dict(vals); dn[p] = vals[p] - h
                 poly = ev.row_polys(k).get(j)
                 fd = (poly.eval(lambda q: up[q]) - poly.eval(lambda q: dn[q])) / (2 * h)
-                assert abs(fd - float(ev.partial(k, j, p))) < 1e-9
+                assert abs(fd - float(ev._jacobian(k).get((j, p), 0))) < 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -143,14 +143,14 @@ def test_nijenhuis_antisymmetry():
     ev = TensorPoint(SPEC, point)
     for _ in range(30):
         i, j, k = (rng.randint(-5, 5) for _ in range(3))
-        assert ev.nijenhuis(i, j, k) + ev.nijenhuis(i, k, j) == 0
+        assert ev.nijenhuis_row(i).get((j, k), 0) + ev.nijenhuis_row(i).get((k, j), 0) == 0
 
 
 def test_nijenhuis_row_zero_vanishes():
     ev = TensorPoint(SPEC, _point(5))
     for j in range(-7, 8):
         for k in range(-7, 8):
-            assert ev.nijenhuis(0, j, k) == 0
+            assert ev.nijenhuis_row(0).get((j, k), 0) == 0
 
 
 def test_nijenhuis_example_value():
@@ -158,7 +158,7 @@ def test_nijenhuis_example_value():
     values = {p: F(0) for p in range(-10, 11)}
     values[0] = F(1)
     point = RationalPoint(values=values, window=10)
-    assert TensorPoint(SPEC, point).nijenhuis(1, 0, 1) == -4
+    assert TensorPoint(SPEC, point).nijenhuis_row(1).get((0, 1), 0) == -4
 
 
 def test_nijenhuis_flagged_entry_matches_print():
@@ -166,7 +166,8 @@ def test_nijenhuis_flagged_entry_matches_print():
     # N^-1_{0,-1} = -u^-2 - 6 u^0 - u^-1 u^1; the engine confirms it
     point = _point(6)
     u = point.at
-    assert TensorPoint(SPEC, point).nijenhuis(-1, 0, -1) == -u(-2) - 6 * u(0) - u(-1) * u(1)
+    n = TensorPoint(SPEC, point).nijenhuis_row(-1).get((0, -1), 0)
+    assert n == -u(-2) - 6 * u(0) - u(-1) * u(1)
 
 
 def test_nijenhuis_generic_family_entries():
@@ -174,17 +175,17 @@ def test_nijenhuis_generic_family_entries():
     u = point.at
     ev = TensorPoint(SPEC, point)
     for i in (3, -5, 6):
-        assert ev.nijenhuis(i, 0, i) == -4 * u(0)
-        assert ev.nijenhuis(i, 0, i + 1) == u(0) * u(1)
-        assert ev.nijenhuis(i, 1, i - 1) == u(0) * u(0)
-        assert ev.nijenhuis(i, -1, i + 1) == u(0)
+        assert ev.nijenhuis_row(i).get((0, i), 0) == -4 * u(0)
+        assert ev.nijenhuis_row(i).get((0, i + 1), 0) == u(0) * u(1)
+        assert ev.nijenhuis_row(i).get((1, i - 1), 0) == u(0) * u(0)
+        assert ev.nijenhuis_row(i).get((-1, i + 1), 0) == u(0)
         sgn = 1 if i > 0 else -1
-        assert ev.nijenhuis(i, -1, 1) == -sgn * u(0) * u(i)
+        assert ev.nijenhuis_row(i).get((-1, 1), 0) == -sgn * u(0) * u(i)
 
 
 def test_nijenhuis_absent_entry_is_zero():
     ev = TensorPoint(SPEC, _point(8))
-    assert ev.nijenhuis(2, 2, 3) == 0
+    assert ev.nijenhuis_row(2).get((2, 3), 0) == 0
 
 
 def test_oracle_check_full_window():
@@ -204,9 +205,9 @@ def test_oracle_check_refuses_a_scan_of_no_points(points):
 def test_window_error_names_the_component():
     small = RationalPoint(values={k: F(1) for k in range(-3, 4)}, window=3)
     with pytest.raises(WindowError, match="u\\^5 outside the supplied window"):
-        TensorPoint(SPEC, small).nijenhuis(5, 0, 1)
+        TensorPoint(SPEC, small).nijenhuis_row(5).get((0, 1), 0)
     with pytest.raises(WindowError):
-        TensorPoint(SPEC, small).haantjes(3, 0, 1)
+        TensorPoint(SPEC, small).haantjes_row(3).get((0, 1), 0)
 
 
 @pytest.mark.parametrize("order", [1, 2])
@@ -241,7 +242,7 @@ def test_haantjes_inherited_antisymmetry():
     point = _point(10)
     ev = TensorPoint(mutated, point)
     for (i, j, k) in [(1, 0, 2), (-1, 1, 2), (2, -1, 0)]:
-        assert ev.haantjes(i, j, k) + ev.haantjes(i, k, j) == 0
+        assert ev.haantjes_row(i).get((j, k), 0) + ev.haantjes_row(i).get((k, j), 0) == 0
 
 
 def _control_spec(name, stencil, row):
@@ -272,7 +273,7 @@ def test_constant_control_spec_tensors_vanish():
     for i in range(-3, 4):
         for j in range(-3, 4):
             for k in range(-3, 4):
-                assert ev.nijenhuis(i, j, k) == 0
+                assert ev.nijenhuis_row(i).get((j, k), 0) == 0
     report = haantjes_scan(window=3, points=1, seed=3, spec=spec)
     assert report["haantjes_nonzero"] == []
 
@@ -324,15 +325,15 @@ def test_spec_json_forms(tmp_path):
     path.write_text(json.dumps(override))
     spec = load_spec_json(str(path))
     point = _point(12)
-    assert TensorPoint(spec, point).entry(0, 1) == point.at(0)
+    assert TensorPoint(spec, point).row(0).get(1, 0) == point.at(0)
 
     table = {"name": "tiny", "stencil": 1,
              "rows": {"0": {"1": [["2", [0]]]}, "1": {"0": [["1", [1, 1]]]}}}
     spec2 = load_spec_json(table)
     ev = TensorPoint(spec2, point)
-    assert ev.entry(0, 1) == 2 * point.at(0)
-    assert ev.entry(1, 0) == point.at(1) ** 2
-    assert ev.entry(5, 0) == 0
+    assert ev.row(0).get(1, 0) == 2 * point.at(0)
+    assert ev.row(1).get(0, 0) == point.at(1) ** 2
+    assert ev.row(5).get(0, 0) == 0
 
     with pytest.raises(ValueError):
         load_spec_json({"nonsense": True})
@@ -440,10 +441,11 @@ def test_tensors_equal_their_dense_definitions(overrides):
     ev = TensorPoint(spec, point)
     nonzero_h = 0
     for i, j, k in itertools.product(range(-3, 4), repeat=3):
-        assert ev.nijenhuis(i, j, k) == n(i, j, k), (i, j, k)
+        assert ev.nijenhuis_row(i).get((j, k), 0) == n(i, j, k), (i, j, k)
         if j <= k:  # both tensors are antisymmetric in (j, k)
             hijk = h(i, j, k)
-            assert ev.haantjes(i, j, k) == hijk == -ev.haantjes(i, k, j), (i, j, k)
+            row = ev.haantjes_row(i)
+            assert row.get((j, k), 0) == hijk == -row.get((k, j), 0), (i, j, k)
             nonzero_h += hijk != 0
     assert (nonzero_h > 0) == bool(overrides)
 
@@ -567,7 +569,8 @@ def test_printed_nijenhuis_table_holds_as_polynomials():
     for i in range(-10, 11):
         table = appendix_nijenhuis_table(i, SYMBOLIC)
         for j, k in itertools.combinations(range(-12, 13), 2):
-            assert not sym.nijenhuis(i, j, k) - _expected_nijenhuis(table, j, k), (i, j, k)
+            n = sym.nijenhuis_row(i).get((j, k), 0)
+            assert not n - _expected_nijenhuis(table, j, k), (i, j, k)
 
 
 # ---------------------------------------------------------------------------

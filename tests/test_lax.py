@@ -9,12 +9,12 @@ import numpy as np
 import pytest
 from scipy.linalg import block_diag
 
-from pfaffchain import lax
-from pfaffchain.ensemble import (CouplingVector, QuadratureConfig, _skew_elimination,
-                                 moment_matrix, tau_from_moments)
+from pfaffchain import ensemble, lax
+from pfaffchain.ensemble import (CouplingVector, FactorizationError, QuadratureConfig,
+                                 _skew_elimination, moment_matrix, skew_factorize,
+                                 tau_from_moments)
 from pfaffchain.lax import (
     FLOWS,
-    FactorizationError,
     FlowBlowupError,
     LaxBands,
     assemble_lax,
@@ -28,7 +28,6 @@ from pfaffchain.lax import (
     interior_mask,
     lax_rhs_commutator,
     random_bands,
-    skew_factorize,
 )
 from pfaffchain.poly import Poly
 
@@ -57,16 +56,16 @@ def test_assemble_matches_band_display():
     L = assemble_lax(b, 8)
     # structural superdiagonal: ones on odd rows, w^0_n on even rows
     assert L[0, 1] == 1.0 and L[2, 3] == 1.0 and L[4, 5] == 1.0
-    assert L[1, 2] == b.value("w", 0, 1) and L[3, 4] == b.value("w", 0, 2)
+    assert L[1, 2] == b.get("w", 0, 1) and L[3, 4] == b.get("w", 0, 2)
     # signed diagonal pairs
     assert L[0, 0] == 0.0
-    assert L[1, 1] == b.value("v", 0, 1) and L[2, 2] == -b.value("v", 0, 1)
-    assert L[3, 3] == b.value("v", 0, 2) and L[4, 4] == -b.value("v", 0, 2)
+    assert L[1, 1] == b.get("v", 0, 1) and L[2, 2] == -b.get("v", 0, 1)
+    assert L[3, 3] == b.get("v", 0, 2) and L[4, 4] == -b.get("v", 0, 2)
     # lower diagonals: odd/even column positions
-    assert L[1, 0] == b.value("w", -1, 1) and L[2, 1] == b.value("w", 1, 1)
-    assert L[2, 0] == b.value("v", -1, 1) and L[3, 1] == b.value("v", 1, 1)
-    assert L[3, 0] == b.value("w", -2, 1) and L[4, 1] == b.value("w", 2, 1)
-    assert L[5, 0] == b.value("w", -3, 1) and L[6, 1] == b.value("w", 3, 1)
+    assert L[1, 0] == b.get("w", -1, 1) and L[2, 1] == b.get("w", 1, 1)
+    assert L[2, 0] == b.get("v", -1, 1) and L[3, 1] == b.get("v", 1, 1)
+    assert L[3, 0] == b.get("w", -2, 1) and L[4, 1] == b.get("w", 2, 1)
+    assert L[5, 0] == b.get("w", -3, 1) and L[6, 1] == b.get("w", 3, 1)
     # strict upper zero beyond the first superdiagonal
     assert np.all(np.triu(L, 2) == 0.0)
 
@@ -89,7 +88,7 @@ def test_even_reduced_display_pattern():
     for d in (2, 4):
         assert np.all(np.diag(L, -d) == 0.0)
     # odd lower diagonals carry the w bands
-    assert L[2, 1] == b.value("w", 1, 1)
+    assert L[2, 1] == b.get("w", 1, 1)
 
 
 def disassemble_lax(A: np.ndarray, depth: int) -> LaxBands:
@@ -325,7 +324,7 @@ def test_t1_flow_anchors():
     b = random_bands(rng, 10, 3)
     d = flow_t1_explicit(b)
     for n in range(2, 9):
-        assert d.dv[(0, n)] == pytest.approx(b.value("w", 0, n) * b.value("w", 1, n), rel=1e-14)
+        assert d.dv[(0, n)] == pytest.approx(b.get("w", 0, n) * b.get("w", 1, n), rel=1e-14)
     # zero state has zero derivative
     z = LaxBands(sites=6, depth=2)
     dz = flow_t1_explicit(z)
@@ -343,7 +342,7 @@ def test_t2_flow_anchor_v0():
     b = random_bands(rng, 10, 3)
     d = flow_t2_explicit(b)
     for n in range(2, 9):
-        expected = b.value("w", 0, n) * (b.value("v", 1, n) + b.value("v", -1, n))
+        expected = b.get("w", 0, n) * (b.get("v", 1, n) + b.get("v", -1, n))
         assert d.dv[(0, n)] == pytest.approx(expected, rel=1e-14)
 
 
@@ -714,7 +713,7 @@ def _eval_terms(b: LaxBands, table: Poly, n: int):
     for factors, coeff in sorted(table.terms.items()):  # the float compile's order
         prod = coeff
         for kind, band, off in factors:
-            val = b.value(kind, band, n + off)
+            val = b.get(kind, band, n + off)
             if val == 0:
                 prod = 0
                 break
@@ -939,14 +938,14 @@ def test_band_views_write_through_to_the_rows():
     b = random_bands(random.Random(4), 6, 2)
     before = flow_t2_explicit(b)
     b.w[(1, 3)] = 7.5  # inside the window: stored, and the flow reads it
-    assert b.w[(1, 3)] == 7.5 and b.value("w", 1, 3) == 7.5
+    assert b.w[(1, 3)] == 7.5 and b.get("w", 1, 3) == 7.5
     assert flow_t2_explicit(b) != before
     assert flow_t2_explicit(b) == flow_t2_explicit(LaxBands(6, 2, dict(b.w), dict(b.v)))
     for key in ((3, 1), (0, 0), (0, 7)):
         with pytest.raises(KeyError):
             b.w[key] = 1.0
     b.rows[1, 2, 1], b.stored[1, 2, 1] = 0.0, False  # v^0_2 unmarked: absent, reads zero
-    assert (0, 2) not in b.v and b.value("v", 0, 2) == 0 and len(b.v) == 29
+    assert (0, 2) not in b.v and b.get("v", 0, 2) == 0 and len(b.v) == 29
     assert b != random_bands(random.Random(4), 6, 2)
     b.v[(0, 2)] = 0.25
     assert LaxBands(b.sites, b.depth, dict(b.w), dict(b.v)) == b
@@ -962,7 +961,7 @@ def test_band_views_read_the_rows_live_and_delete_nothing():
     b = random_bands(random.Random(4), 6, 2)
     view = b.w
     b.rows[0, 1 + 2, 3 - 1] = 7.5  # w^1_3, written in the rows
-    assert view[(1, 3)] == 7.5 and b.value("w", 1, 3) == 7.5 and b.w.values()[list(b.w).index((1, 3))] == 7.5
+    assert view[(1, 3)] == 7.5 and b.get("w", 1, 3) == 7.5 and b.w.values()[list(b.w).index((1, 3))] == 7.5
     for mapping in (b.w, b.v, flow_t2_explicit(b).dv):
         with pytest.raises(AttributeError):  # no __delitem__: unmark in ``stored``
             del mapping[(0, 1)]
@@ -1101,7 +1100,7 @@ def test_factorize_reads_the_pivots_whose_running_product_is_the_tau(monkeypatch
         read.append(pivots)
         return pivots, a
 
-    monkeypatch.setattr(lax, "_skew_elimination", spy)
+    monkeypatch.setattr(ensemble, "_skew_elimination", spy)
     skew_factorize(moment_matrix(8, t, Q))
     [pivots] = read
     assert len(pivots) == 8
@@ -1116,8 +1115,8 @@ def test_initial_bands_gaussian_values():
     assert b.even_reduced
     for n in range(1, 5):
         expected = math.sqrt(2 * n * (2 * n - 1)) / 2
-        assert b.value("w", 0, n) == pytest.approx(expected, rel=1e-9)
-        assert b.value("w", 0, n) ** 2 == pytest.approx(2 * n * (2 * n - 1) / 4, rel=1e-9)
+        assert b.get("w", 0, n) == pytest.approx(expected, rel=1e-9)
+        assert b.get("w", 0, n) ** 2 == pytest.approx(2 * n * (2 * n - 1) / 4, rel=1e-9)
 
 
 @pytest.mark.parametrize("sites", range(4, 11))
@@ -1275,7 +1274,7 @@ def test_integrate_homogeneous_even_state_is_fixed_point():
     last = traj[-1]
     for k in range(-2, 3):
         for n in range(8, 12):
-            assert last.value("w", k, n) == pytest.approx(values[k], abs=1e-12)
+            assert last.get("w", k, n) == pytest.approx(values[k], abs=1e-12)
 
 
 def test_integrator_first_order_consistency():
@@ -1296,12 +1295,15 @@ def test_two_flow_commutativity_on_even_state():
     b = LaxBands(b.sites, b.depth,
                  {k: 0.3 * v for k, v in b.w.items()}, {}, even_reduced=True)
 
+    def t4(state, dt):  # one RK4 step of the t4 flow, read off its tables
+        rows = lax._rk4_step(lambda y: lax._flow_from_tables(LaxBands._of(y, state.stored), 4).rows,
+                             dt, state.rows)
+        return LaxBands._of(rows, state.stored)
+
     def both_orders(dt):
-        a = integrate_flow(b, "t2_even", dt, 1)[-1]
-        a = integrate_flow(a, "commutator", dt, 1, commutator_k=4)[-1]
-        c = integrate_flow(b, "commutator", dt, 1, commutator_k=4)[-1]
-        c = integrate_flow(c, "t2_even", dt, 1)[-1]
-        return max(abs(a.value("w", k, n) - c.value("w", k, n))
+        a = t4(integrate_flow(b, "t2_even", dt, 1)[-1], dt)
+        c = integrate_flow(t4(b, dt), "t2_even", dt, 1)[-1]
+        return max(abs(a.get("w", k, n) - c.get("w", k, n))
                    for k in range(-2, 3) for n in range(9, 13))
 
     d1 = both_orders(0.02)
@@ -1348,34 +1350,31 @@ def test_integrator_blowup_names_the_step():
         integrate_flow(full, "t2", dt=3, steps=5)
 
 
-@pytest.mark.parametrize("flow, k", [("t1", None), ("commutator", 3), ("t2", None),
-                                     ("t2_even", None), ("commutator", 4)])
-def test_only_even_flows_step_a_state_without_v_rows(flow, k):
+# the ids are those of the cases kept when the commutator cases were removed
+@pytest.mark.parametrize("flow", ["t1", "t2", "t2_even"], ids="{}-None".format)
+def test_only_even_flows_step_a_state_without_v_rows(flow):
     # an odd one would step w with v frozen at 0, which is not that flow
     b = random_bands(random.Random(5), 24, 2, even=True)
-    if flow == "t1" or k == 3:
-        name = flow if k is None else f"commutator k={k}"
-        with pytest.raises(ValueError, match=f"flow {name} is an odd power"):
-            integrate_flow(b, flow, dt=0.01, steps=1, commutator_k=k)
+    if flow == "t1":
+        with pytest.raises(ValueError, match=f"flow {flow} is an odd power"):
+            integrate_flow(b, flow, dt=0.01, steps=1)
     else:
-        traj = integrate_flow(b, flow, dt=0.01, steps=2, commutator_k=k)
+        traj = integrate_flow(b, flow, dt=0.01, steps=2)
         assert len(traj) == 3 and traj[-1].even_reduced and traj[-1] != b
 
 
-def test_commutator_flow_k_limit():
-    with pytest.raises(ValueError, match="k <= 6"):
-        integrate_flow(LaxBands(sites=8, depth=1), "commutator", dt=0.1,
-                       steps=1, commutator_k=7)
+@pytest.mark.parametrize("flow", ["commutator", "t4", "T1"])
+def test_integrate_flow_steps_only_the_named_table_flows(flow):
+    with pytest.raises(ValueError, match=f"unknown flow '{flow}'"):
+        integrate_flow(LaxBands(sites=8, depth=1), flow, dt=0.1, steps=1)
 
 
 @pytest.mark.parametrize("k", [0, -3])
 def test_commutator_flow_rejects_powers_below_one(k):
-    # L^0 is not L: without the check both read back the t1 flow
+    # L^0 is not L: without the check it reads back the t1 flow
     b = random_bands(random.Random(3), 8, 1)
     with pytest.raises(ValueError, match=f"k={k}"):
         lax_rhs_commutator(b, k, 16)
-    with pytest.raises(ValueError, match=f"k={k}"):
-        integrate_flow(b, "commutator", dt=0.1, steps=1, commutator_k=k)
 
 
 # ---------------------------------------------------------------------------

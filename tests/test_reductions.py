@@ -375,6 +375,44 @@ def test_the_closure_is_semi_hamiltonian():
     assert all(any(_semi_hamiltonian_residuals(random_jet(rng, 3), F(5))) for _ in range(20))
 
 
+@pytest.mark.parametrize("constant", [4, 5, 3])
+def test_the_closure_is_involutive_and_semi_hamiltonian_for_every_n(constant):
+    # every compatibility condition involves at most three directions, so
+    # identities in the 10 generators of a generic triple (lambda^i, u^0,
+    # d_i u^0, d_i u^1) hold for reductions in any number of components.
+    # The runtime _closure runs over sympy's rational-function field, and d_k
+    # of a generator is its closure value along R^k; d_k of k's own
+    # coordinates is not closed, and no residual reads them.  5 and 3 (the
+    # constant of gt --mutate) in d_j lambda^i are the negative control
+    sympy = pytest.importorskip("sympy")
+    field, *gens = sympy.field("l1,l2,l3,u0,a1,a2,a3,b1,b2,b3", sympy.QQ)
+    u0 = gens[3]
+    lam, du0, du1 = (dict(enumerate(gens[s:s + 3], 1)) for s in (0, 4, 7))
+    c_lam = F(constant)
+
+    def closure(i, j):  # d_j lambda^i, d_i d_j u^0 and d_i d_j u^1 as field elements
+        return [n / d for n, d in _closure(lam[i], lam[j], u0, du0[i], du0[j], du1[i], du1[j],
+                                           c_lam)]
+
+    along = {k: {u0: du0[k], **{g: v for i in (1, 2, 3) if i != k
+                                for g, v in zip((lam[i], du0[i], du1[i]), closure(i, k))}}
+             for k in (1, 2, 3)}
+
+    def d(k, f):
+        for g in (lam[k], du0[k], du1[k]):
+            assert f.numer.degree(gens.index(g)) < 1 and f.denom.degree(gens.index(g)) < 1
+        return sum((f.diff(g) * v for g, v in along[k].items()), field.zero)
+
+    triples = ((1, 2, 3), (2, 3, 1), (3, 1, 2))
+    involutivity = [d(k, a) - d(j, b) for i, j, k in triples
+                    for a, b in zip(closure(i, j), closure(i, k))]
+    semi_hamiltonian = [d(k, closure(i, j)[0] / (lam[j] - lam[i]))
+                        - d(j, closure(i, k)[0] / (lam[k] - lam[i])) for i, j, k in triples]
+    assert len(involutivity) == 9 and len(semi_hamiltonian) == 3
+    vanish = [r == 0 for r in involutivity + semi_hamiltonian]
+    assert vanish == [constant == 4] * 12
+
+
 def test_public_values_are_reduced_fractions():
     jet = random_jet(random.Random(18), 3)
     values = list(tangent_recursion(jet, 2, 6).values())
