@@ -1,9 +1,9 @@
 """Skew-ensemble tau functions, their lattice flows and the hydrodynamic
 chain limit, with each layer cross-checked against the others:
 
-- ``ensemble``: moment matrices of the skew pairing by quadrature, Pfaffians,
-  the one skew elimination that gives the taus and the skew factorisation,
-  the closed-form zero-coupling tau ratio and the moment-flow law;
+- ``ensemble``: moment matrices of the skew pairing by quadrature, the one
+  skew elimination that gives their Pfaffians (the taus) and the skew
+  factor, the closed-form zero-coupling tau ratio and the moment-flow law;
 - ``lax``: the band Lax matrix, projection-commutator flows, explicit flow
   tables, Gaussian initial data and RK4 stepping of the table flows;
 - ``chain``: the continuum hydrodynamic chain, its lattice-size corrections,

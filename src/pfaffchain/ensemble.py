@@ -45,30 +45,29 @@ entry raises ``QuadratureError``, as one that does not converge does, or
 one whose mu_01 is not positive: mu_01 = integral over y > x of
 (y - x) w(x) w(y) > 0 for every weight, so such a rule missed the weight.
 ``moment_matrix`` returns (mu_ij) as a plain antisymmetric ``ndarray``; the
-skew elimination and the Pfaffian copy it before they write.
+skew elimination copies it before it writes.
 
 Every tau_2n is a leading Pfaffian of one moment matrix, and for a positive
 weight every one is positive, so the leading blocks share one skew
 elimination without pivoting, ``_skew_elimination`` (the
 skew-orthogonal-polynomial structure of Adler, Horozov and van Moerbeke,
 IMRN 1999): its first n pivots multiply to tau_2n, and the array it leaves
-holds the factor m = Lf J Lf^T.  It is the package's one elimination
-without pivoting.  ``skew_factor`` is the one reader of the array: it
-reads Lf off it and judges each pivot against its own leading minor;
-``skew_factorize`` returns Q = Lf^{-1}, and ``lax`` builds the Lax matrix
-from Lf.  The elimination's pivot list is the one output of the tau layer:
-``tau_from_moments``, ``tau_report`` and ``tau_table`` read the pivots they
-need off one such elimination of the largest table the call needs, and
-build no factor.  Each tau_2n is the
-running product p_1 ... p_n, and each ratio check is p_{n+1} / p_n, so no
-tau is squared and a ratio never touches a tau's magnitude.  The first n
-steps touch only the leading 2n x 2n block, which is the same bits in
-every table, so each pivot and each tau_2n is the same float from every
-call.  A pivot that is not positive means the table lost its precision,
-and it is refused with a ``ValueError`` that names it; a tau past float64
-raises ``OverflowError``, and a pivot ratio that is not finite a
-``ValueError``.  The pivoted ``pfaffian`` is kept for general skew
-matrices.
+holds the factor m = Lf J Lf^T.  It is the package's one Pfaffian: a
+general skew matrix, which may need pivoting, has none here, and the tests
+keep the pivoted Parlett-Reid route (Wimmer, ACM TOMS 38 (2012)) as their
+oracle.  ``skew_factor`` is the one reader of the array: it reads Lf off it
+and judges each pivot against its own leading minor, and ``lax`` builds the
+Lax matrix from Lf.  The elimination's pivot list is the one output of the
+tau layer: ``tau_from_moments``, ``tau_report`` and ``tau_table`` read the
+pivots they need off one such elimination of the largest table the call
+needs, and build no factor.  Each tau_2n is the running product
+p_1 ... p_n, and each ratio check is p_{n+1} / p_n, so no tau is squared
+and a ratio never touches a tau's magnitude.  The first n steps touch only
+the leading 2n x 2n block, which is the same bits in every table, so each
+pivot and each tau_2n is the same float from every call.  A pivot that is
+not positive means the table lost its precision, and it is refused with a
+``ValueError`` that names it; a tau past float64 raises ``OverflowError``,
+and a pivot ratio that is not finite a ``ValueError``.
 """
 
 from __future__ import annotations
@@ -88,9 +87,7 @@ __all__ = [
     "FactorizationError",
     "moment_mu",
     "moment_matrix",
-    "pfaffian",
     "skew_factor",
-    "skew_factorize",
     "tau_from_moments",
     "selberg_ratio",
     "moment_flow_residual",
@@ -180,19 +177,28 @@ class QuadratureConfig:
         if not 0 < self.domain_radius < math.inf:
             raise ValueError(f"domain_radius must be positive and finite, "
                              f"got {self.domain_radius}")
+        if not 2 * self.domain_radius < math.inf:
+            raise ValueError(f"domain_radius {self.domain_radius:g} is past float64 for the "
+                             f"quadrature rule, whose panel midpoints sum nodes up to 2 * radius")
 
     def key(self) -> tuple:
         return (self.nodes_per_axis, self.domain_radius)
 
 
 def _weight_array(x: np.ndarray, t: CouplingVector) -> np.ndarray:
-    """exp(-x^2/2 + sum_k t_k x^k) elementwise; raises on float overflow."""
-    e = -0.5 * x * x
-    for k, tk in t.entries.items():
-        e = e + tk * x ** k
-    bad = np.argmax(e)
+    """exp(-x^2/2 + sum_k t_k x^k) elementwise.  An exponent that overflows
+    to -inf is a zero weight; one above ``_MAX_EXPONENT``, +inf or NaN (a
+    sum of infinities of both signs) raises OverflowError naming the point."""
+    with np.errstate(over="ignore", invalid="ignore"):  # judged below
+        e = -0.5 * x * x
+        for k, tk in t.entries.items():
+            e = e + tk * x ** k
+    bad = np.argmax(e)  # the first NaN, if there is one
     if e.flat[bad] > _MAX_EXPONENT:
         raise OverflowError(f"weight overflow at x={x.flat[bad]}")
+    if np.isnan(e.flat[bad]):
+        raise OverflowError(f"the weight exponent at x={x.flat[bad]} is nan: its terms "
+                            f"overflow float64 with both signs")
     return np.exp(e)
 
 
@@ -348,14 +354,13 @@ def write_moment_csv(m: np.ndarray, path) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Pfaffians
+# the skew elimination: tau functions and the skew factor
 # ---------------------------------------------------------------------------
 
 
 def _as_skew_array(m) -> np.ndarray:
     """m as a float array, refused unless square, of even dimension, finite
-    and antisymmetric to 1e-12 relative; shared by ``pfaffian`` and
-    ``skew_factor``."""
+    and antisymmetric to 1e-12 relative; the input check of ``skew_factor``."""
     a = np.asarray(m, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"a skew matrix must be square, got shape {a.shape}")
@@ -369,42 +374,6 @@ def _as_skew_array(m) -> np.ndarray:
         if float(np.abs(a + a.T).max()) > 1e-12 * scale:
             raise ValueError("matrix is not antisymmetric to 1e-12 relative")
     return a
-
-
-def pfaffian(m) -> float:
-    """pf(m) with pf(m)^2 = det(m); pf([[0, a], [-a, 0]]) = +a.
-
-    Parlett-Reid skew tridiagonalisation with partial pivoting, parity
-    tracked (Wimmer, ACM TOMS 38 (2012)), for any finite antisymmetric
-    matrix.  Raises OverflowError at the step where the running product
-    leaves float64.  The taus do not come from here: a moment table's
-    leading Pfaffians are all read off one elimination without pivoting
-    (``tau_from_moments``).
-    """
-    a = _as_skew_array(m).copy()
-    n = a.shape[0]
-    value = 1.0
-    for k in range(0, n - 1, 2):
-        pivot = k + 1 + int(np.abs(a[k + 1:, k]).argmax())
-        if a[pivot, k] == 0.0:
-            return 0.0
-        if pivot != k + 1:
-            a[[k + 1, pivot], :] = a[[pivot, k + 1], :]
-            a[:, [k + 1, pivot]] = a[:, [pivot, k + 1]]
-            value = -value
-        value *= float(a[k, k + 1])
-        if not math.isfinite(value):
-            raise OverflowError(f"the Pfaffian of the {n}x{n} matrix overflows float64")
-        if k + 2 < n:
-            tau = a[k, k + 2:] / a[k, k + 1]
-            col = a[k + 2:, k + 1]
-            a[k + 2:, k + 2:] += np.outer(tau, col) - np.outer(col, tau)
-    return value
-
-
-# ---------------------------------------------------------------------------
-# the skew elimination: tau functions and the skew factor
-# ---------------------------------------------------------------------------
 
 
 def _skew_elimination(m) -> tuple[list[float], np.ndarray]:
@@ -448,9 +417,12 @@ def _below_blocks(size: int) -> np.ndarray:
 def skew_factor(m) -> np.ndarray:
     """Lf, lower-triangular with scalar 2x2 diagonal blocks and m = Lf J Lf^T,
     read off the columns that ``_skew_elimination`` leaves below each
-    diagonal block.  A pivot that is not finite, or not above 1e-14 times
-    the largest entry of its own leading minor, raises
-    ``FactorizationError``; an m that is not a finite antisymmetric square
+    diagonal block.  It exists over the reals when every leading 2r x 2r
+    Pfaffian minor is positive, and the positive diagonal makes it unique.
+    Each pivot is judged against the largest entry of its own leading minor,
+    so blocks of very different magnitude factorise: a pivot that is not
+    finite, or not above 1e-14 times that entry, raises
+    ``FactorizationError``.  An m that is not a finite antisymmetric square
     matrix of even dimension raises ``ValueError``."""
     a = _as_skew_array(m)
     pivots, e = _skew_elimination(a)
@@ -466,25 +438,6 @@ def skew_factor(m) -> np.ndarray:
     c = np.sqrt(p).repeat(2)
     # below the diagonal blocks, column k of Lf is column k ^ 1 of e, negated for odd k
     return np.where(_below_blocks(len(a)), e[:, i ^ 1] * (1 - 2 * (i % 2)) / c, 0.0) + np.diag(c)
-
-
-def skew_factorize(m) -> np.ndarray:
-    """Lower-triangular Q with scalar 2x2 diagonal blocks and Q m Q^T = J.
-
-    Q = Lf^{-1} for the factor m = Lf J Lf^T of ``skew_factor``, which
-    reads it, and its pivots, off the one elimination without pivoting that
-    also gives the taus; existence over the reals needs every leading
-    2r x 2r Pfaffian minor positive, and the positive-diagonal choice makes
-    Q unique.  Each pivot is judged against the largest entry of its own
-    leading minor, so blocks of very different magnitude factorise; a pivot
-    not above 1e-14 times that, or not finite, raises
-    ``FactorizationError``.  An m that is not a finite antisymmetric square
-    matrix of even dimension raises ``ValueError``.
-    """
-    Lf = skew_factor(m)
-    # the block shape is set structurally: below the diagonal blocks Q is
-    # Lf^{-1}, each diagonal block is Lf's inverted exactly, and above is zero
-    return np.where(_below_blocks(len(Lf)), np.linalg.inv(Lf), np.diag(1 / np.diag(Lf)))
 
 
 def _pivot_reader(sizes: Iterable[int], t: CouplingVector,

@@ -1,5 +1,6 @@
-"""Reference routes that tests check the package against: the projection
-onto the lower-triangular factor of the splitting, the band-state JSON form,
+"""Reference routes that tests check the package against: the pivoted
+Pfaffian, the inverse Q = Lf^-1 of the skew factor, the projection onto the
+lower-triangular factor of the splitting, the band-state JSON form,
 the slot-by-slot random band state, the band-by-band sum of the flow tables,
 the closed-form bands of the Gaussian orbit and of its thermodynamic limit,
 the printed Gibbons-Tsarev system, the closure's involutivity and the
@@ -12,9 +13,51 @@ from fractions import Fraction
 
 import numpy as np
 
+from pfaffchain.ensemble import _as_skew_array, _below_blocks, skew_factor
 from pfaffchain.integrability import TensorPoint, paper_chain_spec
 from pfaffchain.lax import LaxBands, _block_mask, _minus_reflected, flow_terms
 from pfaffchain.poly import Poly
+
+
+def pfaffian(m) -> float:
+    """pf(m) with pf(m)^2 = det(m); pf([[0, a], [-a, 0]]) = +a.
+
+    Parlett-Reid skew tridiagonalisation with partial pivoting, parity
+    tracked (Wimmer, ACM TOMS 38 (2012)), for any finite antisymmetric
+    matrix, refused as ``ensemble.skew_factor`` refuses one.  Raises
+    OverflowError at the step where the running product leaves float64.
+    The package's taus come from the elimination without pivoting
+    (``ensemble._skew_elimination``), which this route checks.
+    """
+    a = _as_skew_array(m).copy()
+    n = a.shape[0]
+    value = 1.0
+    for k in range(0, n - 1, 2):
+        pivot = k + 1 + int(np.abs(a[k + 1:, k]).argmax())
+        if a[pivot, k] == 0.0:
+            return 0.0
+        if pivot != k + 1:
+            a[[k + 1, pivot], :] = a[[pivot, k + 1], :]
+            a[:, [k + 1, pivot]] = a[:, [pivot, k + 1]]
+            value = -value
+        value *= float(a[k, k + 1])
+        if not math.isfinite(value):
+            raise OverflowError(f"the Pfaffian of the {n}x{n} matrix overflows float64")
+        if k + 2 < n:
+            tau = a[k, k + 2:] / a[k, k + 1]
+            col = a[k + 2:, k + 1]
+            a[k + 2:, k + 2:] += np.outer(tau, col) - np.outer(col, tau)
+    return value
+
+
+def inverse_skew_factor(m) -> np.ndarray:
+    """Q = Lf^-1, lower-triangular with scalar 2x2 diagonal blocks and
+    Q m Q^T = J, for the factor m = Lf J Lf^T of ``ensemble.skew_factor``
+    (with its refusals).  The block shape is set structurally: below the
+    diagonal blocks Q is Lf^-1, each diagonal block is Lf's inverted
+    exactly, and above is zero."""
+    Lf = skew_factor(m)
+    return np.where(_below_blocks(len(Lf)), np.linalg.inv(Lf), np.diag(1 / np.diag(Lf)))
 
 
 def project_t(A: np.ndarray) -> np.ndarray:

@@ -3,7 +3,9 @@ single pass/fail line with its runtime, run in criterion order.
 
 Tolerances are pinned here and nowhere else:
 
-  1. pfaffian:        pf^2 = det within 1e-10 relative, dims 2..12, < 1 s
+  1. pfaffian:        pf^2 = det within 1e-10 relative, dims 2..12, and the
+                      elimination's taus of m_2..m_12 at t = 0 within
+                      10^(n-16) relative of it, < 1 s
   2. tau ratios:      quadrature vs closed form within 1e-6 rel, n=1..3, < 30 s
   3. moment flow:     residual <= 1e-5, (i,j) in {0..3}^2, k in {1,2}, < 60 s
   4. flow match:      commutator vs explicit <= 1e-12 relative, 200 states, < 30 s
@@ -21,6 +23,8 @@ from fractions import Fraction
 import numpy as np
 
 from pfaffchain import chain, ensemble, integrability, lax, reductions
+
+from oracles import pfaffian
 
 Q = ensemble.QuadratureConfig()
 
@@ -42,7 +46,7 @@ def test_criterion_1_pfaffian():
         dim = dims[count % len(dims)]
         a = rng.standard_normal((dim, dim))
         a -= a.T
-        pf = ensemble.pfaffian(a)
+        pf = pfaffian(a)
         det = np.linalg.det(a)
         rel = abs(pf * pf - det) / max(1.0, abs(det))
         if rel > 1e-10:
@@ -52,8 +56,18 @@ def test_criterion_1_pfaffian():
     closed[0, 1], closed[0, 2], closed[0, 3] = 1, 2, 3
     closed[1, 2], closed[1, 3], closed[2, 3] = 4, 5, 6
     closed -= closed.T
-    if ensemble.pfaffian(closed) != 8.0:
+    if pfaffian(closed) != 8.0:
         failures.append("4x4 closed form not exact")
+    # the runtime route: every tau is a running product of the pivots of
+    # one elimination without pivoting, checked against the pivoted oracle
+    t0 = ensemble.CouplingVector.zero()
+    pivots = ensemble._skew_elimination(ensemble.moment_matrix(6, t0, Q))[0]
+    tau = 1.0
+    for n in range(1, 7):
+        tau *= pivots[n - 1]
+        pivoted = pfaffian(ensemble.moment_matrix(n, t0, Q))
+        if not abs(tau - pivoted) <= 10.0 ** (n - 16) * pivoted:
+            failures.append(f"tau_{2 * n}: elimination {tau!r} vs pivoted {pivoted!r}")
     elapsed = time.perf_counter() - started
     if elapsed >= 1.0:
         failures.append(f"runtime {elapsed:.2f}s >= 1s")

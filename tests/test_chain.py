@@ -27,7 +27,7 @@ from pfaffchain.chain import (
 from pfaffchain.integrability import Poly, paper_chain_spec
 from pfaffchain.lax import expand_lattice_terms, flow_terms
 
-from oracles import gaussian_orbit_limit
+from oracles import chain_density, gaussian_orbit_limit
 
 F = Fraction
 
@@ -122,10 +122,10 @@ def test_the_gaussian_orbit_limit_solves_every_chain_row_identically():
     sympy = pytest.importorskip("sympy")
     x, t, c = sympy.symbols("x t c")
 
-    def residuals(u):
-        return {k: sympy.simplify(sympy.diff(u(k), t) - sum(
+    def residuals(u, rows=range(-8, 9), reduce=sympy.simplify):
+        return {k: reduce(sympy.diff(u(k), t) - sum(
             a.eval(lambda var: u(var[1])) * sympy.diff(u(j), x)
-            for j, a in lax.chain_matrix_terms(k).items())) for k in range(-8, 9)}
+            for j, a in lax.chain_matrix_terms(k).items())) for k in rows}
 
     def orbit(k):
         return gaussian_orbit_limit(k, x, t, c)
@@ -137,6 +137,41 @@ def test_the_gaussian_orbit_limit_solves_every_chain_row_identically():
     control = residuals(unscaled)
     assert sympy.simplify(control.pop(-1) - 1 / (2 * t - 1)) == 0
     assert control == dict.fromkeys(set(range(-8, 9)) - {-1}, 0)
+
+    # the hodograph family, which holds the orbit R = x / (1 - 2t): any
+    # R(x, t) with R_t = 2 R R_x, as u^0 = -u^-2 = R, u^k = 2 for k >= 1
+    # and every other band 0, solves every row; with u^1 = 3, 12 rows fail
+    R = sympy.Function("R")(x, t)
+
+    def hodograph(u1):
+        return lambda k: {0: R, -2: -R, 1: u1}.get(k, 2 if k >= 1 else 0)
+
+    def on_family(residual):
+        return sympy.expand(residual.subs(sympy.Derivative(R, t),
+                                          2 * R * sympy.Derivative(R, x)))
+
+    rows = range(-10, 11)
+    assert residuals(hodograph(2), rows, on_family) == dict.fromkeys(rows, 0)
+    broken = residuals(hodograph(3), rows, on_family)
+    assert {k for k, r in broken.items() if r != 0} == {-2, 0, *range(1, 11)}
+
+
+def test_the_gaussian_orbit_tau_gives_the_density_h2_exactly():
+    # tau_2n proportional to (1 - 2t)^(-n (2n + 1) / 2) along t2 = t, at
+    # n = x / eps: the free energy F = eps^2 log tau has d_x d_t F = h_2 on
+    # the orbit limit with c = eps / 2, the O(eps) term included, and at
+    # c = 0 it misses by exactly eps / (1 - 2t)
+    sympy = pytest.importorskip("sympy")
+    x, t, eps = sympy.symbols("x t epsilon")
+    n = x / eps
+    free_energy = eps ** 2 * sympy.log((1 - 2 * t) ** (-n * (2 * n + 1) / 2))
+
+    def gap(c):
+        h2 = chain_density(2).eval(lambda p: gaussian_orbit_limit(p, x, t, c))
+        return sympy.simplify(sympy.diff(free_energy, x, t) - h2)
+
+    assert gap(eps / 2) == 0
+    assert sympy.simplify(gap(0) - eps / (1 - 2 * t)) == 0
 
 
 def test_rhs_equals_row_assembly():

@@ -218,6 +218,17 @@ _USAGE_MESSAGES = {
     "moments --n 100": "moment matrix n=100: the degree-199 moment table is not finite in float64",
     "moments --radius 1e6": "moment matrix n=2: the rule at 200 nodes on radius 1e+06 "
                             "resolves no weight: mu_01 = 0 is not positive",
+    # each ended in a RuntimeWarning from numpy before, a traceback under -W error
+    "moments --n 1 --radius 1e308": "domain_radius 1e+308 is past float64 for the quadrature "
+                                    "rule, whose panel midpoints sum nodes up to 2 * radius",
+    "tau --n-max 1 --radius 1e160": "moment matrix n=1: the rule at 200 nodes on radius "
+                                    "1e+160 resolves no weight: mu_01 = 0 is not positive",
+    "tau --n-max 1 --radius 1e80 --t4 -0.01": "moment matrix n=1: the rule at 200 nodes on "
+                                              "radius 1e+80 resolves no weight: mu_01 = 0 is "
+                                              "not positive",
+    "tau --n-max 1 --radius 1e160 --t2 0.1 --t4 -0.01":
+        "n=1: the weight exponent at x=-9.9992807128507e+159 is nan: its terms overflow "
+        "float64 with both signs",
     # a TypeError traceback before
     "--config config_func.json gt": "bad config: gt: --func is no option of gt",
     # an AttributeError traceback before
@@ -303,6 +314,10 @@ _USAGE_MESSAGES = {
     ["tau", "--n-max", "300"],
     ["tau", "--n-max", "20"],
     ["moments", "--radius", "1e6"],
+    ["moments", "--n", "1", "--radius", "1e308"],
+    ["tau", "--n-max", "1", "--radius", "1e160"],
+    ["tau", "--n-max", "1", "--radius", "1e80", "--t4", "-0.01"],
+    ["tau", "--n-max", "1", "--radius", "1e160", "--t2", "0.1", "--t4", "-0.01"],
     # allocations past the 128 TiB address space fail at once under any
     # overcommit setting
     ["chain-evolve", "--grid", "100000000000000", "--steps", "0"],
@@ -396,7 +411,7 @@ def test_a_lattice_past_the_physical_memory_is_refused_before_any_is_drawn(tmp_p
 
 def test_tau_table_computes_each_tau_once(tmp_path, monkeypatch):
     calls = collections.Counter()
-    for name in ("moment_matrix", "pfaffian", "_skew_elimination"):
+    for name in ("moment_matrix", "_skew_elimination"):
         def counted(*args, _fn=getattr(ensemble, name), _name=name):
             calls[_name] += 1
             return _fn(*args)

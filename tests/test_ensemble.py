@@ -14,7 +14,6 @@ from pfaffchain.ensemble import (
     moment_flow_residual,
     moment_matrix,
     moment_mu,
-    pfaffian,
     selberg_ratio,
     skew_factor,
     tau_from_moments,
@@ -31,6 +30,8 @@ from pfaffchain.ensemble import (
     _triangle_rule,
     _weight_array,
 )
+
+from oracles import pfaffian
 
 ZERO = CouplingVector.zero()
 Q = QuadratureConfig()
@@ -65,6 +66,17 @@ def test_weight_overflow_names_the_point():
         _weight_array(np.array([-1.0, 2.0]), t)
 
 
+def test_a_weight_exponent_past_float64_is_a_zero_weight_or_refused():
+    # -x^2/2 overflows to -inf past |x| = 1.9e154, and a quartic coupling
+    # past 1e77: weight 0, with no numpy warning
+    x = np.array([0.0, 1e80, 1e160])
+    assert _weight_array(x, ZERO).tolist() == [1.0, 0.0, 0.0]
+    assert _weight_array(x[:2], CouplingVector({4: -0.01})).tolist() == [1.0, 0.0]
+    # +inf - inf is no exponent at all
+    with pytest.raises(OverflowError, match=r"^the weight exponent at x=1e\+160 is nan"):
+        _weight_array(x, CouplingVector({2: 0.1, 4: -0.01}))
+
+
 def test_guard_rejects_odd_leading_coupling():
     with pytest.raises(ValueError, match="integrable"):
         CouplingVector({3: 0.1})
@@ -93,6 +105,10 @@ def test_quadrature_config_validation():
         QuadratureConfig(nodes_per_axis=4)
     with pytest.raises(ValueError):
         QuadratureConfig(domain_radius=-1.0)
+    # the rule's panel midpoints sum two nodes, so 2R must be finite
+    with pytest.raises(ValueError, match=r"^domain_radius 1e\+308 is past float64"):
+        QuadratureConfig(domain_radius=1e308)
+    QuadratureConfig(domain_radius=8e307)
 
 
 # ---------------------------------------------------------------------------
@@ -394,7 +410,7 @@ def test_moment_csv_roundtrip(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# pfaffians
+# the pivoted pfaffian oracle
 # ---------------------------------------------------------------------------
 
 def test_pfaffian_2x2_definition():

@@ -11,7 +11,7 @@ from scipy.linalg import block_diag
 
 from pfaffchain import ensemble, lax
 from pfaffchain.ensemble import (CouplingVector, FactorizationError, QuadratureConfig,
-                                 _skew_elimination, moment_matrix, skew_factorize,
+                                 _skew_elimination, moment_matrix, skew_factor,
                                  tau_from_moments)
 from pfaffchain.lax import (
     FLOWS,
@@ -32,7 +32,7 @@ from pfaffchain.lax import (
 from pfaffchain.poly import Poly
 
 from oracles import (bands_from_json, bands_to_json, flow_band_by_band, gaussian_orbit_band,
-                     project_t, random_bands_from_slots)
+                     inverse_skew_factor, project_t, random_bands_from_slots)
 
 Q = QuadratureConfig()
 
@@ -991,30 +991,28 @@ def test_slots_stored_outside_the_window_read_zero():
 # ---------------------------------------------------------------------------
 
 def test_factorize_j_gives_identity():
-    assert np.abs(skew_factorize(_J(6)) - np.eye(6)).max() < 1e-14
+    assert np.abs(skew_factor(_J(6)) - np.eye(6)).max() < 1e-14
 
 
 def test_factorize_scaled_j():
     c = 2.5
-    q = skew_factorize(c * _J(4))
-    assert np.abs(q - np.eye(4) / math.sqrt(c)).max() < 1e-14
+    lf = skew_factor(c * _J(4))
+    assert np.abs(lf - np.eye(4) * math.sqrt(c)).max() < 1e-14
 
 
 def test_factorize_moment_matrix_residual():
-    from pfaffchain.ensemble import CouplingVector, moment_matrix
-
     m = moment_matrix(2, CouplingVector.zero(), Q)
-    q = skew_factorize(m)
-    assert np.abs(q @ m @ q.T - _J(4)).max() < 1e-9
+    lf = skew_factor(m)
+    assert np.abs(lf @ _J(4) @ lf.T - m).max() < 1e-9
 
 
-def _skew_factorize_gram_schmidt(a: np.ndarray) -> np.ndarray:
+def _gram_schmidt_inverse_factor(a: np.ndarray) -> np.ndarray:
     """Independent route: symplectic Gram-Schmidt on the monomial basis.
 
     Rows of Q are coefficient vectors of polynomials q_i with pairings
     <q_2r-1, q_2r> = 1 and zero against all earlier rows, normalised with a
-    common positive scale per pair; agrees with ``skew_factorize`` up to
-    roundoff because the factorisation is unique.
+    common positive scale per pair; agrees with the inverse of
+    ``skew_factor`` up to roundoff because the factorisation is unique.
     """
     M = a.shape[0]
     Q = np.eye(M)
@@ -1043,36 +1041,32 @@ def _skew_factorize_gram_schmidt(a: np.ndarray) -> np.ndarray:
 
 
 def test_factorize_uniqueness_two_routes():
-    from pfaffchain.ensemble import CouplingVector, moment_matrix
-
     m = moment_matrix(4, CouplingVector.zero(), Q)
-    q1 = skew_factorize(m)
-    q2 = _skew_factorize_gram_schmidt(m)
+    q1 = inverse_skew_factor(m)
+    q2 = _gram_schmidt_inverse_factor(m)
     assert np.abs(q1 - q2).max() < 1e-10
 
 
 def test_factorize_block_shape():
-    from pfaffchain.ensemble import CouplingVector, moment_matrix
-
-    q = skew_factorize(moment_matrix(3, CouplingVector.zero(), Q))
+    lf = skew_factor(moment_matrix(3, CouplingVector.zero(), Q))
     for r in range(0, 6, 2):
-        assert q[r, r] == q[r + 1, r + 1] > 0
-        assert q[r, r + 1] == 0.0 and q[r + 1, r] == 0.0
-    assert np.abs(np.triu(q, 1)).max() == 0.0
+        assert lf[r, r] == lf[r + 1, r + 1] > 0
+        assert lf[r, r + 1] == 0.0 and lf[r + 1, r] == 0.0
+    assert np.abs(np.triu(lf, 1)).max() == 0.0
 
 
 def test_factorize_pivot_threshold_scales_with_its_own_minor():
     # a unit pivot next to a 1e20 block is healthy; only a pivot small
     # against its own leading minor is singular
-    q = skew_factorize(block_diag(_J(2), 1e20 * _J(2)))
-    assert np.allclose(np.diag(q), [1.0, 1.0, 1e-10, 1e-10], rtol=1e-14, atol=0)
+    lf = skew_factor(block_diag(_J(2), 1e20 * _J(2)))
+    assert np.allclose(np.diag(lf), [1.0, 1.0, 1e10, 1e10], rtol=1e-14, atol=0)
     with pytest.raises(FactorizationError, match="pivot of the 4x4 block is 1e-15"):
-        skew_factorize(block_diag(_J(2), 1e-15 * _J(2)))
+        skew_factor(block_diag(_J(2), 1e-15 * _J(2)))
 
 
 def test_factorize_nonpositive_minor_error():
     with pytest.raises(FactorizationError, match="minor"):
-        skew_factorize(-_J(4))
+        skew_factor(-_J(4))
 
 
 @pytest.mark.parametrize("m, message", [
@@ -1086,13 +1080,13 @@ def test_factorize_refuses_a_matrix_that_is_not_skew(m, message):
     # a symmetric matrix and one with a diagonal entry factorised to the
     # identity before, and a 2 x 3 one ended in numpy's LinAlgError
     with pytest.raises(ValueError, match=message):
-        skew_factorize(m)
+        skew_factor(m)
 
 
 @pytest.mark.parametrize("t", [{}, {1: 0.2, 4: -0.02}], ids=["t=0", "t1=0.2,t4=-0.02"])
 def test_factorize_reads_the_pivots_whose_running_product_is_the_tau(monkeypatch, t):
     # one elimination serves both: the running product of the pivots that
-    # skew_factorize reads is every tau, bit for bit
+    # skew_factor reads is every tau, bit for bit
     t, read = CouplingVector(t), []
 
     def spy(m):
@@ -1101,7 +1095,7 @@ def test_factorize_reads_the_pivots_whose_running_product_is_the_tau(monkeypatch
         return pivots, a
 
     monkeypatch.setattr(ensemble, "_skew_elimination", spy)
-    skew_factorize(moment_matrix(8, t, Q))
+    skew_factor(moment_matrix(8, t, Q))
     [pivots] = read
     assert len(pivots) == 8
     tau = 1.0
@@ -1212,7 +1206,7 @@ def test_the_even_t2_tables_move_the_gaussian_orbit_by_its_scaling_law(n):
 def _harvested_lax_matrix(sites: int, t2: float) -> np.ndarray:
     """L = Q Lambda Q^-1 from the skew factorisation of the moment matrix."""
     mu = moment_matrix(sites, CouplingVector({2: t2}), Q)
-    q = skew_factorize(mu)
+    q = inverse_skew_factor(mu)
     return q @ np.eye(len(mu), k=1) @ np.linalg.inv(q)
 
 
@@ -1253,7 +1247,7 @@ def test_log_tau_derivative_is_the_trace_of_the_lax_power(t):
             m = mu[:2 * n, :2 * n]
             dm = mu[np.ix_(i + k, i)] + mu[np.ix_(i, i + k)]
             lhs = np.trace(np.linalg.solve(m, dm)) / 2
-            q = skew_factorize(mu)
+            q = inverse_skew_factor(mu)
             L = q @ np.eye(len(mu), k=1) @ np.linalg.inv(q)
             rhs = np.trace(np.linalg.matrix_power(L, k)[:2 * n, :2 * n])
             assert abs(lhs - rhs) <= 1e-9 * max(1.0, abs(rhs)), (n, k)

@@ -1,5 +1,6 @@
-"""Property tests: Pfaffian identities, the projection, band JSON, and the
-int kernels of ``reductions`` against their reduced-Fraction oracles."""
+"""Property tests: Pfaffian identities of the pivoted oracle, the
+projection, band JSON, and the int kernels of ``reductions`` against their
+reduced-Fraction oracles."""
 
 import json
 import math
@@ -11,7 +12,6 @@ from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from pfaffchain import reductions
-from pfaffchain.ensemble import pfaffian
 from pfaffchain.integrability import RationalPoint, TensorPoint, paper_chain_spec
 from pfaffchain.lax import LaxBands
 from pfaffchain.poly import over_lcm
@@ -19,7 +19,7 @@ from pfaffchain.reductions import (ReductionJet, _closure, _duals, eigen_residua
                                    gt_involutivity, tangent_recursion)
 
 from oracles import (bands_from_json, bands_to_json, fraction_tangent, gibbons_tsarev,
-                     oracle_involutivity, project_t)
+                     oracle_involutivity, pfaffian, project_t)
 
 FEW = settings(max_examples=40, deadline=None)
 ENTRIES = st.floats(-2.0, 2.0, allow_subnormal=False)
