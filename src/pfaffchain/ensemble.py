@@ -32,18 +32,25 @@ rule of ``_PANEL_NODES`` points: I_j(x_a) is the reverse cumulative sum of
 the panel sums from panel a on, so a table costs O(nodes) weight
 evaluations, not O(nodes^2).  That rule (outer nodes and weights, panel
 points and weights) does not depend on t: it is built once per (nodes,
-radius) and shared by every coupling vector, whose table only evaluates the
-weight w on it and sums powers of x and y against it.  Each (mu_ij) table is
-formed once per (t, config, degree), on its first converged request, and
-lives as long as its quadrature stays cached; every later request for that
-degree, from ``moment_mu``, ``moment_matrix``, the tau reports or the
-flow-law residual, returns the same read-only array.  An entry does not
-depend on the degree of the table it is read from.  A table is finite or
-refused: a degree whose node powers R^degree overflow float64 raises
-OverflowError before any power is formed, and a table with a non-finite
-entry raises ``QuadratureError``, as one that does not converge does, or
-one whose mu_01 is not positive: mu_01 = integral over y > x of
+radius) and shared by every coupling vector, whose table evaluates the
+weight w on it in one pass per refinement level, outer nodes and panel
+points together, and sums powers of x and y against it.  The power rows
+x^i w(x) and I_j are kept in buffers that grow in place, each new row formed
+from the one before, so a larger degree costs only its new rows and one
+einsum.  Each (mu_ij) table is formed once per (t, config, degree), on its
+first converged request, and lives as long as its quadrature stays cached;
+every later request for that degree, from ``moment_mu``, ``moment_matrix``,
+the tau reports or the flow-law residual, returns the same read-only array.
+The flow-law residual builds the four shifted coupling vectors of its
+stencil once per (t, k, h) and reads every value through ``moment_mu``.  An
+entry does not depend on the degree of the table it is read from.  A table
+is finite or refused: a degree whose node powers R^degree overflow float64
+raises OverflowError before any power is formed, and a table with a
+non-finite entry raises ``QuadratureError``, as one that does not converge
+does, or one whose mu_01 is not positive: mu_01 = integral over y > x of
 (y - x) w(x) w(y) > 0 for every weight, so such a rule missed the weight.
+Each refusal names its table, ``moment matrix n=...`` from
+``moment_matrix`` and ``moment (i, j) = ...`` from ``moment_mu``.
 ``moment_matrix`` returns (mu_ij) as a plain antisymmetric ``ndarray``; the
 skew elimination copies it before it writes.
 
@@ -123,6 +130,7 @@ class CouplingVector:
     is even with t_{k_max} < 0, or k_max <= 2 and the quadratic exponent
     coefficient -1/2 + t_2 stays negative.  ``even_only`` is derived, not
     set: it is True iff every coupled power is even (so the weight is even).
+    ``key()``, the sorted entries, is formed once, when the vector is.
     """
 
     entries: Mapping[int, float] = field(default_factory=dict)
@@ -144,6 +152,7 @@ class CouplingVector:
             if not ok:
                 raise ValueError(
                     f"weight not integrable at infinity: leading coupling t_{k_max}={t_max}")
+        object.__setattr__(self, "_key", tuple(sorted(self.entries.items())))
 
     even_only = property(lambda self: all(k % 2 == 0 for k in self.entries))
 
@@ -156,7 +165,7 @@ class CouplingVector:
         return CouplingVector(entries)
 
     def key(self) -> tuple:
-        return tuple(sorted(self.entries.items()))
+        return self._key
 
     def as_dict(self) -> dict[str, float]:
         return {f"t{k}": v for k, v in sorted(self.entries.items())}
@@ -188,21 +197,34 @@ class QuadratureConfig:
 def _weight_array(x: np.ndarray, t: CouplingVector) -> np.ndarray:
     """exp(-x^2/2 + sum_k t_k x^k) elementwise.  An exponent that overflows
     to -inf is a zero weight; one above ``_MAX_EXPONENT``, +inf or NaN (a
-    sum of infinities of both signs) raises OverflowError naming the point."""
+    sum of infinities of both signs) raises OverflowError naming the point.
+    The first row of a 2-D x is judged before the others: the triangle rule
+    puts its outer nodes there, so a bad weight is named at an outer node
+    before any panel point."""
     with np.errstate(over="ignore", invalid="ignore"):  # judged below
         e = -0.5 * x * x
         for k, tk in t.entries.items():
             e = e + tk * x ** k
+    rows_e, rows_x = np.atleast_2d(e, x)
+    _judge_exponent(rows_e[:1], rows_x[:1])
+    _judge_exponent(rows_e[1:], rows_x[1:])
+    return np.exp(e)
+
+
+def _judge_exponent(e: np.ndarray, x: np.ndarray) -> None:
+    """Refuse the largest exponent of e past ``_MAX_EXPONENT``, or its first
+    NaN, naming the point of x it belongs to."""
+    if not e.size:
+        return
     bad = np.argmax(e)  # the first NaN, if there is one
     if e.flat[bad] > _MAX_EXPONENT:
         raise OverflowError(f"weight overflow at x={x.flat[bad]}")
     if np.isnan(e.flat[bad]):
         raise OverflowError(f"the weight exponent at x={x.flat[bad]} is nan: its terms "
                             f"overflow float64 with both signs")
-    return np.exp(e)
 
 
-_PANEL_NODES = 8  # Gauss-Legendre points on each inner panel
+_PANEL_NODES = 8  # Gauss-Legendre points per inner panel; ``_inner_integrals`` sums eight
 _PANEL_X, _PANEL_W = np.polynomial.legendre.leggauss(_PANEL_NODES)
 
 
@@ -226,36 +248,57 @@ def _triangle_rule(nodes: int, radius: float) -> tuple[np.ndarray, ...]:
     return x, wx, y, wy
 
 
-def _inner_integrals(f: np.ndarray) -> np.ndarray:
-    """Sum of the panel rows b >= a of f, for every outer node a."""
-    return np.cumsum(f.sum(axis=1)[::-1])[::-1]
+def _inner_integrals(f: np.ndarray, out: np.ndarray) -> None:
+    """Sum of the panel rows b >= a of f, for every outer node a, into out.
+
+    A panel's eight points are summed as ((f0 + f1) + (f2 + f3)) + ((f4 +
+    f5) + (f6 + f7)), the order of numpy's pairwise ``f.sum(axis=1)``, so
+    the sums keep its bits; three adds over all panels at once cost less
+    than numpy's reduction over rows of eight."""
+    pairs = f[:, 0::2] + f[:, 1::2]
+    pairs = pairs[:, 0::2] + pairs[:, 1::2]
+    np.add.accumulate((pairs[:, 0] + pairs[:, 1])[::-1], out=out[::-1])
 
 
 class _TriangleTable:
-    """Table of G[i, j] over the triangle y > x, one refinement level."""
+    """Table of G[i, j] over the triangle y > x, one refinement level.
+
+    The weight is evaluated in one pass over the outer nodes (row 0) and the
+    panel points (the rows below) together.  Row i of ``_u`` is
+    x^i w(x) wx at the outer nodes and row j of ``_ty`` is I_j there; the
+    first ``rows`` rows of both are formed, each power from the one before
+    it, and both buffers grow in place, doubling their rows."""
 
     def __init__(self, t: CouplingVector, nodes: int, radius: float):
         self.x, wx, self.y, wy = _triangle_rule(nodes, radius)
-        self.ux = wx * _weight_array(self.x, t)     # outer weight incl. w(x)
-        self.uy = wy * _weight_array(self.y, t)     # panel weight incl. w(y)
-        self._xp = [np.ones_like(self.x)]
-        self._ty = [_inner_integrals(self.uy)]      # I_j at the outer nodes
-        self._ycur = self.uy
+        w = _weight_array(np.concatenate((self.x, self.y.ravel())).reshape(-1, nodes), t)
+        self.ux = wx * w[0]                               # outer weight incl. w(x)
+        self._ycur = wy * w[1:].reshape(self.y.shape)     # y^j w(y) wy, j = rows - 1
+        self._xcur = np.ones_like(self.x)                 # x^(rows - 1)
+        self._u = np.empty((8, nodes))                    # room for degrees up to 7
+        self._ty = np.empty((8, nodes))
+        self._u[0] = self.ux
+        _inner_integrals(self._ycur, self._ty[0])
+        self.rows = 1
 
     def _extend(self, degree: int) -> None:
-        while len(self._xp) <= degree:
-            self._xp.append(self._xp[-1] * self.x)
-        while len(self._ty) <= degree:
-            self._ycur = self._ycur * self.y
-            self._ty.append(_inner_integrals(self._ycur))
+        if degree >= len(self._u):  # at least double the rows
+            more = np.empty((max(len(self._u), degree + 1 - len(self._u)), len(self.x)))
+            self._u = np.concatenate((self._u, more))
+            self._ty = np.concatenate((self._ty, more))
+        for i in range(self.rows, degree + 1):
+            np.multiply(self._xcur, self.x, out=self._xcur)
+            np.multiply(self._xcur, self.ux, out=self._u[i])
+            np.multiply(self._ycur, self.y, out=self._ycur)
+            _inner_integrals(self._ycur, self._ty[i])
+        self.rows = max(self.rows, degree + 1)
 
     def g_table(self, degree: int) -> np.ndarray:
-        """G[i, j] for 0 <= i, j <= degree; each entry is summed in the same
-        order at every degree (einsum, not a BLAS product)."""
+        """G[i, j] for 0 <= i, j <= degree: one einsum over the leading rows
+        of the power buffers, formed on first request.  Each entry is summed
+        in the same order at every degree (einsum, not a BLAS product)."""
         self._extend(degree)
-        u = np.array([self._xp[i] * self.ux for i in range(degree + 1)])
-        ty = np.array(self._ty[: degree + 1])
-        return np.einsum("ia,ja->ij", u, ty)
+        return np.einsum("ia,ja->ij", self._u[: degree + 1], self._ty[: degree + 1])
 
 
 class _MomentQuadrature:
@@ -316,6 +359,14 @@ def _quadrature_for(t_key: tuple, q_key: tuple) -> _MomentQuadrature:
     return _MomentQuadrature(t, q)
 
 
+@lru_cache(maxsize=32)
+def _stencil_for(t_key: tuple, k: int, h: float) -> tuple[CouplingVector, ...]:
+    """t shifted along t_k by 2h, h, -h and -2h: the points of the flow-law
+    stencil, each checked by the integrability guard."""
+    t = CouplingVector(dict(t_key))
+    return tuple(t.shifted(k, dt) for dt in (2 * h, h, -h, -2 * h))
+
+
 def moment_mu(i: int, j: int, t: CouplingVector, q: QuadratureConfig) -> float:
     """mu_ij(t); antisymmetric in (i, j) by construction, zero diagonal."""
     if i < 0 or j < 0:
@@ -328,6 +379,8 @@ def moment_mu(i: int, j: int, t: CouplingVector, q: QuadratureConfig) -> float:
     except QuadratureError as exc:
         raise QuadratureError(f"moment (i, j) = ({i}, {j}): {exc}",
                               exc.coarse, exc.fine) from exc
+    except OverflowError as exc:
+        raise OverflowError(f"moment (i, j) = ({i}, {j}): {exc}") from exc
     value = float(table[lo, hi])
     return value if i < j else -value
 
@@ -341,6 +394,8 @@ def moment_matrix(n: int, t: CouplingVector, q: QuadratureConfig) -> np.ndarray:
         return _quadrature_for(t.key(), q.key()).mu_table(2 * n - 1)
     except QuadratureError as exc:
         raise QuadratureError(f"moment matrix n={n}: {exc}", exc.coarse, exc.fine) from exc
+    except OverflowError as exc:
+        raise OverflowError(f"moment matrix n={n}: {exc}") from exc
 
 
 def write_moment_csv(m: np.ndarray, path) -> None:
@@ -532,6 +587,8 @@ def _tau_record(n: int, t: CouplingVector, pivots: Callable[[int], list[float]])
         value = _tau(n, pivots(n))
         below, above = pivots(n + 1)[n - 1:] if n else (None, None)
     except (ValueError, OverflowError) as exc:
+        if str(exc).startswith("moment matrix n="):  # a refused table names itself
+            raise
         raise type(exc)(f"n={n}: {exc}") from None
     ratio = above / below / selberg_ratio(n) if n else None
     if n and not math.isfinite(ratio):
@@ -548,15 +605,13 @@ def moment_flow_residual(i: int, j: int, k: int, t: CouplingVector,
     five-point central stencil has O(h^4) truncation; the moments' third
     t-derivatives reach magnitude ~1e3, so at h = 1e-3 a three-point stencil
     (O(h^2)) would leave residuals of order 1e-4 that measure the stencil
-    rather than the flow law.
+    rather than the flow law.  Its four shifted vectors are built and
+    checked once per (t, k, h) (``_stencil_for``), and every value is read
+    through ``moment_mu``.
     """
     if h <= 0:
         raise ValueError("h must be positive")
-
-    def mu_at(dt: float) -> float:
-        return moment_mu(i, j, t.shifted(k, dt), q)
-
-    derivative = (-mu_at(2 * h) + 8 * mu_at(h)
-                  - 8 * mu_at(-h) + mu_at(-2 * h)) / (12 * h)
+    far, near, back, far_back = (moment_mu(i, j, s, q) for s in _stencil_for(t.key(), k, h))
+    derivative = (-far + 8 * near - 8 * back + far_back) / (12 * h)
     flow = moment_mu(i + k, j, t, q) + moment_mu(i, j + k, t, q)
     return abs(derivative - flow)

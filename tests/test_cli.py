@@ -227,8 +227,16 @@ _USAGE_MESSAGES = {
                                               "radius 1e+80 resolves no weight: mu_01 = 0 is "
                                               "not positive",
     "tau --n-max 1 --radius 1e160 --t2 0.1 --t4 -0.01":
-        "n=1: the weight exponent at x=-9.9992807128507e+159 is nan: its terms overflow "
-        "float64 with both signs",
+        "moment matrix n=1: the weight exponent at x=-9.9992807128507e+159 is nan: its terms "
+        "overflow float64 with both signs",
+    # a table refusal named no table before, or only the tau record's n=
+    "moments --n 153": "moment matrix n=153: degree 305: node powers up to 10^305 overflow "
+                       "float64",
+    "moments --n 2 --t2 0.1 --radius 1e300":
+        "moment matrix n=2: the weight exponent at x=-9.999280712850701e+299 is nan: its terms "
+        "overflow float64 with both signs",
+    "tau --n-max 1 --radius 8e307": "moment matrix n=1: degree 1: node powers up to 8e+307^1 "
+                                    "overflow float64",
     # a TypeError traceback before
     "--config config_func.json gt": "bad config: gt: --func is no option of gt",
     # an AttributeError traceback before
@@ -318,6 +326,9 @@ _USAGE_MESSAGES = {
     ["tau", "--n-max", "1", "--radius", "1e160"],
     ["tau", "--n-max", "1", "--radius", "1e80", "--t4", "-0.01"],
     ["tau", "--n-max", "1", "--radius", "1e160", "--t2", "0.1", "--t4", "-0.01"],
+    ["moments", "--n", "153"],
+    ["moments", "--n", "2", "--t2", "0.1", "--radius", "1e300"],
+    ["tau", "--n-max", "1", "--radius", "8e307"],
     # allocations past the 128 TiB address space fail at once under any
     # overcommit setting
     ["chain-evolve", "--grid", "100000000000000", "--steps", "0"],

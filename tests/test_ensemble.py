@@ -24,8 +24,10 @@ from pfaffchain.ensemble import (
 from pfaffchain.ensemble import (
     _PANEL_NODES,
     _MomentQuadrature,
+    _inner_integrals,
     _quadrature_for,
     _skew_elimination,
+    _stencil_for,
     _TriangleTable,
     _triangle_rule,
     _weight_array,
@@ -285,6 +287,66 @@ def test_a_flow_law_sweep_forms_each_table_once(monkeypatch):
     assert formed == before
 
 
+def test_a_cold_table_weighs_once_per_level_and_a_sweep_shifts_once_per_stencil(monkeypatch):
+    weighed = []
+    weight_array = _weight_array
+    monkeypatch.setattr("pfaffchain.ensemble._weight_array",
+                        lambda x, t: weighed.append(x.shape) or weight_array(x, t))
+    # one pass per level over its outer nodes (row 0) and panel points together
+    _MomentQuadrature(CouplingVector({2: -0.037}), Q)
+    assert weighed == [(1 + _PANEL_NODES, 200), (1 + _PANEL_NODES, 400)]
+
+    shifted = collections.Counter()  # (t, k, dt) -> shifted vectors built
+    shift = CouplingVector.shifted
+    monkeypatch.setattr(CouplingVector, "shifted",
+                        lambda self, k, dt: shifted.update([(self.key(), k, dt)])
+                        or shift(self, k, dt))
+    _stencil_for.cache_clear()
+    t = CouplingVector({2: -0.05})
+
+    def sweep(h):
+        for i in range(4):
+            for j in range(4):
+                for k in (1, 2):
+                    moment_flow_residual(i, j, k, t, h, Q)
+
+    sweep(1e-3)
+    sweep(1e-3)
+    assert sorted(shifted) == sorted((t.key(), k, dt) for k in (1, 2)
+                                     for dt in (2e-3, 1e-3, -1e-3, -2e-3))
+    assert set(shifted.values()) == {1}
+    sweep(2e-3)  # a new step is a new stencil, built once
+    sweep(2e-3)
+    assert sum(shifted.values()) == 16
+
+
+def test_a_bad_weight_is_named_at_an_outer_node_before_any_panel_point():
+    t = CouplingVector({1: 800.0})  # exponent 800 x - x^2/2 grows up to x = 800
+    with pytest.raises(OverflowError, match="^weight overflow at x=2.0$"):
+        _weight_array(np.array([[-1.0, 2.0], [3.0, 0.5]]), t)
+    with pytest.raises(OverflowError, match="^weight overflow at x=3.0$"):
+        _weight_array(np.array([[-1.0, -2.0], [3.0, 0.5]]), t)
+    # the panel points near R outgrow the last outer node, which is still named
+    x = _triangle_rule(Q.nodes_per_axis, Q.domain_radius)[0]
+    with pytest.raises(OverflowError, match=f"^moment matrix n=1: weight overflow at "
+                                            f"x={re.escape(str(x[-1]))}$"):
+        moment_matrix(1, t, Q)
+
+
+def test_the_panel_sums_keep_the_bits_of_numpys_sum():
+    rng = np.random.default_rng(7)
+    for nodes in (1, 7, 8, 9, 200, 400, 3001):
+        f = rng.standard_normal((nodes, _PANEL_NODES)) * 10.0 ** rng.integers(
+            -30, 30, (nodes, _PANEL_NODES))
+        f.flat[rng.integers(0, f.size, 3)] = [-0.0, np.inf, -np.inf][: f.size]
+        out = np.empty(nodes)
+        with np.errstate(invalid="ignore"):
+            _inner_integrals(f, out)
+            expected = np.cumsum(f.sum(axis=1)[::-1])[::-1]
+        assert np.array_equal(out, expected, equal_nan=True)
+        assert np.array_equal(np.signbit(out), np.signbit(expected))
+
+
 def test_a_memoized_table_cannot_be_written():
     t = CouplingVector({2: -0.043})
     m = moment_matrix(2, t, Q)
@@ -365,11 +427,19 @@ def test_a_table_that_resolves_no_weight_is_refused():
 
 def test_a_degree_whose_node_powers_overflow_is_refused_before_any_power():
     quad = _quadrature_for(ZERO.key(), Q.key())
-    formed = len(quad.fine._xp), len(quad.fine._ty)
+
+    def formed():  # the power rows of each level, and the buffers that hold them
+        return [(level.rows, level._u.shape, level._ty.shape)
+                for level in (quad.coarse, quad.fine)]
+
+    before = formed()
     # 10^d overflows float64 for d > 700 / ln 10 = 304
-    with pytest.raises(OverflowError, match="^degree 305: node powers up to 10"):
+    with pytest.raises(OverflowError, match="^moment matrix n=153: degree 305: node powers "
+                                            "up to 10"):
         moment_matrix(153, ZERO, Q)
-    assert (len(quad.fine._xp), len(quad.fine._ty)) == formed
+    with pytest.raises(OverflowError, match=r"^moment \(i, j\) = \(0, 305\): degree 305: "):
+        moment_mu(0, 305, ZERO, Q)
+    assert formed() == before
     assert np.isfinite(moment_matrix(2, ZERO, QuadratureConfig(domain_radius=0.5))).all()
 
 
