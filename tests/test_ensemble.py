@@ -338,7 +338,7 @@ def test_the_panel_sums_keep_the_bits_of_numpys_sum():
     for nodes in (1, 7, 8, 9, 200, 400, 3001):
         f = rng.standard_normal((nodes, _PANEL_NODES)) * 10.0 ** rng.integers(
             -30, 30, (nodes, _PANEL_NODES))
-        f.flat[rng.integers(0, f.size, 3)] = [-0.0, np.inf, -np.inf][: f.size]
+        f.flat[rng.integers(0, f.size, 3)] = [-0.0, np.inf, -np.inf]
         out = np.empty(nodes)
         with np.errstate(invalid="ignore"):
             _inner_integrals(f, out)
